@@ -62,7 +62,7 @@ fn run_bare(world: &mut PhasorWorld, fleet: &[FleetRelay]) -> (f64, usize) {
             world.config.clone(),
             StdRng::seed_from_u64(SEED ^ stop as u64),
         );
-        let mut medium = FleetMedium::new(world, fleet.to_vec(), stop % fleet.len());
+        let mut medium = FleetMedium::fleet(world, fleet.to_vec(), stop % fleet.len());
         reads += ctrl.run_until_quiet(&mut medium, ROUNDS_PER_STOP).len();
         world.power_cycle_tags();
     }
@@ -78,7 +78,7 @@ fn run_wrapped(world: &mut PhasorWorld, fleet: &[FleetRelay]) -> (f64, usize) {
             world.config.clone(),
             StdRng::seed_from_u64(SEED ^ stop as u64),
         );
-        let mut faulty = FleetMedium::new(world, fleet.to_vec(), stop % fleet.len())
+        let mut faulty = FleetMedium::fleet(world, fleet.to_vec(), stop % fleet.len())
             .layer(FaultLayer::inactive(SEED ^ stop as u64));
         reads += ctrl.run_until_quiet(&mut faulty, ROUNDS_PER_STOP).len();
         world.power_cycle_tags();

@@ -16,6 +16,7 @@ use rfly_fleet::partition::{partition, Cell, Partition};
 use rfly_obs::Value;
 use rfly_protocol::epc::Epc;
 use rfly_sim::fleet::{FleetMedium, FleetRelay};
+use rfly_sim::medium::FleetRf;
 use rfly_sim::world::{PhasorWorld, RelayModel};
 
 use crate::inject::RelayHealth;
@@ -424,6 +425,9 @@ impl MissionState {
                 }
             })
             .collect();
+        // The step's RF plan, shared by every serving and retry below;
+        // re-traced only when a gain trim rewrites a fleet member.
+        let mut rf = FleetRf::trace(world, fleet.clone());
 
         for (s_idx, &relay) in alive.iter().enumerate() {
             let stop_seed = cfg.seed ^ (((step as u64) << 8) | relay as u64);
@@ -448,6 +452,7 @@ impl MissionState {
                         let base =
                             RelayModel::from_budget(self.f1[relay], self.shift[relay], &env.budget);
                         fleet[s_idx].model = self.health[relay].degraded_model(&base);
+                        rf = FleetRf::trace(world, fleet.clone());
                         self.log.record(
                             step,
                             RecoveryAction::GainTrim {
@@ -461,7 +466,7 @@ impl MissionState {
             }
             let mut reads = inventory_stop(
                 world,
-                &fleet,
+                &rf,
                 s_idx,
                 &self.health[relay],
                 stop_seed,
@@ -480,7 +485,7 @@ impl MissionState {
                     }
                     reads = inventory_stop(
                         world,
-                        &fleet,
+                        &rf,
                         s_idx,
                         &self.health[relay],
                         stop_seed ^ ((attempt as u64) << 32),

@@ -1,14 +1,14 @@
 //! One faulted inventory stop: the layered medium stack in action.
 //!
 //! This is the seam the middleware refactor exists for: the stop builds
-//! `FleetMedium::new(..).layer(FaultLayer).layer(ObsLayer)` — one
+//! `FleetMedium::fleet_planned(..).layer(FaultLayer).layer(ObsLayer)` — one
 //! propagation core, fault injection and instrumentation stacked over
 //! it — instead of a bespoke fault-aware medium.
 
 use rfly_dsp::rng::StdRng;
 use rfly_reader::inventory::{InventoryController, TagRead};
 use rfly_reader::medium::{MediumExt, ObsLayer};
-use rfly_sim::fleet::{FleetMedium, FleetRelay};
+use rfly_sim::fleet::FleetMedium;
 use rfly_sim::medium::FleetRf;
 use rfly_sim::world::PhasorWorld;
 
@@ -19,24 +19,23 @@ use crate::inject::{FaultLayer, RelayHealth};
 /// coherence probe (the embedded tag alone is power-cycled and
 /// re-singulated at the same hover point, so consecutive embedded
 /// phases differ only by oscillator error).
-#[allow(clippy::too_many_arguments)]
+///
+/// `rf` is the step's fleet RF plan. It is pure geometry, shared by the
+/// main rounds, the coherence probe below and every retry (fault
+/// injection wraps `transact`, not propagation, so all of them see
+/// identical RF).
 pub(super) fn inventory_stop(
     world: &mut PhasorWorld,
-    fleet: &[FleetRelay],
+    rf: &FleetRf,
     serving: usize,
     health: &RelayHealth,
     seed: u64,
     max_rounds: usize,
 ) -> Vec<TagRead> {
-    // The stop's fleet RF is pure geometry, shared by the main rounds
-    // and the coherence probe below (fault injection wraps `transact`,
-    // not propagation, so both media see identical RF) — the trace
-    // itself fans out over the work pool.
-    let rf = FleetRf::trace(world, fleet.to_vec());
     let mut controller =
         InventoryController::new(world.config.clone(), StdRng::seed_from_u64(seed));
     let mut reads = {
-        let mut faulty = FleetMedium::fleet_planned(world, &rf, serving)
+        let mut faulty = FleetMedium::fleet_planned(world, rf, serving)
             .layer(FaultLayer::new(health, seed))
             .layer(ObsLayer::new());
         controller.run_until_quiet(&mut faulty, max_rounds)
@@ -46,7 +45,7 @@ pub(super) fn inventory_stop(
     let mut probe =
         InventoryController::new(world.config.clone(), StdRng::seed_from_u64(seed ^ 0xC0_44));
     let probe_reads = {
-        let mut faulty = FleetMedium::fleet_planned(world, &rf, serving)
+        let mut faulty = FleetMedium::fleet_planned(world, rf, serving)
             .layer(FaultLayer::new(health, seed ^ 0xC0_45));
         probe.run_until_quiet(&mut faulty, 1)
     };

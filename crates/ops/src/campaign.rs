@@ -295,7 +295,7 @@ impl<'s> CampaignRun<'s> {
                     self.world.config.clone(),
                     StdRng::seed_from_u64(cfg.seed ^ (((tick as u64) << 8) | cell as u64)),
                 );
-                let mut medium = FleetMedium::new(&mut self.world, fleet.clone(), cell);
+                let mut medium = FleetMedium::fleet(&mut self.world, fleet.clone(), cell);
                 let reads = controller.run_until_quiet(&mut medium, cfg.max_rounds);
                 for read in &reads {
                     if read.epc != PhasorWorld::embedded_epc() {

@@ -56,6 +56,16 @@ impl TagReply {
             | TagReply::ReadData(b) => b,
         }
     }
+
+    /// Consumes the reply, yielding its bit frame without a copy.
+    pub fn into_frame(self) -> Bits {
+        match self {
+            TagReply::Rn16(b)
+            | TagReply::EpcFrame(b)
+            | TagReply::Handle(b)
+            | TagReply::ReadData(b) => b,
+        }
+    }
 }
 
 /// The protocol engine of one tag.
@@ -136,6 +146,7 @@ impl TagMachine {
     }
 
     /// The current protocol state.
+    #[inline]
     pub fn state(&self) -> TagState {
         self.state
     }

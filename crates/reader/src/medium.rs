@@ -172,7 +172,7 @@ impl Medium for MockMedium {
             .iter_mut()
             .filter_map(|(t, ch, snr)| {
                 t.handle(cmd).map(|reply| Observation {
-                    frame: reply.frame().clone(),
+                    frame: reply.into_frame(),
                     channel: *ch,
                     snr: *snr,
                 })

@@ -13,7 +13,7 @@ pub use crate::medium::{FleetRelay, FLEET_PASSBAND};
 
 /// Reader ↔ serving relay ↔ tags, with the rest of the fleet
 /// radiating: the fleet view of [`WorldMedium`]. Construct with
-/// [`WorldMedium::new`] / [`WorldMedium::fleet`].
+/// [`WorldMedium::fleet`].
 pub type FleetMedium<'a> = WorldMedium<'a>;
 
 #[cfg(test)]
@@ -64,7 +64,7 @@ mod tests {
     fn single_relay_fleet_behaves_like_relayed_medium() {
         let mut w = world_with_tag(Point2::new(50.0, 0.0), 3);
         let fleet = vec![member(915.0, 1.0, Point2::new(48.0, 0.0))];
-        let reads = inventory(&mut FleetMedium::new(&mut w, fleet, 0), 3);
+        let reads = inventory(&mut FleetMedium::fleet(&mut w, fleet, 0), 3);
         assert!(reads.iter().any(|r| r.epc == Epc::from_index(1)));
         assert!(reads.iter().any(|r| r.epc == PhasorWorld::embedded_epc()));
     }
@@ -77,7 +77,7 @@ mod tests {
             member(915.0, 1.0, Point2::new(48.0, 0.0)),
             member(915.0, 1.0, Point2::new(48.0, 8.0)),
         ];
-        let reads = inventory(&mut FleetMedium::new(&mut w, fleet, 0), 4);
+        let reads = inventory(&mut FleetMedium::fleet(&mut w, fleet, 0), 4);
         assert!(
             !reads.iter().any(|r| r.epc == Epc::from_index(1)),
             "co-channel interference should bury the tag reply"
@@ -92,7 +92,7 @@ mod tests {
             member(915.0, 1.0, Point2::new(48.0, 0.0)),
             member(920.0, 1.0, Point2::new(48.0, 8.0)),
         ];
-        let reads = inventory(&mut FleetMedium::new(&mut w, fleet, 0), 4);
+        let reads = inventory(&mut FleetMedium::fleet(&mut w, fleet, 0), 4);
         assert!(
             reads.iter().any(|r| r.epc == Epc::from_index(1)),
             "Δf-offset neighbor should be filtered out"
@@ -104,14 +104,14 @@ mod tests {
         let mut w = world_with_tag(Point2::new(50.0, 0.0), 5);
         let near = Point2::new(46.0, 0.0);
         let one = vec![member(915.0, 1.0, near)];
-        let solo = FleetMedium::new(&mut w, one, 0).incident_at(Point2::new(50.0, 0.0));
+        let solo = FleetMedium::fleet(&mut w, one, 0).incident_at(Point2::new(50.0, 0.0));
         // A second relay the same distance away on another channel
         // doubles the incident power: +3 dB, no fading risk.
         let two = vec![
             member(915.0, 1.0, near),
             member(920.0, 1.0, Point2::new(54.0, 0.0)),
         ];
-        let duo = FleetMedium::new(&mut w, two, 0).incident_at(Point2::new(50.0, 0.0));
+        let duo = FleetMedium::fleet(&mut w, two, 0).incident_at(Point2::new(50.0, 0.0));
         let gain = (duo - solo).value();
         assert!((gain - 3.01).abs() < 0.1, "incoherent +3 dB, got {gain}");
     }
@@ -127,9 +127,9 @@ mod tests {
         let a = Point2::new(46.0, 0.0);
         let b = Point2::new(54.0 + lambda / 2.0, 0.0);
         let co = vec![member(915.0, 1.0, a), member(915.0, 1.0, b)];
-        let faded = FleetMedium::new(&mut w, co.clone(), 0).incident_at(tag);
+        let faded = FleetMedium::fleet(&mut w, co.clone(), 0).incident_at(tag);
         let offset = vec![member(915.0, 1.0, a), member(920.0, 1.0, b)];
-        let summed = FleetMedium::new(&mut w, offset, 0).incident_at(tag);
+        let summed = FleetMedium::fleet(&mut w, offset, 0).incident_at(tag);
         assert!(
             summed.value() > faded.value() + 1.0,
             "coherent pair {faded} should fade below incoherent pair {summed}"
@@ -140,7 +140,7 @@ mod tests {
     fn unstable_serving_relay_is_silent() {
         let mut w = world_with_tag(Point2::new(400.0, 0.0), 7);
         let fleet = vec![member(915.0, 1.0, Point2::new(399.0, 0.0))];
-        let mut m = FleetMedium::new(&mut w, fleet, 0);
+        let mut m = FleetMedium::fleet(&mut w, fleet, 0);
         assert!(!m.stable());
         assert!(m.transact(&Command::Nak).is_empty());
     }

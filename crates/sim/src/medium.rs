@@ -25,6 +25,11 @@
 //! Inventory is TDM through one serving relay; the other relays'
 //! carriers leak into the serving uplink after the chain filters' Δf
 //! rejection ([`rfly_core::relay::gains::offset_rejection`]).
+//!
+//! A transaction visits only the tags that can act on its command (see
+//! `TagVisits`): incident power is frozen while a medium lives, so
+//! the set of powered tags is fixed after the medium's first
+//! transaction.
 
 use std::collections::BTreeMap;
 
@@ -35,7 +40,9 @@ use rfly_dsp::rng::Rng;
 use rfly_dsp::units::{Db, Dbm, Hertz};
 use rfly_dsp::Complex;
 use rfly_protocol::commands::Command;
+use rfly_protocol::tag_state::{TagReply, TagState};
 use rfly_reader::inventory::{Medium, Observation};
+use rfly_tag::tag::PassiveTag;
 
 use crate::world::{PhasorWorld, RelayModel};
 
@@ -68,24 +75,26 @@ const PAR_CHUNK: usize = 32;
 
 /// The fleet-summed incident power (mW) at one point: groups the relay
 /// fields by tag-side frequency, sums each group coherently, then adds
-/// group powers incoherently.
+/// group powers incoherently. `h2(j, relay)` is relay `j`'s one-way
+/// channel to `at` at its f₂; it is asked for only within the cull
+/// radius, so callers that already traced a relay's channel pass it
+/// through.
 fn fleet_incident_mw(
     relays: &[FleetRelay],
     eirps: &[Dbm],
     at: Point2,
-    mut trace: impl FnMut(Point2, Hertz) -> Complex,
+    mut h2: impl FnMut(usize, &FleetRelay) -> Complex,
 ) -> f64 {
     let mut groups: BTreeMap<u64, Vec<Complex>> = BTreeMap::new();
-    for (r, &eirp) in relays.iter().zip(eirps) {
+    for (j, (r, &eirp)) in relays.iter().zip(eirps).enumerate() {
         if r.pos.distance(at) > INCIDENT_CULL_M {
             continue;
         }
-        let h2 = trace(r.pos, r.model.f2);
         let amp = eirp.milliwatts().sqrt();
         groups
             .entry(r.model.f2.as_hz().to_bits())
             .or_default()
-            .push(h2 * amp);
+            .push(h2(j, r) * amp);
     }
     incoherent_power_sum(
         groups
@@ -94,22 +103,35 @@ fn fleet_incident_mw(
     )
 }
 
-/// The relayed link state: the fleet, the serving index, and the
-/// per-stop RF caches (geometry is frozen while the medium lives —
-/// tracing once per medium instead of once per transact is what keeps
-/// a warehouse mission tractable).
+/// The relayed link state: the fleet, the serving index, the per-stop
+/// RF caches, and the serving relay's per-transaction constants.
+/// Geometry and gains are frozen while the medium lives, so all of it
+/// is computed once when the link is built instead of once per
+/// transact — which is what keeps a warehouse mission tractable.
 #[derive(Debug)]
 struct RelayLink {
     relays: Vec<FleetRelay>,
     serving: usize,
     /// One-way reader→relay channel at each relay's f₁.
     h1: Vec<Complex>,
-    passband: Hertz,
     /// Per-tag cache: fleet-summed incident power and the serving
     /// relay's one-way tag channel.
     tag_rf: Vec<(Dbm, Complex)>,
     /// Cached fleet leakage into the serving uplink, linear mW.
     leakage_mw: f64,
+    /// The serving relay's effective downlink gain after the PA cap.
+    g_dl_eff: Db,
+    /// The serving relay's PA-capped downlink output power.
+    output: Dbm,
+    /// The serving relay's radiated downlink EIRP.
+    eirp: Dbm,
+    /// Effective noise floor: receiver noise plus the fleet's leaked
+    /// carriers, summed in linear power.
+    denom: Dbm,
+    /// Per-tag reply constants through the serving relay: the SNR, the
+    /// same SNR as a linear ratio, and the round-trip channel before
+    /// the per-transaction relay phase.
+    uplink: Vec<(Db, f64, Complex)>,
 }
 
 /// Relay `i`'s PA-capped downlink output power at its tag-side port.
@@ -123,6 +145,22 @@ fn relay_output_of(world: &PhasorWorld, relays: &[FleetRelay], h1: &[Complex], i
         + r.antenna_gain;
     let amplified = p_in + r.gains.downlink;
     Dbm::new(amplified.value().min(r.pa_limit.value()))
+}
+
+/// A relay's effective downlink amplitude gain after the PA cap, from
+/// its reader channel `h1`.
+fn effective_downlink_gain(world: &PhasorWorld, relay: &FleetRelay, h1: Complex) -> Db {
+    let r = &relay.model;
+    let p_in = world.config.tx_power
+        + world.config.antenna_gain
+        + Db::from_linear(h1.norm_sq())
+        + r.antenna_gain;
+    Db::new(
+        r.gains
+            .downlink
+            .value()
+            .min(r.pa_limit.value() - p_in.value()),
+    )
 }
 
 /// Radiated downlink EIRP of every relay (output + antenna gain).
@@ -160,6 +198,13 @@ fn fleet_leakage_mw(
     }))
 }
 
+/// Receiver noise plus `leakage_mw` of leaked fleet carriers, summed in
+/// linear power: the denominator of every relayed observation's SNR.
+fn noise_plus_leakage(world: &PhasorWorld, leakage_mw: f64) -> Dbm {
+    let noise_floor = world.config.link_budget().noise_floor();
+    Dbm::from_milliwatts(noise_floor.milliwatts() + leakage_mw)
+}
+
 /// Traces one serving relay's per-tag RF rows (fleet-summed incident
 /// power, serving→tag channel), fanning the pure per-tag traces out
 /// over the work pool when the tag count is worth it. Each row is a
@@ -175,10 +220,15 @@ fn trace_tag_rf(
     let serving_pos = relays[serving].pos;
     let f2_s = relays[serving].model.f2;
     let row = |&p: &Point2| {
-        let incident = Dbm::from_milliwatts(fleet_incident_mw(relays, eirps, p, |pos, f| {
-            world.one_way(pos, p, f)
-        }));
+        // The serving channel is traced once and reused in the sum.
         let h2 = world.one_way(serving_pos, p, f2_s);
+        let incident = Dbm::from_milliwatts(fleet_incident_mw(relays, eirps, p, |j, r| {
+            if j == serving {
+                h2
+            } else {
+                world.one_way(r.pos, p, r.model.f2)
+            }
+        }));
         (incident, h2)
     };
     if positions.len() < PAR_MIN_TAGS {
@@ -191,50 +241,65 @@ fn trace_tag_rf(
 }
 
 impl RelayLink {
-    /// Re-traces the per-stop caches (tag incident power, serving tag
-    /// channels, fleet leakage).
-    fn refresh(&mut self, world: &PhasorWorld) {
-        let eirps = fleet_eirps(world, &self.relays, &self.h1);
-        let positions: Vec<Point2> = world.tags.tags().iter().map(|t| t.position()).collect();
-        self.tag_rf = trace_tag_rf(world, &self.relays, &eirps, self.serving, &positions);
-        self.leakage_mw = self.interference_mw(world);
+    /// Assembles a link from its traced rows and hoists the serving
+    /// relay's per-transaction constants.
+    fn new(
+        world: &PhasorWorld,
+        relays: Vec<FleetRelay>,
+        serving: usize,
+        h1: Vec<Complex>,
+        tag_rf: Vec<(Dbm, Complex)>,
+        leakage_mw: f64,
+    ) -> Self {
+        let output = relay_output_of(world, &relays, &h1, serving);
+        let mut link = Self {
+            g_dl_eff: effective_downlink_gain(world, &relays[serving], h1[serving]),
+            output,
+            eirp: output + relays[serving].model.antenna_gain,
+            denom: noise_plus_leakage(world, leakage_mw),
+            relays,
+            serving,
+            h1,
+            tag_rf,
+            leakage_mw,
+            uplink: Vec::new(),
+        };
+        link.uplink = link.uplink_rows(world);
+        link
+    }
+
+    /// Every tag's reply constants through the serving relay (see
+    /// [`Self::uplink`]): backscatter of the serving carrier, the
+    /// relay's uplink chain and antennas, and the reader side, against
+    /// the noise-plus-leakage floor.
+    fn uplink_rows(&self, world: &PhasorWorld) -> Vec<(Db, f64, Complex)> {
+        let model = &self.relays[self.serving].model;
+        let (g_ul, ant) = (model.gains.uplink, model.antenna_gain);
+        let bs_gain = world.backscatter.gain();
+        let reader_gain = world.config.antenna_gain;
+        let h1 = self.h1[self.serving];
+        let (g_dl_amp, g_ul_amp) = (self.g_dl_eff.amplitude(), g_ul.amplitude());
+        self.tag_rf
+            .iter()
+            .map(|&(_, h2)| {
+                let incident = self.eirp + Db::from_linear(h2.norm_sq());
+                let p_rx = incident
+                    + bs_gain
+                    + Db::from_linear(h2.norm_sq())
+                    + ant // serving uplink RX antenna
+                    + g_ul
+                    + ant // serving uplink TX antenna
+                    + Db::from_linear(h1.norm_sq())
+                    + reader_gain;
+                let snr = p_rx - self.denom - model.snr_penalty;
+                (snr, snr.linear(), h1 * h1 * h2 * h2 * g_dl_amp * g_ul_amp)
+            })
+            .collect()
     }
 
     /// The serving relay's Eq. 3 stability gate.
     fn stable(&self) -> bool {
         stability_probe(&self.relays[self.serving], self.h1[self.serving])
-    }
-
-    /// Relay `i`'s PA-capped downlink output power at its tag-side port.
-    fn relay_output(&self, world: &PhasorWorld, i: usize) -> Dbm {
-        relay_output_of(world, &self.relays, &self.h1, i)
-    }
-
-    /// Relay `i`'s effective downlink amplitude gain after the PA cap.
-    fn effective_downlink_gain(&self, world: &PhasorWorld, i: usize) -> Db {
-        let r = &self.relays[i].model;
-        let p_in = world.config.tx_power
-            + world.config.antenna_gain
-            + Db::from_linear(self.h1[i].norm_sq())
-            + r.antenna_gain;
-        Db::new(
-            r.gains
-                .downlink
-                .value()
-                .min(r.pa_limit.value() - p_in.value()),
-        )
-    }
-
-    /// Radiated downlink EIRP of every relay (output + antenna gain).
-    fn eirps(&self, world: &PhasorWorld) -> Vec<Dbm> {
-        fleet_eirps(world, &self.relays, &self.h1)
-    }
-
-    /// Interference power reaching the reader through the serving
-    /// relay's uplink from every other relay's downlink carrier,
-    /// attenuated by the chain's Δf rejection. Linear milliwatts.
-    fn interference_mw(&self, world: &PhasorWorld) -> f64 {
-        fleet_leakage_mw(world, &self.relays, &self.h1, self.serving, self.passband)
     }
 }
 
@@ -289,13 +354,14 @@ impl FleetRf {
         let eirps = fleet_eirps(world, &relays, &h1);
         let positions: Vec<Point2> = world.tags.tags().iter().map(|t| t.position()).collect();
         let row = |&p: &Point2| {
-            let incident = Dbm::from_milliwatts(fleet_incident_mw(&relays, &eirps, p, |pos, f| {
-                world.one_way(pos, p, f)
-            }));
+            // Each relay→tag channel is traced once: the incident sum
+            // reads the row by relay index.
             let h2 = relays
                 .iter()
                 .map(|r| world.one_way(r.pos, p, r.model.f2))
                 .collect::<Vec<Complex>>();
+            let incident =
+                Dbm::from_milliwatts(fleet_incident_mw(&relays, &eirps, p, |j, _| h2[j]));
             (incident, h2)
         };
         let rows: Vec<(Dbm, Vec<Complex>)> = if positions.len() < PAR_MIN_TAGS {
@@ -345,10 +411,124 @@ impl FleetRf {
 /// Which link topology the core is simulating.
 #[derive(Debug)]
 enum Link {
-    /// Reader ↔ tags, no relay.
-    Direct,
+    /// Reader ↔ tags, no relay: each tag's one-way reader channel and
+    /// the incident power it delivers, traced when the link is built.
+    Direct(Vec<(Complex, Dbm)>),
     /// Reader ↔ serving relay ↔ tags, rest of the fleet radiating.
     Relayed(RelayLink),
+}
+
+/// The tags a medium's transactions visit: two ascending index lists
+/// that make a Gen2 transaction cost the tags that can act on it, not
+/// the whole tag field. The medium's first transaction past the
+/// stability gate scans every tag and builds both lists. After that,
+/// `Query` and `Select` visit `live`, and every other command visits
+/// `engaged` only.
+///
+/// The lists cost two `usize` vectors per medium (at most one entry per
+/// tag each) and one scan of the field. They are exact — every tag
+/// state, RNG draw and reply matches a full scan, in the same order —
+/// because of three invariants:
+///
+/// 1. **Incident power is frozen while a medium lives.** The medium
+///    holds the world's only mutable borrow and its per-tag incident
+///    power is traced once. After the first visit, a tag that is not
+///    sustained is unpowered, and [`PassiveTag::respond`] returns
+///    `None` without touching any state.
+/// 2. **A `Ready` tag ignores QueryRep, QueryAdjust, Ack, Nak, ReqRn
+///    and Read** (`rfly_protocol::tag_state::TagMachine::handle`), and
+///    a `Killed` tag ignores everything. Only `Query` and `Select` can
+///    move a tag out of `Ready` ([`wakes_ready_tags`]), and no other
+///    command moves one into `engaged`, so `engaged` always holds every
+///    live tag that a narrow command could change.
+/// 3. **Every live tag is charged on the first visit.** A sustained,
+///    unpowered tag charges for its full `charge_time` and boots in that
+///    visit, so skipping it later never skips a harvester step.
+///
+/// Replies come out in tag-index order, so the per-tag RNG streams and
+/// the order of the world RNG draws in `observe_channel` do not change.
+#[derive(Debug, Default)]
+struct TagVisits {
+    /// False until the first transaction has scanned the whole field.
+    scanned: bool,
+    /// Tags whose frozen incident power sustains their harvester.
+    live: Vec<usize>,
+    /// Live tags whose state is neither `Ready` nor `Killed`.
+    engaged: Vec<usize>,
+    /// Planted-control bug: `Query` visits `engaged` instead of `live`.
+    #[cfg(test)]
+    planted_query_on_engaged: bool,
+}
+
+/// Whether `cmd` can move a `Ready` tag out of `Ready` (invariant 2 of
+/// [`TagVisits`]). Exhaustive, so a new command must be classified.
+fn wakes_ready_tags(cmd: &Command) -> bool {
+    match cmd {
+        Command::Query { .. } | Command::Select { .. } => true,
+        Command::QueryRep { .. }
+        | Command::QueryAdjust { .. }
+        | Command::Ack { .. }
+        | Command::Nak
+        | Command::ReqRn { .. }
+        | Command::Read { .. } => false,
+    }
+}
+
+/// True for a tag that a command other than `Query`/`Select` may change.
+fn is_engaged(tag: &PassiveTag) -> bool {
+    !matches!(tag.state(), TagState::Ready | TagState::Killed)
+}
+
+impl TagVisits {
+    /// True if `cmd` must visit `live` rather than `engaged` after the
+    /// first scan.
+    fn visits_live(&self, cmd: &Command) -> bool {
+        #[cfg(test)]
+        if self.planted_query_on_engaged && matches!(cmd, Command::Query { .. }) {
+            return false;
+        }
+        wakes_ready_tags(cmd)
+    }
+
+    /// Feeds `cmd` to every tag that can act on it, illuminated at
+    /// `incident(tag index)`, and returns the replies with their tag
+    /// indices, in index order.
+    fn transact(
+        &mut self,
+        tags: &mut [PassiveTag],
+        cmd: &Command,
+        incident: impl Fn(usize) -> Dbm,
+    ) -> Vec<(usize, TagReply)> {
+        let mut replies = Vec::new();
+        let mut hear = |i: usize, tag: &mut PassiveTag| {
+            if let Some(reply) = tag.respond(cmd, incident(i)) {
+                replies.push((i, reply));
+            }
+            is_engaged(tag)
+        };
+        if !self.scanned {
+            self.scanned = true;
+            for (i, tag) in tags.iter_mut().enumerate() {
+                let engaged = hear(i, tag);
+                if tag.sustains(incident(i)) {
+                    self.live.push(i);
+                    if engaged {
+                        self.engaged.push(i);
+                    }
+                }
+            }
+        } else if self.visits_live(cmd) {
+            self.engaged.clear();
+            for &i in &self.live {
+                if hear(i, &mut tags[i]) {
+                    self.engaged.push(i);
+                }
+            }
+        } else {
+            self.engaged.retain(|&i| hear(i, &mut tags[i]));
+        }
+        replies
+    }
 }
 
 /// The shared propagation core: the only `impl Medium` carrying
@@ -357,15 +537,32 @@ enum Link {
 pub struct WorldMedium<'a> {
     world: &'a mut PhasorWorld,
     link: Link,
+    visits: TagVisits,
 }
 
 impl<'a> WorldMedium<'a> {
-    /// Reader ↔ tags directly (the no-relay baseline).
-    pub fn direct(world: &'a mut PhasorWorld) -> Self {
+    fn with_link(world: &'a mut PhasorWorld, link: Link) -> Self {
         Self {
             world,
-            link: Link::Direct,
+            link,
+            visits: TagVisits::default(),
         }
+    }
+
+    /// Reader ↔ tags directly (the no-relay baseline). Traces every
+    /// tag's reader channel once.
+    pub fn direct(world: &'a mut PhasorWorld) -> Self {
+        let eirp = world.config.link_budget().eirp();
+        let tag_rf = world
+            .tags
+            .tags()
+            .iter()
+            .map(|tag| {
+                let h = world.one_way(world.reader_pos, tag.position(), world.relay.f1);
+                (h, eirp + Db::from_linear(h.norm_sq()))
+            })
+            .collect();
+        Self::with_link(world, Link::Direct(tag_rf))
     }
 
     /// Reader ↔ relay ↔ tags with the world's relay build hovering at
@@ -387,29 +584,16 @@ impl<'a> WorldMedium<'a> {
     /// every member and caches every tag's RF state.
     pub fn fleet(world: &'a mut PhasorWorld, relays: Vec<FleetRelay>, serving: usize) -> Self {
         assert!(serving < relays.len(), "serving index out of range");
-        let h1 = relays
+        let h1: Vec<Complex> = relays
             .iter()
             .map(|r| world.one_way(world.reader_pos, r.pos, r.model.f1))
             .collect();
-        let mut link = RelayLink {
-            relays,
-            serving,
-            h1,
-            passband: FLEET_PASSBAND,
-            tag_rf: Vec::new(),
-            leakage_mw: 0.0,
-        };
-        link.refresh(world);
-        Self {
-            world,
-            link: Link::Relayed(link),
-        }
-    }
-
-    /// Back-compat constructor (the pre-refactor `FleetMedium::new`
-    /// signature): identical to [`Self::fleet`].
-    pub fn new(world: &'a mut PhasorWorld, relays: Vec<FleetRelay>, serving: usize) -> Self {
-        Self::fleet(world, relays, serving)
+        let eirps = fleet_eirps(world, &relays, &h1);
+        let positions: Vec<Point2> = world.tags.tags().iter().map(|t| t.position()).collect();
+        let tag_rf = trace_tag_rf(world, &relays, &eirps, serving, &positions);
+        let leakage_mw = fleet_leakage_mw(world, &relays, &h1, serving, FLEET_PASSBAND);
+        let link = RelayLink::new(world, relays, serving, h1, tag_rf, leakage_mw);
+        Self::with_link(world, Link::Relayed(link))
     }
 
     /// Reader ↔ `rf.relays()[serving]` ↔ tags from an already-traced
@@ -430,18 +614,15 @@ impl<'a> WorldMedium<'a> {
             .zip(&rf.h2)
             .map(|(&incident, row)| (incident, row[serving]))
             .collect();
-        let link = RelayLink {
-            relays: rf.relays.clone(),
-            serving,
-            h1: rf.h1.clone(),
-            passband: FLEET_PASSBAND,
-            tag_rf,
-            leakage_mw: rf.leakage_mw[serving],
-        };
-        Self {
+        let link = RelayLink::new(
             world,
-            link: Link::Relayed(link),
-        }
+            rf.relays.clone(),
+            serving,
+            rf.h1.clone(),
+            tag_rf,
+            rf.leakage_mw[serving],
+        );
+        Self::with_link(world, Link::Relayed(link))
     }
 
     /// The Eq. 3 stability gate for one candidate relay, without
@@ -454,11 +635,14 @@ impl<'a> WorldMedium<'a> {
     }
 
     /// Overrides the filter passband used for Δf rejection (no effect
-    /// on a direct link).
+    /// on a direct link). Incident power does not depend on it, so the
+    /// tag visit lists stay valid.
     pub fn with_passband(mut self, passband: Hertz) -> Self {
         if let Link::Relayed(link) = &mut self.link {
-            link.passband = passband;
-            link.refresh(self.world);
+            link.leakage_mw =
+                fleet_leakage_mw(self.world, &link.relays, &link.h1, link.serving, passband);
+            link.denom = noise_plus_leakage(self.world, link.leakage_mw);
+            link.uplink = link.uplink_rows(self.world);
         }
         self
     }
@@ -466,7 +650,7 @@ impl<'a> WorldMedium<'a> {
     /// The serving relay, if this is a relayed link.
     pub fn serving(&self) -> Option<&FleetRelay> {
         match &self.link {
-            Link::Direct => None,
+            Link::Direct(_) => None,
             Link::Relayed(link) => Some(&link.relays[link.serving]),
         }
     }
@@ -476,7 +660,7 @@ impl<'a> WorldMedium<'a> {
     /// forwards nothing useful.
     pub fn stable(&self) -> bool {
         match &self.link {
-            Link::Direct => true,
+            Link::Direct(_) => true,
             Link::Relayed(link) => link.stable(),
         }
     }
@@ -486,7 +670,7 @@ impl<'a> WorldMedium<'a> {
     /// direct link, the reader's own EIRP through the scene.
     pub fn incident_at(&self, tag_pos: Point2) -> Dbm {
         match &self.link {
-            Link::Direct => {
+            Link::Direct(_) => {
                 let budget = self.world.config.link_budget();
                 let h = self
                     .world
@@ -494,44 +678,33 @@ impl<'a> WorldMedium<'a> {
                 budget.eirp() + Db::from_linear(h.norm_sq())
             }
             Link::Relayed(link) => {
-                let eirps = link.eirps(self.world);
-                Dbm::from_milliwatts(fleet_incident_mw(
-                    &link.relays,
-                    &eirps,
-                    tag_pos,
-                    |pos, f| self.world.one_way(pos, tag_pos, f),
-                ))
+                let eirps = fleet_eirps(self.world, &link.relays, &link.h1);
+                Dbm::from_milliwatts(fleet_incident_mw(&link.relays, &eirps, tag_pos, |_, r| {
+                    self.world.one_way(r.pos, tag_pos, r.model.f2)
+                }))
             }
         }
     }
 }
 
 /// Reader ↔ tags with no relay in the loop.
-fn direct_transact(world: &mut PhasorWorld, cmd: &Command) -> Vec<Observation> {
-    let f1 = world.relay.f1;
-    let reader_pos = world.reader_pos;
+fn direct_transact(
+    world: &mut PhasorWorld,
+    tag_rf: &[(Complex, Dbm)],
+    visits: &mut TagVisits,
+    cmd: &Command,
+) -> Vec<Observation> {
     let budget = world.config.link_budget();
     let bs = world.backscatter;
-    let shadow_amp = (-world.reader_link_extra_loss).amplitude();
-    let env = world.environment.clone();
-    let replies: Vec<(Complex, Dbm, _)> = world
-        .tags
-        .tags_mut()
-        .iter_mut()
-        .filter_map(|tag| {
-            let h = env.trace(reader_pos, tag.position(), f1).channel(f1) * shadow_amp;
-            let incident = budget.eirp() + Db::from_linear(h.norm_sq());
-            let reply = tag.respond(cmd, incident)?;
-            Some((h, incident, reply))
-        })
-        .collect();
-    let mut obs = Vec::new();
-    for (h, incident, reply) in replies {
+    let replies = visits.transact(world.tags.tags_mut(), cmd, |i| tag_rf[i].1);
+    let mut obs = Vec::with_capacity(replies.len());
+    for (i, reply) in replies {
+        let (h, incident) = tag_rf[i];
         let p_rx = incident + bs.gain() + Db::from_linear(h.norm_sq()) + budget.rx_gain;
         let snr = p_rx - budget.noise_floor();
-        let channel = world.observe_channel(h * h * bs.gain().amplitude(), snr);
+        let channel = world.observe_channel(h * h * bs.gain().amplitude(), snr.linear());
         obs.push(Observation {
-            frame: reply.frame().clone(),
+            frame: reply.into_frame(),
             channel,
             snr,
         });
@@ -540,17 +713,18 @@ fn direct_transact(world: &mut PhasorWorld, cmd: &Command) -> Vec<Observation> {
 }
 
 /// Reader ↔ serving relay ↔ tags, with the rest of the fleet radiating.
-fn fleet_transact(world: &mut PhasorWorld, link: &RelayLink, cmd: &Command) -> Vec<Observation> {
+fn fleet_transact(
+    world: &mut PhasorWorld,
+    link: &RelayLink,
+    visits: &mut TagVisits,
+    cmd: &Command,
+) -> Vec<Observation> {
     if !link.stable() {
         return Vec::new();
     }
-    let s = link.serving;
-    let g_dl_eff = link.effective_downlink_gain(world, s);
-    let g_ul = link.relays[s].model.gains.uplink;
-    let ant = link.relays[s].model.antenna_gain;
-    let serving_eirp = link.relay_output(world, s) + link.relays[s].model.antenna_gain;
-    let relay_phase = if link.relays[s].model.mirrored {
-        link.relays[s].model.hw_constant
+    let model = &link.relays[link.serving].model;
+    let relay_phase = if model.mirrored {
+        model.hw_constant
     } else {
         Complex::cis(
             world
@@ -558,46 +732,16 @@ fn fleet_transact(world: &mut PhasorWorld, link: &RelayLink, cmd: &Command) -> V
                 .gen_range(-std::f64::consts::PI..std::f64::consts::PI),
         )
     };
-    let snr_penalty = link.relays[s].model.snr_penalty;
-    let bs_gain = world.backscatter.gain();
-    let reader_gain = world.config.antenna_gain;
-    let h1 = link.h1[s];
 
-    // Effective noise floor: receiver noise plus the fleet's leaked
-    // carriers, summed in linear power.
-    let noise_floor = world.config.link_budget().noise_floor();
-    let denom = Dbm::from_milliwatts(noise_floor.milliwatts() + link.leakage_mw);
-
-    let tag_rf = &link.tag_rf;
-    let replies: Vec<(Complex, Dbm, _)> = world
-        .tags
-        .tags_mut()
-        .iter_mut()
-        .zip(tag_rf)
-        .filter_map(|(tag, &(incident_total, h2))| {
-            // Powering is fleet-wide; the decoded backscatter rides
-            // the serving relay's carrier only.
-            let incident_serving = serving_eirp + Db::from_linear(h2.norm_sq());
-            let reply = tag.respond(cmd, incident_total)?;
-            Some((h2, incident_serving, reply))
-        })
-        .collect();
-
-    let mut obs = Vec::new();
-    for (h2, incident, reply) in replies {
-        let p_rx = incident
-            + bs_gain
-            + Db::from_linear(h2.norm_sq())
-            + ant // serving uplink RX antenna
-            + g_ul
-            + ant // serving uplink TX antenna
-            + Db::from_linear(h1.norm_sq())
-            + reader_gain;
-        let snr = p_rx - denom - snr_penalty;
-        let h = h1 * h1 * h2 * h2 * g_dl_eff.amplitude() * g_ul.amplitude() * relay_phase;
-        let channel = world.observe_channel(h, snr);
+    // Powering is fleet-wide; the decoded backscatter rides the
+    // serving relay's carrier only.
+    let replies = visits.transact(world.tags.tags_mut(), cmd, |i| link.tag_rf[i].0);
+    let mut obs = Vec::with_capacity(replies.len());
+    for (i, reply) in replies {
+        let (snr, snr_linear, h) = link.uplink[i];
+        let channel = world.observe_channel(h * relay_phase, snr_linear);
         obs.push(Observation {
-            frame: reply.frame().clone(),
+            frame: reply.into_frame(),
             channel,
             snr,
         });
@@ -606,22 +750,25 @@ fn fleet_transact(world: &mut PhasorWorld, link: &RelayLink, cmd: &Command) -> V
     // The serving relay's embedded RFID (reserved EPC; the fleet
     // inventory engine filters it out of the global inventory).
     if let Some(reply) = world.embedded.handle(cmd) {
-        let local = link.relays[s].model.embedded_local;
-        let p_rx = link.relay_output(world, s)
+        let (g_ul, ant) = (model.gains.uplink, model.antenna_gain);
+        let h1 = link.h1[link.serving];
+        let local = model.embedded_local;
+        let p_rx = link.output
             + ant
             + Db::from_linear(local.norm_sq())
-            + bs_gain
+            + world.backscatter.gain()
             + Db::from_linear(local.norm_sq())
             + ant
             + g_ul
             + ant
             + Db::from_linear(h1.norm_sq())
-            + reader_gain;
-        let snr = p_rx - denom - snr_penalty;
-        let h = h1 * h1 * local * local * g_dl_eff.amplitude() * g_ul.amplitude() * relay_phase;
-        let channel = world.observe_channel(h, snr);
+            + world.config.antenna_gain;
+        let snr = p_rx - link.denom - model.snr_penalty;
+        let h =
+            h1 * h1 * local * local * link.g_dl_eff.amplitude() * g_ul.amplitude() * relay_phase;
+        let channel = world.observe_channel(h, snr.linear());
         obs.push(Observation {
-            frame: reply.frame().clone(),
+            frame: reply.into_frame(),
             channel,
             snr,
         });
@@ -634,9 +781,9 @@ impl Medium for WorldMedium<'_> {
     fn transact(&mut self, cmd: &Command) -> Vec<Observation> {
         rfly_obs::counter_add("sim.transactions", 1);
         let world = &mut *self.world;
-        match &mut self.link {
-            Link::Direct => direct_transact(world, cmd),
-            Link::Relayed(link) => fleet_transact(world, link, cmd),
+        match &self.link {
+            Link::Direct(tag_rf) => direct_transact(world, tag_rf, &mut self.visits, cmd),
+            Link::Relayed(link) => fleet_transact(world, link, &mut self.visits, cmd),
         }
     }
 }
@@ -647,11 +794,14 @@ mod tests {
     use crate::world::RelayModel;
     use rfly_channel::environment::Environment;
     use rfly_dsp::rng::StdRng;
+    use rfly_protocol::bits::Bits;
+    use rfly_protocol::commands::{MemBank, SelectTarget};
     use rfly_protocol::epc::Epc;
+    use rfly_protocol::session::{InventoriedFlag, SelFilter, Session};
+    use rfly_protocol::timing::{DivideRatio, TagEncoding};
     use rfly_reader::config::ReaderConfig;
     use rfly_reader::inventory::InventoryController;
     use rfly_tag::population::TagPopulation;
-    use rfly_tag::tag::PassiveTag;
 
     fn world_with_tags(n_tags: usize, seed: u64) -> PhasorWorld {
         let mut tags = TagPopulation::new();
@@ -721,7 +871,7 @@ mod tests {
         for serving in 0..fleet.len() {
             let fresh = match WorldMedium::fleet(&mut w, fleet.clone(), serving).link {
                 Link::Relayed(link) => link,
-                Link::Direct => panic!("fleet constructor built a direct link"),
+                Link::Direct(_) => panic!("fleet constructor built a direct link"),
             };
             let planned: Vec<(Dbm, Complex)> = rf
                 .incident
@@ -775,5 +925,428 @@ mod tests {
             assert_eq!(plan, full);
             assert_eq!(full, expect_stable, "reader at {reader:?}");
         }
+    }
+
+    /// Full-scan reference transact: every tag hears every command, and
+    /// every per-transaction constant is recomputed from the world. The
+    /// visit-list path must match it bit for bit.
+    fn full_scan_transact(world: &mut PhasorWorld, link: &Link, cmd: &Command) -> Vec<Observation> {
+        let link = match link {
+            Link::Direct(_) => {
+                let f1 = world.relay.f1;
+                let reader_pos = world.reader_pos;
+                let budget = world.config.link_budget();
+                let bs = world.backscatter;
+                let shadow_amp = (-world.reader_link_extra_loss).amplitude();
+                let env = world.environment.clone();
+                let replies: Vec<(Complex, Dbm, TagReply)> = world
+                    .tags
+                    .tags_mut()
+                    .iter_mut()
+                    .filter_map(|tag| {
+                        let h = env.trace(reader_pos, tag.position(), f1).channel(f1) * shadow_amp;
+                        let incident = budget.eirp() + Db::from_linear(h.norm_sq());
+                        let reply = tag.respond(cmd, incident)?;
+                        Some((h, incident, reply))
+                    })
+                    .collect();
+                return replies
+                    .into_iter()
+                    .map(|(h, incident, reply)| {
+                        let p_rx =
+                            incident + bs.gain() + Db::from_linear(h.norm_sq()) + budget.rx_gain;
+                        let snr = p_rx - budget.noise_floor();
+                        let channel =
+                            world.observe_channel(h * h * bs.gain().amplitude(), snr.linear());
+                        Observation {
+                            frame: reply.frame().clone(),
+                            channel,
+                            snr,
+                        }
+                    })
+                    .collect();
+            }
+            Link::Relayed(link) => link,
+        };
+        if !link.stable() {
+            return Vec::new();
+        }
+        let s = link.serving;
+        let model = &link.relays[s].model;
+        let g_dl_eff = effective_downlink_gain(world, &link.relays[s], link.h1[s]);
+        let output = relay_output_of(world, &link.relays, &link.h1, s);
+        let serving_eirp = output + model.antenna_gain;
+        let relay_phase = if model.mirrored {
+            model.hw_constant
+        } else {
+            Complex::cis(
+                world
+                    .rng
+                    .gen_range(-std::f64::consts::PI..std::f64::consts::PI),
+            )
+        };
+        let (bs_gain, reader_gain, h1) = (
+            world.backscatter.gain(),
+            world.config.antenna_gain,
+            link.h1[s],
+        );
+        let noise_floor = world.config.link_budget().noise_floor();
+        let denom = Dbm::from_milliwatts(noise_floor.milliwatts() + link.leakage_mw);
+        let (g_ul, ant) = (model.gains.uplink, model.antenna_gain);
+        let replies: Vec<(Complex, Dbm, TagReply)> = world
+            .tags
+            .tags_mut()
+            .iter_mut()
+            .zip(&link.tag_rf)
+            .filter_map(|(tag, &(incident_total, h2))| {
+                let incident_serving = serving_eirp + Db::from_linear(h2.norm_sq());
+                let reply = tag.respond(cmd, incident_total)?;
+                Some((h2, incident_serving, reply))
+            })
+            .collect();
+        let mut obs = Vec::new();
+        let mut push = |world: &mut PhasorWorld, p_rx: Dbm, h: Complex, reply: TagReply| {
+            let snr = p_rx - denom - model.snr_penalty;
+            let h = h * g_dl_eff.amplitude() * g_ul.amplitude() * relay_phase;
+            let channel = world.observe_channel(h, snr.linear());
+            obs.push(Observation {
+                frame: reply.frame().clone(),
+                channel,
+                snr,
+            });
+        };
+        for (h2, incident, reply) in replies {
+            let p_rx = incident
+                + bs_gain
+                + Db::from_linear(h2.norm_sq())
+                + ant
+                + g_ul
+                + ant
+                + Db::from_linear(h1.norm_sq())
+                + reader_gain;
+            push(world, p_rx, h1 * h1 * h2 * h2, reply);
+        }
+        if let Some(reply) = world.embedded.handle(cmd) {
+            let local = model.embedded_local;
+            let p_rx = output
+                + ant
+                + Db::from_linear(local.norm_sq())
+                + bs_gain
+                + Db::from_linear(local.norm_sq())
+                + ant
+                + g_ul
+                + ant
+                + Db::from_linear(h1.norm_sq())
+                + reader_gain;
+            push(world, p_rx, h1 * h1 * local * local, reply);
+        }
+        obs
+    }
+
+    /// 48 tags on a 12 × 4 grid around the fleet of three (and around a
+    /// reader placed at (44, 0)): the near tags are powered, the far
+    /// ones sit below −15 dBm.
+    fn straddling_world(seed: u64, reader: Point2) -> PhasorWorld {
+        let mut tags = TagPopulation::new();
+        for i in 0..48u64 {
+            let (col, row) = ((i % 12) as f64, (i / 12) as f64);
+            let pos = Point2::new(40.0 + 1.5 * col, 3.0 * row - 4.5);
+            tags.add(
+                PassiveTag::new(Epc::from_index(i + 1), seed ^ (i << 8), pos),
+                "test".into(),
+            );
+        }
+        PhasorWorld::new(
+            Environment::free_space(),
+            reader,
+            ReaderConfig::usrp_default(),
+            tags,
+            RelayModel::prototype(Hertz::mhz(915.0)),
+            seed,
+        )
+    }
+
+    /// How a differential stage builds its medium.
+    #[derive(Debug, Clone)]
+    enum Build {
+        Direct,
+        Fleet(Vec<FleetRelay>, usize),
+        Planned(Vec<FleetRelay>, usize),
+    }
+
+    fn build<'w>(world: &'w mut PhasorWorld, how: &Build) -> WorldMedium<'w> {
+        match how {
+            Build::Direct => WorldMedium::direct(world),
+            Build::Fleet(relays, s) => WorldMedium::fleet(world, relays.clone(), *s),
+            Build::Planned(relays, s) => {
+                let rf = FleetRf::trace(world, relays.clone());
+                WorldMedium::fleet_planned(world, &rf, *s)
+            }
+        }
+    }
+
+    /// Each tag's incident power on a medium's link.
+    fn incidents(m: &WorldMedium<'_>) -> Vec<Dbm> {
+        match &m.link {
+            Link::Direct(rf) => rf.iter().map(|&(_, p)| p).collect(),
+            Link::Relayed(link) => link.tag_rf.iter().map(|&(p, _)| p).collect(),
+        }
+    }
+
+    /// A seeded random Gen2 command. Round commands mostly carry the
+    /// session of the last Query; Ack, ReqRn and Read mostly carry the
+    /// last RN16 or handle a tag sent.
+    fn random_command(rng: &mut StdRng, last_rn: u16, round: &mut Session) -> Command {
+        const SESSIONS: [Session; 4] = [Session::S0, Session::S1, Session::S2, Session::S3];
+        const SELS: [SelFilter; 4] = [
+            SelFilter::All,
+            SelFilter::All,
+            SelFilter::NotSelected,
+            SelFilter::Selected,
+        ];
+        let any_session = SESSIONS[rng.gen_range(0..4usize)];
+        let session = if rng.gen_bool(0.8) {
+            *round
+        } else {
+            any_session
+        };
+        let rn = if rng.gen_bool(0.7) {
+            last_rn
+        } else {
+            rng.gen()
+        };
+        match rng.gen_range(0..16u32) {
+            0..=2 => {
+                *round = any_session;
+                Command::Query {
+                    dr: DivideRatio::Dr64over3,
+                    m: TagEncoding::Fm0,
+                    trext: false,
+                    sel: SELS[rng.gen_range(0..4usize)],
+                    session: any_session,
+                    target: if rng.gen() {
+                        InventoriedFlag::A
+                    } else {
+                        InventoriedFlag::B
+                    },
+                    q: rng.gen_range(0..4u8),
+                }
+            }
+            3..=6 => Command::QueryRep { session },
+            7 => Command::QueryAdjust {
+                session,
+                updn: rng.gen_range(-1..=1i8),
+            },
+            8 => Command::Nak,
+            9..=11 => Command::Ack { rn16: rn },
+            12 => Command::ReqRn { rn16: rn },
+            13 => Command::Read {
+                bank: if rng.gen() {
+                    MemBank::Epc
+                } else {
+                    MemBank::User
+                },
+                wordptr: rng.gen_range(0..4u32),
+                wordcount: rng.gen_range(1..=2u8),
+                rn,
+            },
+            _ => Command::Select {
+                target: if rng.gen() {
+                    SelectTarget::Sl
+                } else {
+                    SelectTarget::Inventoried(any_session)
+                },
+                action: rng.gen_range(0..8u8),
+                bank: MemBank::Epc,
+                pointer: rng.gen_range(32..48u32),
+                mask: Bits::from_bools(&[rng.gen(), rng.gen()]),
+                truncate: false,
+            },
+        }
+    }
+
+    /// The first bit-level difference between two transactions' results
+    /// and the two worlds they left behind.
+    fn divergence(
+        got: &[Observation],
+        want: &[Observation],
+        a: &PhasorWorld,
+        b: &PhasorWorld,
+    ) -> Option<String> {
+        let bits = |obs: &[Observation]| -> Vec<(Bits, u64, u64, u64)> {
+            obs.iter()
+                .map(|o| {
+                    let (re, im) = (o.channel.re.to_bits(), o.channel.im.to_bits());
+                    (o.frame.clone(), re, im, o.snr.value().to_bits())
+                })
+                .collect()
+        };
+        let tags = |w: &PhasorWorld| -> Vec<(TagState, bool)> {
+            w.tags
+                .tags()
+                .iter()
+                .map(|t| (t.state(), t.powered()))
+                .collect()
+        };
+        if bits(got) != bits(want) {
+            Some(format!("observations {got:?} != {want:?}"))
+        } else if tags(a) != tags(b) {
+            Some("tag states or powered() differ".into())
+        } else if a.snapshot() != b.snapshot() {
+            Some("tag or world RNG/flag state differs".into())
+        } else {
+            None
+        }
+    }
+
+    /// Runs `n` seeded random commands through the visit-list medium on
+    /// `cand` and the full-scan reference on `reference`, comparing
+    /// after every command. Returns the observation count.
+    fn differential_stage(
+        cand: &mut PhasorWorld,
+        reference: &mut PhasorWorld,
+        how: &Build,
+        planted: bool,
+        cmd_seed: u64,
+        n: usize,
+    ) -> Result<usize, String> {
+        let mut m = build(cand, how);
+        m.visits.planted_query_on_engaged = planted;
+        let r = build(reference, how);
+        let mut rng = StdRng::seed_from_u64(cmd_seed);
+        let (mut last_rn, mut round, mut seen) = (0u16, Session::S0, 0);
+        for k in 0..n {
+            let cmd = random_command(&mut rng, last_rn, &mut round);
+            let got = m.transact(&cmd);
+            let want = full_scan_transact(r.world, &r.link, &cmd);
+            if let Some(d) = divergence(&got, &want, m.world, r.world) {
+                return Err(format!("{how:?}, command {k} ({cmd:?}): {d}"));
+            }
+            seen += want.len();
+            if let Some(o) = want.iter().rev().find(|o| matches!(o.frame.len(), 16 | 32)) {
+                last_rn = o.frame.uint_at(0, 16) as u16;
+            }
+        }
+        Ok(seen)
+    }
+
+    /// One seed's stage sequence over twin worlds: media on the same
+    /// world without `power_cycle_tags` in between (tags arrive
+    /// engaged, and a moved fleet unpowers some of them), an unstable
+    /// serving, and a direct link.
+    fn differential_run(seed: u64, planted: bool) -> Result<usize, String> {
+        let fleet = fleet_of_three();
+        // The moved fleet is unmirrored (a relay-phase RNG draw per
+        // transaction) and carries an SNR penalty.
+        let moved: Vec<FleetRelay> = fleet
+            .iter()
+            .map(|r| {
+                let mut model = r.model.clone();
+                model.mirrored = false;
+                model.snr_penalty = Db::new(3.0);
+                FleetRelay {
+                    model,
+                    pos: Point2::new(r.pos.x + 5.0, r.pos.y),
+                }
+            })
+            .collect();
+        let stages = [
+            (Point2::ORIGIN, Build::Fleet(fleet.clone(), 0)),
+            (Point2::ORIGIN, Build::Planned(fleet.clone(), 1)),
+            (Point2::ORIGIN, Build::Planned(moved, 2)),
+            (Point2::new(-350.0, 0.0), Build::Fleet(fleet.clone(), 0)),
+            (Point2::new(44.0, 0.0), Build::Direct),
+            (Point2::new(44.0, 0.0), Build::Fleet(fleet, 1)),
+            (Point2::new(44.0, 0.0), Build::Direct),
+        ];
+        let mut cand = straddling_world(seed, Point2::ORIGIN);
+        let mut reference = straddling_world(seed, Point2::ORIGIN);
+        let (mut seen, mut arrived_engaged) = (0, 0);
+        for (k, (reader, how)) in stages.iter().enumerate() {
+            cand.reader_pos = *reader;
+            reference.reader_pos = *reader;
+            arrived_engaged += cand.tags.tags().iter().filter(|t| is_engaged(t)).count();
+            {
+                let m = build(&mut cand, how);
+                let live = incidents(&m).iter().filter(|p| p.value() >= -15.0).count();
+                if m.stable() {
+                    assert!(
+                        live > 0 && live < 48,
+                        "{how:?}: {live}/48 powered does not straddle −15 dBm"
+                    );
+                } else {
+                    assert_eq!(*reader, Point2::new(-350.0, 0.0), "{how:?} unstable");
+                }
+            }
+            let cmd_seed = seed.wrapping_mul(31).wrapping_add(k as u64);
+            seen += differential_stage(&mut cand, &mut reference, how, planted, cmd_seed, 400)?;
+        }
+        assert!(arrived_engaged > 0, "no medium inherited engaged tags");
+        Ok(seen)
+    }
+
+    /// The visit-list transact is bit-identical to a full scan: same
+    /// observations, tag states, `powered()`, tag and world RNG states,
+    /// after every command of every stage.
+    #[test]
+    fn visit_lists_match_full_scan() {
+        for seed in 0..4 {
+            let seen = differential_run(seed, false).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            assert!(
+                seen > 100,
+                "seed {seed}: only {seen} replies, the run is vacuous"
+            );
+        }
+    }
+
+    /// Planted control: a `Query` that visits only `engaged` tags (and
+    /// so never wakes a `Ready` one) must be caught by the differential
+    /// run.
+    #[test]
+    fn planted_query_on_engaged_is_caught() {
+        let caught = (0..4)
+            .filter(|&seed| differential_run(seed, true).is_err())
+            .count();
+        assert_eq!(caught, 4, "the differential test missed the planted bug");
+    }
+
+    /// The first transact past the stability gate builds the lists; an
+    /// unstable serving never touches them (or any tag).
+    #[test]
+    fn lists_track_powered_and_engaged_tags() {
+        let mut w = straddling_world(5, Point2::ORIGIN);
+        let mut m = WorldMedium::fleet(&mut w, fleet_of_three(), 0);
+        let live: Vec<usize> = incidents(&m)
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.value() >= -15.0)
+            .map(|(i, _)| i)
+            .collect();
+        m.transact(&Command::Query {
+            dr: DivideRatio::Dr64over3,
+            m: TagEncoding::Fm0,
+            trext: false,
+            sel: SelFilter::All,
+            session: Session::S0,
+            target: InventoriedFlag::A,
+            q: 2,
+        });
+        assert_eq!(m.visits.live, live);
+        assert_eq!(m.visits.engaged, live, "every live tag joins a q=2 round");
+        m.transact(&Command::Nak);
+        m.transact(&Command::Select {
+            target: SelectTarget::Sl,
+            action: 0,
+            bank: MemBank::Epc,
+            pointer: 32,
+            mask: Bits::from_bools(&[true]),
+            truncate: false,
+        });
+        assert!(m.visits.engaged.is_empty(), "Select leaves every tag Ready");
+
+        let mut far = straddling_world(5, Point2::new(-350.0, 0.0));
+        let mut unstable = WorldMedium::fleet(&mut far, fleet_of_three(), 0);
+        assert!(unstable.transact(&Command::Nak).is_empty());
+        assert!(!unstable.visits.scanned);
     }
 }

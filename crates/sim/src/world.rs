@@ -189,9 +189,10 @@ impl PhasorWorld {
         }
     }
 
-    /// Adds estimation noise to a channel observation at a given SNR.
-    pub(crate) fn observe_channel(&mut self, h: Complex, snr: Db) -> Complex {
-        let noise_power = h.norm_sq() / (snr.linear() * EST_GAIN);
+    /// Adds estimation noise to a channel observation at a given SNR,
+    /// passed as a linear ratio (`Db::linear`) so callers can hoist it.
+    pub(crate) fn observe_channel(&mut self, h: Complex, snr_linear: f64) -> Complex {
+        let noise_power = h.norm_sq() / (snr_linear * EST_GAIN);
         h + noise_sample(&mut self.rng, noise_power)
     }
 

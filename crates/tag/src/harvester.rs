@@ -47,6 +47,7 @@ impl Harvester {
     }
 
     /// True if the chip logic is currently running.
+    #[inline]
     pub fn powered(&self) -> bool {
         self.powered
     }
@@ -81,6 +82,7 @@ impl Harvester {
 
     /// Convenience for phasor-level simulation: would the tag operate if
     /// illuminated steadily at `incident`? (No state change.)
+    #[inline]
     pub fn sustains(&self, incident: Dbm) -> bool {
         incident.value() >= self.threshold.value()
     }

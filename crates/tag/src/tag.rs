@@ -62,6 +62,7 @@ impl PassiveTag {
     }
 
     /// The protocol state (for tests and diagnostics).
+    #[inline]
     pub fn state(&self) -> TagState {
         self.machine.state()
     }
@@ -92,12 +93,20 @@ impl PassiveTag {
         &self.modulator
     }
 
+    /// Whether steady illumination at `incident` keeps the chip powered
+    /// (no state change).
+    #[inline]
+    pub fn sustains(&self, incident: Dbm) -> bool {
+        self.harvester.sustains(incident)
+    }
+
     /// Phasor-level interaction: the tag hears `cmd` while illuminated at
     /// `incident` power. Returns the protocol reply if the tag is
     /// powered and chooses to respond.
     ///
     /// An under-powered tag is not merely silent — if it *was* powered it
     /// loses all protocol state (the blind-spot mechanism of [31]).
+    #[inline]
     pub fn respond(&mut self, cmd: &Command, incident: Dbm) -> Option<TagReply> {
         if !self.harvester.sustains(incident) {
             if self.harvester.powered() {
@@ -149,6 +158,7 @@ impl PassiveTag {
     }
 
     /// Whether the chip is currently powered.
+    #[inline]
     pub fn powered(&self) -> bool {
         self.harvester.powered()
     }

@@ -68,6 +68,14 @@ echo "== scenario corpus (golden metrics; see DESIGN.md §11) =="
 # per-metric diff; bless intended changes with --update locally.
 cargo run --release --offline -p rfly-bench --bin scenario_corpus
 
+echo "== benchmark tests + output fingerprints (crates/bench/src/bin/benchmark/README.md) =="
+# The benchmark is a package of its own, so its tests run by manifest
+# path. One untraced default-seed run then folds every workload's
+# simulated output into a fingerprint and exits 2 if any differs from
+# the committed value: a hot-path change must stay byte-identical.
+cargo test --release --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
+cargo run --release --offline -q --manifest-path crates/bench/src/bin/benchmark/Cargo.toml | tail -n 3
+
 echo "== fault injector overhead (<5% on the clean hot path) =="
 cargo run --release --offline -p rfly-bench --bin ext_fault_overhead | tail -2
 
