@@ -22,12 +22,12 @@ use std::time::Instant;
 
 use rfly_bench::harness::Bench;
 use rfly_channel::geometry::Point2;
-use rfly_chaos::{verify_recovery, CrashReport, MemStorage, Recovered, Storage};
+use rfly_chaos::durable::{self, recover_keeping_torn_tail, Durable};
+use rfly_chaos::{verify_recovery, CrashReport, MemStorage, Storage, StorePaths};
 use rfly_dsp::units::Seconds;
 use rfly_faults::FaultSchedule;
-use rfly_ops::{recover_stored_campaign, run_stored_campaign, CampaignPaths, OpsConfig};
-use rfly_replay::store::{recover_stored, run_stored, salvage_journal, StorePaths};
-use rfly_replay::Scenario;
+use rfly_ops::{CampaignRun, OpsConfig};
+use rfly_replay::{MissionRun, Scenario};
 use rfly_sim::report::Table;
 use rfly_sim::scene::Scene;
 
@@ -115,44 +115,20 @@ fn campaign_config(seed: u64) -> OpsConfig {
     cfg
 }
 
-/// The journaled-mission workload under the matrix.
-fn journal_matrix(
+/// One durable workload under the matrix: [`durable::run`] of a fresh
+/// `make()`, recovered (and timed) by [`durable::recover`] of another.
+fn durable_matrix<D: Durable>(
+    make: &dyn Fn() -> Result<D, String>,
+    paths: &StorePaths,
     seed: u64,
-    args: &Args,
     clock: &mut RecoveryClock,
 ) -> Result<CrashReport, String> {
-    let scn = Scenario::small(seed);
-    let schedule = FaultSchedule::storm(seed, 2, args.events.min(args.steps));
-    let paths = StorePaths::default();
-    let mut workload =
-        |s: &mut dyn Storage| run_stored(&scn, &schedule, s, &paths, EVERY).map(|_| ());
-    let mut recover = |mut survivor: MemStorage| -> Result<Recovered, String> {
+    let mut workload = |s: &mut dyn Storage| durable::run(make()?, s, paths, EVERY).map(|_| ());
+    let mut recover = |mut survivor: MemStorage| {
         let t0 = Instant::now();
-        recover_stored(&scn, &schedule, &mut survivor, &paths, EVERY)?;
+        durable::recover(make()?, &mut survivor, paths, EVERY)?;
         clock.observe(t0.elapsed().as_secs_f64());
-        Ok(Recovered {
-            storage: survivor,
-            lost_unacked: 0,
-        })
-    };
-    verify_recovery(&mut workload, &mut recover, seed)
-}
-
-/// The ops-campaign workload under the matrix.
-fn campaign_matrix(seed: u64, clock: &mut RecoveryClock) -> Result<CrashReport, String> {
-    let scene = docked_scene();
-    let cfg = campaign_config(seed);
-    let paths = CampaignPaths::default();
-    let mut workload =
-        |s: &mut dyn Storage| run_stored_campaign(&scene, &cfg, s, &paths, EVERY).map(|_| ());
-    let mut recover = |mut survivor: MemStorage| -> Result<Recovered, String> {
-        let t0 = Instant::now();
-        recover_stored_campaign(&scene, &cfg, &mut survivor, &paths, EVERY)?;
-        clock.observe(t0.elapsed().as_secs_f64());
-        Ok(Recovered {
-            storage: survivor,
-            lost_unacked: 0,
-        })
+        Ok(survivor)
     };
     verify_recovery(&mut workload, &mut recover, seed)
 }
@@ -160,32 +136,15 @@ fn campaign_matrix(seed: u64, clock: &mut RecoveryClock) -> Result<CrashReport, 
 /// The planted-bug control: a recovery that resumes correctly but
 /// leaves the torn tail in the journal. Returns `Ok(true)` when the
 /// matrix caught it (failures include a torn-write point).
-fn planted_bug_control(seed: u64, args: &Args) -> Result<bool, String> {
-    let scn = Scenario::small(seed);
-    let schedule = FaultSchedule::storm(seed, 2, args.events.min(args.steps));
+fn planted_bug_control(
+    scn: &Scenario,
+    schedule: &FaultSchedule,
+    seed: u64,
+) -> Result<bool, String> {
     let paths = StorePaths::default();
-    let mut workload =
-        |s: &mut dyn Storage| run_stored(&scn, &schedule, s, &paths, EVERY).map(|_| ());
-    let mut buggy = |survivor: MemStorage| -> Result<Recovered, String> {
-        let raw = survivor.read(&paths.journal).unwrap_or_default();
-        let salv = salvage_journal(&raw);
-        let mut scratch = survivor.clone();
-        recover_stored(&scn, &schedule, &mut scratch, &paths, EVERY)?;
-        let mut storage = survivor;
-        let full = scratch.read(&paths.journal).map_err(|e| e.to_string())?;
-        let suffix = full.get(salv.text.len()..).unwrap_or_default();
-        storage
-            .append(&paths.journal, suffix)
-            .map_err(|e| e.to_string())?;
-        let ck = scratch.read(&paths.checkpoint).map_err(|e| e.to_string())?;
-        storage
-            .write_atomic(&paths.checkpoint, &ck)
-            .map_err(|e| e.to_string())?;
-        Ok(Recovered {
-            storage,
-            lost_unacked: 0,
-        })
-    };
+    let make = || MissionRun::new(scn, schedule);
+    let mut workload = |s: &mut dyn Storage| durable::run(make()?, s, &paths, EVERY).map(|_| ());
+    let mut buggy = |survivor| recover_keeping_torn_tail(make()?, survivor, &paths, EVERY);
     let report = verify_recovery(&mut workload, &mut buggy, seed)?;
     Ok(!report.all_recovered()
         && report
@@ -201,7 +160,6 @@ fn row_for(table: &mut Table, seed: u64, workload: &str, report: &CrashReport) {
         report.ops.to_string(),
         report.crash_points.to_string(),
         report.exact.to_string(),
-        report.bounded.to_string(),
         report.failures.len().to_string(),
     ]);
 }
@@ -219,38 +177,50 @@ fn main() -> ExitCode {
     let mut bench = Bench::new("crash_matrix", args.seeds);
     let mut table = Table::new(
         "Crash matrix: every storage op crashed in every fault mode",
-        &[
-            "seed", "workload", "ops", "points", "exact", "bounded", "failed",
-        ],
+        &["seed", "workload", "ops", "points", "exact", "failed"],
     );
     let mut clock = RecoveryClock::default();
     let mut points = 0usize;
     let mut exact = 0usize;
-    let mut bounded = 0usize;
     let mut failures = 0usize;
     let mut controls_caught = 0usize;
 
     for seed in 1..=args.seeds {
-        let journal = match journal_matrix(seed, &args, &mut clock) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("crash_matrix: journal workload seed {seed}: {e}");
-                return ExitCode::from(1);
-            }
-        };
-        row_for(&mut table, seed, "journal", &journal);
-        let campaign = match campaign_matrix(seed, &mut clock) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("crash_matrix: campaign workload seed {seed}: {e}");
-                return ExitCode::from(1);
-            }
-        };
-        row_for(&mut table, seed, "campaign", &campaign);
-        for report in [&journal, &campaign] {
+        let scn = Scenario::small(seed);
+        let schedule = FaultSchedule::storm(seed, 2, args.events.min(args.steps));
+        let scene = docked_scene();
+        let cfg = campaign_config(seed);
+        let reports = [
+            (
+                "journal",
+                durable_matrix(
+                    &|| MissionRun::new(&scn, &schedule),
+                    &StorePaths::default(),
+                    seed,
+                    &mut clock,
+                ),
+            ),
+            (
+                "campaign",
+                durable_matrix(
+                    &|| CampaignRun::new(&scene, &cfg),
+                    &StorePaths::named("campaign"),
+                    seed,
+                    &mut clock,
+                ),
+            ),
+        ];
+        for (workload, report) in reports {
+            let report = match report {
+                Ok(r) => r,
+                Err(e) => {
+                    eprintln!("crash_matrix: {workload} workload seed {seed}: {e}");
+                    return ExitCode::from(1);
+                }
+            };
+            row_for(&mut table, seed, workload, &report);
             points += report.crash_points;
             exact += report.exact;
-            bounded += report.bounded;
             failures += report.failures.len();
             for f in report.failures.iter().take(3) {
                 eprintln!(
@@ -259,7 +229,7 @@ fn main() -> ExitCode {
                 );
             }
         }
-        match planted_bug_control(seed, &args) {
+        match planted_bug_control(&scn, &schedule, seed) {
             Ok(true) => controls_caught += 1,
             Ok(false) => {
                 eprintln!(
@@ -279,14 +249,13 @@ fn main() -> ExitCode {
     bench.metric("seeds", args.seeds as f64);
     bench.metric("crash_points", points as f64);
     bench.metric("exact", exact as f64);
-    bench.metric("bounded_loss", bounded as f64);
     bench.metric("unrecovered", failures as f64);
     bench.metric("controls_caught", controls_caught as f64);
     bench.metric("recovery_runs", clock.runs as f64);
     bench.metric("recovery_mean_ms", clock.mean_ms());
     bench.metric("recovery_max_ms", clock.max_s * 1e3);
     println!(
-        "{points} crash points over {} seeds: {exact} exact, {bounded} bounded-loss, \
+        "{points} crash points over {} seeds: {exact} exact, \
          {failures} unrecovered; {}/{} planted-bug controls caught; \
          recovery mean {:.2} ms, max {:.2} ms",
         args.seeds,

@@ -36,7 +36,7 @@ const SEED: u64 = 42;
 
 fn build() -> (PhasorWorld, Vec<FleetRelay>) {
     let scene = Scene::warehouse(20.0, 16.0, 3);
-    let budget = paper_budget();
+    let budget = IsolationBudget::fig9();
     let part = partition(&scene, 2, MotionLimits::indoor_drone()).expect("cells fit");
     let hover: Vec<Point2> = part.cells.iter().map(|c| c.center()).collect();
     let plan = assign(&hover, &budget, Db::new(10.0), SEED).expect("feasible plan");
@@ -46,7 +46,7 @@ fn build() -> (PhasorWorld, Vec<FleetRelay>) {
         .iter()
         .enumerate()
         .map(|(i, &pos)| FleetRelay {
-            model: RelayModel::from_budget(plan.f1[i], plan.shift[i], &paper_budget()),
+            model: RelayModel::from_budget(plan.f1[i], plan.shift[i], &IsolationBudget::fig9()),
             pos,
         })
         .collect();

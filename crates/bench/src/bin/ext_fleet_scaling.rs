@@ -81,7 +81,7 @@ struct SitePlan {
 /// and one channel plan (geographic spectrum reuse) while each flies
 /// its own world and tag population from its own seed.
 fn preflight_row(scene: &Scene, n: usize) -> Result<Vec<SitePlan>, String> {
-    let budget = paper_budget();
+    let budget = IsolationBudget::fig9();
     let sites = n / SITE_RELAYS;
     let site_tags = ROW_TAGS / sites;
     let cells = partition(scene, SITE_RELAYS, MotionLimits::indoor_drone())
@@ -101,7 +101,7 @@ fn preflight_row(scene: &Scene, n: usize) -> Result<Vec<SitePlan>, String> {
 
 /// Flies one pre-flighted warehouse site end to end.
 fn fly_site(scene: &Scene, site: &SitePlan) -> SiteOutcome {
-    let budget = paper_budget();
+    let budget = IsolationBudget::fig9();
     let cfg = MissionConfig {
         sample_interval_s: 4.0,
         max_rounds: 1,

@@ -13,24 +13,12 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use rfly_channel::geometry::Point2;
-use rfly_core::relay::gains::IsolationBudget;
 use rfly_dsp::rng::{Rng, StdRng};
-use rfly_dsp::units::{Db, Meters};
+use rfly_dsp::units::Meters;
 use rfly_sim::experiment::seed_from_args;
 use rfly_sim::report::Table;
 use rfly_sim::scene::Scene;
 use rfly_tag::population::TagPopulation;
-
-/// The Fig. 9 prototype isolation medians — the budget every
-/// warehouse-scale experiment designs its gains against.
-pub fn paper_budget() -> IsolationBudget {
-    IsolationBudget {
-        intra_downlink: Db::new(77.0),
-        intra_uplink: Db::new(64.0),
-        inter_downlink: Db::new(110.0),
-        inter_uplink: Db::new(92.0),
-    }
-}
 
 /// Tagged items on random shelf spots with ±0.8 m lateral scatter and
 /// optional rack-depth scatter (`depth` draws `0.0..depth` below the
@@ -230,13 +218,6 @@ fn json_f64(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn budget_matches_fig9_medians() {
-        let b = paper_budget();
-        assert_eq!(b.intra_downlink, Db::new(77.0));
-        assert_eq!(b.inter_uplink, Db::new(92.0));
-    }
 
     #[test]
     fn shelf_items_draw_order_is_stable() {

@@ -28,8 +28,9 @@ pub mod micro;
 
 /// Re-export shim (keeps binary imports short).
 pub mod prelude {
-    pub use crate::harness::{paper_budget, shelf_items, Bench};
+    pub use crate::harness::{shelf_items, Bench};
     pub use rfly_core::loc::error::ErrorStats;
+    pub use rfly_core::relay::gains::IsolationBudget;
     pub use rfly_sim::experiment::{seed_from_args, MonteCarlo};
     pub use rfly_sim::report::{fmt_db, fmt_m, fmt_pct, Table};
 }

@@ -14,43 +14,21 @@
 //! 3. **Matrix** — for every crash point, run the workload into the
 //!    crash, hand the surviving bytes to the caller's recovery
 //!    routine, and classify the outcome: **exact** (the recovered and
-//!    completed run is bit-identical to the reference), **bounded
-//!    loss** (every surviving file is a byte prefix of its reference
-//!    counterpart and the recovery declared the lost suffix), or a
-//!    **failure** (anything else — a torn record that survived
-//!    salvage, a half checkpoint, duplicated state).
+//!    completed run is bit-identical to the reference) or a **failure**
+//!    (anything else — a torn record that survived salvage, a half
+//!    checkpoint, duplicated state). Recovery re-executes every lost
+//!    step, so there is no partial credit.
 //!
-//! The driver is deliberately workload-agnostic: `rfly-replay` plugs
-//! in journal salvage + checkpoint resume, `rfly-ops` plugs in
-//! campaign-log salvage + resume, and the planted-bug tests plug in
-//! deliberately broken recoveries to prove the matrix catches them.
+//! The driver is deliberately workload-agnostic: missions and campaigns
+//! plug in [`crate::durable::recover`] over their own steppers, and the
+//! planted-bug controls plug in
+//! [`crate::durable::recover_keeping_torn_tail`] to prove the matrix
+//! catches a broken recovery.
 
 use rfly_dsp::rng::{Rng, StdRng};
 
 use crate::fault::{ChaosStorage, CrashKind, CrashPoint, OpInfo, OpKind};
 use crate::storage::{MemStorage, Storage};
-
-/// What a recovery routine hands back: the storage after salvage +
-/// resume ran to completion, plus the number of records it determined
-/// were lost without ever being acknowledged (0 when the recovery
-/// re-executed everything).
-#[derive(Debug, Clone)]
-pub struct Recovered {
-    /// The storage after recovery completed the run.
-    pub storage: MemStorage,
-    /// Lost-but-unacked records the recovery chose not to re-execute.
-    pub lost_unacked: usize,
-}
-
-/// How one crash point's recovery was classified.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoveryOutcome {
-    /// Bit-identical to the uncrashed reference run.
-    Exact,
-    /// Every file is a byte prefix of its reference counterpart and
-    /// the recovery declared a nonzero lost-but-unacked suffix.
-    BoundedLoss,
-}
 
 /// One crash point whose recovery failed verification.
 #[derive(Debug, Clone)]
@@ -72,8 +50,6 @@ pub struct CrashReport {
     pub crash_points: usize,
     /// Points whose recovery was bit-identical to the reference.
     pub exact: usize,
-    /// Points recovered up to a declared lost-but-unacked suffix.
-    pub bounded: usize,
     /// Points whose recovery failed verification.
     pub failures: Vec<CrashFailure>,
 }
@@ -140,28 +116,18 @@ pub fn enumerate_crash_points(ops: &[OpInfo], seed: u64) -> Vec<CrashPoint> {
     points
 }
 
-/// Whether every file in `got` is a byte prefix of its counterpart in
-/// `want` with no extra files — the shape of a run that lost only
-/// suffix work.
-fn is_filewise_prefix(got: &MemStorage, want: &MemStorage) -> bool {
-    got.files().iter().all(|(path, bytes)| {
-        want.files()
-            .get(path)
-            .is_some_and(|full| full.starts_with(bytes))
-    })
-}
-
 /// Runs the full crash matrix for one workload.
 ///
 /// `workload` writes a complete run through the storage it is given;
 /// it must be deterministic (same bytes every invocation) and must
 /// stop at the first [`crate::StorageError::Crashed`] it sees.
 /// `recover` receives the surviving bytes and must salvage, resume,
-/// and complete the run. Returns the classified report; `Err` only for
-/// harness-level breakage (a workload that fails on clean storage).
+/// and complete the run, handing back the storage it ends with.
+/// Returns the classified report; `Err` only for harness-level breakage
+/// (a workload that fails on clean storage).
 pub fn verify_recovery(
     workload: &mut dyn FnMut(&mut dyn Storage) -> Result<(), String>,
-    recover: &mut dyn FnMut(MemStorage) -> Result<Recovered, String>,
+    recover: &mut dyn FnMut(MemStorage) -> Result<MemStorage, String>,
     seed: u64,
 ) -> Result<CrashReport, String> {
     let _span = rfly_obs::span("chaos.verify_recovery");
@@ -185,7 +151,6 @@ pub fn verify_recovery(
         ops: ops.len(),
         crash_points: points.len(),
         exact: 0,
-        bounded: 0,
         failures: Vec::new(),
     };
     for point in points {
@@ -194,26 +159,18 @@ pub fn verify_recovery(
         // The workload dies at the crash point; LostAcked strikes on
         // the final op can let it run to (apparent) completion.
         let _ = workload(&mut storage);
-        let survivor = storage.into_survivor();
-        match recover(survivor) {
-            Ok(rec) => {
-                if rec.storage == reference {
-                    report.exact += 1;
-                } else if rec.lost_unacked > 0 && is_filewise_prefix(&rec.storage, &reference) {
-                    report.bounded += 1;
-                } else {
-                    let detail = rec
-                        .storage
-                        .first_difference(&reference)
-                        .unwrap_or_else(|| "differs from reference".to_string());
-                    report.failures.push(CrashFailure { point, op, detail });
-                }
-            }
-            Err(e) => report.failures.push(CrashFailure {
-                point,
-                op,
-                detail: format!("recovery errored: {e}"),
-            }),
+        let detail = match recover(storage.into_survivor()) {
+            Ok(recovered) if recovered == reference => None,
+            Ok(recovered) => Some(
+                recovered
+                    .first_difference(&reference)
+                    .unwrap_or_else(|| "differs from reference".to_string()),
+            ),
+            Err(e) => Some(format!("recovery errored: {e}")),
+        };
+        match detail {
+            None => report.exact += 1,
+            Some(detail) => report.failures.push(CrashFailure { point, op, detail }),
         }
         rfly_obs::counter_add("chaos.crash_points_verified", 1);
     }
@@ -223,97 +180,7 @@ pub fn verify_recovery(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::StorageError;
-
-    /// A miniature journaled workload: newline-terminated records
-    /// appended to `log`, a checkpoint of the record count atomically
-    /// replacing `ck` every third record, and a final `seal` append.
-    fn toy_workload(s: &mut dyn Storage) -> Result<(), String> {
-        toy_resume(s, 0).map_err(|e| e.to_string())
-    }
-
-    fn toy_record(i: usize) -> String {
-        format!("record-{i:03}\n")
-    }
-
-    const TOY_RECORDS: usize = 7;
-
-    fn toy_resume(s: &mut dyn Storage, from: usize) -> Result<(), StorageError> {
-        for i in from..TOY_RECORDS {
-            s.append("log", toy_record(i).as_bytes())?;
-            if (i + 1) % 3 == 0 {
-                s.write_atomic("ck", format!("{}", i + 1).as_bytes())?;
-            }
-        }
-        s.append("log", b"seal\n")?;
-        Ok(())
-    }
-
-    /// Correct recovery: truncate the log to whole newline-terminated
-    /// records, dedupe doubled records, cross-check the (atomic, hence
-    /// whole) checkpoint, and resume.
-    fn toy_recover(survivor: MemStorage) -> Result<Recovered, String> {
-        let mut storage = MemStorage::new();
-        let raw = survivor.files().get("log").cloned().unwrap_or_default();
-        let mut salvaged: Vec<String> = Vec::new();
-        let mut sealed = false;
-        let mut expect = 0usize;
-        for line in raw.split_inclusive(|&b| b == b'\n') {
-            if line.last() != Some(&b'\n') {
-                break; // torn tail
-            }
-            let text = String::from_utf8(line.to_vec()).map_err(|e| e.to_string())?;
-            if text == "seal\n" {
-                sealed = true;
-                break;
-            }
-            if expect > 0 && text == toy_record(expect - 1) {
-                continue; // duplicated append
-            }
-            if text != toy_record(expect) {
-                break; // torn interior — truncate here
-            }
-            salvaged.push(text);
-            expect += 1;
-        }
-        // Checkpoint is atomic: whole or absent — but possibly *stale*
-        // (its write crashed after the records it covers landed), so
-        // advance it to the last boundary the salvaged log proves.
-        let ck: usize = match survivor.files().get("ck") {
-            Some(bytes) => String::from_utf8(bytes.clone())
-                .map_err(|e| e.to_string())?
-                .parse()
-                .map_err(|_| "bad checkpoint".to_string())?,
-            None => 0,
-        };
-        let resume_from = salvaged.len();
-        // Rebuild the durable prefix (truncating any torn tail), then
-        // resume the run from the salvage point.
-        let mut prefix = String::new();
-        for line in &salvaged {
-            prefix.push_str(line);
-        }
-        storage
-            .write_atomic("log", prefix.as_bytes())
-            .map_err(|e| e.to_string())?;
-        let ck_now = ck.max((salvaged.len() / 3) * 3);
-        if ck_now > 0 {
-            storage
-                .write_atomic("ck", format!("{ck_now}").as_bytes())
-                .map_err(|e| e.to_string())?;
-        }
-        if sealed {
-            storage
-                .append("log", b"seal\n")
-                .map_err(|e| e.to_string())?;
-        } else {
-            toy_resume(&mut storage, resume_from).map_err(|e| e.to_string())?;
-        }
-        Ok(Recovered {
-            storage,
-            lost_unacked: 0,
-        })
-    }
+    use crate::durable::tests::{toy_recover, toy_recover_keeping_torn_tail, toy_workload};
 
     #[test]
     fn toy_workload_recovers_at_every_crash_point() {
@@ -329,40 +196,13 @@ mod tests {
             "failures: {:?}",
             report.failures.first()
         );
-        assert_eq!(report.exact + report.bounded, report.crash_points);
-        assert_eq!(report.bounded, 0, "toy recovery re-executes everything");
+        assert_eq!(report.exact, report.crash_points);
     }
 
     #[test]
     fn planted_bug_keeping_the_torn_tail_is_caught() {
-        // Broken salvage: keeps the raw surviving log bytes (torn tail
-        // and all) and resumes after the last *complete* record — a
-        // torn record therefore survives into the "recovered" run.
-        let mut buggy = |survivor: MemStorage| -> Result<Recovered, String> {
-            let mut storage = MemStorage::new();
-            let raw = survivor.files().get("log").cloned().unwrap_or_default();
-            let complete = raw
-                .split_inclusive(|&b| b == b'\n')
-                .filter(|l| l.last() == Some(&b'\n'))
-                .count();
-            storage
-                .write_atomic("log", &raw)
-                .map_err(|e| e.to_string())?;
-            let sealed = raw.ends_with(b"seal\n");
-            if !sealed {
-                toy_resume(&mut storage, complete.min(TOY_RECORDS)).map_err(|e| e.to_string())?;
-            }
-            if survivor.exists("ck") {
-                storage
-                    .write_atomic("ck", &survivor.read("ck").map_err(|e| e.to_string())?)
-                    .map_err(|e| e.to_string())?;
-            }
-            Ok(Recovered {
-                storage,
-                lost_unacked: 0,
-            })
-        };
-        let report = verify_recovery(&mut toy_workload, &mut buggy, 99).expect("harness ok");
+        let report = verify_recovery(&mut toy_workload, &mut toy_recover_keeping_torn_tail, 99)
+            .expect("harness ok");
         assert!(
             !report.all_recovered(),
             "the matrix must catch a salvage that keeps torn records"

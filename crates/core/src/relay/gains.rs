@@ -43,6 +43,19 @@ pub struct IsolationBudget {
     pub inter_uplink: Db,
 }
 
+impl IsolationBudget {
+    /// The prototype's Fig. 9 medians, the budget every warehouse-scale
+    /// experiment designs its gains against.
+    pub fn fig9() -> Self {
+        Self {
+            intra_downlink: Db(77.0),
+            intra_uplink: Db(64.0),
+            inter_downlink: Db(110.0),
+            inter_uplink: Db(92.0),
+        }
+    }
+}
+
 /// The PA's 1 dB compression point from §6.1.
 pub const PA_COMPRESSION: Dbm = Dbm(29.0);
 
@@ -234,26 +247,23 @@ pub fn is_stable_with_interferers(
 mod tests {
     use super::*;
 
-    fn paper_budget() -> IsolationBudget {
-        // The Fig. 9 medians.
-        IsolationBudget {
-            intra_downlink: Db::new(77.0),
-            intra_uplink: Db::new(64.0),
-            inter_downlink: Db::new(110.0),
-            inter_uplink: Db::new(92.0),
-        }
+    #[test]
+    fn fig9_budget_is_the_prototype_medians() {
+        let b = IsolationBudget::fig9();
+        assert_eq!(b.intra_downlink, Db::new(77.0));
+        assert_eq!(b.inter_uplink, Db::new(92.0));
     }
 
     #[test]
     fn allocation_is_stable_by_construction() {
-        let b = paper_budget();
+        let b = IsolationBudget::fig9();
         let plan = allocate(&b, Db::new(10.0), Dbm::new(-30.0));
         assert!(is_stable(&plan, &b, Db::new(10.0)));
     }
 
     #[test]
     fn downlink_is_maximized_first() {
-        let b = paper_budget();
+        let b = IsolationBudget::fig9();
         let plan = allocate(&b, Db::new(10.0), Dbm::new(-40.0));
         // Downlink cap: min(77−10, 29−(−40)) = min(67, 69) = 67.
         assert!((plan.downlink.value() - 67.0).abs() < 1e-9);
@@ -263,7 +273,7 @@ mod tests {
 
     #[test]
     fn pa_compression_caps_strong_inputs() {
-        let b = paper_budget();
+        let b = IsolationBudget::fig9();
         // Reader very close: −5 dBm at the relay input.
         let plan = allocate(&b, Db::new(10.0), Dbm::new(-5.0));
         assert!((plan.downlink.value() - 34.0).abs() < 1e-9, "29−(−5) = 34");
@@ -299,7 +309,7 @@ mod tests {
 
     #[test]
     fn instability_detected() {
-        let b = paper_budget();
+        let b = IsolationBudget::fig9();
         let hot = GainPlan {
             downlink: Db::new(75.0),
             uplink: Db::new(60.0),
@@ -310,7 +320,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "margin")]
     fn negative_margin_rejected() {
-        let _ = allocate(&paper_budget(), Db::new(-1.0), Dbm::new(-30.0));
+        let _ = allocate(&IsolationBudget::fig9(), Db::new(-1.0), Dbm::new(-30.0));
     }
 
     #[test]
@@ -343,7 +353,7 @@ mod tests {
 
     #[test]
     fn worst_pair_margin_is_worst_when_co_channel() {
-        let b = paper_budget();
+        let b = IsolationBudget::fig9();
         let plan = allocate(&b, Db::new(10.0), Dbm::new(-40.0));
         let f1 = Hertz::mhz(915.0);
         let f2 = Hertz::mhz(916.0);
@@ -372,7 +382,7 @@ mod tests {
 
     #[test]
     fn interferer_extension_tightens_the_gate() {
-        let b = paper_budget();
+        let b = IsolationBudget::fig9();
         let plan = allocate(&b, Db::new(10.0), Dbm::new(-40.0));
         let f1 = Hertz::mhz(915.0);
         let f2 = Hertz::mhz(916.0);

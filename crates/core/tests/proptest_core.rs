@@ -146,12 +146,7 @@ fn gain_allocation_is_always_stable_and_nonnegative() {
             assert!(plan.uplink.value() + margin <= intra_ul + 1e-9 || plan.uplink.value() == 0.0);
         }
         // And a paper-grade budget is always fully stable.
-        let good = IsolationBudget {
-            intra_downlink: Db::new(77.0),
-            intra_uplink: Db::new(64.0),
-            inter_downlink: Db::new(110.0),
-            inter_uplink: Db::new(92.0),
-        };
+        let good = IsolationBudget::fig9();
         let good_plan = allocate(&good, Db::new(10.0), Dbm::new(input));
         assert!(is_stable(&good_plan, &good, Db::new(10.0)));
     }

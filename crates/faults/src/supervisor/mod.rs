@@ -141,37 +141,21 @@ mod tests {
     use super::*;
     use crate::log::RecoveryAction;
     use crate::schedule::{FaultEvent, FaultKind};
-    use rfly_channel::geometry::Point2;
-    use rfly_dsp::rng::{Rng, StdRng};
-    use rfly_fleet::channels::assign;
-    use rfly_fleet::partition::partition;
-    use rfly_tag::population::TagPopulation;
 
     fn small_mission(
         n_relays: usize,
         seed: u64,
     ) -> (Scene, ChannelPlan, Partition, PhasorWorld, MissionConfig) {
         let scene = Scene::warehouse(16.0, 12.0, 2);
-        let part = partition(&scene, n_relays, MotionLimits::indoor_drone()).expect("cells fit");
-        let hover: Vec<Point2> = part.cells.iter().map(|c| c.center()).collect();
-        let budget = paper_budget();
-        let plan = assign(&hover, &budget, Db::new(10.0), seed).expect("feasible");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let positions: Vec<Point2> = (0..10)
-            .map(|_| {
-                let spot = scene.tag_spots[rng.gen_range(0..scene.tag_spots.len())];
-                Point2::new(spot.x + rng.gen_range(-0.5..0.5), spot.y)
-            })
-            .collect();
-        let tags = TagPopulation::generate(10, &positions, seed ^ 0xBEEF);
-        let world = rfly_fleet::inventory::mission_world(
+        let (part, plan, world) = rfly_fleet::inventory::seeded_mission(
             &scene,
-            Point2::new(1.0, 1.0),
-            tags,
-            &plan,
-            &budget,
+            n_relays,
+            10,
+            &IsolationBudget::fig9(),
+            Db::new(10.0),
             seed,
-        );
+        )
+        .expect("mission builds");
         let cfg = MissionConfig {
             sample_interval_s: 8.0,
             max_rounds: 2,
@@ -181,21 +165,12 @@ mod tests {
         (scene, plan, part, world, cfg)
     }
 
-    fn paper_budget() -> IsolationBudget {
-        IsolationBudget {
-            intra_downlink: Db::new(77.0),
-            intra_uplink: Db::new(64.0),
-            inter_downlink: Db::new(110.0),
-            inter_uplink: Db::new(92.0),
-        }
-    }
-
     #[test]
     fn fault_free_supervised_mission_matches_plain_mission_reads() {
         let (scene, plan, part, mut world, cfg) = small_mission(2, 5);
         let env = MissionEnv {
             scene: &scene,
-            budget: paper_budget(),
+            budget: IsolationBudget::fig9(),
             margin: Db::new(10.0),
             limits: MotionLimits::indoor_drone(),
         };
@@ -249,7 +224,7 @@ mod tests {
             let (scene, plan, part, mut world, cfg) = small_mission(2, 11);
             let env = MissionEnv {
                 scene: &scene,
-                budget: paper_budget(),
+                budget: IsolationBudget::fig9(),
                 margin: Db::new(10.0),
                 limits: MotionLimits::indoor_drone(),
             };
@@ -286,7 +261,7 @@ mod tests {
         let (scene, plan, part, mut world, cfg) = build();
         let env = MissionEnv {
             scene: &scene,
-            budget: paper_budget(),
+            budget: IsolationBudget::fig9(),
             margin: Db::new(10.0),
             limits: MotionLimits::indoor_drone(),
         };
@@ -330,7 +305,7 @@ mod tests {
         let (scene, plan, part, mut world, cfg) = small_mission(2, 21);
         let env = MissionEnv {
             scene: &scene,
-            budget: paper_budget(),
+            budget: IsolationBudget::fig9(),
             margin: Db::new(10.0),
             limits: MotionLimits::indoor_drone(),
         };
@@ -387,7 +362,7 @@ mod tests {
         let (scene, plan, part, mut world, cfg) = small_mission(2, 6);
         let env = MissionEnv {
             scene: &scene,
-            budget: paper_budget(),
+            budget: IsolationBudget::fig9(),
             margin: Db::new(10.0),
             limits: MotionLimits::indoor_drone(),
         };

@@ -20,6 +20,7 @@
 use std::fmt;
 
 use rfly_protocol::epc::Epc;
+use rfly_sim::world::{TagSnapshot, WorldSnapshot};
 
 /// A parse failure: which line, and what was wrong with it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,6 +55,14 @@ impl std::error::Error for ParseError {}
 /// every finite `x` — the property the whole journal format leans on.
 pub fn fmt_f64(x: f64) -> String {
     format!("{x}")
+}
+
+/// An optional index in text: the number, or `-` for none.
+pub fn opt_usize(v: Option<usize>) -> String {
+    match v {
+        Some(n) => n.to_string(),
+        None => "-".to_string(),
+    }
 }
 
 /// The 24-digit lowercase hex form of an EPC (no separators — one
@@ -172,6 +181,17 @@ impl<'a> Fields<'a> {
             .map_err(|_| self.error(format!("bad integer in {key}={v:?}")))
     }
 
+    /// `key=<usize>`, or `key=-` for none (the [`opt_usize`] form).
+    pub fn kv_opt_usize(&mut self, key: &str) -> Result<Option<usize>, ParseError> {
+        match self.kv(key)? {
+            "-" => Ok(None),
+            v => v
+                .parse()
+                .map(Some)
+                .map_err(|_| self.error(format!("bad integer in {key}={v:?}"))),
+        }
+    }
+
     /// The next token as a 24-hex-digit EPC.
     pub fn epc(&mut self, what: &str) -> Result<Epc, ParseError> {
         let line_no = self.line_no;
@@ -208,9 +228,132 @@ impl<'a> Fields<'a> {
     }
 }
 
+fn rng_hex(words: [u64; 4]) -> String {
+    format!(
+        "{:x},{:x},{:x},{:x}",
+        words[0], words[1], words[2], words[3]
+    )
+}
+
+fn parse_rng_hex(f: &mut Fields<'_>, key: &str) -> Result<[u64; 4], ParseError> {
+    let v = f.kv(key)?;
+    let mut words = [0u64; 4];
+    let mut parts = v.split(',');
+    for w in words.iter_mut() {
+        let p = parts
+            .next()
+            .ok_or_else(|| f.error(format!("{key} needs 4 comma-joined hex words")))?;
+        *w = u64::from_str_radix(p, 16)
+            .map_err(|_| f.error(format!("bad hex word {p:?} in {key}")))?;
+    }
+    if parts.next().is_some() {
+        return Err(f.error(format!("{key} has more than 4 words")));
+    }
+    Ok(words)
+}
+
+fn parse_hex_u8(f: &mut Fields<'_>, key: &str) -> Result<u8, ParseError> {
+    let v = f.kv(key)?;
+    u8::from_str_radix(v, 16).map_err(|_| f.error(format!("bad {key} {v:?}")))
+}
+
+/// The world half of a checkpoint: one `world` line (the world and
+/// embedded-tag RNG streams, the embedded tag's Gen2 flags) and one
+/// `wtag` line per tag.
+pub fn world_text(world: &WorldSnapshot) -> String {
+    let mut s = format!(
+        "world rng={} embrng={} embflags={:x}\n",
+        rng_hex(world.rng),
+        rng_hex(world.embedded_rng),
+        world.embedded_flags,
+    );
+    for t in &world.tags {
+        s.push_str(&format!(
+            "wtag {} rng={} flags={:x}\n",
+            epc_hex(t.epc),
+            rng_hex(t.rng),
+            t.flags,
+        ));
+    }
+    s
+}
+
+/// Collects the [`world_text`] lines of a checkpoint back into a
+/// [`WorldSnapshot`].
+#[derive(Debug, Default)]
+pub struct WorldLines {
+    world: Option<([u64; 4], [u64; 4], u8)>,
+    tags: Vec<TagSnapshot>,
+}
+
+impl WorldLines {
+    /// Parses `line` if it is a `world` or `wtag` record. Returns
+    /// `Ok(false)`, consuming nothing, for any other record.
+    pub fn parse(&mut self, line: &str, line_no: usize) -> Result<bool, ParseError> {
+        let mut f = Fields::new(line, line_no);
+        match f.opt_tok() {
+            Some("world") => {
+                let rng = parse_rng_hex(&mut f, "rng")?;
+                let embedded_rng = parse_rng_hex(&mut f, "embrng")?;
+                let embedded_flags = parse_hex_u8(&mut f, "embflags")?;
+                f.finish()?;
+                self.world = Some((rng, embedded_rng, embedded_flags));
+            }
+            Some("wtag") => {
+                let epc = f.epc("EPC")?;
+                let rng = parse_rng_hex(&mut f, "rng")?;
+                let flags = parse_hex_u8(&mut f, "flags")?;
+                f.finish()?;
+                self.tags.push(TagSnapshot { epc, rng, flags });
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The collected snapshot; an error if the `world` line was missing.
+    pub fn finish(self) -> Result<WorldSnapshot, ParseError> {
+        let (rng, embedded_rng, embedded_flags) = self
+            .world
+            .ok_or_else(|| ParseError::new(0, "missing world line"))?;
+        Ok(WorldSnapshot {
+            rng,
+            embedded_rng,
+            embedded_flags,
+            tags: self.tags,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn world_lines_round_trip() {
+        let world = WorldSnapshot {
+            rng: [1, 0xdead_beef, u64::MAX, 0],
+            embedded_rng: [7, 8, 9, 10],
+            embedded_flags: 0x1f,
+            tags: vec![TagSnapshot {
+                epc: Epc::from_index(42),
+                rng: [3, 4, 5, 6],
+                flags: 0xa,
+            }],
+        };
+        let text = world_text(&world);
+        let mut lines = WorldLines::default();
+        for (n, line) in text.lines().enumerate() {
+            assert!(lines.parse(line, n + 1).expect("parses"));
+        }
+        assert!(!lines.parse("tick 3 cells=2", 9).expect("other record"));
+        assert_eq!(lines.finish().expect("complete"), world);
+        assert!(WorldLines::default().finish().is_err());
+        let mut bad = WorldLines::default();
+        assert!(bad
+            .parse("world rng=1,2,3 embrng=1,2,3,4 embflags=0", 1)
+            .is_err());
+    }
 
     #[test]
     fn f64_display_round_trips_bit_exactly() {

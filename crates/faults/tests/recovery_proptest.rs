@@ -8,27 +8,19 @@
 //! (every relay dead, faults on already-dead relays, overlapping
 //! transients).
 
-use rfly_channel::geometry::Point2;
 use rfly_core::relay::gains::IsolationBudget;
 use rfly_drone::kinematics::MotionLimits;
-use rfly_dsp::rng::{Rng, StdRng};
 use rfly_dsp::units::Db;
 use rfly_faults::supervisor::{run_supervised, run_unsupervised, MissionEnv, SupervisorConfig};
 use rfly_faults::FaultSchedule;
-use rfly_fleet::channels::{assign, ChannelPlan};
-use rfly_fleet::inventory::{mission_world, MissionConfig};
-use rfly_fleet::partition::{partition, Partition};
+use rfly_fleet::channels::ChannelPlan;
+use rfly_fleet::inventory::{seeded_mission, MissionConfig};
+use rfly_fleet::partition::Partition;
 use rfly_sim::scene::Scene;
 use rfly_sim::world::PhasorWorld;
-use rfly_tag::population::TagPopulation;
 
 fn budget() -> IsolationBudget {
-    IsolationBudget {
-        intra_downlink: Db::new(77.0),
-        intra_uplink: Db::new(64.0),
-        inter_downlink: Db::new(110.0),
-        inter_uplink: Db::new(92.0),
-    }
+    IsolationBudget::fig9()
 }
 
 fn mission(
@@ -36,18 +28,8 @@ fn mission(
     n_relays: usize,
     seed: u64,
 ) -> (ChannelPlan, Partition, PhasorWorld, MissionConfig) {
-    let part = partition(scene, n_relays, MotionLimits::indoor_drone()).expect("cells fit");
-    let hover: Vec<Point2> = part.cells.iter().map(|c| c.center()).collect();
-    let plan = assign(&hover, &budget(), Db::new(10.0), seed).expect("feasible plan");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let positions: Vec<Point2> = (0..12)
-        .map(|_| {
-            let spot = scene.tag_spots[rng.gen_range(0..scene.tag_spots.len())];
-            Point2::new(spot.x + rng.gen_range(-0.5..0.5), spot.y)
-        })
-        .collect();
-    let tags = TagPopulation::generate(12, &positions, seed ^ 0xBEEF);
-    let world = mission_world(scene, Point2::new(1.0, 1.0), tags, &plan, &budget(), seed);
+    let (part, plan, world) =
+        seeded_mission(scene, n_relays, 12, &budget(), Db::new(10.0), seed).expect("builds");
     let cfg = MissionConfig {
         sample_interval_s: 8.0,
         max_rounds: 2,

@@ -358,15 +358,6 @@ fn all_margins(
 mod tests {
     use super::*;
 
-    fn paper_budget() -> IsolationBudget {
-        IsolationBudget {
-            intra_downlink: Db::new(77.0),
-            intra_uplink: Db::new(64.0),
-            inter_downlink: Db::new(110.0),
-            inter_uplink: Db::new(92.0),
-        }
-    }
-
     fn grid(n: usize, spacing: f64) -> Vec<Point2> {
         (0..n)
             .map(|k| Point2::new(spacing * k as f64, 0.0))
@@ -375,7 +366,8 @@ mod tests {
 
     #[test]
     fn assignment_is_feasible_and_channels_are_distinct() {
-        let plan = assign(&grid(4, 10.0), &paper_budget(), Db::new(10.0), 42).expect("feasible");
+        let plan =
+            assign(&grid(4, 10.0), &IsolationBudget::fig9(), Db::new(10.0), 42).expect("feasible");
         assert_eq!(plan.f1.len(), 4);
         for i in 0..4 {
             for j in i + 1..4 {
@@ -414,8 +406,13 @@ mod tests {
     fn carriers_keep_one_megahertz_spacing_across_seeds() {
         for seed in 0..32 {
             for n in [2usize, 3, 4] {
-                let plan =
-                    assign(&grid(n, 10.0), &paper_budget(), Db::new(10.0), seed).expect("feasible");
+                let plan = assign(
+                    &grid(n, 10.0),
+                    &IsolationBudget::fig9(),
+                    Db::new(10.0),
+                    seed,
+                )
+                .expect("feasible");
                 for d in cross_carrier_distances(&plan) {
                     assert!(
                         d >= MIN_CARRIER_SPACING.as_hz(),
@@ -437,7 +434,7 @@ mod tests {
         // sit in different legs of the loop, but a neighbor's carrier
         // on top of the backscatter sidebands kills the read outright.
         let positions = grid(2, 10.0);
-        let budget = paper_budget();
+        let budget = IsolationBudget::fig9();
         let margin = Db::new(10.0);
         let gains = allocate(&budget, margin, Dbm::new(-40.0));
         let order = HopSequence::new(10, MAX_DWELL).order().to_vec();
@@ -491,10 +488,10 @@ mod tests {
 
     #[test]
     fn assignment_is_seed_reproducible() {
-        let a = assign(&grid(5, 8.0), &paper_budget(), Db::new(10.0), 7).unwrap();
-        let b = assign(&grid(5, 8.0), &paper_budget(), Db::new(10.0), 7).unwrap();
+        let a = assign(&grid(5, 8.0), &IsolationBudget::fig9(), Db::new(10.0), 7).unwrap();
+        let b = assign(&grid(5, 8.0), &IsolationBudget::fig9(), Db::new(10.0), 7).unwrap();
         assert_eq!(a.f1, b.f1);
-        let c = assign(&grid(5, 8.0), &paper_budget(), Db::new(10.0), 8).unwrap();
+        let c = assign(&grid(5, 8.0), &IsolationBudget::fig9(), Db::new(10.0), 8).unwrap();
         assert!(
             a.f1 != c.f1,
             "different seeds should pick different channels"
@@ -505,7 +502,7 @@ mod tests {
     fn co_channel_pair_would_ring() {
         // Sanity on the underlying margin: same channel, no rejection,
         // paper gains — the pair rings at warehouse distances.
-        let gains = allocate(&paper_budget(), Db::new(10.0), Dbm::new(-40.0));
+        let gains = allocate(&IsolationBudget::fig9(), Db::new(10.0), Dbm::new(-40.0));
         let f1 = Hertz::mhz(915.0);
         let f2 = f1 + Hertz::mhz(1.0);
         let m = pair_margin(
@@ -525,7 +522,7 @@ mod tests {
         // be (2+i)·500 kHz in *hertz*, at least the paper's 1 MHz, and
         // must land f₂ back on the FCC channel grid.
         let positions = grid(4, 10.0);
-        let plan = assign(&positions, &paper_budget(), Db::new(10.0), 42).unwrap();
+        let plan = assign(&positions, &IsolationBudget::fig9(), Db::new(10.0), 42).unwrap();
         for (i, &s) in plan.shift.iter().enumerate() {
             assert_eq!(s, Hertz(CHANNEL_SPACING.as_hz() * (2 + i) as f64));
             assert!(s.as_hz() >= 1e6, "paper: Δf of at least 1 MHz");
@@ -543,7 +540,7 @@ mod tests {
     fn pair_margin_is_symmetric_in_the_pair() {
         // The coupling model picks the lower of the two f₁s, so the
         // margin must not depend on which relay is called `i`.
-        let gains = allocate(&paper_budget(), Db::new(10.0), Dbm::new(-40.0));
+        let gains = allocate(&IsolationBudget::fig9(), Db::new(10.0), Dbm::new(-40.0));
         let (pa, pb) = (Point2::ORIGIN, Point2::new(9.0, 3.0));
         let fa = (Hertz::mhz(903.0), Hertz::mhz(904.5));
         let fb = (Hertz::mhz(917.0), Hertz::mhz(919.0));
@@ -558,8 +555,8 @@ mod tests {
     #[test]
     fn fleet_members_inherit_plan_frequencies() {
         let positions = grid(3, 12.0);
-        let plan = assign(&positions, &paper_budget(), Db::new(10.0), 1).unwrap();
-        let fleet = plan.fleet(&paper_budget(), &positions);
+        let plan = assign(&positions, &IsolationBudget::fig9(), Db::new(10.0), 1).unwrap();
+        let fleet = plan.fleet(&IsolationBudget::fig9(), &positions);
         for (i, r) in fleet.iter().enumerate() {
             assert_eq!(r.model.f1, plan.f1[i]);
             assert_eq!(r.model.f2, plan.f2(i));
@@ -570,14 +567,14 @@ mod tests {
     #[test]
     fn snr_penalties_flow_into_the_fleet_models() {
         let positions = grid(3, 12.0);
-        let mut plan = assign(&positions, &paper_budget(), Db::new(10.0), 1).unwrap();
+        let mut plan = assign(&positions, &IsolationBudget::fig9(), Db::new(10.0), 1).unwrap();
         // assign() starts every relay clean.
         assert_eq!(plan.snr_penalty, vec![Db::new(0.0); 3]);
-        let clean = plan.fleet(&paper_budget(), &positions);
+        let clean = plan.fleet(&IsolationBudget::fig9(), &positions);
         assert!(clean.iter().all(|r| r.model.snr_penalty == Db::new(0.0)));
         // A raised penalty reaches exactly the afflicted relay's model.
         plan.snr_penalty[1] = Db::new(6.5);
-        let fleet = plan.fleet(&paper_budget(), &positions);
+        let fleet = plan.fleet(&IsolationBudget::fig9(), &positions);
         assert_eq!(fleet[0].model.snr_penalty, Db::new(0.0));
         assert_eq!(fleet[1].model.snr_penalty, Db::new(6.5));
         assert_eq!(fleet[2].model.snr_penalty, Db::new(0.0));

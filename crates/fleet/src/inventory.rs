@@ -11,7 +11,9 @@
 use std::collections::BTreeMap;
 
 use rfly_channel::geometry::Point2;
-use rfly_dsp::rng::StdRng;
+use rfly_core::relay::gains::IsolationBudget;
+use rfly_drone::kinematics::MotionLimits;
+use rfly_dsp::rng::{Rng, StdRng};
 use rfly_dsp::units::Db;
 use rfly_protocol::epc::Epc;
 use rfly_reader::config::ReaderConfig;
@@ -19,11 +21,12 @@ use rfly_reader::inventory::{InventoryController, TagRead};
 use rfly_sim::fleet::{FleetMedium, FleetRelay};
 use rfly_sim::medium::FleetRf;
 use rfly_sim::motion::TagMotion;
+use rfly_sim::scene::Scene;
 use rfly_sim::world::PhasorWorld;
 use rfly_tag::population::TagPopulation;
 
-use crate::channels::ChannelPlan;
-use crate::partition::Partition;
+use crate::channels::{assign, ChannelPlan};
+use crate::partition::{partition, Partition};
 
 /// When and through whom a tag was sighted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -303,11 +306,11 @@ pub fn run_mission_with_motion(
 /// single-relay model slot is filled with relay 0's build (the fleet
 /// medium carries its own per-relay models).
 pub fn mission_world(
-    scene: &rfly_sim::scene::Scene,
+    scene: &Scene,
     reader_pos: Point2,
     tags: TagPopulation,
     plan: &ChannelPlan,
-    budget: &rfly_core::relay::gains::IsolationBudget,
+    budget: &IsolationBudget,
     seed: u64,
 ) -> PhasorWorld {
     use rfly_sim::world::RelayModel;
@@ -321,10 +324,38 @@ pub fn mission_world(
     )
 }
 
+/// The seeded warehouse mission that supervised missions, campaigns
+/// and their tests fly: `scene` split into `n_cells` cells, the Δf plan
+/// for their hover points, and a world with the reader at (1, 1) m and
+/// `n_tags` tags on random tag spots, jittered ±0.5 m along the shelf.
+pub fn seeded_mission(
+    scene: &Scene,
+    n_cells: usize,
+    n_tags: usize,
+    budget: &IsolationBudget,
+    margin: Db,
+    seed: u64,
+) -> Result<(Partition, ChannelPlan, PhasorWorld), String> {
+    let part = partition(scene, n_cells, MotionLimits::indoor_drone())
+        .map_err(|e| format!("partition failed: {e:?}"))?;
+    let hover: Vec<Point2> = part.cells.iter().map(|c| c.center()).collect();
+    let plan = assign(&hover, budget, margin, seed)
+        .map_err(|e| format!("channel assignment failed: {e:?}"))?;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let positions: Vec<Point2> = (0..n_tags)
+        .map(|_| {
+            let spot = scene.tag_spots[rng.gen_range(0..scene.tag_spots.len())];
+            Point2::new(spot.x + rng.gen_range(-0.5..0.5), spot.y)
+        })
+        .collect();
+    let tags = TagPopulation::generate(n_tags, &positions, seed ^ 0xBEEF);
+    let world = mission_world(scene, Point2::new(1.0, 1.0), tags, &plan, budget, seed);
+    Ok((part, plan, world))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rfly_dsp::units::Db;
 
     fn read(epc_idx: u64, snr: f64) -> TagRead {
         TagRead {

@@ -86,12 +86,7 @@ mod tests {
     use rfly_dsp::units::Db;
 
     fn plan() -> ChannelPlan {
-        let budget = IsolationBudget {
-            intra_downlink: Db::new(77.0),
-            intra_uplink: Db::new(64.0),
-            inter_downlink: Db::new(110.0),
-            inter_uplink: Db::new(92.0),
-        };
+        let budget = IsolationBudget::fig9();
         let positions = [
             Point2::new(0.0, 0.0),
             Point2::new(10.0, 0.0),

@@ -16,15 +16,6 @@ use rfly_sim::scene::Scene;
 use rfly_tag::population::TagPopulation;
 use rfly_tag::tag::PassiveTag;
 
-fn paper_budget() -> IsolationBudget {
-    IsolationBudget {
-        intra_downlink: Db::new(77.0),
-        intra_uplink: Db::new(64.0),
-        inter_downlink: Db::new(110.0),
-        inter_uplink: Db::new(92.0),
-    }
-}
-
 /// Four tags per cell, all within powering range of the cell's aisle.
 fn two_cell_tags() -> (TagPopulation, Vec<Epc>, Vec<Epc>) {
     let left = [(2.0, 5.5), (4.0, 4.5), (6.0, 5.2), (8.0, 4.8)];
@@ -50,7 +41,7 @@ fn two_cell_tags() -> (TagPopulation, Vec<Epc>, Vec<Epc>) {
 #[test]
 fn adjacent_shift_pair_is_stable_and_inventories_both_cells() {
     let scene = Scene::open_floor(20.0, 10.0);
-    let budget = paper_budget();
+    let budget = IsolationBudget::fig9();
     let margin = Db::new(10.0);
 
     let cells = partition(&scene, 2, MotionLimits::indoor_drone()).expect("two strips fit");

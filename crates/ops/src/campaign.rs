@@ -17,18 +17,17 @@ use std::collections::BTreeSet;
 use rfly_channel::geometry::Point2;
 use rfly_core::relay::gains::IsolationBudget;
 use rfly_drone::kinematics::MotionLimits;
-use rfly_dsp::rng::{Rng, StdRng};
+use rfly_dsp::rng::StdRng;
 use rfly_dsp::units::{Db, Seconds};
 use rfly_faults::text::fmt_f64;
 use rfly_fleet::channels::{assign, ChannelPlan};
-use rfly_fleet::inventory::mission_world;
+use rfly_fleet::inventory::seeded_mission;
 use rfly_fleet::partition::partition;
 use rfly_protocol::epc::Epc;
 use rfly_reader::inventory::InventoryController;
 use rfly_sim::fleet::FleetMedium;
 use rfly_sim::scene::Scene;
 use rfly_sim::world::PhasorWorld;
-use rfly_tag::population::TagPopulation;
 
 use crate::energy::EnergyModel;
 use crate::rotation::{Duty, Roster, Rotation};
@@ -132,16 +131,6 @@ impl OpsReport {
     }
 }
 
-/// The paper's §6.1 (Fig. 9) isolation budget.
-fn fig9_budget() -> IsolationBudget {
-    IsolationBudget {
-        intra_downlink: Db::new(77.0),
-        intra_uplink: Db::new(64.0),
-        inter_downlink: Db::new(110.0),
-        inter_uplink: Db::new(92.0),
-    }
-}
-
 /// Everything one executed tick did — the unit the crash-consistent
 /// campaign log appends per tick, and the unit recovery verifies when
 /// fast-forwarding over already-durable ticks.
@@ -201,23 +190,18 @@ impl<'s> CampaignRun<'s> {
             );
         }
         let limits = MotionLimits::indoor_drone();
-        let budget = fig9_budget();
+        let budget = IsolationBudget::fig9();
 
-        // Static world: partition, channels, tags — the runner idiom.
-        let part = partition(scene, cfg.n_cells, limits)
-            .map_err(|e| format!("partition failed: {e:?}"))?;
+        // Static world: the same seeded mission a supervised run flies.
+        let (part, plan, world) = seeded_mission(
+            scene,
+            cfg.n_cells,
+            cfg.n_tags,
+            &budget,
+            cfg.margin,
+            cfg.seed,
+        )?;
         let hover: Vec<Point2> = part.cells.iter().map(|c| c.center()).collect();
-        let plan = assign(&hover, &budget, cfg.margin, cfg.seed)
-            .map_err(|e| format!("channel assignment failed: {e:?}"))?;
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let positions: Vec<Point2> = (0..cfg.n_tags)
-            .map(|_| {
-                let spot = scene.tag_spots[rng.gen_range(0..scene.tag_spots.len())];
-                Point2::new(spot.x + rng.gen_range(-0.5..0.5), spot.y)
-            })
-            .collect();
-        let tags = TagPopulation::generate(cfg.n_tags, &positions, cfg.seed ^ 0xBEEF);
-        let world = mission_world(scene, Point2::new(1.0, 1.0), tags, &plan, &budget, cfg.seed);
 
         // The roster parks standbys on the scene's docks.
         let dock_slots: Vec<usize> = scene.docks.iter().map(|d| d.slots).collect();

@@ -16,11 +16,10 @@
 //!   inventory stops through the fleet medium, battery accounting,
 //!   rotations, and the [`campaign::OpsReport`] the soak bench gates
 //!   on (tags/hour, minimum coverage, rotation count).
-//! - [`persist`] — crash-consistent campaign storage over the
-//!   injectable [`rfly_chaos::Storage`] trait: an append-only tick log
-//!   salvaged to its longest complete-block prefix after a tear, an
-//!   atomically-replaced checkpoint (roster + world RNG state), and
-//!   [`persist::recover_stored_campaign`] resuming after power loss
+//! - [`persist`] — crash-consistent campaign storage: [`CampaignRun`]
+//!   as a [`rfly_chaos::Durable`] stepper (tick-log and checkpoint
+//!   codecs), so the workspace's one durable-run engine persists it and
+//!   `rfly_chaos::durable::recover` resumes it after power loss
 //!   bit-identical to an uncrashed campaign.
 //! - [`model`] — a zero-dependency exhaustive state-space checker over
 //!   the abstracted supervisor + dock-rotation transition system: no
@@ -43,8 +42,5 @@ pub mod rotation;
 pub use campaign::{run_campaign, CampaignRun, OpsConfig, OpsReport, TickRecord};
 pub use energy::{Battery, EnergyModel};
 pub use model::{check, CheckResult, Counterexample, ModelConfig};
-pub use persist::{
-    recover_stored_campaign, run_stored_campaign, salvage_campaign_log, CampaignCheckpoint,
-    CampaignPaths, CampaignSalvage,
-};
+pub use persist::CampaignCheckpoint;
 pub use rotation::{Duty, Roster, Rotation};

@@ -3,52 +3,35 @@
 //!
 //! A long campaign is exactly the workload that meets a power loss —
 //! hours of simulated duty cycles, dock rotations mid-swap, inventory
-//! state accumulated over thousands of ticks. This module makes the
-//! campaign durable with the same protocol `rfly-replay` uses for
-//! missions, over the same injectable [`rfly_chaos::Storage`] trait:
+//! state accumulated over thousands of ticks. This module makes
+//! [`CampaignRun`] a [`Durable`] stepper, so the engine in
+//! [`rfly_chaos::durable`] persists it with the same protocol and code
+//! as a mission:
 //!
-//! * an **append-only campaign log** — a header (magic + the full
-//!   config line), one [`TickRecord`] block per executed tick, and a
-//!   seal footer; appends are prefix-durable;
-//! * an **atomically replaced checkpoint** — duty roster, battery
-//!   charges, current cell count, and the world RNG/Gen2 state, written
-//!   with [`rfly_chaos::Storage::write_atomic`] every
-//!   `checkpoint_every` ticks;
-//! * **salvage + verified resume** — [`recover_stored_campaign`]
-//!   truncates the log to its longest complete-block prefix, rebuilds
-//!   the report aggregates from the salvaged blocks, restores the
-//!   roster and world from the checkpoint, and re-drives
-//!   [`CampaignRun::step`], byte-comparing every re-executed tick
-//!   against its durable block before appending anything new. The
-//!   final durable files are bit-identical to an uncrashed campaign's.
+//! * the **campaign log** is a header (magic + the full config line),
+//!   one [`TickRecord`] block per executed tick, and a seal footer;
+//! * the **checkpoint** ([`CampaignCheckpoint`]) holds the duty roster,
+//!   battery charges, current cell count, and the world RNG/Gen2 state;
+//! * **recovery** restores the roster and world from the checkpoint,
+//!   folds the salvaged blocks before it into the report aggregates,
+//!   and re-drives [`CampaignRun::step`], byte-comparing every
+//!   re-executed tick against its durable block. The final durable
+//!   files are bit-identical to an uncrashed campaign's.
+//!
+//! A stored campaign is `durable::run(CampaignRun::new(scene, cfg)?,
+//! storage, paths, every)`; `durable::recover` with a fresh run resumes
+//! it.
 
-use rfly_chaos::{Storage, StorageError};
-use rfly_faults::text::{epc_hex, fmt_f64, parse_epc_hex, Fields, ParseError};
+use rfly_chaos::Durable;
+use rfly_faults::text::{
+    epc_hex, fmt_f64, opt_usize, parse_epc_hex, world_text, Fields, ParseError, WorldLines,
+};
 use rfly_fleet::channels::assign;
 use rfly_fleet::partition::partition;
-use rfly_sim::scene::Scene;
-use rfly_sim::world::{TagSnapshot, WorldSnapshot};
+use rfly_sim::world::WorldSnapshot;
 
 use crate::campaign::{CampaignRun, OpsConfig, OpsReport, TickRecord};
 use crate::rotation::{Duty, Roster, Rotation};
-
-/// Where a stored campaign keeps its two files.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CampaignPaths {
-    /// The append-only campaign log.
-    pub log: String,
-    /// The atomically-replaced checkpoint file.
-    pub checkpoint: String,
-}
-
-impl Default for CampaignPaths {
-    fn default() -> Self {
-        Self {
-            log: "campaign.log".to_string(),
-            checkpoint: "campaign.ck".to_string(),
-        }
-    }
-}
 
 /// The one-line config fingerprint embedded in the log header: every
 /// [`OpsConfig`] and [`crate::energy::EnergyModel`] field in
@@ -80,11 +63,6 @@ pub fn config_line(cfg: &OpsConfig) -> String {
     )
 }
 
-/// The campaign log header: magic line + config line.
-pub fn header_text(cfg: &OpsConfig) -> String {
-    format!("rfly-campaign v1\n{}\n", config_line(cfg))
-}
-
 /// One tick's log block: the `k` summary line, `rot` lines for every
 /// rotation, an `n` line when new tags were inventoried, the `b`
 /// battery line, and the `e` terminator salvage keys on.
@@ -98,13 +76,13 @@ pub fn tick_block(rec: &TickRecord) -> String {
         fmt_f64(rec.coverage),
     );
     for r in &rec.rotations {
-        let dock = match r.dock {
-            Some(d) => d.to_string(),
-            None => "-".to_string(),
-        };
         s.push_str(&format!(
-            "rot tick={} cell={} incumbent={} standby={} dock={dock}\n",
-            r.tick, r.cell, r.incumbent, r.standby,
+            "rot tick={} cell={} incumbent={} standby={} dock={}\n",
+            r.tick,
+            r.cell,
+            r.incumbent,
+            r.standby,
+            opt_usize(r.dock),
         ));
     }
     if !rec.new_tags.is_empty() {
@@ -123,16 +101,6 @@ pub fn tick_block(rec: &TickRecord) -> String {
     s.push('\n');
     s.push_str("e\n");
     s
-}
-
-fn parse_opt_dock(f: &mut Fields<'_>) -> Result<Option<usize>, ParseError> {
-    let v = f.kv("dock")?;
-    if v == "-" {
-        return Ok(None);
-    }
-    v.parse()
-        .map(Some)
-        .map_err(|_| f.error(format!("bad dock index {v:?}")))
 }
 
 /// Parses one [`tick_block`] back into a [`TickRecord`].
@@ -181,7 +149,7 @@ pub fn parse_tick_block(text: &str) -> Result<TickRecord, ParseError> {
                     cell: f.kv_usize("cell")?,
                     incumbent: f.kv_usize("incumbent")?,
                     standby: f.kv_usize("standby")?,
-                    dock: parse_opt_dock(&mut f)?,
+                    dock: f.kv_opt_usize("dock")?,
                 });
                 f.finish()?;
             }
@@ -224,155 +192,6 @@ pub fn parse_tick_block(text: &str) -> Result<TickRecord, ParseError> {
     Ok(rec)
 }
 
-/// What [`salvage_campaign_log`] kept and dropped.
-#[derive(Debug, Clone)]
-pub struct CampaignSalvage {
-    /// The salvaged text: header + complete tick blocks (+ seal).
-    /// Empty when even the header was lost.
-    pub text: String,
-    /// The parsed blocks, in tick order.
-    pub blocks: Vec<TickRecord>,
-    /// The exact text of each kept block — what fast-forward
-    /// verification byte-compares against.
-    pub block_texts: Vec<String>,
-    /// `Some(ticks)` when the seal footer survived.
-    pub sealed: Option<usize>,
-    /// Raw bytes not carried into the salvage.
-    pub dropped_bytes: usize,
-    /// Duplicated tick blocks dropped.
-    pub dropped_duplicates: usize,
-    /// Whether the header (magic + matching config line) survived.
-    pub header_ok: bool,
-    /// The header carried a *different* config line — the log belongs
-    /// to another campaign and must not be resumed under this one.
-    pub foreign_config: bool,
-}
-
-/// Truncates raw campaign-log bytes to the longest valid prefix of
-/// complete tick blocks, dropping a torn tail, a duplicated last
-/// block, and anything after the seal. Never fails: unusable input
-/// salvages empty (the campaign restarts from tick zero).
-pub fn salvage_campaign_log(raw: &[u8], cfg: &OpsConfig) -> CampaignSalvage {
-    let text = String::from_utf8_lossy(raw);
-    let expected_config = config_line(cfg);
-    let mut out = CampaignSalvage {
-        text: String::new(),
-        blocks: Vec::new(),
-        block_texts: Vec::new(),
-        sealed: None,
-        dropped_bytes: raw.len(),
-        dropped_duplicates: 0,
-        header_ok: false,
-        foreign_config: false,
-    };
-    let mut accepted = String::new();
-    let mut pending = String::new();
-    // 0 = expect magic, 1 = expect config line, 2 = blocks.
-    let mut stage = 0u8;
-    for line in text.split_inclusive('\n') {
-        if !line.ends_with('\n') {
-            break; // torn tail line
-        }
-        let trimmed = line.trim();
-        match stage {
-            0 => {
-                if trimmed == "rfly-campaign v1" {
-                    accepted.push_str(line);
-                    stage = 1;
-                } else {
-                    break;
-                }
-            }
-            1 => {
-                if trimmed == expected_config {
-                    accepted.push_str(line);
-                    stage = 2;
-                } else {
-                    out.foreign_config = trimmed.split_whitespace().next() == Some("config");
-                    break;
-                }
-            }
-            _ => {
-                if out.sealed.is_some() {
-                    break; // nothing is valid after the seal
-                }
-                let first = trimmed.split_whitespace().next().unwrap_or("");
-                if pending.is_empty() && first == "end" {
-                    let mut f = Fields::new(trimmed, 1);
-                    let ticks = (|| -> Result<usize, ParseError> {
-                        f.expect_tok("end")?;
-                        let t = f.kv_usize("ticks")?;
-                        f.finish()?;
-                        Ok(t)
-                    })();
-                    match ticks {
-                        Ok(t) if t == out.blocks.len() => {
-                            accepted.push_str(line);
-                            out.sealed = Some(t);
-                            continue;
-                        }
-                        _ => break, // seal disagrees with the blocks — corrupt
-                    }
-                }
-                pending.push_str(line);
-                if first != "e" {
-                    continue;
-                }
-                match parse_tick_block(&pending) {
-                    Ok(rec) if rec.tick == out.blocks.len() => {
-                        accepted.push_str(&pending);
-                        out.block_texts.push(std::mem::take(&mut pending));
-                        out.blocks.push(rec);
-                    }
-                    Ok(rec)
-                        if rec.tick + 1 == out.blocks.len()
-                            && Some(&pending) == out.block_texts.last() =>
-                    {
-                        // A duplicated append landed the last block twice.
-                        out.dropped_duplicates += 1;
-                        pending.clear();
-                    }
-                    _ => break, // torn interior or out-of-sequence block
-                }
-            }
-        }
-    }
-    if stage == 2 {
-        out.header_ok = true;
-        out.text = accepted;
-    } else {
-        out.blocks.clear();
-        out.block_texts.clear();
-        out.sealed = None;
-    }
-    out.dropped_bytes = raw.len().saturating_sub(out.text.len());
-    out
-}
-
-fn rng_hex(words: [u64; 4]) -> String {
-    format!(
-        "{:x},{:x},{:x},{:x}",
-        words[0], words[1], words[2], words[3]
-    )
-}
-
-fn parse_rng_hex(f: &mut Fields<'_>, key: &str) -> Result<[u64; 4], ParseError> {
-    let v = f.kv(key)?;
-    let mut words = [0u64; 4];
-    let mut parts = v.split(',');
-    for w in words.iter_mut() {
-        let p = parts
-            .next()
-            .ok_or_else(|| f.error(format!("{key} needs 4 comma-joined hex words")))?;
-        *w = u64::from_str_radix(p, 16)
-            .map_err(|_| f.error(format!("bad hex word {p:?} in {key}")))?;
-    }
-    if parts.next().is_some() {
-        return Err(f.error(format!("{key} has more than 4 words")));
-    }
-    Ok(words)
-}
-
 /// A campaign checkpoint: everything the resume path cannot rebuild
 /// from `(scene, cfg)` and the salvaged log — the duty roster with
 /// battery charges, the current partition size (it shrinks on
@@ -412,20 +231,7 @@ impl CampaignCheckpoint {
                 fmt_f64(*charge)
             ));
         }
-        s.push_str(&format!(
-            "world rng={} embrng={} embflags={:x}\n",
-            rng_hex(self.world.rng),
-            rng_hex(self.world.embedded_rng),
-            self.world.embedded_flags,
-        ));
-        for t in &self.world.tags {
-            s.push_str(&format!(
-                "wtag {} rng={} flags={:x}\n",
-                epc_hex(t.epc),
-                rng_hex(t.rng),
-                t.flags,
-            ));
-        }
+        s.push_str(&world_text(&self.world));
         s.push_str("end\n");
         s
     }
@@ -441,8 +247,7 @@ impl CampaignCheckpoint {
         }
         let mut tick: Option<(usize, usize, bool)> = None;
         let mut duties: Vec<(Duty, f64)> = Vec::new();
-        let mut world: Option<([u64; 4], [u64; 4], u8)> = None;
-        let mut wtags: Vec<TagSnapshot> = Vec::new();
+        let mut world = WorldLines::default();
         let mut ended = false;
         for (n, line) in lines {
             if line.is_empty() {
@@ -451,6 +256,9 @@ impl CampaignCheckpoint {
             if line == "end" {
                 ended = true;
                 break;
+            }
+            if world.parse(line, n)? {
+                continue;
             }
             let mut f = Fields::new(line, n);
             match f.tok("record tag")? {
@@ -487,24 +295,6 @@ impl CampaignCheckpoint {
                     f.finish()?;
                     duties.push((duty, charge));
                 }
-                "world" => {
-                    let rng = parse_rng_hex(&mut f, "rng")?;
-                    let embedded_rng = parse_rng_hex(&mut f, "embrng")?;
-                    let flags_v = f.kv("embflags")?;
-                    let embedded_flags = u8::from_str_radix(flags_v, 16)
-                        .map_err(|_| ParseError::new(n, format!("bad embflags {flags_v:?}")))?;
-                    f.finish()?;
-                    world = Some((rng, embedded_rng, embedded_flags));
-                }
-                "wtag" => {
-                    let epc = f.epc("EPC")?;
-                    let rng = parse_rng_hex(&mut f, "rng")?;
-                    let flags_v = f.kv("flags")?;
-                    let flags = u8::from_str_radix(flags_v, 16)
-                        .map_err(|_| ParseError::new(n, format!("bad flags {flags_v:?}")))?;
-                    f.finish()?;
-                    wtags.push(TagSnapshot { epc, rng, flags });
-                }
                 other => {
                     return Err(ParseError::new(
                         n,
@@ -521,25 +311,14 @@ impl CampaignCheckpoint {
         }
         let (next_tick, cells, halted) =
             tick.ok_or_else(|| ParseError::new(0, "missing tick line"))?;
-        let (rng, embedded_rng, embedded_flags) =
-            world.ok_or_else(|| ParseError::new(0, "missing world line"))?;
         Ok(Self {
             next_tick,
             cells,
             halted,
             duties,
-            world: WorldSnapshot {
-                rng,
-                embedded_rng,
-                embedded_flags,
-                tags: wtags,
-            },
+            world: world.finish()?,
         })
     }
-}
-
-fn io(op: &str, e: StorageError) -> String {
-    format!("{op}: {e}")
 }
 
 fn checkpoint_of(run: &CampaignRun<'_>) -> CampaignCheckpoint {
@@ -552,222 +331,126 @@ fn checkpoint_of(run: &CampaignRun<'_>) -> CampaignCheckpoint {
     }
 }
 
-/// Flies a campaign start to finish, persisting through `storage`:
-/// the log as incremental appends (header, one block per tick, seal),
-/// a checkpoint atomically replaced every `checkpoint_every` ticks
-/// (`0` = final checkpoint only), and a final checkpoint.
-pub fn run_stored_campaign(
-    scene: &Scene,
-    cfg: &OpsConfig,
-    storage: &mut dyn Storage,
-    paths: &CampaignPaths,
-    checkpoint_every: usize,
-) -> Result<OpsReport, String> {
-    let _span = rfly_obs::span("ops.run_stored_campaign");
-    let mut run = CampaignRun::new(scene, cfg)?;
-    storage
-        .append(&paths.log, header_text(cfg).as_bytes())
-        .map_err(|e| io("campaign log header append", e))?;
-    while !run.finished() {
-        let rec = run.step()?;
-        storage
-            .append(&paths.log, tick_block(&rec).as_bytes())
-            .map_err(|e| io("campaign tick append", e))?;
-        if checkpoint_every != 0 && (rec.tick + 1).is_multiple_of(checkpoint_every) {
-            storage
-                .write_atomic(&paths.checkpoint, checkpoint_of(&run).to_text().as_bytes())
-                .map_err(|e| io("campaign checkpoint write", e))?;
-        }
-    }
-    storage
-        .append(
-            &paths.log,
-            format!("end ticks={}\n", run.tick_index()).as_bytes(),
-        )
-        .map_err(|e| io("campaign seal append", e))?;
-    storage
-        .write_atomic(&paths.checkpoint, checkpoint_of(&run).to_text().as_bytes())
-        .map_err(|e| io("final campaign checkpoint write", e))?;
-    Ok(run.into_report())
+/// Parses the `end ticks=<n>` seal line.
+fn parse_seal(line: &str) -> Result<usize, ParseError> {
+    let mut f = Fields::new(line, 1);
+    f.expect_tok("end")?;
+    let ticks = f.kv_usize("ticks")?;
+    f.finish()?;
+    Ok(ticks)
 }
 
-/// Folds an already-durable tick's record into a freshly restored
-/// run's aggregates — the bookkeeping [`CampaignRun::step`] would have
-/// done when it originally executed the tick.
-fn apply_salvaged_tick(run: &mut CampaignRun<'_>, rec: &TickRecord) {
-    for epc in &rec.new_tags {
-        run.seen.insert(*epc);
+impl Durable for CampaignRun<'_> {
+    type Record = TickRecord;
+    type Checkpoint = CampaignCheckpoint;
+    type Output = OpsReport;
+
+    const MAGIC: &'static str = "rfly-campaign v1";
+
+    fn is_identity(line: &str) -> bool {
+        line.split_whitespace().next() == Some("config")
     }
-    run.report.total_reads += rec.reads;
-    run.report.deaths += rec.deaths;
-    if rec.repartitioned {
-        run.report.repartitions += 1;
+
+    fn parse_block(block: &str) -> Option<(usize, TickRecord)> {
+        let rec = parse_tick_block(block).ok()?;
+        Some((rec.tick, rec))
     }
-    run.report.rotations.extend(rec.rotations.iter().copied());
-    if rec.coverage < run.report.min_coverage {
-        run.report.min_coverage = rec.coverage;
+
+    fn seal_steps(line: &str) -> Option<usize> {
+        parse_seal(line).ok()
     }
-    for (relay, &charge) in rec.charges.iter().enumerate() {
-        if let Some(row) = run.report.trace.get_mut(relay) {
+
+    fn parse_checkpoint(text: &str) -> Option<(usize, CampaignCheckpoint)> {
+        let ck = CampaignCheckpoint::from_text(text).ok()?;
+        Some((ck.next_tick, ck))
+    }
+
+    fn identity(&self) -> String {
+        config_line(&self.cfg)
+    }
+
+    fn position(&self) -> usize {
+        self.tick
+    }
+
+    fn finished(&self) -> bool {
+        CampaignRun::finished(self)
+    }
+
+    fn next_block(&mut self) -> Result<String, String> {
+        self.step().map(|rec| tick_block(&rec))
+    }
+
+    fn checkpoint(&self) -> String {
+        checkpoint_of(self).to_text()
+    }
+
+    /// Re-derives the partition at the checkpointed cell count and
+    /// restores the roster and world verbatim.
+    fn restore(&mut self, ck: CampaignCheckpoint) -> Result<(), String> {
+        let cfg = &self.cfg;
+        if ck.duties.len() != cfg.n_relays {
+            return Err(format!(
+                "checkpoint has {} relays, config has {}",
+                ck.duties.len(),
+                cfg.n_relays
+            ));
+        }
+        if ck.cells == 0 || ck.cells > cfg.n_cells {
+            return Err(format!(
+                "checkpoint cell count {} out of range (config {})",
+                ck.cells, cfg.n_cells
+            ));
+        }
+        if ck.cells != self.hover.len() {
+            // The campaign had repartitioned; re-derive the shrunken
+            // partition and channel plan exactly as the live loop did.
+            let part = partition(self.scene, ck.cells, self.limits)
+                .map_err(|e| format!("repartition during restore failed: {e:?}"))?;
+            self.hover = part.cells.iter().map(|c| c.center()).collect();
+            self.plan = assign(&self.hover, &self.budget, cfg.margin, cfg.seed)
+                .map_err(|e| format!("channel reassignment during restore failed: {e:?}"))?;
+        }
+        let dock_slots: Vec<usize> = self.scene.docks.iter().map(|d| d.slots).collect();
+        self.roster = Roster::from_duties(&ck.duties, &dock_slots)?;
+        self.world
+            .restore(&ck.world)
+            .map_err(|e| format!("world restore failed: {e}"))?;
+        self.tick = ck.next_tick;
+        self.halted = ck.halted;
+        Ok(())
+    }
+
+    fn replay(&mut self, rec: TickRecord) {
+        self.seen.extend(rec.new_tags);
+        self.report.total_reads += rec.reads;
+        self.report.deaths += rec.deaths;
+        if rec.repartitioned {
+            self.report.repartitions += 1;
+        }
+        self.report.rotations.extend(rec.rotations);
+        if rec.coverage < self.report.min_coverage {
+            self.report.min_coverage = rec.coverage;
+        }
+        for (row, charge) in self.report.trace.iter_mut().zip(rec.charges) {
             row.push(charge);
         }
     }
-}
 
-/// Rebuilds a [`CampaignRun`] at a checkpoint: fresh static state from
-/// `(scene, cfg)`, the partition re-derived at the checkpointed cell
-/// count, roster and world restored verbatim.
-fn restore_run<'s>(
-    scene: &'s Scene,
-    cfg: &OpsConfig,
-    ck: &CampaignCheckpoint,
-) -> Result<CampaignRun<'s>, String> {
-    let mut run = CampaignRun::new(scene, cfg)?;
-    if ck.duties.len() != cfg.n_relays {
-        return Err(format!(
-            "checkpoint has {} relays, config has {}",
-            ck.duties.len(),
-            cfg.n_relays
-        ));
+    fn finish(self) -> Result<(OpsReport, String), String> {
+        let seal = format!("end ticks={}\n", self.tick);
+        Ok((self.into_report(), seal))
     }
-    if ck.cells == 0 || ck.cells > cfg.n_cells {
-        return Err(format!(
-            "checkpoint cell count {} out of range (config {})",
-            ck.cells, cfg.n_cells
-        ));
-    }
-    if ck.cells != run.hover.len() {
-        // The campaign had repartitioned; re-derive the shrunken
-        // partition and channel plan exactly as the live loop did.
-        let part = partition(scene, ck.cells, run.limits)
-            .map_err(|e| format!("repartition during restore failed: {e:?}"))?;
-        run.hover = part.cells.iter().map(|c| c.center()).collect();
-        run.plan = assign(&run.hover, &run.budget, cfg.margin, cfg.seed)
-            .map_err(|e| format!("channel reassignment during restore failed: {e:?}"))?;
-    }
-    let dock_slots: Vec<usize> = scene.docks.iter().map(|d| d.slots).collect();
-    run.roster = Roster::from_duties(&ck.duties, &dock_slots)?;
-    run.world
-        .restore(&ck.world)
-        .map_err(|e| format!("world restore failed: {e}"))?;
-    run.tick = ck.next_tick;
-    run.halted = ck.halted;
-    Ok(run)
-}
-
-/// Recovers a crashed [`run_stored_campaign`] from whatever `storage`
-/// holds and flies it to completion, leaving the durable files
-/// bit-identical to an uncrashed campaign's.
-///
-/// Protocol: salvage the log, truncate the durable file to the
-/// salvaged prefix, rebuild the report aggregates from the salvaged
-/// blocks, restore from the checkpoint when it is at or before the
-/// salvage point (otherwise restart from tick zero), byte-compare
-/// every re-executed tick against its durable block, and append
-/// everything past the salvage point live. A mismatch between a
-/// re-executed tick and its durable block is real corruption and is
-/// reported as `Err`.
-pub fn recover_stored_campaign(
-    scene: &Scene,
-    cfg: &OpsConfig,
-    storage: &mut dyn Storage,
-    paths: &CampaignPaths,
-    checkpoint_every: usize,
-) -> Result<OpsReport, String> {
-    let _span = rfly_obs::span("ops.recover_stored_campaign");
-    rfly_obs::counter_add("ops.campaign_recoveries", 1);
-    let raw = match storage.read(&paths.log) {
-        Ok(bytes) => bytes,
-        Err(StorageError::NotFound(_)) => Vec::new(),
-        Err(e) => return Err(io("campaign log read", e)),
-    };
-    let salv = salvage_campaign_log(&raw, cfg);
-    if salv.foreign_config {
-        return Err("campaign log belongs to a different config; refusing to resume".into());
-    }
-    rfly_obs::counter_add("ops.salvaged_ticks", salv.blocks.len() as u64);
-
-    // Physically truncate the durable log (or restart it at the
-    // header) so the torn tail is gone even if we crash again.
-    let base_text = if salv.header_ok {
-        salv.text.clone()
-    } else {
-        header_text(cfg)
-    };
-    storage
-        .write_atomic(&paths.log, base_text.as_bytes())
-        .map_err(|e| io("campaign log truncate", e))?;
-
-    // A checkpoint ahead of the salvage point lost its covering
-    // blocks; discard it and replay from tick zero instead.
-    let ck = match storage.read(&paths.checkpoint) {
-        Ok(bytes) => String::from_utf8(bytes)
-            .ok()
-            .and_then(|t| CampaignCheckpoint::from_text(&t).ok())
-            .filter(|c| c.next_tick <= salv.blocks.len()),
-        Err(_) => None,
-    };
-    let mut run = match &ck {
-        Some(ck) => restore_run(scene, cfg, ck)?,
-        None => CampaignRun::new(scene, cfg)?,
-    };
-    for rec in salv.blocks.iter().take(run.tick) {
-        apply_salvaged_tick(&mut run, rec);
-    }
-
-    while !run.finished() {
-        let tick = run.tick_index();
-        let rec = run.step()?;
-        let block = tick_block(&rec);
-        if let Some(durable) = salv.block_texts.get(tick) {
-            // Fast-forward: this tick is already durable; verify the
-            // re-execution against it instead of re-appending.
-            if block != *durable {
-                return Err(format!(
-                    "campaign recovery diverged from durable log at tick {tick}"
-                ));
-            }
-        } else {
-            storage
-                .append(&paths.log, block.as_bytes())
-                .map_err(|e| io("campaign tick append", e))?;
-        }
-        if checkpoint_every != 0 && (tick + 1).is_multiple_of(checkpoint_every) {
-            storage
-                .write_atomic(&paths.checkpoint, checkpoint_of(&run).to_text().as_bytes())
-                .map_err(|e| io("campaign checkpoint write", e))?;
-        }
-    }
-    match salv.sealed {
-        Some(ticks) => {
-            if ticks != run.tick_index() {
-                return Err(format!(
-                    "salvaged seal says {ticks} ticks but recovery executed {}",
-                    run.tick_index()
-                ));
-            }
-        }
-        None => {
-            storage
-                .append(
-                    &paths.log,
-                    format!("end ticks={}\n", run.tick_index()).as_bytes(),
-                )
-                .map_err(|e| io("campaign seal append", e))?;
-        }
-    }
-    storage
-        .write_atomic(&paths.checkpoint, checkpoint_of(&run).to_text().as_bytes())
-        .map_err(|e| io("final campaign checkpoint write", e))?;
-    Ok(run.into_report())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rfly_channel::geometry::Point2;
-    use rfly_chaos::MemStorage;
+    use rfly_chaos::durable::{self, StorePaths};
+    use rfly_chaos::{MemStorage, Storage};
     use rfly_dsp::units::Seconds;
+    use rfly_sim::scene::Scene;
 
     fn docked_scene() -> Scene {
         let mut scene = Scene::warehouse(16.0, 12.0, 2);
@@ -783,13 +466,17 @@ mod tests {
         cfg
     }
 
+    fn paths() -> StorePaths {
+        StorePaths::named("campaign")
+    }
+
     fn reference(seed: u64, every: usize) -> (MemStorage, OpsReport) {
         let scene = docked_scene();
         let cfg = short_cfg(seed);
         let mut store = MemStorage::new();
+        let run = CampaignRun::new(&scene, &cfg).expect("builds");
         let report =
-            run_stored_campaign(&scene, &cfg, &mut store, &CampaignPaths::default(), every)
-                .expect("stored campaign completes");
+            durable::run(run, &mut store, &paths(), every).expect("stored campaign completes");
         (store, report)
     }
 
@@ -841,26 +528,22 @@ mod tests {
 
     #[test]
     fn salvage_truncates_torn_campaign_log() {
-        let (store, _) = reference(11, 4);
+        let (store, report) = reference(11, 4);
         let cfg = short_cfg(11);
-        let raw = store.read("campaign.log").expect("log exists");
-        let full = salvage_campaign_log(&raw, &cfg);
-        assert!(full.header_ok);
-        assert!(full.sealed.is_some());
+        let raw = store.read(&paths().journal).expect("log exists");
+        let full = durable::salvage::<CampaignRun>(&raw);
+        assert_eq!(full.identity, Some(config_line(&cfg)));
+        assert_eq!(full.records.len(), report.ticks);
+        assert!(full.seal.is_some());
         assert_eq!(full.dropped_bytes, 0);
         // Tear inside the last block's battery line.
         let text = String::from_utf8(raw.clone()).expect("utf8");
         let cut = text.rfind("\nb ").expect("has a battery line") + 3;
-        let torn = salvage_campaign_log(&raw[..cut], &cfg);
-        assert!(torn.header_ok);
-        assert_eq!(torn.sealed, None);
-        assert!(torn.blocks.len() < full.blocks.len());
+        let torn = durable::salvage::<CampaignRun>(&raw[..cut]);
+        assert!(torn.identity.is_some());
+        assert_eq!(torn.seal, None);
+        assert!(torn.records.len() < full.records.len());
         assert!(torn.dropped_bytes > 0);
-        // A foreign config is refused, not resumed.
-        let mut other = cfg.clone();
-        other.seed ^= 1;
-        let foreign = salvage_campaign_log(&raw, &other);
-        assert!(!foreign.header_ok && foreign.foreign_config);
     }
 
     #[test]
@@ -868,15 +551,15 @@ mod tests {
         let (reference_store, report) = reference(11, 4);
         let scene = docked_scene();
         let cfg = short_cfg(11);
-        let paths = CampaignPaths::default();
-        let raw = reference_store.read(&paths.log).expect("log exists");
+        let paths = paths();
+        let raw = reference_store.read(&paths.journal).expect("log exists");
         // Crash with half the log durable and no checkpoint.
         let mut crashed = MemStorage::new();
         crashed
-            .append(&paths.log, &raw[..raw.len() / 2])
+            .append(&paths.journal, &raw[..raw.len() / 2])
             .expect("seed torn log");
-        let recovered = recover_stored_campaign(&scene, &cfg, &mut crashed, &paths, 4)
-            .expect("recovery completes");
+        let run = CampaignRun::new(&scene, &cfg).expect("builds");
+        let recovered = durable::recover(run, &mut crashed, &paths, 4).expect("recovery completes");
         assert_eq!(crashed, reference_store, "storage is bit-identical");
         assert_eq!(recovered.trace_text(), report.trace_text());
         assert_eq!(recovered.rotations, report.rotations);
@@ -890,8 +573,9 @@ mod tests {
         let scene = docked_scene();
         let mut cfg = short_cfg(11);
         cfg.seed = 12;
-        let err = recover_stored_campaign(&scene, &cfg, &mut store, &CampaignPaths::default(), 4)
+        let run = CampaignRun::new(&scene, &cfg).expect("builds");
+        let err = durable::recover(run, &mut store, &paths(), 4)
             .expect_err("foreign config must be refused");
-        assert!(err.contains("different config"), "{err}");
+        assert!(err.contains("different run (config "), "{err}");
     }
 }

@@ -5,9 +5,10 @@
 //! uncrashed campaign's.
 
 use rfly_channel::geometry::Point2;
-use rfly_chaos::{verify_recovery, MemStorage, Recovered, Storage};
+use rfly_chaos::durable;
+use rfly_chaos::{verify_recovery, MemStorage, Storage, StorePaths};
 use rfly_dsp::units::Seconds;
-use rfly_ops::{recover_stored_campaign, run_stored_campaign, CampaignPaths, OpsConfig};
+use rfly_ops::{CampaignRun, OpsConfig};
 use rfly_sim::scene::Scene;
 
 const EVERY: usize = 4;
@@ -31,25 +32,29 @@ fn config() -> OpsConfig {
 fn campaign_store_recovers_at_every_crash_point() {
     let scene = docked_scene();
     let cfg = config();
-    let paths = CampaignPaths::default();
+    let paths = StorePaths::named("campaign");
 
     // The reference campaign must actually exercise the interesting
     // paths, or the matrix proves nothing about mid-rotation crashes.
     let mut plain = MemStorage::new();
-    let report = run_stored_campaign(&scene, &cfg, &mut plain, &paths, EVERY)
-        .expect("reference campaign completes");
+    let run = CampaignRun::new(&scene, &cfg).expect("builds");
+    let report =
+        durable::run(run, &mut plain, &paths, EVERY).expect("reference campaign completes");
     assert!(!report.rotations.is_empty(), "campaign must rotate");
     assert!(report.deaths > 0, "campaign must kill a relay");
     assert!(report.repartitions > 0, "campaign must repartition");
 
-    let mut workload =
-        |s: &mut dyn Storage| run_stored_campaign(&scene, &cfg, s, &paths, EVERY).map(|_| ());
-    let mut recover = |mut survivor: MemStorage| -> Result<Recovered, String> {
-        recover_stored_campaign(&scene, &cfg, &mut survivor, &paths, EVERY)?;
-        Ok(Recovered {
-            storage: survivor,
-            lost_unacked: 0,
-        })
+    let mut workload = |s: &mut dyn Storage| {
+        durable::run(CampaignRun::new(&scene, &cfg)?, s, &paths, EVERY).map(|_| ())
+    };
+    let mut recover = |mut survivor: MemStorage| {
+        durable::recover(
+            CampaignRun::new(&scene, &cfg)?,
+            &mut survivor,
+            &paths,
+            EVERY,
+        )?;
+        Ok(survivor)
     };
     let report = verify_recovery(&mut workload, &mut recover, 11).expect("harness ok");
     assert!(

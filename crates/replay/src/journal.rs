@@ -100,7 +100,7 @@ impl Journal {
         let (n, header) = lines
             .next()
             .ok_or_else(|| ParseError::new(1, "empty journal text"))?;
-        if header != "rfly-journal v1" {
+        if header != MAGIC {
             return Err(ParseError::new(n, format!("bad header {header:?}")));
         }
         let (n, scn_line) = lines
@@ -108,78 +108,42 @@ impl Journal {
             .ok_or_else(|| ParseError::new(n + 1, "missing scenario line"))?;
         let scenario = Scenario::from_line(scn_line, n)?;
         let mut journal = Journal::begin(scenario);
-        let mut current: Option<(usize, StepRecord)> = None;
+        // The lines of the open step block and the line it opened at.
+        let mut block = String::new();
+        let mut opened = 0;
         for (n, line) in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let first = line.split_whitespace().next().unwrap_or("");
-            if first == "s" || first == "end" {
-                if let Some((open_n, _)) = current {
-                    return Err(ParseError::new(
-                        n,
-                        format!("step block opened at line {open_n} has no `e` terminator"),
-                    ));
+            let first = line.split_whitespace().next();
+            if block.is_empty() {
+                if first.is_none() {
+                    continue;
                 }
-            }
-            match first {
-                "s" => {
-                    let mut f = Fields::new(line, n);
-                    f.expect_tok("s")?;
-                    let step = f.usize("step index")?;
-                    f.finish()?;
-                    current = Some((
-                        n,
-                        StepRecord {
-                            step,
-                            faults: Vec::new(),
-                            recoveries: Vec::new(),
-                            margin: None,
-                            reads: Vec::new(),
-                            rng: [0; 4],
-                            done: false,
-                        },
-                    ));
-                }
-                "end" => {
-                    let mut f = Fields::new(line, n);
-                    f.expect_tok("end")?;
-                    journal.sealed = Some(Seal {
-                        steps: f.kv_usize("steps")?,
-                        duration_s: f.kv_f64("duration")?,
-                    });
-                    f.finish()?;
+                if first == Some("end") {
+                    journal.sealed = Some(parse_seal(line, n)?);
                     return Ok(journal);
                 }
-                _ => {
-                    let Some((_, rec)) = current.as_mut() else {
-                        return Err(ParseError::new(
-                            n,
-                            format!("record {line:?} outside a step block"),
-                        ));
-                    };
-                    if parse_step_line(first, line, n, rec)? {
-                        if let Some((_, done)) = current.take() {
-                            journal.steps.push(done);
-                        }
-                    }
-                }
+                opened = n;
+            }
+            block.push_str(line);
+            block.push('\n');
+            if first == Some("e") {
+                journal.steps.push(parse_step_block(&block, opened)?);
+                block.clear();
             }
         }
-        if let Some((open_n, _)) = current {
-            return Err(ParseError::new(
-                text.lines().count(),
-                format!("step block opened at line {open_n} has no `e` terminator"),
-            ));
+        if !block.is_empty() {
+            return Err(ParseError::new(opened, "step block has no `e` terminator"));
         }
         Ok(journal)
     }
 }
 
+/// The journal's version line.
+pub const MAGIC: &str = "rfly-journal v1";
+
 /// The journal header: the version line plus the scenario line —
 /// exactly the prefix an incremental writer appends before any step.
 pub fn header_text(scenario: &Scenario) -> String {
-    let mut s = String::from("rfly-journal v1\n");
+    let mut s = format!("{MAGIC}\n");
     s.push_str(&scenario.to_line());
     s.push('\n');
     s
@@ -226,6 +190,59 @@ pub fn step_block(rec: &StepRecord) -> String {
     ));
     s.push_str(&format!("e {}\n", u8::from(rec.done)));
     s
+}
+
+/// Parses a [`seal_text`] line, reporting errors at `line_no`.
+pub fn parse_seal(line: &str, line_no: usize) -> Result<Seal, ParseError> {
+    let mut f = Fields::new(line, line_no);
+    f.expect_tok("end")?;
+    let seal = Seal {
+        steps: f.kv_usize("steps")?,
+        duration_s: f.kv_f64("duration")?,
+    };
+    f.finish()?;
+    Ok(seal)
+}
+
+/// Parses one [`step_block`], which must end with its `e` line, whose
+/// first line is line `line_no` of the journal.
+pub fn parse_step_block(text: &str, line_no: usize) -> Result<StepRecord, ParseError> {
+    let mut lines = text
+        .lines()
+        .enumerate()
+        .map(|(n, l)| (n + line_no, l.trim()))
+        .filter(|(_, l)| !l.is_empty());
+    let (n, first) = lines
+        .next()
+        .ok_or_else(|| ParseError::new(line_no, "empty step block"))?;
+    let mut rec = open_step(first, n)?;
+    while let Some((n, line)) = lines.next() {
+        let tag = line.split_whitespace().next().unwrap_or("");
+        if parse_step_line(tag, line, n, &mut rec)? {
+            return match lines.next() {
+                None => Ok(rec),
+                Some((n, _)) => Err(ParseError::new(n, "records after the `e` terminator")),
+            };
+        }
+    }
+    Err(ParseError::new(n, "step block has no `e` terminator"))
+}
+
+/// Parses a block's opening `s <step>` line into an empty record.
+fn open_step(line: &str, n: usize) -> Result<StepRecord, ParseError> {
+    let mut f = Fields::new(line, n);
+    f.expect_tok("s")?;
+    let step = f.usize("step index")?;
+    f.finish()?;
+    Ok(StepRecord {
+        step,
+        faults: Vec::new(),
+        recoveries: Vec::new(),
+        margin: None,
+        reads: Vec::new(),
+        rng: [0; 4],
+        done: false,
+    })
 }
 
 /// Parses one in-block journal line into `rec`. Returns `true` when the

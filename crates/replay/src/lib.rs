@@ -27,14 +27,14 @@
 //!   while the invariant harness still flags the same violation, and
 //!   emit a minimal repro file.
 //! * [`runner`] — the [`runner::Scenario`] spec that rebuilds the
-//!   identical mission from one line of text, plus the
-//!   [`runner::run_full`] / [`runner::run_killed`] /
-//!   [`runner::resume`] drivers.
-//! * [`store`] — **crash-consistent persistence**: the journal and
-//!   checkpoint writers routed through the injectable
-//!   [`rfly_chaos::Storage`] trait, torn-tail journal salvage, and the
-//!   [`store::recover_stored`] driver that resumes a mission killed at
-//!   any storage operation bit-identically.
+//!   identical mission from one line of text, the
+//!   [`runner::MissionRun`] stepper, and the [`runner::run_full`] /
+//!   [`runner::run_killed`] / [`runner::resume`] drivers over it.
+//! * [`store`] — **crash-consistent persistence**: `MissionRun` as a
+//!   [`rfly_chaos::Durable`] stepper, so the workspace's one durable-run
+//!   engine journals it through the injectable [`rfly_chaos::Storage`]
+//!   trait and [`store::recover_stored`] resumes a mission killed at any
+//!   storage operation bit-identically.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,6 +51,6 @@ pub use checkpoint::Checkpoint;
 pub use divergence::{first_divergence, verify_replay, Divergence};
 pub use invariant::{Invariant, InvariantHarness, Violation};
 pub use journal::{Journal, Seal};
-pub use runner::{resume, run_full, run_killed, Mission, Run, Scenario};
+pub use runner::{resume, run_full, run_killed, Mission, MissionRun, Run, Scenario};
 pub use shrink::{repro_to_text, shrink, ShrinkResult};
-pub use store::{recover_stored, run_stored, salvage_journal, SalvagedJournal, StorePaths};
+pub use store::{recover_stored, run_stored, salvage_journal, StorePaths};

@@ -8,20 +8,17 @@
 //! reconstructs the same warehouse, tag population, channel plan, and
 //! RNG streams from one line of text.
 
-use rfly_channel::geometry::Point2;
 use rfly_core::relay::gains::IsolationBudget;
 use rfly_drone::kinematics::MotionLimits;
-use rfly_dsp::rng::{Rng, StdRng};
 use rfly_dsp::units::{Db, Seconds};
-use rfly_faults::supervisor::{MissionEnv, MissionState, SupervisorConfig};
+use rfly_faults::supervisor::{MissionEnv, MissionState, StepRecord, SupervisorConfig};
 use rfly_faults::text::{fmt_f64, Fields, ParseError};
 use rfly_faults::{FaultSchedule, ResilientOutcome};
-use rfly_fleet::channels::{assign, ChannelPlan};
-use rfly_fleet::inventory::{mission_world, MissionConfig};
-use rfly_fleet::partition::{partition, Partition};
+use rfly_fleet::channels::ChannelPlan;
+use rfly_fleet::inventory::{seeded_mission, MissionConfig};
+use rfly_fleet::partition::Partition;
 use rfly_sim::scene::Scene;
 use rfly_sim::world::PhasorWorld;
-use rfly_tag::population::TagPopulation;
 
 use crate::checkpoint::Checkpoint;
 use crate::journal::Journal;
@@ -70,16 +67,6 @@ impl Scenario {
         }
     }
 
-    /// The paper's §6.1 isolation budget.
-    pub fn budget(&self) -> IsolationBudget {
-        IsolationBudget {
-            intra_downlink: Db::new(77.0),
-            intra_uplink: Db::new(64.0),
-            inter_downlink: Db::new(110.0),
-            inter_uplink: Db::new(92.0),
-        }
-    }
-
     /// The stable one-line form embedded in journals and repro files.
     pub fn to_line(&self) -> String {
         format!(
@@ -124,29 +111,16 @@ impl Scenario {
     /// phasor world, and pacing config — a pure function of `self`.
     pub fn build(&self) -> Result<Mission, String> {
         let scene = Scene::warehouse(self.width_m, self.depth_m, self.shelves);
-        let limits = MotionLimits::indoor_drone();
-        let part = partition(&scene, self.n_relays, limits)
-            .map_err(|e| format!("partition failed: {e:?}"))?;
-        let hover: Vec<Point2> = part.cells.iter().map(|c| c.center()).collect();
-        let budget = self.budget();
-        let plan = assign(&hover, &budget, Db::new(self.margin_db), self.seed)
-            .map_err(|e| format!("channel assignment failed: {e:?}"))?;
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let positions: Vec<Point2> = (0..self.n_tags)
-            .map(|_| {
-                let spot = scene.tag_spots[rng.gen_range(0..scene.tag_spots.len())];
-                Point2::new(spot.x + rng.gen_range(-0.5..0.5), spot.y)
-            })
-            .collect();
-        let tags = TagPopulation::generate(self.n_tags, &positions, self.seed ^ 0xBEEF);
-        let world = mission_world(
+        let budget = IsolationBudget::fig9();
+        let margin = Db::new(self.margin_db);
+        let (part, plan, world) = seeded_mission(
             &scene,
-            Point2::new(1.0, 1.0),
-            tags,
-            &plan,
+            self.n_relays,
+            self.n_tags,
             &budget,
+            margin,
             self.seed,
-        );
+        )?;
         let cfg = MissionConfig {
             sample_interval_s: self.sample_interval_s,
             max_rounds: self.max_rounds,
@@ -160,8 +134,8 @@ impl Scenario {
             world,
             cfg,
             budget,
-            margin: Db::new(self.margin_db),
-            limits,
+            margin,
+            limits: MotionLimits::indoor_drone(),
         })
     }
 }
@@ -197,29 +171,101 @@ pub struct Run {
     pub outcome: ResilientOutcome,
 }
 
+/// A journaled mission in flight: the step-by-step form of
+/// [`run_full`], and the stepper [`crate::store`] makes durable.
+#[derive(Debug)]
+pub struct MissionRun<'a> {
+    pub(crate) scenario: &'a Scenario,
+    schedule: &'a FaultSchedule,
+    mission: Mission,
+    sup: SupervisorConfig,
+    pub(crate) state: MissionState,
+    pub(crate) journal: Journal,
+}
+
+impl<'a> MissionRun<'a> {
+    /// Builds `scenario` at step zero, to fly under `schedule`.
+    pub fn new(scenario: &'a Scenario, schedule: &'a FaultSchedule) -> Result<Self, String> {
+        let mission = scenario.build()?;
+        let state = MissionState::new(&mission.plan, &mission.part, &mission.cfg);
+        Ok(Self {
+            scenario,
+            schedule,
+            mission,
+            sup: SupervisorConfig::default(),
+            state,
+            journal: Journal::begin(scenario.clone()),
+        })
+    }
+
+    /// Restores the world and the supervisor to `checkpoint`.
+    pub fn restore(&mut self, checkpoint: &Checkpoint) -> Result<(), String> {
+        self.mission
+            .world
+            .restore(&checkpoint.world)
+            .map_err(|e| format!("world restore failed: {e}"))?;
+        self.state = MissionState::from_snapshot(checkpoint.mission.clone());
+        Ok(())
+    }
+
+    /// Whether the mission has finished.
+    pub fn finished(&self) -> bool {
+        self.state.finished()
+    }
+
+    /// Executes one step, journals it, and returns its record.
+    pub fn advance(&mut self) -> StepRecord {
+        let m = &mut self.mission;
+        let env = MissionEnv {
+            scene: &m.scene,
+            budget: m.budget,
+            margin: m.margin,
+            limits: m.limits,
+        };
+        let sup = self.scenario.supervised.then_some(&self.sup);
+        let rec = self
+            .state
+            .advance(&mut m.world, &env, &m.cfg, self.schedule, sup);
+        rfly_obs::counter_add("replay.steps_journaled", 1);
+        self.journal.push(&rec);
+        rec
+    }
+
+    /// The full mission state at the current step boundary.
+    pub fn checkpoint(&self) -> Checkpoint {
+        Checkpoint {
+            mission: self.state.snapshot(),
+            world: self.mission.world.snapshot(),
+        }
+    }
+
+    /// Ends the mission: localization, the outcome, and the sealed
+    /// journal.
+    pub fn into_run(self) -> Run {
+        let m = &self.mission;
+        let env = MissionEnv {
+            scene: &m.scene,
+            budget: m.budget,
+            margin: m.margin,
+            limits: m.limits,
+        };
+        let sup = self.scenario.supervised.then_some(&self.sup);
+        let outcome = self.state.into_outcome(&env, sup);
+        let mut journal = self.journal;
+        journal.seal(outcome.steps, Seconds::new(outcome.duration_s));
+        Run { journal, outcome }
+    }
+}
+
 /// Flies `scenario` under `schedule` start to finish, journaling every
 /// step.
 pub fn run_full(scenario: &Scenario, schedule: &FaultSchedule) -> Result<Run, String> {
     let _span = rfly_obs::span("replay.run_full");
-    let mut m = scenario.build()?;
-    let sup = SupervisorConfig::default();
-    let sup_opt = scenario.supervised.then_some(&sup);
-    let env = MissionEnv {
-        scene: &m.scene,
-        budget: m.budget,
-        margin: m.margin,
-        limits: m.limits,
-    };
-    let mut state = MissionState::new(&m.plan, &m.part, &m.cfg);
-    let mut journal = Journal::begin(scenario.clone());
-    while !state.finished() {
-        let rec = state.advance(&mut m.world, &env, &m.cfg, schedule, sup_opt);
-        rfly_obs::counter_add("replay.steps_journaled", 1);
-        journal.push(&rec);
+    let mut run = MissionRun::new(scenario, schedule)?;
+    while !run.finished() {
+        run.advance();
     }
-    let outcome = state.into_outcome(&env, sup_opt);
-    journal.seal(outcome.steps, Seconds::new(outcome.duration_s));
-    Ok(Run { journal, outcome })
+    Ok(run.into_run())
 }
 
 /// Flies `scenario` under `schedule` until the step boundary
@@ -232,26 +278,12 @@ pub fn run_killed(
     schedule: &FaultSchedule,
     kill_step: usize,
 ) -> Result<(Journal, Checkpoint), String> {
-    let mut m = scenario.build()?;
-    let sup = SupervisorConfig::default();
-    let sup_opt = scenario.supervised.then_some(&sup);
-    let env = MissionEnv {
-        scene: &m.scene,
-        budget: m.budget,
-        margin: m.margin,
-        limits: m.limits,
-    };
-    let mut state = MissionState::new(&m.plan, &m.part, &m.cfg);
-    let mut journal = Journal::begin(scenario.clone());
-    while !state.finished() && state.step() < kill_step {
-        let rec = state.advance(&mut m.world, &env, &m.cfg, schedule, sup_opt);
-        journal.push(&rec);
+    let mut run = MissionRun::new(scenario, schedule)?;
+    while !run.finished() && run.state.step() < kill_step {
+        run.advance();
     }
-    let checkpoint = Checkpoint {
-        mission: state.snapshot(),
-        world: m.world.snapshot(),
-    };
-    Ok((journal, checkpoint))
+    let checkpoint = run.checkpoint();
+    Ok((run.journal, checkpoint))
 }
 
 /// Resumes a killed mission: rebuilds the world from the scenario,
@@ -261,31 +293,17 @@ pub fn resume(
     scenario: &Scenario,
     schedule: &FaultSchedule,
     checkpoint: &Checkpoint,
-    mut journal: Journal,
+    journal: Journal,
 ) -> Result<Run, String> {
     let _span = rfly_obs::span("replay.resume");
     rfly_obs::counter_add("replay.resumes", 1);
-    let mut m = scenario.build()?;
-    m.world
-        .restore(&checkpoint.world)
-        .map_err(|e| format!("world restore failed: {e}"))?;
-    let sup = SupervisorConfig::default();
-    let sup_opt = scenario.supervised.then_some(&sup);
-    let env = MissionEnv {
-        scene: &m.scene,
-        budget: m.budget,
-        margin: m.margin,
-        limits: m.limits,
-    };
-    let mut state = MissionState::from_snapshot(checkpoint.mission.clone());
-    while !state.finished() {
-        let rec = state.advance(&mut m.world, &env, &m.cfg, schedule, sup_opt);
-        rfly_obs::counter_add("replay.steps_journaled", 1);
-        journal.push(&rec);
+    let mut run = MissionRun::new(scenario, schedule)?;
+    run.restore(checkpoint)?;
+    run.journal = journal;
+    while !run.finished() {
+        run.advance();
     }
-    let outcome = state.into_outcome(&env, sup_opt);
-    journal.seal(outcome.steps, Seconds::new(outcome.duration_s));
-    Ok(Run { journal, outcome })
+    Ok(run.into_run())
 }
 
 #[cfg(test)]

@@ -1,200 +1,96 @@
-//! Crash-consistent mission persistence: the journal and checkpoint
-//! writers routed through the injectable [`rfly_chaos::Storage`] trait,
-//! plus the salvage/recovery driver that makes a mission killed at *any
-//! storage operation* resume bit-identically.
+//! Crash-consistent mission persistence: the supervised mission as a
+//! [`Durable`] stepper, so the one engine in [`rfly_chaos::durable`]
+//! journals it through the injectable [`rfly_chaos::Storage`] trait and
+//! resumes a mission killed at *any storage operation* bit-identically.
 //!
-//! The durability protocol has exactly three moving parts:
-//!
-//! 1. **Incremental journal appends.** [`run_stored`] appends the
-//!    journal header once, then one [`crate::journal::step_block`] per
-//!    executed step, then the seal footer. Appends are prefix-durable:
-//!    a crash mid-append leaves a torn tail, never scrambled interior
-//!    bytes.
-//! 2. **Atomic checkpoints.** Every `checkpoint_every` steps (and once
-//!    at mission end) the full [`Checkpoint`] is written with
-//!    [`rfly_chaos::Storage::write_atomic`] — write-temp-then-commit on
-//!    a real filesystem — so the checkpoint file is always either the
-//!    old snapshot or the new one, whole.
-//! 3. **Salvage + resume.** [`recover_stored`] reads the journal back,
-//!    [`salvage_journal`]s it down to the longest prefix of complete
-//!    step blocks (truncating a torn tail, dropping a duplicated last
-//!    block), physically truncates the durable file to that prefix, and
-//!    resumes: from the checkpoint when it is at or before the salvage
-//!    point, otherwise by deterministic replay from scratch. Steps the
-//!    salvaged journal already holds are *verified* against the re-run,
-//!    not re-appended; steps past it are appended live. The final
-//!    durable bytes are identical to an uncrashed run's.
-//!
-//! What can be lost: step blocks whose append was never acknowledged
-//! (the torn tail) — those steps simply re-execute. A *lost-but-acked*
-//! append (the storage acked but dropped the bytes) is also healed,
-//! because recovery trusts only what it can read back.
+//! The journal is the [`crate::journal`] text (header, one step block
+//! per step, seal) and the checkpoint is a [`Checkpoint`]. The engine's
+//! module docs describe the salvage and recovery protocol.
 
-use rfly_chaos::{Storage, StorageError};
-use rfly_dsp::units::Seconds;
-use rfly_faults::supervisor::{MissionEnv, MissionState, SupervisorConfig};
+use rfly_chaos::durable::{self, Durable, Salvage};
+use rfly_chaos::Storage;
+use rfly_faults::supervisor::StepRecord;
 use rfly_faults::FaultSchedule;
 
+pub use rfly_chaos::durable::StorePaths;
+
 use crate::checkpoint::Checkpoint;
-use crate::journal::{self, Journal};
-use crate::runner::{Run, Scenario};
+use crate::journal;
+use crate::runner::{MissionRun, Run, Scenario};
 
-/// Where a stored mission keeps its two files.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StorePaths {
-    /// The append-only journal file.
-    pub journal: String,
-    /// The atomically-replaced checkpoint file.
-    pub checkpoint: String,
-}
+impl Durable for MissionRun<'_> {
+    type Record = StepRecord;
+    type Checkpoint = Checkpoint;
+    type Output = Run;
 
-impl Default for StorePaths {
-    fn default() -> Self {
-        Self {
-            journal: "mission.journal".to_string(),
-            checkpoint: "mission.ck".to_string(),
-        }
+    const MAGIC: &'static str = journal::MAGIC;
+
+    fn is_identity(line: &str) -> bool {
+        Scenario::from_line(line, 2).is_ok()
+    }
+
+    fn parse_block(block: &str) -> Option<(usize, StepRecord)> {
+        let rec = journal::parse_step_block(block, 1).ok()?;
+        Some((rec.step, rec))
+    }
+
+    fn seal_steps(line: &str) -> Option<usize> {
+        journal::parse_seal(line, 1).ok().map(|seal| seal.steps)
+    }
+
+    fn parse_checkpoint(text: &str) -> Option<(usize, Checkpoint)> {
+        let cp = Checkpoint::from_text(text).ok()?;
+        Some((cp.mission.step, cp))
+    }
+
+    fn identity(&self) -> String {
+        self.scenario.to_line()
+    }
+
+    fn position(&self) -> usize {
+        self.state.step()
+    }
+
+    fn finished(&self) -> bool {
+        MissionRun::finished(self)
+    }
+
+    fn next_block(&mut self) -> Result<String, String> {
+        Ok(journal::step_block(&self.advance()))
+    }
+
+    fn checkpoint(&self) -> String {
+        MissionRun::checkpoint(self).to_text()
+    }
+
+    fn restore(&mut self, checkpoint: Checkpoint) -> Result<(), String> {
+        MissionRun::restore(self, &checkpoint)
+    }
+
+    fn replay(&mut self, record: StepRecord) {
+        self.journal.steps.push(record);
+    }
+
+    fn finish(self) -> Result<(Run, String), String> {
+        let run = self.into_run();
+        let seal = run
+            .journal
+            .sealed
+            .ok_or_else(|| "sealed journal lost its seal".to_string())?;
+        Ok((run, journal::seal_text(&seal)))
     }
 }
 
-/// What [`salvage_journal`] kept and dropped.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SalvagedJournal {
-    /// The salvaged text: the longest valid prefix of complete step
-    /// blocks (duplicates removed). Empty when even the header was lost.
-    pub text: String,
-    /// The parsed salvage; `None` when nothing usable survived.
-    pub journal: Option<Journal>,
-    /// Complete step blocks kept.
-    pub steps: usize,
-    /// Whether the seal footer survived (the mission had completed).
-    pub sealed: bool,
-    /// Raw bytes not carried into the salvage (torn tail + garbage).
-    pub dropped_bytes: usize,
-    /// Duplicated step blocks dropped (a crashed duplicated append).
-    pub dropped_duplicates: usize,
-}
-
-fn io(op: &str, e: StorageError) -> String {
-    format!("{op}: {e}")
-}
-
-/// Truncates raw journal bytes to the longest valid prefix of complete
-/// step blocks, dropping a torn tail line, any block missing its `e`
-/// terminator, a duplicated last block, and anything after the seal.
-///
-/// Never fails: unusable input salvages to the empty journal (the
-/// mission restarts from scratch). The salvaged text always re-parses
-/// with [`Journal::from_text`] and its step indices are sequential from
-/// zero — the two invariants [`recover_stored`] leans on.
-pub fn salvage_journal(raw: &[u8]) -> SalvagedJournal {
-    let text = String::from_utf8_lossy(raw);
-    let mut accepted = String::new();
-    let mut steps = 0usize;
-    let mut sealed = false;
-    let mut dropped_duplicates = 0usize;
-    let mut have_header = false;
-    let mut have_scenario = false;
-    // Lines of the step block currently being scanned; a block is only
-    // committed into `accepted` once its `e` terminator arrives whole.
-    let mut pending = String::new();
-    let mut prev_block = String::new();
-
-    for line in text.split_inclusive('\n') {
-        if !line.ends_with('\n') {
-            break; // torn tail: the crash cut this line short
-        }
-        let trimmed = line.trim();
-        if !have_header {
-            if trimmed == "rfly-journal v1" {
-                have_header = true;
-                accepted.push_str(line);
-                continue;
-            }
-            break;
-        }
-        if !have_scenario {
-            if Scenario::from_line(trimmed, 1).is_ok() {
-                have_scenario = true;
-                accepted.push_str(line);
-                continue;
-            }
-            break;
-        }
-        if sealed {
-            break; // nothing is valid after the seal footer
-        }
-        let first = trimmed.split_whitespace().next().unwrap_or("");
-        if pending.is_empty() && first == "end" {
-            // Validate the footer by parsing the whole candidate.
-            let candidate = format!("{accepted}{line}");
-            match Journal::from_text(&candidate) {
-                Ok(j) if j.sealed.is_some() => {
-                    accepted = candidate;
-                    sealed = true;
-                    continue;
-                }
-                _ => break,
-            }
-        }
-        pending.push_str(line);
-        if first != "e" {
-            continue;
-        }
-        // Block candidate complete: accept only if the whole prefix
-        // still parses and the new block's step index is sequential.
-        let candidate = format!("{accepted}{pending}");
-        let parsed = match Journal::from_text(&candidate) {
-            Ok(j) => j,
-            Err(_) => break,
-        };
-        let last_step = match parsed.steps.last() {
-            Some(rec) => rec.step,
-            None => break,
-        };
-        if parsed.steps.len() == steps + 1 && last_step == steps {
-            accepted = candidate;
-            prev_block = std::mem::take(&mut pending);
-            steps += 1;
-        } else if steps > 0 && pending == prev_block {
-            // A duplicated append landed the last block twice.
-            dropped_duplicates += 1;
-            pending.clear();
-        } else {
-            break; // out-of-sequence or otherwise corrupt block
-        }
-    }
-
-    // A bare header with no scenario line cannot seed a resume.
-    if !have_scenario {
-        accepted.clear();
-        steps = 0;
-        sealed = false;
-    }
-    let journal = if accepted.is_empty() {
-        None
-    } else {
-        Journal::from_text(&accepted).ok()
-    };
-    let dropped_bytes = raw.len().saturating_sub(accepted.len());
-    SalvagedJournal {
-        text: accepted,
-        journal,
-        steps,
-        sealed,
-        dropped_bytes,
-        dropped_duplicates,
-    }
+/// Salvages raw journal bytes down to the longest valid prefix of
+/// complete step blocks ([`durable::salvage`] over mission journals).
+pub fn salvage_journal(raw: &[u8]) -> Salvage<StepRecord> {
+    durable::salvage::<MissionRun>(raw)
 }
 
 /// Flies `scenario` under `schedule` start to finish, persisting
-/// through `storage`: the journal as incremental appends (header, one
-/// block per step, seal), a checkpoint atomically replaced every
-/// `checkpoint_every` steps (`0` = final checkpoint only), and a final
-/// checkpoint of the completed state.
-///
-/// Storage errors (including an injected crash) abort mid-protocol and
-/// surface as `Err` — exactly the state [`recover_stored`] heals.
+/// through `storage` ([`durable::run`]): the journal as incremental
+/// appends, a checkpoint atomically replaced every `checkpoint_every`
+/// steps (`0` = final checkpoint only), and a final checkpoint.
 pub fn run_stored(
     scenario: &Scenario,
     schedule: &FaultSchedule,
@@ -202,72 +98,17 @@ pub fn run_stored(
     paths: &StorePaths,
     checkpoint_every: usize,
 ) -> Result<Run, String> {
-    let _span = rfly_obs::span("replay.run_stored");
-    let mut m = scenario.build()?;
-    let sup = SupervisorConfig::default();
-    let sup_opt = scenario.supervised.then_some(&sup);
-    let env = MissionEnv {
-        scene: &m.scene,
-        budget: m.budget,
-        margin: m.margin,
-        limits: m.limits,
-    };
-    storage
-        .append(&paths.journal, journal::header_text(scenario).as_bytes())
-        .map_err(|e| io("journal header append", e))?;
-    let mut state = MissionState::new(&m.plan, &m.part, &m.cfg);
-    let mut jrnl = Journal::begin(scenario.clone());
-    while !state.finished() {
-        let step = state.step();
-        let rec = state.advance(&mut m.world, &env, &m.cfg, schedule, sup_opt);
-        storage
-            .append(&paths.journal, journal::step_block(&rec).as_bytes())
-            .map_err(|e| io("journal step append", e))?;
-        rfly_obs::counter_add("replay.steps_journaled", 1);
-        jrnl.push(&rec);
-        if checkpoint_every != 0 && (step + 1).is_multiple_of(checkpoint_every) {
-            let cp = Checkpoint {
-                mission: state.snapshot(),
-                world: m.world.snapshot(),
-            };
-            storage
-                .write_atomic(&paths.checkpoint, cp.to_text().as_bytes())
-                .map_err(|e| io("checkpoint write", e))?;
-        }
-    }
-    let final_cp = Checkpoint {
-        mission: state.snapshot(),
-        world: m.world.snapshot(),
-    };
-    let outcome = state.into_outcome(&env, sup_opt);
-    jrnl.seal(outcome.steps, Seconds::new(outcome.duration_s));
-    let seal = jrnl
-        .sealed
-        .ok_or_else(|| "sealed journal lost its seal".to_string())?;
-    storage
-        .append(&paths.journal, journal::seal_text(&seal).as_bytes())
-        .map_err(|e| io("journal seal append", e))?;
-    storage
-        .write_atomic(&paths.checkpoint, final_cp.to_text().as_bytes())
-        .map_err(|e| io("final checkpoint write", e))?;
-    Ok(Run {
-        journal: jrnl,
-        outcome,
-    })
+    durable::run(
+        MissionRun::new(scenario, schedule)?,
+        storage,
+        paths,
+        checkpoint_every,
+    )
 }
 
 /// Recovers a crashed [`run_stored`] mission from whatever `storage`
-/// holds and flies it to completion, leaving the durable files
-/// bit-identical to an uncrashed run's.
-///
-/// Protocol: salvage the journal, truncate the durable file to the
-/// salvaged prefix, resume from the checkpoint when it is at or before
-/// the salvage point (otherwise replay deterministically from scratch),
-/// *verify* re-executed steps against the salvaged blocks instead of
-/// re-appending them, append everything past the salvage point live,
-/// and re-establish the periodic + final checkpoints. A mismatch
-/// between a re-executed step and its salvaged block — real storage
-/// corruption, not a crash — is reported as `Err`.
+/// holds and flies it to completion ([`durable::recover`]), leaving the
+/// durable files bit-identical to an uncrashed run's.
 pub fn recover_stored(
     scenario: &Scenario,
     schedule: &FaultSchedule,
@@ -275,143 +116,18 @@ pub fn recover_stored(
     paths: &StorePaths,
     checkpoint_every: usize,
 ) -> Result<Run, String> {
-    let _span = rfly_obs::span("replay.recover_stored");
-    rfly_obs::counter_add("replay.recoveries", 1);
-    let raw = match storage.read(&paths.journal) {
-        Ok(bytes) => bytes,
-        Err(StorageError::NotFound(_)) => Vec::new(),
-        Err(e) => return Err(io("journal read", e)),
-    };
-    let salv = salvage_journal(&raw);
-    if let Some(j) = &salv.journal {
-        if j.scenario != *scenario {
-            return Err(format!(
-                "salvaged journal is for a different scenario: {:?}",
-                j.scenario.to_line()
-            ));
-        }
-    }
-    rfly_obs::counter_add("replay.salvaged_steps", salv.steps as u64);
-    rfly_obs::counter_add("replay.salvage_dropped_bytes", salv.dropped_bytes as u64);
-
-    // Physically truncate the durable journal to the salvaged prefix
-    // (or restart it at the bare header) so the torn tail is gone even
-    // if we crash again mid-recovery.
-    let base_text = if salv.journal.is_some() {
-        salv.text.clone()
-    } else {
-        journal::header_text(scenario)
-    };
-    storage
-        .write_atomic(&paths.journal, base_text.as_bytes())
-        .map_err(|e| io("journal truncate", e))?;
-
-    // A checkpoint is usable only if recovery can reach its step from
-    // durable blocks; a checkpoint *ahead* of the salvage point (its
-    // covering blocks were lost) would skip steps, so it is discarded
-    // and the mission replays from scratch.
-    let cp = match storage.read(&paths.checkpoint) {
-        Ok(bytes) => String::from_utf8(bytes)
-            .ok()
-            .and_then(|t| Checkpoint::from_text(&t).ok())
-            .filter(|c| c.mission.step <= salv.steps),
-        Err(_) => None,
-    };
-
-    let mut m = scenario.build()?;
-    let sup = SupervisorConfig::default();
-    let sup_opt = scenario.supervised.then_some(&sup);
-    let env = MissionEnv {
-        scene: &m.scene,
-        budget: m.budget,
-        margin: m.margin,
-        limits: m.limits,
-    };
-    let mut state = match &cp {
-        Some(cp) => {
-            m.world
-                .restore(&cp.world)
-                .map_err(|e| format!("world restore failed: {e}"))?;
-            MissionState::from_snapshot(cp.mission.clone())
-        }
-        None => MissionState::new(&m.plan, &m.part, &m.cfg),
-    };
-    let mut jrnl = match salv.journal {
-        Some(j) => j,
-        None => Journal::begin(scenario.clone()),
-    };
-    // The in-memory journal must only hold steps the state has actually
-    // passed plus the durable ones we will verify against.
-    while !state.finished() {
-        let step = state.step();
-        let rec = state.advance(&mut m.world, &env, &m.cfg, schedule, sup_opt);
-        if step < salv.steps {
-            // Fast-forward: this block is already durable. Verify the
-            // re-executed step against it instead of re-appending.
-            let expected = jrnl
-                .steps
-                .get(step)
-                .ok_or_else(|| format!("salvaged journal missing step {step}"))?;
-            if *expected != rec {
-                return Err(format!(
-                    "recovery diverged from salvaged journal at step {step}"
-                ));
-            }
-        } else {
-            storage
-                .append(&paths.journal, journal::step_block(&rec).as_bytes())
-                .map_err(|e| io("journal step append", e))?;
-            rfly_obs::counter_add("replay.steps_journaled", 1);
-            jrnl.push(&rec);
-        }
-        if checkpoint_every != 0 && (step + 1).is_multiple_of(checkpoint_every) {
-            let cp = Checkpoint {
-                mission: state.snapshot(),
-                world: m.world.snapshot(),
-            };
-            storage
-                .write_atomic(&paths.checkpoint, cp.to_text().as_bytes())
-                .map_err(|e| io("checkpoint write", e))?;
-        }
-    }
-    let final_cp = Checkpoint {
-        mission: state.snapshot(),
-        world: m.world.snapshot(),
-    };
-    let outcome = state.into_outcome(&env, sup_opt);
-    if salv.sealed {
-        // The seal survived the crash; it must agree with the re-run.
-        let seal = jrnl
-            .sealed
-            .ok_or_else(|| "salvage reported sealed but journal has no seal".to_string())?;
-        if seal.steps != outcome.steps || seal.duration_s != outcome.duration_s {
-            return Err(format!(
-                "salvaged seal (steps={}, duration={}) disagrees with recovered outcome \
-                 (steps={}, duration={})",
-                seal.steps, seal.duration_s, outcome.steps, outcome.duration_s
-            ));
-        }
-    } else {
-        jrnl.seal(outcome.steps, Seconds::new(outcome.duration_s));
-        let seal = jrnl
-            .sealed
-            .ok_or_else(|| "sealed journal lost its seal".to_string())?;
-        storage
-            .append(&paths.journal, journal::seal_text(&seal).as_bytes())
-            .map_err(|e| io("journal seal append", e))?;
-    }
-    storage
-        .write_atomic(&paths.checkpoint, final_cp.to_text().as_bytes())
-        .map_err(|e| io("final checkpoint write", e))?;
-    Ok(Run {
-        journal: jrnl,
-        outcome,
-    })
+    durable::recover(
+        MissionRun::new(scenario, schedule)?,
+        storage,
+        paths,
+        checkpoint_every,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::Journal;
     use rfly_chaos::MemStorage;
 
     fn stored_run(seed: u64, every: usize) -> (MemStorage, Run) {
@@ -453,8 +169,8 @@ mod tests {
         let text = run.journal.to_text();
         let full = salvage_journal(text.as_bytes());
         assert_eq!(full.text, text, "an intact journal salvages whole");
-        assert!(full.sealed);
-        assert_eq!(full.steps, run.journal.steps.len());
+        assert!(full.seal.is_some());
+        assert_eq!(full.records, run.journal.steps);
         assert_eq!(full.dropped_bytes, 0);
         drop(store);
 
@@ -462,12 +178,12 @@ mod tests {
         // whole block (and the footer after it) goes.
         let cut = text.rfind("\ng ").expect("has an RNG line") + 3;
         let torn = salvage_journal(&text.as_bytes()[..cut]);
-        assert!(!torn.sealed);
-        assert!(torn.steps < run.journal.steps.len());
+        assert!(torn.seal.is_none());
+        assert!(torn.records.len() < run.journal.steps.len());
         assert!(torn.dropped_bytes > 0);
-        let parsed = torn.journal.expect("salvage parses");
-        assert_eq!(parsed.steps.len(), torn.steps);
-        assert_eq!(parsed.steps[..], run.journal.steps[..torn.steps]);
+        let parsed = Journal::from_text(&torn.text).expect("salvage parses");
+        assert_eq!(parsed.steps, torn.records);
+        assert_eq!(parsed.steps[..], run.journal.steps[..torn.records.len()]);
     }
 
     #[test]
@@ -480,10 +196,8 @@ mod tests {
         }
         text.push_str(&journal::step_block(rec)); // duplicated append
         let salv = salvage_journal(text.as_bytes());
-        assert_eq!(salv.steps, run.journal.steps.len());
+        assert_eq!(salv.records, run.journal.steps);
         assert_eq!(salv.dropped_duplicates, 1);
-        let parsed = salv.journal.expect("parses");
-        assert_eq!(parsed.steps[..], run.journal.steps[..]);
     }
 
     #[test]
@@ -496,11 +210,8 @@ mod tests {
             b"not a journal at all\n",
         ] {
             let salv = salvage_journal(raw);
-            assert_eq!(salv.steps, 0);
-            assert!(salv.text.is_empty() || salv.journal.is_some());
-            if raw.len() < 17 || !raw.ends_with(b"\n") {
-                assert!(salv.journal.is_none());
-            }
+            assert!(salv.records.is_empty());
+            assert!(salv.text.is_empty() && salv.identity.is_none(), "{raw:?}");
         }
     }
 
@@ -544,6 +255,6 @@ mod tests {
         let storm = FaultSchedule::storm(11, 2, 12);
         let err = recover_stored(&scn, &storm, &mut store, &paths, 3)
             .expect_err("scenario mismatch must be rejected");
-        assert!(err.contains("different scenario"), "{err}");
+        assert!(err.contains("different run"), "{err}");
     }
 }

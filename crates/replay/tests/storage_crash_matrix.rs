@@ -6,10 +6,11 @@
 //! negative test proving the matrix catches a salvage that keeps the
 //! torn tail.
 
-use rfly_chaos::{verify_recovery, MemStorage, Recovered, Storage};
+use rfly_chaos::durable::recover_keeping_torn_tail;
+use rfly_chaos::{verify_recovery, MemStorage, Storage};
 use rfly_faults::FaultSchedule;
 use rfly_replay::store::{recover_stored, run_stored, salvage_journal, StorePaths};
-use rfly_replay::Scenario;
+use rfly_replay::{Journal, MissionRun, Scenario};
 
 const EVERY: usize = 3;
 
@@ -41,12 +42,9 @@ fn replay_store_recovers_at_every_crash_point() {
     let paths = StorePaths::default();
     let mut workload =
         |s: &mut dyn Storage| run_stored(&scn, &schedule, s, &paths, EVERY).map(|_| ());
-    let mut recover = |mut survivor: MemStorage| -> Result<Recovered, String> {
+    let mut recover = |mut survivor: MemStorage| {
         recover_stored(&scn, &schedule, &mut survivor, &paths, EVERY)?;
-        Ok(Recovered {
-            storage: survivor,
-            lost_unacked: 0,
-        })
+        Ok(survivor)
     };
     let report = verify_recovery(&mut workload, &mut recover, 11).expect("harness ok");
     assert!(
@@ -76,25 +74,8 @@ fn planted_bug_keeping_torn_tail_is_caught_by_matrix() {
     // Broken recovery: resumes correctly from the salvage point but
     // "forgets" to truncate — the torn tail stays in the durable file
     // with the re-executed blocks appended after it.
-    let mut buggy = |survivor: MemStorage| -> Result<Recovered, String> {
-        let raw = survivor.read(&paths.journal).unwrap_or_default();
-        let salv = salvage_journal(&raw);
-        let mut scratch = survivor.clone();
-        recover_stored(&scn, &schedule, &mut scratch, &paths, EVERY)?;
-        let mut storage = survivor;
-        let full = scratch.read(&paths.journal).map_err(|e| e.to_string())?;
-        let suffix = full.get(salv.text.len()..).unwrap_or_default();
-        storage
-            .append(&paths.journal, suffix)
-            .map_err(|e| e.to_string())?;
-        let ck = scratch.read(&paths.checkpoint).map_err(|e| e.to_string())?;
-        storage
-            .write_atomic(&paths.checkpoint, &ck)
-            .map_err(|e| e.to_string())?;
-        Ok(Recovered {
-            storage,
-            lost_unacked: 0,
-        })
+    let mut buggy = |survivor| {
+        recover_keeping_torn_tail(MissionRun::new(&scn, &schedule)?, survivor, &paths, EVERY)
     };
     let report = verify_recovery(&mut workload, &mut buggy, 11).expect("harness ok");
     assert!(
@@ -159,12 +140,12 @@ fn salvage_is_longest_complete_prefix_at_every_truncation() {
              complete-block prefix ({keep} bytes)"
         );
         assert_eq!(salv.dropped_bytes, cut - keep, "cut at byte {cut}");
-        assert_eq!(salv.sealed, keep == raw.len(), "cut at byte {cut}");
+        assert_eq!(salv.seal.is_some(), keep == raw.len(), "cut at byte {cut}");
         if keep > 0 {
-            let j = salv.journal.as_ref().expect("salvage parses");
-            assert_eq!(j.steps.len(), salv.steps, "cut at byte {cut}");
+            let j = Journal::from_text(&salv.text).expect("salvage parses");
+            assert_eq!(j.steps, salv.records, "cut at byte {cut}");
         } else {
-            assert!(salv.journal.is_none(), "cut at byte {cut}");
+            assert!(salv.identity.is_none(), "cut at byte {cut}");
         }
     }
 }

@@ -98,16 +98,7 @@ impl RelayModel {
 
     /// The paper-median prototype (Fig. 9 isolations).
     pub fn prototype(f1: Hertz) -> Self {
-        Self::from_budget(
-            f1,
-            Hertz::mhz(1.0),
-            &IsolationBudget {
-                intra_downlink: Db::new(77.0),
-                intra_uplink: Db::new(64.0),
-                inter_downlink: Db::new(110.0),
-                inter_uplink: Db::new(92.0),
-            },
-        )
+        Self::from_budget(f1, Hertz::mhz(1.0), &IsolationBudget::fig9())
     }
 }
 

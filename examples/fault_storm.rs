@@ -43,16 +43,6 @@ const N_RELAYS: usize = 4;
 const N_TAGS: usize = 220;
 const MARGIN: Db = Db(10.0);
 
-fn paper_budget() -> IsolationBudget {
-    // The Fig. 9 isolation medians.
-    IsolationBudget {
-        intra_downlink: Db::new(77.0),
-        intra_uplink: Db::new(64.0),
-        inter_downlink: Db::new(110.0),
-        inter_uplink: Db::new(92.0),
-    }
-}
-
 /// Tagged items on random shelf spots, with rack-depth scatter.
 fn items(scene: &Scene, n: usize, seed: u64) -> TagPopulation {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -74,7 +64,7 @@ fn main() {
         .map(|s| s.parse().expect("seed must be an integer"))
         .unwrap_or(42);
     let scene = Scene::paper_building();
-    let budget = paper_budget();
+    let budget = IsolationBudget::fig9();
     let limits = MotionLimits::indoor_drone();
 
     let part = partition(&scene, N_RELAYS, limits).expect("cells fit the floor");

@@ -39,16 +39,6 @@ const N_TAGS: usize = 220;
 const MARGIN: Db = Db(10.0);
 const SEED: u64 = 42;
 
-fn paper_budget() -> IsolationBudget {
-    // The Fig. 9 isolation medians.
-    IsolationBudget {
-        intra_downlink: Db::new(77.0),
-        intra_uplink: Db::new(64.0),
-        inter_downlink: Db::new(110.0),
-        inter_uplink: Db::new(92.0),
-    }
-}
-
 /// Tagged items on random shelf spots, with rack-depth scatter.
 fn items(scene: &Scene, n: usize, seed: u64) -> TagPopulation {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -69,7 +59,7 @@ fn fly(
     n_relays: usize,
     cfg: &MissionConfig,
 ) -> (ChannelPlan, Partition, MissionOutcome) {
-    let budget = paper_budget();
+    let budget = IsolationBudget::fig9();
     let cells =
         partition(scene, n_relays, MotionLimits::indoor_drone()).expect("cells fit the floor");
     let hover: Vec<Point2> = cells.cells.iter().map(|c| c.center()).collect();
