@@ -4,6 +4,11 @@
 //! Same channels, same region: the coarse-to-fine search visits a small
 //! fraction of the cells with (near-)identical estimates.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "wall-clock timing is telemetry, outside the seeded contract"
+)]
+
 use std::time::Instant;
 
 use rfly_bench::prelude::*;

@@ -17,6 +17,11 @@
 //! caught; `2` at least one crash point did not recover (the gate CI
 //! trips on); `1` internal failure (harness error, control missed).
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "wall-clock timing is telemetry, outside the seeded contract"
+)]
+
 use std::process::ExitCode;
 use std::time::Instant;
 

@@ -24,6 +24,11 @@
 //! stops the sweep without burning worker time; a worker panic
 //! surfaces as that row's `Err` note, never as a process abort.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "wall-clock timing is telemetry, outside the seeded contract"
+)]
+
 use std::time::Instant;
 
 use rfly_bench::prelude::*;

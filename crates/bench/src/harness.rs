@@ -41,6 +41,21 @@ pub fn shelf_items(scene: &Scene, n: usize, seed: u64, depth: Option<Meters>) ->
     TagPopulation::generate(n, &positions, seed ^ 0xF1EE7)
 }
 
+/// The first quartile, median and third quartile of a non-empty sample
+/// set, interpolating linearly between order statistics. Sorts
+/// `samples` in place.
+pub fn quartiles(samples: &mut [f64]) -> (f64, f64, f64) {
+    samples.sort_by(f64::total_cmp);
+    let last = samples.len() - 1;
+    let at = |q: f64| {
+        let pos = q * last as f64;
+        let lo = pos.floor() as usize;
+        let hi = (lo + 1).min(last);
+        samples[lo] + pos.fract() * (samples[hi] - samples[lo])
+    };
+    (at(0.25), at(0.5), at(0.75))
+}
+
 /// One bench binary's run: tables and metrics accumulated for stdout
 /// and the JSON report.
 #[derive(Debug)]
@@ -251,5 +266,14 @@ mod tests {
         assert!(agg.contains("\"unit_test_bench\""));
         assert!(agg.contains("\"speedup\": 2.5"));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn quartiles_interpolate_between_order_statistics() {
+        let mut xs = [7.0, 1.0, 3.0, 5.0, 9.0];
+        assert_eq!(quartiles(&mut xs), (3.0, 5.0, 7.0));
+        let mut ys = [4.0, 1.0, 2.0, 3.0];
+        assert_eq!(quartiles(&mut ys), (1.75, 2.5, 3.25));
+        assert_eq!(quartiles(&mut [2.0]), (2.0, 2.0, 2.0));
     }
 }

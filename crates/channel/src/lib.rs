@@ -1,4 +1,3 @@
-#![deny(missing_docs)]
 //! # rfly-channel — RF propagation substrate for RFly
 //!
 //! Models everything between antennas: geometry, free-space and
@@ -14,8 +13,7 @@
 //! a frequency `f` is `h(f) = Σ_i a_i · e^{−j2πf d_i/c}` — the paper's
 //! Eq. 8 half-link factors.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod antenna;
 pub mod environment;

@@ -1,4 +1,3 @@
-#![deny(missing_docs)]
 //! # rfly-chaos
 //!
 //! The crash-consistency harness for the workspace's storage seam.
@@ -35,8 +34,12 @@
 //! stepper, so neither depends on the crates that plug into them. The
 //! `crash_matrix` bench gates "every crash point recovers" in CI.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 
 pub mod durable;
 pub mod fault;

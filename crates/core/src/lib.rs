@@ -1,4 +1,3 @@
-#![deny(missing_docs)]
 //! # rfly-core — the RFly system: drone relays for battery-free networks
 //!
 //! This crate implements the two contributions of *"Drone Relays for
@@ -22,8 +21,12 @@
 //! Everything here runs on the substrates in `rfly-dsp`,
 //! `rfly-channel`, `rfly-protocol`, `rfly-tag` and `rfly-reader`.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 
 pub mod loc;
 pub mod relay;

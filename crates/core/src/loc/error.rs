@@ -62,8 +62,9 @@ impl ErrorStats {
     }
 
     /// Maximum sample.
+    #[expect(clippy::expect_used, reason = "new() asserts at least one sample")]
     pub fn max(&self) -> f64 {
-        *self.sorted.last().expect("non-empty") // rfly-lint: allow(no-unwrap) -- new() asserts at least one sample.
+        *self.sorted.last().expect("non-empty")
     }
 
     /// The empirical CDF as `(value, probability)` pairs, one per

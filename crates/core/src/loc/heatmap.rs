@@ -68,12 +68,13 @@ impl Heatmap {
 
     /// The global maximum: `(position, value)`.
     pub fn peak(&self) -> (Point2, f64) {
+        #[expect(clippy::expect_used, reason = "new() asserts nx, ny > 0")]
         let (idx, v) = self
             .values
             .iter()
             .enumerate()
             .max_by(|a, b| a.1.total_cmp(b.1))
-            .expect("heatmap is non-empty"); // rfly-lint: allow(no-unwrap) -- new() asserts nx, ny > 0.
+            .expect("heatmap is non-empty");
         (self.position(idx % self.nx, idx / self.nx), *v)
     }
 

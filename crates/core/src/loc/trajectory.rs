@@ -111,13 +111,17 @@ impl Trajectory {
             .collect();
         if kept.is_empty() {
             // Keep the single point nearest the centroid.
+            #[expect(
+                clippy::expect_used,
+                reason = "from_points asserts a non-empty point set"
+            )]
             let nearest = (0..self.points.len())
                 .min_by(|&a, &b| {
                     self.points[a]
                         .distance(c)
                         .total_cmp(&self.points[b].distance(c))
                 })
-                .expect("non-empty trajectory"); // rfly-lint: allow(no-unwrap) -- from_points asserts a non-empty point set.
+                .expect("non-empty trajectory");
             kept = vec![nearest];
         }
         let t = Trajectory::from_points(kept.iter().map(|&i| self.points[i]).collect());

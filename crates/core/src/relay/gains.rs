@@ -157,6 +157,10 @@ pub fn mutual_loop_margin(gain_i: Db, gain_j: Db, coupling_loss: Db, rejection: 
 /// receiving chain's filter skirt at the offset between the emitted
 /// frequency and the receiving passband center.
 #[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::expect_used,
+    reason = "the minimum runs over a fixed four-element candidate array"
+)]
 pub fn worst_pair_margin(
     gains_i: &GainPlan,
     f1_i: Hertz,
@@ -209,7 +213,7 @@ pub fn worst_pair_margin(
             )
         })
         .min_by(|a, b| a.value().total_cmp(&b.value()))
-        .expect("four topologies") // rfly-lint: allow(no-unwrap) -- min over a fixed four-element candidate array.
+        .expect("four topologies")
 }
 
 /// Eq. 3 extended with external interferers: the plan must satisfy the

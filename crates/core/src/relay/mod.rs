@@ -26,6 +26,12 @@
 //! (and vice versa), so the unknown trajectory `φ'(t) = 2π(f−f')t + φ`
 //! added on the downlink is subtracted exactly on the uplink (§4.3).
 
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
+
 pub mod analog_baseline;
 pub mod components;
 pub mod embedded_tag;

@@ -1,4 +1,3 @@
-#![deny(missing_docs)]
 //! # rfly-drone — drone and ground-robot platform models
 //!
 //! RFly's relay rides a Parrot Bebop 2 (§6.2); the controlled
@@ -8,8 +7,7 @@
 //! i.e. payload/power budgets, kinematics along a flight plan, and a
 //! position-tracking model (OptiTrack ground truth vs odometry drift).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod flightplan;
 pub mod kinematics;

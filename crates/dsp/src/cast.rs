@@ -1,7 +1,9 @@
 //! Checked float→integer conversions for hot-path code.
 //!
-//! The workspace lint rule R2 (`no-as-int-cast`) forbids raw `as`
-//! integer casts in DSP and relay hot paths because `as` silently
+//! The workspace rule R2 (clippy's `cast_possible_truncation`,
+//! `cast_sign_loss` and `cast_possible_wrap`, denied at this crate's
+//! root and on `core::relay`) forbids lossy `as` integer casts in DSP
+//! and relay hot paths because `as` silently
 //! saturates, truncates, and swallows NaN. These helpers are the single
 //! audited seam: they assert the value is finite and representable, so
 //! a bad sample count or filter length fails loudly at the conversion
@@ -23,12 +25,17 @@ pub fn round_usize(x: f64) -> usize {
 }
 
 /// The checked conversion backing the rounding helpers.
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "the audited seam: the range is asserted above"
+)]
 fn to_usize(x: f64) -> usize {
     assert!(
         x.is_finite() && x >= 0.0 && x <= usize::MAX as f64,
         "float→usize conversion out of range: {x}"
     );
-    x as usize // rfly-lint: allow(no-as-int-cast) -- the audited seam: range asserted above.
+    x as usize
 }
 
 #[cfg(test)]

@@ -1,4 +1,3 @@
-#![deny(missing_docs)]
 //! # rfly-dsp — digital signal processing substrate for RFly
 //!
 //! This crate provides every signal-processing primitive the RFly
@@ -21,8 +20,13 @@
 //! in hot paths, no macros, plain data structures that are easy to audit.
 //! Everything is deterministic given a seeded RNG.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 
 pub mod agc;
 pub mod buffer;

@@ -172,19 +172,19 @@ impl Standard for u64 {
 
 impl Standard for u32 {
     fn sample<R: RngCore>(rng: &mut R) -> Self {
-        (rng.next_u64() >> 32) as u32 // rfly-lint: allow(no-as-int-cast) -- intentional truncation to the high RNG bits.
+        (rng.next_u64() >> 32) as u32
     }
 }
 
 impl Standard for u16 {
     fn sample<R: RngCore>(rng: &mut R) -> Self {
-        (rng.next_u64() >> 48) as u16 // rfly-lint: allow(no-as-int-cast) -- intentional truncation to the high RNG bits.
+        (rng.next_u64() >> 48) as u16
     }
 }
 
 impl Standard for u8 {
     fn sample<R: RngCore>(rng: &mut R) -> Self {
-        (rng.next_u64() >> 56) as u8 // rfly-lint: allow(no-as-int-cast) -- intentional truncation to the high RNG bits.
+        (rng.next_u64() >> 56) as u8
     }
 }
 
@@ -201,6 +201,10 @@ impl Standard for f64 {
     }
 }
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "completes the rand-compatible `Standard` set; no link-budget or phase math samples f32"
+)]
 impl Standard for f32 {
     /// Uniform in [0, 1) with 24 bits of precision.
     fn sample<R: RngCore>(rng: &mut R) -> Self {
@@ -221,8 +225,12 @@ fn uniform_u64<R: RngCore + ?Sized>(rng: &mut R, n: u64) -> u64 {
     }
 }
 
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the draw is below `n`, so it fits back into usize"
+)]
 fn uniform_usize<R: RngCore>(rng: &mut R, n: usize) -> usize {
-    uniform_u64(rng, n as u64) as usize // rfly-lint: allow(no-as-int-cast) -- usize↔u64 round-trip is lossless on 64-bit targets.
+    uniform_u64(rng, n as u64) as usize
 }
 
 /// Range types [`Rng::gen_range`] accepts.
@@ -252,23 +260,31 @@ impl SampleRange<f64> for RangeInclusive<f64> {
 macro_rules! impl_int_range {
     ($($t:ty),*) => {$(
         impl SampleRange<$t> for Range<$t> {
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "the range's i128 span fits u64; a draw below it keeps the target type's low bits and is added back with wrapping arithmetic"
+            )]
             fn sample<R: RngCore>(self, rng: &mut R) -> $t {
                 assert!(self.start < self.end, "empty range");
-                // rfly-lint: allow(no-as-int-cast) -- i128 widening covers every integer span; result fits u64 by construction.
                 let span = (self.end as i128 - self.start as i128) as u64;
-                self.start.wrapping_add(uniform_u64(rng, span) as $t)
+                self.start.wrapping_add(uniform_u64(rng, span) as i128 as $t)
             }
         }
         impl SampleRange<$t> for RangeInclusive<$t> {
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "the range's i128 span fits u64; a draw below it keeps the target type's low bits and is added back with wrapping arithmetic"
+            )]
             fn sample<R: RngCore>(self, rng: &mut R) -> $t {
                 let (a, b) = (*self.start(), *self.end());
                 assert!(a <= b, "empty range");
-                // rfly-lint: allow(no-as-int-cast) -- i128 widening covers every integer span; result fits u64 by construction.
                 let span = (b as i128 - a as i128) as u64;
                 if span == u64::MAX {
-                    return rng.next_u64() as $t;
+                    return rng.next_u64() as i128 as $t;
                 }
-                a.wrapping_add(uniform_u64(rng, span + 1) as $t)
+                a.wrapping_add(uniform_u64(rng, span + 1) as i128 as $t)
             }
         }
     )*};
@@ -285,7 +301,11 @@ pub trait SliceRandom {
 impl<T> SliceRandom for [T] {
     fn shuffle<R: RngCore>(&mut self, rng: &mut R) {
         for i in (1..self.len()).rev() {
-            let j = uniform_u64(rng, (i + 1) as u64) as usize; // rfly-lint: allow(no-as-int-cast) -- Fisher–Yates index round-trips usize↔u64 losslessly.
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the Fisher–Yates index is at most `i`, so it fits back into usize"
+            )]
+            let j = uniform_u64(rng, (i + 1) as u64) as usize;
             self.swap(i, j);
         }
     }

@@ -1,4 +1,3 @@
-#![deny(missing_docs)]
 //! # rfly-faults
 //!
 //! Fault injection and degradation-aware mission supervision for the
@@ -35,8 +34,12 @@
 //! the fault-free dedup read rate, while the unsupervised baseline
 //! loses the dead relay's cell outright.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 
 pub mod inject;
 pub mod log;

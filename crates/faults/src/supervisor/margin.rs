@@ -8,7 +8,7 @@ use rfly_dsp::units::{Db, Hertz, Meters};
 use rfly_fleet::channels::assign;
 use rfly_fleet::inventory::MissionConfig;
 use rfly_obs::Value;
-use rfly_sim::fleet::FLEET_PASSBAND;
+use rfly_sim::medium::FLEET_PASSBAND;
 
 use crate::inject::RelayHealth;
 use crate::log::{RecoveryAction, ResilienceLog};
@@ -83,8 +83,12 @@ pub(super) fn margin_monitor(
     // Attribute the violation: with pristine gains the same fleet must
     // clear the gate, otherwise this is a planning problem (relays
     // passing close), not a fault.
+    #[expect(
+        clippy::expect_used,
+        reason = "the caller found a worst pair, so the same pair set is non-empty here"
+    )]
     let pristine =
-        worst_alive_margin(alive, positions, f1, shift, &|_| base_gains).expect("pair exists"); // rfly-lint: allow(no-unwrap, transitive-panic) -- the caller found a worst pair, so the same pair set is non-empty here.
+        worst_alive_margin(alive, positions, f1, shift, &|_| base_gains).expect("pair exists"); // rfly-lint: allow(transitive-panic) -- the caller found a worst pair, so the same pair set is non-empty here.
     if pristine.2.value() < env.margin.value() {
         return;
     }

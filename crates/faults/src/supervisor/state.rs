@@ -15,8 +15,7 @@ use rfly_fleet::inventory::{FleetInventory, MissionConfig};
 use rfly_fleet::partition::{partition, Cell, Partition};
 use rfly_obs::Value;
 use rfly_protocol::epc::Epc;
-use rfly_sim::fleet::{FleetMedium, FleetRelay};
-use rfly_sim::medium::FleetRf;
+use rfly_sim::medium::{FleetRelay, FleetRf, WorldMedium};
 use rfly_sim::world::{PhasorWorld, RelayModel};
 
 use crate::inject::RelayHealth;
@@ -302,7 +301,10 @@ impl MissionState {
         if sup.is_some() {
             for &dead in &newly_dead {
                 let alive: Vec<usize> = (0..n).filter(|&i| self.health[i].alive).collect();
-                // rfly-lint: allow(no-unwrap) -- relays enter newly_dead only after a battery fault is recorded.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "relays enter newly_dead only after a battery fault is recorded"
+                )]
                 let trigger = self.health[dead].battery_fault.expect("sag was recorded");
                 if alive.is_empty() {
                     break;
@@ -438,14 +440,14 @@ impl MissionState {
             // re-programming the VGA chain back to its allocation.
             if sup.is_some()
                 && self.health[relay].gain_drift_db > 0.0
-                && !FleetMedium::probe_stability(world, &fleet[s_idx])
+                && !WorldMedium::probe_stability(world, &fleet[s_idx])
             {
                 let base = RelayModel::from_budget(self.f1[relay], self.shift[relay], &env.budget);
                 let pristine = FleetRelay {
                     model: base,
                     pos: fleet[s_idx].pos,
                 };
-                if FleetMedium::probe_stability(world, &pristine) {
+                if WorldMedium::probe_stability(world, &pristine) {
                     if let Some(trigger) = self.health[relay].last_gain_fault {
                         let trimmed = self.health[relay].gain_drift_db;
                         self.health[relay].gain_drift_db = 0.0;

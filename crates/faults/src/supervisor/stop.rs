@@ -1,15 +1,14 @@
 //! One faulted inventory stop: the layered medium stack in action.
 //!
 //! This is the seam the middleware refactor exists for: the stop builds
-//! `FleetMedium::fleet_planned(..).layer(FaultLayer).layer(ObsLayer)` — one
+//! `WorldMedium::fleet_planned(..).layer(FaultLayer).layer(ObsLayer)` — one
 //! propagation core, fault injection and instrumentation stacked over
 //! it — instead of a bespoke fault-aware medium.
 
 use rfly_dsp::rng::StdRng;
 use rfly_reader::inventory::{InventoryController, TagRead};
 use rfly_reader::medium::{MediumExt, ObsLayer};
-use rfly_sim::fleet::FleetMedium;
-use rfly_sim::medium::FleetRf;
+use rfly_sim::medium::{FleetRf, WorldMedium};
 use rfly_sim::world::PhasorWorld;
 
 use crate::inject::{FaultLayer, RelayHealth};
@@ -35,7 +34,7 @@ pub(super) fn inventory_stop(
     let mut controller =
         InventoryController::new(world.config.clone(), StdRng::seed_from_u64(seed));
     let mut reads = {
-        let mut faulty = FleetMedium::fleet_planned(world, rf, serving)
+        let mut faulty = WorldMedium::fleet_planned(world, rf, serving)
             .layer(FaultLayer::new(health, seed))
             .layer(ObsLayer::new());
         controller.run_until_quiet(&mut faulty, max_rounds)
@@ -45,7 +44,7 @@ pub(super) fn inventory_stop(
     let mut probe =
         InventoryController::new(world.config.clone(), StdRng::seed_from_u64(seed ^ 0xC0_44));
     let probe_reads = {
-        let mut faulty = FleetMedium::fleet_planned(world, rf, serving)
+        let mut faulty = WorldMedium::fleet_planned(world, rf, serving)
             .layer(FaultLayer::new(health, seed ^ 0xC0_45));
         probe.run_until_quiet(&mut faulty, 1)
     };

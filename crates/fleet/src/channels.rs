@@ -29,7 +29,7 @@ use rfly_dsp::units::{Db, Dbm, Hertz, Meters};
 use rfly_reader::hopping::{
     channel_frequency, HopSequence, CHANNEL_SPACING, MAX_DWELL, NUM_CHANNELS,
 };
-use rfly_sim::fleet::{FleetRelay, FLEET_PASSBAND};
+use rfly_sim::medium::{FleetRelay, FLEET_PASSBAND};
 use rfly_sim::world::RelayModel;
 
 /// The mutual-loop stability margin of one relay pair.
@@ -312,12 +312,16 @@ pub fn assign(
             FLEET_PASSBAND,
             &interferers,
         ) {
+            #[expect(
+                clippy::expect_used,
+                reason = "this branch runs only with a non-empty interferer set, which yields margins"
+            )]
             let worst = plan
                 .margins
                 .iter()
                 .filter(|m| m.i == i || m.j == i)
                 .min_by(|a, b| a.margin.value().total_cmp(&b.margin.value()))
-                .expect("pairs exist when interferers do"); // rfly-lint: allow(no-unwrap) -- this branch runs only with a non-empty interferer set, which yields margins.
+                .expect("pairs exist when interferers do");
             return Err(ChannelPlanError::UnstablePair {
                 i: worst.i,
                 j: worst.j,

@@ -18,8 +18,7 @@ use rfly_dsp::units::Db;
 use rfly_protocol::epc::Epc;
 use rfly_reader::config::ReaderConfig;
 use rfly_reader::inventory::{InventoryController, TagRead};
-use rfly_sim::fleet::{FleetMedium, FleetRelay};
-use rfly_sim::medium::FleetRf;
+use rfly_sim::medium::{FleetRelay, FleetRf, WorldMedium};
 use rfly_sim::motion::TagMotion;
 use rfly_sim::scene::Scene;
 use rfly_sim::world::PhasorWorld;
@@ -283,7 +282,7 @@ pub fn run_mission_with_motion(
                 scene_world.config.clone(),
                 StdRng::seed_from_u64(cfg.seed ^ (((step as u64) << 8) | serving as u64)),
             );
-            let mut medium = FleetMedium::fleet_planned(scene_world, &rf, serving);
+            let mut medium = WorldMedium::fleet_planned(scene_world, &rf, serving);
             let reads = controller.run_until_quiet(&mut medium, cfg.max_rounds);
             for read in &reads {
                 if read.epc != PhasorWorld::embedded_epc() {

@@ -1,4 +1,3 @@
-#![deny(missing_docs)]
 //! # rfly-fleet — multi-relay fleet coordination
 //!
 //! The paper flies *one* drone-borne relay; a warehouse deployment
@@ -15,13 +14,17 @@
 //!   gate extended with an external-interferer term
 //!   ([`rfly_core::relay::gains::is_stable_with_interferers`]).
 //! * **Deduplicated inventory** ([`inventory`]) — run the unmodified
-//!   reader stack against [`rfly_sim::fleet::FleetMedium`] through
+//!   reader stack against [`rfly_sim::medium::WorldMedium::fleet`] through
 //!   each relay in turn and merge the per-relay observation streams
 //!   into one global EPC inventory with first-seen/last-seen and
 //!   handoff bookkeeping. [`report`] renders the fleet tables.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 
 pub mod channels;
 pub mod inventory;

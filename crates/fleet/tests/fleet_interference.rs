@@ -11,7 +11,7 @@ use rfly_dsp::units::{Db, Hertz, Meters};
 use rfly_fleet::inventory::{mission_world, run_mission, MissionConfig};
 use rfly_fleet::{assign, partition};
 use rfly_protocol::epc::Epc;
-use rfly_sim::fleet::FLEET_PASSBAND;
+use rfly_sim::medium::FLEET_PASSBAND;
 use rfly_sim::scene::Scene;
 use rfly_tag::population::TagPopulation;
 use rfly_tag::tag::PassiveTag;

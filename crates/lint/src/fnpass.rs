@@ -6,6 +6,8 @@
 //! * **[`FnSummary`]** facts for the workspace index — call sites,
 //!   panic sites, determinism-sink sites, and whether the return value
 //!   is a local determinism-taint source;
+//! * **R3 `unit-newtypes`** findings — a `pub fn` parameter named with a
+//!   unit suffix (`_hz`, `_db`, ...) whose type is raw `f64`;
 //! * **R10 `unit-dataflow`** findings — raw `f64` add/sub/compare on
 //!   values with *unit provenance* (escaped from a `Hertz`/`Db`/`Dbm`/
 //!   `Meters`/`Seconds` newtype via `as_hz()`/`value()`/a `_hz`-suffixed
@@ -22,7 +24,7 @@
 //! sides of an `if` apply their env effects) and single-pass through
 //! loop bodies — deliberate simplifications recorded in DESIGN.md §13.3.
 
-use crate::ast::{Ast, BinOp, Block, Expr, FnDef, Item, ItemKind, Stmt};
+use crate::ast::{Ast, BinOp, Block, Expr, FnDef, Item, ItemKind, Stmt, Vis};
 use crate::index::{CallSite, FnSummary, PanicKind, PanicSite, SinkSite};
 use crate::rules::{FileCtx, FileKind, Finding, Severity};
 use std::collections::{BTreeSet, HashMap};
@@ -32,7 +34,7 @@ use std::collections::{BTreeSet, HashMap};
 pub struct FileAnalysis {
     /// One summary per non-test function.
     pub summaries: Vec<FnSummary>,
-    /// Intra-procedural findings (R10, R12), pre-allow.
+    /// Intra-procedural findings (R3, R10, R12), pre-allow.
     pub findings: Vec<Finding>,
 }
 
@@ -137,6 +139,7 @@ type Env = HashMap<String, Facts>;
 
 /// Analyzes one parsed file: summaries for every non-test fn plus
 /// intra-procedural findings. `path` must be workspace-relative.
+/// Test code (`#[test]`, `#[cfg(test)]`, test-like files) is skipped.
 pub fn analyze_file(path: &str, src: &str, ast: &Ast) -> FileAnalysis {
     let ctx = FileCtx::from_path(path);
     let crate_name = ctx.crate_name.clone().unwrap_or_else(|| "rfly".to_string());
@@ -146,8 +149,13 @@ pub fn analyze_file(path: &str, src: &str, ast: &Ast) -> FileAnalysis {
 
     let mut out = FileAnalysis::default();
     ast.visit_fns(&mut |mods, impl_ty, in_test, fd| {
-        let is_test = in_test || ctx.kind == FileKind::TestLike;
-        if is_test || fd.body.is_none() {
+        if in_test || ctx.kind == FileKind::TestLike {
+            return;
+        }
+        if fd.vis == Vis::Pub {
+            check_unit_params(path, fd, &mut out.findings);
+        }
+        if fd.body.is_none() {
             return;
         }
         let mut qual = vec![crate_name.clone()];
@@ -187,6 +195,34 @@ pub fn analyze_file(path: &str, src: &str, ast: &Ast) -> FileAnalysis {
         });
     });
     out
+}
+
+/// R3: a public fn parameter whose name carries a unit suffix must take
+/// the `rfly_dsp::units` newtype, not raw `f64` (bare, borrowed, or
+/// inside a slice/option).
+fn check_unit_params(path: &str, fd: &FnDef, findings: &mut Vec<Finding>) {
+    for p in fd.params.iter().filter(|p| !p.is_self) {
+        let Some((unit, _)) = suffix_unit(&p.name) else {
+            continue;
+        };
+        if p.ty
+            .split(|c: char| !c.is_alphanumeric() && c != '_')
+            .any(|w| w == "f64")
+        {
+            findings.push(Finding {
+                rule: "unit-newtypes",
+                file: path.to_string(),
+                line: p.line,
+                message: format!(
+                    "parameter `{}` takes raw f64 — use rfly_dsp::units::{}",
+                    p.name,
+                    unit.name()
+                ),
+                severity: Severity::Error,
+                line_text: String::new(),
+            });
+        }
+    }
 }
 
 /// `crates/dsp/src/loc/heatmap.rs` → `["loc", "heatmap"]`;
@@ -1148,6 +1184,20 @@ impl<'a> FnAnalyzer<'a> {
             f.dets.insert(NAN_CMP);
         }
 
+        // A container filled with tainted values is tainted:
+        // `samples.push(t0.elapsed())` carries the wall clock.
+        if MUTATORS.contains(&method) {
+            if let Expr::Path { segs, .. } = recv {
+                if let Some(v) = segs.first().filter(|_| segs.len() == 1) {
+                    if let Some(var) = env.get_mut(v) {
+                        for a in &arg_facts {
+                            var.dets.extend(a.dets.iter().copied());
+                        }
+                    }
+                }
+            }
+        }
+
         // R12: order-sensitive accumulation of channel-received values.
         if MUTATORS.contains(&method) && arg_facts.iter().any(|a| a.dets.contains(RECV_ORDER)) {
             self.finding(
@@ -1464,7 +1514,7 @@ mod tests {
     #[test]
     fn newtype_arithmetic_and_literals_are_clean() {
         let a = analyze(
-            "pub fn f(a: Hertz, b: Hertz, snr_db: f64) -> bool {\n\
+            "fn f(a: Hertz, b: Hertz, snr_db: f64) -> bool {\n\
                  let c = a + b;\n\
                  let _ = c;\n\
                  snr_db > 3.0\n\
@@ -1522,6 +1572,24 @@ mod tests {
                 .contains(&WALL_CLOCK.to_string()),
             "{:?}",
             s.sink_sites[0]
+        );
+    }
+
+    #[test]
+    fn wallclock_pushed_into_a_vec_taints_it() {
+        let a = analyze(
+            "pub fn run(bench: &mut Bench) {\n\
+                 let mut samples = Vec::new();\n\
+                 let t0 = Instant::now();\n\
+                 samples.push(t0.elapsed().as_secs_f64());\n\
+                 let m = median(&mut samples);\n\
+                 bench.metric(\"median_s\", m);\n\
+             }\n",
+        );
+        let sink = &a.summaries[0].sink_sites[0];
+        assert!(
+            sink.local_taints.contains(&WALL_CLOCK.to_string()),
+            "{sink:?}"
         );
     }
 
@@ -1609,6 +1677,30 @@ mod tests {
         );
         assert!(a.summaries[0].det_return);
         assert!(!a.summaries[1].det_return);
+    }
+
+    #[test]
+    fn unit_suffixed_public_params_need_newtypes() {
+        let a = analyze(
+            "pub fn tune(freq_hz: f64, span: &[f64], gains_db: &[f64]) {}\n\
+             pub(crate) fn scoped(freq_hz: f64) {}\n\
+             fn private(freq_hz: f64) {}\n\
+             pub fn typed(freq_hz: Hertz, n_m: usize) {}\n\
+             pub trait T { fn decl(&self, delay_s: f64); }\n\
+             impl X { pub fn method(&self, range_m: f64) {} }\n\
+             #[cfg(test)]\n\
+             mod tests { pub fn helper(freq_hz: f64) {} }\n",
+        );
+        let hits: Vec<(u32, &str)> = a
+            .findings
+            .iter()
+            .map(|f| (f.line, f.message.as_str()))
+            .collect();
+        assert_eq!(hits.len(), 3, "{hits:?}");
+        assert!(hits[0].1.contains("`freq_hz`") && hits[0].1.contains("Hertz"));
+        assert!(hits[1].1.contains("`gains_db`") && hits[1].1.contains("Db"));
+        assert_eq!(hits[2].0, 6);
+        assert!(hits[2].1.contains("`range_m`") && hits[2].1.contains("Meters"));
     }
 
     #[test]

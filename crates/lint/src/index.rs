@@ -4,9 +4,7 @@
 //! crate) are distilled from the AST by the per-function pass and glued
 //! here into a whole-program view: name-resolution maps, a call graph,
 //! and the reachability query behind rule R9 (transitive-panic). The
-//! index never needs the ASTs back — summaries are small, flat, and
-//! cacheable, so warm runs rebuild the graph from cached summaries
-//! without re-parsing unchanged files.
+//! index never needs the ASTs back — summaries are small and flat.
 //!
 //! Call resolution is name-based (there is no type inference for
 //! arbitrary receivers), tuned for signal over soundness:
@@ -44,7 +42,7 @@ pub struct PanicSite {
     pub kind: PanicKind,
     /// Source line.
     pub line: u32,
-    /// The trimmed source line text (for findings and baseline keys).
+    /// The trimmed source line text (for findings).
     pub text: String,
 }
 
@@ -85,7 +83,7 @@ pub struct CallSite {
     pub line: u32,
 }
 
-/// The flat, cacheable summary of one function.
+/// The flat summary of one function.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FnSummary {
     /// Fully-qualified display name:
@@ -274,7 +272,7 @@ impl WorkspaceIndex {
                 continue;
             }
             if entry_set[id] && parent[id].is_none() {
-                continue; // direct panic in an entry fn: R1's domain
+                continue; // a direct panic in an entry fn is local, not transitive
             }
             // Reconstruct entry → .. → id.
             let mut path = vec![id];
@@ -351,8 +349,8 @@ pub struct ReachedPanic {
     pub site: PanicSite,
 }
 
-/// Crates whose public APIs are R9 entry points — the same set R1
-/// holds panic-free at the token level (`rules::R1_CRATES`), so the two
+/// Crates whose public APIs are R9 entry points — the same set whose
+/// roots deny `clippy::unwrap_used`/`expect_used` (R1), so the two
 /// rules compose: R1 proves entries clean locally, R9 proves everything
 /// they call clean transitively.
 pub const ENTRY_CRATES: &[&str] = &[

@@ -1,13 +1,10 @@
 //! A minimal Rust lexer for the lint pass.
 //!
-//! The rules in this crate operate on token streams, not ASTs: every
-//! invariant we enforce (a `.unwrap()` call, an `as usize` cast, an
-//! `f64` parameter with a unit-suffixed name) is visible at the token
-//! level, and a hand-rolled lexer keeps the crate free of external
-//! dependencies and `rustc` internals. The lexer handles the corners
-//! that naive regex scans get wrong: nested block comments, raw
-//! strings, char literals vs. lifetimes, and numeric literals with
-//! suffixes.
+//! It feeds the parser its token stream and the allow gate its
+//! comments. Hand-rolled, it keeps the crate free of external
+//! dependencies and `rustc` internals, and it handles the corners that
+//! naive regex scans get wrong: nested block comments, raw strings,
+//! char literals vs. lifetimes, and numeric literals with suffixes.
 
 /// The coarse classification of a token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,27 +1,29 @@
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-//! `rfly-lint` — the workspace's offline static-analysis pass.
+//! `rfly-lint` — the workspace's offline semantic analysis pass.
 //!
 //! The failure modes that silently corrupt an RF reproduction are not
 //! crashes but invariant violations: a dB ratio added to a dBm power, a
-//! `900e3`-vs-`900e6` typo, an `unwrap()` on a degraded-path buffer, or
-//! a nondeterministic RNG that breaks the seeded fault-matrix CI. This
-//! crate makes those invariants machine-checked on every commit: a
-//! small hand-rolled Rust lexer (zero external dependencies, no rustc
-//! plugin) feeds a rule engine that scans every `.rs` file in the
-//! workspace and reports violations with `file:line` spans, stable rule
-//! IDs, and an allowlist escape hatch that *requires* a written
-//! justification:
+//! panic two crates below a supervised entry point, a wall-clock value
+//! in a journal. Token-level invariants (no `unwrap`, no truncating
+//! casts, no `HashMap`, no `println!`, ...) are rustc and clippy lints
+//! configured in the workspace manifest and `clippy.toml`. This crate
+//! checks what clippy cannot: a small hand-rolled Rust parser (zero
+//! external dependencies, no rustc plugin) feeds a per-function
+//! dataflow pass and a workspace call graph, and every finding carries
+//! a `file:line` span, a stable rule ID, and an allowlist escape hatch
+//! that *requires* a written justification:
 //!
 //! ```text
-//! // rfly-lint: allow(no-println) -- CLI rendering seam, no data flows out.
+//! // rfly-lint: allow(transitive-panic) -- documented builder contract.
 //! ```
 //!
-//! See DESIGN.md §8 for the rule catalog and the baseline policy.
+//! See DESIGN.md §8 for the rule catalog and §13 for the pipeline.
+
+#![allow(
+    clippy::disallowed_types,
+    reason = "a lint pass's own maps never reach simulated output"
+)]
 
 pub mod ast;
-pub mod baseline;
-pub mod cache;
 pub mod fnpass;
 pub mod index;
 pub mod lexer;
@@ -29,14 +31,12 @@ pub mod parser;
 pub mod rules;
 pub mod semantic;
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-pub use baseline::Baseline;
-pub use cache::Cache;
-pub use rules::{lint_source, Finding, Severity, RULES};
+pub use rules::{Finding, Severity, RULES};
 
 /// Directories never scanned: build output, VCS metadata, and the
 /// intentionally-violating lint fixtures.
@@ -71,47 +71,33 @@ pub fn collect_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(files)
 }
 
-/// Where the incremental cache lives when enabled: under `target/`,
-/// which the workspace walk never scans.
-pub fn default_cache_path(root: &Path) -> PathBuf {
-    root.join("target").join("rfly-lint-cache.tsv")
-}
-
-/// Statistics from one workspace lint run, for the CLI's summary line.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct LintStats {
-    /// Files served from the incremental cache.
-    pub cache_hits: usize,
-    /// Files analyzed cold.
-    pub cache_misses: usize,
-    /// Total files scanned.
+/// One workspace lint run.
+#[derive(Debug)]
+pub struct LintRun {
+    /// Every finding after the allow gate, sorted by file, line, rule.
+    pub findings: Vec<Finding>,
+    /// Files scanned.
     pub files: usize,
     /// Functions indexed for the whole-program passes.
     pub fns_indexed: usize,
 }
 
-/// Lints every workspace file under `root`, returning findings with
-/// workspace-relative paths. Runs all four stages without a cache.
-pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
-    lint_workspace_cached(root, None).map(|(f, _)| f)
+/// Lints one file on its own: the per-file rules (R3, R10, R12) and
+/// the allow gate. The whole-program rules need [`lint_workspace`].
+/// `path` must be workspace-relative; it decides test-like scoping.
+pub fn lint_source(path: &str, src: &str) -> Vec<Finding> {
+    let fa = fnpass::analyze_file(path, src, &parser::parse_file(src));
+    rules::apply_allows(path, src, fa.findings)
 }
 
-/// The full v2 pipeline:
+/// Lints every workspace file under `root`, returning findings with
+/// workspace-relative paths:
 ///
-/// 1. per file (cached by content hash): lex → token rules (R1–R8),
-///    parse → function pass (summaries + intra R10/R12);
+/// 1. per file: parse → function pass (summaries + R3/R10/R12);
 /// 2. link all summaries into the [`index::WorkspaceIndex`];
 /// 3. whole-program passes (R9 reachability, R11 taint closure);
 /// 4. per file: apply allow directives to the merged finding set.
-///
-/// `cache_path` enables the incremental cache (loaded before, saved
-/// after). Stages 2–4 always run fresh — they depend on the whole file
-/// set.
-pub fn lint_workspace_cached(
-    root: &Path,
-    cache_path: Option<&Path>,
-) -> io::Result<(Vec<Finding>, LintStats)> {
-    let mut cache = cache_path.map(Cache::load).unwrap_or_default();
+pub fn lint_workspace(root: &Path) -> io::Result<LintRun> {
     let mut sources: Vec<(String, String)> = Vec::new();
     for file in collect_files(root)? {
         let rel = file
@@ -122,37 +108,17 @@ pub fn lint_workspace_cached(
         sources.push((rel, fs::read_to_string(&file)?));
     }
 
-    // Stage 1: per-file artifacts, cache-served where content matches.
+    // Stage 1: per-file parse and function pass.
     let mut summaries = Vec::new();
-    let mut per_file: HashMap<String, Vec<Finding>> = HashMap::new();
+    let mut per_file: BTreeMap<String, Vec<Finding>> = BTreeMap::new();
     for (rel, src) in &sources {
-        let entry = match cache.get(rel, src) {
-            Some(e) => e,
-            None => {
-                let ast = parser::parse_file(src);
-                let fa = fnpass::analyze_file(rel, src, &ast);
-                let mut findings = rules::token_findings(rel, src);
-                findings.extend(fa.findings);
-                let entry = cache::CacheEntry {
-                    findings,
-                    summaries: fa.summaries,
-                };
-                cache.put(rel.clone(), src, entry.clone());
-                entry
-            }
-        };
-        summaries.extend(entry.summaries);
-        per_file.insert(rel.clone(), entry.findings);
+        let fa = fnpass::analyze_file(rel, src, &parser::parse_file(src));
+        summaries.extend(fa.summaries);
+        per_file.insert(rel.clone(), fa.findings);
     }
 
     // Stages 2–3: link and run the whole-program rules.
     let idx = index::WorkspaceIndex::build(summaries);
-    let stats = LintStats {
-        cache_hits: cache.hits,
-        cache_misses: cache.misses,
-        files: sources.len(),
-        fns_indexed: idx.fns.len(),
-    };
     for f in semantic::whole_program_findings(&idx) {
         per_file.entry(f.file.clone()).or_default().push(f);
     }
@@ -164,11 +130,9 @@ pub fn lint_workspace_cached(
         findings.extend(rules::apply_allows(rel, src, pre));
     }
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-
-    if let Some(path) = cache_path {
-        let live: Vec<String> = sources.into_iter().map(|(rel, _)| rel).collect();
-        cache.retain_files(&live);
-        cache.save(path);
-    }
-    Ok((findings, stats))
+    Ok(LintRun {
+        findings,
+        files: sources.len(),
+        fns_indexed: idx.fns.len(),
+    })
 }

@@ -1,31 +1,24 @@
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 //! The `rfly-lint` CLI driver.
 //!
 //! ```text
-//! cargo run -p rfly-lint -- --workspace [--baseline <file>] [--update-baseline]
-//!                           [--json <file|->] [--no-cache]
+//! cargo run -p rfly-lint -- --workspace [--root <dir>] [--json <file|->]
+//!                           [--advisories] [--list-rules]
 //! ```
 //!
-//! Exit codes: 0 = clean (or fully baselined), 1 = new violations or
-//! stale baseline entries, 2 = usage/IO error. Advisory
-//! [`Severity::Warning`] findings are printed but never fail the gate
-//! and never enter the baseline.
+//! Exit codes: 0 = clean, 1 = violations, 2 = usage/IO error. Advisory
+//! [`Severity::Warning`] findings are printed with `--advisories` but
+//! never fail the gate.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use rfly_lint::rules::Severity;
-use rfly_lint::{default_cache_path, lint_workspace_cached, Baseline, Finding, RULES};
+use rfly_lint::{lint_workspace, Finding, Severity, RULES};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut workspace = false;
     let mut root = PathBuf::from(".");
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut update_baseline = false;
     let mut json_path: Option<String> = None;
-    let mut use_cache = true;
     let mut show_advisories = false;
 
     let mut it = args.iter();
@@ -36,16 +29,10 @@ fn main() -> ExitCode {
                 Some(p) => root = PathBuf::from(p),
                 None => return usage("--root needs a path"),
             },
-            "--baseline" => match it.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => return usage("--baseline needs a path"),
-            },
-            "--update-baseline" => update_baseline = true,
             "--json" => match it.next() {
                 Some(p) => json_path = Some(p.clone()),
                 None => return usage("--json needs a path (or `-` for stdout)"),
             },
-            "--no-cache" => use_cache = false,
             "--advisories" => show_advisories = true,
             "--list-rules" => {
                 for (slug, desc) in RULES {
@@ -60,8 +47,7 @@ fn main() -> ExitCode {
         return usage("pass --workspace to scan the workspace");
     }
 
-    let cache_path = use_cache.then(|| default_cache_path(&root));
-    let (findings, stats) = match lint_workspace_cached(&root, cache_path.as_deref()) {
+    let run = match lint_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("rfly-lint: IO error: {e}");
@@ -70,7 +56,7 @@ fn main() -> ExitCode {
     };
 
     if let Some(path) = &json_path {
-        let text = render_json(&findings);
+        let text = render_json(&run.findings);
         if path == "-" {
             println!("{text}");
         } else if let Err(e) = std::fs::write(path, text) {
@@ -79,61 +65,26 @@ fn main() -> ExitCode {
         }
     }
 
-    // Warnings are advisory: printed, never baselined, never fatal.
-    let (errors, warnings): (Vec<Finding>, Vec<Finding>) = findings
+    let (errors, warnings): (Vec<Finding>, Vec<Finding>) = run
+        .findings
         .into_iter()
         .partition(|f| f.severity == Severity::Error);
-
-    if update_baseline {
-        let path = baseline_path.unwrap_or_else(|| root.join("lint-baseline.tsv"));
-        if let Err(e) = std::fs::write(&path, Baseline::render(&errors)) {
-            eprintln!("rfly-lint: cannot write baseline: {e}");
-            return ExitCode::from(2);
-        }
-        println!(
-            "rfly-lint: wrote {} baseline entries to {}",
-            errors.len(),
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = match &baseline_path {
-        Some(p) => match std::fs::read_to_string(p) {
-            Ok(text) => Baseline::parse(&text),
-            Err(e) => {
-                eprintln!("rfly-lint: cannot read baseline {}: {e}", p.display());
-                return ExitCode::from(2);
-            }
-        },
-        None => Baseline::default(),
-    };
-    let (fresh, baselined, stale) = baseline.apply(errors);
-
     if show_advisories {
         for f in &warnings {
             println!("{}:{}: [{}] warning: {}", f.file, f.line, f.rule, f.message);
         }
     }
-    for f in &fresh {
+    for f in &errors {
         println!("{}:{}: [{}] {}", f.file, f.line, f.rule, f.message);
     }
-    for s in &stale {
-        println!("stale baseline entry (violation fixed — delete the line): {s}");
-    }
     println!(
-        "rfly-lint: {} new violation(s), {} warning(s), {} baselined, {} stale baseline entr(ies); \
-         {} files ({} cached, {} analyzed), {} fns indexed",
-        fresh.len(),
+        "rfly-lint: {} violation(s), {} warning(s); {} files, {} fns indexed",
+        errors.len(),
         warnings.len(),
-        baselined.len(),
-        stale.len(),
-        stats.files,
-        stats.cache_hits,
-        stats.cache_misses,
-        stats.fns_indexed,
+        run.files,
+        run.fns_indexed,
     );
-    if fresh.is_empty() && stale.is_empty() {
+    if errors.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
@@ -184,8 +135,7 @@ fn json_str(s: &str) -> String {
 fn usage(err: &str) -> ExitCode {
     eprintln!(
         "rfly-lint: {err}\n\
-         usage: rfly-lint --workspace [--root <dir>] [--baseline <file>] [--update-baseline]\n\
-         \x20                        [--json <file|->] [--no-cache] [--advisories] [--list-rules]"
+         usage: rfly-lint --workspace [--root <dir>] [--json <file|->] [--advisories] [--list-rules]"
     );
     ExitCode::from(2)
 }

@@ -1,37 +1,34 @@
-//! The rule engine: eight workspace invariants checked per file.
+//! Findings, the rule catalog, and the allow gate.
 //!
-//! Each rule walks the token stream produced by [`crate::lexer`] and
-//! reports [`Finding`]s with `file:line` spans and stable rule IDs. The
-//! mapping to the issue's rule numbers (documented in DESIGN.md §8):
+//! The analyzer's rules run in [`crate::fnpass`] (per function: R3,
+//! R10, R12) and [`crate::semantic`] (whole program: R9, R11); every
+//! finding they emit passes through [`apply_allows`] exactly once. The
+//! token-level invariants (R1, R2, R4–R8) are rustc and clippy lints;
+//! DESIGN.md §8 maps each one.
 //!
 //! | ID | slug | invariant |
 //! |----|------|-----------|
-//! | R1 | `no-unwrap` | no `unwrap`/`expect` in supervised-path crates |
-//! | R2 | `no-as-int-cast` | no raw `as` integer casts in DSP/relay hot paths |
 //! | R3 | `unit-newtypes` | unit-suffixed public params take `rfly-dsp::units` newtypes |
-//! | R4 | `determinism` | no wall clocks, unseeded RNGs, or hash-order containers |
-//! | R5 | `crate-attrs` | crate roots forbid `unsafe_code` and deny `missing_docs` |
-//! | R6 | `no-println` | no `println!`/`eprintln!` outside CLI/bench/test surfaces |
-//! | R7 | `no-f32` | no `f32` in link-budget/phase math crates |
-//! | R8 | `no-todo` | no `todo!`/`unimplemented!`/`dbg!` anywhere |
+//! | R9 | `transitive-panic` | no panic reachable from supervised crates' public APIs |
+//! | R10 | `unit-dataflow` | no raw f64 arithmetic across unit-newtype boundaries |
+//! | R11 | `determinism-taint` | no nondeterministic values into journals, reports, checkpoints |
+//! | R12 | `parallel-safety` | no spawn closures mutating captured state |
 
-use crate::lexer::{lex, Tok, TokKind};
+use crate::lexer::lex;
 
-/// How severe a finding is. Every current rule is an [`Severity::Error`];
-/// the distinction exists so future advisory rules can ride the same
-/// reporting pipeline.
+/// How severe a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Severity {
     /// Fails the gate.
     Error,
-    /// Reported but never fails the gate.
+    /// Reported (with `--advisories`) but never fails the gate.
     Warning,
 }
 
 /// One rule violation.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Stable rule slug (e.g. `no-unwrap`).
+    /// Stable rule slug (e.g. `unit-newtypes`).
     pub rule: &'static str,
     /// Workspace-relative path of the offending file.
     pub file: String,
@@ -41,40 +38,18 @@ pub struct Finding {
     pub message: String,
     /// Gate impact.
     pub severity: Severity,
-    /// The trimmed source-line text, used as the stable baseline key so
-    /// entries survive unrelated line-number churn.
+    /// The trimmed source-line text, filled in by [`apply_allows`] for
+    /// the JSON artifact.
     pub line_text: String,
 }
 
-/// All rule slugs the engine knows, in issue order R1..R12 plus the two
+/// All rule slugs the analyzer knows, R3 and R9–R12 plus the two
 /// allowlist meta-rules.
 pub const RULES: &[(&str, &str)] = &[
-    (
-        "no-unwrap",
-        "R1: no unwrap()/expect() in non-test code of supervised-path crates",
-    ),
-    (
-        "no-as-int-cast",
-        "R2: no raw `as` integer casts in DSP/relay hot paths",
-    ),
     (
         "unit-newtypes",
         "R3: unit-suffixed public fn params must use rfly-dsp::units newtypes",
     ),
-    (
-        "determinism",
-        "R4: no wall clocks, unseeded RNGs, or iteration-order-unstable containers",
-    ),
-    (
-        "crate-attrs",
-        "R5: crate roots must forbid(unsafe_code) and deny(missing_docs)",
-    ),
-    (
-        "no-println",
-        "R6: no println!/eprintln! outside examples, bench, and test code",
-    ),
-    ("no-f32", "R7: no f32 in link-budget/phase math crates"),
-    ("no-todo", "R8: no todo!/unimplemented!/dbg! anywhere"),
     (
         "transitive-panic",
         "R9: no panic!/unwrap reachable from public APIs of supervised crates",
@@ -101,45 +76,12 @@ pub const RULES: &[(&str, &str)] = &[
     ),
 ];
 
-/// Crates whose non-test code must be panic-free (R1): these run the
-/// supervised/degraded paths the fault harness exercises, plus the
-/// scenario front end whose diagnostics must surface as errors, never
-/// panics.
-const R1_CRATES: &[&str] = &[
-    "chaos", "core", "faults", "fleet", "obs", "ops", "replay", "scenario", "sim",
-];
-
-/// Path prefixes counted as DSP/relay hot paths for R2.
-const R2_PREFIXES: &[&str] = &["crates/dsp/src/", "crates/core/src/relay/"];
-
-/// Crates whose math must stay in f64 (R7): everything touching the
-/// Eq. 3 link budgets or the §7.2 phase model.
-const R7_CRATES: &[&str] = &["channel", "core", "fleet"];
-
-/// Crates exempt from R6 because their purpose is terminal output: the
-/// bench/figure binaries and this lint driver itself.
-const R6_EXEMPT_CRATES: &[&str] = &["bench", "lint"];
-
-/// Integer target types flagged by R2.
-const INT_TYPES: &[&str] = &[
-    "usize", "isize", "u8", "u16", "u32", "u64", "u128", "i8", "i16", "i32", "i64", "i128",
-];
-
-/// Unit suffix → required newtype for R3.
-const UNIT_SUFFIXES: &[(&str, &str)] = &[
-    ("_hz", "Hertz"),
-    ("_dbm", "Dbm"),
-    ("_db", "Db"),
-    ("_m", "Meters"),
-    ("_s", "Seconds"),
-];
-
 /// What kind of file is being linted, derived from its path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileKind {
-    /// Shipping library/binary code: all rules apply.
+    /// Shipping library/binary code: every rule applies.
     Source,
-    /// Integration tests, benches, and examples: only R8 applies.
+    /// Integration tests, benches, and examples: no rule applies.
     TestLike,
 }
 
@@ -153,8 +95,6 @@ pub struct FileCtx {
     pub crate_name: Option<String>,
     /// Source vs. test-like classification.
     pub kind: FileKind,
-    /// True for `src/lib.rs` crate roots (R5 applies).
-    pub is_crate_root: bool,
 }
 
 impl FileCtx {
@@ -179,19 +119,11 @@ impl FileCtx {
         } else {
             FileKind::Source
         };
-        let is_crate_root = path == "src/lib.rs" || (in_crate_src && path.ends_with("/src/lib.rs"));
         Self {
             path,
             crate_name,
             kind,
-            is_crate_root,
         }
-    }
-
-    fn crate_is(&self, names: &[&str]) -> bool {
-        self.crate_name
-            .as_deref()
-            .is_some_and(|c| names.contains(&c))
     }
 }
 
@@ -205,63 +137,8 @@ struct Allow {
     used: std::cell::Cell<bool>,
 }
 
-/// Lints one file's source text with the token rules (R1–R8) and
-/// applies allow directives. `path` must be workspace-relative; it
-/// drives the per-crate rule scoping, so tests can synthesize paths to
-/// exercise crate-scoped rules on fixture content.
-pub fn lint_source(path: &str, src: &str) -> Vec<Finding> {
-    apply_allows(path, src, token_findings(path, src))
-}
-
-/// The token-level findings (R1–R8) for one file, *before* allow
-/// filtering. The workspace pipeline merges these with the semantic
-/// passes' findings and routes everything through [`apply_allows`]
-/// once per file; these pre-allow findings are also what the
-/// incremental cache stores.
-pub fn token_findings(path: &str, src: &str) -> Vec<Finding> {
-    let ctx = FileCtx::from_path(path);
-    let lexed = lex(src);
-    let toks = &lexed.tokens;
-    let test_mask = test_mask(toks);
-
-    let mut findings = Vec::new();
-    let mut push = |rule: &'static str, line: u32, message: String| {
-        findings.push(Finding {
-            rule,
-            file: ctx.path.clone(),
-            line,
-            message,
-            severity: Severity::Error,
-            line_text: String::new(),
-        });
-    };
-
-    // R8 applies to every token, test or not.
-    for (i, t) in toks.iter().enumerate() {
-        if (t.is_ident("todo") || t.is_ident("unimplemented") || t.is_ident("dbg"))
-            && next_is_bang(toks, i)
-        {
-            push(
-                "no-todo",
-                t.line,
-                format!("`{}!` must not be committed", t.text),
-            );
-        }
-    }
-
-    if ctx.kind == FileKind::Source {
-        lint_source_rules(&ctx, toks, &test_mask, &mut push);
-    }
-
-    if ctx.is_crate_root {
-        lint_crate_attrs(&ctx, toks, &mut push);
-    }
-
-    findings
-}
-
 /// Applies this file's `// rfly-lint: allow(...)` directives to a set
-/// of findings (token *and* semantic), flags unjustified/stale/unknown
+/// of findings, flags unjustified/stale/unknown
 /// directives, fills in `line_text` from the source, and sorts. This is
 /// the single allow gate: every finding — whatever stage produced it —
 /// passes through here exactly once.
@@ -339,367 +216,6 @@ pub fn apply_allows(path: &str, src: &str, findings: Vec<Finding>) -> Vec<Findin
 
     kept.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     kept
-}
-
-/// The rules that only apply to shipping (non-test-like) files.
-fn lint_source_rules(
-    ctx: &FileCtx,
-    toks: &[Tok],
-    test_mask: &[bool],
-    push: &mut impl FnMut(&'static str, u32, String),
-) {
-    let in_root_src = ctx.crate_name.is_none() && ctx.path.starts_with("src/");
-    for (i, t) in toks.iter().enumerate() {
-        if test_mask[i] {
-            continue;
-        }
-
-        // R1 — panic-freedom on supervised paths.
-        if (ctx.crate_is(R1_CRATES) || in_root_src)
-            && (t.is_ident("unwrap") || t.is_ident("expect"))
-            && i > 0
-            && toks[i - 1].is_punct('.')
-            && next_is(toks, i, '(')
-        {
-            push(
-                "no-unwrap",
-                t.line,
-                format!(
-                    "`.{}()` on a supervised path — route through RflyError instead",
-                    t.text
-                ),
-            );
-        }
-
-        // R2 — no raw truncating casts on hot paths.
-        if R2_PREFIXES.iter().any(|p| ctx.path.starts_with(p))
-            && t.is_ident("as")
-            && toks
-                .get(i + 1)
-                .is_some_and(|n| n.kind == TokKind::Ident && INT_TYPES.contains(&n.text.as_str()))
-        {
-            push(
-                "no-as-int-cast",
-                t.line,
-                format!(
-                    "raw `as {}` cast on a hot path — use the rfly_dsp::cast helpers",
-                    toks[i + 1].text
-                ),
-            );
-        }
-
-        // R4 — determinism.
-        if !ctx.crate_is(&["bench", "lint"]) {
-            if t.is_ident("SystemTime") || t.is_ident("Instant") {
-                push(
-                    "determinism",
-                    t.line,
-                    format!(
-                        "`std::time::{}` breaks seeded reproducibility — derive time from the simulation clock",
-                        t.text
-                    ),
-                );
-            }
-            if t.is_ident("thread_rng") || t.is_ident("from_entropy") || t.is_ident("OsRng") {
-                push(
-                    "determinism",
-                    t.line,
-                    format!(
-                        "`{}` is unseeded — construct RNGs via rfly_dsp::rng with an explicit seed",
-                        t.text
-                    ),
-                );
-            }
-            if t.is_ident("HashMap") || t.is_ident("HashSet") {
-                push(
-                    "determinism",
-                    t.line,
-                    format!(
-                        "`{}` has unstable iteration order — use BTreeMap/BTreeSet in result-producing code",
-                        t.text
-                    ),
-                );
-            }
-        }
-
-        // R6 — print hygiene.
-        if !ctx.crate_is(R6_EXEMPT_CRATES)
-            && (t.is_ident("println")
-                || t.is_ident("eprintln")
-                || t.is_ident("print")
-                || t.is_ident("eprint"))
-            && next_is_bang(toks, i)
-        {
-            push(
-                "no-println",
-                t.line,
-                format!(
-                    "`{}!` in library code — return data and print from examples/bench binaries",
-                    t.text
-                ),
-            );
-        }
-
-        // R7 — f64-only math crates.
-        if ctx.crate_is(R7_CRATES)
-            && (t.is_ident("f32") || (t.kind == TokKind::Number && t.text.ends_with("f32")))
-        {
-            push(
-                "no-f32",
-                t.line,
-                "f32 in link-budget/phase math — the §7.2 phase model needs f64 precision"
-                    .to_string(),
-            );
-        }
-    }
-
-    // R3 — unit-newtype parameter discipline.
-    lint_unit_params(ctx, toks, test_mask, push);
-}
-
-/// R3: every public `fn` parameter whose name carries a unit suffix
-/// must take the corresponding newtype, not `f64`.
-fn lint_unit_params(
-    _ctx: &FileCtx,
-    toks: &[Tok],
-    test_mask: &[bool],
-    push: &mut impl FnMut(&'static str, u32, String),
-) {
-    let mut i = 0;
-    while i < toks.len() {
-        if !toks[i].is_ident("fn") || test_mask[i] {
-            i += 1;
-            continue;
-        }
-        if !fn_is_public(toks, i) {
-            i += 1;
-            continue;
-        }
-        // Skip fn name and any generic parameter list to the open paren.
-        let mut j = i + 1;
-        let mut angle = 0i32;
-        while j < toks.len() {
-            let t = &toks[j];
-            if angle == 0 && t.is_punct('(') {
-                break;
-            }
-            if t.is_punct('<') {
-                angle += 1;
-            } else if t.is_punct('>') {
-                angle -= 1;
-            } else if angle == 0 && (t.is_punct('{') || t.is_punct(';')) {
-                break; // malformed or not a normal fn; bail out
-            }
-            j += 1;
-        }
-        if j >= toks.len() || !toks[j].is_punct('(') {
-            i = j;
-            continue;
-        }
-        // Walk the parameter list at depth 1.
-        let mut depth = 1i32;
-        let mut k = j + 1;
-        let mut param: Vec<usize> = Vec::new();
-        while k < toks.len() && depth > 0 {
-            let t = &toks[k];
-            if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-                depth += 1;
-            } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-                depth -= 1;
-                if depth == 0 {
-                    check_param(toks, &param, push);
-                    break;
-                }
-            } else if t.is_punct(',') && depth == 1 {
-                check_param(toks, &param, push);
-                param.clear();
-                k += 1;
-                continue;
-            }
-            param.push(k);
-            k += 1;
-        }
-        i = k.max(i + 1);
-    }
-}
-
-/// Checks one `name: Type` parameter token-index slice for R3.
-fn check_param(toks: &[Tok], param: &[usize], push: &mut impl FnMut(&'static str, u32, String)) {
-    // Find the top-level colon separating pattern from type.
-    let mut depth = 0i32;
-    let mut colon_pos = None;
-    for (pi, &ti) in param.iter().enumerate() {
-        let t = &toks[ti];
-        if t.is_punct('<') || t.is_punct('(') || t.is_punct('[') {
-            depth += 1;
-        } else if t.is_punct('>') || t.is_punct(')') || t.is_punct(']') {
-            depth -= 1;
-        } else if t.is_punct(':') && depth == 0 {
-            // `::` path separators come in pairs; a lone colon splits the param.
-            let next_is_colon = param.get(pi + 1).is_some_and(|&n| toks[n].is_punct(':'));
-            let prev_is_colon = pi > 0 && toks[param[pi - 1]].is_punct(':');
-            if !next_is_colon && !prev_is_colon {
-                colon_pos = Some(pi);
-                break;
-            }
-        }
-    }
-    let Some(cp) = colon_pos else { return };
-    // Name: last identifier before the colon.
-    let name = param[..cp]
-        .iter()
-        .rev()
-        .map(|&ti| &toks[ti])
-        .find(|t| t.kind == TokKind::Ident && t.text != "mut");
-    let Some(name) = name else { return };
-    let suffix = UNIT_SUFFIXES
-        .iter()
-        .find(|(suf, _)| name.text.ends_with(suf));
-    let Some((suffix, newtype)) = suffix else {
-        return;
-    };
-    let ty_has_f64 = param[cp + 1..].iter().any(|&ti| toks[ti].is_ident("f64"));
-    if ty_has_f64 {
-        push(
-            "unit-newtypes",
-            name.line,
-            format!(
-                "parameter `{}` (suffix `{}`) takes raw f64 — use rfly_dsp::units::{}",
-                name.text, suffix, newtype
-            ),
-        );
-    }
-}
-
-/// True if the `fn` at `i` is `pub fn` (plain pub; `pub(crate)` and
-/// friends are not public API).
-fn fn_is_public(toks: &[Tok], i: usize) -> bool {
-    // Walk backwards over modifiers: const, unsafe, extern "C", async.
-    let mut j = i;
-    while j > 0 {
-        let p = &toks[j - 1];
-        if p.is_ident("const")
-            || p.is_ident("unsafe")
-            || p.is_ident("async")
-            || p.is_ident("extern")
-            || p.kind == TokKind::Literal
-        {
-            j -= 1;
-        } else {
-            break;
-        }
-    }
-    j > 0 && toks[j - 1].is_ident("pub") && !toks.get(j).is_some_and(|t| t.is_punct('('))
-}
-
-/// R5: crate roots must carry both lint attributes.
-fn lint_crate_attrs(
-    _ctx: &FileCtx,
-    toks: &[Tok],
-    push: &mut impl FnMut(&'static str, u32, String),
-) {
-    let has = |ident: &str, arg: &str| {
-        toks.windows(3)
-            .any(|w| w[0].is_ident(ident) && w[1].is_punct('(') && w[2].is_ident(arg))
-    };
-    if !has("forbid", "unsafe_code") {
-        push(
-            "crate-attrs",
-            1,
-            "crate root is missing `#![forbid(unsafe_code)]`".to_string(),
-        );
-    }
-    if !has("deny", "missing_docs") {
-        push(
-            "crate-attrs",
-            1,
-            "crate root is missing `#![deny(missing_docs)]`".to_string(),
-        );
-    }
-}
-
-fn next_is(toks: &[Tok], i: usize, c: char) -> bool {
-    toks.get(i + 1).is_some_and(|t| t.is_punct(c))
-}
-
-fn next_is_bang(toks: &[Tok], i: usize) -> bool {
-    toks.get(i + 1).is_some_and(|t| t.is_punct('!'))
-}
-
-/// Marks every token inside `#[test]` / `#[cfg(test)]`-gated items.
-fn test_mask(toks: &[Tok]) -> Vec<bool> {
-    let mut mask = vec![false; toks.len()];
-    let mut i = 0;
-    while i < toks.len() {
-        if !(toks[i].is_punct('#') && next_is(toks, i, '[')) {
-            i += 1;
-            continue;
-        }
-        // Collect the attribute tokens up to the matching `]`.
-        let mut j = i + 2;
-        let mut depth = 1;
-        let mut attr_is_test = false;
-        while j < toks.len() && depth > 0 {
-            if toks[j].is_punct('[') {
-                depth += 1;
-            } else if toks[j].is_punct(']') {
-                depth -= 1;
-            } else if toks[j].is_ident("test") {
-                attr_is_test = true;
-            }
-            j += 1;
-        }
-        if !attr_is_test {
-            i = j;
-            continue;
-        }
-        // Skip any further attributes, then find the item body.
-        let mut k = j;
-        while k < toks.len() && toks[k].is_punct('#') && next_is(toks, k, '[') {
-            let mut d = 1;
-            k += 2;
-            while k < toks.len() && d > 0 {
-                if toks[k].is_punct('[') {
-                    d += 1;
-                } else if toks[k].is_punct(']') {
-                    d -= 1;
-                }
-                k += 1;
-            }
-        }
-        // Scan to the item's opening brace (or `;` for bodyless items).
-        let mut body_start = None;
-        while k < toks.len() {
-            if toks[k].is_punct('{') {
-                body_start = Some(k);
-                break;
-            }
-            if toks[k].is_punct(';') {
-                break;
-            }
-            k += 1;
-        }
-        let Some(bs) = body_start else {
-            i = k.max(i + 1);
-            continue;
-        };
-        // Mask from the attribute through the matching close brace.
-        let mut d = 1;
-        let mut e = bs + 1;
-        while e < toks.len() && d > 0 {
-            if toks[e].is_punct('{') {
-                d += 1;
-            } else if toks[e].is_punct('}') {
-                d -= 1;
-            }
-            e += 1;
-        }
-        for m in &mut mask[i..e.min(toks.len())] {
-            *m = true;
-        }
-        i = e;
-    }
-    mask
 }
 
 /// Parses `rfly-lint: allow(rule, ...) -- justification` directives out

@@ -6,9 +6,9 @@
 //!
 //! * **R9 `transitive-panic`** — a `panic!`/`unwrap()`/`expect()` in any
 //!   function reachable from the public API of a supervised crate
-//!   ([`crate::index::ENTRY_CRATES`]). R1 already keeps the entry crates
-//!   locally panic-free at the token level; R9 extends the guarantee
-//!   through everything they call, across crate boundaries. Direct
+//!   ([`crate::index::ENTRY_CRATES`]). Clippy's R1 levels already keep
+//!   the entry crates locally free of `unwrap`/`expect`; R9 extends the
+//!   guarantee through everything they call, across crate boundaries. Direct
 //!   slice/array indexing in a public entry function is reported as an
 //!   advisory [`Severity::Warning`] (bounds are usually provable there,
 //!   but the panic edge exists).
@@ -21,15 +21,15 @@
 //!   `bench.metric("t", stamp())` is caught even when `stamp()` hides
 //!   its `Instant::now()` two calls deep.
 //!
-//! R10 and R12 are intra-procedural and emitted by `fnpass` directly;
-//! everything lands in the same allow/baseline machinery afterwards.
+//! R3, R10 and R12 are intra-procedural and emitted by `fnpass`
+//! directly; everything lands in the same allow gate afterwards.
 
 use crate::index::{PanicKind, WorkspaceIndex};
 use crate::rules::{Finding, Severity};
 
 /// Emits the whole-program findings (R9, inter-procedural R11) for a
 /// fully-built index. Findings are pre-allow: the caller routes them
-/// through the same per-file allow filtering as token findings.
+/// through the same per-file allow filtering as the per-fn findings.
 pub fn whole_program_findings(idx: &WorkspaceIndex) -> Vec<Finding> {
     let mut findings = Vec::new();
 

@@ -1,124 +1,33 @@
-//! Fixture-backed tests for every rule: each rule R1–R8 gets one
-//! violating and one conforming example, linted under a synthetic
-//! workspace-relative path that puts it in the rule's scope. The
-//! allowlist mechanism gets justification and expiry coverage, and the
-//! lint crate's own sources must pass a self-check.
+//! Fixture-backed tests for the per-file rule R3 and the allowlist
+//! (justification and expiry), plus the guard that keeps the clippy
+//! gate's planted packages on the workspace's lint levels.
 
 use std::fs;
 use std::path::Path;
 
-use rfly_lint::{collect_files, lint_source};
+use rfly_lint::lint_source;
 
-fn fixture(rel: &str) -> String {
-    let p = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
-        .join(rel);
+fn read(rel: &str) -> String {
+    let p = Path::new(env!("CARGO_MANIFEST_DIR")).join(rel);
     fs::read_to_string(&p).unwrap_or_else(|e| panic!("read {}: {e}", p.display()))
 }
 
 /// Rule slugs reported when `rel` is linted as if it lived at
 /// `synthetic_path` in the workspace.
 fn rules_hit(synthetic_path: &str, rel: &str) -> Vec<&'static str> {
-    lint_source(synthetic_path, &fixture(rel))
+    lint_source(synthetic_path, &read(&format!("tests/fixtures/{rel}")))
         .into_iter()
         .map(|f| f.rule)
         .collect()
 }
 
 #[test]
-fn r1_no_unwrap() {
-    let hit = rules_hit("crates/core/src/fixture.rs", "no_unwrap/violating.rs");
-    assert!(hit.contains(&"no-unwrap"), "{hit:?}");
-    assert!(rules_hit("crates/core/src/fixture.rs", "no_unwrap/conforming.rs").is_empty());
-}
-
-#[test]
-fn r1_scoped_to_supervised_crates() {
-    // The same unwrap outside the supervised crates is not flagged.
-    assert!(rules_hit("crates/drone/src/fixture.rs", "no_unwrap/violating.rs").is_empty());
-}
-
-#[test]
-fn r1_covers_the_obs_crate() {
-    // rfly-obs probes run inline on every supervised transaction, so
-    // the crate joined the R1 panic-freedom set.
-    let hit = rules_hit("crates/obs/src/fixture.rs", "no_unwrap/violating.rs");
-    assert!(hit.contains(&"no-unwrap"), "{hit:?}");
-    assert!(rules_hit("crates/obs/src/fixture.rs", "no_unwrap/conforming.rs").is_empty());
-}
-
-#[test]
-fn r1_covers_the_scenario_crate() {
-    // rfly-scenario is the declarative front end for everything the
-    // supervised stack flies: a malformed scenario must come back as a
-    // `file:line` diagnostic, never a panic, so it joined the R1 set.
-    let hit = rules_hit("crates/scenario/src/fixture.rs", "no_unwrap/violating.rs");
-    assert!(hit.contains(&"no-unwrap"), "{hit:?}");
-    assert!(rules_hit("crates/scenario/src/fixture.rs", "no_unwrap/conforming.rs").is_empty());
-}
-
-#[test]
-fn r2_no_as_int_cast() {
-    let hit = rules_hit("crates/dsp/src/fixture.rs", "no_as_int_cast/violating.rs");
-    assert!(hit.contains(&"no-as-int-cast"), "{hit:?}");
-    assert!(rules_hit("crates/dsp/src/fixture.rs", "no_as_int_cast/conforming.rs").is_empty());
-    // Off the hot paths the cast is legal.
-    assert!(rules_hit("crates/tag/src/fixture.rs", "no_as_int_cast/violating.rs").is_empty());
-}
-
-#[test]
 fn r3_unit_newtypes() {
     let hit = rules_hit("crates/tag/src/fixture.rs", "unit_newtypes/violating.rs");
-    assert!(hit.contains(&"unit-newtypes"), "{hit:?}");
+    assert_eq!(hit, ["unit-newtypes"]);
     assert!(rules_hit("crates/tag/src/fixture.rs", "unit_newtypes/conforming.rs").is_empty());
-}
-
-#[test]
-fn r4_determinism() {
-    let hit = rules_hit("crates/tag/src/fixture.rs", "determinism/violating.rs");
-    assert!(hit.contains(&"determinism"), "{hit:?}");
-    assert!(rules_hit("crates/tag/src/fixture.rs", "determinism/conforming.rs").is_empty());
-}
-
-#[test]
-fn r5_crate_attrs() {
-    let hit = rules_hit("crates/fixture/src/lib.rs", "crate_attrs/violating.rs");
-    assert_eq!(
-        hit.iter().filter(|r| **r == "crate-attrs").count(),
-        2,
-        "both missing attributes reported: {hit:?}"
-    );
-    assert!(rules_hit("crates/fixture/src/lib.rs", "crate_attrs/conforming.rs").is_empty());
-    // Non-root files are exempt.
-    assert!(rules_hit("crates/fixture/src/other.rs", "crate_attrs/violating.rs").is_empty());
-}
-
-#[test]
-fn r6_no_println() {
-    let hit = rules_hit("crates/tag/src/fixture.rs", "no_println/violating.rs");
-    assert!(hit.contains(&"no-println"), "{hit:?}");
-    assert!(rules_hit("crates/tag/src/fixture.rs", "no_println/conforming.rs").is_empty());
-    // The bench crate's whole purpose is terminal output.
-    assert!(rules_hit("crates/bench/src/fixture.rs", "no_println/violating.rs").is_empty());
-}
-
-#[test]
-fn r7_no_f32() {
-    let hit = rules_hit("crates/channel/src/fixture.rs", "no_f32/violating.rs");
-    assert!(hit.contains(&"no-f32"), "{hit:?}");
-    assert!(rules_hit("crates/channel/src/fixture.rs", "no_f32/conforming.rs").is_empty());
-    // DSP utility code may use f32 (e.g. RNG sample impls).
-    assert!(rules_hit("crates/dsp/src/fixture.rs", "no_f32/violating.rs").is_empty());
-}
-
-#[test]
-fn r8_no_todo() {
-    let hit = rules_hit("crates/tag/src/fixture.rs", "no_todo/violating.rs");
-    assert!(hit.contains(&"no-todo"), "{hit:?}");
-    assert!(rules_hit("crates/tag/src/fixture.rs", "no_todo/conforming.rs").is_empty());
-    // R8 applies even to test-like files.
-    let hit = rules_hit("tests/fixture.rs", "no_todo/violating.rs");
-    assert!(hit.contains(&"no-todo"), "{hit:?}");
+    // Integration tests, benches and examples are out of scope.
+    assert!(rules_hit("crates/tag/tests/fixture.rs", "unit_newtypes/violating.rs").is_empty());
 }
 
 #[test]
@@ -140,27 +49,36 @@ fn stale_allow_expires() {
     assert!(hit.contains(&"stale-allow"), "{hit:?}");
 }
 
+/// The `[name]` table body: every line after the header up to the
+/// next table.
+fn table<'a>(toml: &'a str, name: &str) -> Vec<&'a str> {
+    toml.lines()
+        .skip_while(|l| l.trim() != format!("[{name}]"))
+        .skip(1)
+        .take_while(|l| !l.starts_with('['))
+        .filter(|l| !l.trim().is_empty() && !l.starts_with('#'))
+        .collect()
+}
+
 #[test]
-fn lint_self_check() {
-    // The lint crate must pass its own rules, fixture tree excluded.
-    let crate_dir = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let files = collect_files(crate_dir).expect("walk the lint crate");
-    assert!(!files.is_empty());
-    for f in &files {
-        assert!(
-            !f.to_string_lossy().contains("tests/fixtures/"),
-            "fixture tree must be excluded from scans: {}",
-            f.display()
-        );
-        let rel = format!(
-            "crates/lint/{}",
-            f.strip_prefix(crate_dir)
-                .expect("under the crate dir")
-                .to_string_lossy()
-                .replace('\\', "/")
-        );
-        let src = fs::read_to_string(f).expect("read source");
-        let findings = lint_source(&rel, &src);
-        assert!(findings.is_empty(), "self-check failed: {findings:?}");
+fn clippy_fixtures_carry_the_workspace_lint_levels() {
+    // The planted packages are not workspace members, so they restate
+    // the root manifest's lint tables; a drift would let the clippy
+    // gate's control pass against stale levels.
+    let root = read("../../Cargo.toml");
+    for which in ["violating", "conforming"] {
+        let pkg = read(&format!("tests/fixtures/clippy/{which}/Cargo.toml"));
+        for tool in ["rust", "clippy"] {
+            let want = table(&root, &format!("workspace.lints.{tool}"));
+            assert!(
+                !want.is_empty(),
+                "root manifest lost [workspace.lints.{tool}]"
+            );
+            assert_eq!(
+                table(&pkg, &format!("lints.{tool}")),
+                want,
+                "{which}: lints.{tool}"
+            );
+        }
     }
 }

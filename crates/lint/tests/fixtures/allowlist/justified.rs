@@ -1,7 +1,7 @@
 //! Allowlist fixture: a justified allow suppresses the finding.
 
-/// Returns the first element.
-pub fn first(v: &[u64]) -> u64 {
-    // rfly-lint: allow(no-unwrap) -- fixture: the caller guarantees non-empty input.
-    *v.first().unwrap()
+/// Sets the carrier.
+// rfly-lint: allow(unit-newtypes) -- fixture: a raw-f64 seam kept on purpose.
+pub fn tune(freq_hz: f64) -> f64 {
+    freq_hz
 }

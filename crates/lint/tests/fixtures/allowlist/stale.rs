@@ -1,8 +1,8 @@
 //! Allowlist fixture: an allow that suppresses nothing has expired and
 //! must be removed.
 
-/// Adds one.
-pub fn add_one(x: u64) -> u64 {
-    // rfly-lint: allow(no-unwrap) -- fixture: nothing here panics anymore.
-    x + 1
+/// Sets the carrier.
+// rfly-lint: allow(unit-newtypes) -- fixture: the parameter is typed now.
+pub fn tune(freq: Hertz) -> Hertz {
+    freq
 }

@@ -1,8 +1,8 @@
 //! Allowlist fixture: an allow without a justification is itself a
 //! violation.
 
-/// Returns the first element.
-pub fn first(v: &[u64]) -> u64 {
-    // rfly-lint: allow(no-unwrap)
-    *v.first().unwrap()
+/// Sets the carrier.
+// rfly-lint: allow(unit-newtypes)
+pub fn tune(freq_hz: f64) -> f64 {
+    freq_hz
 }

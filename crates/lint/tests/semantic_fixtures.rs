@@ -7,8 +7,7 @@
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
-use rfly_lint::lint_workspace;
-use rfly_lint::rules::Severity;
+use rfly_lint::{lint_workspace, Severity};
 
 fn tree(which: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -18,7 +17,9 @@ fn tree(which: &str) -> PathBuf {
 
 #[test]
 fn violating_tree_trips_every_semantic_rule() {
-    let findings = lint_workspace(&tree("violating")).expect("lint fixture tree");
+    let findings = lint_workspace(&tree("violating"))
+        .expect("lint fixture tree")
+        .findings;
     let errors: BTreeSet<&str> = findings
         .iter()
         .filter(|f| f.severity == Severity::Error)
@@ -36,7 +37,9 @@ fn violating_tree_trips_every_semantic_rule() {
 
 #[test]
 fn violating_tree_anchors_r9_at_the_panic_site() {
-    let findings = lint_workspace(&tree("violating")).expect("lint fixture tree");
+    let findings = lint_workspace(&tree("violating"))
+        .expect("lint fixture tree")
+        .findings;
     let r9 = findings
         .iter()
         .find(|f| f.rule == "transitive-panic" && f.severity == Severity::Error)
@@ -47,7 +50,9 @@ fn violating_tree_anchors_r9_at_the_panic_site() {
 
 #[test]
 fn conforming_tree_is_clean() {
-    let findings = lint_workspace(&tree("conforming")).expect("lint fixture tree");
+    let findings = lint_workspace(&tree("conforming"))
+        .expect("lint fixture tree")
+        .findings;
     let errors: Vec<_> = findings
         .iter()
         .filter(|f| f.severity == Severity::Error)

@@ -1,4 +1,3 @@
-#![deny(missing_docs)]
 //! # rfly-obs — structured, replay-safe mission instrumentation
 //!
 //! A zero-dependency event sink for the layered medium stack: spans,
@@ -33,8 +32,12 @@
 //! * [`record`] — the recorder, events, counters, histograms, spans.
 //! * [`report`] — the text/JSON exporter writing `results/obs/` files.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 
 pub mod record;
 pub mod report;

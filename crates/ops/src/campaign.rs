@@ -25,7 +25,7 @@ use rfly_fleet::inventory::seeded_mission;
 use rfly_fleet::partition::partition;
 use rfly_protocol::epc::Epc;
 use rfly_reader::inventory::InventoryController;
-use rfly_sim::fleet::FleetMedium;
+use rfly_sim::medium::WorldMedium;
 use rfly_sim::scene::Scene;
 use rfly_sim::world::PhasorWorld;
 
@@ -279,7 +279,7 @@ impl<'s> CampaignRun<'s> {
                     self.world.config.clone(),
                     StdRng::seed_from_u64(cfg.seed ^ (((tick as u64) << 8) | cell as u64)),
                 );
-                let mut medium = FleetMedium::fleet(&mut self.world, fleet.clone(), cell);
+                let mut medium = WorldMedium::fleet(&mut self.world, fleet.clone(), cell);
                 let reads = controller.run_until_quiet(&mut medium, cfg.max_rounds);
                 for read in &reads {
                     if read.epc != PhasorWorld::embedded_epc() {

@@ -30,8 +30,12 @@
 //! Everything is a pure function of its seed and configuration — the
 //! same determinism contract the rest of the workspace holds.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 
 pub mod campaign;
 pub mod energy;

@@ -112,7 +112,7 @@ mod tests {
 
     #[test]
     fn from_index_is_injective_for_small_indices() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..1000 {
             assert!(seen.insert(Epc::from_index(i)), "duplicate at {i}");
         }

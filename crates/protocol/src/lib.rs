@@ -1,4 +1,3 @@
-#![deny(missing_docs)]
 //! # rfly-protocol — the EPC Class-1 Generation-2 air protocol
 //!
 //! RFly's relay is *transparent to the RFID protocol* (§1 of the paper):
@@ -23,8 +22,7 @@
 //! All of it is pure logic over bits and samples; RF physics lives in
 //! `rfly-channel`, `rfly-tag` and `rfly-reader`.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod bits;
 pub mod commands;

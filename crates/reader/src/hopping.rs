@@ -127,7 +127,7 @@ mod tests {
     #[test]
     fn hop_cycles_through_all_channels() {
         let mut s = HopSequence::new(7, Seconds(0.4));
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         seen.insert(s.current().as_hz() as u64);
         for _ in 0..49 {
             seen.insert(s.hop().as_hz() as u64);

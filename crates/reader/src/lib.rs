@@ -1,4 +1,3 @@
-#![deny(missing_docs)]
 //! # rfly-reader — a software-defined EPC Gen2 RFID reader
 //!
 //! The paper implements its reader on USRP N210s, adapting the
@@ -20,8 +19,7 @@
 //!   journal taps) are [`medium::MediumLayer`]s stacked with
 //!   [`medium::MediumExt::layer`] over one shared propagation core.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod config;
 pub mod decoder;

@@ -1,4 +1,3 @@
-#![deny(missing_docs)]
 //! # rfly-replay
 //!
 //! Deterministic record/replay and failure triage for supervised RFly
@@ -36,8 +35,12 @@
 //!   trait and [`store::recover_stored`] resumes a mission killed at any
 //!   storage operation bit-identically.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 
 pub mod checkpoint;
 pub mod divergence;

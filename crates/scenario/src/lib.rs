@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 //! Declarative scenarios for the RFly simulator.
 //!
 //! A scenario file is a small TOML-shaped document describing a whole
@@ -27,6 +25,13 @@
 //!
 //! [`emit`] closes the loop: any spec can be re-serialized to canonical
 //! scenario text such that `parse(emit(spec)) == spec`.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 
 use std::fmt;
 

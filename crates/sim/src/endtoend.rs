@@ -114,7 +114,10 @@ impl ScenarioBuilder {
     ///
     /// Panics if no trajectory was provided or no tag placed.
     pub fn build(self) -> Scenario {
-        // rfly-lint: allow(no-unwrap) -- documented builder contract: build() panics without a flight path.
+        #[expect(
+            clippy::expect_used,
+            reason = "documented builder contract: build() panics without a flight path"
+        )]
         let trajectory = self.trajectory.expect("a scenario needs a flight path");
         assert!(
             !self.tag_positions.is_empty(),

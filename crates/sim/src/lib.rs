@@ -1,4 +1,3 @@
-#![deny(missing_docs)]
 //! # rfly-sim — end-to-end RFly system simulation
 //!
 //! Glues every substrate into runnable experiments: warehouse [`scene`]s,
@@ -11,13 +10,16 @@
 //! [`experiment`] runner, [`metrics`], and tabular [`report`] output for
 //! the per-figure benchmark binaries.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 
 pub mod coverage;
 pub mod endtoend;
 pub mod experiment;
-pub mod fleet;
 pub mod medium;
 pub mod metrics;
 pub mod motion;
@@ -29,8 +31,7 @@ pub mod throughput;
 pub mod world;
 
 pub use endtoend::{Scenario, ScenarioBuilder, ScenarioOutcome};
-pub use fleet::{FleetMedium, FleetRelay};
-pub use medium::{FleetRf, WorldMedium};
+pub use medium::{FleetRelay, FleetRf, WorldMedium};
 pub use pool::{global_workers, set_global_workers, Pool, PoolError};
 pub use scene::Scene;
 pub use world::PhasorWorld;

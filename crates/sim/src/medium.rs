@@ -117,7 +117,9 @@ struct RelayLink {
     /// Per-tag cache: fleet-summed incident power and the serving
     /// relay's one-way tag channel.
     tag_rf: Vec<(Dbm, Complex)>,
-    /// Cached fleet leakage into the serving uplink, linear mW.
+    /// Fleet leakage into the serving uplink, linear mW: folded into
+    /// `denom`, kept for the full-scan reference in the tests.
+    #[cfg(test)]
     leakage_mw: f64,
     /// The serving relay's effective downlink gain after the PA cap.
     g_dl_eff: Db,
@@ -172,13 +174,13 @@ fn fleet_eirps(world: &PhasorWorld, relays: &[FleetRelay], h1: &[Complex]) -> Ve
 
 /// Interference power reaching the reader through the serving relay's
 /// uplink from every other relay's downlink carrier, attenuated by the
-/// chain filters' Δf rejection. Linear milliwatts.
+/// chain filters' Δf rejection across [`FLEET_PASSBAND`]. Linear
+/// milliwatts.
 fn fleet_leakage_mw(
     world: &PhasorWorld,
     relays: &[FleetRelay],
     h1: &[Complex],
     serving: usize,
-    passband: Hertz,
 ) -> f64 {
     let s = serving;
     let sm = &relays[s].model;
@@ -192,7 +194,7 @@ fn fleet_leakage_mw(
             + Db::from_linear(coupling.norm_sq())
             + sm.antenna_gain
             + sm.gains.uplink
-            - offset_rejection(offset, passband)
+            - offset_rejection(offset, FLEET_PASSBAND)
             + reader_side;
         leak.milliwatts()
     }))
@@ -261,6 +263,7 @@ impl RelayLink {
             serving,
             h1,
             tag_rf,
+            #[cfg(test)]
             leakage_mw,
             uplink: Vec::new(),
         };
@@ -372,7 +375,7 @@ impl FleetRf {
             })
         };
         let leakage_mw = (0..relays.len())
-            .map(|s| fleet_leakage_mw(world, &relays, &h1, s, FLEET_PASSBAND))
+            .map(|s| fleet_leakage_mw(world, &relays, &h1, s))
             .collect();
         let (incident, h2) = rows.into_iter().unzip();
         Self {
@@ -591,7 +594,7 @@ impl<'a> WorldMedium<'a> {
         let eirps = fleet_eirps(world, &relays, &h1);
         let positions: Vec<Point2> = world.tags.tags().iter().map(|t| t.position()).collect();
         let tag_rf = trace_tag_rf(world, &relays, &eirps, serving, &positions);
-        let leakage_mw = fleet_leakage_mw(world, &relays, &h1, serving, FLEET_PASSBAND);
+        let leakage_mw = fleet_leakage_mw(world, &relays, &h1, serving);
         let link = RelayLink::new(world, relays, serving, h1, tag_rf, leakage_mw);
         Self::with_link(world, Link::Relayed(link))
     }
@@ -632,19 +635,6 @@ impl<'a> WorldMedium<'a> {
     pub fn probe_stability(world: &PhasorWorld, relay: &FleetRelay) -> bool {
         let h1 = world.one_way(world.reader_pos, relay.pos, relay.model.f1);
         stability_probe(relay, h1)
-    }
-
-    /// Overrides the filter passband used for Δf rejection (no effect
-    /// on a direct link). Incident power does not depend on it, so the
-    /// tag visit lists stay valid.
-    pub fn with_passband(mut self, passband: Hertz) -> Self {
-        if let Link::Relayed(link) = &mut self.link {
-            link.leakage_mw =
-                fleet_leakage_mw(self.world, &link.relays, &link.h1, link.serving, passband);
-            link.denom = noise_plus_leakage(self.world, link.leakage_mw);
-            link.uplink = link.uplink_rows(self.world);
-        }
-        self
     }
 
     /// The serving relay, if this is a relayed link.
@@ -800,7 +790,7 @@ mod tests {
     use rfly_protocol::session::{InventoriedFlag, SelFilter, Session};
     use rfly_protocol::timing::{DivideRatio, TagEncoding};
     use rfly_reader::config::ReaderConfig;
-    use rfly_reader::inventory::InventoryController;
+    use rfly_reader::inventory::{InventoryController, TagRead};
     use rfly_tag::population::TagPopulation;
 
     fn world_with_tags(n_tags: usize, seed: u64) -> PhasorWorld {
@@ -1348,5 +1338,118 @@ mod tests {
         let mut unstable = WorldMedium::fleet(&mut far, fleet_of_three(), 0);
         assert!(unstable.transact(&Command::Nak).is_empty());
         assert!(!unstable.visits.scanned);
+    }
+
+    fn world_with_tag(tag_pos: Point2, seed: u64) -> PhasorWorld {
+        let mut tags = TagPopulation::new();
+        tags.add(
+            PassiveTag::new(Epc::from_index(1), 7, tag_pos),
+            "test".into(),
+        );
+        PhasorWorld::new(
+            Environment::free_space(),
+            Point2::ORIGIN,
+            ReaderConfig::usrp_default(),
+            tags,
+            RelayModel::prototype(Hertz::mhz(915.0)),
+            seed,
+        )
+    }
+
+    fn member(f1_mhz: f64, shift_mhz: f64, pos: Point2) -> FleetRelay {
+        let mut model = RelayModel::prototype(Hertz::mhz(f1_mhz));
+        model.f2 = model.f1 + Hertz::mhz(shift_mhz);
+        FleetRelay { model, pos }
+    }
+
+    fn inventory(medium: &mut dyn Medium, seed: u64) -> Vec<TagRead> {
+        let mut c =
+            InventoryController::new(ReaderConfig::usrp_default(), StdRng::seed_from_u64(seed));
+        c.run_until_quiet(medium, 10)
+    }
+
+    #[test]
+    fn single_relay_fleet_behaves_like_relayed_medium() {
+        let mut w = world_with_tag(Point2::new(50.0, 0.0), 3);
+        let fleet = vec![member(915.0, 1.0, Point2::new(48.0, 0.0))];
+        let reads = inventory(&mut WorldMedium::fleet(&mut w, fleet, 0), 3);
+        assert!(reads.iter().any(|r| r.epc == Epc::from_index(1)));
+        assert!(reads.iter().any(|r| r.epc == PhasorWorld::embedded_epc()));
+    }
+
+    #[test]
+    fn co_channel_neighbor_jams_the_serving_uplink() {
+        let mut w = world_with_tag(Point2::new(50.0, 0.0), 4);
+        // Both relays on the same f1/f2: zero Δf rejection.
+        let fleet = vec![
+            member(915.0, 1.0, Point2::new(48.0, 0.0)),
+            member(915.0, 1.0, Point2::new(48.0, 8.0)),
+        ];
+        let reads = inventory(&mut WorldMedium::fleet(&mut w, fleet, 0), 4);
+        assert!(
+            !reads.iter().any(|r| r.epc == Epc::from_index(1)),
+            "co-channel interference should bury the tag reply"
+        );
+    }
+
+    #[test]
+    fn offset_neighbor_is_rejected_by_the_chain_filters() {
+        let mut w = world_with_tag(Point2::new(50.0, 0.0), 4);
+        // Same geometry as the jamming case, but 5 MHz apart.
+        let fleet = vec![
+            member(915.0, 1.0, Point2::new(48.0, 0.0)),
+            member(920.0, 1.0, Point2::new(48.0, 8.0)),
+        ];
+        let reads = inventory(&mut WorldMedium::fleet(&mut w, fleet, 0), 4);
+        assert!(
+            reads.iter().any(|r| r.epc == Epc::from_index(1)),
+            "Δf-offset neighbor should be filtered out"
+        );
+    }
+
+    #[test]
+    fn fleet_raises_incident_power_incoherently() {
+        let mut w = world_with_tag(Point2::new(50.0, 0.0), 5);
+        let near = Point2::new(46.0, 0.0);
+        let one = vec![member(915.0, 1.0, near)];
+        let solo = WorldMedium::fleet(&mut w, one, 0).incident_at(Point2::new(50.0, 0.0));
+        // A second relay the same distance away on another channel
+        // doubles the incident power: +3 dB, no fading risk.
+        let two = vec![
+            member(915.0, 1.0, near),
+            member(920.0, 1.0, Point2::new(54.0, 0.0)),
+        ];
+        let duo = WorldMedium::fleet(&mut w, two, 0).incident_at(Point2::new(50.0, 0.0));
+        let gain = (duo - solo).value();
+        assert!((gain - 3.01).abs() < 0.1, "incoherent +3 dB, got {gain}");
+    }
+
+    #[test]
+    fn co_channel_fleet_can_fade_destructively() {
+        // Two co-channel relays with a λ/2 path difference cancel at the
+        // tag — the blind-spot hazard that distinct f₂ avoids.
+        let mut w = world_with_tag(Point2::new(50.0, 0.0), 6);
+        let f2 = Hertz::mhz(916.0);
+        let lambda = f2.wavelength();
+        let tag = Point2::new(50.0, 0.0);
+        let a = Point2::new(46.0, 0.0);
+        let b = Point2::new(54.0 + lambda / 2.0, 0.0);
+        let co = vec![member(915.0, 1.0, a), member(915.0, 1.0, b)];
+        let faded = WorldMedium::fleet(&mut w, co.clone(), 0).incident_at(tag);
+        let offset = vec![member(915.0, 1.0, a), member(920.0, 1.0, b)];
+        let summed = WorldMedium::fleet(&mut w, offset, 0).incident_at(tag);
+        assert!(
+            summed.value() > faded.value() + 1.0,
+            "coherent pair {faded} should fade below incoherent pair {summed}"
+        );
+    }
+
+    #[test]
+    fn unstable_serving_relay_is_silent() {
+        let mut w = world_with_tag(Point2::new(400.0, 0.0), 7);
+        let fleet = vec![member(915.0, 1.0, Point2::new(399.0, 0.0))];
+        let mut m = WorldMedium::fleet(&mut w, fleet, 0);
+        assert!(!m.stable());
+        assert!(m.transact(&Command::Nak).is_empty());
     }
 }

@@ -118,10 +118,14 @@ impl Table {
     }
 
     /// Prints the table to stdout, optionally followed by CSV.
+    #[expect(
+        clippy::print_stdout,
+        reason = "the CLI rendering seam the bench binaries call"
+    )]
     pub fn print(&self, with_csv: bool) {
-        println!("{}", self.render()); // rfly-lint: allow(no-println) -- the CLI rendering seam the bench binaries call.
+        println!("{}", self.render());
         if with_csv {
-            println!("--- CSV ---\n{}", self.to_csv()); // rfly-lint: allow(no-println) -- the CLI rendering seam the bench binaries call.
+            println!("--- CSV ---\n{}", self.to_csv());
         }
     }
 }

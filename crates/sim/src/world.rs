@@ -33,14 +33,6 @@ use rfly_tag::population::TagPopulation;
 
 use crate::medium::WorldMedium;
 
-/// Reader ↔ relay ↔ tags: the single-relay view of [`WorldMedium`]
-/// (kept as a name for the paper's §4 terminology).
-pub type RelayedMedium<'a> = WorldMedium<'a>;
-
-/// Reader ↔ tags directly (no relay): the baseline view of
-/// [`WorldMedium`].
-pub type DirectMedium<'a> = WorldMedium<'a>;
-
 /// Phasor-level parameters of the relay build flown in a scenario.
 #[derive(Debug, Clone)]
 pub struct RelayModel {
@@ -246,12 +238,12 @@ impl PhasorWorld {
 
     /// A medium with the relay hovering at `relay_pos` (a fleet of
     /// one over the shared propagation core).
-    pub fn relayed_medium(&mut self, relay_pos: Point2) -> RelayedMedium<'_> {
+    pub fn relayed_medium(&mut self, relay_pos: Point2) -> WorldMedium<'_> {
         WorldMedium::relayed(self, relay_pos)
     }
 
     /// A medium with no relay (the baseline).
-    pub fn direct_medium(&mut self) -> DirectMedium<'_> {
+    pub fn direct_medium(&mut self) -> WorldMedium<'_> {
         WorldMedium::direct(self)
     }
 }

@@ -1,4 +1,3 @@
-#![deny(missing_docs)]
 //! # rfly-tag — passive RFID tag physics
 //!
 //! Wraps the pure protocol engine of `rfly-protocol` in the physics that
@@ -13,8 +12,7 @@
 //! (limiting the downlink to a few meters), while its reply is limited
 //! only by the receiver's sensitivity.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod backscatter;
 pub mod harvester;

@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 //! # RFly — drone relays for battery-free networks
 //!
 //! A complete Rust reproduction of *"Drone Relays for Battery-Free
@@ -64,6 +62,13 @@
 //! let est = outcome.localization().expect("tag localized");
 //! assert!(est.error_m < 0.5);
 //! ```
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 
 pub mod error;
 
