@@ -35,7 +35,7 @@ use rfly_fleet::inventory::mission_world;
 use rfly_fleet::{assign, partition};
 use rfly_reader::inventory::{InventoryController, TagRead};
 use rfly_reader::medium::MediumExt;
-use rfly_sim::medium::{FleetRelay, WorldMedium};
+use rfly_sim::medium::{FleetRelay, FleetRf, WorldMedium};
 use rfly_sim::scene::Scene;
 use rfly_sim::world::{PhasorWorld, RelayModel};
 
@@ -73,13 +73,15 @@ enum Stack {
     Faulted,
 }
 
-/// `STOPS` full inventory stops through `stack`; returns every read.
+/// `STOPS` full inventory stops through `stack`, all served from one RF
+/// plan (nothing moves between stops); returns every read.
 fn run(world: &mut PhasorWorld, fleet: &[FleetRelay], stack: Stack) -> Vec<TagRead> {
+    let rf = FleetRf::trace(world, fleet.to_vec());
     let mut reads = Vec::new();
     for stop in 0..STOPS {
         let seed = SEED ^ stop as u64;
         let mut ctrl = InventoryController::new(world.config.clone(), StdRng::seed_from_u64(seed));
-        let mut medium = WorldMedium::fleet(world, fleet.to_vec(), stop % fleet.len());
+        let mut medium = WorldMedium::fleet_planned(world, &rf, stop % fleet.len());
         reads.extend(match stack {
             Stack::Bare => ctrl.run_until_quiet(&mut medium, ROUNDS_PER_STOP),
             Stack::Inactive => {

@@ -15,6 +15,7 @@ use rfly_dsp::units::Db;
 use rfly_protocol::epc::Epc;
 use rfly_reader::config::ReaderConfig;
 use rfly_reader::inventory::InventoryController;
+use rfly_sim::medium::WorldMedium;
 use rfly_sim::world::{PhasorWorld, RelayModel};
 use rfly_tag::population::TagPopulation;
 use rfly_tag::tag::PassiveTag;
@@ -60,13 +61,13 @@ fn trial(mode: Mode, distance: f64, seed: u64, rng: &mut rfly_dsp::rng::StdRng) 
     let mut controller =
         InventoryController::new(config, rfly_dsp::rng::StdRng::seed_from_u64(seed ^ 0xF11));
     let reads = match mode {
-        Mode::NoRelay => controller.run_until_quiet(&mut world.direct_medium(), 4),
+        Mode::NoRelay => controller.run_until_quiet(&mut WorldMedium::direct(&mut world), 4),
         Mode::RelayLos | Mode::RelayNlos => {
             // The drone hovers ~2 m from the tag, at a slightly random
             // offset per trial.
             let relay_pos =
                 tag_pos + uniform_point(rng, Point2::new(-2.4, -0.4), Point2::new(-1.6, 0.4));
-            controller.run_until_quiet(&mut world.relayed_medium(relay_pos), 4)
+            controller.run_until_quiet(&mut WorldMedium::relayed(&mut world, relay_pos), 4)
         }
     };
     reads.iter().any(|r| r.epc == Epc::from_index(0))

@@ -15,6 +15,7 @@ use std::path::PathBuf;
 use rfly_channel::geometry::Point2;
 use rfly_dsp::rng::{Rng, StdRng};
 use rfly_dsp::units::Meters;
+use rfly_obs::report::{json_f64, json_str};
 use rfly_sim::experiment::seed_from_args;
 use rfly_sim::report::Table;
 use rfly_sim::scene::Scene;
@@ -199,34 +200,6 @@ impl Bench {
         }
         agg.push_str("\n  }\n}\n");
         std::fs::write(self.out_dir.join("BENCH_report.json"), agg)
-    }
-}
-
-/// JSON string literal with escaping.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// JSON float: shortest round-trip for finite values, quoted otherwise.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        format!("\"{v}\"")
     }
 }
 

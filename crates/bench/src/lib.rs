@@ -22,10 +22,10 @@ use rfly_core::loc::trajectory::Trajectory;
 use rfly_dsp::units::{Hertz, Meters};
 use rfly_dsp::Complex;
 use rfly_reader::config::ReaderConfig;
+use rfly_sim::medium::WorldMedium;
 use rfly_sim::world::{PhasorWorld, RelayModel};
 
 pub mod harness;
-pub mod micro;
 
 /// Re-export shim (keeps binary imports short).
 pub mod prelude {
@@ -70,7 +70,7 @@ pub fn localization_trial(
             config.clone(),
             rfly_dsp::rng::StdRng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9E37)),
         );
-        let mut medium = world.relayed_medium(*pos);
+        let mut medium = WorldMedium::relayed(&mut world, *pos);
         for read in controller.run_until_quiet(&mut medium, 6) {
             if read.epc == PhasorWorld::embedded_epc() {
                 emb_track[i] = Some(read.channel);

@@ -1,4 +1,4 @@
-//! 2D/3D points, vectors and segment geometry.
+//! 2D points, vectors and segment geometry.
 //!
 //! The localization algorithm is geometric at its core: Eq. 12 of the
 //! paper evaluates `√((x−xl)² + (y−yl)²)` for every grid point against
@@ -10,8 +10,7 @@ use std::fmt;
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
 /// A point (or vector) in the 2D plane. The paper's evaluation localizes
-/// tags in 2D (§7.2, tags placed on the ground), so 2D is the primary
-/// representation; [`Point3`] exists for the 3D extension.
+/// tags in 2D (§7.2, tags placed on the ground).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point2 {
     /// X coordinate, meters.
@@ -69,11 +68,6 @@ impl Point2 {
         self + (other - self) * t
     }
 
-    /// Lifts to 3D at height `z`.
-    pub fn with_z(self, z: f64) -> Point3 {
-        Point3::new(self.x, self.y, z)
-    }
-
     /// The perpendicular vector (rotated +90°).
     pub fn perp(self) -> Point2 {
         Point2::new(-self.y, self.x)
@@ -118,78 +112,6 @@ impl Neg for Point2 {
 impl fmt::Display for Point2 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "({:.3}, {:.3})", self.x, self.y)
-    }
-}
-
-/// A point (or vector) in 3D space, meters.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Point3 {
-    /// X coordinate, meters.
-    pub x: f64,
-    /// Y coordinate, meters.
-    pub y: f64,
-    /// Z coordinate (height), meters.
-    pub z: f64,
-}
-
-impl Point3 {
-    /// The origin.
-    pub const ORIGIN: Point3 = Point3 {
-        x: 0.0,
-        y: 0.0,
-        z: 0.0,
-    };
-
-    /// Creates a point.
-    pub const fn new(x: f64, y: f64, z: f64) -> Self {
-        Self { x, y, z }
-    }
-
-    /// Euclidean distance to another point.
-    pub fn distance(self, other: Point3) -> f64 {
-        (self - other).norm()
-    }
-
-    /// Vector norm.
-    pub fn norm(self) -> f64 {
-        (self.x * self.x + self.y * self.y + self.z * self.z).sqrt()
-    }
-
-    /// Dot product.
-    pub fn dot(self, other: Point3) -> f64 {
-        self.x * other.x + self.y * other.y + self.z * other.z
-    }
-
-    /// Projects onto the XY plane.
-    pub fn xy(self) -> Point2 {
-        Point2::new(self.x, self.y)
-    }
-}
-
-impl Add for Point3 {
-    type Output = Point3;
-    fn add(self, rhs: Point3) -> Point3 {
-        Point3::new(self.x + rhs.x, self.y + rhs.y, self.z + rhs.z)
-    }
-}
-
-impl Sub for Point3 {
-    type Output = Point3;
-    fn sub(self, rhs: Point3) -> Point3 {
-        Point3::new(self.x - rhs.x, self.y - rhs.y, self.z - rhs.z)
-    }
-}
-
-impl Mul<f64> for Point3 {
-    type Output = Point3;
-    fn mul(self, k: f64) -> Point3 {
-        Point3::new(self.x * k, self.y * k, self.z * k)
-    }
-}
-
-impl fmt::Display for Point3 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "({:.3}, {:.3}, {:.3})", self.x, self.y, self.z)
     }
 }
 
@@ -284,9 +206,6 @@ mod tests {
         assert!(close(p.norm(), 5.0));
         assert!(close(p.norm_sq(), 25.0));
         assert!(close(Point2::ORIGIN.distance(p), 5.0));
-        let q = Point3::new(1.0, 2.0, 2.0);
-        assert!(close(q.norm(), 3.0));
-        assert!(close(Point3::ORIGIN.distance(q), 3.0));
     }
 
     #[test]
@@ -308,13 +227,6 @@ mod tests {
         assert_eq!(Point2::ORIGIN.normalize(), Point2::ORIGIN);
         let m = Point2::new(0.0, 0.0).lerp(Point2::new(2.0, 4.0), 0.25);
         assert_eq!(m, Point2::new(0.5, 1.0));
-    }
-
-    #[test]
-    fn lift_and_project() {
-        let p = Point2::new(1.0, 2.0).with_z(3.0);
-        assert_eq!(p, Point3::new(1.0, 2.0, 3.0));
-        assert_eq!(p.xy(), Point2::new(1.0, 2.0));
     }
 
     #[test]
@@ -370,9 +282,5 @@ mod tests {
     #[test]
     fn display_formatting() {
         assert_eq!(format!("{}", Point2::new(1.0, -2.5)), "(1.000, -2.500)");
-        assert_eq!(
-            format!("{}", Point3::new(0.0, 1.0, 2.0)),
-            "(0.000, 1.000, 2.000)"
-        );
     }
 }

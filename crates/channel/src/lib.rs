@@ -23,5 +23,5 @@ pub mod link;
 pub mod pathloss;
 pub mod phasor;
 
-pub use geometry::{Point2, Point3};
+pub use geometry::Point2;
 pub use phasor::{Path, PathSet};

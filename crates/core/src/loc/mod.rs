@@ -6,13 +6,11 @@
 //! (Eq. 10) → [`sar`] projects the isolated channels onto a 2D grid
 //! (Eq. 11–12) → [`peaks`] picks the candidate nearest the trajectory
 //! to reject multipath ghosts (§5.2). [`rssi`] provides the RSSI
-//! baseline the paper compares against in Figs. 13–14, and [`loc3d`]
-//! the 3D extension sketched in §5.2.
+//! baseline the paper compares against in Figs. 13–14.
 
 pub mod disentangle;
 pub mod error;
 pub mod heatmap;
-pub mod loc3d;
 pub mod multires;
 pub mod peaks;
 pub mod rssi;

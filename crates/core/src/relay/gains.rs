@@ -31,7 +31,7 @@ impl GainPlan {
 }
 
 /// The isolation figures the allocator works against.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IsolationBudget {
     /// Intra-downlink isolation (Fig. 9c).
     pub intra_downlink: Db,

@@ -438,10 +438,7 @@ impl MissionState {
             // drift eats stability_isolation directly, and no Δf
             // re-tune can fix a self-loop — the only cure is
             // re-programming the VGA chain back to its allocation.
-            if sup.is_some()
-                && self.health[relay].gain_drift_db > 0.0
-                && !WorldMedium::probe_stability(world, &fleet[s_idx])
-            {
+            if sup.is_some() && self.health[relay].gain_drift_db > 0.0 && !rf.stable(s_idx) {
                 let base = RelayModel::from_budget(self.f1[relay], self.shift[relay], &env.budget);
                 let pristine = FleetRelay {
                     model: base,

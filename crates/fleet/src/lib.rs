@@ -14,8 +14,8 @@
 //!   gate extended with an external-interferer term
 //!   ([`rfly_core::relay::gains::is_stable_with_interferers`]).
 //! * **Deduplicated inventory** ([`inventory`]) — run the unmodified
-//!   reader stack against [`rfly_sim::medium::WorldMedium::fleet`] through
-//!   each relay in turn and merge the per-relay observation streams
+//!   reader stack against [`rfly_sim::medium::WorldMedium::fleet_planned`]
+//!   through each relay in turn and merge the per-relay observation streams
 //!   into one global EPC inventory with first-seen/last-seen and
 //!   handoff bookkeeping. [`report`] renders the fleet tables.
 

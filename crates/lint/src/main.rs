@@ -114,6 +114,9 @@ fn render_json(findings: &[Finding]) -> String {
     out
 }
 
+/// `s` as a JSON string literal. A copy of `rfly_obs::report::json_str`:
+/// `rfly-lint` has no dependencies, so it is the one documented
+/// exception to the single shared JSON writer.
 fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');

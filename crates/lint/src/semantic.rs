@@ -177,7 +177,7 @@ mod tests {
     #[test]
     fn wallclock_metric_is_reported_locally() {
         let findings = run(&[(
-            "crates/bench/src/micro.rs",
+            "crates/bench/src/harness.rs",
             "pub fn run(bench: &mut Bench) {\n\
                  let t0 = Instant::now();\n\
                  let dt = t0.elapsed().as_secs_f64();\n\
@@ -195,7 +195,7 @@ mod tests {
     #[test]
     fn taint_through_a_returning_call_is_reported() {
         let findings = run(&[(
-            "crates/bench/src/micro.rs",
+            "crates/bench/src/harness.rs",
             "fn stamp() -> f64 {\n\
                  Instant::now().elapsed().as_secs_f64()\n\
              }\n\
@@ -218,7 +218,7 @@ mod tests {
     #[test]
     fn clean_metric_produces_no_findings() {
         let findings = run(&[(
-            "crates/bench/src/micro.rs",
+            "crates/bench/src/harness.rs",
             "pub fn run(bench: &mut Bench, samples: &[f64]) {\n\
                  let total: f64 = samples.iter().sum();\n\
                  bench.metric(\"total\", total);\n\

@@ -137,8 +137,11 @@ impl<'a> Report<'a> {
     }
 }
 
-/// JSON string literal with escaping.
-fn json_str(s: &str) -> String {
+/// `s` as a JSON string literal: quotes, backslashes and control
+/// characters escaped, everything else passed through as UTF-8. The
+/// workspace's one JSON string writer (the dependency-free `rfly-lint`
+/// binary keeps its own copy).
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -156,9 +159,9 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// JSON float: shortest round-trip for finite values, quoted otherwise
-/// (JSON has no inf/nan literals).
-fn json_f64(v: f64) -> String {
+/// `v` as a JSON value: the shortest round-trip decimal for finite
+/// values, a quoted string otherwise (JSON has no inf/nan literals).
+pub fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {

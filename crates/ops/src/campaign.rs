@@ -25,7 +25,7 @@ use rfly_fleet::inventory::seeded_mission;
 use rfly_fleet::partition::partition;
 use rfly_protocol::epc::Epc;
 use rfly_reader::inventory::InventoryController;
-use rfly_sim::medium::WorldMedium;
+use rfly_sim::medium::{FleetRf, WorldMedium};
 use rfly_sim::scene::Scene;
 use rfly_sim::world::PhasorWorld;
 
@@ -270,16 +270,17 @@ impl<'s> CampaignRun<'s> {
         };
 
         // 1. Inventory stops: each serving relay keys the fleet medium
-        // by its *cell* (the channel plan is sized per cell).
+        // by its *cell* (the channel plan is sized per cell). One RF
+        // plan serves every cell: nothing moves between stops.
         let mut reads_by_relay = vec![0usize; cfg.n_relays];
         if tick.is_multiple_of(cfg.inventory_every) {
-            let fleet = self.plan.fleet(&self.budget, &self.hover);
+            let rf = FleetRf::trace(&self.world, self.plan.fleet(&self.budget, &self.hover));
             for (relay, cell) in self.roster.serving() {
                 let mut controller = InventoryController::new(
                     self.world.config.clone(),
                     StdRng::seed_from_u64(cfg.seed ^ (((tick as u64) << 8) | cell as u64)),
                 );
-                let mut medium = WorldMedium::fleet(&mut self.world, fleet.clone(), cell);
+                let mut medium = WorldMedium::fleet_planned(&mut self.world, &rf, cell);
                 let reads = controller.run_until_quiet(&mut medium, cfg.max_rounds);
                 for read in &reads {
                     if read.epc != PhasorWorld::embedded_epc() {

@@ -123,13 +123,8 @@ pub fn compile(spec: &ScenarioSpec) -> Result<CompiledScenario, CompileError> {
     let part = partition(&scene, n, limits)
         .map_err(|e| CompileError(format!("partition failed: {e:?}")))?;
     let hover: Vec<Point2> = part.cells.iter().map(|c| c.center()).collect();
-    let mut plan = assign(
-        &hover,
-        &spec.budget.to_budget(),
-        spec.mission.margin,
-        spec.seed,
-    )
-    .map_err(|e| CompileError(format!("channel assignment failed: {e:?}")))?;
+    let mut plan = assign(&hover, &spec.budget, spec.mission.margin, spec.seed)
+        .map_err(|e| CompileError(format!("channel assignment failed: {e:?}")))?;
 
     // Per-relay penalties land in cell order (fleet index == cell).
     let field = spec.interferers.penalty();
@@ -196,7 +191,7 @@ pub fn compile(spec: &ScenarioSpec) -> Result<CompiledScenario, CompileError> {
         scene,
         partition: part,
         plan,
-        budget: spec.budget.to_budget(),
+        budget: spec.budget,
         margin: spec.mission.margin,
         limits,
         mission,

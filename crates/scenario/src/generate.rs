@@ -10,12 +10,13 @@
 //! grids.
 
 use rfly_channel::geometry::Point2;
+use rfly_core::relay::gains::IsolationBudget;
 use rfly_dsp::rng::{Rng, StdRng};
 use rfly_dsp::units::{Db, Dbm, Meters};
 
 use crate::schema::{
-    BeltSpec, BudgetSpec, FaultsSpec, InterfererSpec, MissionSpec, ModulationSpec, Placement,
-    RelaySpec, ScenarioSpec, TagGroupSpec, WorldSpec,
+    BeltSpec, FaultsSpec, InterfererSpec, MissionSpec, ModulationSpec, Placement, RelaySpec,
+    ScenarioSpec, TagGroupSpec, WorldSpec,
 };
 
 /// A procedural scenario family.
@@ -119,7 +120,7 @@ pub fn generate(family: Family, seed: u64) -> ScenarioSpec {
             max_rounds: 2,
             ..MissionSpec::default()
         },
-        budget: BudgetSpec::default(),
+        budget: IsolationBudget::fig9(),
         energy: None,
         docks: Vec::new(),
         faults: FaultsSpec::default(),

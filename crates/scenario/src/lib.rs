@@ -44,9 +44,8 @@ pub mod toml;
 pub use compile::{compile, CompiledScenario};
 pub use generate::{generate, Family};
 pub use schema::{
-    BeltSpec, BudgetSpec, DockSpec, EnergySpec, FaultEventSpec, FaultsSpec, InterfererSpec,
-    MissionSpec, ModulationSpec, Placement, Platform, RelaySpec, ScenarioSpec, TagGroupSpec,
-    WorldSpec,
+    BeltSpec, DockSpec, EnergySpec, FaultEventSpec, FaultsSpec, InterfererSpec, MissionSpec,
+    ModulationSpec, Placement, Platform, RelaySpec, ScenarioSpec, TagGroupSpec, WorldSpec,
 };
 
 /// A scenario diagnostic carrying its source location.

@@ -39,8 +39,9 @@ pub struct ScenarioSpec {
     pub tags: Vec<TagGroupSpec>,
     /// Mission pacing and platform.
     pub mission: MissionSpec,
-    /// The relays' isolation budget.
-    pub budget: BudgetSpec,
+    /// The relays' isolation budget (defaults to the Fig. 9 medians,
+    /// [`IsolationBudget::fig9`]).
+    pub budget: IsolationBudget,
     /// Battery/charging model for continuous operation (`None` =
     /// single-sortie mission, no energy accounting).
     pub energy: Option<EnergySpec>,
@@ -302,42 +303,6 @@ impl Platform {
         match self {
             Platform::IndoorDrone => "indoor-drone",
             Platform::GroundRobot => "ground-robot",
-        }
-    }
-}
-
-/// The relays' isolation budget (defaults to the Fig. 9 medians).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BudgetSpec {
-    /// Reader-side self-isolation, dB.
-    pub intra_downlink: Db,
-    /// Tag-side self-isolation, dB.
-    pub intra_uplink: Db,
-    /// Cross-isolation, downlink→uplink, dB.
-    pub inter_downlink: Db,
-    /// Cross-isolation, uplink→downlink, dB.
-    pub inter_uplink: Db,
-}
-
-impl Default for BudgetSpec {
-    fn default() -> Self {
-        Self {
-            intra_downlink: Db::new(77.0),
-            intra_uplink: Db::new(64.0),
-            inter_downlink: Db::new(110.0),
-            inter_uplink: Db::new(92.0),
-        }
-    }
-}
-
-impl BudgetSpec {
-    /// As the core [`IsolationBudget`].
-    pub fn to_budget(&self) -> IsolationBudget {
-        IsolationBudget {
-            intra_downlink: self.intra_downlink,
-            intra_uplink: self.intra_uplink,
-            inter_downlink: self.inter_downlink,
-            inter_uplink: self.inter_uplink,
         }
     }
 }
@@ -780,21 +745,21 @@ pub fn from_document(doc: &Document) -> Result<ScenarioSpec, ScenarioError> {
     // [budget] (optional)
     let budget = match single(doc, "budget")? {
         Some(s) => {
-            let d = BudgetSpec::default();
+            let d = IsolationBudget::fig9();
             let mut keys = Keys::new(s);
             let (intra_downlink, _) = keys.f64_or("intra_downlink_db", d.intra_downlink.value())?;
             let (intra_uplink, _) = keys.f64_or("intra_uplink_db", d.intra_uplink.value())?;
             let (inter_downlink, _) = keys.f64_or("inter_downlink_db", d.inter_downlink.value())?;
             let (inter_uplink, _) = keys.f64_or("inter_uplink_db", d.inter_uplink.value())?;
             keys.finish()?;
-            BudgetSpec {
+            IsolationBudget {
                 intra_downlink: Db::new(intra_downlink),
                 intra_uplink: Db::new(intra_uplink),
                 inter_downlink: Db::new(inter_downlink),
                 inter_uplink: Db::new(inter_uplink),
             }
         }
-        None => BudgetSpec::default(),
+        None => IsolationBudget::fig9(),
     };
 
     // [energy] (optional)
@@ -1389,7 +1354,7 @@ count = 12
         assert_eq!(spec.n_relays(), 2);
         assert_eq!(spec.n_tags(), 12);
         assert_eq!(spec.mission, super::MissionSpec::default());
-        assert_eq!(spec.budget, super::BudgetSpec::default());
+        assert_eq!(spec.budget, super::IsolationBudget::fig9());
         assert_eq!(spec.energy, None);
         assert!(spec.docks.is_empty());
         assert!(!spec.faults.any());

@@ -15,6 +15,7 @@ use rfly_reader::inventory::InventoryController;
 use rfly_tag::population::TagPopulation;
 use rfly_tag::tag::PassiveTag;
 
+use crate::medium::WorldMedium;
 use crate::scene::Scene;
 use crate::world::{PhasorWorld, RelayModel};
 
@@ -229,7 +230,7 @@ impl Scenario {
                 self.config.clone(),
                 StdRng::seed_from_u64(self.seed ^ (idx as u64).wrapping_mul(0x9E3779B9)),
             );
-            let mut medium = self.world.relayed_medium(pos);
+            let mut medium = WorldMedium::relayed(&mut self.world, pos);
             let reads = controller.run_until_quiet(&mut medium, 6);
             for r in reads {
                 tracks.entry(r.epc).or_insert_with(|| vec![None; k])[idx] = Some(r.channel);

@@ -6,11 +6,15 @@
 //!
 //! * [`WorldMedium::direct`] — reader ↔ tags, no relay (the Fig. 11
 //!   baseline);
-//! * [`WorldMedium::relayed`] — reader ↔ one drone-borne relay ↔ tags
-//!   (a fleet of one);
-//! * [`WorldMedium::fleet`] — reader ↔ serving relay ↔ tags with the
-//!   rest of the fleet radiating: coherent/incoherent downlink
-//!   superposition, Δf-rejected uplink leakage, TDM serving.
+//! * [`WorldMedium::fleet_planned`] — reader ↔ serving relay ↔ tags
+//!   with the rest of the fleet radiating (coherent/incoherent downlink
+//!   superposition, Δf-rejected uplink leakage, TDM serving), assembled
+//!   from a [`FleetRf`] plan traced once per stop;
+//! * [`WorldMedium::relayed`] — reader ↔ one drone-borne relay ↔ tags:
+//!   a one-relay plan followed by `fleet_planned`.
+//!
+//! [`FleetRf::trace`] is the only place a relayed medium's RF rows are
+//! traced.
 //!
 //! Everything *around* propagation — fault injection, instrumentation,
 //! transaction taps — is a `rfly_reader::medium::MediumLayer` stacked
@@ -60,8 +64,8 @@ pub struct FleetRelay {
 }
 
 /// Beyond this relay→tag distance a 29 dBm downlink is ≥ 20 dB under
-/// the −15 dBm power-up threshold, so the relay's field is skipped
-/// (saves an environment trace per relay per tag per transaction).
+/// the −15 dBm power-up threshold, so the relay's field is left out of
+/// the tag's incident sum.
 const INCIDENT_CULL_M: f64 = 25.0;
 
 /// Tag counts below this stay on the serial trace path: per-tag work
@@ -75,16 +79,9 @@ const PAR_CHUNK: usize = 32;
 
 /// The fleet-summed incident power (mW) at one point: groups the relay
 /// fields by tag-side frequency, sums each group coherently, then adds
-/// group powers incoherently. `h2(j, relay)` is relay `j`'s one-way
-/// channel to `at` at its f₂; it is asked for only within the cull
-/// radius, so callers that already traced a relay's channel pass it
-/// through.
-fn fleet_incident_mw(
-    relays: &[FleetRelay],
-    eirps: &[Dbm],
-    at: Point2,
-    mut h2: impl FnMut(usize, &FleetRelay) -> Complex,
-) -> f64 {
+/// group powers incoherently. `h2[j]` is relay `j`'s one-way channel to
+/// `at` at its f₂; relays beyond the cull radius are skipped.
+fn fleet_incident_mw(relays: &[FleetRelay], eirps: &[Dbm], at: Point2, h2: &[Complex]) -> f64 {
     let mut groups: BTreeMap<u64, Vec<Complex>> = BTreeMap::new();
     for (j, (r, &eirp)) in relays.iter().zip(eirps).enumerate() {
         if r.pos.distance(at) > INCIDENT_CULL_M {
@@ -94,7 +91,7 @@ fn fleet_incident_mw(
         groups
             .entry(r.model.f2.as_hz().to_bits())
             .or_default()
-            .push(h2(j, r) * amp);
+            .push(h2[j] * amp);
     }
     incoherent_power_sum(
         groups
@@ -205,41 +202,6 @@ fn fleet_leakage_mw(
 fn noise_plus_leakage(world: &PhasorWorld, leakage_mw: f64) -> Dbm {
     let noise_floor = world.config.link_budget().noise_floor();
     Dbm::from_milliwatts(noise_floor.milliwatts() + leakage_mw)
-}
-
-/// Traces one serving relay's per-tag RF rows (fleet-summed incident
-/// power, serving→tag channel), fanning the pure per-tag traces out
-/// over the work pool when the tag count is worth it. Each row is a
-/// pure function of frozen geometry, and [`crate::pool::Pool`] merges
-/// in tag order, so the result is byte-identical at any worker count.
-fn trace_tag_rf(
-    world: &PhasorWorld,
-    relays: &[FleetRelay],
-    eirps: &[Dbm],
-    serving: usize,
-    positions: &[Point2],
-) -> Vec<(Dbm, Complex)> {
-    let serving_pos = relays[serving].pos;
-    let f2_s = relays[serving].model.f2;
-    let row = |&p: &Point2| {
-        // The serving channel is traced once and reused in the sum.
-        let h2 = world.one_way(serving_pos, p, f2_s);
-        let incident = Dbm::from_milliwatts(fleet_incident_mw(relays, eirps, p, |j, r| {
-            if j == serving {
-                h2
-            } else {
-                world.one_way(r.pos, p, r.model.f2)
-            }
-        }));
-        (incident, h2)
-    };
-    if positions.len() < PAR_MIN_TAGS {
-        positions.iter().map(row).collect()
-    } else {
-        crate::pool::Pool::global().map_chunked(positions.len(), PAR_CHUNK, |range| {
-            positions[range].iter().map(row).collect()
-        })
-    }
 }
 
 impl RelayLink {
@@ -363,8 +325,7 @@ impl FleetRf {
                 .iter()
                 .map(|r| world.one_way(r.pos, p, r.model.f2))
                 .collect::<Vec<Complex>>();
-            let incident =
-                Dbm::from_milliwatts(fleet_incident_mw(&relays, &eirps, p, |j, _| h2[j]));
+            let incident = Dbm::from_milliwatts(fleet_incident_mw(&relays, &eirps, p, &h2));
             (incident, h2)
         };
         let rows: Vec<(Dbm, Vec<Complex>)> = if positions.len() < PAR_MIN_TAGS {
@@ -569,41 +530,22 @@ impl<'a> WorldMedium<'a> {
     }
 
     /// Reader ↔ relay ↔ tags with the world's relay build hovering at
-    /// `relay_pos`: a fleet of one.
+    /// `relay_pos`: a one-relay [`FleetRf`] plan, served by its only
+    /// member.
     pub fn relayed(world: &'a mut PhasorWorld, relay_pos: Point2) -> Self {
-        let model = world.relay.clone();
-        Self::fleet(
-            world,
-            vec![FleetRelay {
-                model,
-                pos: relay_pos,
-            }],
-            0,
-        )
+        let relay = FleetRelay {
+            model: world.relay.clone(),
+            pos: relay_pos,
+        };
+        let rf = FleetRf::trace(world, vec![relay]);
+        Self::fleet_planned(world, &rf, 0)
     }
 
-    /// Reader ↔ `relays[serving]` ↔ tags, with every other fleet member
-    /// radiating its downlink carrier. Traces reader→relay channels for
-    /// every member and caches every tag's RF state.
-    pub fn fleet(world: &'a mut PhasorWorld, relays: Vec<FleetRelay>, serving: usize) -> Self {
-        assert!(serving < relays.len(), "serving index out of range");
-        let h1: Vec<Complex> = relays
-            .iter()
-            .map(|r| world.one_way(world.reader_pos, r.pos, r.model.f1))
-            .collect();
-        let eirps = fleet_eirps(world, &relays, &h1);
-        let positions: Vec<Point2> = world.tags.tags().iter().map(|t| t.position()).collect();
-        let tag_rf = trace_tag_rf(world, &relays, &eirps, serving, &positions);
-        let leakage_mw = fleet_leakage_mw(world, &relays, &h1, serving);
-        let link = RelayLink::new(world, relays, serving, h1, tag_rf, leakage_mw);
-        Self::with_link(world, Link::Relayed(link))
-    }
-
-    /// Reader ↔ `rf.relays()[serving]` ↔ tags from an already-traced
+    /// Reader ↔ `rf.relays()[serving]` ↔ tags, with every other fleet
+    /// member radiating its downlink carrier, from an already-traced
     /// [`FleetRf`] plan: no propagation runs here, the link is
-    /// assembled from the plan's rows and is bit-identical to
-    /// [`Self::fleet`] over the same frozen geometry. The world's tag
-    /// field must not have moved since [`FleetRf::trace`].
+    /// assembled from the plan's rows. The world's tag field must not
+    /// have moved since [`FleetRf::trace`].
     pub fn fleet_planned(world: &'a mut PhasorWorld, rf: &FleetRf, serving: usize) -> Self {
         assert!(serving < rf.relays.len(), "serving index out of range");
         assert_eq!(
@@ -628,10 +570,9 @@ impl<'a> WorldMedium<'a> {
         Self::with_link(world, Link::Relayed(link))
     }
 
-    /// The Eq. 3 stability gate for one candidate relay, without
-    /// building a medium: traces only that relay's reader channel —
-    /// exactly the value `Self::fleet(world, …, s).stable()` computes,
-    /// minus the full per-tag RF refresh the constructor would run.
+    /// The Eq. 3 stability gate for one relay that is in no plan:
+    /// traces only its reader channel — exactly the value
+    /// [`FleetRf::stable`] reads for a traced fleet member.
     pub fn probe_stability(world: &PhasorWorld, relay: &FleetRelay) -> bool {
         let h1 = world.one_way(world.reader_pos, relay.pos, relay.model.f1);
         stability_probe(relay, h1)
@@ -652,27 +593,6 @@ impl<'a> WorldMedium<'a> {
         match &self.link {
             Link::Direct(_) => true,
             Link::Relayed(link) => link.stable(),
-        }
-    }
-
-    /// Total downlink power incident on a tag from the whole fleet:
-    /// coherent within each f₂ group, incoherent across groups. On a
-    /// direct link, the reader's own EIRP through the scene.
-    pub fn incident_at(&self, tag_pos: Point2) -> Dbm {
-        match &self.link {
-            Link::Direct(_) => {
-                let budget = self.world.config.link_budget();
-                let h = self
-                    .world
-                    .one_way(self.world.reader_pos, tag_pos, self.world.relay.f1);
-                budget.eirp() + Db::from_linear(h.norm_sq())
-            }
-            Link::Relayed(link) => {
-                let eirps = fleet_eirps(self.world, &link.relays, &link.h1);
-                Dbm::from_milliwatts(fleet_incident_mw(&link.relays, &eirps, tag_pos, |_, r| {
-                    self.world.one_way(r.pos, tag_pos, r.model.f2)
-                }))
-            }
         }
     }
 }
@@ -827,56 +747,15 @@ mod tests {
         .collect()
     }
 
-    /// The planned constructor must assemble the exact link a fresh
-    /// trace would: identical cached RF, identical mission
-    /// observations (including the shared-RNG draws in transact).
-    #[test]
-    fn planned_link_matches_fresh_construction() {
-        let fleet = fleet_of_three();
-        for serving in 0..fleet.len() {
-            let run = |planned: bool| {
-                let mut w = world_with_tags(12, 9);
-                let mut m = if planned {
-                    let rf = FleetRf::trace(&w, fleet.clone());
-                    WorldMedium::fleet_planned(&mut w, &rf, serving)
-                } else {
-                    WorldMedium::fleet(&mut w, fleet.clone(), serving)
-                };
-                let mut c = InventoryController::new(
-                    ReaderConfig::usrp_default(),
-                    StdRng::seed_from_u64(11),
-                );
-                format!("{:?}", c.run_until_quiet(&mut m, 6))
-            };
-            assert_eq!(run(false), run(true), "serving {serving}");
-        }
-    }
-
-    /// The cached link internals agree row-for-row, bit-for-bit.
-    #[test]
-    fn planned_rf_rows_are_bit_identical() {
-        let fleet = fleet_of_three();
-        let mut w = world_with_tags(12, 9);
-        let rf = FleetRf::trace(&w, fleet.clone());
-        for serving in 0..fleet.len() {
-            let fresh = match WorldMedium::fleet(&mut w, fleet.clone(), serving).link {
-                Link::Relayed(link) => link,
-                Link::Direct(_) => panic!("fleet constructor built a direct link"),
-            };
-            let planned: Vec<(Dbm, Complex)> = rf
-                .incident
-                .iter()
-                .zip(&rf.h2)
-                .map(|(&incident, row)| (incident, row[serving]))
-                .collect();
-            assert_eq!(format!("{:?}", fresh.tag_rf), format!("{planned:?}"));
-            assert_eq!(
-                fresh.leakage_mw.to_bits(),
-                rf.leakage_mw[serving].to_bits(),
-                "serving {serving}"
-            );
-            assert_eq!(format!("{:?}", fresh.h1), format!("{:?}", rf.h1));
-        }
+    /// A medium served by `relays[serving]`, assembled from a plan
+    /// traced for it.
+    fn planned(
+        world: &mut PhasorWorld,
+        relays: Vec<FleetRelay>,
+        serving: usize,
+    ) -> WorldMedium<'_> {
+        let rf = FleetRf::trace(world, relays);
+        WorldMedium::fleet_planned(world, &rf, serving)
     }
 
     /// Tracing is byte-identical at any pool worker count, including
@@ -900,8 +779,8 @@ mod tests {
         crate::pool::reset_global_workers();
     }
 
-    /// The h1-only probe agrees with the full medium's gate in both a
-    /// stable and an unstable geometry.
+    /// The h1-only probe, the plan and a medium built from the plan
+    /// agree on the gate in both a stable and an unstable geometry.
     #[test]
     fn probe_agrees_with_full_medium_stability() {
         let fleet = fleet_of_three();
@@ -909,8 +788,9 @@ mod tests {
             let mut w = world_with_tags(4, 17);
             w.reader_pos = reader;
             let probe = WorldMedium::probe_stability(&w, &fleet[0]);
-            let plan = FleetRf::trace(&w, fleet.clone()).stable(0);
-            let full = WorldMedium::fleet(&mut w, fleet.clone(), 0).stable();
+            let rf = FleetRf::trace(&w, fleet.clone());
+            let plan = rf.stable(0);
+            let full = WorldMedium::fleet_planned(&mut w, &rf, 0).stable();
             assert_eq!(probe, full);
             assert_eq!(plan, full);
             assert_eq!(full, expect_stable, "reader at {reader:?}");
@@ -1060,18 +940,13 @@ mod tests {
     #[derive(Debug, Clone)]
     enum Build {
         Direct,
-        Fleet(Vec<FleetRelay>, usize),
         Planned(Vec<FleetRelay>, usize),
     }
 
     fn build<'w>(world: &'w mut PhasorWorld, how: &Build) -> WorldMedium<'w> {
         match how {
             Build::Direct => WorldMedium::direct(world),
-            Build::Fleet(relays, s) => WorldMedium::fleet(world, relays.clone(), *s),
-            Build::Planned(relays, s) => {
-                let rf = FleetRf::trace(world, relays.clone());
-                WorldMedium::fleet_planned(world, &rf, *s)
-            }
+            Build::Planned(relays, s) => planned(world, relays.clone(), *s),
         }
     }
 
@@ -1241,12 +1116,12 @@ mod tests {
             })
             .collect();
         let stages = [
-            (Point2::ORIGIN, Build::Fleet(fleet.clone(), 0)),
+            (Point2::ORIGIN, Build::Planned(fleet.clone(), 0)),
             (Point2::ORIGIN, Build::Planned(fleet.clone(), 1)),
             (Point2::ORIGIN, Build::Planned(moved, 2)),
-            (Point2::new(-350.0, 0.0), Build::Fleet(fleet.clone(), 0)),
+            (Point2::new(-350.0, 0.0), Build::Planned(fleet.clone(), 0)),
             (Point2::new(44.0, 0.0), Build::Direct),
-            (Point2::new(44.0, 0.0), Build::Fleet(fleet, 1)),
+            (Point2::new(44.0, 0.0), Build::Planned(fleet, 1)),
             (Point2::new(44.0, 0.0), Build::Direct),
         ];
         let mut cand = straddling_world(seed, Point2::ORIGIN);
@@ -1305,7 +1180,7 @@ mod tests {
     #[test]
     fn lists_track_powered_and_engaged_tags() {
         let mut w = straddling_world(5, Point2::ORIGIN);
-        let mut m = WorldMedium::fleet(&mut w, fleet_of_three(), 0);
+        let mut m = planned(&mut w, fleet_of_three(), 0);
         let live: Vec<usize> = incidents(&m)
             .iter()
             .enumerate()
@@ -1335,7 +1210,7 @@ mod tests {
         assert!(m.visits.engaged.is_empty(), "Select leaves every tag Ready");
 
         let mut far = straddling_world(5, Point2::new(-350.0, 0.0));
-        let mut unstable = WorldMedium::fleet(&mut far, fleet_of_three(), 0);
+        let mut unstable = planned(&mut far, fleet_of_three(), 0);
         assert!(unstable.transact(&Command::Nak).is_empty());
         assert!(!unstable.visits.scanned);
     }
@@ -1369,10 +1244,10 @@ mod tests {
     }
 
     #[test]
-    fn single_relay_fleet_behaves_like_relayed_medium() {
+    fn single_relay_plan_reads_tag_and_embedded() {
         let mut w = world_with_tag(Point2::new(50.0, 0.0), 3);
         let fleet = vec![member(915.0, 1.0, Point2::new(48.0, 0.0))];
-        let reads = inventory(&mut WorldMedium::fleet(&mut w, fleet, 0), 3);
+        let reads = inventory(&mut planned(&mut w, fleet, 0), 3);
         assert!(reads.iter().any(|r| r.epc == Epc::from_index(1)));
         assert!(reads.iter().any(|r| r.epc == PhasorWorld::embedded_epc()));
     }
@@ -1385,7 +1260,7 @@ mod tests {
             member(915.0, 1.0, Point2::new(48.0, 0.0)),
             member(915.0, 1.0, Point2::new(48.0, 8.0)),
         ];
-        let reads = inventory(&mut WorldMedium::fleet(&mut w, fleet, 0), 4);
+        let reads = inventory(&mut planned(&mut w, fleet, 0), 4);
         assert!(
             !reads.iter().any(|r| r.epc == Epc::from_index(1)),
             "co-channel interference should bury the tag reply"
@@ -1400,26 +1275,30 @@ mod tests {
             member(915.0, 1.0, Point2::new(48.0, 0.0)),
             member(920.0, 1.0, Point2::new(48.0, 8.0)),
         ];
-        let reads = inventory(&mut WorldMedium::fleet(&mut w, fleet, 0), 4);
+        let reads = inventory(&mut planned(&mut w, fleet, 0), 4);
         assert!(
             reads.iter().any(|r| r.epc == Epc::from_index(1)),
             "Δf-offset neighbor should be filtered out"
         );
     }
 
+    /// The plan's fleet-summed incident power at the one tag of `w`.
+    fn incident(w: &PhasorWorld, relays: Vec<FleetRelay>) -> Dbm {
+        FleetRf::trace(w, relays).incident[0]
+    }
+
     #[test]
     fn fleet_raises_incident_power_incoherently() {
-        let mut w = world_with_tag(Point2::new(50.0, 0.0), 5);
+        let w = world_with_tag(Point2::new(50.0, 0.0), 5);
         let near = Point2::new(46.0, 0.0);
-        let one = vec![member(915.0, 1.0, near)];
-        let solo = WorldMedium::fleet(&mut w, one, 0).incident_at(Point2::new(50.0, 0.0));
+        let solo = incident(&w, vec![member(915.0, 1.0, near)]);
         // A second relay the same distance away on another channel
         // doubles the incident power: +3 dB, no fading risk.
         let two = vec![
             member(915.0, 1.0, near),
             member(920.0, 1.0, Point2::new(54.0, 0.0)),
         ];
-        let duo = WorldMedium::fleet(&mut w, two, 0).incident_at(Point2::new(50.0, 0.0));
+        let duo = incident(&w, two);
         let gain = (duo - solo).value();
         assert!((gain - 3.01).abs() < 0.1, "incoherent +3 dB, got {gain}");
     }
@@ -1428,16 +1307,13 @@ mod tests {
     fn co_channel_fleet_can_fade_destructively() {
         // Two co-channel relays with a λ/2 path difference cancel at the
         // tag — the blind-spot hazard that distinct f₂ avoids.
-        let mut w = world_with_tag(Point2::new(50.0, 0.0), 6);
+        let w = world_with_tag(Point2::new(50.0, 0.0), 6);
         let f2 = Hertz::mhz(916.0);
         let lambda = f2.wavelength();
-        let tag = Point2::new(50.0, 0.0);
         let a = Point2::new(46.0, 0.0);
         let b = Point2::new(54.0 + lambda / 2.0, 0.0);
-        let co = vec![member(915.0, 1.0, a), member(915.0, 1.0, b)];
-        let faded = WorldMedium::fleet(&mut w, co.clone(), 0).incident_at(tag);
-        let offset = vec![member(915.0, 1.0, a), member(920.0, 1.0, b)];
-        let summed = WorldMedium::fleet(&mut w, offset, 0).incident_at(tag);
+        let faded = incident(&w, vec![member(915.0, 1.0, a), member(915.0, 1.0, b)]);
+        let summed = incident(&w, vec![member(915.0, 1.0, a), member(920.0, 1.0, b)]);
         assert!(
             summed.value() > faded.value() + 1.0,
             "coherent pair {faded} should fade below incoherent pair {summed}"
@@ -1448,7 +1324,7 @@ mod tests {
     fn unstable_serving_relay_is_silent() {
         let mut w = world_with_tag(Point2::new(400.0, 0.0), 7);
         let fleet = vec![member(915.0, 1.0, Point2::new(399.0, 0.0))];
-        let mut m = WorldMedium::fleet(&mut w, fleet, 0);
+        let mut m = planned(&mut w, fleet, 0);
         assert!(!m.stable());
         assert!(m.transact(&Command::Nak).is_empty());
     }

@@ -2,17 +2,16 @@
 //! to the reader stack through the one propagation core,
 //! [`crate::medium::WorldMedium`].
 //!
-//! Two convenience constructors cover the paper's two baselines over
-//! the same world state:
+//! Two media over the same world state cover the paper's two baselines:
 //!
-//! * [`PhasorWorld::direct_medium`] — reader ↔ tags with no relay (the
-//!   Fig. 11 baseline),
-//! * [`PhasorWorld::relayed_medium`] — reader ↔ relay ↔ tags, with the
-//!   drone-borne relay at a given position, the embedded RFID, the §6.1
-//!   gain plan, the PA compression cap and the Eq. 3 stability gate —
-//!   a fleet of one.
+//! * [`WorldMedium::direct`](crate::medium::WorldMedium::direct) —
+//!   reader ↔ tags with no relay (the Fig. 11 baseline),
+//! * [`WorldMedium::relayed`](crate::medium::WorldMedium::relayed) —
+//!   reader ↔ relay ↔ tags, with the drone-borne relay at a given
+//!   position, the embedded RFID, the §6.1 gain plan, the PA
+//!   compression cap and the Eq. 3 stability gate — a fleet of one.
 //!
-//! Both return the same [`WorldMedium`] type behind the same `Medium`
+//! Both return the same `WorldMedium` type behind the same `Medium`
 //! trait, so the identical unmodified reader stack runs against either
 //! — the paper's protocol-transparency claim, enforced by the type
 //! system.
@@ -30,8 +29,6 @@ use rfly_dsp::Complex;
 use rfly_protocol::epc::Epc;
 use rfly_reader::config::ReaderConfig;
 use rfly_tag::population::TagPopulation;
-
-use crate::medium::WorldMedium;
 
 /// Phasor-level parameters of the relay build flown in a scenario.
 #[derive(Debug, Clone)]
@@ -235,17 +232,6 @@ impl PhasorWorld {
         self.rng = StdRng::from_state(snap.rng);
         Ok(())
     }
-
-    /// A medium with the relay hovering at `relay_pos` (a fleet of
-    /// one over the shared propagation core).
-    pub fn relayed_medium(&mut self, relay_pos: Point2) -> WorldMedium<'_> {
-        WorldMedium::relayed(self, relay_pos)
-    }
-
-    /// A medium with no relay (the baseline).
-    pub fn direct_medium(&mut self) -> WorldMedium<'_> {
-        WorldMedium::direct(self)
-    }
 }
 
 /// One tag's cross-step mutable state (see [`PhasorWorld::snapshot`]).
@@ -308,6 +294,7 @@ impl std::error::Error for WorldRestoreError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::medium::WorldMedium;
     use rfly_reader::inventory::{InventoryController, Medium};
     use rfly_tag::tag::PassiveTag;
 
@@ -334,15 +321,15 @@ mod tests {
     }
 
     #[test]
-    fn direct_medium_reads_nearby_tag_only() {
+    fn direct_link_reads_nearby_tag_only() {
         // 4 m: within direct range.
         let mut w = world_with_tag(Point2::new(4.0, 0.0), Point2::ORIGIN, 1);
-        let reads = inventory(&mut w.direct_medium(), 1);
+        let reads = inventory(&mut WorldMedium::direct(&mut w), 1);
         assert!(reads.iter().any(|r| r.epc == Epc::from_index(1)));
 
         // 20 m: tag cannot power up directly.
         let mut w2 = world_with_tag(Point2::new(20.0, 0.0), Point2::ORIGIN, 2);
-        let reads2 = inventory(&mut w2.direct_medium(), 2);
+        let reads2 = inventory(&mut WorldMedium::direct(&mut w2), 2);
         assert!(reads2.is_empty());
     }
 
@@ -351,7 +338,7 @@ mod tests {
         // Tag 50 m from the reader, relay hovering 2 m from the tag:
         // the headline result.
         let mut w = world_with_tag(Point2::new(50.0, 0.0), Point2::ORIGIN, 3);
-        let reads = inventory(&mut w.relayed_medium(Point2::new(48.0, 0.0)), 3);
+        let reads = inventory(&mut WorldMedium::relayed(&mut w, Point2::new(48.0, 0.0)), 3);
         assert!(
             reads.iter().any(|r| r.epc == Epc::from_index(1)),
             "tag not read through the relay"
@@ -365,7 +352,7 @@ mod tests {
         // Relay 30 m from the tag: the relay-tag half-link is still
         // power-limited to a few meters (§4.3's point).
         let mut w = world_with_tag(Point2::new(50.0, 0.0), Point2::ORIGIN, 4);
-        let reads = inventory(&mut w.relayed_medium(Point2::new(20.0, 0.0)), 4);
+        let reads = inventory(&mut WorldMedium::relayed(&mut w, Point2::new(20.0, 0.0)), 4);
         assert!(!reads.iter().any(|r| r.epc == Epc::from_index(1)));
         // But the embedded tag still reads (it's on the relay).
         assert!(reads.iter().any(|r| r.epc == PhasorWorld::embedded_epc()));
@@ -375,10 +362,13 @@ mod tests {
     fn stability_gate_silences_an_out_of_range_relay() {
         // Reader→relay loss beyond the isolation: Eq. 3 violated.
         let mut w = world_with_tag(Point2::new(400.0, 0.0), Point2::ORIGIN, 5);
-        let medium = w.relayed_medium(Point2::new(399.0, 0.0));
+        let medium = WorldMedium::relayed(&mut w, Point2::new(399.0, 0.0));
         assert!(!medium.stable());
         let mut w2 = world_with_tag(Point2::new(400.0, 0.0), Point2::ORIGIN, 5);
-        let reads = inventory(&mut w2.relayed_medium(Point2::new(399.0, 0.0)), 5);
+        let reads = inventory(
+            &mut WorldMedium::relayed(&mut w2, Point2::new(399.0, 0.0)),
+            5,
+        );
         assert!(reads.is_empty());
     }
 
@@ -387,9 +377,9 @@ mod tests {
         // Read the embedded tag twice from the same geometry: phases
         // must agree (constant hw term), enabling SAR.
         let mut w = world_with_tag(Point2::new(30.0, 0.0), Point2::ORIGIN, 6);
-        let r1 = inventory(&mut w.relayed_medium(Point2::new(29.0, 0.0)), 6);
+        let r1 = inventory(&mut WorldMedium::relayed(&mut w, Point2::new(29.0, 0.0)), 6);
         w.power_cycle_tags();
-        let r2 = inventory(&mut w.relayed_medium(Point2::new(29.0, 0.0)), 7);
+        let r2 = inventory(&mut WorldMedium::relayed(&mut w, Point2::new(29.0, 0.0)), 7);
         let e1 = r1
             .iter()
             .find(|r| r.epc == PhasorWorld::embedded_epc())
@@ -409,7 +399,10 @@ mod tests {
         let mut phases = Vec::new();
         for k in 0..6 {
             w.power_cycle_tags();
-            let reads = inventory(&mut w.relayed_medium(Point2::new(29.0, 0.0)), 100 + k);
+            let reads = inventory(
+                &mut WorldMedium::relayed(&mut w, Point2::new(29.0, 0.0)),
+                100 + k,
+            );
             let e = reads
                 .iter()
                 .find(|r| r.epc == PhasorWorld::embedded_epc())
@@ -429,15 +422,24 @@ mod tests {
         // continued run against a fresh world fast-forwarded by restore.
         let mut w = world_with_tag(Point2::new(30.0, 0.0), Point2::ORIGIN, 21);
         for k in 0..3 {
-            let _ = inventory(&mut w.relayed_medium(Point2::new(29.0, 0.0)), 50 + k);
+            let _ = inventory(
+                &mut WorldMedium::relayed(&mut w, Point2::new(29.0, 0.0)),
+                50 + k,
+            );
             w.power_cycle_tags();
         }
         let snap = w.snapshot();
-        let tail = inventory(&mut w.relayed_medium(Point2::new(29.0, 0.0)), 99);
+        let tail = inventory(
+            &mut WorldMedium::relayed(&mut w, Point2::new(29.0, 0.0)),
+            99,
+        );
 
         let mut w2 = world_with_tag(Point2::new(30.0, 0.0), Point2::ORIGIN, 21);
         w2.restore(&snap).expect("identical construction");
-        let tail2 = inventory(&mut w2.relayed_medium(Point2::new(29.0, 0.0)), 99);
+        let tail2 = inventory(
+            &mut WorldMedium::relayed(&mut w2, Point2::new(29.0, 0.0)),
+            99,
+        );
 
         assert_eq!(tail.len(), tail2.len());
         for (a, b) in tail.iter().zip(&tail2) {
@@ -467,7 +469,10 @@ mod tests {
         let mut snrs = Vec::new();
         for d in [10.0, 30.0, 60.0] {
             let mut w = world_with_tag(Point2::new(d, 0.0), Point2::ORIGIN, 9);
-            let reads = inventory(&mut w.relayed_medium(Point2::new(d - 2.0, 0.0)), 9);
+            let reads = inventory(
+                &mut WorldMedium::relayed(&mut w, Point2::new(d - 2.0, 0.0)),
+                9,
+            );
             let e = reads
                 .iter()
                 .find(|r| r.epc == PhasorWorld::embedded_epc())

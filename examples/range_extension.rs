@@ -8,6 +8,7 @@ use rfly::channel::geometry::Point2;
 use rfly::protocol::epc::Epc;
 use rfly::reader::config::ReaderConfig;
 use rfly::reader::inventory::InventoryController;
+use rfly::sim::medium::WorldMedium;
 use rfly::sim::world::{PhasorWorld, RelayModel};
 use rfly::tag::population::TagPopulation;
 use rfly::tag::PassiveTag;
@@ -33,9 +34,9 @@ fn try_read(distance: f64, use_relay: bool, seed: u64) -> bool {
     let reads = if use_relay {
         // The drone hovers 2 m short of the tag.
         let relay_pos = Point2::new(distance - 2.0, 0.0);
-        controller.run_until_quiet(&mut world.relayed_medium(relay_pos), 4)
+        controller.run_until_quiet(&mut WorldMedium::relayed(&mut world, relay_pos), 4)
     } else {
-        controller.run_until_quiet(&mut world.direct_medium(), 4)
+        controller.run_until_quiet(&mut WorldMedium::direct(&mut world), 4)
     };
     reads.iter().any(|r| r.epc == Epc::from_index(0))
 }

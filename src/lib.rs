@@ -92,7 +92,7 @@ pub use rfly_tag as tag;
 
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
-    pub use rfly_channel::geometry::{Point2, Point3};
+    pub use rfly_channel::geometry::Point2;
     pub use rfly_core::loc::sar::SarLocalizer;
     pub use rfly_core::loc::trajectory::Trajectory;
     pub use rfly_core::relay::{Relay, RelayConfig};

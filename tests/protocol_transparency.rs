@@ -11,6 +11,7 @@ use rfly::protocol::epc::Epc;
 use rfly::protocol::session::SelFilter;
 use rfly::reader::config::ReaderConfig;
 use rfly::reader::inventory::{InventoryController, Medium};
+use rfly::sim::medium::WorldMedium;
 use rfly::sim::world::{PhasorWorld, RelayModel};
 use rfly::tag::population::TagPopulation;
 use rfly::tag::PassiveTag;
@@ -55,13 +56,17 @@ fn inventory(medium: &mut dyn Medium, config: ReaderConfig, seed: u64) -> Vec<Ep
 fn identical_reader_stack_works_direct_and_relayed() {
     // Near tags, no relay.
     let mut near = world(Point2::new(3.0, 0.0), 1);
-    let direct = inventory(&mut near.direct_medium(), ReaderConfig::usrp_default(), 1);
+    let direct = inventory(
+        &mut WorldMedium::direct(&mut near),
+        ReaderConfig::usrp_default(),
+        1,
+    );
     assert_eq!(direct.len(), 3, "direct inventory reads all near tags");
 
     // The same tags 45 m away, through the relay — same reader code.
     let mut far = world(Point2::new(45.0, 0.0), 2);
     let relayed = inventory(
-        &mut far.relayed_medium(Point2::new(43.5, 0.0)),
+        &mut WorldMedium::relayed(&mut far, Point2::new(43.5, 0.0)),
         ReaderConfig::usrp_default(),
         2,
     );
@@ -72,7 +77,7 @@ fn identical_reader_stack_works_direct_and_relayed() {
 #[test]
 fn select_filtering_works_through_the_relay() {
     let mut far = world(Point2::new(45.0, 0.0), 3);
-    let mut medium = far.relayed_medium(Point2::new(43.5, 0.0));
+    let mut medium = WorldMedium::relayed(&mut far, Point2::new(43.5, 0.0));
 
     // Select only tag 1 by matching its full EPC (bank pointer 32 =
     // after StoredCRC + PC).
@@ -96,7 +101,7 @@ fn select_filtering_works_through_the_relay() {
 
     // And the complement: NotSelected reads the other two.
     let mut far2 = world(Point2::new(45.0, 0.0), 4);
-    let mut medium2 = far2.relayed_medium(Point2::new(43.5, 0.0));
+    let mut medium2 = WorldMedium::relayed(&mut far2, Point2::new(43.5, 0.0));
     medium2.transact(&select);
     let mut config2 = ReaderConfig::usrp_default();
     config2.sel = SelFilter::NotSelected;
