@@ -29,7 +29,10 @@ fn run_case(name: &str, env: &Environment, tag: Point2) -> f64 {
     let traj = Trajectory::line(Point2::new(-0.4, 0.0), Point2::new(2.9, 0.0), 61);
     let ch = channels(env, &traj, tag);
     let loc = SarLocalizer::new(F2, Point2::new(-0.5, 0.05), Point2::new(3.0, 3.0), 0.02);
-    let (est, mut map) = loc.localize(&traj, &ch).expect("localizes");
+    let (est, _) = loc.localize(&traj, &ch).expect("localizes");
+    // Render the exhaustive map: `localize` zeroes the cells it proved
+    // below the candidate floor.
+    let mut map = loc.heatmap(&traj, &ch);
     map.normalize();
 
     println!("--- {name} ---");

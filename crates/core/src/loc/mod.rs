@@ -11,7 +11,6 @@
 pub mod disentangle;
 pub mod error;
 pub mod heatmap;
-pub mod multires;
 pub mod peaks;
 pub mod rssi;
 pub mod sar;

@@ -58,7 +58,17 @@ impl RssiLocalizer {
         self.reference_amplitude_1m / (d * d)
     }
 
-    /// Localizes by minimizing Σ (dist(p, traj_l) − d_l)² over the grid.
+    /// Localizes by minimizing Σ (dist(p, traj_l) − d_l)² over the grid:
+    /// the first minimum in row-major order, as a full scan finds it.
+    ///
+    /// Branch-and-bound over tiles of [`TILE`]×[`TILE`] cells. For a
+    /// tile with box centre c and half-diagonal r, the triangle
+    /// inequality gives | |p − t| − |c − t| | ≤ r for every cell p in
+    /// it, so Σ max(0, |dist(c, t) − d| − r)² bounds every cost in the
+    /// tile from below (r is inflated to absorb rounding). Tiles are
+    /// visited in ascending bound order until the bound exceeds the best
+    /// cost; cells are scored with the full scan's expression and ties
+    /// broken by (cost, iy, ix), so the result is bit-identical.
     pub fn localize(&self, trajectory: &Trajectory, channels: &[Complex]) -> Option<Point2> {
         assert_eq!(trajectory.len(), channels.len());
         let ranges: Vec<(Point2, f64)> = trajectory
@@ -72,28 +82,69 @@ impl RssiLocalizer {
         }
         let nx = ((self.region_max.x - self.region_min.x) / self.resolution).ceil() as usize + 1;
         let ny = ((self.region_max.y - self.region_min.y) / self.resolution).ceil() as usize + 1;
-        let mut best = (Point2::ORIGIN, f64::MAX);
-        for iy in 0..ny {
-            for ix in 0..nx {
-                let p = Point2::new(
-                    self.region_min.x + ix as f64 * self.resolution,
-                    self.region_min.y + iy as f64 * self.resolution,
-                );
-                let cost: f64 = ranges
+        let cell = |ix: usize, iy: usize| {
+            Point2::new(
+                self.region_min.x + ix as f64 * self.resolution,
+                self.region_min.y + iy as f64 * self.resolution,
+            )
+        };
+        let mut tiles: Vec<(f64, usize, usize)> = (0..ny.div_ceil(TILE))
+            .flat_map(|ty| (0..nx.div_ceil(TILE)).map(move |tx| (tx * TILE, ty * TILE)))
+            .map(|(x0, y0)| {
+                let lo = cell(x0, y0);
+                let hi = cell((x0 + TILE).min(nx) - 1, (y0 + TILE).min(ny) - 1);
+                let c = Point2::new(0.5 * (lo.x + hi.x), 0.5 * (lo.y + hi.y));
+                let r = 0.5 * lo.distance(hi);
+                let lb: f64 = ranges
                     .iter()
                     .map(|(t, d)| {
-                        let e = t.distance(p) - d;
-                        e * e
+                        let a = t.distance(c);
+                        let gap = ((a - d).abs() - r - 1e-9 * (r + a + d)).max(0.0);
+                        gap * gap
                     })
                     .sum();
-                if cost < best.1 {
-                    best = (p, cost);
+                (lb, x0, y0)
+            })
+            .collect();
+        tiles.sort_by(|a, b| a.0.total_cmp(&b.0));
+
+        // (cost, iy, ix) of the best cell so far; a full scan only takes
+        // a cost below f64::MAX.
+        let mut best: Option<(f64, usize, usize)> = None;
+        let mut exact = 0u64;
+        for (lb, x0, y0) in tiles {
+            if best.is_some_and(|b| lb > b.0) {
+                break;
+            }
+            for iy in y0..(y0 + TILE).min(ny) {
+                for ix in x0..(x0 + TILE).min(nx) {
+                    let p = cell(ix, iy);
+                    let cost: f64 = ranges
+                        .iter()
+                        .map(|(t, d)| {
+                            let e = t.distance(p) - d;
+                            e * e
+                        })
+                        .sum();
+                    exact += 1;
+                    let better = match best {
+                        None => cost < f64::MAX,
+                        Some(b) => cost < b.0 || (cost == b.0 && (iy, ix) < (b.1, b.2)),
+                    };
+                    if better {
+                        best = Some((cost, iy, ix));
+                    }
                 }
             }
         }
-        Some(best.0)
+        rfly_obs::counter_add("loc.rssi.cells_exact", exact);
+        Some(best.map_or(Point2::ORIGIN, |(_, iy, ix)| cell(ix, iy)))
     }
 }
+
+/// Side of the branch-and-bound tiles [`RssiLocalizer::localize`]
+/// bounds, in cells.
+const TILE: usize = 8;
 
 #[cfg(test)]
 mod tests {

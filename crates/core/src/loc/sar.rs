@@ -13,12 +13,18 @@
 //! multipath, [`super::peaks`] refines the choice. Because the
 //! projection is non-linear in position, a 1D trajectory suffices for a
 //! 2D fix (one of the paper's observations about Fig. 6).
+//!
+//! [`SarLocalizer::heatmap`] is the exhaustive grid search.
+//! [`SarLocalizer::localize`] returns the same estimate, bit for bit,
+//! while scoring exactly only the cells that can change it — the faster
+//! search the paper's footnote 7 points at, exact by construction.
 
 use rfly_channel::geometry::Point2;
 use rfly_dsp::units::Hertz;
 use rfly_dsp::{Complex, SPEED_OF_LIGHT};
 
 use super::heatmap::Heatmap;
+use super::peaks;
 use super::trajectory::Trajectory;
 
 /// Grid-search SAR localizer.
@@ -66,13 +72,19 @@ impl SarLocalizer {
         acc.norm_sq()
     }
 
-    /// Evaluates `P(x, y)` over the whole grid.
-    pub fn heatmap(&self, trajectory: &Trajectory, channels: &[Complex]) -> Heatmap {
+    /// The grid [`Self::heatmap`] and [`Self::localize`] share.
+    fn empty_map(&self) -> Heatmap {
         let nx = ((self.region_max.x - self.region_min.x) / self.resolution).ceil() as usize + 1;
         let ny = ((self.region_max.y - self.region_min.y) / self.resolution).ceil() as usize + 1;
-        let mut map = Heatmap::new(self.region_min, self.resolution, nx, ny);
-        for iy in 0..ny {
-            for ix in 0..nx {
+        Heatmap::new(self.region_min, self.resolution, nx, ny)
+    }
+
+    /// Evaluates `P(x, y)` over the whole grid: the exhaustive search,
+    /// and the oracle [`Self::localize`] is tested against.
+    pub fn heatmap(&self, trajectory: &Trajectory, channels: &[Complex]) -> Heatmap {
+        let mut map = self.empty_map();
+        for iy in 0..map.ny() {
+            for ix in 0..map.nx() {
                 let p = map.position(ix, iy);
                 map.set(ix, iy, self.score_at(p, trajectory, channels));
             }
@@ -82,7 +94,13 @@ impl SarLocalizer {
 
     /// Full localization: heatmap → multipath-aware peak selection
     /// (nearest candidate peak to the trajectory, §5.2). Returns the
-    /// estimate and the heatmap (for rendering / diagnostics).
+    /// estimate and the heatmap (for diagnostics).
+    ///
+    /// The estimate is bit-identical to [`peaks::select_nearest_peak`]
+    /// over the exhaustive [`Self::heatmap`], but only the cells that
+    /// can change it are scored exactly (see [`Self::screened_heatmap`]).
+    /// Every cell at or above the candidate floor holds the exhaustive
+    /// map's bits; cells proven below the floor read 0.
     pub fn localize(
         &self,
         trajectory: &Trajectory,
@@ -94,10 +112,148 @@ impl SarLocalizer {
         let _span = rfly_obs::span("loc.sar.localize");
         rfly_obs::counter_add("loc.sar.passes", 1);
         rfly_obs::counter_add("loc.sar.measurements", channels.len() as u64);
-        let map = self.heatmap(trajectory, channels);
-        let est = super::peaks::select_nearest_peak(&map, trajectory)?;
+        let map = self.screened_heatmap(trajectory, channels, peaks::CANDIDATE_THRESHOLD);
+        let est = peaks::select_nearest_peak(&map, trajectory)?;
         Some((est, map))
     }
+
+    /// The heatmap [`Self::localize`] selects from: exact wherever a
+    /// cell can reach `threshold` × the global maximum, 0 elsewhere.
+    /// `threshold` is [`peaks::CANDIDATE_THRESHOLD`] in production; it
+    /// is a parameter only so tests can plant a wrong one.
+    ///
+    /// Filter and refine with a certified error bound:
+    ///
+    /// 1. *Screen.* Row by row, every cell gets an upper bound
+    ///    `ub ≥ √P` from a branch-free, autovectorised evaluation of
+    ///    Eq. 12 ([`fast_cis`], error < 1e-9 per phasor) plus a slack of
+    ///    [`SCREEN_SLACK`]·Σ|hₖ|, which covers that error, the range
+    ///    reduction and the f64 accumulation by orders of magnitude. The
+    ///    bounds live in the heatmap's own storage.
+    /// 2. *Anchor.* The cell with the largest bound is scored exactly
+    ///    with [`Self::score_at`]: `L ≤ G`, the global maximum.
+    /// 3. *Refine.* Every cell with `ub²·(1 + 1e-9) ≥ threshold·L` is
+    ///    re-scored with the unchanged [`Self::score_at`], so it holds
+    ///    the exhaustive map's bits; every other cell is set to 0.
+    ///
+    /// Why [`peaks::select_nearest_peak`] then returns exactly what it
+    /// returns on the exhaustive map: a cell whose true `P` reaches
+    /// `find_peaks`' floor `threshold·G ≥ threshold·L` has
+    /// `ub² ≥ P ≥ threshold·L`, so it is exact — the global maximum
+    /// included, hence the floor itself is unchanged. A pruned cell is
+    /// below the floor both as stored (0) and in truth. So every
+    /// candidate cell, its value, and the outcome of each 8-neighbour
+    /// test against it (a neighbour below the floor can never exceed a
+    /// candidate) are the same; plateau merging, sidelobe suppression
+    /// and the nearest-peak choice read nothing else.
+    ///
+    /// A degenerate map (`L ≤ 0` or not finite) falls back to
+    /// [`Self::heatmap`]. A bound that is NaN is never pruned.
+    #[doc(hidden)]
+    pub fn screened_heatmap(
+        &self,
+        trajectory: &Trajectory,
+        channels: &[Complex],
+        threshold: f64,
+    ) -> Heatmap {
+        assert_eq!(
+            trajectory.len(),
+            channels.len(),
+            "one channel per trajectory position"
+        );
+        let mut map = self.empty_map();
+        let (nx, ny) = (map.nx(), map.ny());
+        let k2 = 2.0 * std::f64::consts::TAU * self.frequency.as_hz() / SPEED_OF_LIGHT;
+        let slack = SCREEN_SLACK * channels.iter().map(|h| h.abs()).sum::<f64>();
+        let xs: Vec<f64> = (0..nx).map(|ix| map.position(ix, 0).x).collect();
+        let mut re = vec![0.0; nx];
+        let mut im = vec![0.0; nx];
+        let mut anchor = (0, 0, f64::NEG_INFINITY);
+        for iy in 0..ny {
+            let y = map.position(0, iy).y;
+            re.fill(0.0);
+            im.fill(0.0);
+            for (pos, h) in trajectory.points().iter().zip(channels) {
+                let dy = y - pos.y;
+                let dy2 = dy * dy;
+                for ((x, r), i) in xs.iter().zip(&mut re).zip(&mut im) {
+                    let dx = x - pos.x;
+                    let (c, s) = fast_cis(k2 * (dx * dx + dy2).sqrt());
+                    *r += h.re * c - h.im * s;
+                    *i += h.re * s + h.im * c;
+                }
+            }
+            for (ix, (r, i)) in re.iter().zip(&im).enumerate() {
+                let ub = (r * r + i * i).sqrt() + slack;
+                map.set(ix, iy, ub);
+                if ub > anchor.2 {
+                    anchor = (ix, iy, ub);
+                }
+            }
+        }
+
+        let l = self.score_at(map.position(anchor.0, anchor.1), trajectory, channels);
+        if !(l > 0.0 && l.is_finite()) {
+            rfly_obs::counter_add("loc.sar.cells_exact", (nx * ny + 1) as u64);
+            return self.heatmap(trajectory, channels);
+        }
+        let cut = threshold * l;
+        let mut exact = 1u64;
+        for iy in 0..ny {
+            for ix in 0..nx {
+                let ub = map.get(ix, iy);
+                let v = if ub * ub * (1.0 + 1e-9) < cut {
+                    0.0
+                } else {
+                    exact += 1;
+                    self.score_at(map.position(ix, iy), trajectory, channels)
+                };
+                map.set(ix, iy, v);
+            }
+        }
+        rfly_obs::counter_add("loc.sar.cells_exact", exact);
+        map
+    }
+}
+
+/// The screen's slack, as a fraction of Σ|hₖ|: the bound on how far
+/// its `|Ŝ|` may sit below the exact `|S|`. [`fast_cis`] alone is good
+/// to < 1e-9 per phasor, so this is ~1000× the worst case.
+const SCREEN_SLACK: f64 = 1e-6;
+
+/// `(cos φ, sin φ)` without a branch or a libm call, so the screen's
+/// inner loop autovectorises. Absolute error < 1e-9 for φ ∈ [0, 2000].
+///
+/// φ is reduced by 2π to r ∈ [−π, π] (round-to-nearest by the
+/// 1.5·2⁵² "magic number"), the half angle h = r/2 ∈ [−π/2, π/2] goes
+/// through Taylor polynomials to h¹⁵ and h¹⁶ (truncation < 1e-11),
+/// and one double-angle step gives cos r = c² − s², sin r = 2sc.
+#[inline(always)]
+fn fast_cis(phi: f64) -> (f64, f64) {
+    const TAU: f64 = std::f64::consts::TAU;
+    const ROUND: f64 = 6_755_399_441_055_744.0;
+    let n = (phi * (1.0 / TAU) + ROUND) - ROUND;
+    let h = 0.5 * (phi - n * TAU);
+    let h2 = h * h;
+    let s = h
+        * (1.0
+            + h2 * (-1.0 / 6.0
+                + h2 * (1.0 / 120.0
+                    + h2 * (-1.0 / 5_040.0
+                        + h2 * (1.0 / 362_880.0
+                            + h2 * (-1.0 / 39_916_800.0
+                                + h2 * (1.0 / 6_227_020_800.0
+                                    + h2 * (-1.0 / 1_307_674_368_000.0))))))));
+    let c = 1.0
+        + h2 * (-1.0 / 2.0
+            + h2 * (1.0 / 24.0
+                + h2 * (-1.0 / 720.0
+                    + h2 * (1.0 / 40_320.0
+                        + h2 * (-1.0 / 3_628_800.0
+                            + h2 * (1.0 / 479_001_600.0
+                                + h2 * (-1.0 / 87_178_291_200.0
+                                    + h2 * (1.0 / 20_922_789_888_000.0))))))));
+    (c * c - s * s, 2.0 * s * c)
 }
 
 #[cfg(test)]
@@ -244,6 +400,20 @@ mod tests {
         let traj = Trajectory::line(Point2::new(0.0, 0.0), Point2::new(1.0, 0.0), 11);
         let ch = vec![Complex::default(); 11];
         assert!(localizer().localize(&traj, &ch).is_none());
+    }
+
+    #[test]
+    fn fast_cis_is_accurate_over_the_search_range() {
+        // 2000 rad is a 170 m round trip at 916 MHz, far past any
+        // search region; the screen's slack assumes < 1e-9.
+        let mut worst = 0.0f64;
+        for i in 0..=2_000_000 {
+            let phi = f64::from(i) * 1e-3 + 1.234_567e-7 * f64::from(i % 7);
+            let (c, s) = fast_cis(phi);
+            let exact = Complex::cis(phi);
+            worst = worst.max((c - exact.re).abs()).max((s - exact.im).abs());
+        }
+        assert!(worst < 1e-9, "fast_cis error {worst}");
     }
 
     #[test]

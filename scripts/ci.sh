@@ -110,6 +110,12 @@ echo "== fault injector transparency (exact counters + planted control) =="
 # fault must break that equality. Wall-time ratios are telemetry only.
 cargo run --release --offline -p rfly-bench --bin ext_fault_overhead | tail -3
 
+echo "== localization exactness (oracle agreement + cell count) =="
+# The pruned SAR and RSSI searches must return bit-identical estimates
+# to their exhaustive oracles on every trial, and the cells they score
+# exactly must equal the committed totals. Speedup is telemetry only.
+cargo run --release --offline -p rfly-bench --bin ablation_grid | tail -1
+
 echo "== ops model check (exhaustive rotation-supervisor proof) =="
 # BFS-enumerates the abstracted dock-rotation state space over a
 # ladder of fleet shapes; any stranded cell, dock overflow, retry
