@@ -9,9 +9,9 @@
 //! That is checked exactly, not timed: from identical world states,
 //! `STOPS` inventory stops through a bare [`WorldMedium`] and through
 //! `FaultLayer::inactive` must give the same reads, the same
-//! `sim.transactions` count (the `rfly_obs` counter) and the same
-//! [`PhasorWorld::snapshot`]. A planted control, a layer with one
-//! active noise-burst fault, must trip the same check.
+//! `sim.transactions` and `sim.tag_visits` counts (the `rfly_obs`
+//! counters) and the same [`PhasorWorld::snapshot`]. A planted control,
+//! a layer with one active noise-burst fault, must trip the same check.
 //!
 //! Wall time is telemetry only: the median and quartiles of the
 //! wrapped/bare ratio over interleaved timed pairs.
@@ -81,9 +81,12 @@ fn run(world: &mut PhasorWorld, fleet: &[FleetRelay], stack: Stack) -> Vec<TagRe
     for stop in 0..STOPS {
         let seed = SEED ^ stop as u64;
         let mut ctrl = InventoryController::new(world.config.clone(), StdRng::seed_from_u64(seed));
-        let mut medium = WorldMedium::fleet_planned(world, &rf, stop % fleet.len());
+        let medium = WorldMedium::fleet_planned(world, &rf, stop % fleet.len());
         reads.extend(match stack {
-            Stack::Bare => ctrl.run_until_quiet(&mut medium, ROUNDS_PER_STOP),
+            Stack::Bare => {
+                let mut medium = medium;
+                ctrl.run_until_quiet(&mut medium, ROUNDS_PER_STOP)
+            }
             Stack::Inactive => {
                 let mut layered = medium.layer(FaultLayer::inactive(seed));
                 ctrl.run_until_quiet(&mut layered, ROUNDS_PER_STOP)
@@ -115,6 +118,8 @@ struct Outcome {
     reads: String,
     /// The `sim.transactions` counter.
     transactions: u64,
+    /// The `sim.tag_visits` counter: tag protocol steps the medium ran.
+    tag_visits: u64,
     /// The world state after the last stop.
     snapshot: String,
 }
@@ -124,9 +129,11 @@ fn outcome(stack: Stack) -> Outcome {
     rfly_obs::install(rfly_obs::Recorder::new("ext_fault_overhead"));
     let reads = run(&mut world, &fleet, stack);
     let rec = rfly_obs::take().expect("recorder installed above");
+    let counter = |name: &str| rec.counters.get(name).copied().unwrap_or(0);
     Outcome {
         reads: format!("{reads:?}"),
-        transactions: rec.counters.get("sim.transactions").copied().unwrap_or(0),
+        transactions: counter("sim.transactions"),
+        tag_visits: counter("sim.tag_visits"),
         snapshot: format!("{:?}", world.snapshot()),
     }
 }
@@ -139,18 +146,19 @@ fn main() {
     let inactive = outcome(Stack::Inactive);
     let faulted = outcome(Stack::Faulted);
     assert!(bare.transactions > 0, "the obs counter saw no transactions");
+    assert!(bare.tag_visits > 0, "the obs counter saw no tag visits");
     assert_eq!(
         bare, inactive,
-        "an inactive injector must leave reads, transactions and world state unchanged"
+        "an inactive injector must leave reads, transaction and tag-visit counts and world state unchanged"
     );
     assert_ne!(
         bare, faulted,
         "planted control: an active fault slipped past the transparency check"
     );
     println!(
-        "transparency: {} transactions, identical reads and world snapshot; \
-         planted fault caught ({} transactions)",
-        bare.transactions, faulted.transactions
+        "transparency: {} transactions, {} tag visits, identical reads and world snapshot; \
+         planted fault caught ({} transactions, {} tag visits)",
+        bare.transactions, bare.tag_visits, faulted.transactions, faulted.tag_visits
     );
 
     // Telemetry: interleaved timed pairs, alternating which stack runs
@@ -194,6 +202,7 @@ fn main() {
          (IQR {q1:.4}-{q3:.4}, telemetry only)"
     );
     bench.metric("sim_transactions", bare.transactions as f64);
+    bench.metric("sim_tag_visits", bare.tag_visits as f64);
     bench.metric("zero_fault_ratio_median", median);
     bench.metric("zero_fault_ratio_q1", q1);
     bench.metric("zero_fault_ratio_q3", q3);

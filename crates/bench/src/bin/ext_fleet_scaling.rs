@@ -14,10 +14,9 @@
 //! Every row is flown twice — once at 1 worker, once at the full
 //! width (`RFLY_THREADS` or available parallelism) — and the rows are
 //! asserted **bit-identical** before printing: worker count may only
-//! change wall-clock, never bytes. The serial/parallel ratio lands in
-//! `BENCH_report.json` as `parallel_speedup` and is a hard CI gate on
-//! machines with ≥4 cores: below `SPEEDUP_BUDGET` the binary exits 2,
-//! the same shape as the lint wall-time budget.
+//! change wall-clock, never bytes. That bit-identity is the only
+//! parallel check; the serial/parallel ratio is printed and lands in
+//! `BENCH_report.json` as `parallel_speedup`, as telemetry only.
 //!
 //! Feasibility (partition + channel assignment) is pre-flighted
 //! serially per row before any mission spawns, so an infeasible row
@@ -56,11 +55,6 @@ const FLEETS: [usize; 3] = [32, 64, 128];
 /// cell, which bounds the sweep's wall-clock without changing its
 /// scaling shape.
 const TIME_BUDGET_S: f64 = 8.0;
-/// The hard floor on `parallel_speedup`, gated on machines with at
-/// least [`GATE_MIN_CORES`] cores (below that the pool cannot win).
-const SPEEDUP_BUDGET: f64 = 2.0;
-/// Cores needed before the speedup budget is enforced.
-const GATE_MIN_CORES: usize = 4;
 
 /// One warehouse site's flown outcome.
 struct SiteOutcome {
@@ -232,10 +226,6 @@ fn main() {
     bench.table("main", table, true);
 
     let speedup = serial_s / parallel_s;
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let gated = cores >= GATE_MIN_CORES;
     println!(
         "\nsweep wall-clock: serial {serial_s:.2} s, 1 worker; parallel {parallel_s:.2} s, \
          {workers} worker(s) ({speedup:.2}x, rows bit-identical; RFLY_THREADS overrides the width \
@@ -244,26 +234,6 @@ fn main() {
     bench.metric("serial_s", serial_s); // rfly-lint: allow(determinism-taint) -- wall-time IS the measurement here; the report tolerates jitter in these fields.
     bench.metric("parallel_s", parallel_s); // rfly-lint: allow(determinism-taint) -- wall-time IS the measurement here; the report tolerates jitter in these fields.
     bench.metric("parallel_speedup", speedup); // rfly-lint: allow(determinism-taint) -- wall-time IS the measurement here; the report tolerates jitter in these fields.
-    bench.metric("parallel_speedup_budget", SPEEDUP_BUDGET);
     bench.metric("workers", workers as f64);
-    bench.metric("speedup_gate_enforced", if gated { 1.0 } else { 0.0 });
     bench.finish();
-
-    // The hard gate (the PR 6 `parallel_regression` shame-flag,
-    // promoted): on a machine with enough cores, parallel must beat
-    // serial by the budget or the build fails — same shape as the
-    // lint wall-time budget, exit code 2 like a golden-metric drift.
-    if gated && speedup < SPEEDUP_BUDGET {
-        eprintln!(
-            "FAIL: parallel_speedup {speedup:.2}x < budget {SPEEDUP_BUDGET:.2}x \
-             on {cores} cores — the work pool is not paying for itself"
-        );
-        std::process::exit(2);
-    }
-    if !gated {
-        println!(
-            "speedup budget ({SPEEDUP_BUDGET:.2}x) not enforced: only {cores} core(s) available \
-             (needs ≥{GATE_MIN_CORES})"
-        );
-    }
 }

@@ -289,6 +289,7 @@ pub fn run_mission_with_motion(
                     inventory.observe(read, serving, step);
                 }
             }
+            drop(medium);
             scene_world.power_cycle_tags();
         }
     }

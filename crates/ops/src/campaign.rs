@@ -290,6 +290,7 @@ impl<'s> CampaignRun<'s> {
                         reads_by_relay[relay] += 1;
                     }
                 }
+                drop(medium);
                 self.world.power_cycle_tags();
             }
             rec.reads = reads_by_relay.iter().sum::<usize>();

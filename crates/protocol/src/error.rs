@@ -15,7 +15,8 @@ use std::fmt;
 /// Construction errors ([`ProtocolError::NonPositiveSampleRate`],
 /// [`ProtocolError::IllegalTiming`], [`ProtocolError::InvalidDepth`],
 /// [`ProtocolError::OversizeEdge`]) reject illegal encoder
-/// configurations; data errors ([`ProtocolError::BitRange`],
+/// configurations, [`ProtocolError::QParamOutOfRange`] an illegal
+/// anti-collision setup; data errors ([`ProtocolError::BitRange`],
 /// [`ProtocolError::NotEnoughBytes`]) reject malformed frames.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ProtocolError {
@@ -52,6 +53,14 @@ pub enum ProtocolError {
     /// A capture held no decodable PIE frame — a decode miss, the
     /// expected outcome for truncated, corrupted, or frameless input.
     NoFrame,
+    /// A Q-algorithm parameter out of range: Q and its bounds are 4
+    /// bits (`min_q ≤ max_q ≤ 15`) and the step C lies in [0.1, 0.5].
+    QParamOutOfRange {
+        /// The parameter: `"q0"`, `"c"`, `"min_q"` or `"max_q"`.
+        param: &'static str,
+        /// The rejected value.
+        value: f64,
+    },
 }
 
 impl fmt::Display for ProtocolError {
@@ -80,6 +89,13 @@ impl fmt::Display for ProtocolError {
             }
             ProtocolError::NoFrame => {
                 write!(f, "no decodable PIE frame in the capture")
+            }
+            ProtocolError::QParamOutOfRange { param, value } => {
+                write!(
+                    f,
+                    "Q-algorithm {param} = {value} is out of range \
+                     (min_q <= Q <= max_q <= 15, C in [0.1, 0.5])"
+                )
             }
         }
     }

@@ -9,6 +9,11 @@
 //! RFly inherits this unchanged — the relay is protocol-transparent —
 //! but the simulation needs it to inventory multi-tag scenes efficiently.
 
+use crate::error::ProtocolError;
+
+/// The largest Q: the Query field is 4 bits.
+const MAX_Q: u8 = 15;
+
 /// Outcome of one inventory slot, as observed by the reader.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SlotOutcome {
@@ -32,30 +37,57 @@ pub struct QAlgorithm {
 }
 
 impl QAlgorithm {
-    /// Creates the algorithm starting at `q0` with step `c`.
-    pub fn new(q0: u8, c: f64) -> Self {
-        assert!(q0 <= 15, "Q is 4 bits");
-        assert!((0.1..=0.5).contains(&c), "C should be in [0.1, 0.5]");
+    /// Creates the algorithm starting at `q0` with step `c`; rejects a
+    /// `q0` wider than 4 bits or a `c` outside [0.1, 0.5].
+    pub fn new(q0: u8, c: f64) -> Result<Self, ProtocolError> {
+        if q0 > MAX_Q {
+            return Err(ProtocolError::QParamOutOfRange {
+                param: "q0",
+                value: f64::from(q0),
+            });
+        }
+        if !(0.1..=0.5).contains(&c) {
+            return Err(ProtocolError::QParamOutOfRange {
+                param: "c",
+                value: c,
+            });
+        }
+        Ok(Self::start(q0, c))
+    }
+
+    fn start(q0: u8, c: f64) -> Self {
         Self {
-            q_fp: q0 as f64,
+            q_fp: f64::from(q0),
             c,
             min_q: 0,
-            max_q: 15,
+            max_q: MAX_Q,
         }
     }
 
     /// Standard starting point: Q = 4, C = 0.3.
     pub fn default_start() -> Self {
-        Self::new(4, 0.3)
+        Self::start(4, 0.3)
     }
 
-    /// Restricts the Q range (some readers cap Q for latency).
-    pub fn with_bounds(mut self, min_q: u8, max_q: u8) -> Self {
-        assert!(min_q <= max_q && max_q <= 15);
+    /// Restricts the Q range (some readers cap Q for latency); rejects
+    /// `max_q > 15` or `min_q > max_q`.
+    pub fn with_bounds(mut self, min_q: u8, max_q: u8) -> Result<Self, ProtocolError> {
+        let reject = |param, q: u8| {
+            Err(ProtocolError::QParamOutOfRange {
+                param,
+                value: f64::from(q),
+            })
+        };
+        if max_q > MAX_Q {
+            return reject("max_q", max_q);
+        }
+        if min_q > max_q {
+            return reject("min_q", min_q);
+        }
         self.min_q = min_q;
         self.max_q = max_q;
-        self.q_fp = self.q_fp.clamp(min_q as f64, max_q as f64);
-        self
+        self.q_fp = self.q_fp.clamp(f64::from(min_q), f64::from(max_q));
+        Ok(self)
     }
 
     /// The integer Q to advertise in the next Query.
@@ -94,7 +126,7 @@ mod tests {
 
     #[test]
     fn q_starts_where_told() {
-        let q = QAlgorithm::new(6, 0.2);
+        let q = QAlgorithm::new(6, 0.2).expect("legal");
         assert_eq!(q.q(), 6);
         assert_eq!(q.slot_count(), 64);
     }
@@ -129,7 +161,9 @@ mod tests {
 
     #[test]
     fn q_respects_bounds() {
-        let mut q = QAlgorithm::new(2, 0.5).with_bounds(1, 3);
+        let mut q = QAlgorithm::new(2, 0.5)
+            .and_then(|q| q.with_bounds(1, 3))
+            .expect("legal");
         for _ in 0..100 {
             q.observe(SlotOutcome::Empty);
         }
@@ -175,8 +209,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "4 bits")]
     fn oversized_q_rejected() {
-        let _ = QAlgorithm::new(16, 0.3);
+        let err = |param, value| Err(ProtocolError::QParamOutOfRange { param, value });
+        assert_eq!(QAlgorithm::new(16, 0.3).map(|q| q.q()), err("q0", 16.0));
+        assert_eq!(QAlgorithm::new(4, 0.6).map(|q| q.q()), err("c", 0.6));
+        let bounded = |lo, hi| QAlgorithm::default_start().with_bounds(lo, hi);
+        assert_eq!(bounded(0, 16).map(|q| q.q()), err("max_q", 16.0));
+        assert_eq!(bounded(5, 3).map(|q| q.q()), err("min_q", 5.0));
+        assert_eq!(bounded(3, 3).map(|q| q.q()), Ok(3));
     }
 }

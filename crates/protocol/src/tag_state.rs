@@ -161,6 +161,21 @@ impl TagMachine {
         self.slot
     }
 
+    /// The session of the tag's last Query (`None` after a power cycle).
+    #[inline]
+    pub fn session(&self) -> Option<Session> {
+        self.session
+    }
+
+    /// Overwrites the slot counter. Calendar-only: a medium that defers
+    /// an arbitrating tag's silent QueryRep decrements uses it to write
+    /// back the exact counter those decrements would have left; no
+    /// other caller may change a tag's slot.
+    #[inline]
+    pub fn set_slot(&mut self, slot: u32) {
+        self.slot = slot;
+    }
+
     /// The machine's RNG stream state — the only tag-side state that
     /// survives a power cycle besides the persistent session flags, so
     /// a step-boundary mission checkpoint captures exactly this plus

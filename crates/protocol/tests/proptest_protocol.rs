@@ -228,7 +228,9 @@ fn q_algorithm_stays_in_bounds() {
     for _ in 0..CASES {
         let q0 = rng.gen_range(0u8..=15);
         let n = rng.gen_range(0usize..300);
-        let mut q = QAlgorithm::new(q0, 0.3).with_bounds(1, 12);
+        let mut q = QAlgorithm::new(q0, 0.3)
+            .and_then(|q| q.with_bounds(1, 12))
+            .expect("Q and its bounds are 4 bits, C = 0.3");
         for _ in 0..n {
             let outcome = match rng.gen_range(0u8..3) {
                 0 => SlotOutcome::Empty,

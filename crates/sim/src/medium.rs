@@ -44,6 +44,7 @@ use rfly_dsp::rng::Rng;
 use rfly_dsp::units::{Db, Dbm, Hertz};
 use rfly_dsp::Complex;
 use rfly_protocol::commands::Command;
+use rfly_protocol::session::Session;
 use rfly_protocol::tag_state::{TagReply, TagState};
 use rfly_reader::inventory::{Medium, Observation};
 use rfly_tag::tag::PassiveTag;
@@ -387,12 +388,13 @@ enum Link {
 /// the whole tag field. The medium's first transaction past the
 /// stability gate scans every tag and builds both lists. After that,
 /// `Query` and `Select` visit `live`, and every other command visits
-/// `engaged` only.
+/// `engaged` only; a QueryRep visits only the engaged tags its slot
+/// calendar says can change.
 ///
-/// The lists cost two `usize` vectors per medium (at most one entry per
-/// tag each) and one scan of the field. They are exact — every tag
-/// state, RNG draw and reply matches a full scan, in the same order —
-/// because of three invariants:
+/// The lists cost two `usize` vectors and one `u64` vector per medium
+/// (at most one entry per tag each) and one scan of the field. They
+/// are exact — every tag state, RNG draw and reply matches a full
+/// scan, in the same order — because of four invariants:
 ///
 /// 1. **Incident power is frozen while a medium lives.** The medium
 ///    holds the world's only mutable borrow and its per-tag incident
@@ -408,6 +410,14 @@ enum Link {
 /// 3. **Every live tag is charged on the first visit.** A sustained,
 ///    unpowered tag charges for its full `charge_time` and boots in that
 ///    visit, so skipping it later never skips a harvester step.
+/// 4. **A silent QueryRep decrement is unobservable until the counter
+///    is read.** An arbitrating tag of session S with counter c > 1
+///    only goes from c to c − 1 under `QueryRep(S)`: no RNG draw, no
+///    state or flag change. Only QueryRep reads an arbitrating tag's
+///    counter (QueryAdjust and Query overwrite it; Ack, Nak, ReqRn,
+///    Read and Select never read it), so the calendar defers those
+///    decrements and writes the exact counter back ([`sync`]) before
+///    any visit, and on [`Self::settle`].
 ///
 /// Replies come out in tag-index order, so the per-tag RNG streams and
 /// the order of the world RNG draws in `observe_channel` do not change.
@@ -417,12 +427,33 @@ struct TagVisits {
     scanned: bool,
     /// Tags whose frozen incident power sustains their harvester.
     live: Vec<usize>,
-    /// Live tags whose state is neither `Ready` nor `Killed`.
+    /// Live tags whose state is neither `Ready` nor `Killed`, plus, on
+    /// a QueryRep streak, the ones a QueryRep just sent back to `Ready`
+    /// (the next narrow command drops them).
     engaged: Vec<usize>,
+    /// The slot calendar, parallel to `engaged`: [`ACTIVE`], [`NEVER`],
+    /// or `reps + slot`, the `cal` QueryRep at which an arbitrating
+    /// tag of session `cal` reaches slot 0 (see [`due_of`]).
+    due: Vec<u64>,
+    /// The calendar's session.
+    cal: Option<Session>,
+    /// `cal` QueryReps heard since the calendar last (re)started.
+    reps: u64,
     /// Planted-control bug: `Query` visits `engaged` instead of `live`.
     #[cfg(test)]
     planted_query_on_engaged: bool,
+    /// Planted-control bug: a QueryRep visits a tag one QueryRep late.
+    #[cfg(test)]
+    planted_due_late: bool,
 }
+
+/// Calendar entry of a Reply, Acknowledged or Open tag: every `cal`
+/// QueryRep visits it.
+const ACTIVE: u64 = 0;
+
+/// Calendar entry of a tag no `cal` QueryRep can change: an arbitrating
+/// tag of another session, or a stale `Ready` one.
+const NEVER: u64 = u64::MAX;
 
 /// Whether `cmd` can move a `Ready` tag out of `Ready` (invariant 2 of
 /// [`TagVisits`]). Exhaustive, so a new command must be classified.
@@ -443,6 +474,31 @@ fn is_engaged(tag: &PassiveTag) -> bool {
     !matches!(tag.state(), TagState::Ready | TagState::Killed)
 }
 
+/// `tag`'s calendar entry once `base` calendar QueryReps have been
+/// heard, from its exact (synced) state and counter.
+fn due_of(tag: &PassiveTag, cal: Option<Session>, base: u64) -> u64 {
+    match tag.state() {
+        TagState::Reply | TagState::Acknowledged | TagState::Open => ACTIVE,
+        TagState::Arbitrate if tag.session() == cal => base + u64::from(tag.slot()),
+        _ => NEVER,
+    }
+}
+
+/// The live counter of a calendar entry `due` after `reps` QueryReps:
+/// `due − reps`, at most the u32 the tag held when the entry was
+/// written. `None` for the sentinels, whose counters are never deferred.
+fn deferred_slot(due: u64, reps: u64) -> Option<u32> {
+    (due != ACTIVE && due != NEVER).then(|| (due - reps) as u32)
+}
+
+/// Writes back the counter the deferred decrements of a calendar entry
+/// left (invariant 4).
+fn sync(tag: &mut PassiveTag, due: u64, reps: u64) {
+    if let Some(slot) = deferred_slot(due, reps) {
+        tag.set_slot(slot);
+    }
+}
+
 impl TagVisits {
     /// True if `cmd` must visit `live` rather than `engaged` after the
     /// first scan.
@@ -452,6 +508,41 @@ impl TagVisits {
             return false;
         }
         wakes_ready_tags(cmd)
+    }
+
+    /// Whether the calendar QueryRep numbered `next` visits an entry
+    /// due at `due`: every entry whose counter reaches 0 on it.
+    fn visits_due(&self, due: u64, next: u64) -> bool {
+        #[cfg(test)]
+        if self.planted_due_late {
+            return due <= self.reps;
+        }
+        due <= next
+    }
+
+    /// Writes every deferred decrement back to its tag, then restarts
+    /// the calendar in session `cal` at zero QueryReps. Afterwards every
+    /// engaged tag's raw counter is exact.
+    fn settle(&mut self, tags: &mut [PassiveTag], cal: Option<Session>) {
+        for (&i, due) in self.engaged.iter().zip(&mut self.due) {
+            sync(&mut tags[i], *due, self.reps);
+            *due = due_of(&tags[i], cal, 0);
+        }
+        self.cal = cal;
+        self.reps = 0;
+    }
+
+    /// Every tag's slot counter as a full scan would hold it: the raw
+    /// counter, or `due − reps` for a tag whose decrements are deferred.
+    #[cfg(test)]
+    fn effective_slots(&self, tags: &[PassiveTag]) -> Vec<u32> {
+        let mut slots: Vec<u32> = tags.iter().map(PassiveTag::slot).collect();
+        for (&i, &due) in self.engaged.iter().zip(&self.due) {
+            if let Some(slot) = deferred_slot(due, self.reps) {
+                slots[i] = slot;
+            }
+        }
+        slots
     }
 
     /// Feeds `cmd` to every tag that can act on it, illuminated at
@@ -464,33 +555,72 @@ impl TagVisits {
         incident: impl Fn(usize) -> Dbm,
     ) -> Vec<(usize, TagReply)> {
         let mut replies = Vec::new();
+        let mut visited = 0u64;
         let mut hear = |i: usize, tag: &mut PassiveTag| {
+            visited += 1;
             if let Some(reply) = tag.respond(cmd, incident(i)) {
                 replies.push((i, reply));
             }
             is_engaged(tag)
         };
-        if !self.scanned {
-            self.scanned = true;
-            for (i, tag) in tags.iter_mut().enumerate() {
-                let engaged = hear(i, tag);
-                if tag.sustains(incident(i)) {
-                    self.live.push(i);
-                    if engaged {
-                        self.engaged.push(i);
+        if !self.scanned || self.visits_live(cmd) {
+            let cal = match cmd {
+                Command::Query { session, .. } => Some(*session),
+                _ => self.cal,
+            };
+            self.settle(tags, cal);
+            self.engaged.clear();
+            self.due.clear();
+            let mut join = |i: usize, tag: &mut PassiveTag, engaged: bool| {
+                if engaged {
+                    self.engaged.push(i);
+                    self.due.push(due_of(tag, cal, 0));
+                }
+            };
+            if !self.scanned {
+                self.scanned = true;
+                for (i, tag) in tags.iter_mut().enumerate() {
+                    let engaged = hear(i, tag);
+                    if tag.sustains(incident(i)) {
+                        self.live.push(i);
+                        join(i, tag, engaged);
                     }
                 }
-            }
-        } else if self.visits_live(cmd) {
-            self.engaged.clear();
-            for &i in &self.live {
-                if hear(i, &mut tags[i]) {
-                    self.engaged.push(i);
+            } else {
+                for &i in &self.live {
+                    let engaged = hear(i, &mut tags[i]);
+                    join(i, &mut tags[i], engaged);
                 }
             }
+        } else if let Command::QueryRep { session } = cmd {
+            if self.cal != Some(*session) {
+                self.settle(tags, Some(*session));
+            }
+            let next = self.reps + 1;
+            for k in 0..self.engaged.len() {
+                let (i, due) = (self.engaged[k], self.due[k]);
+                if self.visits_due(due, next) {
+                    sync(&mut tags[i], due, self.reps);
+                    hear(i, &mut tags[i]);
+                    self.due[k] = due_of(&tags[i], self.cal, next);
+                }
+            }
+            self.reps = next;
         } else {
-            self.engaged.retain(|&i| hear(i, &mut tags[i]));
+            let mut kept = 0;
+            for k in 0..self.engaged.len() {
+                let (i, due) = (self.engaged[k], self.due[k]);
+                sync(&mut tags[i], due, self.reps);
+                if hear(i, &mut tags[i]) {
+                    self.engaged[kept] = i;
+                    self.due[kept] = due_of(&tags[i], self.cal, self.reps);
+                    kept += 1;
+                }
+            }
+            self.engaged.truncate(kept);
+            self.due.truncate(kept);
         }
+        rfly_obs::counter_add("sim.tag_visits", visited);
         replies
     }
 }
@@ -594,6 +724,15 @@ impl<'a> WorldMedium<'a> {
             Link::Direct(_) => true,
             Link::Relayed(link) => link.stable(),
         }
+    }
+}
+
+impl Drop for WorldMedium<'_> {
+    /// Settles the slot calendar, so a medium rebuilt on the same world
+    /// without `power_cycle_tags` finds every counter exact.
+    fn drop(&mut self) {
+        let cal = self.visits.cal;
+        self.visits.settle(self.world.tags.tags_mut(), cal);
     }
 }
 
@@ -1030,12 +1169,83 @@ mod tests {
         }
     }
 
+    /// A QueryRep-streak command: a Query with q in 4..=8 opens a
+    /// round of 20–200 QueryReps in its session, interleaved with
+    /// QueryAdjust, Nak and Ack with the RN16 a lone reply just sent,
+    /// and with one QueryRep in another session mid-streak.
+    fn streak_command(rng: &mut StdRng, fresh_rn: Option<u16>, streak: &mut Streak) -> Command {
+        const SESSIONS: [Session; 4] = [Session::S0, Session::S1, Session::S2, Session::S3];
+        if streak.left == 0 {
+            streak.session = SESSIONS[rng.gen_range(0..4usize)];
+            streak.left = rng.gen_range(20..=200usize);
+            streak.other_at = rng.gen_range(1..streak.left);
+            return Command::Query {
+                dr: DivideRatio::Dr64over3,
+                m: TagEncoding::Fm0,
+                trext: false,
+                sel: SelFilter::All,
+                session: streak.session,
+                target: if rng.gen() {
+                    InventoriedFlag::A
+                } else {
+                    InventoriedFlag::B
+                },
+                q: rng.gen_range(4..=8u8),
+            };
+        }
+        streak.left -= 1;
+        let session = streak.session;
+        if streak.left == streak.other_at {
+            let other = SESSIONS[(session.field() as usize + rng.gen_range(1..4usize)) % 4];
+            return Command::QueryRep { session: other };
+        }
+        if let Some(rn16) = fresh_rn.filter(|_| rng.gen_bool(0.8)) {
+            return Command::Ack { rn16 };
+        }
+        match rng.gen_range(0..100u32) {
+            0..=5 => Command::QueryAdjust {
+                session,
+                updn: rng.gen_range(-1..=1i8),
+            },
+            6..=8 => Command::Nak,
+            _ => Command::QueryRep { session },
+        }
+    }
+
+    /// Where a streak stage is in its current round.
+    #[derive(Debug)]
+    struct Streak {
+        session: Session,
+        /// Commands left in the round; 0 opens a new one.
+        left: usize,
+        /// `left` at which the other-session QueryRep goes out.
+        other_at: usize,
+    }
+
+    /// Every tag's state, `powered()`, and, for an arbitrating tag, its
+    /// effective slot counter (the calendar's deferred count when
+    /// `visits` is given, the raw one otherwise).
+    fn tag_view(w: &PhasorWorld, visits: Option<&TagVisits>) -> Vec<(TagState, bool, Option<u32>)> {
+        let tags = w.tags.tags();
+        let slots = visits.map_or_else(
+            || tags.iter().map(PassiveTag::slot).collect(),
+            |v| v.effective_slots(tags),
+        );
+        tags.iter()
+            .zip(slots)
+            .map(|(t, slot)| {
+                let arbitrating = t.state() == TagState::Arbitrate;
+                (t.state(), t.powered(), arbitrating.then_some(slot))
+            })
+            .collect()
+    }
+
     /// The first bit-level difference between two transactions' results
     /// and the two worlds they left behind.
     fn divergence(
         got: &[Observation],
         want: &[Observation],
-        a: &PhasorWorld,
+        m: &WorldMedium<'_>,
         b: &PhasorWorld,
     ) -> Option<String> {
         let bits = |obs: &[Observation]| -> Vec<(Bits, u64, u64, u64)> {
@@ -1046,51 +1256,88 @@ mod tests {
                 })
                 .collect()
         };
-        let tags = |w: &PhasorWorld| -> Vec<(TagState, bool)> {
-            w.tags
-                .tags()
-                .iter()
-                .map(|t| (t.state(), t.powered()))
-                .collect()
-        };
         if bits(got) != bits(want) {
             Some(format!("observations {got:?} != {want:?}"))
-        } else if tags(a) != tags(b) {
-            Some("tag states or powered() differ".into())
-        } else if a.snapshot() != b.snapshot() {
+        } else if tag_view(m.world, Some(&m.visits)) != tag_view(b, None) {
+            Some("tag states, powered() or effective slot counters differ".into())
+        } else if m.world.snapshot() != b.snapshot() {
             Some("tag or world RNG/flag state differs".into())
         } else {
             None
         }
     }
 
-    /// Runs `n` seeded random commands through the visit-list medium on
-    /// `cand` and the full-scan reference on `reference`, comparing
-    /// after every command. Returns the observation count.
+    /// Which command mix a differential stage draws from.
+    #[derive(Debug, Clone, Copy)]
+    enum Mix {
+        /// [`random_command`]: every command, short rounds.
+        Random,
+        /// [`streak_command`]: long QueryRep streaks.
+        Streak,
+    }
+
+    /// Which planted bug, if any, the candidate medium carries.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Plant {
+        None,
+        QueryOnEngaged,
+        DueLate,
+    }
+
+    /// Runs `n` seeded commands of `mix` through the visit-list medium
+    /// on `cand` and the full-scan reference on `reference`, comparing
+    /// after every command and, once the medium is dropped, every raw
+    /// slot counter. Returns the observation count.
     fn differential_stage(
         cand: &mut PhasorWorld,
         reference: &mut PhasorWorld,
         how: &Build,
-        planted: bool,
+        mix: Mix,
+        plant: Plant,
         cmd_seed: u64,
         n: usize,
     ) -> Result<usize, String> {
         let mut m = build(cand, how);
-        m.visits.planted_query_on_engaged = planted;
+        m.visits.planted_query_on_engaged = plant == Plant::QueryOnEngaged;
+        m.visits.planted_due_late = plant == Plant::DueLate;
         let r = build(reference, how);
         let mut rng = StdRng::seed_from_u64(cmd_seed);
         let (mut last_rn, mut round, mut seen) = (0u16, Session::S0, 0);
+        let mut fresh_rn = None;
+        let mut streak = Streak {
+            session: Session::S0,
+            left: 0,
+            other_at: 0,
+        };
         for k in 0..n {
-            let cmd = random_command(&mut rng, last_rn, &mut round);
+            let cmd = match mix {
+                Mix::Random => random_command(&mut rng, last_rn, &mut round),
+                Mix::Streak => streak_command(&mut rng, fresh_rn, &mut streak),
+            };
             let got = m.transact(&cmd);
             let want = full_scan_transact(r.world, &r.link, &cmd);
-            if let Some(d) = divergence(&got, &want, m.world, r.world) {
+            if let Some(d) = divergence(&got, &want, &m, r.world) {
                 return Err(format!("{how:?}, command {k} ({cmd:?}): {d}"));
             }
             seen += want.len();
             if let Some(o) = want.iter().rev().find(|o| matches!(o.frame.len(), 16 | 32)) {
                 last_rn = o.frame.uint_at(0, 16) as u16;
             }
+            fresh_rn = match want.as_slice() {
+                [o] if o.frame.len() == 16 => Some(o.frame.uint_at(0, 16) as u16),
+                _ => None,
+            };
+        }
+        drop((m, r));
+        let raw = |w: &PhasorWorld| {
+            w.tags
+                .tags()
+                .iter()
+                .map(PassiveTag::slot)
+                .collect::<Vec<_>>()
+        };
+        if raw(cand) != raw(reference) {
+            return Err(format!("{how:?}: raw slot counters differ after drop"));
         }
         Ok(seen)
     }
@@ -1098,8 +1345,8 @@ mod tests {
     /// One seed's stage sequence over twin worlds: media on the same
     /// world without `power_cycle_tags` in between (tags arrive
     /// engaged, and a moved fleet unpowers some of them), an unstable
-    /// serving, and a direct link.
-    fn differential_run(seed: u64, planted: bool) -> Result<usize, String> {
+    /// serving, a direct link, and QueryRep streaks.
+    fn differential_run(seed: u64, plant: Plant) -> Result<usize, String> {
         let fleet = fleet_of_three();
         // The moved fleet is unmirrored (a relay-phase RNG draw per
         // transaction) and carries an SNR penalty.
@@ -1116,18 +1363,45 @@ mod tests {
             })
             .collect();
         let stages = [
-            (Point2::ORIGIN, Build::Planned(fleet.clone(), 0)),
-            (Point2::ORIGIN, Build::Planned(fleet.clone(), 1)),
-            (Point2::ORIGIN, Build::Planned(moved, 2)),
-            (Point2::new(-350.0, 0.0), Build::Planned(fleet.clone(), 0)),
-            (Point2::new(44.0, 0.0), Build::Direct),
-            (Point2::new(44.0, 0.0), Build::Planned(fleet, 1)),
-            (Point2::new(44.0, 0.0), Build::Direct),
+            (
+                Point2::ORIGIN,
+                Build::Planned(fleet.clone(), 0),
+                Mix::Random,
+            ),
+            (
+                Point2::ORIGIN,
+                Build::Planned(fleet.clone(), 1),
+                Mix::Random,
+            ),
+            (
+                Point2::ORIGIN,
+                Build::Planned(moved.clone(), 2),
+                Mix::Random,
+            ),
+            (
+                Point2::new(-350.0, 0.0),
+                Build::Planned(fleet.clone(), 0),
+                Mix::Random,
+            ),
+            (Point2::new(44.0, 0.0), Build::Direct, Mix::Random),
+            (
+                Point2::new(44.0, 0.0),
+                Build::Planned(fleet.clone(), 1),
+                Mix::Random,
+            ),
+            (Point2::new(44.0, 0.0), Build::Direct, Mix::Random),
+            (
+                Point2::ORIGIN,
+                Build::Planned(fleet.clone(), 0),
+                Mix::Streak,
+            ),
+            (Point2::ORIGIN, Build::Planned(moved, 2), Mix::Streak),
+            (Point2::new(44.0, 0.0), Build::Direct, Mix::Streak),
         ];
         let mut cand = straddling_world(seed, Point2::ORIGIN);
         let mut reference = straddling_world(seed, Point2::ORIGIN);
         let (mut seen, mut arrived_engaged) = (0, 0);
-        for (k, (reader, how)) in stages.iter().enumerate() {
+        for (k, (reader, how, mix)) in stages.iter().enumerate() {
             cand.reader_pos = *reader;
             reference.reader_pos = *reader;
             arrived_engaged += cand.tags.tags().iter().filter(|t| is_engaged(t)).count();
@@ -1144,19 +1418,25 @@ mod tests {
                 }
             }
             let cmd_seed = seed.wrapping_mul(31).wrapping_add(k as u64);
-            seen += differential_stage(&mut cand, &mut reference, how, planted, cmd_seed, 400)?;
+            let n = match mix {
+                Mix::Random => 400,
+                Mix::Streak => 1200,
+            };
+            seen += differential_stage(&mut cand, &mut reference, how, *mix, plant, cmd_seed, n)?;
         }
         assert!(arrived_engaged > 0, "no medium inherited engaged tags");
         Ok(seen)
     }
 
     /// The visit-list transact is bit-identical to a full scan: same
-    /// observations, tag states, `powered()`, tag and world RNG states,
-    /// after every command of every stage.
+    /// observations, tag states, `powered()`, effective slot counters,
+    /// tag and world RNG states, after every command of every stage,
+    /// and the same raw slot counters once each medium is dropped.
     #[test]
     fn visit_lists_match_full_scan() {
         for seed in 0..4 {
-            let seen = differential_run(seed, false).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            let seen =
+                differential_run(seed, Plant::None).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             assert!(
                 seen > 100,
                 "seed {seed}: only {seen} replies, the run is vacuous"
@@ -1170,7 +1450,18 @@ mod tests {
     #[test]
     fn planted_query_on_engaged_is_caught() {
         let caught = (0..4)
-            .filter(|&seed| differential_run(seed, true).is_err())
+            .filter(|&seed| differential_run(seed, Plant::QueryOnEngaged).is_err())
+            .count();
+        assert_eq!(caught, 4, "the differential test missed the planted bug");
+    }
+
+    /// Planted control: a calendar QueryRep that visits a tag one
+    /// QueryRep after its counter reaches 0 must be caught by the
+    /// differential run.
+    #[test]
+    fn planted_due_late_is_caught() {
+        let caught = (0..4)
+            .filter(|&seed| differential_run(seed, Plant::DueLate).is_err())
             .count();
         assert_eq!(caught, 4, "the differential test missed the planted bug");
     }

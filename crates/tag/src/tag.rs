@@ -8,6 +8,7 @@ use rfly_protocol::commands::Command;
 use rfly_protocol::epc::Epc;
 use rfly_protocol::fm0;
 use rfly_protocol::miller;
+use rfly_protocol::session::Session;
 use rfly_protocol::tag_state::{TagMachine, TagReply, TagState};
 use rfly_protocol::timing::TagEncoding;
 
@@ -65,6 +66,25 @@ impl PassiveTag {
     #[inline]
     pub fn state(&self) -> TagState {
         self.machine.state()
+    }
+
+    /// The protocol machine's slot counter (meaningful in Arbitrate).
+    #[inline]
+    pub fn slot(&self) -> u32 {
+        self.machine.slot()
+    }
+
+    /// The session of the tag's last Query.
+    #[inline]
+    pub fn session(&self) -> Option<Session> {
+        self.machine.session()
+    }
+
+    /// Overwrites the slot counter; calendar-only, see
+    /// [`TagMachine::set_slot`].
+    #[inline]
+    pub fn set_slot(&mut self, slot: u32) {
+        self.machine.set_slot(slot);
     }
 
     /// The protocol machine's RNG stream state (mission checkpoints).

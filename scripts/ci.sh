@@ -136,12 +136,11 @@ echo "== soak-and-shrink smoke (3 seeds, bounded steps) =="
 cargo run --release --offline -p rfly-bench --bin soak -- \
   --seeds 3 --steps 10 --events 12 --out results/repros
 
-echo "== fleet scaling sweep (work-pool determinism + speedup gate; DESIGN.md §15) =="
+echo "== fleet scaling sweep (work-pool determinism; DESIGN.md §15) =="
 # Flies the 32/64/128-relay multi-warehouse campaigns (10240 tags/row)
 # twice — 1 worker, then full width — and asserts the rows bit-identical.
-# On machines with >=4 cores, parallel_speedup >= 2.0 is a hard gate
-# (exit 2); on smaller runners the sweep still enforces bit-identity
-# and records the metrics in results/bench/BENCH_report.json.
+# The speedup is printed and recorded in results/bench/BENCH_report.json
+# as telemetry only.
 cargo run --release --offline -p rfly-bench --bin ext_fleet_scaling | tail -3
 
 echo "== crash matrix (every storage op x every fault mode; DESIGN.md §14) =="
