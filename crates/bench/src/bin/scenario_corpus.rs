@@ -10,7 +10,9 @@
 //! a different tag count than last time) fails the run with exit
 //! code 2 and a per-metric diff, without touching the report. Missions
 //! are pure functions of their scenario files, so drift means a real
-//! behavior change — rerun with `--update` to bless it.
+//! behavior change — rerun with `--update` to bless it. A golden file
+//! that cannot be read (deleted, or the run started outside the repo
+//! root) also exits 2; only `--update` may write a first golden.
 //!
 //! Run with: `cargo run --release -p rfly-bench --bin scenario_corpus [--update]`
 
@@ -107,6 +109,26 @@ fn golden_metrics(path: &Path) -> Option<BTreeMap<String, f64>> {
     Some(out)
 }
 
+/// Every difference between the golden metrics and a fresh run, one
+/// line per key: a changed value, a key the golden file lacks, or a
+/// golden key this run did not produce. Empty means no drift.
+fn drift(golden: &BTreeMap<String, f64>, fresh: &BTreeMap<String, f64>) -> Vec<String> {
+    let mut lines = Vec::new();
+    for (key, &value) in fresh {
+        match golden.get(key) {
+            Some(&g) if g == value => {}
+            Some(&g) => lines.push(format!("  {key}: golden {g}, got {value}")),
+            None => lines.push(format!("  {key}: new metric (golden file predates it)")),
+        }
+    }
+    for key in golden.keys() {
+        if !fresh.contains_key(key) {
+            lines.push(format!("  {key}: present in golden, missing from this run"));
+        }
+    }
+    lines
+}
+
 fn main() {
     let update = std::env::args().any(|a| a == "--update");
     let mut bench = Bench::new(BENCH_NAME, 0);
@@ -159,44 +181,35 @@ fn main() {
 
     // Gate against the committed golden file before writing anything.
     let golden_path = PathBuf::from("results/bench").join(format!("{BENCH_NAME}.json"));
-    match golden_metrics(&golden_path) {
-        Some(golden) if !update => {
-            let mut drift: Vec<String> = Vec::new();
-            for (key, &value) in &fresh {
-                match golden.get(key) {
-                    Some(&g) if g == value => {}
-                    Some(&g) => drift.push(format!("  {key}: golden {g}, got {value}")),
-                    None => drift.push(format!("  {key}: new metric (golden file predates it)")),
-                }
-            }
-            for key in golden.keys() {
-                if !fresh.contains_key(key) {
-                    drift.push(format!("  {key}: present in golden, missing from this run"));
-                }
-            }
-            if !drift.is_empty() {
-                table.print(false);
-                eprintln!(
-                    "\nscenario corpus DRIFTED from {} ({} metric(s)):",
-                    golden_path.display(),
-                    drift.len()
-                );
-                for line in &drift {
-                    eprintln!("{line}");
-                }
-                eprintln!("\nif the change is intended, bless it with: --update");
-                std::process::exit(2);
-            }
-            println!(
-                "all {} scenarios match the committed golden metrics\n",
-                files.len()
+    if update {
+        println!("--update: blessing current metrics as golden\n");
+    } else {
+        let Some(golden) = golden_metrics(&golden_path) else {
+            eprintln!(
+                "cannot read the golden file {} (run from the repo root; \
+                 bless a first run with --update)",
+                golden_path.display()
             );
+            std::process::exit(2);
+        };
+        let drift = drift(&golden, &fresh);
+        if !drift.is_empty() {
+            table.print(false);
+            eprintln!(
+                "\nscenario corpus DRIFTED from {} ({} metric(s)):",
+                golden_path.display(),
+                drift.len()
+            );
+            for line in &drift {
+                eprintln!("{line}");
+            }
+            eprintln!("\nif the change is intended, bless it with: --update");
+            std::process::exit(2);
         }
-        Some(_) => println!("--update: blessing current metrics as golden\n"),
-        None => println!(
-            "no golden file at {} yet; recording first run\n",
-            golden_path.display()
-        ),
+        println!(
+            "all {} scenarios match the committed golden metrics\n",
+            files.len()
+        );
     }
 
     bench.table("corpus", table, true);
@@ -204,4 +217,55 @@ fn main() {
         bench.metric(key, *value);
     }
     bench.finish();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn metrics(pairs: &[(&str, f64)]) -> BTreeMap<String, f64> {
+        pairs.iter().map(|&(k, v)| (k.to_string(), v)).collect()
+    }
+
+    #[test]
+    fn identical_maps_do_not_drift() {
+        let golden = metrics(&[
+            ("a.unique_tags", 12.0),
+            ("a.read_rate", 0.5),
+            ("scenarios", 1.0),
+        ]);
+        assert!(drift(&golden, &golden.clone()).is_empty());
+    }
+
+    #[test]
+    fn each_planted_difference_is_one_drift_line() {
+        let golden = metrics(&[
+            ("a.unique_tags", 12.0),
+            ("a.read_rate", 0.5),
+            ("scenarios", 1.0),
+        ]);
+
+        let mut perturbed = golden.clone();
+        perturbed.insert("a.read_rate".to_string(), 0.5 + 1e-12);
+        let lines = drift(&golden, &perturbed);
+        assert_eq!(lines.len(), 1, "{lines:?}");
+        assert!(lines[0].contains("a.read_rate"));
+
+        let mut missing = golden.clone();
+        missing.remove("a.unique_tags");
+        let lines = drift(&golden, &missing);
+        assert_eq!(lines.len(), 1, "{lines:?}");
+        assert!(lines[0].contains("a.unique_tags") && lines[0].contains("missing"));
+
+        let mut extra = golden.clone();
+        extra.insert("b.steps".to_string(), 3.0);
+        let lines = drift(&golden, &extra);
+        assert_eq!(lines.len(), 1, "{lines:?}");
+        assert!(lines[0].contains("b.steps") && lines[0].contains("new metric"));
+    }
+
+    #[test]
+    fn unreadable_golden_is_none() {
+        assert!(golden_metrics(Path::new("no/such/dir/scenario_corpus.json")).is_none());
+    }
 }

@@ -87,12 +87,6 @@ impl Bench {
         Self::new(name, seed_from_args(&args, default_seed))
     }
 
-    /// Redirects report output (tests).
-    pub fn with_out_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.out_dir = dir.into();
-        self
-    }
-
     /// The run's seed.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -225,7 +219,8 @@ mod tests {
     fn report_json_and_aggregate_round_trip() {
         let dir = std::env::temp_dir().join(format!("rfly-bench-harness-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut b = Bench::new("unit_test_bench", 7).with_out_dir(&dir);
+        let mut b = Bench::new("unit_test_bench", 7);
+        b.out_dir = dir.clone();
         let mut t = Table::new("t", &["a", "b"]);
         t.row(&["1".to_string(), "x,y".to_string()]);
         b.tables.push(("main".to_string(), t));

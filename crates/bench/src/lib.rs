@@ -19,7 +19,7 @@ use rfly_channel::pathloss::free_space_amplitude;
 use rfly_core::loc::rssi::RssiLocalizer;
 use rfly_core::loc::sar::SarLocalizer;
 use rfly_core::loc::trajectory::Trajectory;
-use rfly_dsp::units::{Hertz, Meters};
+use rfly_dsp::units::Meters;
 use rfly_dsp::Complex;
 use rfly_reader::config::ReaderConfig;
 use rfly_sim::medium::WorldMedium;
@@ -124,9 +124,4 @@ pub fn localization_trial(
 /// Draws a uniform point in a rectangle.
 pub fn uniform_point<R: Rng>(rng: &mut R, min: Point2, max: Point2) -> Point2 {
     Point2::new(rng.gen_range(min.x..max.x), rng.gen_range(min.y..max.y))
-}
-
-/// The standard half-link frequency used across benches.
-pub fn f2() -> Hertz {
-    Hertz::mhz(916.0)
 }

@@ -1,4 +1,4 @@
-//! Antenna models: gain patterns, polarization, and mutual coupling.
+//! Antenna models: polarization and mutual coupling.
 //!
 //! Two antenna facts shape the paper's system. First, the relay's four
 //! ceramic antennas sit ~10 cm apart on the PCB, and their mutual
@@ -8,8 +8,6 @@
 //! motivate the drone in the first place.
 
 use rfly_dsp::units::{Db, Hertz, Meters};
-
-use crate::geometry::Point2;
 
 /// Linear polarization orientations used on the relay PCB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,75 +28,6 @@ impl Polarization {
         } else {
             Db::new(20.0)
         }
-    }
-}
-
-/// A simple directional gain pattern:
-/// `G(θ) = peak · max(cos^q θ, floor)` in the linear domain, where θ is
-/// measured from boresight. `q = 0` is isotropic; larger `q` narrows the
-/// beam. This captures patch/ceramic antennas well enough for link
-/// budgets.
-#[derive(Debug, Clone, Copy)]
-pub struct Antenna {
-    /// Boresight gain, dBi.
-    pub peak_gain: Db,
-    /// Pattern exponent q (0 = isotropic).
-    pub pattern_exponent: f64,
-    /// Back-lobe floor relative to peak (linear, e.g. 0.01 = −20 dB).
-    pub backlobe_floor: f64,
-    /// Polarization of the element.
-    pub polarization: Polarization,
-}
-
-impl Antenna {
-    /// An isotropic reference antenna (0 dBi everywhere).
-    pub fn isotropic() -> Self {
-        Self {
-            peak_gain: Db::new(0.0),
-            pattern_exponent: 0.0,
-            backlobe_floor: 1.0,
-            polarization: Polarization::Vertical,
-        }
-    }
-
-    /// The high-dielectric ceramic chip antenna on RFly's relay PCB:
-    /// ~2 dBi peak, mildly directional.
-    pub fn ceramic_chip(polarization: Polarization) -> Self {
-        Self {
-            peak_gain: Db::new(2.0),
-            pattern_exponent: 1.0,
-            backlobe_floor: 0.05,
-            polarization,
-        }
-    }
-
-    /// A reader panel antenna: ~6 dBi, clearly directional.
-    pub fn reader_panel() -> Self {
-        Self {
-            peak_gain: Db::new(6.0),
-            pattern_exponent: 2.0,
-            backlobe_floor: 0.01,
-            polarization: Polarization::Vertical,
-        }
-    }
-
-    /// Gain toward a direction `theta` radians off boresight.
-    pub fn gain_at(&self, theta: f64) -> Db {
-        let c = theta.cos().max(0.0);
-        let pattern = c.powf(self.pattern_exponent).max(self.backlobe_floor);
-        self.peak_gain + Db::from_linear(pattern)
-    }
-
-    /// Gain toward point `target` for an antenna at `position` whose
-    /// boresight points along `boresight` (unit vector not required).
-    pub fn gain_toward(&self, position: Point2, boresight: Point2, target: Point2) -> Db {
-        let dir = (target - position).normalize();
-        let bs = boresight.normalize();
-        if bs == Point2::ORIGIN || dir == Point2::ORIGIN {
-            return self.peak_gain;
-        }
-        let cos_theta = dir.dot(bs).clamp(-1.0, 1.0);
-        self.gain_at(cos_theta.acos())
     }
 }
 
@@ -126,34 +55,6 @@ mod tests {
     use super::*;
 
     const F: Hertz = Hertz(915e6);
-
-    #[test]
-    fn isotropic_gain_everywhere() {
-        let a = Antenna::isotropic();
-        for theta in [0.0, 0.5, 1.5, 3.0] {
-            assert!(a.gain_at(theta).value().abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn directional_gain_drops_off_boresight() {
-        let a = Antenna::reader_panel();
-        assert!((a.gain_at(0.0).value() - 6.0).abs() < 1e-9);
-        assert!(a.gain_at(1.0).value() < a.gain_at(0.3).value());
-        // Behind the antenna: floor = peak − 20 dB.
-        assert!((a.gain_at(std::f64::consts::PI).value() - (6.0 - 20.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn gain_toward_geometry() {
-        let a = Antenna::reader_panel();
-        let pos = Point2::new(0.0, 0.0);
-        let boresight = Point2::new(1.0, 0.0);
-        let ahead = a.gain_toward(pos, boresight, Point2::new(5.0, 0.0));
-        let side = a.gain_toward(pos, boresight, Point2::new(0.0, 5.0));
-        assert!((ahead.value() - 6.0).abs() < 1e-9);
-        assert!(side.value() < ahead.value() - 10.0);
-    }
 
     #[test]
     fn cross_polarization_isolates() {
@@ -199,13 +100,5 @@ mod tests {
             Polarization::Vertical,
         );
         assert!(c.value() >= 0.0);
-    }
-
-    #[test]
-    fn ceramic_chip_is_mildly_directional() {
-        let a = Antenna::ceramic_chip(Polarization::Horizontal);
-        assert_eq!(a.polarization, Polarization::Horizontal);
-        assert!(a.gain_at(0.0).value() > a.gain_at(1.2).value());
-        assert!(a.gain_at(std::f64::consts::PI).value() > -20.0);
     }
 }

@@ -70,11 +70,6 @@ impl Obstacle {
 #[derive(Debug, Clone, Default)]
 pub struct Environment {
     obstacles: Vec<Obstacle>,
-    /// Include double-bounce (order-2) specular paths in traces.
-    /// Off by default: first-order dominates indoors (each extra bounce
-    /// costs reflection loss + extra spreading), and order-2 tracing is
-    /// O(n²) in the obstacle count.
-    second_order: bool,
 }
 
 impl Environment {
@@ -83,23 +78,9 @@ impl Environment {
         Self::default()
     }
 
-    /// Builds from an obstacle list.
-    pub fn new(obstacles: Vec<Obstacle>) -> Self {
-        Self {
-            obstacles,
-            second_order: false,
-        }
-    }
-
     /// Adds an obstacle.
     pub fn add(&mut self, obstacle: Obstacle) {
         self.obstacles.push(obstacle);
-    }
-
-    /// Enables double-bounce specular paths in subsequent traces.
-    pub fn with_second_order(mut self) -> Self {
-        self.second_order = true;
-        self
     }
 
     /// The obstacles in the scene.
@@ -166,58 +147,8 @@ impl Environment {
             }
         }
 
-        // Second-order (double-bounce) reflections, if enabled: the
-        // image-of-image method over ordered obstacle pairs.
-        if self.second_order {
-            for (i, oi) in self.obstacles.iter().enumerate() {
-                for (j, oj) in self.obstacles.iter().enumerate() {
-                    if i == j {
-                        continue;
-                    }
-                    if let Some((p1, p2, total_len)) = double_bounce(oi.segment, oj.segment, tx, rx)
-                    {
-                        let mut amp = free_space_amplitude(Meters::new(total_len), freq)
-                            * (-oi.material.reflection_loss).amplitude()
-                            * (-oj.material.reflection_loss).amplitude();
-                        for (kdx, other) in self.obstacles.iter().enumerate() {
-                            if kdx == i || kdx == j {
-                                continue;
-                            }
-                            for leg in [
-                                Segment::new(tx, p1),
-                                Segment::new(p1, p2),
-                                Segment::new(p2, rx),
-                            ] {
-                                if other.segment.intersection(leg).is_some() {
-                                    amp *= (-other.material.transmission_loss).amplitude();
-                                }
-                            }
-                        }
-                        paths.push(Path::new(Meters::new(total_len), amp));
-                    }
-                }
-            }
-        }
-
         paths
     }
-}
-
-/// Double-bounce geometry tx → a → b → rx via the image-of-image
-/// method. Returns the two bounce points and the total path length.
-fn double_bounce(a: Segment, b: Segment, tx: Point2, rx: Point2) -> Option<(Point2, Point2, f64)> {
-    let t1 = a.mirror(tx); // tx's image in wall a
-    let t2 = b.mirror(t1); // that image's image in wall b
-                           // The last leg: the ray from t2 to rx must cross wall b.
-    let p2 = b.intersection(Segment::new(t2, rx))?;
-    // The middle leg: from t1 toward p2 must cross wall a.
-    let p1 = a.intersection(Segment::new(t1, p2))?;
-    // Sanity: legs must be real (nonzero) and the bounce points distinct.
-    let total = tx.distance(p1) + p1.distance(p2) + p2.distance(rx);
-    if p1.distance(p2) < 1e-9 || total < 1e-9 {
-        return None;
-    }
-    Some((p1, p2, total))
 }
 
 /// Computes the specular reflection point of the ray `tx → reflector →
@@ -388,47 +319,7 @@ mod tests {
     }
 
     #[test]
-    fn second_order_corridor_bounce() {
-        // Two parallel walls (a corridor): with second order enabled, a
-        // tx→floor→ceiling→rx path appears whose length equals the
-        // image-of-image distance.
-        let mut env = Environment::free_space();
-        env.add(Obstacle::new(
-            Segment::new(Point2::new(-10.0, 0.0), Point2::new(10.0, 0.0)),
-            Material::CONCRETE_WALL,
-        ));
-        env.add(Obstacle::new(
-            Segment::new(Point2::new(-10.0, 3.0), Point2::new(10.0, 3.0)),
-            Material::CONCRETE_WALL,
-        ));
-        let tx = Point2::new(0.0, 1.0);
-        let rx = Point2::new(4.0, 1.0);
-        let first = env.trace(tx, rx, F);
-        let env2 = env.clone().with_second_order();
-        let both = env2.trace(tx, rx, F);
-        assert!(both.len() > first.len(), "second order must add paths");
-        // tx mirrored in y=0 → (0,−1); mirrored in y=3 → (0,7):
-        // expected length = |(0,7)−(4,1)| = √52.
-        let expected = (16.0f64 + 36.0).sqrt();
-        assert!(
-            both.paths()
-                .iter()
-                .any(|p| (p.length.value() - expected).abs() < 1e-9),
-            "double bounce at {expected} m missing"
-        );
-        // Double bounces are weaker than the same-length free space
-        // (two reflection losses).
-        let db = both
-            .paths()
-            .iter()
-            .find(|p| (p.length.value() - expected).abs() < 1e-9)
-            .unwrap();
-        let free = crate::pathloss::free_space_amplitude(Meters::new(expected), F);
-        assert!(db.amplitude < free * 0.5);
-    }
-
-    #[test]
-    fn second_order_disabled_by_default() {
+    fn two_walls_give_two_first_order_bounces() {
         let mut env = Environment::free_space();
         env.add(wall_y0());
         env.add(Obstacle::new(
@@ -438,23 +329,5 @@ mod tests {
         let ps = env.trace(Point2::new(0.0, 2.0), Point2::new(3.0, 2.0), F);
         // direct + two first-order bounces only.
         assert_eq!(ps.len(), 3);
-    }
-
-    #[test]
-    fn second_order_paths_are_longer_than_first_order() {
-        let mut env = Environment::free_space();
-        env.add(wall_y0());
-        env.add(Obstacle::new(
-            Segment::new(Point2::new(-10.0, 4.0), Point2::new(10.0, 4.0)),
-            Material::DRYWALL,
-        ));
-        let env = env.with_second_order();
-        let tx = Point2::new(0.0, 1.5);
-        let rx = Point2::new(2.0, 1.5);
-        let ps = env.trace(tx, rx, F);
-        let direct = ps.direct().unwrap().length.value();
-        for p in ps.paths() {
-            assert!(p.length.value() >= direct - 1e-9);
-        }
     }
 }

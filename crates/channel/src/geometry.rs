@@ -38,11 +38,6 @@ impl Point2 {
         self.x.hypot(self.y)
     }
 
-    /// Squared norm (avoids the sqrt in hot loops).
-    pub fn norm_sq(self) -> f64 {
-        self.x * self.x + self.y * self.y
-    }
-
     /// Dot product.
     pub fn dot(self, other: Point2) -> f64 {
         self.x * other.x + self.y * other.y
@@ -66,11 +61,6 @@ impl Point2 {
     /// Linear interpolation: `self + t·(other − self)`.
     pub fn lerp(self, other: Point2, t: f64) -> Point2 {
         self + (other - self) * t
-    }
-
-    /// The perpendicular vector (rotated +90°).
-    pub fn perp(self) -> Point2 {
-        Point2::new(-self.y, self.x)
     }
 }
 
@@ -129,11 +119,6 @@ impl Segment {
     /// Creates a segment.
     pub const fn new(a: Point2, b: Point2) -> Self {
         Self { a, b }
-    }
-
-    /// Segment length.
-    pub fn length(self) -> f64 {
-        self.a.distance(self.b)
     }
 
     /// The midpoint.
@@ -204,7 +189,6 @@ mod tests {
     fn distances_and_norms() {
         let p = Point2::new(3.0, 4.0);
         assert!(close(p.norm(), 5.0));
-        assert!(close(p.norm_sq(), 25.0));
         assert!(close(Point2::ORIGIN.distance(p), 5.0));
     }
 
@@ -217,7 +201,6 @@ mod tests {
         assert_eq!(-(-a), a);
         assert!(close(a.dot(b), -2.0));
         assert!(close(a.cross(b), 0.5 + 6.0));
-        assert!(close(a.perp().dot(a), 0.0));
     }
 
     #[test]
@@ -275,7 +258,6 @@ mod tests {
     #[test]
     fn segment_metrics() {
         let s = Segment::new(Point2::new(0.0, 0.0), Point2::new(3.0, 4.0));
-        assert!(close(s.length(), 5.0));
         assert_eq!(s.midpoint(), Point2::new(1.5, 2.0));
     }
 

@@ -1,12 +1,11 @@
 //! # rfly-channel — RF propagation substrate for RFly
 //!
-//! Models everything between antennas: geometry, free-space and
-//! log-distance path loss with shadowing, image-method specular
-//! multipath off walls and shelves, obstruction (NLoS) attenuation,
-//! small-scale fading, antenna gain and polarization, thermal noise, and
-//! link budgets. The paper's evaluation outcomes — read range (Fig. 11),
-//! localization error vs distance (Fig. 14), ghost peaks under multipath
-//! (Fig. 6b) — are all downstream of this crate.
+//! Models everything between antennas: geometry, free-space path loss,
+//! first-order image-method specular multipath off walls and shelves,
+//! obstruction (NLoS) attenuation, antenna polarization and mutual
+//! coupling, and link budgets. The paper's evaluation outcomes — read
+//! range (Fig. 11), localization error vs distance (Fig. 14), ghost
+//! peaks under multipath (Fig. 6b) — are all downstream of this crate.
 //!
 //! The central abstraction is the [`phasor::PathSet`]: a set of
 //! propagation paths, each with a length and amplitude, whose channel at
@@ -17,7 +16,6 @@
 
 pub mod antenna;
 pub mod environment;
-pub mod fading;
 pub mod geometry;
 pub mod link;
 pub mod pathloss;

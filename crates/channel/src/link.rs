@@ -8,8 +8,6 @@
 
 use rfly_dsp::units::{thermal_noise, Db, Dbm, Hertz};
 
-use crate::phasor::PathSet;
-
 /// One direction of a radio link.
 #[derive(Debug, Clone, Copy)]
 pub struct LinkBudget {
@@ -26,38 +24,9 @@ pub struct LinkBudget {
 }
 
 impl LinkBudget {
-    /// A typical FCC-compliant UHF RFID reader port: 30 dBm conducted,
-    /// 6 dBi antenna (36 dBm EIRP), 8 dB noise figure, 2 MHz bandwidth.
-    pub fn rfid_reader() -> Self {
-        Self {
-            tx_power: Dbm::new(30.0),
-            tx_gain: Db::new(6.0),
-            rx_gain: Db::new(6.0),
-            noise_figure: Db::new(8.0),
-            bandwidth: Hertz::mhz(2.0),
-        }
-    }
-
-    /// Received power over a channel with power gain `|h|²` given as
-    /// `channel_power` (linear).
-    pub fn received_power(&self, channel_power: f64) -> Dbm {
-        assert!(channel_power >= 0.0);
-        self.tx_power + self.tx_gain + self.rx_gain + Db::from_linear(channel_power)
-    }
-
-    /// Received power over a traced path set at frequency `f`.
-    pub fn received_power_over(&self, paths: &PathSet, f: Hertz) -> Dbm {
-        self.received_power(paths.power(f))
-    }
-
     /// The receiver noise floor (thermal + noise figure).
     pub fn noise_floor(&self) -> Dbm {
         thermal_noise(self.bandwidth) + self.noise_figure
-    }
-
-    /// SNR for a given received power.
-    pub fn snr(&self, received: Dbm) -> Db {
-        received - self.noise_floor()
     }
 
     /// Equivalent isotropically radiated power.
@@ -104,70 +73,34 @@ impl Backscatter {
     }
 }
 
-/// End-to-end monostatic backscatter budget: reader → tag → reader, over
-/// the same channel twice (reciprocity).
-///
-/// Returns `(tag_incident_power, reader_received_power)`.
-pub fn monostatic_backscatter(
-    budget: &LinkBudget,
-    tag_channel_power: f64,
-    backscatter: &Backscatter,
-) -> (Dbm, Dbm) {
-    let incident = budget.received_power(tag_channel_power) - budget.rx_gain;
-    // Tag re-radiates through the same channel back to the reader.
-    let returned =
-        incident + backscatter.gain() + Db::from_linear(tag_channel_power) + budget.rx_gain;
-    (incident, returned)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pathloss::free_space_db;
-    use rfly_dsp::units::Meters;
 
-    const F: Hertz = Hertz(915e6);
+    /// A typical FCC-compliant UHF RFID reader port: 30 dBm conducted,
+    /// 6 dBi antenna (36 dBm EIRP), 8 dB noise figure, 2 MHz bandwidth.
+    fn rfid_reader() -> LinkBudget {
+        LinkBudget {
+            tx_power: Dbm::new(30.0),
+            tx_gain: Db::new(6.0),
+            rx_gain: Db::new(6.0),
+            noise_figure: Db::new(8.0),
+            bandwidth: Hertz::mhz(2.0),
+        }
+    }
 
     #[test]
     fn eirp_is_power_plus_gain() {
-        let b = LinkBudget::rfid_reader();
+        let b = rfid_reader();
         assert_eq!(b.eirp(), Dbm::new(36.0));
     }
 
     #[test]
-    fn received_power_friis_sanity() {
-        let b = LinkBudget::rfid_reader();
-        // 10 m free space at 915 MHz: loss ≈ 51.7 dB.
-        let loss = free_space_db(Meters::new(10.0), F);
-        let rx = b.received_power(Db::from_linear(1.0).linear() * (-loss).linear());
-        let expected = 30.0 + 6.0 + 6.0 - loss.value();
-        assert!((rx.value() - expected).abs() < 1e-9);
-    }
-
-    #[test]
-    fn noise_floor_and_snr() {
-        let b = LinkBudget::rfid_reader();
+    fn noise_floor_is_ktb_plus_noise_figure() {
+        let b = rfid_reader();
         // kTB at 2 MHz ≈ −111 dBm, +8 dB NF ≈ −103 dBm.
         let nf = b.noise_floor();
         assert!((nf.value() + 103.0).abs() < 0.5, "nf = {nf}");
-        let snr = b.snr(Dbm::new(-80.0));
-        assert!((snr.value() - (-nf.value() - 80.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn tag_powers_up_within_typical_range() {
-        // The −15 dBm threshold [12] against a 36 dBm EIRP reader should
-        // hold out to a few meters — the 3–6 m of §2.
-        let b = LinkBudget::rfid_reader();
-        let ch_5m = (-free_space_db(Meters::new(5.0), F)).linear();
-        let (incident, _) = monostatic_backscatter(&b, ch_5m, &Backscatter::passive_tag());
-        assert!(incident.value() > -15.0, "tag dead at 5 m: {incident}");
-        let ch_30m = (-free_space_db(Meters::new(30.0), F)).linear();
-        let (incident30, _) = monostatic_backscatter(&b, ch_30m, &Backscatter::passive_tag());
-        assert!(
-            incident30.value() < -15.0,
-            "tag alive at 30 m: {incident30}"
-        );
     }
 
     #[test]
@@ -180,29 +113,6 @@ mod tests {
         .gain();
         assert!((full.value() + 5.0).abs() < 1e-12);
         assert!((shallow.value() + 25.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn round_trip_is_twice_the_one_way_loss() {
-        let b = LinkBudget::rfid_reader();
-        let ch = (-free_space_db(Meters::new(4.0), F)).linear();
-        let (incident, returned) = monostatic_backscatter(&b, ch, &Backscatter::passive_tag());
-        // returned − incident = backscatter gain + one-way loss + rx gain.
-        let one_way = free_space_db(Meters::new(4.0), F).value();
-        let expected_delta = -5.0 - one_way + 6.0;
-        assert!(((returned - incident).value() - expected_delta).abs() < 1e-9);
-    }
-
-    #[test]
-    fn received_power_over_pathset() {
-        let b = LinkBudget::rfid_reader();
-        let ps = PathSet::line_of_sight(
-            Meters::new(10.0),
-            (-free_space_db(Meters::new(10.0), F)).amplitude(),
-        );
-        let direct = b.received_power_over(&ps, F);
-        let manual = b.received_power((-free_space_db(Meters::new(10.0), F)).linear());
-        assert!((direct.value() - manual.value()).abs() < 1e-9);
     }
 
     #[test]

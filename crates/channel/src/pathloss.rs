@@ -1,13 +1,7 @@
 //! Large-scale path loss models.
 //!
-//! Eq. 3 of the paper uses the free-space form `L = 20·log10(4πR/λ)`;
-//! the read-range and localization-vs-distance experiments additionally
-//! use a log-distance model with configurable exponent and log-normal
-//! shadowing, the standard indoor abstraction.
+//! Eq. 3 of the paper uses the free-space form `L = 20·log10(4πR/λ)`.
 
-use rfly_dsp::rng::Rng;
-
-use rfly_dsp::noise::lognormal_shadowing;
 use rfly_dsp::units::{Db, Hertz, Meters};
 
 /// Free-space path loss `20·log10(4πd/λ)` (Friis, isotropic antennas).
@@ -33,71 +27,6 @@ pub fn range_for_isolation(isolation: Db, freq: Hertz) -> Meters {
 /// propagation over `distance`.
 pub fn free_space_amplitude(distance: Meters, freq: Hertz) -> f64 {
     (-free_space_db(distance, freq)).amplitude()
-}
-
-/// A log-distance path-loss model with shadowing:
-/// `PL(d) = PL(d0) + 10·n·log10(d/d0) + X_σ`.
-#[derive(Debug, Clone, Copy)]
-pub struct LogDistance {
-    /// Reference distance d0 (usually 1 m).
-    pub d0: Meters,
-    /// Path-loss exponent n. Free space is 2.0; cluttered indoor
-    /// line-of-sight is typically 1.6–2.0, obstructed 2.5–4.
-    pub exponent: f64,
-    /// Standard deviation of log-normal shadowing.
-    pub shadowing_sigma: Db,
-    /// Carrier frequency (sets PL(d0) via free space).
-    pub freq: Hertz,
-}
-
-impl LogDistance {
-    /// A free-space-equivalent model (n = 2, no shadowing).
-    pub fn free_space(freq: Hertz) -> Self {
-        Self {
-            d0: Meters::new(1.0),
-            exponent: 2.0,
-            shadowing_sigma: Db::new(0.0),
-            freq,
-        }
-    }
-
-    /// Indoor line-of-sight defaults for a warehouse (n = 1.8, σ = 3 dB:
-    /// waveguiding between shelves slightly beats free space on average
-    /// but fluctuates).
-    pub fn indoor_los(freq: Hertz) -> Self {
-        Self {
-            d0: Meters::new(1.0),
-            exponent: 1.8,
-            shadowing_sigma: Db::new(3.0),
-            freq,
-        }
-    }
-
-    /// Indoor non-line-of-sight defaults (n = 3.0, σ = 5 dB).
-    pub fn indoor_nlos(freq: Hertz) -> Self {
-        Self {
-            d0: Meters::new(1.0),
-            exponent: 3.0,
-            shadowing_sigma: Db::new(5.0),
-            freq,
-        }
-    }
-
-    /// Mean (non-shadowed) path loss at `distance`.
-    pub fn mean_loss(&self, distance: Meters) -> Db {
-        let d = distance.max(self.d0 * 1e-3);
-        free_space_db(self.d0, self.freq) + Db::new(10.0 * self.exponent * (d / self.d0).log10())
-    }
-
-    /// Path loss with a shadowing draw from `rng`.
-    pub fn sample_loss<R: Rng>(&self, distance: Meters, rng: &mut R) -> Db {
-        let shadow = if self.shadowing_sigma.value() > 0.0 {
-            Db::from_linear(lognormal_shadowing(rng, self.shadowing_sigma))
-        } else {
-            Db::new(0.0)
-        };
-        self.mean_loss(distance) + shadow
-    }
 }
 
 #[cfg(test)]
@@ -159,45 +88,5 @@ mod tests {
     fn tiny_distance_clamps_to_zero_loss() {
         let l = free_space_db(Meters::new(0.0), F);
         assert!(l.value().abs() < 1e-9);
-    }
-
-    #[test]
-    fn log_distance_free_space_matches_friis() {
-        let m = LogDistance::free_space(F);
-        for d in [1.0, 3.0, 10.0, 50.0] {
-            let d = Meters::new(d);
-            assert!((m.mean_loss(d).value() - free_space_db(d, F).value()).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn nlos_exponent_loses_more() {
-        let los = LogDistance::indoor_los(F);
-        let nlos = LogDistance::indoor_nlos(F);
-        let d = Meters::new(20.0);
-        assert!(nlos.mean_loss(d).value() > los.mean_loss(d).value() + 10.0);
-    }
-
-    #[test]
-    fn shadowing_has_zero_median_and_spread() {
-        let m = LogDistance {
-            d0: Meters::new(1.0),
-            exponent: 2.0,
-            shadowing_sigma: Db::new(4.0),
-            freq: F,
-        };
-        let mut rng = rfly_dsp::rng::StdRng::seed_from_u64(11);
-        let mean = m.mean_loss(Meters::new(10.0)).value();
-        let mut draws: Vec<f64> = (0..4001)
-            .map(|_| m.sample_loss(Meters::new(10.0), &mut rng).value())
-            .collect();
-        draws.sort_by(f64::total_cmp);
-        let median = draws[draws.len() / 2];
-        assert!(
-            (median - mean).abs() < 0.3,
-            "median {median} vs mean {mean}"
-        );
-        let spread = draws[(draws.len() as f64 * 0.84) as usize] - median;
-        assert!((spread - 4.0).abs() < 0.6, "sigma ≈ {spread}");
     }
 }

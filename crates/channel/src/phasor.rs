@@ -103,14 +103,6 @@ impl PathSet {
             .min_by(|a, b| a.length.value().total_cmp(&b.length.value()))
     }
 
-    /// The strongest path, if any — *not* necessarily the direct one
-    /// when furniture attenuates the direct path (Fig. 5).
-    pub fn strongest(&self) -> Option<&Path> {
-        self.paths
-            .iter()
-            .max_by(|a, b| a.amplitude.total_cmp(&b.amplitude))
-    }
-
     /// One-way channel coefficient at frequency `f`:
     /// `h(f) = Σ_i a_i·e^{−j2πf d_i/c}`.
     pub fn channel(&self, f: Hertz) -> Complex {
@@ -133,31 +125,6 @@ impl PathSet {
     /// Total received power fraction at `f` (|h|²).
     pub fn power(&self, f: Hertz) -> f64 {
         self.channel(f).norm_sq()
-    }
-
-    /// Scales every path's amplitude (e.g. to apply a wall penalty to a
-    /// whole link).
-    pub fn attenuate(&self, factor: f64) -> PathSet {
-        assert!(factor >= 0.0);
-        PathSet {
-            paths: self
-                .paths
-                .iter()
-                .map(|p| Path::new(p.length, p.amplitude * factor))
-                .collect(),
-        }
-    }
-
-    /// Merges several links into one path set — the channel a receiver
-    /// sees when multiple transmitters radiate *the same* waveform (the
-    /// summed field is what arrives; `channel(f)` then performs the
-    /// coherent sum over every contributing path).
-    pub fn merged(sets: impl IntoIterator<Item = PathSet>) -> PathSet {
-        let mut paths = Vec::new();
-        for s in sets {
-            paths.extend(s.paths);
-        }
-        PathSet { paths }
     }
 }
 
@@ -229,13 +196,12 @@ mod tests {
     }
 
     #[test]
-    fn direct_vs_strongest_can_differ() {
+    fn direct_is_shortest_even_when_weaker() {
         let ps = PathSet::from_paths(vec![
             Path::new(Meters::new(2.0), 0.1), // attenuated direct path (obstacle)
             Path::new(Meters::new(5.0), 0.8), // strong reflection
         ]);
         assert_eq!(ps.direct().unwrap().length, Meters::new(2.0));
-        assert_eq!(ps.strongest().unwrap().length, Meters::new(5.0));
     }
 
     #[test]
@@ -254,29 +220,12 @@ mod tests {
         assert!(ps.is_empty());
         assert_eq!(ps.channel(F), Complex::default());
         assert!(ps.direct().is_none());
-        assert!(ps.strongest().is_none());
-    }
-
-    #[test]
-    fn attenuate_scales_power_by_square() {
-        let ps = PathSet::line_of_sight(Meters::new(3.0), 1.0);
-        let half = ps.attenuate(0.5);
-        assert!((half.power(F) - 0.25).abs() < 1e-12);
     }
 
     #[test]
     #[should_panic(expected = "negative")]
     fn negative_length_rejected() {
         let _ = Path::new(Meters::new(-1.0), 1.0);
-    }
-
-    #[test]
-    fn merged_sets_sum_coherently() {
-        let a = PathSet::line_of_sight(Meters::new(4.0), 0.5);
-        let b = PathSet::line_of_sight(Meters::new(6.0), 0.25);
-        let m = PathSet::merged([a.clone(), b.clone()]);
-        assert_eq!(m.len(), 2);
-        assert!((m.channel(F) - (a.channel(F) + b.channel(F))).abs() < 1e-15);
     }
 
     #[test]

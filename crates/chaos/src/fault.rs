@@ -132,11 +132,6 @@ impl ChaosStorage {
         &self.ops
     }
 
-    /// Whether the simulated power loss has fired.
-    pub fn crashed(&self) -> bool {
-        self.crashed
-    }
-
     /// The durable bytes that survived (the crash state recovery sees).
     pub fn into_survivor(self) -> MemStorage {
         self.inner
@@ -297,7 +292,7 @@ mod tests {
     fn probe_records_every_mutating_op() {
         let mut s = ChaosStorage::probe();
         run_workload(&mut s).unwrap();
-        assert!(!s.crashed());
+        assert!(!s.crashed);
         let ops = s.ops().to_vec();
         assert_eq!(ops.len(), 4);
         assert_eq!(ops[2].op, OpKind::WriteAtomic);
@@ -315,7 +310,7 @@ mod tests {
         let mut s = ChaosStorage::with_crash(MemStorage::new(), point);
         let err = run_workload(&mut s).unwrap_err();
         assert_eq!(err, StorageError::Crashed);
-        assert!(s.crashed());
+        assert!(s.crashed);
         let survivor = s.into_survivor();
         assert_eq!(survivor.read("log").unwrap(), b"alpha\nbra");
         assert!(!survivor.exists("ck"), "ops after the crash never ran");

@@ -8,10 +8,9 @@
 //!
 //! * [`storage`] — the injectable [`storage::Storage`] trait every
 //!   durable writer in the workspace goes through (journal appends,
-//!   atomic checkpoint replacement, repro emission), with a real
-//!   filesystem backend ([`storage::DiskStorage`], whose
-//!   `write_atomic` is write-temp-then-rename) and a deterministic
-//!   in-memory backend ([`storage::MemStorage`]) for simulation.
+//!   atomic checkpoint replacement, repro emission), with a
+//!   deterministic in-memory backend ([`storage::MemStorage`]) for
+//!   simulation.
 //! * [`fault`] — the seeded crash model: [`fault::ChaosStorage`] wraps
 //!   a [`storage::MemStorage`] and kills the "process" at an exact
 //!   storage operation with an exact failure semantics — a torn write
@@ -48,5 +47,5 @@ pub mod verify;
 
 pub use durable::{Durable, Salvage, StorePaths};
 pub use fault::{ChaosStorage, CrashKind, CrashPoint};
-pub use storage::{DiskStorage, MemStorage, Storage, StorageError};
+pub use storage::{MemStorage, Storage, StorageError};
 pub use verify::{enumerate_crash_points, verify_recovery, CrashFailure, CrashReport};

@@ -2,9 +2,9 @@
 //!
 //! Every durable artifact the workspace writes — journal step blocks,
 //! checkpoints, repro files, campaign logs — goes through the
-//! [`Storage`] trait, so the same writer code runs against the real
-//! filesystem in production and against the deterministic in-memory
-//! fault injector ([`crate::fault::ChaosStorage`]) under test.
+//! [`Storage`] trait, so the same writer code runs against the
+//! in-memory [`MemStorage`] and against the deterministic fault
+//! injector ([`crate::fault::ChaosStorage`]) under test.
 //!
 //! The trait deliberately has exactly two mutating primitives:
 //!
@@ -14,8 +14,8 @@
 //! * [`Storage::write_atomic`] — replace a file's contents whole. The
 //!   contract is all-or-nothing: after a crash the file holds either
 //!   the complete old bytes or the complete new bytes, never a mix.
-//!   [`DiskStorage`] implements it as write-temp-then-rename, the
-//!   POSIX idiom whose commit point is the rename.
+//!   On disk, [`atomic_write_file`] gets this from write-temp-then-
+//!   rename, the POSIX idiom whose commit point is the rename.
 //!
 //! Writers that keep to these two primitives inherit a well-defined
 //! crash state at every point, which is what the recovery code in
@@ -96,11 +96,6 @@ impl MemStorage {
         &self.files
     }
 
-    /// Total bytes across all files.
-    pub fn total_bytes(&self) -> usize {
-        self.files.values().map(Vec::len).sum()
-    }
-
     /// A human-readable diff of the first mismatching file against
     /// `other`, or `None` when bit-identical — the crash matrix's
     /// failure detail.
@@ -177,96 +172,6 @@ pub fn atomic_write_file(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     fs::rename(&tmp, path)
 }
 
-/// The real filesystem backend, rooted at a directory. Paths handed to
-/// the trait are interpreted relative to the root.
-#[derive(Debug, Clone)]
-pub struct DiskStorage {
-    root: PathBuf,
-}
-
-impl DiskStorage {
-    /// A store rooted at `root` (created if absent).
-    pub fn new(root: impl Into<PathBuf>) -> Result<Self, StorageError> {
-        let root = root.into();
-        fs::create_dir_all(&root).map_err(|e| StorageError::Io(e.to_string()))?;
-        Ok(Self { root })
-    }
-
-    fn full(&self, path: &str) -> PathBuf {
-        self.root.join(path)
-    }
-
-    fn ensure_parent(&self, full: &Path) -> Result<(), StorageError> {
-        if let Some(parent) = full.parent() {
-            fs::create_dir_all(parent).map_err(|e| StorageError::Io(e.to_string()))?;
-        }
-        Ok(())
-    }
-}
-
-impl Storage for DiskStorage {
-    fn append(&mut self, path: &str, bytes: &[u8]) -> Result<(), StorageError> {
-        let full = self.full(path);
-        self.ensure_parent(&full)?;
-        let mut f = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&full)
-            .map_err(|e| StorageError::Io(e.to_string()))?;
-        f.write_all(bytes)
-            .map_err(|e| StorageError::Io(e.to_string()))
-    }
-
-    fn write_atomic(&mut self, path: &str, bytes: &[u8]) -> Result<(), StorageError> {
-        let full = self.full(path);
-        self.ensure_parent(&full)?;
-        atomic_write_file(&full, bytes).map_err(|e| StorageError::Io(e.to_string()))
-    }
-
-    fn read(&self, path: &str) -> Result<Vec<u8>, StorageError> {
-        let full = self.full(path);
-        if !full.exists() {
-            return Err(StorageError::NotFound(path.to_string()));
-        }
-        fs::read(&full).map_err(|e| StorageError::Io(e.to_string()))
-    }
-
-    fn exists(&self, path: &str) -> bool {
-        self.full(path).exists()
-    }
-
-    fn remove(&mut self, path: &str) -> Result<(), StorageError> {
-        let full = self.full(path);
-        if full.exists() {
-            fs::remove_file(&full).map_err(|e| StorageError::Io(e.to_string()))?;
-        }
-        Ok(())
-    }
-
-    fn list(&self) -> Vec<String> {
-        // Shallow walk, deterministic order; nested dirs are listed by
-        // their relative path with `/` separators.
-        fn walk(dir: &Path, root: &Path, out: &mut Vec<String>) {
-            let Ok(entries) = fs::read_dir(dir) else {
-                return;
-            };
-            let mut paths: Vec<PathBuf> =
-                entries.filter_map(|e| e.ok().map(|e| e.path())).collect();
-            paths.sort();
-            for p in paths {
-                if p.is_dir() {
-                    walk(&p, root, out);
-                } else if let Ok(rel) = p.strip_prefix(root) {
-                    out.push(rel.to_string_lossy().replace('\\', "/"));
-                }
-            }
-        }
-        let mut out = Vec::new();
-        walk(&self.root, &self.root, &mut out);
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,25 +203,5 @@ mod tests {
         b.append("f", b"c").unwrap();
         assert_eq!(a, b);
         assert_eq!(a.first_difference(&b), None);
-    }
-
-    #[test]
-    fn disk_storage_round_trips_and_atomic_write_leaves_no_tmp() {
-        let dir = std::env::temp_dir().join(format!("rfly-chaos-test-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let mut s = DiskStorage::new(&dir).unwrap();
-        s.append("log/a.txt", b"x").unwrap();
-        s.append("log/a.txt", b"y").unwrap();
-        s.write_atomic("ck.txt", b"state").unwrap();
-        assert_eq!(s.read("log/a.txt").unwrap(), b"xy");
-        assert_eq!(s.read("ck.txt").unwrap(), b"state");
-        assert!(!dir.join("ck.txt.tmp").exists(), "temp committed away");
-        assert_eq!(
-            s.list(),
-            vec!["ck.txt".to_string(), "log/a.txt".to_string()]
-        );
-        s.remove("ck.txt").unwrap();
-        assert!(!s.exists("ck.txt"));
-        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -22,16 +22,6 @@ impl ErrorStats {
         Self { sorted: samples }
     }
 
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// True if exactly one sample (cannot be empty).
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
     /// The `q`-quantile (0 ≤ q ≤ 1), linearly interpolated.
     pub fn quantile(&self, q: f64) -> f64 {
         assert!((0.0..=1.0).contains(&q), "quantile out of range");
@@ -107,7 +97,6 @@ mod tests {
         let s = ErrorStats::new(vec![0.19]);
         assert_eq!(s.median(), 0.19);
         assert_eq!(s.quantile(0.9), 0.19);
-        assert_eq!(s.len(), 1);
     }
 
     #[test]

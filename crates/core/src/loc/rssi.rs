@@ -13,8 +13,8 @@
 //! corrupts it, whereas phase turns over every 16 cm.
 
 use rfly_channel::geometry::Point2;
-use rfly_dsp::units::{Hertz, Meters};
-use rfly_dsp::{Complex, SPEED_OF_LIGHT};
+use rfly_dsp::units::Hertz;
+use rfly_dsp::Complex;
 
 use super::trajectory::Trajectory;
 
@@ -46,16 +46,6 @@ impl RssiLocalizer {
             return None;
         }
         Some((self.reference_amplitude_1m / a).sqrt())
-    }
-
-    /// The free-space round-trip amplitude at distance `d` (the forward
-    /// model inverted by [`Self::distance_from_amplitude`]): round-trip
-    /// amplitude decays as 1/d², normalized to the 1 m reference.
-    /// Distances below a wavelength are clamped (near field).
-    pub fn amplitude_at(&self, d: Meters) -> f64 {
-        let lambda = SPEED_OF_LIGHT / self.frequency.as_hz();
-        let d = d.value().max(lambda);
-        self.reference_amplitude_1m / (d * d)
     }
 
     /// Localizes by minimizing Σ (dist(p, traj_l) − d_l)² over the grid:

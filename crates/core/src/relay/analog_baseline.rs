@@ -12,9 +12,7 @@ use rfly_dsp::rng::Rng;
 use rfly_channel::antenna::{mutual_coupling, Polarization};
 use rfly_dsp::osc::standard_normal;
 use rfly_dsp::units::{Db, Hertz, Meters};
-use rfly_dsp::Complex;
 
-use super::gains::IsolationBudget;
 use super::isolation::InterferencePath;
 
 /// A compact amplify-and-forward relay.
@@ -41,13 +39,6 @@ impl AnalogRelay {
         }
     }
 
-    /// Forwards a block: pure amplification (phase preserved, nothing
-    /// else done — which is exactly its problem).
-    pub fn forward(&self, input: &[Complex]) -> Vec<Complex> {
-        let g = self.gain.amplitude();
-        input.iter().map(|&s| s * g).collect()
-    }
-
     /// Isolation of one self-interference path: antenna coupling only.
     /// Opposing-direction antenna pairs are cross-polarized; a path's
     /// own TX/RX pair shares polarization (four antennas, two
@@ -64,29 +55,6 @@ impl AnalogRelay {
         let nominal = mutual_coupling(self.antenna_separation, self.frequency, pa, pb);
         (nominal + Db::new(self.sigma.value() * standard_normal(rng))).max(Db::new(0.0))
     }
-
-    /// All four paths as a budget (for stability comparisons).
-    pub fn budget<R: Rng>(&self, rng: &mut R) -> IsolationBudget {
-        IsolationBudget {
-            inter_downlink: self.isolation(InterferencePath::InterDownlink, rng),
-            inter_uplink: self.isolation(InterferencePath::InterUplink, rng),
-            intra_downlink: self.isolation(InterferencePath::IntraDownlink, rng),
-            intra_uplink: self.isolation(InterferencePath::IntraUplink, rng),
-        }
-    }
-
-    /// Whether the relay rings at its configured gain: amplification
-    /// beyond the coupling isolation drives the feedback loop unstable
-    /// (§4.1's control-theory argument).
-    pub fn is_stable<R: Rng>(&self, rng: &mut R) -> bool {
-        let b = self.budget(rng);
-        let worst = b
-            .intra_downlink
-            .min(b.intra_uplink)
-            .min(b.inter_downlink)
-            .min(b.inter_uplink);
-        self.gain.value() < worst.value()
-    }
 }
 
 #[cfg(test)]
@@ -102,9 +70,10 @@ mod tests {
         let r = AnalogRelay::compact(Hertz::mhz(915.0));
         let mut rng = rng();
         for _ in 0..50 {
-            let b = r.budget(&mut rng);
-            assert!(b.inter_downlink.value() < 35.0);
-            assert!(b.intra_downlink.value() < 15.0);
+            let inter = r.isolation(InterferencePath::InterDownlink, &mut rng);
+            let intra = r.isolation(InterferencePath::IntraDownlink, &mut rng);
+            assert!(inter.value() < 35.0);
+            assert!(intra.value() < 15.0);
         }
     }
 
@@ -115,42 +84,15 @@ mod tests {
         use crate::relay::relay::{Relay, RelayConfig};
         let analog = AnalogRelay::compact(Hertz::mhz(915.0));
         let mut rng = rng();
-        let ab = analog.budget(&mut rng);
         let mut relay = Relay::new(RelayConfig::default(), 3);
         let rb = measure_budget(&mut relay);
-        assert!(rb.inter_downlink.value() - ab.inter_downlink.value() >= 50.0);
-        assert!(rb.inter_uplink.value() - ab.inter_uplink.value() >= 50.0);
-        assert!(rb.intra_downlink.value() - ab.intra_downlink.value() >= 50.0);
-        assert!(rb.intra_uplink.value() - ab.intra_uplink.value() >= 50.0);
-    }
-
-    #[test]
-    fn forward_preserves_phase_and_applies_gain() {
-        let r = AnalogRelay::compact(Hertz::mhz(915.0));
-        let x = vec![Complex::from_polar(0.5, 1.0); 8];
-        let y = r.forward(&x);
-        assert!((y[0].arg() - 1.0).abs() < 1e-12);
-        assert!((Db::from_amplitude(y[0].abs() / x[0].abs()).value() - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn modest_gain_already_rings() {
-        // At 10 dB gain the intra coupling (a few dB) is already
-        // exceeded: the compact analog relay is unstable, which is the
-        // §4.1 motivation for RFly's design.
-        let r = AnalogRelay::compact(Hertz::mhz(915.0));
-        let mut rng = rng();
-        let unstable = (0..50).filter(|_| !r.is_stable(&mut rng)).count();
-        assert!(unstable > 40, "only {unstable}/50 unstable");
-    }
-
-    #[test]
-    fn tiny_gain_with_separation_can_be_stable() {
-        let mut r = AnalogRelay::compact(Hertz::mhz(915.0));
-        r.gain = Db::new(0.5);
-        r.antenna_separation = Meters::new(2.0); // bulky — not droneable
-        let mut rng = rng();
-        let stable = (0..50).filter(|_| r.is_stable(&mut rng)).count();
-        assert!(stable > 40, "only {stable}/50 stable");
+        for (path, rfly) in [
+            (InterferencePath::InterDownlink, rb.inter_downlink),
+            (InterferencePath::InterUplink, rb.inter_uplink),
+            (InterferencePath::IntraDownlink, rb.intra_downlink),
+            (InterferencePath::IntraUplink, rb.intra_uplink),
+        ] {
+            assert!(rfly.value() - analog.isolation(path, &mut rng).value() >= 50.0);
+        }
     }
 }

@@ -9,7 +9,6 @@
 //! 3. decoding it at all tells the reader the drone is in radio range
 //!    (it is always within the relay's own powering range).
 
-use rfly_dsp::Complex;
 use rfly_protocol::commands::Command;
 use rfly_protocol::epc::Epc;
 use rfly_protocol::tag_state::{TagMachine, TagReply};
@@ -22,10 +21,6 @@ use rfly_protocol::tag_state::{TagMachine, TagReply};
 #[derive(Debug)]
 pub struct EmbeddedRfid {
     machine: TagMachine,
-    /// The fixed relay-local channel constant: the tiny hardware path
-    /// between the relay antennas and the embedded tag. Constant while
-    /// the drone flies, so it divides out of Eq. 10 (footnote 6).
-    local_constant: Complex,
 }
 
 impl EmbeddedRfid {
@@ -33,19 +28,7 @@ impl EmbeddedRfid {
     pub fn new(epc: Epc, seed: u64) -> Self {
         Self {
             machine: TagMachine::new(epc, seed),
-            local_constant: Complex::from_polar(0.31, 1.37),
         }
-    }
-
-    /// The embedded tag's EPC — the reader stores this to distinguish
-    /// the relay's tag from environment tags.
-    pub fn epc(&self) -> Epc {
-        self.machine.epc()
-    }
-
-    /// The fixed relay-local channel constant.
-    pub fn local_constant(&self) -> Complex {
-        self.local_constant
     }
 
     /// Handles a (relay-forwarded) reader command.
@@ -80,12 +63,6 @@ impl EmbeddedRfid {
     }
 }
 
-/// Decides whether the relay is within the reader's radio range, from
-/// an inventory's decoded EPCs: true iff the embedded tag was read.
-pub fn relay_in_range(embedded_epc: Epc, read_epcs: &[Epc]) -> bool {
-    read_epcs.contains(&embedded_epc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,30 +87,6 @@ mod tests {
         let mut t = EmbeddedRfid::new(Epc::from_index(0xEE), 1);
         let reply = t.handle(&query());
         assert!(matches!(reply, Some(TagReply::Rn16(_))));
-    }
-
-    #[test]
-    fn epc_is_stable_and_distinct() {
-        let t = EmbeddedRfid::new(Epc::from_index(0xEE), 1);
-        assert_eq!(t.epc(), Epc::from_index(0xEE));
-        assert_ne!(t.epc(), Epc::from_index(0));
-    }
-
-    #[test]
-    fn local_constant_is_fixed() {
-        let t = EmbeddedRfid::new(Epc::from_index(0xEE), 1);
-        let c1 = t.local_constant();
-        let c2 = t.local_constant();
-        assert_eq!(c1, c2);
-        assert!(c1.abs() > 0.0);
-    }
-
-    #[test]
-    fn range_detection_from_reads() {
-        let epc = Epc::from_index(0xEE);
-        assert!(relay_in_range(epc, &[Epc::from_index(1), epc]));
-        assert!(!relay_in_range(epc, &[Epc::from_index(1)]));
-        assert!(!relay_in_range(epc, &[]));
     }
 
     #[test]

@@ -57,18 +57,13 @@ impl FrequencyDiscovery {
         }
     }
 
-    /// Samples per processing chunk (1 ms worth).
-    pub fn chunk_len(&self) -> usize {
-        self.chunk_len
-    }
-
     /// True once every candidate has been evaluated at least once.
     pub fn complete(&self) -> bool {
         self.cursor >= self.candidates.len()
     }
 
     /// Feeds one 1 ms chunk; evaluates the next few candidates against
-    /// it. Panics if the chunk is not exactly [`Self::chunk_len`].
+    /// it. Panics if the chunk is not exactly 1 ms of samples.
     pub fn feed(&mut self, chunk: &[Complex]) {
         assert_eq!(chunk.len(), self.chunk_len, "feed exactly 1 ms chunks");
         for _ in 0..self.per_chunk {
@@ -193,7 +188,7 @@ mod tests {
     fn incomplete_sweep_has_no_lock() {
         let mut fd = FrequencyDiscovery::new(grid(), Hertz(FS));
         assert!(fd.lock().is_none());
-        let chunk = Nco::new(Hertz::khz(0.0), FS).block(fd.chunk_len());
+        let chunk = Nco::new(Hertz::khz(0.0), FS).block(fd.chunk_len);
         fd.feed(&chunk);
         assert!(!fd.complete());
         assert!(fd.lock().is_none());

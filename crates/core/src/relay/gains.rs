@@ -22,14 +22,6 @@ pub struct GainPlan {
     pub uplink: Db,
 }
 
-impl GainPlan {
-    /// The full loop gain through both chains — what an external
-    /// feedback path (self-interference or another relay) sees.
-    pub fn total(&self) -> Db {
-        self.downlink + self.uplink
-    }
-}
-
 /// The isolation figures the allocator works against.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IsolationBudget {
@@ -367,7 +359,7 @@ mod tests {
         // crossings — no rejection at all.
         let co = worst_pair_margin(&plan, f1, f2, &plan, f1, f2, coupling, pb);
         assert!(
-            (co.value() - (2.0 * 52.0 - plan.total().value())).abs() < 1e-9,
+            (co.value() - (2.0 * 52.0 - (plan.downlink + plan.uplink).value())).abs() < 1e-9,
             "{co}"
         );
         // 5 MHz apart: every crossing sits far down the filter skirt.

@@ -57,11 +57,6 @@ impl ForwardingPath {
         Db::from_amplitude(self.gain_amp)
     }
 
-    /// Retunes the VGA chain.
-    pub fn set_gain(&mut self, gain: Db) {
-        self.gain_amp = gain.amplitude();
-    }
-
     /// Processes a block whose first sample is global index `start`.
     pub fn process(&mut self, input: &[Complex], start: usize) -> Vec<Complex> {
         let down = self.down.mix_block(input, start);
@@ -83,11 +78,6 @@ impl ForwardingPath {
     /// Clears filter state (between independent experiments).
     pub fn reset(&mut self) {
         self.filter.reset();
-    }
-
-    /// The group delay of the path's filter, samples.
-    pub fn group_delay(&self) -> f64 {
-        self.filter.group_delay()
     }
 }
 
@@ -150,17 +140,6 @@ mod tests {
         // −50 dB bypass + 20 dB gain = −30 dB at the input frequency.
         let leak = power_at(&y[4096..], Hertz::khz(50.0), FS);
         assert!((leak.value() + 30.0).abs() < 0.5, "leak = {leak}");
-    }
-
-    #[test]
-    fn gain_is_tunable() {
-        let mut p = downlink_path(Db::new(0.0), Db::new(120.0));
-        p.set_gain(Db::new(12.0));
-        assert!((p.gain().value() - 12.0).abs() < 1e-9);
-        let x = Nco::new(Hertz::khz(10.0), FS).block(8192);
-        let y = p.process(&x, 0);
-        let fwd = power_at(&y[4096..], Hertz::khz(1010.0), FS);
-        assert!((fwd.value() - 12.0).abs() < 0.5);
     }
 
     #[test]

@@ -11,7 +11,6 @@ use rfly_dsp::units::{Db, Hertz};
 use rfly_dsp::Complex;
 
 use super::components::{ComponentTolerances, DrawnComponents};
-use super::gains::GainPlan;
 use super::path::ForwardingPath;
 
 /// Static configuration of a relay build.
@@ -193,21 +192,10 @@ impl Relay {
         (self.downlink.gain(), self.uplink.gain())
     }
 
-    /// Applies a gain plan from the §6.1 allocation policy.
-    pub fn apply_gain_plan(&mut self, plan: GainPlan) {
-        self.downlink.set_gain(plan.downlink);
-        self.uplink.set_gain(plan.uplink);
-    }
-
     /// Resets filter state between independent experiments.
     pub fn reset(&mut self) {
         self.downlink.reset();
         self.uplink.reset();
-    }
-
-    /// Total group delay a signal sees through both paths, samples.
-    pub fn round_trip_group_delay(&self) -> f64 {
-        self.downlink.group_delay() + self.uplink.group_delay()
     }
 }
 
@@ -311,18 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn gains_are_adjustable() {
-        let mut r = Relay::new(cfg(), 3);
-        r.apply_gain_plan(GainPlan {
-            downlink: Db::new(40.0),
-            uplink: Db::new(15.0),
-        });
-        let (d, u) = r.gains();
-        assert!((d.value() - 40.0).abs() < 1e-9);
-        assert!((u.value() - 15.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn different_seeds_draw_different_components() {
         let a = Relay::new(cfg(), 100);
         let b = Relay::new(cfg(), 101);
@@ -336,11 +312,5 @@ mod tests {
             a.drawn().lpf_stopband.value(),
             a2.drawn().lpf_stopband.value()
         );
-    }
-
-    #[test]
-    fn group_delay_is_reported() {
-        let r = Relay::new(cfg(), 4);
-        assert!(r.round_trip_group_delay() > 0.0);
     }
 }

@@ -8,7 +8,6 @@
 use std::fmt;
 
 use rfly_channel::geometry::Point2;
-use rfly_dsp::units::Hertz;
 
 use crate::kinematics::{Leg, MotionLimits};
 
@@ -47,40 +46,6 @@ impl FlightPlan {
         Ok(Self { waypoints, limits })
     }
 
-    /// A single straight scan pass — the paper's 1D trajectories.
-    pub fn line(from: Point2, to: Point2, limits: MotionLimits) -> Self {
-        Self {
-            waypoints: vec![from, to],
-            limits,
-        }
-    }
-
-    /// A lawnmower sweep over the rectangle `[min, max]` with `rows`
-    /// passes — the warehouse coverage pattern.
-    pub fn lawnmower(min: Point2, max: Point2, rows: usize, limits: MotionLimits) -> Self {
-        assert!(rows >= 1);
-        let mut wp = Vec::with_capacity(rows * 2);
-        for r in 0..rows {
-            let y = if rows == 1 {
-                (min.y + max.y) / 2.0
-            } else {
-                min.y + (max.y - min.y) * r as f64 / (rows - 1) as f64
-            };
-            if r % 2 == 0 {
-                wp.push(Point2::new(min.x, y));
-                wp.push(Point2::new(max.x, y));
-            } else {
-                wp.push(Point2::new(max.x, y));
-                wp.push(Point2::new(min.x, y));
-            }
-        }
-        // rows >= 1 ⇒ at least two waypoints, so this cannot fail.
-        Self {
-            waypoints: wp,
-            limits,
-        }
-    }
-
     /// The waypoints.
     pub fn waypoints(&self) -> &[Point2] {
         &self.waypoints
@@ -96,11 +61,6 @@ impl FlightPlan {
     /// Total mission duration, seconds (no hover time between legs).
     pub fn duration(&self) -> f64 {
         self.legs().map(|l| l.duration()).sum()
-    }
-
-    /// Total path length, meters.
-    pub fn length(&self) -> f64 {
-        self.legs().map(|l| l.length()).sum()
     }
 
     fn legs(&self) -> impl Iterator<Item = Leg> + '_ {
@@ -124,18 +84,6 @@ impl FlightPlan {
         }
         last
     }
-
-    /// Samples the mission at a fixed measurement rate, returning the
-    /// positions at which the relay captures tag responses. These are
-    /// the trajectory points fed to the SAR localizer.
-    pub fn sample_positions(&self, rate: Hertz) -> Vec<Point2> {
-        assert!(rate.as_hz() > 0.0);
-        let total = self.duration();
-        let n = (total * rate.as_hz()).floor() as usize + 1;
-        (0..n)
-            .map(|k| self.position_at(k as f64 / rate.as_hz()))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -151,11 +99,11 @@ mod tests {
 
     #[test]
     fn line_plan_duration_and_positions() {
-        let p = FlightPlan::line(Point2::new(0.0, 0.0), Point2::new(5.0, 0.0), limits());
+        let p = FlightPlan::new(vec![Point2::new(0.0, 0.0), Point2::new(5.0, 0.0)], limits())
+            .expect("two waypoints");
         assert!((p.duration() - 7.0).abs() < 1e-12);
         assert_eq!(p.position_at(0.0), Point2::new(0.0, 0.0));
         assert!(p.position_at(100.0).distance(Point2::new(5.0, 0.0)) < 1e-9);
-        assert_eq!(p.length(), 5.0);
     }
 
     #[test]
@@ -175,42 +123,6 @@ mod tests {
         // Just after the corner we're moving in +y.
         let after = p.position_at(t_leg1 + 0.5);
         assert!(after.y > 0.0 && (after.x - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn lawnmower_covers_rows_alternating() {
-        let p = FlightPlan::lawnmower(Point2::new(0.0, 0.0), Point2::new(4.0, 2.0), 3, limits());
-        let wp = p.waypoints();
-        assert_eq!(wp.len(), 6);
-        assert_eq!(wp[0], Point2::new(0.0, 0.0));
-        assert_eq!(wp[1], Point2::new(4.0, 0.0));
-        assert_eq!(wp[2], Point2::new(4.0, 1.0)); // returns from the right
-        assert_eq!(wp[4], Point2::new(0.0, 2.0)); // row 2 left-to-right again
-        assert_eq!(wp[5], Point2::new(4.0, 2.0));
-    }
-
-    #[test]
-    fn sampling_rate_controls_count() {
-        let p = FlightPlan::line(Point2::new(0.0, 0.0), Point2::new(5.0, 0.0), limits());
-        let at_10hz = p.sample_positions(Hertz(10.0));
-        let at_1hz = p.sample_positions(Hertz(1.0));
-        assert_eq!(at_10hz.len(), 71);
-        assert_eq!(at_1hz.len(), 8);
-        // Samples start at the start and are on the segment.
-        assert_eq!(at_10hz[0], Point2::new(0.0, 0.0));
-        assert!(at_10hz
-            .iter()
-            .all(|q| q.y.abs() < 1e-9 && q.x <= 5.0 + 1e-9));
-    }
-
-    #[test]
-    fn samples_are_denser_during_ramps() {
-        // Equal-time sampling ⇒ unequal spacing: slow ends, fast middle.
-        let p = FlightPlan::line(Point2::new(0.0, 0.0), Point2::new(5.0, 0.0), limits());
-        let s = p.sample_positions(Hertz(10.0));
-        let first_gap = s[1].distance(s[0]);
-        let mid_gap = s[35].distance(s[34]);
-        assert!(first_gap < mid_gap);
     }
 
     #[test]

@@ -2,17 +2,15 @@
 //!
 //! RFly's relay rides a Parrot Bebop 2 (§6.2); the controlled
 //! microbenchmarks ride an iRobot Create 2 (§7.3a). What the rest of
-//! the system needs from the platform is (a) *can it carry the relay
-//! and power it*, and (b) *where exactly was it at each measurement* —
-//! i.e. payload/power budgets, kinematics along a flight plan, and a
-//! position-tracking model (OptiTrack ground truth vs odometry drift).
+//! the system needs from the platform is *where exactly was it at each
+//! measurement*: kinematics along a flight plan and a position-tracking
+//! model (OptiTrack ground truth vs odometry drift). The battery and
+//! payload budget lives in `rfly_ops::energy`.
 
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod flightplan;
 pub mod kinematics;
-pub mod platform;
 pub mod tracking;
 
 pub use flightplan::{FlightPlan, FlightPlanError};
-pub use platform::Platform;

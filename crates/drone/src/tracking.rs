@@ -33,21 +33,6 @@ pub enum Tracker {
     },
 }
 
-impl Tracker {
-    /// The paper's OptiTrack rig.
-    pub fn optitrack() -> Self {
-        Tracker::Optical { sigma_m: 0.005 }
-    }
-
-    /// A consumer-drone visual-inertial odometry stack.
-    pub fn consumer_odometry() -> Self {
-        Tracker::Odometry {
-            sigma_m: 0.01,
-            drift_per_sqrt_m: 0.02,
-        }
-    }
-}
-
 /// Converts a true trajectory into the positions the tracker reports.
 pub fn observe_trajectory<R: Rng>(
     tracker: Tracker,
@@ -106,6 +91,15 @@ mod tests {
         rfly_dsp::rng::StdRng::seed_from_u64(33)
     }
 
+    /// The paper's OptiTrack rig.
+    const OPTITRACK: Tracker = Tracker::Optical { sigma_m: 0.005 };
+
+    /// A consumer-drone visual-inertial odometry stack.
+    const ODOMETRY: Tracker = Tracker::Odometry {
+        sigma_m: 0.01,
+        drift_per_sqrt_m: 0.02,
+    };
+
     #[test]
     fn oracle_is_exact() {
         let t = line(20);
@@ -116,7 +110,7 @@ mod tests {
     #[test]
     fn optical_jitter_is_small_and_unbiased() {
         let t = line(2000);
-        let o = observe_trajectory(Tracker::optitrack(), &t, &mut rng());
+        let o = observe_trajectory(OPTITRACK, &t, &mut rng());
         let errs: Vec<f64> = t.iter().zip(&o).map(|(a, b)| a.distance(*b)).collect();
         let mean_err = errs.iter().sum::<f64>() / errs.len() as f64;
         assert!(mean_err < 0.01, "mean err {mean_err}");
@@ -132,7 +126,7 @@ mod tests {
         let mut errs_late = Vec::new();
         for seed in 0..40 {
             let mut r = rfly_dsp::rng::StdRng::seed_from_u64(seed);
-            let o = observe_trajectory(Tracker::consumer_odometry(), &t, &mut r);
+            let o = observe_trajectory(ODOMETRY, &t, &mut r);
             errs_early.push(t[10].distance(o[10]));
             errs_late.push(t[490].distance(o[490]));
         }
@@ -144,11 +138,7 @@ mod tests {
     #[test]
     fn trackers_preserve_length() {
         let t = line(7);
-        for tracker in [
-            Tracker::Oracle,
-            Tracker::optitrack(),
-            Tracker::consumer_odometry(),
-        ] {
+        for tracker in [Tracker::Oracle, OPTITRACK, ODOMETRY] {
             assert_eq!(observe_trajectory(tracker, &t, &mut rng()).len(), 7);
         }
     }

@@ -1,12 +1,8 @@
 //! Helpers for slices of IQ samples.
 //!
-//! These are the small utilities every DSP stage needs: power
-//! measurement, energy, normalization, and chunked iteration (the relay's
-//! frequency-discovery loop processes the reader's carrier in contiguous
-//! 1 ms chunks, per §4.2 of the paper).
+//! Power measurement and element-wise summing of sample buffers.
 
 use crate::complex::Complex;
-use crate::units::Db;
 
 /// Mean power of a sample slice (mean of |x|²). Returns 0 for empty input.
 pub fn mean_power(samples: &[Complex]) -> f64 {
@@ -14,41 +10,6 @@ pub fn mean_power(samples: &[Complex]) -> f64 {
         return 0.0;
     }
     samples.iter().map(|s| s.norm_sq()).sum::<f64>() / samples.len() as f64
-}
-
-/// Total energy of a sample slice (sum of |x|²).
-pub fn energy(samples: &[Complex]) -> f64 {
-    samples.iter().map(|s| s.norm_sq()).sum()
-}
-
-/// Root-mean-square amplitude.
-pub fn rms(samples: &[Complex]) -> f64 {
-    mean_power(samples).sqrt()
-}
-
-/// Peak amplitude (max |x|). Returns 0 for empty input.
-pub fn peak(samples: &[Complex]) -> f64 {
-    samples.iter().map(|s| s.abs()).fold(0.0, f64::max)
-}
-
-/// Mean power expressed in dB relative to unit power.
-///
-/// Returns `-inf` dB for silent input, which orders correctly in
-/// comparisons.
-pub fn mean_power_db(samples: &[Complex]) -> Db {
-    Db::from_linear(mean_power(samples))
-}
-
-/// Scales a buffer in place so its RMS amplitude becomes `target_rms`.
-/// A silent buffer is left untouched.
-pub fn normalize_rms(samples: &mut [Complex], target_rms: f64) {
-    let r = rms(samples);
-    if r > 0.0 {
-        let k = target_rms / r;
-        for s in samples.iter_mut() {
-            *s = s.scale(k);
-        }
-    }
 }
 
 /// Element-wise sum of two equal-length buffers into a new vector.
@@ -60,94 +21,33 @@ pub fn add(a: &[Complex], b: &[Complex]) -> Vec<Complex> {
     a.iter().zip(b).map(|(x, y)| *x + *y).collect()
 }
 
-/// Adds `b` into `a` in place, starting at sample offset `offset` of `a`.
-/// Samples of `b` that would fall past the end of `a` are dropped.
-pub fn mix_into(a: &mut [Complex], b: &[Complex], offset: usize) {
-    if offset >= a.len() {
-        return;
-    }
-    for (dst, src) in a[offset..].iter_mut().zip(b) {
-        *dst += *src;
-    }
-}
-
-/// Iterates over contiguous chunks of exactly `chunk_len` samples,
-/// dropping any final partial chunk. This mirrors the relay's streaming
-/// 1 ms-chunk processing.
-pub fn exact_chunks(samples: &[Complex], chunk_len: usize) -> impl Iterator<Item = &[Complex]> {
-    assert!(chunk_len > 0, "chunk length must be positive");
-    samples.chunks_exact(chunk_len)
-}
-
-/// Generates `n` samples by calling `f(i)` for each index.
-pub fn generate(n: usize, f: impl FnMut(usize) -> Complex) -> Vec<Complex> {
-    (0..n).map(f).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::complex::{Complex, ONE, ZERO};
 
     #[test]
-    fn power_energy_rms_peak() {
+    fn mean_power_averages_norm_sq() {
         let buf = vec![Complex::new(3.0, 4.0), ZERO, ONE, ONE];
-        assert_eq!(energy(&buf), 27.0);
         assert_eq!(mean_power(&buf), 27.0 / 4.0);
-        assert!((rms(&buf) - (27.0f64 / 4.0).sqrt()).abs() < 1e-12);
-        assert_eq!(peak(&buf), 5.0);
     }
 
     #[test]
     fn empty_buffers_are_silent() {
         assert_eq!(mean_power(&[]), 0.0);
-        assert_eq!(peak(&[]), 0.0);
-        assert_eq!(mean_power_db(&[]).value(), f64::NEG_INFINITY);
     }
 
     #[test]
-    fn normalize_hits_target() {
-        let mut buf = vec![Complex::new(2.0, 0.0); 16];
-        normalize_rms(&mut buf, 0.5);
-        assert!((rms(&buf) - 0.5).abs() < 1e-12);
-        let mut silent = vec![ZERO; 4];
-        normalize_rms(&mut silent, 1.0);
-        assert!(silent.iter().all(|s| *s == ZERO));
-    }
-
-    #[test]
-    fn add_and_mix_into() {
+    fn add_sums_elementwise() {
         let a = vec![ONE; 3];
         let b = vec![Complex::new(0.0, 1.0); 3];
         let s = add(&a, &b);
         assert!(s.iter().all(|z| *z == Complex::new(1.0, 1.0)));
-
-        let mut dst = vec![ZERO; 5];
-        mix_into(&mut dst, &[ONE, ONE, ONE], 3);
-        assert_eq!(dst[2], ZERO);
-        assert_eq!(dst[3], ONE);
-        assert_eq!(dst[4], ONE); // third sample dropped past the end
-        mix_into(&mut dst, &[ONE], 99); // out-of-range offset is a no-op
-        assert_eq!(dst[0], ZERO);
     }
 
     #[test]
     #[should_panic(expected = "misaligned")]
     fn add_rejects_mismatched_lengths() {
         let _ = add(&[ONE], &[ONE, ONE]);
-    }
-
-    #[test]
-    fn exact_chunks_drops_partial_tail() {
-        let buf = vec![ONE; 10];
-        let chunks: Vec<_> = exact_chunks(&buf, 3).collect();
-        assert_eq!(chunks.len(), 3);
-        assert!(chunks.iter().all(|c| c.len() == 3));
-    }
-
-    #[test]
-    fn generate_indexes() {
-        let v = generate(4, |i| Complex::from_re(i as f64));
-        assert_eq!(v[3].re, 3.0);
     }
 }

@@ -19,11 +19,6 @@ pub fn floor_usize(x: f64) -> usize {
     to_usize(x.floor())
 }
 
-/// `x.round()` as a `usize`, asserting the result is representable.
-pub fn round_usize(x: f64) -> usize {
-    to_usize(x.round())
-}
-
 /// The checked conversion backing the rounding helpers.
 #[expect(
     clippy::cast_possible_truncation,
@@ -46,8 +41,6 @@ mod tests {
     fn rounding_modes() {
         assert_eq!(ceil_usize(3.2), 4);
         assert_eq!(floor_usize(3.9), 3);
-        assert_eq!(round_usize(3.5), 4);
-        assert_eq!(round_usize(3.4), 3);
         assert_eq!(ceil_usize(0.0), 0);
     }
 
@@ -66,6 +59,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn infinity_rejected() {
-        let _ = round_usize(f64::INFINITY);
+        let _ = ceil_usize(f64::INFINITY);
     }
 }

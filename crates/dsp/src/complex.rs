@@ -31,8 +31,6 @@ pub struct Complex {
 pub const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
 /// The multiplicative identity.
 pub const ONE: Complex = Complex { re: 1.0, im: 0.0 };
-/// The imaginary unit.
-pub const J: Complex = Complex { re: 0.0, im: 1.0 };
 
 impl Complex {
     /// Creates a complex number from Cartesian parts.
@@ -93,18 +91,6 @@ impl Complex {
         self.im.atan2(self.re)
     }
 
-    /// Returns `(magnitude, phase)`.
-    #[inline]
-    pub fn to_polar(self) -> (f64, f64) {
-        (self.abs(), self.arg())
-    }
-
-    /// The complex exponential `e^{self}`.
-    #[inline]
-    pub fn exp(self) -> Self {
-        Self::from_polar(self.re.exp(), self.im)
-    }
-
     /// Scales by a real factor.
     #[inline]
     pub fn scale(self, k: f64) -> Self {
@@ -128,12 +114,6 @@ impl Complex {
     #[inline]
     pub fn is_finite(self) -> bool {
         self.re.is_finite() && self.im.is_finite()
-    }
-
-    /// Rotates this phasor by `phase` radians (multiplies by `e^{j*phase}`).
-    #[inline]
-    pub fn rotate(self, phase: f64) -> Self {
-        self * Self::cis(phase)
     }
 
     /// Returns this value normalized to unit magnitude, or zero if the
@@ -309,6 +289,8 @@ mod tests {
     use super::*;
     use std::f64::consts::{FRAC_PI_2, PI, TAU};
 
+    const J: Complex = Complex::new(0.0, 1.0);
+
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-12
     }
@@ -322,9 +304,8 @@ mod tests {
         let z = Complex::from_polar(2.0, FRAC_PI_2);
         assert!(close(z.re, 0.0));
         assert!(close(z.im, 2.0));
-        let (m, p) = z.to_polar();
-        assert!(close(m, 2.0));
-        assert!(close(p, FRAC_PI_2));
+        assert!(close(z.abs(), 2.0));
+        assert!(close(z.arg(), FRAC_PI_2));
     }
 
     #[test]
@@ -361,22 +342,6 @@ mod tests {
         let b = Complex::new(3.0, -4.0);
         assert!(cclose(a / b, a * b.inv()));
         assert!(cclose(b * b.inv(), ONE));
-    }
-
-    #[test]
-    fn exp_of_imaginary_is_cis() {
-        let z = Complex::new(0.0, 1.2).exp();
-        assert!(cclose(z, Complex::cis(1.2)));
-        // e^{ln 2 + j*pi} = -2
-        let w = Complex::new(2.0_f64.ln(), PI).exp();
-        assert!(cclose(w, Complex::new(-2.0, 0.0)));
-    }
-
-    #[test]
-    fn rotation_advances_phase() {
-        let z = Complex::from_polar(3.0, 0.3).rotate(0.4);
-        assert!(close(z.arg(), 0.7));
-        assert!(close(z.abs(), 3.0));
     }
 
     #[test]

@@ -9,9 +9,7 @@
 //! filters with controllable attenuation (Kaiser-windowed sinc FIR) and
 //! measures their response rather than assuming ideal bricks.
 
-pub mod biquad;
 pub mod fir;
 pub mod window;
 
-pub use biquad::{Biquad, BiquadCascade};
 pub use fir::{FirDesign, FirFilter};

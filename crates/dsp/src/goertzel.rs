@@ -58,32 +58,6 @@ pub fn windowed_power_at(samples: &[Complex], freq: Hertz, sample_rate: f64) -> 
     Db::from_linear((acc / win_sum).norm_sq())
 }
 
-/// A bank of Goertzel correlators evaluated over a frequency grid;
-/// returns `(freq, power)` pairs. This is the software spectrum analyzer
-/// used throughout the isolation benchmarks.
-pub fn power_sweep(
-    samples: &[Complex],
-    freqs: impl IntoIterator<Item = Hertz>,
-    sample_rate: f64,
-) -> Vec<(Hertz, Db)> {
-    freqs
-        .into_iter()
-        .map(|f| (f, power_at(samples, f, sample_rate)))
-        .collect()
-}
-
-/// Returns the frequency from `freqs` with the highest correlation power,
-/// together with that power — the `argmax` of the paper's Eq. 5.
-pub fn strongest(
-    samples: &[Complex],
-    freqs: impl IntoIterator<Item = Hertz>,
-    sample_rate: f64,
-) -> Option<(Hertz, Db)> {
-    power_sweep(samples, freqs, sample_rate)
-        .into_iter()
-        .max_by(|a, b| a.1.value().total_cmp(&b.1.value()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,35 +99,6 @@ mod tests {
             .collect();
         let p = power_at(&x, Hertz::khz(10.0), FS);
         assert!((p.value() + 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn strongest_finds_the_dominant_tone() {
-        let strong = Nco::new(Hertz::khz(200.0), FS).block(4000);
-        let weak: Vec<Complex> = Nco::new(Hertz::khz(300.0), FS)
-            .block(4000)
-            .into_iter()
-            .map(|s| s * 0.3)
-            .collect();
-        let mixed = crate::buffer::add(&strong, &weak);
-        let grid = (0..50).map(|k| Hertz::khz(10.0 * k as f64));
-        let (f, p) = strongest(&mixed, grid, FS).unwrap();
-        assert_eq!(f, Hertz::khz(200.0));
-        assert!(p.value() > -1.0);
-    }
-
-    #[test]
-    fn sweep_returns_all_requested_points() {
-        let x = Nco::new(Hertz::khz(100.0), FS).block(256);
-        let pts = power_sweep(&x, (0..10).map(|k| Hertz::khz(k as f64 * 20.0)), FS);
-        assert_eq!(pts.len(), 10);
-        assert_eq!(pts[5].0, Hertz::khz(100.0));
-    }
-
-    #[test]
-    fn strongest_on_empty_grid_is_none() {
-        let x = Nco::new(Hertz::khz(1.0), FS).block(16);
-        assert!(strongest(&x, std::iter::empty(), FS).is_none());
     }
 
     #[test]

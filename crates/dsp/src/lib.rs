@@ -7,13 +7,10 @@
 //! * numerically-controlled oscillators and frequency synthesizers with
 //!   phase noise and carrier-frequency offset ([`osc`]),
 //! * up/down-conversion mixers ([`mixer`]),
-//! * FIR filter design (windowed sinc) and biquad IIR cascades ([`filter`]),
+//! * FIR filter design (Kaiser-windowed sinc) ([`filter`]),
 //! * a radix-2 FFT, Goertzel single-bin DFT and Welch spectral estimation
 //!   ([`fft`], [`goertzel`], [`spectrum`]),
-//! * cross-correlation and matched filtering ([`correlate`]),
-//! * additive white Gaussian noise and power conversions ([`noise`]),
-//! * integer-factor resampling ([`resample`]) and automatic gain control
-//!   ([`agc`]),
+//! * additive white Gaussian noise ([`noise`]),
 //! * decibel/dBm/Hz unit types and physical constants ([`units`]).
 //!
 //! The design follows the smoltcp school: no heap-allocating trait objects
@@ -28,18 +25,15 @@
     clippy::print_stderr
 )]
 
-pub mod agc;
 pub mod buffer;
 pub mod cast;
 pub mod complex;
-pub mod correlate;
 pub mod fft;
 pub mod filter;
 pub mod goertzel;
 pub mod mixer;
 pub mod noise;
 pub mod osc;
-pub mod resample;
 pub mod rng;
 pub mod spectrum;
 pub mod units;

@@ -13,7 +13,6 @@
 
 use crate::complex::Complex;
 use crate::osc::SharedSynth;
-use crate::units::Db;
 
 /// Direction of a frequency conversion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,53 +23,18 @@ pub enum Conversion {
     Down,
 }
 
-/// A mixer driven by a (possibly shared) synthesizer.
-///
-/// Real mixers are lossy and leak a little of their input straight to
-/// the output ("feedthrough"); both effects matter when computing the
-/// relay's isolation budget, so they are modelled here.
+/// An ideal (lossless, leak-free) mixer driven by a (possibly shared)
+/// synthesizer.
 #[derive(Debug, Clone)]
 pub struct Mixer {
     lo: SharedSynth,
     direction: Conversion,
-    /// Conversion loss applied to the mixed product (positive dB).
-    conversion_loss: Db,
-    /// Input-to-output feedthrough attenuation (positive dB); the input
-    /// signal leaks to the output attenuated by this amount, unmixed.
-    feedthrough: Db,
 }
 
 impl Mixer {
     /// Creates an ideal mixer (no loss, infinite feedthrough isolation).
     pub fn ideal(lo: SharedSynth, direction: Conversion) -> Self {
-        Self {
-            lo,
-            direction,
-            conversion_loss: Db::new(0.0),
-            feedthrough: Db::new(f64::INFINITY),
-        }
-    }
-
-    /// Creates a lossy mixer. `conversion_loss` and `feedthrough` are
-    /// positive attenuations in dB; typical RF mixers have ~6 dB
-    /// conversion loss and 30–40 dB LO/RF feedthrough isolation.
-    pub fn with_losses(
-        lo: SharedSynth,
-        direction: Conversion,
-        conversion_loss: Db,
-        feedthrough: Db,
-    ) -> Self {
-        assert!(conversion_loss.value() >= 0.0, "loss must be non-negative");
-        assert!(
-            feedthrough.value() >= 0.0,
-            "feedthrough must be non-negative"
-        );
-        Self {
-            lo,
-            direction,
-            conversion_loss,
-            feedthrough,
-        }
+        Self { lo, direction }
     }
 
     /// The conversion direction.
@@ -78,26 +42,11 @@ impl Mixer {
         self.direction
     }
 
-    /// A handle to this mixer's LO synthesizer.
-    pub fn lo(&self) -> &SharedSynth {
-        &self.lo
-    }
-
     /// Mixes a block of samples whose first sample corresponds to global
     /// sample index `start`. Using global indices (rather than an
     /// internal counter) keeps independent signal paths time-aligned,
     /// which the mirrored phase cancellation requires.
     pub fn mix_block(&self, input: &[Complex], start: usize) -> Vec<Complex> {
-        let gain = if self.conversion_loss.value() == 0.0 {
-            1.0
-        } else {
-            (-self.conversion_loss).amplitude()
-        };
-        let leak = if self.feedthrough.value().is_infinite() {
-            0.0
-        } else {
-            (-self.feedthrough).amplitude()
-        };
         let mut lo = self.lo.borrow_mut();
         input
             .iter()
@@ -108,7 +57,7 @@ impl Mixer {
                     Conversion::Up => l,
                     Conversion::Down => l.conj(),
                 };
-                x * l * gain + x * leak
+                x * l
             })
             .collect()
     }
@@ -117,7 +66,7 @@ impl Mixer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffer::mean_power;
+
     use crate::osc::{share, Nco, Synthesizer};
     use crate::units::Hertz;
 
@@ -164,36 +113,5 @@ mod tests {
         for (a, b) in whole.iter().zip(&split) {
             assert!((*a - *b).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn conversion_loss_reduces_power() {
-        let lo = share(Synthesizer::ideal(Hertz::khz(50.0), FS));
-        let m = Mixer::with_losses(lo, Conversion::Up, Db::new(6.0), Db::new(f64::INFINITY));
-        let x = tone(Hertz::khz(10.0), 512);
-        let y = m.mix_block(&x, 0);
-        let ratio = mean_power(&y) / mean_power(&x);
-        assert!((Db::from_linear(ratio).value() + 6.0).abs() < 0.1);
-    }
-
-    #[test]
-    fn feedthrough_leaks_unmixed_input() {
-        // With a 0 Hz LO the mixed product and the leak coincide; use a
-        // large offset instead and measure the residual at the input
-        // frequency after mixing far away.
-        let lo = share(Synthesizer::ideal(Hertz::khz(400.0), FS));
-        let m = Mixer::with_losses(lo, Conversion::Up, Db::new(0.0), Db::new(40.0));
-        let x = tone(Hertz::khz(10.0), 4096);
-        let y = m.mix_block(&x, 0);
-        // Correlate output against the original tone: the matched power
-        // should sit 40 dB below the input power.
-        let corr: Complex = y
-            .iter()
-            .zip(&x)
-            .map(|(a, b)| *a * b.conj())
-            .sum::<Complex>()
-            / x.len() as f64;
-        let leak_db = Db::from_linear(corr.norm_sq()).value();
-        assert!((leak_db + 40.0).abs() < 1.0, "leak = {leak_db} dB");
     }
 }

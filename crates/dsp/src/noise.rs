@@ -1,4 +1,4 @@
-//! Additive white Gaussian noise generation and SNR utilities.
+//! Additive white Gaussian noise generation.
 //!
 //! Every receiver in the simulation sees thermal noise; localization
 //! error growing with distance (Fig. 14 of the paper) is entirely an SNR
@@ -8,7 +8,6 @@ use crate::rng::Rng;
 
 use crate::complex::Complex;
 use crate::osc::standard_normal;
-use crate::units::Db;
 
 /// Generates `n` samples of circularly-symmetric complex Gaussian noise
 /// with total (two-sided) mean power `power` (linear).
@@ -32,26 +31,11 @@ pub fn add_awgn<R: Rng>(rng: &mut R, signal: &mut [Complex], power: f64) {
     }
 }
 
-/// Adds noise such that the resulting SNR (relative to the current mean
-/// power of `signal`) equals `snr`. Returns the noise power used.
-pub fn add_noise_for_snr<R: Rng>(rng: &mut R, signal: &mut [Complex], snr: Db) -> f64 {
-    let sig_power = crate::buffer::mean_power(signal);
-    let noise_power = sig_power / snr.linear();
-    add_awgn(rng, signal, noise_power);
-    noise_power
-}
-
 /// Draws one circularly-symmetric complex Gaussian sample with mean
 /// power `power`.
 pub fn noise_sample<R: Rng>(rng: &mut R, power: f64) -> Complex {
     let sigma = (power / 2.0).sqrt();
     Complex::new(sigma * standard_normal(rng), sigma * standard_normal(rng))
-}
-
-/// Draws a log-normal shadowing factor: a power multiplier whose dB value
-/// is N(0, sigma²). Used by the channel crate for large-scale fading.
-pub fn lognormal_shadowing<R: Rng>(rng: &mut R, sigma: Db) -> f64 {
-    Db::new(sigma.value() * standard_normal(rng)).linear()
 }
 
 #[cfg(test)]
@@ -85,32 +69,10 @@ mod tests {
     }
 
     #[test]
-    fn add_noise_for_snr_hits_target() {
-        let mut r = rng();
-        let mut sig = vec![Complex::from_re(1.0); 50_000];
-        add_noise_for_snr(&mut r, &mut sig, Db::new(10.0));
-        let total = mean_power(&sig);
-        // Signal power 1, noise power 0.1 → total ≈ 1.1.
-        assert!((total - 1.1).abs() < 0.02, "total = {total}");
-    }
-
-    #[test]
     fn zero_power_noise_is_silent() {
         let mut r = rng();
         let x = awgn(&mut r, 100, 0.0);
         assert!(x.iter().all(|s| s.norm_sq() == 0.0));
-    }
-
-    #[test]
-    fn lognormal_shadowing_median_is_unity() {
-        let mut r = rng();
-        let mut v: Vec<f64> = (0..10_001)
-            .map(|_| lognormal_shadowing(&mut r, Db::new(6.0)))
-            .collect();
-        v.sort_by(f64::total_cmp);
-        let median = v[v.len() / 2];
-        assert!((median.ln()).abs() < 0.15, "median = {median}");
-        assert!(v.iter().all(|x| *x > 0.0));
     }
 
     #[test]

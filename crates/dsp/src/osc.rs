@@ -27,7 +27,6 @@ use crate::units::Hertz;
 pub struct Nco {
     phase: f64,
     phase_step: f64,
-    sample_rate: f64,
 }
 
 impl Nco {
@@ -37,7 +36,6 @@ impl Nco {
         Self {
             phase: 0.0,
             phase_step: TAU * freq.as_hz() / sample_rate,
-            sample_rate,
         }
     }
 
@@ -46,16 +44,6 @@ impl Nco {
         let mut n = Self::new(freq, sample_rate);
         n.phase = wrap_phase(phase);
         n
-    }
-
-    /// The current phase in radians.
-    pub fn phase(&self) -> f64 {
-        self.phase
-    }
-
-    /// Retunes the oscillator without a phase discontinuity.
-    pub fn set_freq(&mut self, freq: Hertz) {
-        self.phase_step = TAU * freq.as_hz() / self.sample_rate;
     }
 
     /// Produces the next LO sample `e^{jφ}` and advances the phase.
@@ -122,7 +110,6 @@ impl SynthImperfections {
 /// phases — exactly like splitting one LO signal on a PCB.
 #[derive(Debug)]
 pub struct Synthesizer {
-    nominal: Hertz,
     actual_hz: f64,
     sample_rate: f64,
     imperfections: SynthImperfections,
@@ -145,7 +132,6 @@ impl Synthesizer {
         let actual_hz = nominal.as_hz() * (1.0 + imperfections.freq_offset_ppm * 1e-6)
             + imperfections.extra_offset_hz;
         Self {
-            nominal,
             actual_hz,
             sample_rate,
             imperfections,
@@ -157,31 +143,6 @@ impl Synthesizer {
     /// Creates an ideal synthesizer (no CFO, no noise).
     pub fn ideal(nominal: Hertz, sample_rate: f64) -> Self {
         Self::new(nominal, sample_rate, SynthImperfections::IDEAL, 0)
-    }
-
-    /// The nominal (programmed) frequency.
-    pub fn nominal(&self) -> Hertz {
-        self.nominal
-    }
-
-    /// The actual output frequency including the ppm offset.
-    pub fn actual(&self) -> Hertz {
-        Hertz::hz(self.actual_hz)
-    }
-
-    /// Carrier frequency offset relative to nominal.
-    pub fn cfo(&self) -> Hertz {
-        self.actual() - self.nominal
-    }
-
-    /// Retunes the synthesizer to a new nominal frequency. The same ppm
-    /// error applies; the phase trajectory continues without reset (phase
-    /// noise is a property of the reference, not of the programmed
-    /// frequency).
-    pub fn retune(&mut self, nominal: Hertz) {
-        self.nominal = nominal;
-        self.actual_hz = nominal.as_hz() * (1.0 + self.imperfections.freq_offset_ppm * 1e-6)
-            + self.imperfections.extra_offset_hz;
     }
 
     fn noise_at(&mut self, n: usize) -> f64 {
@@ -205,12 +166,6 @@ impl Synthesizer {
     /// The LO sample `e^{jφ(n)}` at sample index `n`.
     pub fn lo_at(&mut self, n: usize) -> Complex {
         Complex::cis(self.phase_at(n))
-    }
-
-    /// Generates the LO block covering sample indices
-    /// `[start, start + len)`.
-    pub fn lo_block(&mut self, start: usize, len: usize) -> Vec<Complex> {
-        (start..start + len).map(|n| self.lo_at(n)).collect()
     }
 }
 
@@ -264,18 +219,9 @@ mod tests {
         // to zero.
         let block = nco.block(10);
         assert!((block[0] - Complex::new(1.0, 0.0)).abs() < 1e-12);
-        assert!((nco.phase()).abs() < 1e-9);
+        assert!(nco.phase.abs() < 1e-9);
         // Sample 2 should sit at phase 2π·0.1·2 = 0.4π.
         assert!((block[2].arg() - 0.4 * std::f64::consts::PI).abs() < 1e-9);
-    }
-
-    #[test]
-    fn nco_retune_is_phase_continuous() {
-        let mut nco = Nco::new(Hertz::khz(100.0), 1e6);
-        nco.block(3);
-        let before = nco.phase();
-        nco.set_freq(Hertz::khz(250.0));
-        assert_eq!(nco.phase(), before);
     }
 
     #[test]
@@ -320,21 +266,7 @@ mod tests {
             extra_offset_hz: 0.0,
         };
         let s = Synthesizer::new(Hertz::mhz(915.0), 4e6, imp, 0);
-        assert!((s.cfo().as_hz() - 1830.0).abs() < 1e-6);
-        assert_eq!(s.nominal(), Hertz::mhz(915.0));
-    }
-
-    #[test]
-    fn retune_keeps_ppm_error() {
-        let imp = SynthImperfections {
-            freq_offset_ppm: 1.0,
-            linewidth_hz: 0.0,
-            initial_phase: 0.0,
-            extra_offset_hz: 0.0,
-        };
-        let mut s = Synthesizer::new(Hertz::mhz(915.0), 4e6, imp, 0);
-        s.retune(Hertz::mhz(920.0));
-        assert!((s.cfo().as_hz() - 920.0).abs() < 1e-6);
+        assert!((s.actual_hz - 915e6 - 1830.0).abs() < 1e-6);
     }
 
     #[test]

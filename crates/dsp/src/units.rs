@@ -39,17 +39,9 @@ impl Hertz {
     pub const fn mhz(v: f64) -> Self {
         Hertz(v * 1e6)
     }
-    /// Constructs from a value in gigahertz.
-    pub const fn ghz(v: f64) -> Self {
-        Hertz(v * 1e9)
-    }
     /// The raw value in hertz.
     pub const fn as_hz(self) -> f64 {
         self.0
-    }
-    /// The value in kilohertz.
-    pub fn as_khz(self) -> f64 {
-        self.0 / 1e3
     }
     /// The value in megahertz.
     pub fn as_mhz(self) -> f64 {
@@ -210,14 +202,6 @@ impl Dbm {
     pub const fn value(self) -> f64 {
         self.0
     }
-    /// Applies a gain (or loss, if negative) to this power level.
-    pub fn gain(self, g: Db) -> Dbm {
-        Dbm(self.0 + g.0)
-    }
-    /// The ratio of this power to another, as dB.
-    pub fn ratio_to(self, other: Dbm) -> Db {
-        Db(self.0 - other.0)
-    }
 }
 
 impl Add<Db> for Dbm {
@@ -265,21 +249,9 @@ impl Meters {
     pub const fn cm(v: f64) -> Self {
         Meters(v * 1e-2)
     }
-    /// Constructs from a value in kilometers.
-    pub const fn km(v: f64) -> Self {
-        Meters(v * 1e3)
-    }
     /// The raw value in meters.
     pub const fn value(self) -> f64 {
         self.0
-    }
-    /// The larger of two distances.
-    pub fn max(self, other: Meters) -> Meters {
-        Meters(self.0.max(other.0))
-    }
-    /// The smaller of two distances.
-    pub fn min(self, other: Meters) -> Meters {
-        Meters(self.0.min(other.0))
     }
     /// The absolute distance.
     pub fn abs(self) -> Meters {
@@ -349,21 +321,9 @@ impl Seconds {
     pub const fn new(v: f64) -> Self {
         Seconds(v)
     }
-    /// Constructs from a value in milliseconds.
-    pub const fn ms(v: f64) -> Self {
-        Seconds(v * 1e-3)
-    }
     /// The raw value in seconds.
     pub const fn value(self) -> f64 {
         self.0
-    }
-    /// The larger of two durations.
-    pub fn max(self, other: Seconds) -> Seconds {
-        Seconds(self.0.max(other.0))
-    }
-    /// The smaller of two durations.
-    pub fn min(self, other: Seconds) -> Seconds {
-        Seconds(self.0.min(other.0))
     }
 }
 
@@ -430,8 +390,6 @@ mod tests {
     #[test]
     fn hertz_constructors_and_accessors() {
         assert_eq!(Hertz::khz(640.0).as_hz(), 640e3);
-        assert_eq!(Hertz::mhz(915.0).as_khz(), 915e3);
-        assert_eq!(Hertz::ghz(0.915).as_mhz(), 915.0);
         assert_eq!(Hertz::mhz(1.0) + Hertz::khz(500.0), Hertz::khz(1500.0));
         assert_eq!(Hertz::mhz(2.0) - Hertz::mhz(0.5), Hertz::mhz(1.5));
     }
@@ -465,8 +423,6 @@ mod tests {
         assert_eq!(p, Dbm::new(5.0));
         assert_eq!(p - Db::new(5.0), Dbm::new(0.0));
         assert_eq!(Dbm::new(10.0) - Dbm::new(4.0), Db::new(6.0));
-        assert_eq!(Dbm::new(-15.0).gain(Db::new(-5.0)), Dbm::new(-20.0));
-        assert_eq!(Dbm::new(3.0).ratio_to(Dbm::new(1.0)), Db::new(2.0));
     }
 
     #[test]
@@ -481,27 +437,21 @@ mod tests {
     #[test]
     fn meters_arithmetic_and_constructors() {
         assert_eq!(Meters::cm(10.0), Meters(0.1));
-        assert_eq!(Meters::km(1.5), Meters(1500.0));
         assert_eq!(Meters::new(3.0) + Meters::new(2.0), Meters(5.0));
         assert_eq!(Meters::new(3.0) - Meters::new(2.0), Meters(1.0));
         assert_eq!(Meters::new(3.0) * 2.0, Meters(6.0));
         assert_eq!(Meters::new(3.0) / 2.0, Meters(1.5));
         assert!(close(Meters::new(3.0) / Meters::new(2.0), 1.5, 1e-12));
         assert_eq!(Meters::new(-3.0).abs(), Meters(3.0));
-        assert_eq!(Meters::new(1.0).max(Meters(2.0)), Meters(2.0));
-        assert_eq!(Meters::new(1.0).min(Meters(2.0)), Meters(1.0));
     }
 
     #[test]
     fn seconds_arithmetic_and_constructors() {
-        assert_eq!(Seconds::ms(250.0), Seconds(0.25));
         assert_eq!(Seconds::new(1.0) + Seconds::new(0.5), Seconds(1.5));
         assert_eq!(Seconds::new(1.0) - Seconds::new(0.25), Seconds(0.75));
         assert_eq!(Seconds::new(2.0) * 3.0, Seconds(6.0));
         assert_eq!(Seconds::new(3.0) / 2.0, Seconds(1.5));
         assert!(close(Seconds::new(1.0) / Seconds::new(4.0), 0.25, 1e-12));
-        assert_eq!(Seconds::new(1.0).max(Seconds(2.0)), Seconds(2.0));
-        assert_eq!(Seconds::new(1.0).min(Seconds(2.0)), Seconds(1.0));
     }
 
     #[test]
@@ -509,13 +459,13 @@ mod tests {
         assert_eq!(format!("{}", Hertz::mhz(915.0)), "915.000 MHz");
         assert_eq!(format!("{}", Hertz::khz(640.0)), "640.000 kHz");
         assert_eq!(format!("{}", Hertz::hz(25.0)), "25.000 Hz");
-        assert_eq!(format!("{}", Hertz::ghz(2.4)), "2.400 GHz");
+        assert_eq!(format!("{}", Hertz(2.4e9)), "2.400 GHz");
         assert_eq!(format!("{}", Db::new(50.0)), "50.00 dB");
         assert_eq!(format!("{}", Dbm::new(-15.0)), "-15.00 dBm");
         assert_eq!(format!("{}", Meters::new(2.5)), "2.50 m");
         assert_eq!(format!("{}", Meters::cm(10.0)), "10.0 cm");
-        assert_eq!(format!("{}", Meters::km(1.2)), "1.200 km");
+        assert_eq!(format!("{}", Meters(1200.0)), "1.200 km");
         assert_eq!(format!("{}", Seconds::new(2.0)), "2.00 s");
-        assert_eq!(format!("{}", Seconds::ms(250.0)), "250.0 ms");
+        assert_eq!(format!("{}", Seconds(0.25)), "250.0 ms");
     }
 }

@@ -13,8 +13,7 @@
 //!   [`rfly_reader::medium::MediumLayer`] in the medium middleware
 //!   stack (`base.layer(FaultLayer::new(..))`), behind the same
 //!   [`Medium`] trait the reader stack already consumes, so the whole
-//!   inventory engine runs unmodified under fault. [`FaultyMedium`] is
-//!   the stacked type's name.
+//!   inventory engine runs unmodified under fault.
 
 use rfly_dsp::rng::{Rng, StdRng};
 use rfly_dsp::units::Db;
@@ -22,7 +21,7 @@ use rfly_dsp::Complex;
 use rfly_protocol::bits::Bits;
 use rfly_protocol::commands::Command;
 use rfly_reader::inventory::{Medium, Observation};
-use rfly_reader::medium::{Layered, MediumLayer};
+use rfly_reader::medium::MediumLayer;
 use rfly_sim::world::RelayModel;
 
 use crate::schedule::{FaultEvent, FaultKind};
@@ -282,12 +281,6 @@ impl FaultLayer {
         }
     }
 }
-
-/// A medium with a [`FaultLayer`] stacked on it — the historical name
-/// for the faulted air interface. Build with
-/// `medium.layer(FaultLayer::new(&health, seed))` (via
-/// [`rfly_reader::medium::MediumExt::layer`]) or `Layered::new`.
-pub type FaultyMedium<M> = Layered<M, FaultLayer>;
 
 /// Flips one random bit of `frame` (a CRC-breaking corruption: the
 /// reader's parser rejects the frame and the slot reads as a

@@ -18,8 +18,7 @@
 //! * [`inject`] — [`RelayHealth`], the accumulated damage state of one
 //!   relay, and [`FaultLayer`], a `rfly_reader::medium::MediumLayer`
 //!   stacked over any [`rfly_reader::inventory::Medium`] that injects
-//!   the uplink-visible faults at transaction granularity
-//!   ([`FaultyMedium`] names the stacked type).
+//!   the uplink-visible faults at transaction granularity.
 //! * [`supervisor`] — [`run_supervised`] /
 //!   [`run_unsupervised`]: the same multi-relay inventory
 //!   mission flown with and without the recovery ladder (retry with
@@ -47,7 +46,7 @@ pub mod schedule;
 pub mod supervisor;
 pub mod text;
 
-pub use inject::{FaultLayer, FaultyMedium, RelayHealth};
+pub use inject::{FaultLayer, RelayHealth};
 pub use log::{LoggedRecovery, RecoveryAction, ResilienceLog};
 pub use schedule::{FaultEvent, FaultKind, FaultSchedule};
 pub use supervisor::{

@@ -192,16 +192,6 @@ impl MissionState {
         self.step
     }
 
-    /// The fault-and-recovery record so far.
-    pub fn log(&self) -> &ResilienceLog {
-        &self.log
-    }
-
-    /// The deduplicated inventory so far.
-    pub fn inventory(&self) -> &FleetInventory {
-        &self.inventory
-    }
-
     /// Captures the supervisor-level checkpoint half. Pair it with
     /// [`rfly_sim::world::PhasorWorld::snapshot`] taken at the same
     /// step boundary.

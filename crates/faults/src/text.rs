@@ -137,13 +137,6 @@ impl<'a> Fields<'a> {
             .map_err(|_| self.error(format!("expected {what}, found {t:?}")))
     }
 
-    /// The next token as a `u64`.
-    pub fn u64(&mut self, what: &str) -> Result<u64, ParseError> {
-        let t = self.tok(what)?;
-        t.parse()
-            .map_err(|_| self.error(format!("expected {what}, found {t:?}")))
-    }
-
     /// The next token as a hex-encoded `u64` (RNG state words).
     pub fn hex_u64(&mut self, what: &str) -> Result<u64, ParseError> {
         let t = self.tok(what)?;

@@ -60,13 +60,6 @@ impl Partition {
         self.cells.is_empty()
     }
 
-    /// Which cell contains `p` (strips tile the floor, so exactly one
-    /// does for in-bounds points; boundary points go to the lower
-    /// strip). `None` outside the floor.
-    pub fn cell_of(&self, p: Point2) -> Option<usize> {
-        self.cells.iter().position(|c| c.contains(p))
-    }
-
     /// The mission duration: the *slowest* cell route (cells fly
     /// concurrently).
     pub fn duration(&self) -> f64 {
@@ -155,7 +148,11 @@ mod tests {
         }
         // Every tag spot belongs to exactly one cell.
         for spot in &scene.tag_spots {
-            let owner = p.cell_of(*spot).expect("spot inside the floor");
+            let owner = p
+                .cells
+                .iter()
+                .position(|c| c.contains(*spot))
+                .expect("spot inside the floor");
             assert_eq!(
                 p.cells
                     .iter()
@@ -164,7 +161,7 @@ mod tests {
                 0
             );
         }
-        assert!(p.cell_of(Point2::new(-5.0, 0.0)).is_none());
+        assert!(!p.cells.iter().any(|c| c.contains(Point2::new(-5.0, 0.0))));
     }
 
     #[test]

@@ -170,11 +170,6 @@ impl WorkspaceIndex {
         idx
     }
 
-    /// Looks up a function id by its qualified display name.
-    pub fn id_of_qual(&self, qual: &str) -> Option<usize> {
-        self.fns.iter().position(|f| f.qual == qual)
-    }
-
     /// Resolves one call site to a callee id, or `None` when unknown or
     /// ambiguous. `caller` breaks bare-name ties toward the same crate.
     pub fn resolve(&self, call: &CallSite, caller: usize) -> Option<usize> {

@@ -28,16 +28,6 @@ pub fn parse_file(src: &str) -> Ast {
     }
 }
 
-/// Parses a single expression (tests and tooling).
-pub fn parse_expr_str(src: &str) -> Expr {
-    let lexed = lex(src);
-    let mut p = Parser {
-        toks: &lexed.tokens,
-        i: 0,
-    };
-    p.expr(0, false)
-}
-
 /// Identifiers that can never begin a path expression.
 const EXPR_KEYWORDS: &[&str] = &[
     "if", "match", "while", "loop", "for", "return", "break", "continue", "let", "move", "else",
@@ -1653,6 +1643,16 @@ fn pattern_binds(toks: &[&Tok]) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Parses a single expression.
+    fn parse_expr_str(src: &str) -> Expr {
+        let lexed = lex(src);
+        let mut p = Parser {
+            toks: &lexed.tokens,
+            i: 0,
+        };
+        p.expr(0, false)
+    }
 
     #[test]
     fn parses_a_simple_fn() {

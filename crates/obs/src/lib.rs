@@ -43,7 +43,7 @@ pub mod record;
 pub mod report;
 
 pub use record::{
-    absorb, counter_add, event, fork, install, is_active, observe_db, observe_m, observe_s, span,
-    take, Event, Histogram, Recorder, SpanGuard, Value,
+    absorb, counter_add, event, fork, install, is_active, observe_db, span, take, Event, Histogram,
+    Recorder, SpanGuard, Value,
 };
 pub use report::Report;

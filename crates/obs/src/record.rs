@@ -9,7 +9,7 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
-use rfly_dsp::units::{Db, Meters, Seconds};
+use rfly_dsp::units::Db;
 
 /// One structured field value.
 #[derive(Debug, Clone, PartialEq)]
@@ -250,16 +250,6 @@ pub fn counter_add(name: &'static str, delta: u64) {
 /// Observes a dB sample into histogram `name`.
 pub fn observe_db(name: &'static str, v: Db) {
     with(|r| r.observe(name, "dB", v.value()));
-}
-
-/// Observes a meters sample into histogram `name`.
-pub fn observe_m(name: &'static str, v: Meters) {
-    with(|r| r.observe(name, "m", v.value()));
-}
-
-/// Observes a seconds sample into histogram `name`.
-pub fn observe_s(name: &'static str, v: Seconds) {
-    with(|r| r.observe(name, "s", v.value()));
 }
 
 /// Records a structured event with ordered fields.

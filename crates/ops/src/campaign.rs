@@ -249,11 +249,6 @@ impl<'s> CampaignRun<'s> {
         self.halted || self.tick >= self.ticks
     }
 
-    /// The next tick to execute (= ticks executed so far).
-    pub fn tick_index(&self) -> usize {
-        self.tick
-    }
-
     /// Executes exactly one campaign tick.
     pub fn step(&mut self) -> Result<TickRecord, String> {
         let tick = self.tick;

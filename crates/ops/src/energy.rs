@@ -66,11 +66,6 @@ impl EnergyModel {
     pub fn serve_draw_w(&self, gain: Db) -> f64 {
         self.hover_w + self.tx_draw_w(gain)
     }
-
-    /// Full-charge serving endurance at `gain` (zero traffic), seconds.
-    pub fn endurance(&self, gain: Db) -> Seconds {
-        Seconds::new(self.capacity_j / self.serve_draw_w(gain))
-    }
 }
 
 /// One relay's battery state of charge.
@@ -133,14 +128,6 @@ impl Battery {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_endurance_is_drone_scale() {
-        let m = EnergyModel::default();
-        let e = m.endurance(m.ref_gain).value();
-        // A Bebop-2-class pack hovers for tens of minutes, not hours.
-        assert!((600.0..3600.0).contains(&e), "endurance {e} s");
-    }
 
     #[test]
     fn tx_draw_scales_with_gain_and_floors_at_zero() {

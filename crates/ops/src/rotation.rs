@@ -152,16 +152,6 @@ impl Roster {
             .collect()
     }
 
-    /// Number of relays on the roster (any duty).
-    pub fn len(&self) -> usize {
-        self.relays.len()
-    }
-
-    /// Whether the roster is empty.
-    pub fn is_empty(&self) -> bool {
-        self.relays.is_empty()
-    }
-
     /// The duty of `relay`.
     pub fn duty(&self, relay: usize) -> Duty {
         self.relays[relay].duty

@@ -87,11 +87,6 @@ impl PieEncoder {
         Ok(self)
     }
 
-    /// The timing profile in use.
-    pub fn timing(&self) -> &LinkTiming {
-        &self.timing
-    }
-
     fn samples(&self, seconds: f64) -> usize {
         (seconds * self.sample_rate).round() as usize
     }

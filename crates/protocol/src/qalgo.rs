@@ -95,11 +95,6 @@ impl QAlgorithm {
         (self.q_fp.round() as u8).clamp(self.min_q, self.max_q)
     }
 
-    /// The floating-point internal state.
-    pub fn q_fp(&self) -> f64 {
-        self.q_fp
-    }
-
     /// Feeds one slot outcome; returns the new integer Q.
     pub fn observe(&mut self, outcome: SlotOutcome) -> u8 {
         match outcome {
@@ -113,11 +108,6 @@ impl QAlgorithm {
         }
         self.q()
     }
-
-    /// Convenience: the slot count 2^Q for the current Q.
-    pub fn slot_count(&self) -> u32 {
-        1u32 << self.q()
-    }
 }
 
 #[cfg(test)]
@@ -128,7 +118,6 @@ mod tests {
     fn q_starts_where_told() {
         let q = QAlgorithm::new(6, 0.2).expect("legal");
         assert_eq!(q.q(), 6);
-        assert_eq!(q.slot_count(), 64);
     }
 
     #[test]
@@ -152,11 +141,11 @@ mod tests {
     #[test]
     fn singles_leave_q_alone() {
         let mut q = QAlgorithm::default_start();
-        let before = q.q_fp();
+        let before = q.q_fp;
         for _ in 0..50 {
             q.observe(SlotOutcome::Single);
         }
-        assert_eq!(q.q_fp(), before);
+        assert_eq!(q.q_fp, before);
     }
 
     #[test]
@@ -191,7 +180,7 @@ mod tests {
             (x >> 11) as f64 / (1u64 << 53) as f64
         };
         for _ in 0..3000 {
-            let slots = q.slot_count() as f64;
+            let slots = f64::from(1u32 << q.q());
             let p_empty = ((slots - 1.0) / slots).powf(n);
             let p_single = n / slots * ((slots - 1.0) / slots).powf(n - 1.0);
             let r = rand01();

@@ -38,9 +38,6 @@ impl Session {
             _ => Session::S3,
         }
     }
-
-    /// All sessions, for iteration.
-    pub const ALL: [Session; 4] = [Session::S0, Session::S1, Session::S2, Session::S3];
 }
 
 /// The per-session inventoried flag value.
@@ -187,7 +184,7 @@ mod tests {
 
     #[test]
     fn session_fields_roundtrip() {
-        for s in Session::ALL {
+        for s in [Session::S0, Session::S1, Session::S2, Session::S3] {
             assert_eq!(Session::from_field(s.field()), s);
         }
     }
@@ -261,7 +258,7 @@ mod tests {
         f.set_inventoried(Session::S1, InventoriedFlag::B);
         f.selected = true;
         let g = TagFlags::from_snapshot(f.snapshot());
-        for s in Session::ALL {
+        for s in [Session::S0, Session::S1, Session::S2, Session::S3] {
             assert_eq!(g.inventoried(s), f.inventoried(s));
         }
         assert_eq!(g.selected, f.selected);

@@ -103,17 +103,6 @@ impl TagMachine {
         }
     }
 
-    /// Writes the user-memory bank contents (scene setup: e.g. a batch
-    /// number or sensor calibration words).
-    pub fn set_user_memory(&mut self, words: Vec<u16>) {
-        self.user_memory = words;
-    }
-
-    /// The user-memory bank.
-    pub fn user_memory(&self) -> &[u16] {
-        &self.user_memory
-    }
-
     /// A memory bank as 16-bit words, as the access layer addresses it.
     /// A malformed bank image yields `None` (the tag stays silent),
     /// never a panic.
@@ -682,7 +671,7 @@ mod tests {
     #[test]
     fn read_command_fetches_memory_banks() {
         let mut t = tag(20);
-        t.set_user_memory(vec![0xDEAD, 0xBEEF, 0x1234]);
+        t.user_memory = vec![0xDEAD, 0xBEEF, 0x1234];
         // Full handshake to Open.
         let rn16 = match t.handle(&query(0, Session::S0, InventoriedFlag::A)) {
             Some(TagReply::Rn16(b)) => b.uint_at(0, 16) as u16,

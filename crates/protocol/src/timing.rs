@@ -6,8 +6,6 @@
 //! backscatter at a link frequency up to 640 kHz, leaving a filterable
 //! gap between them.
 
-use rfly_dsp::units::Hertz;
-
 /// Divide ratio advertised in the Query command: BLF = DR / TRcal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DivideRatio {
@@ -83,11 +81,6 @@ impl TagEncoding {
             0b10 => TagEncoding::Miller4,
             _ => TagEncoding::Miller8,
         }
-    }
-
-    /// Effective bit rate for a given backscatter link frequency.
-    pub fn bit_rate(self, blf: Hertz) -> f64 {
-        blf.as_hz() / self.m() as f64
     }
 }
 
@@ -168,22 +161,10 @@ impl LinkTiming {
         self.rtcal_s - self.tari_s
     }
 
-    /// The pivot threshold separating data-0 from data-1 at the tag:
-    /// RTcal / 2.
-    pub fn pivot_s(&self) -> f64 {
-        self.rtcal_s / 2.0
-    }
-
     /// T1: time from the reader's last falling edge to the start of the
     /// tag's reply — `max(RTcal, 10/BLF)` nominal.
     pub fn t1_s(&self) -> f64 {
         self.rtcal_s.max(10.0 / self.blf_hz())
-    }
-
-    /// T2: reply-to-next-command turnaround the tag must tolerate —
-    /// 3–20 / BLF; we use the minimum.
-    pub fn t2_s(&self) -> f64 {
-        3.0 / self.blf_hz()
     }
 
     /// T4: minimum gap between reader commands — 2 · RTcal.
@@ -249,16 +230,12 @@ mod tests {
         ] {
             assert_eq!(TagEncoding::from_field(e.field()), e);
         }
-        assert_eq!(TagEncoding::Fm0.bit_rate(Hertz(640e3)), 640e3);
-        assert_eq!(TagEncoding::Miller4.bit_rate(Hertz(640e3)), 160e3);
     }
 
     #[test]
     fn symbol_durations() {
         let t = LinkTiming::default_profile();
         assert!((t.data1_s() - 1.5 * t.tari_s).abs() < 1e-12);
-        assert!((t.pivot_s() - 1.25 * t.tari_s).abs() < 1e-12);
         assert!(t.t1_s() >= t.rtcal_s);
-        assert!(t.t4_s() > t.t2_s());
     }
 }

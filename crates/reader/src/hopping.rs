@@ -31,11 +31,6 @@ pub fn channel_frequency(index: usize) -> Hertz {
     FIRST_CHANNEL + CHANNEL_SPACING * index as f64
 }
 
-/// All channel center frequencies, ascending.
-pub fn all_channels() -> Vec<Hertz> {
-    (0..NUM_CHANNELS).map(channel_frequency).collect()
-}
-
 /// A deterministic pseudo-random hopping sequence: a permutation of all
 /// 50 channels repeated indefinitely, as FCC part 15.247 requires
 /// (each channel used equally on average).
@@ -98,7 +93,6 @@ mod tests {
         assert_eq!(channel_frequency(0), Hertz(902.75e6));
         let last = channel_frequency(49);
         assert!((last.as_hz() - 927.25e6).abs() < 1.0);
-        assert_eq!(all_channels().len(), 50);
     }
 
     #[test]

@@ -246,11 +246,6 @@ impl InventoryController {
         }
         all
     }
-
-    /// The current Q value (diagnostics).
-    pub fn q(&self) -> u8 {
-        self.qalgo.q()
-    }
 }
 
 #[cfg(test)]

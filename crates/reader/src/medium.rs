@@ -46,19 +46,9 @@ impl<M: Medium, L: MediumLayer> Layered<M, L> {
         Self { inner, layer }
     }
 
-    /// The wrapped medium.
-    pub fn inner(&self) -> &M {
-        &self.inner
-    }
-
     /// The layer.
     pub fn layer_ref(&self) -> &L {
         &self.layer
-    }
-
-    /// Unwraps the stack one level.
-    pub fn into_inner(self) -> M {
-        self.inner
     }
 }
 
@@ -235,11 +225,5 @@ mod tests {
         assert!(rec.counters["medium.transactions"] > 0);
         assert!(rec.counters["medium.observations"] > 0);
         assert!(rec.histograms["medium.snr_db"].count > 0);
-    }
-
-    #[test]
-    fn layers_unwrap() {
-        let stack = MockMedium::new(1, Db::new(10.0)).layer(ObsLayer::new());
-        let _inner: MockMedium = stack.into_inner();
     }
 }

@@ -17,7 +17,6 @@ use crate::config::ReaderConfig;
 #[derive(Debug, Clone)]
 pub struct WaveformBuilder {
     encoder: PieEncoder,
-    sample_rate: f64,
 }
 
 impl WaveformBuilder {
@@ -32,13 +31,7 @@ impl WaveformBuilder {
     pub fn try_new(config: &ReaderConfig) -> Result<Self, ProtocolError> {
         Ok(Self {
             encoder: PieEncoder::new(config.timing, config.sample_rate)?.with_depth(0.9)?,
-            sample_rate: config.sample_rate,
         })
-    }
-
-    /// The sample rate of produced waveforms.
-    pub fn sample_rate(&self) -> f64 {
-        self.sample_rate
     }
 
     /// Encodes a command as a complex baseband waveform, followed by

@@ -91,16 +91,6 @@ impl InvariantHarness {
         })
     }
 
-    /// The scenario every probe flies.
-    pub fn scenario(&self) -> &Scenario {
-        &self.scenario
-    }
-
-    /// The fault-free unique-tag count retention is measured against.
-    pub fn baseline_unique(&self) -> usize {
-        self.baseline_unique
-    }
-
     /// Flies one supervised mission under `schedule` and returns the
     /// first violated invariant (in catalog order), or `None`.
     pub fn check(&self, schedule: &FaultSchedule) -> Result<Option<Violation>, String> {
@@ -234,7 +224,7 @@ mod tests {
     #[test]
     fn fault_free_mission_violates_nothing() {
         let harness = InvariantHarness::new(Scenario::small(3), catalog()).expect("baseline");
-        assert!(harness.baseline_unique() > 0);
+        assert!(harness.baseline_unique > 0);
         assert_eq!(harness.check(&FaultSchedule::none()).expect("runs"), None);
     }
 

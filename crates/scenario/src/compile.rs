@@ -104,11 +104,6 @@ impl CompiledScenario {
     pub fn n_tags(&self) -> usize {
         self.spec.n_tags()
     }
-
-    /// Fleet size.
-    pub fn n_relays(&self) -> usize {
-        self.spec.n_relays()
-    }
 }
 
 /// Lowers a validated spec.

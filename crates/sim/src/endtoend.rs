@@ -85,12 +85,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Overrides the reader configuration.
-    pub fn reader_config(mut self, config: ReaderConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Overrides the relay model (e.g. a no-mirror ablation).
     pub fn relay_model(mut self, relay: RelayModel) -> Self {
         self.relay = Some(relay);

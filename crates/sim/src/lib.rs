@@ -7,8 +7,9 @@
 //! behaviors stack on it as `rfly_reader::medium` layers — plus
 //! high-level [`endtoend`] scenarios
 //! (fly → inventory → disentangle → localize), a seeded Monte-Carlo
-//! [`experiment`] runner, [`metrics`], and tabular [`report`] output for
-//! the per-figure benchmark binaries.
+//! [`experiment`] runner, and tabular [`report`] output for the
+//! per-figure benchmark binaries. [`sample_link`] is the sample-level
+//! IQ chain that serves as the phasor core's differential oracle.
 
 #![deny(
     clippy::unwrap_used,
@@ -17,17 +18,14 @@
     clippy::print_stderr
 )]
 
-pub mod coverage;
 pub mod endtoend;
 pub mod experiment;
 pub mod medium;
-pub mod metrics;
 pub mod motion;
 pub mod pool;
 pub mod report;
 pub mod sample_link;
 pub mod scene;
-pub mod throughput;
 pub mod world;
 
 pub use endtoend::{Scenario, ScenarioBuilder, ScenarioOutcome};

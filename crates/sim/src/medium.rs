@@ -349,21 +349,6 @@ impl FleetRf {
         }
     }
 
-    /// The fleet the plan was traced for.
-    pub fn relays(&self) -> &[FleetRelay] {
-        &self.relays
-    }
-
-    /// Fleet size.
-    pub fn len(&self) -> usize {
-        self.relays.len()
-    }
-
-    /// True for an empty fleet.
-    pub fn is_empty(&self) -> bool {
-        self.relays.is_empty()
-    }
-
     /// The Eq. 3 stability gate for candidate serving `s`, from the
     /// plan's already-traced reader channel — exactly the value
     /// [`WorldMedium::stable`] would compute, without building a
@@ -706,14 +691,6 @@ impl<'a> WorldMedium<'a> {
     pub fn probe_stability(world: &PhasorWorld, relay: &FleetRelay) -> bool {
         let h1 = world.one_way(world.reader_pos, relay.pos, relay.model.f1);
         stability_probe(relay, h1)
-    }
-
-    /// The serving relay, if this is a relayed link.
-    pub fn serving(&self) -> Option<&FleetRelay> {
-        match &self.link {
-            Link::Direct(_) => None,
-            Link::Relayed(link) => Some(&link.relays[link.serving]),
-        }
     }
 
     /// The Eq. 3 stability gate: path loss below the serving relay's

@@ -70,11 +70,6 @@ impl TagMotion {
         Self { belts }
     }
 
-    /// The belts.
-    pub fn belts(&self) -> &[Belt] {
-        &self.belts
-    }
-
     /// True when there is no motion (the static fast path).
     pub fn is_empty(&self) -> bool {
         self.belts.is_empty()

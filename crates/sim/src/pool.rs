@@ -149,11 +149,6 @@ impl Pool {
         Self::new(1)
     }
 
-    /// The configured worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// Runs tasks `0..n_tasks` and merges their results **in task
     /// order**. `task` must be a pure function of its index (it runs
     /// once per index, on an unspecified worker). With one worker, or

@@ -30,12 +30,6 @@ impl Table {
         self.rows.push(cells.to_vec());
     }
 
-    /// Convenience: a row of displayable values.
-    pub fn row_display<T: std::fmt::Display>(&mut self, cells: &[T]) {
-        let v: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&v);
-    }
-
     /// The table title.
     pub fn title(&self) -> &str {
         &self.title

@@ -37,100 +37,4 @@ impl BackscatterModulator {
             gamma_off: Complex::from_polar(0.15, -0.4),
         }
     }
-
-    /// The differential (information-bearing) reflection component.
-    pub fn differential(&self) -> Complex {
-        (self.gamma_on - self.gamma_off) * 0.5
-    }
-
-    /// The static (mean) reflection component.
-    pub fn static_component(&self) -> Complex {
-        (self.gamma_on + self.gamma_off) * 0.5
-    }
-
-    /// Amplitude modulation depth: |Γ_on − Γ_off| relative to full swing.
-    pub fn modulation_depth(&self) -> f64 {
-        (self.gamma_on - self.gamma_off).abs()
-    }
-
-    /// Maps protocol levels (0.0..=1.0 from `rfly-protocol`'s fm0/miller
-    /// encoders) to time-varying reflection coefficients.
-    pub fn modulate(&self, levels: &[f64]) -> Vec<Complex> {
-        levels
-            .iter()
-            .map(|&l| self.gamma_off + (self.gamma_on - self.gamma_off) * l.clamp(0.0, 1.0))
-            .collect()
-    }
-
-    /// Applies the modulated reflection to an incident sample stream:
-    /// `out[n] = incident[n] · Γ(level[n])`. Incident and levels must be
-    /// time-aligned; the incident stream in RFID is the reader's CW.
-    pub fn backscatter(&self, incident: &[Complex], levels: &[f64]) -> Vec<Complex> {
-        assert_eq!(
-            incident.len(),
-            levels.len(),
-            "incident carrier and modulation must share a time base"
-        );
-        incident
-            .iter()
-            .zip(self.modulate(levels))
-            .map(|(i, g)| *i * g)
-            .collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ideal_depth_is_one() {
-        let m = BackscatterModulator::ideal();
-        assert!((m.modulation_depth() - 1.0).abs() < 1e-12);
-        assert_eq!(m.differential(), Complex::new(0.5, 0.0));
-        assert_eq!(m.static_component(), Complex::new(0.5, 0.0));
-    }
-
-    #[test]
-    fn typical_depth_below_one() {
-        let m = BackscatterModulator::typical();
-        assert!(m.modulation_depth() < 1.0);
-        assert!(m.modulation_depth() > 0.5, "still a usable tag");
-    }
-
-    #[test]
-    fn modulate_interpolates_between_states() {
-        let m = BackscatterModulator::ideal();
-        let g = m.modulate(&[0.0, 0.5, 1.0]);
-        assert_eq!(g[0], m.gamma_off);
-        assert!((g[1] - Complex::new(0.5, 0.0)).abs() < 1e-12);
-        assert_eq!(g[2], m.gamma_on);
-    }
-
-    #[test]
-    fn out_of_range_levels_clamped() {
-        let m = BackscatterModulator::ideal();
-        let g = m.modulate(&[-1.0, 2.0]);
-        assert_eq!(g[0], m.gamma_off);
-        assert_eq!(g[1], m.gamma_on);
-    }
-
-    #[test]
-    fn backscatter_scales_incident_field() {
-        let m = BackscatterModulator::ideal();
-        let cw = vec![Complex::from_polar(2.0, 0.7); 4];
-        let out = m.backscatter(&cw, &[1.0, 0.0, 1.0, 0.0]);
-        assert!((out[0] - cw[0]).abs() < 1e-12);
-        assert_eq!(out[1], Complex::default());
-        // Phase of the incident carrier is preserved in the reflection —
-        // the property the whole localization system depends on.
-        assert!((out[2].arg() - 0.7).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "time base")]
-    fn misaligned_streams_rejected() {
-        let m = BackscatterModulator::ideal();
-        let _ = m.backscatter(&[Complex::default()], &[1.0, 0.0]);
-    }
 }

@@ -68,23 +68,6 @@ impl TagPopulation {
     pub fn tags_mut(&mut self) -> &mut [PassiveTag] {
         &mut self.tags
     }
-
-    /// Looks up the object description for an EPC — the inventory
-    /// system's final output.
-    pub fn describe(&self, epc: Epc) -> Option<&str> {
-        self.database.get(&epc).map(String::as_str)
-    }
-
-    /// Finds a tag by EPC.
-    pub fn find(&self, epc: Epc) -> Option<&PassiveTag> {
-        self.tags.iter().find(|t| t.epc() == epc)
-    }
-
-    /// The ground-truth position of a tag by EPC (for evaluating
-    /// localization error).
-    pub fn true_position(&self, epc: Epc) -> Option<Point2> {
-        self.find(epc).map(|t| t.position())
-    }
 }
 
 #[cfg(test)]
@@ -108,24 +91,6 @@ mod tests {
     }
 
     #[test]
-    fn database_round_trip() {
-        let pop = TagPopulation::generate(5, &grid(5), 0);
-        let epc = pop.tags()[3].epc();
-        assert_eq!(pop.describe(epc), Some("item-0003"));
-        assert!(pop.describe(Epc::from_index(999)).is_none());
-    }
-
-    #[test]
-    fn true_positions_match_construction() {
-        let positions = grid(8);
-        let pop = TagPopulation::generate(8, &positions, 1);
-        for (i, p) in positions.iter().enumerate() {
-            let epc = Epc::from_index(i as u64);
-            assert_eq!(pop.true_position(epc), Some(*p));
-        }
-    }
-
-    #[test]
     fn positions_cycle_when_fewer_than_tags() {
         let pop = TagPopulation::generate(6, &grid(3), 2);
         assert_eq!(pop.tags()[0].position(), pop.tags()[3].position());
@@ -136,6 +101,5 @@ mod tests {
         let pop = TagPopulation::new();
         assert!(pop.is_empty());
         assert_eq!(pop.len(), 0);
-        assert!(pop.find(Epc::from_index(0)).is_none());
     }
 }

@@ -3,14 +3,10 @@
 
 use rfly_channel::geometry::Point2;
 use rfly_dsp::units::{Dbm, Seconds};
-use rfly_dsp::Complex;
 use rfly_protocol::commands::Command;
 use rfly_protocol::epc::Epc;
-use rfly_protocol::fm0;
-use rfly_protocol::miller;
 use rfly_protocol::session::Session;
 use rfly_protocol::tag_state::{TagMachine, TagReply, TagState};
-use rfly_protocol::timing::TagEncoding;
 
 use crate::backscatter::BackscatterModulator;
 use crate::harvester::Harvester;
@@ -108,11 +104,6 @@ impl PassiveTag {
             .restore_flags(rfly_protocol::session::TagFlags::from_snapshot(bits));
     }
 
-    /// The backscatter modulator in use.
-    pub fn modulator(&self) -> &BackscatterModulator {
-        &self.modulator
-    }
-
     /// Whether steady illumination at `incident` keeps the chip powered
     /// (no state change).
     #[inline]
@@ -142,32 +133,6 @@ impl PassiveTag {
         self.machine.handle(cmd)
     }
 
-    /// Renders a protocol reply as a complex backscatter waveform
-    /// riding on the incident carrier `cw` (both at `samples_per_symbol`
-    /// per backscatter symbol). The waveform includes the static
-    /// reflection component, exactly like a real tag; receivers must
-    /// DC-cancel.
-    pub fn reply_waveform(
-        &self,
-        reply: &TagReply,
-        encoding: TagEncoding,
-        trext: bool,
-        samples_per_symbol: usize,
-        cw: &[Complex],
-    ) -> Vec<Complex> {
-        let levels = match encoding {
-            TagEncoding::Fm0 => fm0::encode_reply(reply.frame(), trext, samples_per_symbol),
-            _ => miller::encode_reply(reply.frame(), encoding, trext, samples_per_symbol),
-        };
-        assert!(
-            cw.len() >= levels.len(),
-            "carrier shorter than the reply ({} < {})",
-            cw.len(),
-            levels.len()
-        );
-        self.modulator.backscatter(&cw[..levels.len()], &levels)
-    }
-
     /// Sample-level power bookkeeping while listening: advances the
     /// harvester through `dt` at `incident`; reports a power cycle to
     /// the protocol machine.
@@ -188,7 +153,7 @@ impl PassiveTag {
 mod tests {
     use super::*;
     use rfly_protocol::session::{InventoriedFlag, SelFilter, Session};
-    use rfly_protocol::timing::DivideRatio;
+    use rfly_protocol::timing::{DivideRatio, TagEncoding};
 
     fn query() -> Command {
         Command::Query {
@@ -232,41 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn reply_waveform_modulates_carrier() {
-        let mut t = tag();
-        let reply = t.respond(&query(), Dbm::new(-10.0)).unwrap();
-        let sps = 8;
-        let cw = vec![Complex::from_polar(1.0, 0.3); 4096];
-        let wave = t.reply_waveform(&reply, TagEncoding::Fm0, false, sps, &cw);
-        // (preamble 6 + payload 16 + dummy 1) symbols.
-        assert_eq!(wave.len(), (6 + 16 + 1) * sps);
-        // Two distinct amplitude levels must appear.
-        let mut mags: Vec<f64> = wave.iter().map(|s| s.abs()).collect();
-        mags.sort_by(f64::total_cmp);
-        assert!(mags[mags.len() - 1] - mags[0] > 0.3);
-    }
-
-    #[test]
-    fn miller_reply_waveform_renders() {
-        let mut t = tag();
-        // Re-query asking for Miller4.
-        let cmd = Command::Query {
-            dr: DivideRatio::Dr64over3,
-            m: TagEncoding::Miller4,
-            trext: false,
-            sel: SelFilter::All,
-            session: Session::S0,
-            target: InventoriedFlag::A,
-            q: 0,
-        };
-        let reply = t.respond(&cmd, Dbm::new(-5.0)).unwrap();
-        let sps = 32;
-        let cw = vec![Complex::from_polar(1.0, 0.0); 8192];
-        let wave = t.reply_waveform(&reply, TagEncoding::Miller4, false, sps, &cw);
-        assert_eq!(wave.len(), (4 + 6 + 16 + 1) * sps);
-    }
-
-    #[test]
     fn illumination_dynamics_power_cycle() {
         let mut t = tag();
         t.respond(&query(), Dbm::new(-10.0)).unwrap();
@@ -281,14 +211,5 @@ mod tests {
         assert_eq!(t.position(), Point2::new(3.0, 0.0));
         t.set_position(Point2::new(1.0, 1.0));
         assert_eq!(t.position(), Point2::new(1.0, 1.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "carrier shorter")]
-    fn short_carrier_rejected() {
-        let mut t = tag();
-        let reply = t.respond(&query(), Dbm::new(-10.0)).unwrap();
-        let cw = vec![Complex::default(); 10];
-        let _ = t.reply_waveform(&reply, TagEncoding::Fm0, false, 8, &cw);
     }
 }
