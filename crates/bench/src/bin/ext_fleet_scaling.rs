@@ -126,12 +126,11 @@ fn fly_site(scene: &Scene, site: &SitePlan) -> SiteOutcome {
 }
 
 /// One campaign row: pre-flight, fan the sites out over `pool`, merge
-/// in site order. A worker panic becomes this row's `Err` note.
+/// in site order. An infeasible pre-flight becomes this row's `Err`
+/// note; a worker panic propagates as it would on the serial pass.
 fn sweep_row(scene: &Scene, n: usize, pool: Pool) -> Result<Vec<String>, String> {
     let sites = preflight_row(scene, n)?;
-    let outcomes = pool
-        .run(sites.len(), |i| fly_site(scene, &sites[i]))
-        .map_err(|e| format!("{n} relays: {e}"))?;
+    let outcomes = pool.map(sites.len(), |i| fly_site(scene, &sites[i]));
 
     // Sites fly concurrently in the field too, so the campaign lasts
     // as long as its slowest site.

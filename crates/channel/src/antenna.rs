@@ -4,7 +4,7 @@
 //! ceramic antennas sit ~10 cm apart on the PCB, and their mutual
 //! coupling (plus polarization orthogonality) is the *only* isolation the
 //! analog-relay baseline of Fig. 9 has. Second, tag read success depends
-//! on orientation alignment — the source of the blind spots [31] that
+//! on orientation alignment — the source of the blind spots \[31\] that
 //! motivate the drone in the first place.
 
 use rfly_dsp::units::{Db, Hertz, Meters};

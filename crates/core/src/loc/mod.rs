@@ -2,7 +2,7 @@
 //!
 //! Pipeline: the reader collects per-read complex channels for the
 //! target tag *and* the relay-embedded tag along the drone's trajectory
-//! → [`disentangle`] divides them to isolate the relay–tag half-link
+//! → [`disentangle`](mod@disentangle) divides them to isolate the relay–tag half-link
 //! (Eq. 10) → [`sar`] projects the isolated channels onto a 2D grid
 //! (Eq. 11–12) → [`peaks`] picks the candidate nearest the trajectory
 //! to reject multipath ghosts (§5.2). [`rssi`] provides the RSSI

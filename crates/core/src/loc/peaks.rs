@@ -1,6 +1,6 @@
 //! Peak extraction and multipath-aware peak selection (§5.2).
 //!
-//! "Rather than picking the highest peak in Eq. 12, [RFly] chooses the
+//! "Rather than picking the highest peak in Eq. 12, \[RFly\] chooses the
 //! peak nearest to its trajectory" — because every reflection travels a
 //! longer path than the direct one, multipath ghosts always project
 //! *farther* from the trajectory than the true tag.

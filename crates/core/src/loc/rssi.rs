@@ -51,7 +51,7 @@ impl RssiLocalizer {
     /// Localizes by minimizing Σ (dist(p, traj_l) − d_l)² over the grid:
     /// the first minimum in row-major order, as a full scan finds it.
     ///
-    /// Branch-and-bound over tiles of [`TILE`]×[`TILE`] cells. For a
+    /// Branch-and-bound over tiles of `TILE`×`TILE` cells. For a
     /// tile with box centre c and half-diagonal r, the triangle
     /// inequality gives | |p − t| − |c − t| | ≤ r for every cell p in
     /// it, so Σ max(0, |dist(c, t) − d| − r)² bounds every cost in the

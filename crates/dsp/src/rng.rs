@@ -142,17 +142,6 @@ pub trait Rng: RngCore {
         assert!((0.0..=1.0).contains(&p), "probability out of range");
         f64::sample(self) < p
     }
-
-    /// Fisher–Yates shuffle of a slice.
-    fn shuffle<T>(&mut self, slice: &mut [T])
-    where
-        Self: Sized,
-    {
-        for i in (1..slice.len()).rev() {
-            let j = uniform_usize(self, i + 1);
-            slice.swap(i, j);
-        }
-    }
 }
 
 impl<R: RngCore> Rng for R {}
@@ -201,17 +190,6 @@ impl Standard for f64 {
     }
 }
 
-#[expect(
-    clippy::disallowed_types,
-    reason = "completes the rand-compatible `Standard` set; no link-budget or phase math samples f32"
-)]
-impl Standard for f32 {
-    /// Uniform in [0, 1) with 24 bits of precision.
-    fn sample<R: RngCore>(rng: &mut R) -> Self {
-        (rng.next_u64() >> 40) as f32 * (1.0 / (1u32 << 24) as f32)
-    }
-}
-
 /// Unbiased uniform integer in [0, n) via Lemire-style rejection.
 fn uniform_u64<R: RngCore + ?Sized>(rng: &mut R, n: u64) -> u64 {
     assert!(n > 0, "empty range");
@@ -223,14 +201,6 @@ fn uniform_u64<R: RngCore + ?Sized>(rng: &mut R, n: u64) -> u64 {
             return v % n;
         }
     }
-}
-
-#[expect(
-    clippy::cast_possible_truncation,
-    reason = "the draw is below `n`, so it fits back into usize"
-)]
-fn uniform_usize<R: RngCore>(rng: &mut R, n: usize) -> usize {
-    uniform_u64(rng, n as u64) as usize
 }
 
 /// Range types [`Rng::gen_range`] accepts.

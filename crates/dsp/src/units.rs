@@ -172,7 +172,7 @@ impl fmt::Display for Db {
 /// An absolute power level in dBm (decibels relative to one milliwatt).
 ///
 /// The paper's key power numbers live here: the −15 dBm tag power-up
-/// threshold [12], the 29 dBm power-amplifier compression point, and the
+/// threshold \[12\], the 29 dBm power-amplifier compression point, and the
 /// thermal noise floor.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Dbm(pub f64);

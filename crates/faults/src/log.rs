@@ -81,7 +81,7 @@ pub enum RecoveryAction {
         relay: usize,
         /// The tag localized by fallback.
         epc: Epc,
-        /// The measured track coherence (mean resultant length, [0,1]).
+        /// The measured track coherence (mean resultant length, in \[0, 1\]).
         coherence: f64,
     },
 }

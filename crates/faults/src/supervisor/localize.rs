@@ -58,7 +58,7 @@ pub struct ResilientOutcome {
     pub log: ResilienceLog,
     /// Relays that returned to land early (original indices).
     pub lost_relays: Vec<usize>,
-    /// Per-relay track coherence (mean resultant length, [0,1]).
+    /// Per-relay track coherence (mean resultant length, in \[0, 1\]).
     pub coherence: Vec<f64>,
     /// End-of-mission localization outcomes.
     pub localization: Vec<LocalizationRecord>,

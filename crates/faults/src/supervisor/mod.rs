@@ -2,7 +2,10 @@
 //!
 //! [`run_supervised`] flies the same TDM inventory mission as
 //! [`rfly_fleet::inventory::run_mission`], but under a
-//! [`FaultSchedule`], and reacts:
+//! [`FaultSchedule`], and reacts. Every stop also runs a one-round
+//! coherence probe of the relay's embedded tag, so even a fault-free
+//! supervised mission can read a different EPC set from `run_mission`
+//! while flying the same stops. The reactions:
 //!
 //! * **Retry with bounded backoff** — an inventory stop that returns no
 //!   environment reads while an uplink fault is active is re-attempted
@@ -57,7 +60,7 @@ pub struct SupervisorConfig {
     pub max_retries: usize,
     /// Candidate re-assignment seeds tried on a margin violation.
     pub reassign_attempts: usize,
-    /// Track coherence (mean resultant length, [0,1]) below which SAR
+    /// Track coherence (mean resultant length, in \[0, 1\]) below which SAR
     /// is abandoned for RSSI ranging.
     pub coherence_gate: f64,
     /// Tags localized per relay at mission end (localization is a
@@ -166,7 +169,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_free_supervised_mission_matches_plain_mission_reads() {
+    fn fault_free_supervised_mission_flies_the_plain_pace_and_recovers_nothing() {
         let (scene, plan, part, mut world, cfg) = small_mission(2, 5);
         let env = MissionEnv {
             scene: &scene,
@@ -193,6 +196,24 @@ mod tests {
             out.coherence
         );
         assert!(out.log.is_consistent());
+        // The supervised mission flies the plain mission's stops; its
+        // reads differ through the embedded coherence probe. It reports
+        // the time of its last stop, where `run_mission` clamps that
+        // stop to the partition's duration.
+        let (_, plan, part, mut plain_world, cfg) = small_mission(2, 5);
+        let plain = rfly_fleet::inventory::run_mission(
+            &mut plain_world,
+            &plan,
+            &part,
+            &IsolationBudget::fig9(),
+            &cfg,
+        );
+        assert_eq!(out.steps, plain.steps);
+        let last_stop = (plain.steps - 1) as f64 * cfg.sample_interval_s;
+        assert_eq!(out.duration_s, last_stop);
+        assert!(
+            plain.duration_s <= last_stop && plain.duration_s > last_stop - cfg.sample_interval_s
+        );
     }
 
     /// Drives a mission through the public stepper, collecting every

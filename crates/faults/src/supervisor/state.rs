@@ -11,7 +11,7 @@ use rfly_drone::flightplan::FlightPlan;
 use rfly_dsp::units::{Db, Hertz};
 use rfly_dsp::Complex;
 use rfly_fleet::channels::ChannelPlan;
-use rfly_fleet::inventory::{FleetInventory, MissionConfig};
+use rfly_fleet::inventory::{stop_seed, FleetInventory, MissionConfig};
 use rfly_fleet::partition::{partition, Cell, Partition};
 use rfly_obs::Value;
 use rfly_protocol::epc::Epc;
@@ -422,7 +422,7 @@ impl MissionState {
         let mut rf = FleetRf::trace(world, fleet.clone());
 
         for (s_idx, &relay) in alive.iter().enumerate() {
-            let stop_seed = cfg.seed ^ (((step as u64) << 8) | relay as u64);
+            let stop_seed = stop_seed(cfg.seed, step, relay);
 
             // Supervised: the serving relay's own Eq. 3 gate. Gain
             // drift eats stability_isolation directly, and no Δf

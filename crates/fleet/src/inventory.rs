@@ -160,9 +160,10 @@ pub struct MissionConfig {
     pub max_rounds: usize,
     /// Seed for the per-stop inventory controllers and the world.
     pub seed: u64,
-    /// Optional wall-clock cap on the mission: drones stop where they
-    /// are when it expires. Lets a single-relay baseline be compared
-    /// against a fleet at *equal mission time*.
+    /// Optional cap on simulated mission time, s (compared against the
+    /// partition's route duration, not wall-clock time): drones stop
+    /// where they are when it expires. Lets a single-relay baseline be
+    /// compared against a fleet at *equal mission time*.
     pub time_budget_s: Option<f64>,
 }
 
@@ -278,19 +279,10 @@ pub fn run_mission_with_motion(
         // and the inventory dedup/handoff bookkeeping all mutate here,
         // so this order *is* the determinism contract.
         for serving in 0..n {
-            let mut controller = InventoryController::new(
-                scene_world.config.clone(),
-                StdRng::seed_from_u64(cfg.seed ^ (((step as u64) << 8) | serving as u64)),
-            );
-            let mut medium = WorldMedium::fleet_planned(scene_world, &rf, serving);
-            let reads = controller.run_until_quiet(&mut medium, cfg.max_rounds);
-            for read in &reads {
-                if read.epc != PhasorWorld::embedded_epc() {
-                    inventory.observe(read, serving, step);
-                }
+            let seed = stop_seed(cfg.seed, step, serving);
+            for read in &serve_stop(scene_world, &rf, serving, seed, cfg.max_rounds) {
+                inventory.observe(read, serving, step);
             }
-            drop(medium);
-            scene_world.power_cycle_tags();
         }
     }
 
@@ -299,6 +291,34 @@ pub fn run_mission_with_motion(
         steps,
         duration_s: duration,
     }
+}
+
+/// The inventory controller seed of one TDM serving: the mission seed
+/// mixed with the stop index and the serving's key (its relay or cell
+/// index).
+pub fn stop_seed(seed: u64, step: usize, key: usize) -> u64 {
+    seed ^ (((step as u64) << 8) | key as u64)
+}
+
+/// One TDM serving of an inventory stop: a controller seeded with
+/// `seed` runs up to `max_rounds` Gen2 rounds through relay `serving`
+/// of the step's RF plan, then every tag power-cycles. Returns the
+/// reads with the relays' embedded-RFID EPC dropped.
+pub fn serve_stop(
+    world: &mut PhasorWorld,
+    rf: &FleetRf,
+    serving: usize,
+    seed: u64,
+    max_rounds: usize,
+) -> Vec<TagRead> {
+    let mut controller =
+        InventoryController::new(world.config.clone(), StdRng::seed_from_u64(seed));
+    let mut medium = WorldMedium::fleet_planned(world, rf, serving);
+    let mut reads = controller.run_until_quiet(&mut medium, max_rounds);
+    drop(medium);
+    reads.retain(|read| read.epc != PhasorWorld::embedded_epc());
+    world.power_cycle_tags();
+    reads
 }
 
 /// Builds a [`PhasorWorld`] for a fleet mission: the scene's

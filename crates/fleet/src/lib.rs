@@ -5,9 +5,10 @@
 //! takes off, and this crate solves each with the substrate the
 //! single-relay stack already provides:
 //!
-//! * **Coverage partitioning** ([`partition`]) — split the tag floor
-//!   into per-relay cells and emit each drone's boustrophedon route
-//!   over its cell's aisles ([`rfly_drone::flightplan`]).
+//! * **Coverage partitioning** ([`partition`](mod@partition)) — split
+//!   the tag floor into per-relay cells and emit each drone's
+//!   boustrophedon route over its cell's aisles
+//!   ([`rfly_drone::flightplan`]).
 //! * **Δf channel assignment** ([`channels`]) — pick each relay's
 //!   (f₁ᵢ, f₂ᵢ = f₁ᵢ + Δᵢ) pair from the FCC hopping plan so every
 //!   pairwise relay-to-relay feedback loop clears the Eq. 3 stability

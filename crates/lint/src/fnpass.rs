@@ -16,7 +16,7 @@
 //!   captured state, and order-sensitive folds of channel-received
 //!   values.
 //!
-//! The abstract domain per value is [`Facts`]: an optional unit (raw
+//! The abstract domain per value is `Facts`: an optional unit (raw
 //! provenance vs. actual newtype), a coarse type name, a set of
 //! determinism taints (`wall-clock`, `unordered-iteration`,
 //! `nan-unsafe-compare`, `recv-order`), and the workspace calls that

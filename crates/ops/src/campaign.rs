@@ -17,15 +17,13 @@ use std::collections::BTreeSet;
 use rfly_channel::geometry::Point2;
 use rfly_core::relay::gains::IsolationBudget;
 use rfly_drone::kinematics::MotionLimits;
-use rfly_dsp::rng::StdRng;
 use rfly_dsp::units::{Db, Seconds};
 use rfly_faults::text::fmt_f64;
 use rfly_fleet::channels::{assign, ChannelPlan};
-use rfly_fleet::inventory::seeded_mission;
+use rfly_fleet::inventory::{seeded_mission, serve_stop, stop_seed};
 use rfly_fleet::partition::partition;
 use rfly_protocol::epc::Epc;
-use rfly_reader::inventory::InventoryController;
-use rfly_sim::medium::{FleetRf, WorldMedium};
+use rfly_sim::medium::FleetRf;
 use rfly_sim::scene::Scene;
 use rfly_sim::world::PhasorWorld;
 
@@ -271,22 +269,13 @@ impl<'s> CampaignRun<'s> {
         if tick.is_multiple_of(cfg.inventory_every) {
             let rf = FleetRf::trace(&self.world, self.plan.fleet(&self.budget, &self.hover));
             for (relay, cell) in self.roster.serving() {
-                let mut controller = InventoryController::new(
-                    self.world.config.clone(),
-                    StdRng::seed_from_u64(cfg.seed ^ (((tick as u64) << 8) | cell as u64)),
-                );
-                let mut medium = WorldMedium::fleet_planned(&mut self.world, &rf, cell);
-                let reads = controller.run_until_quiet(&mut medium, cfg.max_rounds);
-                for read in &reads {
-                    if read.epc != PhasorWorld::embedded_epc() {
-                        if self.seen.insert(read.epc) {
-                            rec.new_tags.push(read.epc);
-                        }
-                        reads_by_relay[relay] += 1;
+                let seed = stop_seed(cfg.seed, tick, cell);
+                for read in serve_stop(&mut self.world, &rf, cell, seed, cfg.max_rounds) {
+                    if self.seen.insert(read.epc) {
+                        rec.new_tags.push(read.epc);
                     }
+                    reads_by_relay[relay] += 1;
                 }
-                drop(medium);
-                self.world.power_cycle_tags();
             }
             rec.reads = reads_by_relay.iter().sum::<usize>();
             self.report.total_reads += rec.reads;

@@ -1,7 +1,7 @@
 //! # rfly-reader — a software-defined EPC Gen2 RFID reader
 //!
 //! The paper implements its reader on USRP N210s, adapting the
-//! fully-coherent Gen2 reader of Kargas et al. [26], because commercial
+//! fully-coherent Gen2 reader of Kargas et al. \[26\], because commercial
 //! readers cannot report clean full-cycle phase (§6.3). This crate is
 //! the Rust equivalent: PIE query synthesis, coherent FM0/Miller
 //! demodulation, and — the part localization lives or dies on —

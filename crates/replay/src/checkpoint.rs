@@ -451,14 +451,23 @@ fn parse_complex(v: &str, line_no: usize) -> Result<Complex, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_killed, Scenario};
+    use crate::runner::{MissionRun, Scenario};
     use rfly_faults::FaultSchedule;
+
+    /// The checkpoint `scn` takes at the step boundary `step`.
+    fn checkpoint_at(scn: &Scenario, storm: &FaultSchedule, step: usize) -> Checkpoint {
+        let mut run = MissionRun::new(scn, storm).expect("builds");
+        while !run.finished() && run.state.step() < step {
+            run.advance();
+        }
+        run.checkpoint()
+    }
 
     #[test]
     fn checkpoint_round_trips_byte_for_byte() {
         let scn = Scenario::small(13);
         let storm = FaultSchedule::storm(13, 2, 12);
-        let (_, cp) = run_killed(&scn, &storm, 3).expect("runs");
+        let cp = checkpoint_at(&scn, &storm, 3);
         let text = cp.to_text();
         let back = Checkpoint::from_text(&text).expect("parses");
         assert_eq!(back.to_text(), text, "re-serialization is byte-stable");
@@ -478,7 +487,7 @@ mod tests {
             "missing required records"
         );
         let scn = Scenario::small(13);
-        let (_, cp) = run_killed(&scn, &FaultSchedule::none(), 2).expect("runs");
+        let cp = checkpoint_at(&scn, &FaultSchedule::none(), 2);
         let text = cp.to_text();
         let no_end = text.trim_end_matches("end\n");
         assert!(Checkpoint::from_text(no_end).is_err(), "missing footer");

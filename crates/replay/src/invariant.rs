@@ -4,7 +4,7 @@
 //! The harness runs the scenario's fault-free baseline once at
 //! construction, then probes candidate schedules against a catalog of
 //! invariants. It is the oracle the delta-debugging shrinker
-//! ([`crate::shrink`]) minimizes against: a shrink step is accepted
+//! ([`crate::shrink()`]) minimizes against: a shrink step is accepted
 //! exactly when the reduced schedule still violates the *same*
 //! invariant.
 

@@ -21,19 +21,20 @@
 //! * [`invariant`] — the mission **invariant harness**: coverage
 //!   retention, the mutual-loop margin gate, and inventory sanity,
 //!   checked against a fault-free baseline.
-//! * [`shrink`] — the **delta-debugging shrinker**: minimize a failing
+//! * [`shrink`](mod@shrink) — the **delta-debugging shrinker**: minimize a failing
 //!   [`rfly_faults::FaultSchedule`] (drop events, weaken severities)
 //!   while the invariant harness still flags the same violation, and
 //!   emit a minimal repro file.
 //! * [`runner`] — the [`runner::Scenario`] spec that rebuilds the
 //!   identical mission from one line of text, the
-//!   [`runner::MissionRun`] stepper, and the [`runner::run_full`] /
-//!   [`runner::run_killed`] / [`runner::resume`] drivers over it.
+//!   [`runner::MissionRun`] stepper, and the in-memory
+//!   [`runner::run_full`] entry point over it.
 //! * [`store`] — **crash-consistent persistence**: `MissionRun` as a
 //!   [`rfly_chaos::Durable`] stepper, so the workspace's one durable-run
 //!   engine journals it through the injectable [`rfly_chaos::Storage`]
 //!   trait and [`store::recover_stored`] resumes a mission killed at any
-//!   storage operation bit-identically.
+//!   storage operation bit-identically. It is the one way to resume a
+//!   killed mission.
 
 #![deny(
     clippy::unwrap_used,
@@ -54,6 +55,6 @@ pub use checkpoint::Checkpoint;
 pub use divergence::{first_divergence, verify_replay, Divergence};
 pub use invariant::{Invariant, InvariantHarness, Violation};
 pub use journal::{Journal, Seal};
-pub use runner::{resume, run_full, run_killed, Mission, MissionRun, Run, Scenario};
+pub use runner::{run_full, Mission, MissionRun, Run, Scenario};
 pub use shrink::{repro_to_text, shrink, ShrinkResult};
 pub use store::{recover_stored, run_stored, salvage_journal, StorePaths};

@@ -1,7 +1,10 @@
 //! The deterministic mission runner: a self-contained [`Scenario`]
 //! spec that rebuilds the *identical* world from its parameters alone,
-//! and drivers that journal every step, kill a mission at a step
-//! boundary, and resume it from a checkpoint.
+//! the [`MissionRun`] stepper that journals every step and checkpoints
+//! at any step boundary, and [`run_full`], which flies it start to
+//! finish in memory. Resuming a killed mission is the durable engine's
+//! job: [`crate::store::recover_stored`] restores a [`MissionRun`] from
+//! its checkpoint and salvaged journal.
 //!
 //! The scenario line is the root of reproducibility: a repro file or a
 //! journal header carries it verbatim, so a triage session months later
@@ -262,44 +265,6 @@ impl<'a> MissionRun<'a> {
 pub fn run_full(scenario: &Scenario, schedule: &FaultSchedule) -> Result<Run, String> {
     let _span = rfly_obs::span("replay.run_full");
     let mut run = MissionRun::new(scenario, schedule)?;
-    while !run.finished() {
-        run.advance();
-    }
-    Ok(run.into_run())
-}
-
-/// Flies `scenario` under `schedule` until the step boundary
-/// `kill_step` (or mission end, whichever first), then "crashes":
-/// returns the partial journal and the checkpoint taken at the kill
-/// point. The mission state is dropped — resumption must come from the
-/// checkpoint alone.
-pub fn run_killed(
-    scenario: &Scenario,
-    schedule: &FaultSchedule,
-    kill_step: usize,
-) -> Result<(Journal, Checkpoint), String> {
-    let mut run = MissionRun::new(scenario, schedule)?;
-    while !run.finished() && run.state.step() < kill_step {
-        run.advance();
-    }
-    let checkpoint = run.checkpoint();
-    Ok((run.journal, checkpoint))
-}
-
-/// Resumes a killed mission: rebuilds the world from the scenario,
-/// restores the checkpoint into it, and flies the remainder, appending
-/// to `journal` (normally the partial journal [`run_killed`] returned).
-pub fn resume(
-    scenario: &Scenario,
-    schedule: &FaultSchedule,
-    checkpoint: &Checkpoint,
-    journal: Journal,
-) -> Result<Run, String> {
-    let _span = rfly_obs::span("replay.resume");
-    rfly_obs::counter_add("replay.resumes", 1);
-    let mut run = MissionRun::new(scenario, schedule)?;
-    run.restore(checkpoint)?;
-    run.journal = journal;
     while !run.finished() {
         run.advance();
     }

@@ -9,8 +9,12 @@
 //! else; this is the regression fence around every parallel path the
 //! mission engine grows.
 
+mod common;
+
+use common::{crash_at, file_text};
 use rfly_faults::FaultSchedule;
-use rfly_replay::runner::{run_full, run_killed, Scenario};
+use rfly_replay::runner::{run_full, Scenario};
+use rfly_replay::store::StorePaths;
 use rfly_sim::pool::set_global_workers;
 
 /// Every artifact of one flight, in its serialized text form.
@@ -35,11 +39,12 @@ fn fly_at_width(workers: usize, seed: u64) -> Artifacts {
     let storm = FaultSchedule::storm(seed, 2, 12);
     let full = run_full(&scn, &storm).expect("uninterrupted run");
     let kill = (full.journal.steps.len() / 2).max(1);
-    let (partial, checkpoint) = run_killed(&scn, &storm, kill).expect("killed run");
+    let crashed = crash_at(&scn, &storm, kill);
+    let paths = StorePaths::default();
     Artifacts {
         journal: full.journal.to_text(),
-        checkpoint: checkpoint.to_text(),
-        partial_journal: partial.to_text(),
+        checkpoint: file_text(&crashed, &paths.checkpoint),
+        partial_journal: file_text(&crashed, &paths.journal),
         resilience_log: full.outcome.log.to_text(),
     }
 }

@@ -12,9 +12,13 @@
 //! **byte-identical** metric report to the live run (no wall-clock, no
 //! iteration-order nondeterminism anywhere in the recorder).
 
+mod common;
+
+use common::{crash_at, file_text};
 use rfly_faults::FaultSchedule;
 use rfly_obs::{install, take, Recorder, Report};
-use rfly_replay::runner::{resume, run_full, run_killed, Scenario};
+use rfly_replay::runner::{run_full, Scenario};
+use rfly_replay::store::{recover_stored, StorePaths};
 
 /// The golden journals and the seeds they were captured from.
 const GOLDENS: [(u64, &str); 3] = [
@@ -95,11 +99,17 @@ fn killed_and_resumed_mission_matches_the_golden_tail() {
     let (seed, golden) = GOLDENS[1];
     let scn = Scenario::small(seed);
     let storm = storm_for(&scn, seed);
-    let (journal, checkpoint) = run_killed(&scn, &storm, 5).expect("flies to the kill");
-    let resumed = resume(&scn, &storm, &checkpoint, journal).expect("resumes");
+    let paths = StorePaths::default();
+    let mut storage = crash_at(&scn, &storm, 5);
+    let resumed = recover_stored(&scn, &storm, &mut storage, &paths, 0).expect("resumes");
     assert_eq!(
         resumed.journal.to_text(),
         golden,
         "seed {seed}: kill/resume diverged from the golden journal"
+    );
+    assert_eq!(
+        file_text(&storage, &paths.journal),
+        golden,
+        "seed {seed}: the recovered durable journal diverged from the golden"
     );
 }

@@ -23,12 +23,11 @@ use rfly_protocol::epc::Epc;
 use rfly_sim::motion::{Belt, TagMotion};
 use rfly_sim::scene::Scene;
 use rfly_sim::world::PhasorWorld;
-use rfly_tag::backscatter::BackscatterModulator;
 use rfly_tag::harvester::Harvester;
 use rfly_tag::population::TagPopulation;
 use rfly_tag::tag::PassiveTag;
 
-use crate::schema::{ModulationSpec, Placement, ScenarioSpec, WorldSpec};
+use crate::schema::{Placement, ScenarioSpec, WorldSpec};
 
 /// A scenario the compiler could not lower (infeasible partition or
 /// channel plan — the spec itself was valid).
@@ -239,18 +238,6 @@ fn build_tags(spec: &ScenarioSpec, scene: &Scene) -> TagPopulation {
                     rfly_dsp::units::Seconds::new(300e-6),
                     rfly_dsp::units::Seconds::new(100e-6),
                 ));
-            }
-            match group.modulation {
-                ModulationSpec::Typical => {}
-                ModulationSpec::Ideal => {
-                    tag = tag.with_modulator(BackscatterModulator::ideal());
-                }
-                ModulationSpec::Depth(depth) => {
-                    tag = tag.with_modulator(BackscatterModulator {
-                        gamma_on: rfly_dsp::Complex::new(depth, 0.0),
-                        gamma_off: rfly_dsp::Complex::new(0.0, 0.0),
-                    });
-                }
             }
             pop.add(tag, format!("item-{global:04}"));
             global += 1;

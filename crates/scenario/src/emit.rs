@@ -11,7 +11,7 @@ use std::fmt::Write;
 use rfly_faults::text::fmt_f64;
 use rfly_faults::FaultKind;
 
-use crate::schema::{ModulationSpec, Placement, ScenarioSpec, WorldSpec};
+use crate::schema::{Placement, ScenarioSpec, WorldSpec};
 
 fn quoted(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -216,15 +216,6 @@ pub fn emit(spec: &ScenarioSpec) -> String {
         if let Some(p) = group.power_up {
             let _ = writeln!(w, "power_up_dbm = {}", fmt_f64(p.value()));
         }
-        match group.modulation {
-            ModulationSpec::Typical => {}
-            ModulationSpec::Ideal => {
-                let _ = writeln!(w, "modulation = \"ideal\"");
-            }
-            ModulationSpec::Depth(d) => {
-                let _ = writeln!(w, "modulation_depth = {}", fmt_f64(d));
-            }
-        }
     }
 
     if spec.faults.storm {
@@ -351,7 +342,6 @@ count = 4
 placement = "uniform"
 margin_m = 2.0
 power_up_dbm = -18.5
-modulation = "ideal"
 
 [[fault]]
 step = 2

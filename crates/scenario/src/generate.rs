@@ -15,8 +15,8 @@ use rfly_dsp::rng::{Rng, StdRng};
 use rfly_dsp::units::{Db, Dbm, Meters};
 
 use crate::schema::{
-    BeltSpec, FaultsSpec, InterfererSpec, MissionSpec, ModulationSpec, Placement, RelaySpec,
-    ScenarioSpec, TagGroupSpec, WorldSpec,
+    BeltSpec, FaultsSpec, InterfererSpec, MissionSpec, Placement, RelaySpec, ScenarioSpec,
+    TagGroupSpec, WorldSpec,
 };
 
 /// A procedural scenario family.
@@ -30,8 +30,8 @@ pub enum Family {
     Conveyor,
     /// A warehouse drowned in external interferers.
     InterfererField,
-    /// Mixed tag populations: varying power-up thresholds and
-    /// modulation depths on the same shelves.
+    /// Mixed tag populations: varying power-up thresholds on the same
+    /// shelves.
     MixedPopulation,
     /// A radio-environment-map-style occupancy grid.
     OccupancyGrid,
@@ -95,7 +95,6 @@ fn shelf_group(count: usize) -> TagGroupSpec {
             depth_max: Meters::new(0.8),
         },
         power_up: None,
-        modulation: ModulationSpec::Typical,
     }
 }
 
@@ -181,7 +180,6 @@ pub fn generate(family: Family, seed: u64) -> ScenarioSpec {
                     seed: None,
                     placement: Placement::Belt,
                     power_up: None,
-                    modulation: ModulationSpec::Typical,
                 }],
                 ..base
             }
@@ -203,7 +201,7 @@ pub fn generate(family: Family, seed: u64) -> ScenarioSpec {
         Family::MixedPopulation => {
             let sensitive = 10 + rng.gen_range(0..11) as usize;
             let deaf = 6 + rng.gen_range(0..7) as usize;
-            let shallow = 8 + rng.gen_range(0..9) as usize;
+            let second = 8 + rng.gen_range(0..9) as usize;
             ScenarioSpec {
                 world: WorldSpec::Warehouse {
                     width: Meters::new(24.0),
@@ -219,11 +217,8 @@ pub fn generate(family: Family, seed: u64) -> ScenarioSpec {
                         power_up: Some(Dbm::new(-12.0 + rng.gen_range(0..3) as f64)),
                         ..shelf_group(deaf)
                     },
-                    // Weakly-modulating tags (shallow backscatter).
-                    TagGroupSpec {
-                        modulation: ModulationSpec::Depth(0.3 + 0.1 * rng.gen_range(0..3) as f64),
-                        ..shelf_group(shallow)
-                    },
+                    // A second off-the-shelf group.
+                    shelf_group(second),
                 ],
                 ..base
             }

@@ -11,13 +11,13 @@
 //!    that fills defaults and rejects malformed input with `file:line`
 //!    diagnostics (duplicate relay IDs, overlapping cells,
 //!    out-of-bounds tags, unknown keys).
-//! 2. **Compile** ([`compile`]): lowering a validated [`ScenarioSpec`]
+//! 2. **Compile** ([`compile()`]): lowering a validated [`ScenarioSpec`]
 //!    into the existing simulator types — a [`rfly_sim::scene::Scene`],
 //!    a [`rfly_fleet::channels::ChannelPlan`], a
 //!    [`rfly_faults::FaultSchedule`], and a mission configuration. The
 //!    medium pipeline underneath is untouched; scenarios are a front
 //!    end, not a new physics path.
-//! 3. **Generate** ([`generate`]): a seeded procedural generator that
+//! 3. **Generate** ([`generate()`]): a seeded procedural generator that
 //!    emits whole scenario families (multi-floor buildings, outdoor
 //!    aisles, conveyor belts, interferer fields, mixed tag populations,
 //!    occupancy grids) as ordinary [`ScenarioSpec`] values — the same
@@ -45,7 +45,7 @@ pub use compile::{compile, CompiledScenario};
 pub use generate::{generate, Family};
 pub use schema::{
     BeltSpec, DockSpec, EnergySpec, FaultEventSpec, FaultsSpec, InterfererSpec, MissionSpec,
-    ModulationSpec, Placement, Platform, RelaySpec, ScenarioSpec, TagGroupSpec, WorldSpec,
+    Placement, Platform, RelaySpec, ScenarioSpec, TagGroupSpec, WorldSpec,
 };
 
 /// A scenario diagnostic carrying its source location.

@@ -5,7 +5,7 @@
 //! typed unit newtype, and every cross-field rule (unique relay IDs,
 //! complete cell assignments, in-bounds positions, storm feasibility)
 //! has been checked with a `file:line` diagnostic. A spec that exists
-//! is valid; the compiler ([`crate::compile`]) can lower it without
+//! is valid; the compiler ([`crate::compile()`]) can lower it without
 //! re-validating.
 
 use rfly_channel::geometry::Point2;
@@ -196,17 +196,6 @@ pub struct RelaySpec {
     pub snr_penalty: Db,
 }
 
-/// Tag modulation override.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ModulationSpec {
-    /// Off-the-shelf tag (the default).
-    Typical,
-    /// Idealized full-swing switch.
-    Ideal,
-    /// Explicit real modulation depth in (0, 1]: Γ_on = depth, Γ_off = 0.
-    Depth(f64),
-}
-
 /// How one tag group is placed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Placement {
@@ -249,8 +238,6 @@ pub struct TagGroupSpec {
     pub placement: Placement,
     /// Harvester power-up threshold override, dBm.
     pub power_up: Option<Dbm>,
-    /// Backscatter modulation override.
-    pub modulation: ModulationSpec,
 }
 
 /// Mission pacing and platform.
@@ -262,7 +249,7 @@ pub struct MissionSpec {
     pub sample_interval: Seconds,
     /// Inventory rounds per (stop, relay).
     pub max_rounds: usize,
-    /// Optional wall-clock cap, s.
+    /// Optional cap on simulated mission time, s (not wall-clock time).
     pub time_budget: Option<Seconds>,
     /// The carrier platform.
     pub platform: Platform,
@@ -1052,33 +1039,6 @@ fn tag_group(
         Some(e) => Some(Dbm::new(as_f64(e)?)),
         None => None,
     };
-    let modulation = match (keys.get("modulation"), keys.get("modulation_depth")) {
-        (Some(m), Some(_)) => {
-            return Err(err(
-                m.line,
-                "`modulation` and `modulation_depth` are mutually exclusive",
-            ))
-        }
-        (Some(e), None) => match as_str(e)?.as_str() {
-            "typical" => ModulationSpec::Typical,
-            "ideal" => ModulationSpec::Ideal,
-            other => {
-                return Err(err(
-                    e.line,
-                    format!("unknown modulation {other:?} (expected \"typical\" or \"ideal\")"),
-                ))
-            }
-        },
-        (None, Some(e)) => {
-            let depth = as_f64(e)?;
-            if !(depth > 0.0 && depth <= 1.0) {
-                return Err(err(e.line, "`modulation_depth` must be in (0, 1]"));
-            }
-            ModulationSpec::Depth(depth)
-        }
-        (None, None) => ModulationSpec::Typical,
-    };
-
     let at = keys.get("at");
     let placement_key = keys.get("placement");
     let (placement, count) = match (at, placement_key) {
@@ -1190,7 +1150,6 @@ fn tag_group(
         seed,
         placement,
         power_up,
-        modulation,
     })
 }
 
@@ -1397,6 +1356,10 @@ count = 12
     fn unknown_keys_and_sections_are_rejected() {
         let e = parse_str(&format!("{MINIMAL}\nbogus = 1\n")).unwrap_err();
         assert!(e.message.contains("unknown key `bogus`"), "{e}");
+        // The retired tag-modulation keys are ordinary unknown keys.
+        let e = parse_str(&format!("{MINIMAL}modulation = \"ideal\"\n")).unwrap_err();
+        assert!(e.message.contains("unknown key `modulation`"), "{e}");
+        assert_eq!(e.line, 25, "{e}");
         let e = parse_str(&format!("{MINIMAL}\n[warp]\nx = 1\n")).unwrap_err();
         assert!(e.message.contains("unknown section [warp]"), "{e}");
     }

@@ -28,7 +28,7 @@ fn corpus_has_the_promised_coverage() {
         corpus_files("").len() >= 8,
         "the committed corpus must hold at least 8 scenarios"
     );
-    assert_eq!(corpus_files("invalid").len(), 7);
+    assert_eq!(corpus_files("invalid").len(), 8);
 }
 
 #[test]
@@ -68,6 +68,10 @@ fn every_invalid_fixture_fires_its_diagnostic() {
             "ready_below_reserve.toml",
             "`ready_frac` = 0.15 must exceed `reserve_frac` = 0.3",
         ),
+        (
+            "retired_modulation_key.toml",
+            "unknown key `modulation_depth`",
+        ),
     ];
     for (file, needle) in expectations {
         let path = corpus_dir().join("invalid").join(file);
@@ -92,6 +96,7 @@ fn invalid_diagnostics_point_at_the_documented_lines() {
         ("unknown_world_kind.toml", 9),
         ("belt_with_faults.toml", 31),
         ("ready_below_reserve.toml", 17),
+        ("retired_modulation_key.toml", 25),
     ];
     for (file, expect) in lines {
         let err = load(&corpus_dir().join("invalid").join(file)).expect_err("rejected");

@@ -9,7 +9,10 @@
 //! (fly → inventory → disentangle → localize), a seeded Monte-Carlo
 //! [`experiment`] runner, and tabular [`report`] output for the
 //! per-figure benchmark binaries. [`sample_link`] is the sample-level
-//! IQ chain that serves as the phasor core's differential oracle.
+//! IQ chain that serves as the phasor core's differential oracle, and
+//! [`pool`] is the deterministic work pool every parallel path runs on
+//! (results merge in task order; a worker panic re-raises on the
+//! caller).
 
 #![deny(
     clippy::unwrap_used,
@@ -30,6 +33,6 @@ pub mod world;
 
 pub use endtoend::{Scenario, ScenarioBuilder, ScenarioOutcome};
 pub use medium::{FleetRelay, FleetRf, WorldMedium};
-pub use pool::{global_workers, set_global_workers, Pool, PoolError};
+pub use pool::{global_workers, set_global_workers, Pool};
 pub use scene::Scene;
 pub use world::PhasorWorld;

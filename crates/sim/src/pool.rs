@@ -9,14 +9,13 @@
 //! is keyed by its task index and the merged `Vec` is always in
 //! submission order — which worker computed what, and in which
 //! interleaving, is unobservable. That is the whole determinism
-//! contract: **the output of [`Pool::run`] is byte-identical at any
+//! contract: **the output of [`Pool::map`] is byte-identical at any
 //! worker count**, including 1, so journals, checkpoints, goldens, and
 //! replay fixtures never depend on `RFLY_THREADS`.
 //!
-//! Worker panics are never swallowed: [`Pool::run`] reports them as
-//! [`PoolError`] (the bench harness turns these into `Err` rows), and
-//! [`Pool::map`] re-raises the original payload so a panic propagates
-//! exactly as it would have on the serial path.
+//! Worker panics are never swallowed: [`Pool::map`] re-raises the first
+//! panicking worker's original payload on the calling thread, so a
+//! panic propagates exactly as it would have on the serial path.
 //!
 //! The worker count resolves, in order: an explicit [`Pool::new`]
 //! argument, the `RFLY_THREADS` environment override, a process-wide
@@ -81,47 +80,6 @@ pub fn global_workers() -> usize {
     }
 }
 
-/// Why a pool run failed: some worker panicked.
-#[derive(Debug)]
-pub struct PoolError {
-    /// The panic payload of the first panicking worker, rendered.
-    pub message: String,
-    /// How many workers panicked.
-    pub panicked_workers: usize,
-    /// The original payload of the first panic, for re-raising.
-    payload: Box<dyn std::any::Any + Send + 'static>,
-}
-
-impl PoolError {
-    /// Re-raises the first worker's original panic payload, exactly as
-    /// the serial path would have panicked.
-    pub fn resume(self) -> ! {
-        std::panic::resume_unwind(self.payload)
-    }
-}
-
-impl std::fmt::Display for PoolError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} pool worker(s) panicked: {}",
-            self.panicked_workers, self.message
-        )
-    }
-}
-
-/// Renders a panic payload for [`PoolError::message`].
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        match payload.downcast_ref::<String>() {
-            Some(s) => s.clone(),
-            None => "opaque panic payload".to_string(),
-        }
-    }
-}
-
 /// A fixed-width scoped-thread work pool. See the module docs for the
 /// determinism contract.
 #[derive(Debug, Clone, Copy)]
@@ -143,8 +101,8 @@ impl Pool {
         Self::new(global_workers())
     }
 
-    /// A single-worker pool: every `run`/`map` stays inline on the
-    /// calling thread.
+    /// A single-worker pool: every `map` stays inline on the calling
+    /// thread.
     pub fn serial() -> Self {
         Self::new(1)
     }
@@ -155,17 +113,17 @@ impl Pool {
     /// one task, everything runs inline on the calling thread — by the
     /// determinism contract the result is byte-identical either way.
     ///
-    /// A panicking task fails the whole run: every already-claimed
-    /// task still completes, then the first panic is reported as
-    /// [`PoolError`].
-    pub fn run<T, F>(&self, n_tasks: usize, task: F) -> Result<Vec<T>, PoolError>
+    /// A panicking task fails the whole map: every already-claimed task
+    /// still completes, then the first panic re-raises on the calling
+    /// thread with its original payload.
+    pub fn map<T, F>(&self, n_tasks: usize, task: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
         let width = self.workers.min(n_tasks);
         if width <= 1 {
-            return Ok((0..n_tasks).map(task).collect());
+            return (0..n_tasks).map(task).collect();
         }
 
         let next = AtomicUsize::new(0);
@@ -179,7 +137,6 @@ impl Pool {
         let mut per_worker: Vec<Vec<(usize, T, Option<rfly_obs::Recorder>)>> =
             Vec::with_capacity(width);
         let mut first_panic: Option<Box<dyn std::any::Any + Send + 'static>> = None;
-        let mut panicked = 0usize;
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..width)
                 .map(|_| {
@@ -208,63 +165,31 @@ impl Pool {
                 match h.join() {
                     Ok(results) => per_worker.push(results),
                     Err(payload) => {
-                        panicked += 1;
-                        if first_panic.is_none() {
-                            first_panic = Some(payload);
-                        }
+                        first_panic.get_or_insert(payload);
                     }
                 }
             }
         });
         if let Some(payload) = first_panic {
-            return Err(PoolError {
-                message: panic_text(payload.as_ref()),
-                panicked_workers: panicked,
-                payload,
-            });
+            std::panic::resume_unwind(payload);
         }
 
         // Ordered merge: place every (index, result) pair into its
         // submission slot. Which worker produced it is forgotten here.
+        // No worker panicked, so every slot in 0..n_tasks is filled.
         let mut slots: Vec<Option<(T, Option<rfly_obs::Recorder>)>> =
             (0..n_tasks).map(|_| None).collect();
         for (i, v, rec) in per_worker.into_iter().flatten() {
             slots[i] = Some((v, rec));
         }
-        let merged: Option<Vec<(T, Option<rfly_obs::Recorder>)>> = slots.into_iter().collect();
-        match merged {
-            Some(pairs) => {
-                let mut out = Vec::with_capacity(n_tasks);
-                for (v, rec) in pairs {
-                    if let Some(rec) = rec {
-                        rfly_obs::absorb(rec);
-                    }
-                    out.push(v);
-                }
-                Ok(out)
+        let mut out = Vec::with_capacity(n_tasks);
+        for (v, rec) in slots.into_iter().flatten() {
+            if let Some(rec) = rec {
+                rfly_obs::absorb(rec);
             }
-            // Unreachable: no worker panicked, so every index in
-            // 0..n_tasks was claimed exactly once and filled its slot.
-            None => Err(PoolError {
-                message: "pool lost a task result".to_string(),
-                panicked_workers: 0,
-                payload: Box::new("pool lost a task result"),
-            }),
+            out.push(v);
         }
-    }
-
-    /// [`Self::run`], but a worker panic re-raises on the calling
-    /// thread with the original payload — for physics paths where a
-    /// panic must propagate exactly as the serial loop would have.
-    pub fn map<T, F>(&self, n_tasks: usize, task: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        match self.run(n_tasks, task) {
-            Ok(v) => v,
-            Err(e) => e.resume(),
-        }
+        out
     }
 
     /// Splits `0..n_items` into contiguous chunks of at most
@@ -301,9 +226,7 @@ mod tests {
         let reference: Vec<u64> = (0..97).map(|i| (i as u64) * 3 + 1).collect();
         for workers in [1, 2, 3, 8, 64] {
             let pool = Pool::new(workers);
-            let got = pool
-                .run(97, |i| (i as u64) * 3 + 1)
-                .unwrap_or_else(|e| panic!("{e}"));
+            let got = pool.map(97, |i| (i as u64) * 3 + 1);
             assert_eq!(got, reference, "width {workers}");
         }
     }
@@ -311,7 +234,7 @@ mod tests {
     #[test]
     fn empty_task_set_yields_empty_vec() {
         let pool = Pool::new(8);
-        let got = pool.run(0, |_| 0u8).unwrap_or_else(|e| panic!("{e}"));
+        let got = pool.map(0, |_| 0u8);
         assert!(got.is_empty());
     }
 
@@ -321,28 +244,8 @@ mod tests {
         // task count); observable via thread identity.
         let caller = std::thread::current().id();
         let pool = Pool::new(16);
-        let got = pool
-            .run(1, |_| std::thread::current().id())
-            .unwrap_or_else(|e| panic!("{e}"));
+        let got = pool.map(1, |_| std::thread::current().id());
         assert_eq!(got, vec![caller]);
-    }
-
-    #[test]
-    fn worker_panic_surfaces_as_pool_error() {
-        let pool = Pool::new(4);
-        let r = pool.run(16, |i| {
-            if i == 7 {
-                panic!("task 7 exploded");
-            }
-            i
-        });
-        match r {
-            Ok(_) => panic!("panic was swallowed"),
-            Err(e) => {
-                assert!(e.message.contains("task 7 exploded"), "{}", e.message);
-                assert!(e.panicked_workers >= 1);
-            }
-        }
     }
 
     #[test]
@@ -359,7 +262,10 @@ mod tests {
             Ok(_) => panic!("panic was swallowed"),
             Err(p) => p,
         };
-        assert_eq!(panic_text(payload.as_ref()), "boom 3");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("boom 3")
+        );
     }
 
     #[test]
@@ -376,13 +282,11 @@ mod tests {
         use rfly_dsp::units::Db;
         let fly = |workers: usize| {
             rfly_obs::install(rfly_obs::Recorder::new("pool-obs"));
-            let got = Pool::new(workers)
-                .run(9, |i| {
-                    rfly_obs::counter_add("pool.tasks", 1);
-                    rfly_obs::observe_db("pool.metric", Db::new(1.0 + i as f64 / 3.0));
-                    i
-                })
-                .unwrap_or_else(|e| panic!("{e}"));
+            let got = Pool::new(workers).map(9, |i| {
+                rfly_obs::counter_add("pool.tasks", 1);
+                rfly_obs::observe_db("pool.metric", Db::new(1.0 + i as f64 / 3.0));
+                i
+            });
             assert_eq!(got, (0..9).collect::<Vec<_>>());
             match rfly_obs::take() {
                 Some(rec) => rec,

@@ -2,7 +2,7 @@
 //!
 //! A passive tag rectifies the reader's carrier to power its logic. The
 //! paper's §2: "the reader must deliver sufficient power to the RFID
-//! (around −15 dBm for off-the-shelf tags [12]) ... This limits the
+//! (around −15 dBm for off-the-shelf tags \[12\]) ... This limits the
 //! reliable range of passive RFID communication to 3–6 m." The
 //! harvester model captures the threshold, a charge-up delay, and
 //! hysteresis (a charged storage cap rides through brief envelope dips

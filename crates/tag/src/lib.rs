@@ -2,10 +2,10 @@
 //!
 //! Wraps the pure protocol engine of `rfly-protocol` in the physics that
 //! make passive tags *passive*: an RF energy [`harvester`] with the
-//! −15 dBm power-up threshold the paper cites [12], and a
-//! [`backscatter`] modulator that turns protocol levels into complex
-//! reflection coefficients. The combination — a [`tag::PassiveTag`] — is
-//! what the relay must power up and whose reflections it must forward.
+//! −15 dBm power-up threshold the paper cites \[12\]. The combination —
+//! a [`tag::PassiveTag`] — is what the relay must power up and whose
+//! reflections it must forward. The backscatter reflection itself is one
+//! gain in the phasor core ([`rfly_channel::link::Backscatter`]).
 //!
 //! The range asymmetry central to the paper lives here: a tag only
 //! *hears* if the incident carrier clears the harvester threshold
@@ -14,7 +14,6 @@
 
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
-pub mod backscatter;
 pub mod harvester;
 pub mod population;
 pub mod tag;

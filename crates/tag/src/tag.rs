@@ -1,5 +1,5 @@
-//! The complete passive tag: protocol engine + harvester + modulator,
-//! placed at a position in the scene.
+//! The complete passive tag: protocol engine + harvester, placed at a
+//! position in the scene.
 
 use rfly_channel::geometry::Point2;
 use rfly_dsp::units::{Dbm, Seconds};
@@ -8,7 +8,6 @@ use rfly_protocol::epc::Epc;
 use rfly_protocol::session::Session;
 use rfly_protocol::tag_state::{TagMachine, TagReply, TagState};
 
-use crate::backscatter::BackscatterModulator;
 use crate::harvester::Harvester;
 
 /// A passive UHF RFID tag in the simulation.
@@ -16,7 +15,6 @@ use crate::harvester::Harvester;
 pub struct PassiveTag {
     machine: TagMachine,
     harvester: Harvester,
-    modulator: BackscatterModulator,
     position: Point2,
 }
 
@@ -26,7 +24,6 @@ impl PassiveTag {
         Self {
             machine: TagMachine::new(epc, seed),
             harvester: Harvester::passive_tag(),
-            modulator: BackscatterModulator::typical(),
             position,
         }
     }
@@ -34,12 +31,6 @@ impl PassiveTag {
     /// Overrides the harvester (e.g. a more sensitive chip).
     pub fn with_harvester(mut self, harvester: Harvester) -> Self {
         self.harvester = harvester;
-        self
-    }
-
-    /// Overrides the backscatter modulator.
-    pub fn with_modulator(mut self, modulator: BackscatterModulator) -> Self {
-        self.modulator = modulator;
         self
     }
 
@@ -116,7 +107,7 @@ impl PassiveTag {
     /// powered and chooses to respond.
     ///
     /// An under-powered tag is not merely silent — if it *was* powered it
-    /// loses all protocol state (the blind-spot mechanism of [31]).
+    /// loses all protocol state (the blind-spot mechanism of \[31\]).
     #[inline]
     pub fn respond(&mut self, cmd: &Command, incident: Dbm) -> Option<TagReply> {
         if !self.harvester.sustains(incident) {

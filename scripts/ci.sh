@@ -17,6 +17,9 @@ cargo test --offline --workspace -q
 echo "== clippy (warnings are errors; token invariants, see DESIGN.md §8) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "== rustdoc (broken or ambiguous intra-doc links are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 echo "== clippy gate fixtures (planted packages; see DESIGN.md §8) =="
 # The planted package must FAIL with every lint the token rules were
 # handed to named in clippy's output, and its conforming twin must pass
