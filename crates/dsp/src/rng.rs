@@ -193,6 +193,11 @@ impl Standard for f64 {
 /// Unbiased uniform integer in [0, n) via Lemire-style rejection.
 fn uniform_u64<R: RngCore + ?Sized>(rng: &mut R, n: u64) -> u64 {
     assert!(n > 0, "empty range");
+    if n.is_power_of_two() {
+        // 2^64 is a multiple of n, so the rejection zone below is all of
+        // u64 and `v % n` keeps the low bits: the same single draw.
+        return rng.next_u64() & (n - 1);
+    }
     // Rejection zone keeps the modulo unbiased.
     let zone = u64::MAX - (u64::MAX - n + 1) % n;
     loop {
@@ -404,6 +409,50 @@ mod tests {
         let mut b = StdRng::from_state(snap);
         let tail_b: Vec<u64> = (0..64).map(|_| b.next_u64()).collect();
         assert_eq!(tail, tail_b, "restored stream must continue exactly");
+    }
+
+    #[test]
+    fn power_of_two_ranges_take_one_exact_draw() {
+        for seed in [0, 1, 2017, u64::MAX] {
+            for k in 0..64 {
+                let n = 1u64 << k;
+                // The rejection formula of `uniform_u64`, spelled out.
+                let zone = u64::MAX - (u64::MAX - n + 1) % n;
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut raw = StdRng::seed_from_u64(seed);
+                for _ in 0..4 {
+                    let v = raw.next_u64();
+                    assert!(v <= zone, "a power-of-two span never rejects");
+                    assert_eq!(rng.gen_range(0..n), v % n, "seed {seed}, k {k}");
+                    assert_eq!(rng.state(), raw.state(), "one next_u64 per draw");
+                    if k < 32 {
+                        let v = raw.next_u64();
+                        assert_eq!(u64::from(rng.gen_range(0..(1u32 << k))), v % n);
+                        assert_eq!(rng.state(), raw.state(), "one next_u64 per draw");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn other_ranges_keep_their_rejection_stream() {
+        let mut rng = StdRng::seed_from_u64(2017);
+        let tens: Vec<u32> = (0..12).map(|_| rng.gen_range(0..10u32)).collect();
+        assert_eq!(tens, [2, 0, 6, 3, 7, 8, 1, 4, 1, 9, 5, 1]);
+        let wide: Vec<u64> = (0..4).map(|_| rng.gen_range(0..1_000_003u64)).collect();
+        assert_eq!(wide, [500_803, 478_570, 222_295, 27_239]);
+        let signed: Vec<i32> = (0..4).map(|_| rng.gen_range(-7..=5i32)).collect();
+        assert_eq!(signed, [2, -2, 4, 4]);
+        assert_eq!(
+            rng.state(),
+            [
+                5_437_784_839_433_369_893,
+                1_178_704_420_352_438_806,
+                9_785_325_211_852_517_777,
+                15_811_704_014_155_548_890
+            ]
+        );
     }
 
     #[test]

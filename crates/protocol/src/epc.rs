@@ -85,9 +85,7 @@ pub fn parse_epc_reply(frame: &Bits) -> Option<(u16, Epc)> {
 /// A 16-bit random number as used in the RN16 handshake. The tag's RN16
 /// reply frame is the bare 16 bits (no CRC).
 pub fn rn16_frame(rn16: u16) -> Bits {
-    let mut b = Bits::new();
-    b.push_uint(rn16 as u64, 16);
-    b
+    (0..16).rev().map(|i| (rn16 >> i) & 1 == 1).collect()
 }
 
 /// Parses an RN16 reply frame.
@@ -146,9 +144,14 @@ mod tests {
     }
 
     #[test]
-    fn rn16_roundtrip() {
-        for rn in [0u16, 1, 0xBEEF, u16::MAX] {
-            assert_eq!(parse_rn16(&rn16_frame(rn)), Some(rn));
+    fn rn16_frame_is_exact_for_every_value() {
+        for rn in 0..=u16::MAX {
+            let frame = rn16_frame(rn);
+            assert_eq!(frame.len(), 16);
+            let mut pushed = Bits::new();
+            pushed.push_uint(u64::from(rn), 16);
+            assert_eq!(frame, pushed, "rn16 {rn:#06x}");
+            assert_eq!(parse_rn16(&frame), Some(rn));
         }
     }
 

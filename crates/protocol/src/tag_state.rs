@@ -47,6 +47,11 @@ pub enum TagReply {
 }
 
 impl TagReply {
+    /// The RN16 reply carrying `rn16`.
+    pub fn rn16(rn16: u16) -> Self {
+        TagReply::Rn16(rn16_frame(rn16))
+    }
+
     /// The transmitted bit frame.
     pub fn frame(&self) -> &Bits {
         match self {
@@ -216,22 +221,86 @@ impl TagMachine {
         }
     }
 
-    fn enter_slot(&mut self, q: u8) -> Option<TagReply> {
+    /// Draws a slot at `q`: a zero slot backscatters a fresh RN16.
+    fn enter_slot(&mut self, q: u8) -> Option<u16> {
         self.current_q = q;
         self.slot = self.draw_slot(q);
         if self.slot == 0 {
-            self.state = TagState::Reply;
-            self.rn16 = self.rng.gen();
-            Some(TagReply::Rn16(rn16_frame(self.rn16)))
+            Some(self.reply_rn16())
         } else {
             self.state = TagState::Arbitrate;
             None
         }
     }
 
+    /// Enters Reply with a fresh RN16 and returns it.
+    fn reply_rn16(&mut self) -> u16 {
+        self.state = TagState::Reply;
+        self.rn16 = self.rng.gen();
+        self.rn16
+    }
+
+    /// QueryRep in `session`: an arbitrating tag counts its slot down
+    /// and backscatters a fresh RN16 on reaching zero. Returns the RN16
+    /// the tag sends, if any. This is the only implementation of the
+    /// command; [`Self::handle`] delegates to it.
+    pub fn query_rep(&mut self, session: Session) -> Option<u16> {
+        if Some(session) != self.session {
+            return None;
+        }
+        match self.state {
+            TagState::Arbitrate => {
+                self.slot = self.slot.saturating_sub(1);
+                if self.slot == 0 {
+                    Some(self.reply_rn16())
+                } else {
+                    None
+                }
+            }
+            TagState::Reply => {
+                // Missed ACK: back to arbitration, out of this
+                // slot (max counter per spec behaviour).
+                self.state = TagState::Arbitrate;
+                self.slot = (1u32 << self.current_q).saturating_sub(1).max(1);
+                None
+            }
+            TagState::Acknowledged | TagState::Open => {
+                // Successfully inventoried: toggle and retire.
+                self.flags.toggle_inventoried(session);
+                self.state = TagState::Ready;
+                None
+            }
+            _ => None,
+        }
+    }
+
+    /// QueryAdjust in `session`: an arbitrating or replying tag redraws
+    /// its slot at Q + `updn` (clamped to 0–15). Returns the RN16 the
+    /// tag sends, if any. This is the only implementation of the
+    /// command; [`Self::handle`] delegates to it.
+    pub fn query_adjust(&mut self, session: Session, updn: i8) -> Option<u16> {
+        if Some(session) != self.session {
+            return None;
+        }
+        match self.state {
+            TagState::Arbitrate | TagState::Reply => {
+                let q = (self.current_q as i8 + updn).clamp(0, 15) as u8;
+                self.enter_slot(q)
+            }
+            TagState::Acknowledged | TagState::Open => {
+                self.flags.toggle_inventoried(session);
+                self.state = TagState::Ready;
+                None
+            }
+            _ => None,
+        }
+    }
+
     /// Feeds one reader command; returns the backscattered reply, if
     /// any. A `None` means the tag stays silent (the normal case for
-    /// most tags in most slots).
+    /// most tags in most slots). QueryRep and QueryAdjust delegate to
+    /// [`Self::query_rep`] and [`Self::query_adjust`], which a medium
+    /// may also call directly.
     pub fn handle(&mut self, cmd: &Command) -> Option<TagReply> {
         if self.state == TagState::Killed {
             return None;
@@ -256,59 +325,15 @@ impl TagMachine {
                 let participates =
                     sel.matches(self.flags.selected) && self.flags.inventoried(*session) == *target;
                 if participates {
-                    self.enter_slot(*q)
+                    self.enter_slot(*q).map(TagReply::rn16)
                 } else {
                     self.state = TagState::Ready;
                     None
                 }
             }
-            Command::QueryRep { session } => {
-                if Some(*session) != self.session {
-                    return None;
-                }
-                match self.state {
-                    TagState::Arbitrate => {
-                        self.slot = self.slot.saturating_sub(1);
-                        if self.slot == 0 {
-                            self.state = TagState::Reply;
-                            self.rn16 = self.rng.gen();
-                            Some(TagReply::Rn16(rn16_frame(self.rn16)))
-                        } else {
-                            None
-                        }
-                    }
-                    TagState::Reply => {
-                        // Missed ACK: back to arbitration, out of this
-                        // slot (max counter per spec behaviour).
-                        self.state = TagState::Arbitrate;
-                        self.slot = (1u32 << self.current_q).saturating_sub(1).max(1);
-                        None
-                    }
-                    TagState::Acknowledged | TagState::Open => {
-                        // Successfully inventoried: toggle and retire.
-                        self.flags.toggle_inventoried(*session);
-                        self.state = TagState::Ready;
-                        None
-                    }
-                    _ => None,
-                }
-            }
+            Command::QueryRep { session } => self.query_rep(*session).map(TagReply::rn16),
             Command::QueryAdjust { session, updn } => {
-                if Some(*session) != self.session {
-                    return None;
-                }
-                match self.state {
-                    TagState::Arbitrate | TagState::Reply => {
-                        let q = (self.current_q as i8 + updn).clamp(0, 15) as u8;
-                        self.enter_slot(q)
-                    }
-                    TagState::Acknowledged | TagState::Open => {
-                        self.flags.toggle_inventoried(*session);
-                        self.state = TagState::Ready;
-                        None
-                    }
-                    _ => None,
-                }
+                self.query_adjust(*session, *updn).map(TagReply::rn16)
             }
             Command::Ack { rn16 } => {
                 if self.state == TagState::Reply && *rn16 == self.rn16 {
@@ -782,6 +807,108 @@ mod tests {
                 rn: handle,
             })
             .is_none());
+    }
+
+    /// A tag of `seed` driven by real commands into `want`, at Q = `q`
+    /// in `session`; `Ready` is a tag the last Query left out.
+    fn tag_in(seed: u64, want: TagState, q: u8, session: Session) -> TagMachine {
+        let mut t = tag(seed);
+        if want == TagState::Ready {
+            t.handle(&query(q, session, InventoriedFlag::B));
+        } else {
+            t.handle(&query(q, session, InventoriedFlag::A));
+            if want == TagState::Arbitrate && t.state() == TagState::Reply {
+                // Missed ACK: back to arbitration.
+                t.handle(&Command::QueryRep { session });
+            } else if want != TagState::Arbitrate && t.state() == TagState::Arbitrate {
+                t.set_slot(1);
+                t.handle(&Command::QueryRep { session });
+            }
+            let rn16 = t.rn16;
+            if matches!(want, TagState::Acknowledged | TagState::Open) {
+                t.handle(&Command::Ack { rn16 });
+            }
+            if want == TagState::Open {
+                t.handle(&Command::ReqRn { rn16 });
+            }
+        }
+        assert_eq!(t.state(), want, "setup of seed {seed}, Q {q}");
+        t
+    }
+
+    fn assert_same_machine(a: &TagMachine, b: &TagMachine, case: &str) {
+        assert_eq!(a.state(), b.state(), "{case}: state");
+        assert_eq!(a.slot(), b.slot(), "{case}: slot");
+        assert_eq!(a.session(), b.session(), "{case}: session");
+        assert_eq!(a.flags().snapshot(), b.flags().snapshot(), "{case}: flags");
+        assert_eq!(a.rng_state(), b.rng_state(), "{case}: rng");
+    }
+
+    /// Feeds QueryRep (`updn` = `None`) or QueryAdjust in `heard` to
+    /// `a` by [`TagMachine::handle`] and to `b` by the step; returns
+    /// the step's RN16 after checking both replies agree.
+    fn step_both(
+        a: &mut TagMachine,
+        b: &mut TagMachine,
+        heard: Session,
+        updn: Option<i8>,
+        case: &str,
+    ) -> Option<u16> {
+        let (dispatched, stepped) = match updn {
+            None => (
+                a.handle(&Command::QueryRep { session: heard }),
+                b.query_rep(heard),
+            ),
+            Some(updn) => (
+                a.handle(&Command::QueryAdjust {
+                    session: heard,
+                    updn,
+                }),
+                b.query_adjust(heard, updn),
+            ),
+        };
+        assert_eq!(dispatched, stepped.map(TagReply::rn16), "{case}: reply");
+        assert_same_machine(a, b, case);
+        stepped
+    }
+
+    #[test]
+    fn arbitration_steps_match_command_dispatch() {
+        const STATES: [TagState; 5] = [
+            TagState::Ready,
+            TagState::Arbitrate,
+            TagState::Reply,
+            TagState::Acknowledged,
+            TagState::Open,
+        ];
+        let own = Session::S1;
+        let mut replies = 0;
+        for (seed, q, want) in (40..44)
+            .flat_map(|seed| [0, 1, 7, 15].map(|q| (seed, q)))
+            .flat_map(|(seed, q)| STATES.map(|want| (seed, q, want)))
+        {
+            for heard in [own, Session::S3] {
+                for updn in [None, Some(-1), Some(0), Some(1)] {
+                    let mut a = tag_in(seed, want, q, own);
+                    let mut b = tag_in(seed, want, q, own);
+                    // Three steps in a row: the first leaves the setup
+                    // state, the later ones act on where it went.
+                    for n in 0..3 {
+                        let case =
+                            format!("seed {seed}, Q {q}, {want:?}, {heard:?}, {updn:?} #{n}");
+                        let rn16 = step_both(&mut a, &mut b, heard, updn, &case);
+                        replies += usize::from(rn16.is_some());
+                    }
+                }
+            }
+        }
+        assert!(replies > 0, "some steps must backscatter an RN16");
+
+        // A tag no Query has reached ignores both steps.
+        let (mut a, mut b) = (tag(45), tag(45));
+        for updn in [None, Some(1)] {
+            assert_eq!(step_both(&mut a, &mut b, own, updn, "never queried"), None);
+        }
     }
 
     #[test]

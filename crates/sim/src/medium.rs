@@ -404,6 +404,14 @@ enum Link {
 ///    decrements and writes the exact counter back ([`sync`]) before
 ///    any visit, and on [`Self::settle`].
 ///
+/// After the first scan, a QueryRep or QueryAdjust calls
+/// [`PassiveTag::query_rep`] or [`PassiveTag::query_adjust`] on each
+/// engaged tag it visits instead of [`PassiveTag::respond`]. That is
+/// exact by invariants 1 and 3: an engaged tag is live, hence powered,
+/// and `respond` would only re-check its harvester. The steps'
+/// `debug_assert!` on the harvester is the guard. Every other command
+/// goes through `respond`.
+///
 /// Replies come out in tag-index order, so the per-tag RNG streams and
 /// the order of the world RNG draws in `observe_channel` do not change.
 #[derive(Debug, Default)]
@@ -530,6 +538,30 @@ impl TagVisits {
         slots
     }
 
+    /// Visits every engaged tag with `visit`, in index order, after
+    /// writing back its deferred counter, and keeps only the tags the
+    /// visit left engaged.
+    fn retain_engaged(
+        &mut self,
+        tags: &mut [PassiveTag],
+        mut visit: impl FnMut(usize, &mut PassiveTag),
+    ) {
+        let mut kept = 0;
+        for k in 0..self.engaged.len() {
+            let (i, due) = (self.engaged[k], self.due[k]);
+            let tag = &mut tags[i];
+            sync(tag, due, self.reps);
+            visit(i, tag);
+            if is_engaged(tag) {
+                self.engaged[kept] = i;
+                self.due[kept] = due_of(tag, self.cal, self.reps);
+                kept += 1;
+            }
+        }
+        self.engaged.truncate(kept);
+        self.due.truncate(kept);
+    }
+
     /// Feeds `cmd` to every tag that can act on it, illuminated at
     /// `incident(tag index)`, and returns the replies with their tag
     /// indices, in index order.
@@ -546,7 +578,6 @@ impl TagVisits {
             if let Some(reply) = tag.respond(cmd, incident(i)) {
                 replies.push((i, reply));
             }
-            is_engaged(tag)
         };
         if !self.scanned || self.visits_live(cmd) {
             let cal = match cmd {
@@ -556,8 +587,8 @@ impl TagVisits {
             self.settle(tags, cal);
             self.engaged.clear();
             self.due.clear();
-            let mut join = |i: usize, tag: &mut PassiveTag, engaged: bool| {
-                if engaged {
+            let mut join = |i: usize, tag: &PassiveTag| {
+                if is_engaged(tag) {
                     self.engaged.push(i);
                     self.due.push(due_of(tag, cal, 0));
                 }
@@ -565,45 +596,45 @@ impl TagVisits {
             if !self.scanned {
                 self.scanned = true;
                 for (i, tag) in tags.iter_mut().enumerate() {
-                    let engaged = hear(i, tag);
+                    hear(i, tag);
                     if tag.sustains(incident(i)) {
                         self.live.push(i);
-                        join(i, tag, engaged);
+                        join(i, tag);
                     }
                 }
             } else {
                 for &i in &self.live {
-                    let engaged = hear(i, &mut tags[i]);
-                    join(i, &mut tags[i], engaged);
+                    hear(i, &mut tags[i]);
+                    join(i, &tags[i]);
                 }
             }
-        } else if let Command::QueryRep { session } = cmd {
-            if self.cal != Some(*session) {
-                self.settle(tags, Some(*session));
+        } else if let Command::QueryRep { session } = *cmd {
+            if self.cal != Some(session) {
+                self.settle(tags, Some(session));
             }
             let next = self.reps + 1;
             for k in 0..self.engaged.len() {
                 let (i, due) = (self.engaged[k], self.due[k]);
                 if self.visits_due(due, next) {
-                    sync(&mut tags[i], due, self.reps);
-                    hear(i, &mut tags[i]);
-                    self.due[k] = due_of(&tags[i], self.cal, next);
+                    let tag = &mut tags[i];
+                    sync(tag, due, self.reps);
+                    visited += 1;
+                    if let Some(rn16) = tag.query_rep(session) {
+                        replies.push((i, TagReply::rn16(rn16)));
+                    }
+                    self.due[k] = due_of(tag, self.cal, next);
                 }
             }
             self.reps = next;
-        } else {
-            let mut kept = 0;
-            for k in 0..self.engaged.len() {
-                let (i, due) = (self.engaged[k], self.due[k]);
-                sync(&mut tags[i], due, self.reps);
-                if hear(i, &mut tags[i]) {
-                    self.engaged[kept] = i;
-                    self.due[kept] = due_of(&tags[i], self.cal, self.reps);
-                    kept += 1;
+        } else if let Command::QueryAdjust { session, updn } = *cmd {
+            self.retain_engaged(tags, |i, tag| {
+                visited += 1;
+                if let Some(rn16) = tag.query_adjust(session, updn) {
+                    replies.push((i, TagReply::rn16(rn16)));
                 }
-            }
-            self.engaged.truncate(kept);
-            self.due.truncate(kept);
+            });
+        } else {
+            self.retain_engaged(tags, hear);
         }
         rfly_obs::counter_add("sim.tag_visits", visited);
         replies

@@ -124,6 +124,24 @@ impl PassiveTag {
         self.machine.handle(cmd)
     }
 
+    /// QueryRep in `session` for a tag the medium already powers:
+    /// [`TagMachine::query_rep`] without [`Self::respond`]'s harvester
+    /// step, which cannot change a powered tag under steady
+    /// illumination. Returns the RN16 the tag backscatters.
+    #[inline]
+    pub fn query_rep(&mut self, session: Session) -> Option<u16> {
+        debug_assert!(self.harvester.powered(), "QueryRep to an unpowered tag");
+        self.machine.query_rep(session)
+    }
+
+    /// QueryAdjust in `session` for a tag the medium already powers;
+    /// see [`Self::query_rep`].
+    #[inline]
+    pub fn query_adjust(&mut self, session: Session, updn: i8) -> Option<u16> {
+        debug_assert!(self.harvester.powered(), "QueryAdjust to an unpowered tag");
+        self.machine.query_adjust(session, updn)
+    }
+
     /// Sample-level power bookkeeping while listening: advances the
     /// harvester through `dt` at `incident`; reports a power cycle to
     /// the protocol machine.

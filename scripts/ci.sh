@@ -12,6 +12,9 @@ echo "== build (release, offline) =="
 cargo build --release --offline --workspace
 
 echo "== tests =="
+# Debug on purpose: debug assertions are on, so the `debug_assert!` that
+# a narrow QueryRep/QueryAdjust reaches only powered tags (DESIGN.md
+# §10.5) runs under every medium test of the workspace suite.
 cargo test --offline --workspace -q
 
 echo "== clippy (warnings are errors; token invariants, see DESIGN.md §8) =="
