@@ -111,22 +111,104 @@ fn main() {
     }
     bench.table("main", table, true);
 
-    // Shape checks against the paper.
-    let at = |d: f64| series.iter().find(|(x, _)| *x == d).unwrap().1;
-    assert!(
-        at(10.0)[0] <= 25.0 && at(15.0)[0] <= 5.0,
-        "no-relay must be nearly dead at 10 m and gone by 15 m"
-    );
-    assert!(at(5.0)[0] >= 50.0, "no-relay should mostly work at 5 m");
-    assert!(at(50.0)[1] >= 95.0, "relay LoS must hold ~100 % at 50 m");
-    let nlos55 = at(55.0)[2];
-    assert!(
-        (50.0..=95.0).contains(&nlos55),
-        "relay NLoS at 55 m should be degraded-but-alive (got {nlos55} %)"
-    );
+    verdict(&series).unwrap_or_else(|e| panic!("{e}"));
     println!(
         "Shape check: range gain ≈ {}x (no-relay dies ~5-10 m; relayed LoS alive at 50+ m).",
         (50.0f64 / 5.0).round()
     );
     bench.finish();
+}
+
+/// The shape checks against the paper, over `(distance, [no relay,
+/// relay LoS, relay NLoS])` read rates in percent: `Ok` when the series
+/// has the paper's shape, else the first check it fails.
+fn verdict(series: &[(f64, [f64; 3])]) -> Result<(), String> {
+    let at = |d: f64| {
+        series
+            .iter()
+            .find(|(x, _)| *x == d)
+            .map(|(_, rates)| *rates)
+            .ok_or_else(|| format!("the series has no {d} m point"))
+    };
+    if at(10.0)?[0] > 25.0 || at(15.0)?[0] > 5.0 {
+        return Err("no-relay must be nearly dead at 10 m and gone by 15 m".into());
+    }
+    if at(5.0)?[0] < 50.0 {
+        return Err("no-relay should mostly work at 5 m".into());
+    }
+    if at(50.0)?[1] < 95.0 {
+        return Err("relay LoS must hold ~100 % at 50 m".into());
+    }
+    let nlos55 = at(55.0)?[2];
+    if !(50.0..=95.0).contains(&nlos55) {
+        return Err(format!(
+            "relay NLoS at 55 m should be degraded-but-alive (got {nlos55} %)"
+        ));
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The series committed in `results/bench/fig11_readrate.json` (seed
+    /// 2017).
+    const COMMITTED: [(f64, [f64; 3]); 12] = [
+        (1.0, [100.0, 100.0, 100.0]),
+        (2.5, [100.0, 100.0, 100.0]),
+        (5.0, [88.3, 100.0, 100.0]),
+        (7.5, [53.3, 100.0, 100.0]),
+        (10.0, [21.7, 100.0, 100.0]),
+        (15.0, [3.3, 100.0, 100.0]),
+        (20.0, [0.0, 100.0, 100.0]),
+        (30.0, [0.0, 100.0, 100.0]),
+        (40.0, [0.0, 100.0, 96.7]),
+        (50.0, [0.0, 100.0, 80.0]),
+        (55.0, [0.0, 100.0, 76.7]),
+        (60.0, [0.0, 100.0, 63.3]),
+    ];
+
+    /// `COMMITTED` with the rate of `mode` at `d` replaced by `rate`.
+    fn planted(d: f64, mode: usize, rate: f64) -> Vec<(f64, [f64; 3])> {
+        let mut series = COMMITTED.to_vec();
+        for (x, rates) in &mut series {
+            if *x == d {
+                rates[mode] = rate;
+            }
+        }
+        series
+    }
+
+    #[test]
+    fn committed_series_passes() {
+        assert_eq!(verdict(&COMMITTED), Ok(()));
+    }
+
+    #[test]
+    fn planted_series_each_fail_with_their_own_message() {
+        for (series, message) in [
+            (
+                planted(15.0, 0, 40.0),
+                "no-relay must be nearly dead at 10 m and gone by 15 m",
+            ),
+            (planted(50.0, 1, 90.0), "relay LoS must hold ~100 % at 50 m"),
+            (
+                planted(55.0, 2, 100.0),
+                "relay NLoS at 55 m should be degraded-but-alive (got 100 %)",
+            ),
+            (planted(5.0, 0, 20.0), "no-relay should mostly work at 5 m"),
+        ] {
+            assert_eq!(verdict(&series), Err(message.to_string()));
+        }
+        let short: Vec<_> = COMMITTED
+            .iter()
+            .copied()
+            .filter(|(d, _)| *d != 50.0)
+            .collect();
+        assert_eq!(
+            verdict(&short),
+            Err("the series has no 50 m point".to_string())
+        );
+    }
 }

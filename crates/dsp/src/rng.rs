@@ -70,20 +70,30 @@ impl Xoshiro256pp {
     }
 
     /// The next 64-bit output (the ++ scrambler).
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        let result = self.s[0]
-            .wrapping_add(self.s[3])
-            .rotate_left(23)
-            .wrapping_add(self.s[0]);
-        let t = self.s[1] << 17;
-        self.s[2] ^= self.s[0];
-        self.s[3] ^= self.s[1];
-        self.s[1] ^= self.s[2];
-        self.s[0] ^= self.s[3];
-        self.s[2] ^= t;
-        self.s[3] = self.s[3].rotate_left(45);
+        let (s, result) = xoshiro256pp_step(self.s);
+        self.s = s;
         result
     }
+}
+
+/// One xoshiro256++ step from state `s`: the next state and the output
+/// word. This is the generator's only transition: [`Xoshiro256pp`] runs
+/// it on its own state, and a caller that keeps many generators as one
+/// array per state word runs it on each index of those arrays.
+#[inline]
+pub fn xoshiro256pp_step(s: [u64; 4]) -> ([u64; 4], u64) {
+    let [mut s0, mut s1, mut s2, mut s3] = s;
+    let result = s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0);
+    let t = s1 << 17;
+    s2 ^= s0;
+    s3 ^= s1;
+    s1 ^= s2;
+    s0 ^= s3;
+    s2 ^= t;
+    s3 = s3.rotate_left(45);
+    ([s0, s1, s2, s3], result)
 }
 
 impl RngCore for Xoshiro256pp {
@@ -314,6 +324,24 @@ mod tests {
         let vc: Vec<u64> = (0..8).map(|_| c.next_u64()).collect();
         assert_eq!(va, vb);
         assert_ne!(va, vc);
+    }
+
+    #[test]
+    fn xoshiro_step_matches_the_reference_generator() {
+        // xoshiro256plusplus.c from state {1, 2, 3, 4}: the first output
+        // is rotl(1 + 4, 23) + 1, and the state is the reference update.
+        let (next, out) = xoshiro256pp_step([1, 2, 3, 4]);
+        assert_eq!(out, 41_943_041);
+        assert_eq!(next, [7, 0, 262_146, 211_106_232_532_992]);
+        // The generator and the free step walk the same stream.
+        let mut rng = Xoshiro256pp::from_state([1, 2, 3, 4]);
+        let mut s = [1, 2, 3, 4];
+        for _ in 0..64 {
+            let (next, word) = xoshiro256pp_step(s);
+            assert_eq!(rng.next_u64(), word);
+            s = next;
+            assert_eq!(rng.state(), s);
+        }
     }
 
     #[test]

@@ -73,6 +73,61 @@ impl TagReply {
     }
 }
 
+/// A tag's Gen2 arbitration registers: everything QueryRep and
+/// QueryAdjust in its own session read or write while the tag is in
+/// Arbitrate or Reply. Those two commands never change its session,
+/// flags or memory, and never move it out of Arbitrate or Reply, so a
+/// medium may step these registers away from the tag
+/// ([`TagMachine::arbitration`]) and write them back
+/// ([`TagMachine::set_arbitration`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Arbitration {
+    /// The xoshiro256++ state of the tag's slot and RN16 draws.
+    pub rng: [u64; 4],
+    /// The slot counter: 0 in Reply, at least 1 in Arbitrate.
+    pub slot: u32,
+    /// The Q of the tag's last slot draw.
+    pub q: u8,
+    /// Reply (true) or Arbitrate (false).
+    pub reply: bool,
+    /// The last RN16 the tag backscattered.
+    pub rn16: u16,
+}
+
+/// Q after a QueryAdjust with `updn`, clamped to Gen2's 0–15.
+#[inline]
+pub fn adjusted_q(q: u8, updn: i8) -> u8 {
+    (q as i8 + updn).clamp(0, 15) as u8
+}
+
+/// The slot counter a tag draws at Q = `q`: the low `q` bits of one
+/// RNG word from `draw`, which is called only when `q` > 0 (Q = 0
+/// draws nothing and replies at once). The same value as
+/// `gen_range(0..2^q)`, which takes one masked word for a power-of-two
+/// span.
+#[inline]
+pub fn draw_slot(q: u8, draw: impl FnOnce() -> u64) -> u32 {
+    if q == 0 {
+        0
+    } else {
+        (draw() & ((1u64 << q) - 1)) as u32
+    }
+}
+
+/// The slot counter a QueryRep in its session leaves on a tag in Reply
+/// (`reply`) or Arbitrate: a replying tag missed its ACK and goes back
+/// to arbitration out of this slot (the maximum counter at `q`, at
+/// least 1); an arbitrating tag counts down. Either way the tag replies
+/// next exactly when the new counter is 0.
+#[inline]
+pub fn rep_slot(reply: bool, slot: u32, q: u8) -> u32 {
+    if reply {
+        (1u32 << q).saturating_sub(1).max(1)
+    } else {
+        slot.saturating_sub(1)
+    }
+}
+
 /// The protocol engine of one tag.
 #[derive(Debug)]
 pub struct TagMachine {
@@ -155,19 +210,44 @@ impl TagMachine {
         self.slot
     }
 
-    /// The session of the tag's last Query (`None` after a power cycle).
+    /// The session and arbitration registers of a tag in Arbitrate or
+    /// Reply; `None` in any other state.
     #[inline]
-    pub fn session(&self) -> Option<Session> {
-        self.session
+    pub fn arbitration(&self) -> Option<(Session, Arbitration)> {
+        let reply = match self.state {
+            TagState::Arbitrate => false,
+            TagState::Reply => true,
+            _ => return None,
+        };
+        let registers = Arbitration {
+            rng: self.rng.state(),
+            slot: self.slot,
+            q: self.current_q,
+            reply,
+            rn16: self.rn16,
+        };
+        Some((self.session?, registers))
     }
 
-    /// Overwrites the slot counter. Calendar-only: a medium that defers
-    /// an arbitrating tag's silent QueryRep decrements uses it to write
-    /// back the exact counter those decrements would have left; no
-    /// other caller may change a tag's slot.
+    /// Writes back registers read by [`Self::arbitration`] after
+    /// QueryReps and QueryAdjusts in the tag's session stepped them:
+    /// the tag continues exactly as if it had heard those commands.
     #[inline]
-    pub fn set_slot(&mut self, slot: u32) {
-        self.slot = slot;
+    pub fn set_arbitration(&mut self, a: Arbitration) {
+        debug_assert!(
+            matches!(self.state, TagState::Arbitrate | TagState::Reply),
+            "arbitration registers written back to a {:?} tag",
+            self.state
+        );
+        self.rng = StdRng::from_state(a.rng);
+        self.slot = a.slot;
+        self.current_q = a.q;
+        self.state = if a.reply {
+            TagState::Reply
+        } else {
+            TagState::Arbitrate
+        };
+        self.rn16 = a.rn16;
     }
 
     /// The machine's RNG stream state — the only tag-side state that
@@ -213,19 +293,18 @@ impl TagMachine {
         bank
     }
 
-    fn draw_slot(&mut self, q: u8) -> u32 {
-        if q == 0 {
-            0
-        } else {
-            self.rng.gen_range(0..(1u32 << q))
-        }
-    }
-
     /// Draws a slot at `q`: a zero slot backscatters a fresh RN16.
     fn enter_slot(&mut self, q: u8) -> Option<u16> {
         self.current_q = q;
-        self.slot = self.draw_slot(q);
-        if self.slot == 0 {
+        let slot = draw_slot(q, || self.rng.next_u64());
+        self.count_from(slot)
+    }
+
+    /// Holds `slot` in arbitration: a zero counter enters Reply with a
+    /// fresh RN16 and returns it, any other arbitrates.
+    fn count_from(&mut self, slot: u32) -> Option<u16> {
+        self.slot = slot;
+        if slot == 0 {
             Some(self.reply_rn16())
         } else {
             self.state = TagState::Arbitrate;
@@ -249,20 +328,9 @@ impl TagMachine {
             return None;
         }
         match self.state {
-            TagState::Arbitrate => {
-                self.slot = self.slot.saturating_sub(1);
-                if self.slot == 0 {
-                    Some(self.reply_rn16())
-                } else {
-                    None
-                }
-            }
-            TagState::Reply => {
-                // Missed ACK: back to arbitration, out of this
-                // slot (max counter per spec behaviour).
-                self.state = TagState::Arbitrate;
-                self.slot = (1u32 << self.current_q).saturating_sub(1).max(1);
-                None
+            TagState::Arbitrate | TagState::Reply => {
+                let reply = self.state == TagState::Reply;
+                self.count_from(rep_slot(reply, self.slot, self.current_q))
             }
             TagState::Acknowledged | TagState::Open => {
                 // Successfully inventoried: toggle and retire.
@@ -284,8 +352,7 @@ impl TagMachine {
         }
         match self.state {
             TagState::Arbitrate | TagState::Reply => {
-                let q = (self.current_q as i8 + updn).clamp(0, 15) as u8;
-                self.enter_slot(q)
+                self.enter_slot(adjusted_q(self.current_q, updn))
             }
             TagState::Acknowledged | TagState::Open => {
                 self.flags.toggle_inventoried(session);
@@ -821,7 +888,7 @@ mod tests {
                 // Missed ACK: back to arbitration.
                 t.handle(&Command::QueryRep { session });
             } else if want != TagState::Arbitrate && t.state() == TagState::Arbitrate {
-                t.set_slot(1);
+                t.slot = 1;
                 t.handle(&Command::QueryRep { session });
             }
             let rn16 = t.rn16;
@@ -839,7 +906,7 @@ mod tests {
     fn assert_same_machine(a: &TagMachine, b: &TagMachine, case: &str) {
         assert_eq!(a.state(), b.state(), "{case}: state");
         assert_eq!(a.slot(), b.slot(), "{case}: slot");
-        assert_eq!(a.session(), b.session(), "{case}: session");
+        assert_eq!(a.session, b.session, "{case}: session");
         assert_eq!(a.flags().snapshot(), b.flags().snapshot(), "{case}: flags");
         assert_eq!(a.rng_state(), b.rng_state(), "{case}: rng");
     }

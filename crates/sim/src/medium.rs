@@ -40,12 +40,12 @@ use std::collections::BTreeMap;
 use rfly_channel::geometry::Point2;
 use rfly_channel::phasor::{coherent_sum, incoherent_power_sum};
 use rfly_core::relay::gains::offset_rejection;
-use rfly_dsp::rng::Rng;
+use rfly_dsp::rng::{xoshiro256pp_step, Rng, StdRng};
 use rfly_dsp::units::{Db, Dbm, Hertz};
 use rfly_dsp::Complex;
 use rfly_protocol::commands::Command;
 use rfly_protocol::session::Session;
-use rfly_protocol::tag_state::{TagReply, TagState};
+use rfly_protocol::tag_state::{adjusted_q, draw_slot, rep_slot, Arbitration, TagReply, TagState};
 use rfly_reader::inventory::{Medium, Observation};
 use rfly_tag::tag::PassiveTag;
 
@@ -132,6 +132,8 @@ struct RelayLink {
     /// same SNR as a linear ratio, and the round-trip channel before
     /// the per-transaction relay phase.
     uplink: Vec<(Db, f64, Complex)>,
+    /// The serving relay's Eq. 3 stability gate.
+    stable: bool,
 }
 
 /// Relay `i`'s PA-capped downlink output power at its tag-side port.
@@ -217,6 +219,7 @@ impl RelayLink {
         leakage_mw: f64,
     ) -> Self {
         let output = relay_output_of(world, &relays, &h1, serving);
+        let stable = stability_probe(&relays[serving], h1[serving]);
         let mut link = Self {
             g_dl_eff: effective_downlink_gain(world, &relays[serving], h1[serving]),
             output,
@@ -229,6 +232,7 @@ impl RelayLink {
             #[cfg(test)]
             leakage_mw,
             uplink: Vec::new(),
+            stable,
         };
         link.uplink = link.uplink_rows(world);
         link
@@ -261,11 +265,6 @@ impl RelayLink {
                 (snr, snr.linear(), h1 * h1 * h2 * h2 * g_dl_amp * g_ul_amp)
             })
             .collect()
-    }
-
-    /// The serving relay's Eq. 3 stability gate.
-    fn stable(&self) -> bool {
-        stability_probe(&self.relays[self.serving], self.h1[self.serving])
     }
 }
 
@@ -370,16 +369,16 @@ enum Link {
 
 /// The tags a medium's transactions visit: two ascending index lists
 /// that make a Gen2 transaction cost the tags that can act on it, not
-/// the whole tag field. The medium's first transaction past the
-/// stability gate scans every tag and builds both lists. After that,
-/// `Query` and `Select` visit `live`, and every other command visits
-/// `engaged` only; a QueryRep visits only the engaged tags its slot
-/// calendar says can change.
+/// the whole tag field, and the arbitration [`Lanes`] that run a
+/// QueryRep or QueryAdjust over dense register arrays. The medium's
+/// first transaction past the stability gate scans every tag and builds
+/// both lists. After that, `Query` and `Select` visit `live`, and every
+/// other command visits `engaged` only.
 ///
-/// The lists cost two `usize` vectors and one `u64` vector per medium
-/// (at most one entry per tag each) and one scan of the field. They
-/// are exact — every tag state, RNG draw and reply matches a full
-/// scan, in the same order — because of four invariants:
+/// The lists cost two `usize` vectors per medium (at most one entry
+/// per tag each) and one scan of the field. They are exact — every tag
+/// state, RNG draw and reply matches a full scan, in the same order —
+/// because of four invariants:
 ///
 /// 1. **Incident power is frozen while a medium lives.** The medium
 ///    holds the world's only mutable borrow and its per-tag incident
@@ -395,22 +394,34 @@ enum Link {
 /// 3. **Every live tag is charged on the first visit.** A sustained,
 ///    unpowered tag charges for its full `charge_time` and boots in that
 ///    visit, so skipping it later never skips a harvester step.
-/// 4. **A silent QueryRep decrement is unobservable until the counter
-///    is read.** An arbitrating tag of session S with counter c > 1
-///    only goes from c to c − 1 under `QueryRep(S)`: no RNG draw, no
-///    state or flag change. Only QueryRep reads an arbitrating tag's
-///    counter (QueryAdjust and Query overwrite it; Ack, Nak, ReqRn,
-///    Read and Select never read it), so the calendar defers those
-///    decrements and writes the exact counter back ([`sync`]) before
-///    any visit, and on [`Self::settle`].
+/// 4. **Checked-out lanes are the tag.** A tag in Arbitrate or Reply of
+///    session S changes only its [`Arbitration`] registers under
+///    `QueryRep(S)` and `QueryAdjust(S)`: RNG, slot counter, Q, Reply
+///    vs Arbitrate and RN16. Neither command changes its session, flags
+///    or harvester, or moves it out of Arbitrate or Reply. So the first
+///    of those commands checks the registers of every such engaged tag
+///    out into the lanes ([`Self::check_out`]), and the commands step
+///    them there; the copy on the tag is stale until
+///    [`Self::check_in`] writes the lanes back. Every other command, a
+///    QueryRep or QueryAdjust of another session, and `WorldMedium`'s
+///    `Drop` check the lanes in first.
 ///
-/// After the first scan, a QueryRep or QueryAdjust calls
-/// [`PassiveTag::query_rep`] or [`PassiveTag::query_adjust`] on each
-/// engaged tag it visits instead of [`PassiveTag::respond`]. That is
-/// exact by invariants 1 and 3: an engaged tag is live, hence powered,
-/// and `respond` would only re-check its harvester. The steps'
-/// `debug_assert!` on the harvester is the guard. Every other command
-/// goes through `respond`.
+/// While lanes are checked out, their tags leave `engaged`, which then
+/// holds the rest: Acknowledged and Open tags, tags of another session,
+/// and the stale `Ready` ones. A lane pass visits the rest with
+/// [`PassiveTag::query_rep`] or [`PassiveTag::query_adjust`]; none of
+/// them can reply to either command, so every reply comes from a lane.
+/// Those steps skip [`PassiveTag::respond`], which is exact by
+/// invariants 1 and 3: an engaged tag is live, hence powered, and
+/// `respond` would only re-check its harvester. Their `debug_assert!`
+/// on the harvester is the guard.
+///
+/// `sim.tag_visits` counts the tag protocol steps that change or could
+/// change a tag: every tag a full-field or `live` visit reaches, every
+/// engaged tag (lanes included) on a QueryAdjust or another narrow
+/// command, and on a QueryRep each lane whose counter is at most 1 plus
+/// each other engaged tag in Reply, Acknowledged or Open. A lane with a
+/// larger counter only counts down.
 ///
 /// Replies come out in tag-index order, so the per-tag RNG streams and
 /// the order of the world RNG draws in `observe_channel` do not change.
@@ -420,33 +431,204 @@ struct TagVisits {
     scanned: bool,
     /// Tags whose frozen incident power sustains their harvester.
     live: Vec<usize>,
-    /// Live tags whose state is neither `Ready` nor `Killed`, plus, on
-    /// a QueryRep streak, the ones a QueryRep just sent back to `Ready`
-    /// (the next narrow command drops them).
+    /// Live tags whose state is neither `Ready` nor `Killed`, less the
+    /// checked-out lanes, plus, on a QueryRep streak, the ones a
+    /// QueryRep just sent back to `Ready` (the next other narrow command
+    /// drops them).
     engaged: Vec<usize>,
-    /// The slot calendar, parallel to `engaged`: [`ACTIVE`], [`NEVER`],
-    /// or `reps + slot`, the `cal` QueryRep at which an arbitrating
-    /// tag of session `cal` reaches slot 0 (see [`due_of`]).
-    due: Vec<u64>,
-    /// The calendar's session.
-    cal: Option<Session>,
-    /// `cal` QueryReps heard since the calendar last (re)started.
-    reps: u64,
+    /// The arbitration registers checked out of engaged tags.
+    lanes: Lanes,
     /// Planted-control bug: `Query` visits `engaged` instead of `live`.
     #[cfg(test)]
     planted_query_on_engaged: bool,
-    /// Planted-control bug: a QueryRep visits a tag one QueryRep late.
+    /// Planted-control bug: check-in leaves each tag's old RN16.
     #[cfg(test)]
-    planted_due_late: bool,
+    planted_check_in_drops_rn16: bool,
 }
 
-/// Calendar entry of a Reply, Acknowledged or Open tag: every `cal`
-/// QueryRep visits it.
-const ACTIVE: u64 = 0;
+/// Arbitration lanes: the [`Arbitration`] registers of the engaged tags
+/// that arbitrate in `session`, one dense array per register, in
+/// tag-index order (invariant 4 of [`TagVisits`]). Each command is one
+/// loop over the arrays that calls the per-tag rules of
+/// `rfly_protocol::tag_state` and the generator step of
+/// `rfly_dsp::rng`, then a second loop that draws the RN16s of the
+/// lanes that entered Reply.
+#[derive(Debug, Default)]
+struct Lanes {
+    /// The session the lanes hold; `None` while checked in.
+    session: Option<Session>,
+    /// Each lane's tag index, ascending.
+    tag: Vec<usize>,
+    /// The xoshiro256++ state, one array per state word.
+    rng: [Vec<u64>; 4],
+    /// Slot counters.
+    slot: Vec<u32>,
+    /// The Q of each lane's last slot draw.
+    q: Vec<u8>,
+    /// Reply (true) or Arbitrate.
+    reply: Vec<bool>,
+    /// The last RN16 each lane backscattered.
+    rn16: Vec<u16>,
+    /// The Q every lane holds, when they all hold one: after one Query,
+    /// every lane does.
+    shared_q: Option<u8>,
+    /// Planted-control bug: a QueryAdjust at Q = 0 advances the RNG.
+    #[cfg(test)]
+    planted_draw_at_q0: bool,
+}
 
-/// Calendar entry of a tag no `cal` QueryRep can change: an arbitrating
-/// tag of another session, or a stale `Ready` one.
-const NEVER: u64 = u64::MAX;
+impl Lanes {
+    fn len(&self) -> usize {
+        self.tag.len()
+    }
+
+    fn push(&mut self, tag: usize, a: Arbitration) {
+        self.shared_q = if self.tag.is_empty() {
+            Some(a.q)
+        } else {
+            self.shared_q.filter(|&q| q == a.q)
+        };
+        self.tag.push(tag);
+        for (word, &s) in self.rng.iter_mut().zip(&a.rng) {
+            word.push(s);
+        }
+        self.slot.push(a.slot);
+        self.q.push(a.q);
+        self.reply.push(a.reply);
+        self.rn16.push(a.rn16);
+    }
+
+    /// Lane `k`'s registers.
+    fn get(&self, k: usize) -> Arbitration {
+        Arbitration {
+            rng: self.rng.each_ref().map(|word| word[k]),
+            slot: self.slot[k],
+            q: self.q[k],
+            reply: self.reply[k],
+            rn16: self.rn16[k],
+        }
+    }
+
+    fn clear(&mut self) {
+        self.session = None;
+        self.tag.clear();
+        self.rng.iter_mut().for_each(Vec::clear);
+        self.slot.clear();
+        self.q.clear();
+        self.reply.clear();
+        self.rn16.clear();
+        self.shared_q = None;
+    }
+
+    /// `QueryRep(session)`: every lane steps its counter by
+    /// [`rep_slot`], and the lanes that reach 0 reply. Returns the lanes
+    /// it counts as visits: those whose counter was at most 1.
+    fn query_rep(&mut self, out: &mut Vec<(usize, TagReply)>) -> u64 {
+        let (slot, reply, q) = (&mut self.slot, &mut self.reply, &self.q);
+        let (visits, replied) = match self.shared_q {
+            Some(q) => step_counters(slot, reply, |_| q),
+            None => step_counters(slot, reply, |k| q[k]),
+        };
+        self.replies(replied, out);
+        u64::from(visits)
+    }
+
+    /// `QueryAdjust(session, updn)`: every lane redraws its slot at its
+    /// adjusted Q, and the lanes that draw 0 reply.
+    fn query_adjust(&mut self, updn: i8, out: &mut Vec<(usize, TagReply)>) {
+        for q in &mut self.q {
+            *q = adjusted_q(*q, updn);
+        }
+        self.shared_q = self.shared_q.map(|q| adjusted_q(q, updn));
+        #[cfg(test)]
+        let planted = self.planted_draw_at_q0;
+        #[cfg(not(test))]
+        let planted = false;
+        let (rng, slot, reply, q) = (&mut self.rng, &mut self.slot, &mut self.reply, &self.q);
+        let replied = match self.shared_q {
+            Some(q) => redraw(rng, slot, reply, |_| q, planted),
+            None => redraw(rng, slot, reply, |k| q[k], planted),
+        };
+        self.replies(replied, out);
+    }
+
+    /// Draws a fresh RN16 for each of the `replied` lanes the last
+    /// command sent into Reply and pushes its reply, in tag-index order.
+    fn replies(&mut self, replied: u32, out: &mut Vec<(usize, TagReply)>) {
+        let mut left = replied;
+        for k in 0..self.len() {
+            if left == 0 {
+                break;
+            }
+            if self.reply[k] {
+                left -= 1;
+                let mut rng = StdRng::from_state(self.rng.each_ref().map(|word| word[k]));
+                let rn16 = rng.gen();
+                for (word, s) in self.rng.iter_mut().zip(rng.state()) {
+                    word[k] = s;
+                }
+                self.rn16[k] = rn16;
+                out.push((self.tag[k], TagReply::rn16(rn16)));
+            }
+        }
+    }
+}
+
+/// The QueryRep counter loop of [`Lanes`]: lane `k` at Q = `q_of(k)`
+/// steps its counter by [`rep_slot`] and replies exactly when the new
+/// counter is 0. Returns the lanes whose counter was at most 1 and the
+/// lanes that now reply. Each register is read once and written once,
+/// so with one shared Q the loop vectorises.
+fn step_counters(slot: &mut [u32], reply: &mut [bool], q_of: impl Fn(usize) -> u8) -> (u32, u32) {
+    let reply = &mut reply[..slot.len()];
+    // u32 counts, as wide as the counters, keep the loop vectorisable.
+    let (mut visits, mut replied) = (0u32, 0u32);
+    for k in 0..slot.len() {
+        let counter = slot[k];
+        visits += u32::from(counter <= 1);
+        let next = rep_slot(reply[k], counter, q_of(k));
+        slot[k] = next;
+        reply[k] = next == 0;
+        replied += u32::from(next == 0);
+    }
+    (visits, replied)
+}
+
+/// The QueryAdjust draw loop of [`Lanes`]: lane `k` redraws its counter
+/// at Q = `q_of(k)` by [`draw_slot`], which takes one word of the lane's
+/// generator only when Q > 0, and replies exactly when the new counter
+/// is 0. `planted` (a test control, false otherwise) takes a word at
+/// Q = 0 too. Returns the lanes that now reply. With one shared Q the
+/// loop has no branch that depends on the lane, and it vectorises.
+fn redraw(
+    rng: &mut [Vec<u64>; 4],
+    slot: &mut [u32],
+    reply: &mut [bool],
+    q_of: impl Fn(usize) -> u8,
+    planted: bool,
+) -> u32 {
+    let n = slot.len();
+    let [s0, s1, s2, s3] = rng;
+    let (s0, s1, s2, s3) = (&mut s0[..n], &mut s1[..n], &mut s2[..n], &mut s3[..n]);
+    let reply = &mut reply[..n];
+    let mut replied = 0u32;
+    for k in 0..n {
+        let mut step = || {
+            let (next, word) = xoshiro256pp_step([s0[k], s1[k], s2[k], s3[k]]);
+            [s0[k], s1[k], s2[k], s3[k]] = next;
+            word
+        };
+        let q = q_of(k);
+        if planted && q == 0 {
+            step();
+        }
+        let next = draw_slot(q, step);
+        slot[k] = next;
+        reply[k] = next == 0;
+        replied += u32::from(next == 0);
+    }
+    replied
+}
 
 /// Whether `cmd` can move a `Ready` tag out of `Ready` (invariant 2 of
 /// [`TagVisits`]). Exhaustive, so a new command must be classified.
@@ -467,31 +649,6 @@ fn is_engaged(tag: &PassiveTag) -> bool {
     !matches!(tag.state(), TagState::Ready | TagState::Killed)
 }
 
-/// `tag`'s calendar entry once `base` calendar QueryReps have been
-/// heard, from its exact (synced) state and counter.
-fn due_of(tag: &PassiveTag, cal: Option<Session>, base: u64) -> u64 {
-    match tag.state() {
-        TagState::Reply | TagState::Acknowledged | TagState::Open => ACTIVE,
-        TagState::Arbitrate if tag.session() == cal => base + u64::from(tag.slot()),
-        _ => NEVER,
-    }
-}
-
-/// The live counter of a calendar entry `due` after `reps` QueryReps:
-/// `due − reps`, at most the u32 the tag held when the entry was
-/// written. `None` for the sentinels, whose counters are never deferred.
-fn deferred_slot(due: u64, reps: u64) -> Option<u32> {
-    (due != ACTIVE && due != NEVER).then(|| (due - reps) as u32)
-}
-
-/// Writes back the counter the deferred decrements of a calendar entry
-/// left (invariant 4).
-fn sync(tag: &mut PassiveTag, due: u64, reps: u64) {
-    if let Some(slot) = deferred_slot(due, reps) {
-        tag.set_slot(slot);
-    }
-}
-
 impl TagVisits {
     /// True if `cmd` must visit `live` rather than `engaged` after the
     /// first scan.
@@ -503,63 +660,63 @@ impl TagVisits {
         wakes_ready_tags(cmd)
     }
 
-    /// Whether the calendar QueryRep numbered `next` visits an entry
-    /// due at `due`: every entry whose counter reaches 0 on it.
-    fn visits_due(&self, due: u64, next: u64) -> bool {
-        #[cfg(test)]
-        if self.planted_due_late {
-            return due <= self.reps;
+    /// Checks out the registers of every engaged tag that arbitrates in
+    /// `session` into the lanes, unless they already hold `session`.
+    fn check_out(&mut self, tags: &mut [PassiveTag], session: Session) {
+        if self.lanes.session == Some(session) {
+            return;
         }
-        due <= next
-    }
-
-    /// Writes every deferred decrement back to its tag, then restarts
-    /// the calendar in session `cal` at zero QueryReps. Afterwards every
-    /// engaged tag's raw counter is exact.
-    fn settle(&mut self, tags: &mut [PassiveTag], cal: Option<Session>) {
-        for (&i, due) in self.engaged.iter().zip(&mut self.due) {
-            sync(&mut tags[i], *due, self.reps);
-            *due = due_of(&tags[i], cal, 0);
-        }
-        self.cal = cal;
-        self.reps = 0;
-    }
-
-    /// Every tag's slot counter as a full scan would hold it: the raw
-    /// counter, or `due − reps` for a tag whose decrements are deferred.
-    #[cfg(test)]
-    fn effective_slots(&self, tags: &[PassiveTag]) -> Vec<u32> {
-        let mut slots: Vec<u32> = tags.iter().map(PassiveTag::slot).collect();
-        for (&i, &due) in self.engaged.iter().zip(&self.due) {
-            if let Some(slot) = deferred_slot(due, self.reps) {
-                slots[i] = slot;
+        self.check_in(tags);
+        let mut rest = 0;
+        for k in 0..self.engaged.len() {
+            let i = self.engaged[k];
+            match tags[i].arbitration() {
+                Some((s, registers)) if s == session => self.lanes.push(i, registers),
+                _ => {
+                    self.engaged[rest] = i;
+                    rest += 1;
+                }
             }
         }
-        slots
+        self.engaged.truncate(rest);
+        self.lanes.session = Some(session);
     }
 
-    /// Visits every engaged tag with `visit`, in index order, after
-    /// writing back its deferred counter, and keeps only the tags the
-    /// visit left engaged.
+    /// Writes every lane back to its tag and returns the lane tags to
+    /// `engaged`. Afterwards every tag holds its exact registers.
+    fn check_in(&mut self, tags: &mut [PassiveTag]) {
+        if self.lanes.session.is_none() {
+            return;
+        }
+        for (k, &i) in self.lanes.tag.iter().enumerate() {
+            let registers = self.lanes.get(k);
+            #[cfg(test)]
+            let registers = match tags[i].arbitration() {
+                Some((_, stale)) if self.planted_check_in_drops_rn16 => Arbitration {
+                    rn16: stale.rn16,
+                    ..registers
+                },
+                _ => registers,
+            };
+            tags[i].set_arbitration(registers);
+        }
+        self.engaged.extend_from_slice(&self.lanes.tag);
+        self.engaged.sort_unstable();
+        self.lanes.clear();
+    }
+
+    /// Visits every engaged tag with `visit`, in index order, and keeps
+    /// only the tags the visit left engaged.
     fn retain_engaged(
         &mut self,
         tags: &mut [PassiveTag],
         mut visit: impl FnMut(usize, &mut PassiveTag),
     ) {
-        let mut kept = 0;
-        for k in 0..self.engaged.len() {
-            let (i, due) = (self.engaged[k], self.due[k]);
+        self.engaged.retain(|&i| {
             let tag = &mut tags[i];
-            sync(tag, due, self.reps);
             visit(i, tag);
-            if is_engaged(tag) {
-                self.engaged[kept] = i;
-                self.due[kept] = due_of(tag, self.cal, self.reps);
-                kept += 1;
-            }
-        }
-        self.engaged.truncate(kept);
-        self.due.truncate(kept);
+            is_engaged(tag)
+        });
     }
 
     /// Feeds `cmd` to every tag that can act on it, illuminated at
@@ -580,60 +737,52 @@ impl TagVisits {
             }
         };
         if !self.scanned || self.visits_live(cmd) {
-            let cal = match cmd {
-                Command::Query { session, .. } => Some(*session),
-                _ => self.cal,
-            };
-            self.settle(tags, cal);
+            self.check_in(tags);
             self.engaged.clear();
-            self.due.clear();
-            let mut join = |i: usize, tag: &PassiveTag| {
-                if is_engaged(tag) {
-                    self.engaged.push(i);
-                    self.due.push(due_of(tag, cal, 0));
-                }
-            };
             if !self.scanned {
                 self.scanned = true;
                 for (i, tag) in tags.iter_mut().enumerate() {
                     hear(i, tag);
                     if tag.sustains(incident(i)) {
                         self.live.push(i);
-                        join(i, tag);
+                        if is_engaged(tag) {
+                            self.engaged.push(i);
+                        }
                     }
                 }
             } else {
                 for &i in &self.live {
                     hear(i, &mut tags[i]);
-                    join(i, &tags[i]);
+                    if is_engaged(&tags[i]) {
+                        self.engaged.push(i);
+                    }
                 }
             }
         } else if let Command::QueryRep { session } = *cmd {
-            if self.cal != Some(session) {
-                self.settle(tags, Some(session));
-            }
-            let next = self.reps + 1;
-            for k in 0..self.engaged.len() {
-                let (i, due) = (self.engaged[k], self.due[k]);
-                if self.visits_due(due, next) {
-                    let tag = &mut tags[i];
-                    sync(tag, due, self.reps);
+            self.check_out(tags, session);
+            for &i in &self.engaged {
+                let tag = &mut tags[i];
+                if matches!(
+                    tag.state(),
+                    TagState::Reply | TagState::Acknowledged | TagState::Open
+                ) {
                     visited += 1;
-                    if let Some(rn16) = tag.query_rep(session) {
-                        replies.push((i, TagReply::rn16(rn16)));
-                    }
-                    self.due[k] = due_of(tag, self.cal, next);
+                    let reply = tag.query_rep(session);
+                    debug_assert!(reply.is_none(), "a tag outside the lanes replied");
                 }
             }
-            self.reps = next;
+            visited += self.lanes.query_rep(&mut replies);
         } else if let Command::QueryAdjust { session, updn } = *cmd {
-            self.retain_engaged(tags, |i, tag| {
+            self.check_out(tags, session);
+            self.retain_engaged(tags, |_, tag| {
                 visited += 1;
-                if let Some(rn16) = tag.query_adjust(session, updn) {
-                    replies.push((i, TagReply::rn16(rn16)));
-                }
+                let reply = tag.query_adjust(session, updn);
+                debug_assert!(reply.is_none(), "a tag outside the lanes replied");
             });
+            visited += self.lanes.len() as u64;
+            self.lanes.query_adjust(updn, &mut replies);
         } else {
+            self.check_in(tags);
             self.retain_engaged(tags, hear);
         }
         rfly_obs::counter_add("sim.tag_visits", visited);
@@ -730,17 +879,17 @@ impl<'a> WorldMedium<'a> {
     pub fn stable(&self) -> bool {
         match &self.link {
             Link::Direct(_) => true,
-            Link::Relayed(link) => link.stable(),
+            Link::Relayed(link) => link.stable,
         }
     }
 }
 
 impl Drop for WorldMedium<'_> {
-    /// Settles the slot calendar, so a medium rebuilt on the same world
-    /// without `power_cycle_tags` finds every counter exact.
+    /// Checks the arbitration lanes in, so a medium rebuilt on the same
+    /// world without `power_cycle_tags` finds every tag's registers
+    /// exact.
     fn drop(&mut self) {
-        let cal = self.visits.cal;
-        self.visits.settle(self.world.tags.tags_mut(), cal);
+        self.visits.check_in(self.world.tags.tags_mut());
     }
 }
 
@@ -776,7 +925,7 @@ fn fleet_transact(
     visits: &mut TagVisits,
     cmd: &Command,
 ) -> Vec<Observation> {
-    if !link.stable() {
+    if !link.stable {
         return Vec::new();
     }
     let model = &link.relays[link.serving].model;
@@ -848,7 +997,7 @@ impl Medium for WorldMedium<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::world::RelayModel;
+    use crate::world::{RelayModel, WorldSnapshot};
     use rfly_channel::environment::Environment;
     use rfly_dsp::rng::StdRng;
     use rfly_protocol::bits::Bits;
@@ -985,10 +1134,10 @@ mod tests {
             }
             Link::Relayed(link) => link,
         };
-        if !link.stable() {
+        let s = link.serving;
+        if !stability_probe(&link.relays[s], link.h1[s]) {
             return Vec::new();
         }
-        let s = link.serving;
         let model = &link.relays[s].model;
         let g_dl_eff = effective_downlink_gain(world, &link.relays[s], link.h1[s]);
         let output = relay_output_of(world, &link.relays, &link.h1, s);
@@ -1230,22 +1379,52 @@ mod tests {
         other_at: usize,
     }
 
-    /// Every tag's state, `powered()`, and, for an arbitrating tag, its
-    /// effective slot counter (the calendar's deferred count when
-    /// `visits` is given, the raw one otherwise).
-    fn tag_view(w: &PhasorWorld, visits: Option<&TagVisits>) -> Vec<(TagState, bool, Option<u32>)> {
-        let tags = w.tags.tags();
-        let slots = visits.map_or_else(
-            || tags.iter().map(PassiveTag::slot).collect(),
-            |v| v.effective_slots(tags),
-        );
-        tags.iter()
-            .zip(slots)
-            .map(|(t, slot)| {
-                let arbitrating = t.state() == TagState::Arbitrate;
-                (t.state(), t.powered(), arbitrating.then_some(slot))
+    /// Each checked-out lane of `visits`: its tag, session and registers.
+    fn lanes_of(visits: &TagVisits) -> Vec<(usize, Session, Arbitration)> {
+        let lanes = &visits.lanes;
+        lanes
+            .session
+            .map(|s| {
+                (0..lanes.len())
+                    .map(|k| (lanes.tag[k], s, lanes.get(k)))
+                    .collect()
             })
-            .collect()
+            .unwrap_or_default()
+    }
+
+    /// What a tag holds as a full scan would leave it: its state,
+    /// `powered()` and, in Arbitrate or Reply, its session and
+    /// arbitration registers.
+    type TagView = (TagState, bool, Option<(Session, Arbitration)>);
+
+    /// Every tag's [`TagView`], read through the checked-out lanes of
+    /// `visits` when given (the registers on a lane's tag are stale).
+    fn tag_view(w: &PhasorWorld, visits: Option<&TagVisits>) -> Vec<TagView> {
+        let mut view: Vec<TagView> = w
+            .tags
+            .tags()
+            .iter()
+            .map(|t| (t.state(), t.powered(), t.arbitration()))
+            .collect();
+        for (i, session, a) in visits.map(lanes_of).unwrap_or_default() {
+            view[i].0 = if a.reply {
+                TagState::Reply
+            } else {
+                TagState::Arbitrate
+            };
+            view[i].2 = Some((session, a));
+        }
+        view
+    }
+
+    /// The world's snapshot, with each checked-out lane's RNG state in
+    /// place of its tag's stale one when `visits` is given.
+    fn snapshot(w: &PhasorWorld, visits: Option<&TagVisits>) -> WorldSnapshot {
+        let mut snap = w.snapshot();
+        for (i, _, a) in visits.map(lanes_of).unwrap_or_default() {
+            snap.tags[i].rng = a.rng;
+        }
+        snap
     }
 
     /// The first bit-level difference between two transactions' results
@@ -1267,8 +1446,8 @@ mod tests {
         if bits(got) != bits(want) {
             Some(format!("observations {got:?} != {want:?}"))
         } else if tag_view(m.world, Some(&m.visits)) != tag_view(b, None) {
-            Some("tag states, powered() or effective slot counters differ".into())
-        } else if m.world.snapshot() != b.snapshot() {
+            Some("tag states, powered() or arbitration registers differ".into())
+        } else if snapshot(m.world, Some(&m.visits)) != snapshot(b, None) {
             Some("tag or world RNG/flag state differs".into())
         } else {
             None
@@ -1289,7 +1468,8 @@ mod tests {
     enum Plant {
         None,
         QueryOnEngaged,
-        DueLate,
+        CheckInDropsRn16,
+        DrawAtQ0,
     }
 
     /// Runs `n` seeded commands of `mix` through the visit-list medium
@@ -1307,7 +1487,8 @@ mod tests {
     ) -> Result<usize, String> {
         let mut m = build(cand, how);
         m.visits.planted_query_on_engaged = plant == Plant::QueryOnEngaged;
-        m.visits.planted_due_late = plant == Plant::DueLate;
+        m.visits.planted_check_in_drops_rn16 = plant == Plant::CheckInDropsRn16;
+        m.visits.lanes.planted_draw_at_q0 = plant == Plant::DrawAtQ0;
         let r = build(reference, how);
         let mut rng = StdRng::seed_from_u64(cmd_seed);
         let (mut last_rn, mut round, mut seen) = (0u16, Session::S0, 0);
@@ -1337,15 +1518,11 @@ mod tests {
             };
         }
         drop((m, r));
-        let raw = |w: &PhasorWorld| {
-            w.tags
-                .tags()
-                .iter()
-                .map(PassiveTag::slot)
-                .collect::<Vec<_>>()
-        };
-        if raw(cand) != raw(reference) {
-            return Err(format!("{how:?}: raw slot counters differ after drop"));
+        if tag_view(cand, None) != tag_view(reference, None) {
+            return Err(format!("{how:?}: raw tag registers differ after drop"));
+        }
+        if cand.snapshot() != reference.snapshot() {
+            return Err(format!("{how:?}: raw RNG/flag state differs after drop"));
         }
         Ok(seen)
     }
@@ -1463,15 +1640,155 @@ mod tests {
         assert_eq!(caught, 4, "the differential test missed the planted bug");
     }
 
-    /// Planted control: a calendar QueryRep that visits a tag one
-    /// QueryRep after its counter reaches 0 must be caught by the
+    /// Planted control: a check-in that leaves each tag the RN16 it held
+    /// before its lanes were checked out must be caught by the
     /// differential run.
     #[test]
-    fn planted_due_late_is_caught() {
+    fn planted_check_in_dropping_the_rn16_is_caught() {
         let caught = (0..4)
-            .filter(|&seed| differential_run(seed, Plant::DueLate).is_err())
+            .filter(|&seed| differential_run(seed, Plant::CheckInDropsRn16).is_err())
             .count();
         assert_eq!(caught, 4, "the differential test missed the planted bug");
+    }
+
+    /// Planted control: a lane QueryAdjust that advances the RNG at
+    /// Q = 0, where a tag draws nothing, must be caught by the
+    /// differential run.
+    #[test]
+    fn planted_draw_at_q0_is_caught() {
+        let caught = (0..4)
+            .filter(|&seed| differential_run(seed, Plant::DrawAtQ0).is_err())
+            .count();
+        assert_eq!(caught, 4, "the differential test missed the planted bug");
+    }
+
+    /// Twin tag populations for the lane property: `n` powered tags of
+    /// session S1, each driven into a round by a real Query and then
+    /// given seeded registers. Q is one of {0, 1, 7, 15}, shared by every
+    /// tag or drawn per tag; a tag replies (counter 0) or arbitrates with
+    /// a counter of 1, 2, up to 2^Q or `u32::MAX`.
+    fn lane_population(seed: u64, shared_q: bool) -> [Vec<PassiveTag>; 2] {
+        const QS: [u8; 4] = [0, 1, 7, 15];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let one_q = QS[rng.gen_range(0..4usize)];
+        let registers: Vec<Arbitration> = (0..40)
+            .map(|_| {
+                let q = if shared_q {
+                    one_q
+                } else {
+                    QS[rng.gen_range(0..4usize)]
+                };
+                let reply = rng.gen_bool(0.2);
+                let slot = match (reply, rng.gen_range(0..4u32)) {
+                    (true, _) => 0,
+                    (false, 0) => 1,
+                    (false, 1) => 2,
+                    (false, 2) => rng.gen_range(1..=(1u32 << q).max(2)),
+                    (false, _) => u32::MAX,
+                };
+                Arbitration {
+                    rng: [rng.gen(), rng.gen(), rng.gen(), rng.gen::<u64>() | 1],
+                    slot,
+                    q,
+                    reply,
+                    rn16: rng.gen(),
+                }
+            })
+            .collect();
+        let query = Command::Query {
+            dr: DivideRatio::Dr64over3,
+            m: TagEncoding::Fm0,
+            trext: false,
+            sel: SelFilter::All,
+            session: Session::S1,
+            target: InventoriedFlag::A,
+            q: 3,
+        };
+        [0, 1].map(|_| {
+            registers
+                .iter()
+                .enumerate()
+                .map(|(i, &a)| {
+                    let mut tag = PassiveTag::new(Epc::from_index(i as u64), seed, Point2::ORIGIN);
+                    let _ = tag.respond(&query, Dbm::new(0.0));
+                    tag.set_arbitration(a);
+                    tag
+                })
+                .collect()
+        })
+    }
+
+    /// A lane pass is each tag's own step: seeded populations (Q in
+    /// {0, 1, 7, 15}, shared or mixed, Reply and Arbitrate, counters 0,
+    /// 1, 2, up to 2^Q and `u32::MAX`) hear three QueryReps and
+    /// QueryAdjusts (updn −1, 0, +1) in a row through the lanes and,
+    /// tag by tag, through `PassiveTag::{query_rep, query_adjust}`. The
+    /// replies and, once the lanes are checked in, every tag's state,
+    /// registers and RNG state must match.
+    #[test]
+    fn lane_passes_match_each_tags_machine() {
+        const STEPS: [Command; 4] = [
+            Command::QueryRep {
+                session: Session::S1,
+            },
+            Command::QueryAdjust {
+                session: Session::S1,
+                updn: -1,
+            },
+            Command::QueryAdjust {
+                session: Session::S1,
+                updn: 0,
+            },
+            Command::QueryAdjust {
+                session: Session::S1,
+                updn: 1,
+            },
+        ];
+        let mut replies = 0;
+        for seed in 0..24 {
+            for shared_q in [true, false] {
+                let [mut lanes, mut machines] = lane_population(seed, shared_q);
+                let mut visits = TagVisits {
+                    scanned: true,
+                    live: (0..lanes.len()).collect(),
+                    engaged: (0..lanes.len()).collect(),
+                    ..TagVisits::default()
+                };
+                let mut order = StdRng::seed_from_u64(seed ^ 0x1a7e);
+                for n in 0..3 {
+                    let cmd = &STEPS[order.gen_range(0..4usize)];
+                    let got = visits.transact(&mut lanes, cmd, |_| Dbm::new(0.0));
+                    assert_eq!(visits.lanes.shared_q.is_some(), shared_q || lanes.len() < 2);
+                    let want: Vec<(usize, TagReply)> = machines
+                        .iter_mut()
+                        .enumerate()
+                        .filter_map(|(i, tag)| {
+                            let rn16 = match *cmd {
+                                Command::QueryRep { session } => tag.query_rep(session),
+                                Command::QueryAdjust { session, updn } => {
+                                    tag.query_adjust(session, updn)
+                                }
+                                _ => unreachable!("lane steps only"),
+                            };
+                            rn16.map(|rn16| (i, TagReply::rn16(rn16)))
+                        })
+                        .collect();
+                    assert_eq!(
+                        got, want,
+                        "seed {seed}, shared {shared_q}, step {n} {cmd:?}"
+                    );
+                    replies += got.len();
+                }
+                visits.check_in(&mut lanes);
+                for (i, (a, b)) in lanes.iter().zip(&machines).enumerate() {
+                    let case = format!("seed {seed}, shared {shared_q}, tag {i}");
+                    assert_eq!(a.state(), b.state(), "{case}");
+                    assert_eq!(a.arbitration(), b.arbitration(), "{case}");
+                    assert_eq!(a.rng_state(), b.rng_state(), "{case}");
+                }
+            }
+        }
+        assert!(replies > 50, "only {replies} replies: vacuous");
     }
 
     /// The first transact past the stability gate builds the lists; an

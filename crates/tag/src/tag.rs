@@ -6,7 +6,7 @@ use rfly_dsp::units::{Dbm, Seconds};
 use rfly_protocol::commands::Command;
 use rfly_protocol::epc::Epc;
 use rfly_protocol::session::Session;
-use rfly_protocol::tag_state::{TagMachine, TagReply, TagState};
+use rfly_protocol::tag_state::{Arbitration, TagMachine, TagReply, TagState};
 
 use crate::harvester::Harvester;
 
@@ -55,23 +55,20 @@ impl PassiveTag {
         self.machine.state()
     }
 
-    /// The protocol machine's slot counter (meaningful in Arbitrate).
+    /// The session and Gen2 arbitration registers of a tag in Arbitrate
+    /// or Reply (see [`TagMachine::arbitration`]); `None` otherwise.
     #[inline]
-    pub fn slot(&self) -> u32 {
-        self.machine.slot()
+    pub fn arbitration(&self) -> Option<(Session, Arbitration)> {
+        self.machine.arbitration()
     }
 
-    /// The session of the tag's last Query.
+    /// Writes back arbitration registers that QueryReps and QueryAdjusts
+    /// stepped away from the tag (see [`TagMachine::set_arbitration`]),
+    /// for a tag the medium already powers.
     #[inline]
-    pub fn session(&self) -> Option<Session> {
-        self.machine.session()
-    }
-
-    /// Overwrites the slot counter; calendar-only, see
-    /// [`TagMachine::set_slot`].
-    #[inline]
-    pub fn set_slot(&mut self, slot: u32) {
-        self.machine.set_slot(slot);
+    pub fn set_arbitration(&mut self, a: Arbitration) {
+        debug_assert!(self.harvester.powered(), "registers to an unpowered tag");
+        self.machine.set_arbitration(a);
     }
 
     /// The protocol machine's RNG stream state (mission checkpoints).

@@ -17,6 +17,12 @@ echo "== tests =="
 # §10.5) runs under every medium test of the workspace suite.
 cargo test --offline --workspace -q
 
+echo "== medium tests in release (arbitration lanes, DESIGN.md §10.5) =="
+# The lane loops vectorise only in optimised code, so the medium's
+# differential tests, planted controls and lane property run again in
+# release, beside the debug run above that keeps the debug_assert!s.
+cargo test --release --offline -p rfly-sim --lib -q medium::
+
 echo "== clippy (warnings are errors; token invariants, see DESIGN.md §8) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
