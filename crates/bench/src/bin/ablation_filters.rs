@@ -61,7 +61,7 @@ fn main() {
             fmt_db(budget.inter_uplink.value()),
             fmt_db(plan.downlink.value()),
             fmt_db(plan.uplink.value()),
-            format!("{range:.0} m"),
+            range.to_string(),
         ]);
     }
     bench.table("main", table, true);

@@ -12,7 +12,13 @@
 //! a frequency `f` is `h(f) = Σ_i a_i · e^{−j2πf d_i/c}` — the paper's
 //! Eq. 8 half-link factors.
 
-#![deny(clippy::print_stdout, clippy::print_stderr)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 
 pub mod antenna;
 pub mod environment;

@@ -36,6 +36,7 @@
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,
+    clippy::panic,
     clippy::print_stdout,
     clippy::print_stderr
 )]

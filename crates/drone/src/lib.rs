@@ -7,7 +7,13 @@
 //! model (OptiTrack ground truth vs odometry drift). The battery and
 //! payload budget lives in `rfly_ops::energy`.
 
-#![deny(clippy::print_stdout, clippy::print_stderr)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 
 pub mod flightplan;
 pub mod kinematics;

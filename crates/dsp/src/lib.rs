@@ -18,6 +18,9 @@
 //! Everything is deterministic given a seeded RNG.
 
 #![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
     clippy::cast_possible_truncation,
     clippy::cast_sign_loss,
     clippy::cast_possible_wrap,

@@ -24,6 +24,10 @@ impl Psd {
     pub fn relative_db_at(&self, freq: Hertz) -> Db {
         let freq_hz = freq.as_hz();
         let peak = self.power.iter().cloned().fold(f64::MIN, f64::max);
+        #[expect(
+            clippy::expect_used,
+            reason = "welch_psd builds one bin per FFT point, and a power-of-two segment has at least one"
+        )]
         let idx = self
             .freqs
             .iter()
@@ -78,6 +82,10 @@ impl Psd {
     }
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "welch_psd builds one bin per FFT point, and a power-of-two segment has at least one"
+)]
 fn candidates_last(freqs: &[f64]) -> &f64 {
     freqs.last().expect("PSD has at least one bin")
 }

@@ -88,7 +88,7 @@ pub(super) fn margin_monitor(
         reason = "the caller found a worst pair, so the same pair set is non-empty here"
     )]
     let pristine =
-        worst_alive_margin(alive, positions, f1, shift, &|_| base_gains).expect("pair exists"); // rfly-lint: allow(transitive-panic) -- the caller found a worst pair, so the same pair set is non-empty here.
+        worst_alive_margin(alive, positions, f1, shift, &|_| base_gains).expect("pair exists");
     if pristine.2.value() < env.margin.value() {
         return;
     }

@@ -436,8 +436,6 @@ pub enum Expr {
     },
     /// A macro invocation `name!(args)` with best-effort parsed args.
     MacroCall {
-        /// The macro's final path-segment name.
-        name: String,
         /// Arguments that parsed as expressions (best effort; empty when
         /// the body isn't expression-shaped).
         args: Vec<Expr>,

@@ -4,8 +4,8 @@
 //! single walk:
 //!
 //! * **[`FnSummary`]** facts for the workspace index — call sites,
-//!   panic sites, determinism-sink sites, and whether the return value
-//!   is a local determinism-taint source;
+//!   determinism-sink sites, and whether the return value is a local
+//!   determinism-taint source;
 //! * **R3 `unit-newtypes`** findings — a `pub fn` parameter named with a
 //!   unit suffix (`_hz`, `_db`, ...) whose type is raw `f64`;
 //! * **R10 `unit-dataflow`** findings — raw `f64` add/sub/compare on
@@ -25,8 +25,8 @@
 //! loop bodies — deliberate simplifications recorded in DESIGN.md §13.3.
 
 use crate::ast::{Ast, BinOp, Block, Expr, FnDef, Item, ItemKind, Stmt, Vis};
-use crate::index::{CallSite, FnSummary, PanicKind, PanicSite, SinkSite};
-use crate::rules::{FileCtx, FileKind, Finding, Severity};
+use crate::index::{CallSite, FnSummary, SinkSite};
+use crate::rules::{FileCtx, FileKind, Finding};
 use std::collections::{BTreeSet, HashMap};
 
 /// The result of analyzing one file.
@@ -173,7 +173,6 @@ pub fn analyze_file(path: &str, src: &str, ast: &Ast) -> FileAnalysis {
             impl_ty,
             findings: &mut out.findings,
             calls: Vec::new(),
-            panics: Vec::new(),
             sinks: Vec::new(),
             det_return: false,
         };
@@ -182,13 +181,9 @@ pub fn analyze_file(path: &str, src: &str, ast: &Ast) -> FileAnalysis {
             qual: qual.join("::"),
             crate_name: crate_name.clone(),
             file: path.to_string(),
-            line: fd.line,
             name: fd.name.clone(),
             impl_ty: impl_ty.map(|s| s.to_string()),
-            vis: fd.vis,
             is_test: false,
-            ret: fd.ret.clone(),
-            panics: a.panics,
             calls: a.calls,
             det_return: a.det_return,
             sink_sites: a.sinks,
@@ -218,7 +213,6 @@ fn check_unit_params(path: &str, fd: &FnDef, findings: &mut Vec<Finding>) {
                     p.name,
                     unit.name()
                 ),
-                severity: Severity::Error,
                 line_text: String::new(),
             });
         }
@@ -548,7 +542,6 @@ struct FnAnalyzer<'a> {
     impl_ty: Option<&'a str>,
     findings: &'a mut Vec<Finding>,
     calls: Vec<CallSite>,
-    panics: Vec<PanicSite>,
     sinks: Vec<SinkSite>,
     det_return: bool,
 }
@@ -599,21 +592,7 @@ impl<'a> FnAnalyzer<'a> {
             file: self.file.to_string(),
             line,
             message,
-            severity: Severity::Error,
             line_text,
-        });
-    }
-
-    fn panic_site(&mut self, what: &str, kind: PanicKind, line: u32) {
-        // One advisory per (kind, line) is enough.
-        if self.panics.iter().any(|p| p.line == line && p.kind == kind) {
-            return;
-        }
-        self.panics.push(PanicSite {
-            what: what.to_string(),
-            kind,
-            line,
-            text: self.line_text(line),
         });
     }
 
@@ -761,10 +740,9 @@ impl<'a> FnAnalyzer<'a> {
                 f.call_ids = rf.call_ids;
                 f
             }
-            Expr::Index { recv, index, line } => {
+            Expr::Index { recv, index, .. } => {
                 let rf = self.eval(recv, env);
                 self.eval(index, env);
-                self.panic_site("indexing", PanicKind::Index, *line);
                 Facts {
                     dets: rf.dets,
                     call_ids: rf.call_ids,
@@ -974,10 +952,7 @@ impl<'a> FnAnalyzer<'a> {
                 Facts::default()
             }
             Expr::Try { expr, .. } => self.eval(expr, env),
-            Expr::MacroCall { name, args, line } => {
-                if name == "panic" {
-                    self.panic_site("panic!", PanicKind::Hard, *line);
-                }
+            Expr::MacroCall { args, .. } => {
                 let mut f = Facts::default();
                 for a in args {
                     let af = self.eval(a, env);
@@ -1121,11 +1096,6 @@ impl<'a> FnAnalyzer<'a> {
 
         let rf = self.eval(recv, env);
         let arg_facts: Vec<Facts> = args.iter().map(|a| self.eval(a, env)).collect();
-
-        // Panic sites.
-        if matches!(method, "unwrap" | "expect") {
-            self.panic_site(method, PanicKind::Hard, line);
-        }
 
         let mut f = Facts {
             dets: rf.dets.clone(),
@@ -1538,7 +1508,7 @@ mod tests {
     }
 
     #[test]
-    fn panic_and_call_sites_are_summarized() {
+    fn call_sites_are_summarized() {
         let a = analyze(
             "pub fn f(x: Option<u32>) -> u32 {\n\
                  helper();\n\
@@ -1548,8 +1518,6 @@ mod tests {
         );
         let s = &a.summaries[0];
         assert_eq!(s.qual, "channel::x::f");
-        assert_eq!(s.panics.len(), 1);
-        assert_eq!(s.panics[0].what, "unwrap");
         assert!(s.calls.iter().any(|c| c.name == "helper"));
     }
 

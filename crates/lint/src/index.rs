@@ -2,9 +2,9 @@
 //!
 //! Per-function summaries (one [`FnSummary`] per function in every
 //! crate) are distilled from the AST by the per-function pass and glued
-//! here into a whole-program view: name-resolution maps, a call graph,
-//! and the reachability query behind rule R9 (transitive-panic). The
-//! index never needs the ASTs back — summaries are small and flat.
+//! here into a whole-program view: name-resolution maps and the
+//! determinism fixpoint behind rule R11 (determinism-taint). The index
+//! never needs the ASTs back — summaries are small and flat.
 //!
 //! Call resolution is name-based (there is no type inference for
 //! arbitrary receivers), tuned for signal over soundness:
@@ -16,35 +16,11 @@
 //! * method calls with an unknown receiver resolve only when the name
 //!   is unambiguous (exactly one non-test candidate in the workspace).
 //!
-//! Ambiguous names produce *no* edge rather than edges to every
-//! candidate — a deliberate under-approximation that keeps R9 findings
-//! actionable (DESIGN.md §13.2 records the trade-off).
+//! Ambiguous names resolve to nothing rather than to every candidate —
+//! a deliberate under-approximation that keeps R11 findings actionable
+//! (DESIGN.md §13.1 records the trade-off).
 
-use crate::ast::Vis;
-use std::collections::{HashMap, VecDeque};
-
-/// What kind of panic a [`PanicSite`] is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PanicKind {
-    /// `panic!(..)` / `unwrap()` / `expect(..)` — hard panics.
-    Hard,
-    /// Slice/array indexing `x[i]` — can panic, reported as advisory.
-    Index,
-}
-
-/// One potentially-panicking operation inside a function body.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PanicSite {
-    /// What the operation is, as shown in messages (`unwrap`, `panic!`,
-    /// `expect`, `indexing`).
-    pub what: String,
-    /// Hard panic vs indexing advisory.
-    pub kind: PanicKind,
-    /// Source line.
-    pub line: u32,
-    /// The trimmed source line text (for findings).
-    pub text: String,
-}
+use std::collections::HashMap;
 
 /// One determinism-sink call site (journal write, bench metric,
 /// report/checkpoint serialization) recorded for the whole-program R11
@@ -93,20 +69,12 @@ pub struct FnSummary {
     pub crate_name: String,
     /// Workspace-relative file path.
     pub file: String,
-    /// Line of the `fn`.
-    pub line: u32,
     /// The bare function name.
     pub name: String,
     /// The impl/trait self-type name, if this is a method.
     pub impl_ty: Option<String>,
-    /// Visibility.
-    pub vis: Vis,
     /// True for `#[test]` fns and anything under `#[cfg(test)]`.
     pub is_test: bool,
-    /// Return type text, if any.
-    pub ret: Option<String>,
-    /// Potentially-panicking operations in the body.
-    pub panics: Vec<PanicSite>,
     /// Call sites in the body.
     pub calls: Vec<CallSite>,
     /// True when the function's return value is *locally* a determinism
@@ -124,18 +92,16 @@ pub struct WorkspaceIndex {
     by_type_method: HashMap<String, Vec<usize>>,
     /// bare name → candidate fn ids.
     by_bare: HashMap<String, Vec<usize>>,
-    /// Resolved forward call edges (caller → callees), deduplicated.
-    pub edges: Vec<Vec<usize>>,
 }
 
 impl WorkspaceIndex {
-    /// Builds the index: resolution maps plus the resolved call graph.
+    /// Builds the index: the resolution maps over every non-test fn.
     pub fn build(fns: Vec<FnSummary>) -> Self {
         let mut by_type_method: HashMap<String, Vec<usize>> = HashMap::new();
         let mut by_bare: HashMap<String, Vec<usize>> = HashMap::new();
         for (id, f) in fns.iter().enumerate() {
             if f.is_test {
-                continue; // test fns are never call-graph targets
+                continue; // test fns are never resolution targets
             }
             if let Some(ty) = &f.impl_ty {
                 by_type_method
@@ -145,29 +111,11 @@ impl WorkspaceIndex {
             }
             by_bare.entry(f.name.clone()).or_default().push(id);
         }
-        let mut idx = WorkspaceIndex {
+        WorkspaceIndex {
             fns,
             by_type_method,
             by_bare,
-            edges: Vec::new(),
-        };
-        idx.edges = idx
-            .fns
-            .iter()
-            .enumerate()
-            .map(|(id, f)| {
-                let mut out: Vec<usize> = f
-                    .calls
-                    .iter()
-                    .filter_map(|c| idx.resolve(c, id))
-                    .filter(|&callee| callee != id)
-                    .collect();
-                out.sort_unstable();
-                out.dedup();
-                out
-            })
-            .collect();
-        idx
+        }
     }
 
     /// Resolves one call site to a callee id, or `None` when unknown or
@@ -220,81 +168,6 @@ impl WorkspaceIndex {
         unique_or_same_crate(&free, &self.fns, &self.fns[caller].crate_name)
     }
 
-    /// The public non-test functions of [`ENTRY_CRATES`] — R9's BFS
-    /// sources, and the scope of its direct-indexing advisory.
-    pub fn entry_fns(&self) -> impl Iterator<Item = &FnSummary> {
-        self.fns.iter().filter(|f| {
-            f.vis == Vis::Pub && !f.is_test && ENTRY_CRATES.contains(&f.crate_name.as_str())
-        })
-    }
-
-    /// R9's core query: for each *hard* panic site reachable from a
-    /// public non-test function of one of `entry_crates`, returns
-    /// `(entry, path, panicking fn, site)` where `path` is the shortest
-    /// call chain `entry → .. → panicking fn`. Functions that panic
-    /// directly (depth 0) are excluded — the per-file rules own those.
-    pub fn transitive_panics(&self) -> Vec<ReachedPanic> {
-        self.reach_from_entries(|f| {
-            !f.panics.is_empty() && f.panics.iter().any(|p| p.kind == PanicKind::Hard)
-        })
-    }
-
-    fn reach_from_entries(&self, is_target: impl Fn(&FnSummary) -> bool) -> Vec<ReachedPanic> {
-        // Multi-source forward BFS from all public entry fns, recording
-        // parents, so each target gets its shortest entry path.
-        let mut parent: Vec<Option<usize>> = vec![None; self.fns.len()];
-        let mut visited = vec![false; self.fns.len()];
-        let mut queue = VecDeque::new();
-        for (id, f) in self.fns.iter().enumerate() {
-            if f.vis == Vis::Pub && !f.is_test && ENTRY_CRATES.contains(&f.crate_name.as_str()) {
-                visited[id] = true;
-                queue.push_back(id);
-            }
-        }
-        let entry_set = visited.clone();
-        while let Some(u) = queue.pop_front() {
-            for &v in &self.edges[u] {
-                if !visited[v] {
-                    visited[v] = true;
-                    parent[v] = Some(u);
-                    queue.push_back(v);
-                }
-            }
-        }
-        let mut out = Vec::new();
-        for (id, f) in self.fns.iter().enumerate() {
-            if !visited[id] || f.is_test || !is_target(f) {
-                continue;
-            }
-            if entry_set[id] && parent[id].is_none() {
-                continue; // a direct panic in an entry fn is local, not transitive
-            }
-            // Reconstruct entry → .. → id.
-            let mut path = vec![id];
-            let mut cur = id;
-            while let Some(p) = parent[cur] {
-                path.push(p);
-                cur = p;
-            }
-            path.reverse();
-            for site in &f.panics {
-                if site.kind == PanicKind::Hard {
-                    out.push(ReachedPanic {
-                        entry: path[0],
-                        path: path.clone(),
-                        site: site.clone(),
-                    });
-                }
-            }
-        }
-        out.sort_by(|a, b| {
-            let fa = &self.fns[a.path[a.path.len() - 1]];
-            let fb = &self.fns[b.path[b.path.len() - 1]];
-            (&fa.file, a.site.line).cmp(&(&fb.file, b.site.line))
-        });
-        out
-    }
-
     /// Fixpoint over summaries: the set of functions whose return value
     /// carries a determinism-taint source, either locally
     /// (`det_return`) or by returning the value of a call to another
@@ -323,34 +196,7 @@ impl WorkspaceIndex {
             }
         }
     }
-
-    /// Renders a call path as `a → b → c` using qualified names.
-    pub fn render_path(&self, path: &[usize]) -> String {
-        path.iter()
-            .map(|&id| self.fns[id].qual.as_str())
-            .collect::<Vec<_>>()
-            .join(" → ")
-    }
 }
-
-/// One transitive-panic reachability result.
-#[derive(Debug, Clone)]
-pub struct ReachedPanic {
-    /// The public entry function's id.
-    pub entry: usize,
-    /// The call chain, `entry` first, panicking fn last.
-    pub path: Vec<usize>,
-    /// The panic site inside the final function.
-    pub site: PanicSite,
-}
-
-/// Crates whose public APIs are R9 entry points — the same set whose
-/// roots deny `clippy::unwrap_used`/`expect_used` (R1), so the two
-/// rules compose: R1 proves entries clean locally, R9 proves everything
-/// they call clean transitively.
-pub const ENTRY_CRATES: &[&str] = &[
-    "chaos", "core", "faults", "fleet", "obs", "ops", "replay", "scenario", "sim",
-];
 
 fn unique_or_same_crate(cands: &[usize], fns: &[FnSummary], crate_name: &str) -> Option<usize> {
     match cands.len() {
@@ -375,18 +221,14 @@ fn unique_or_same_crate(cands: &[usize], fns: &[FnSummary], crate_name: &str) ->
 mod tests {
     use super::*;
 
-    fn summary(name: &str, crate_name: &str, vis: Vis) -> FnSummary {
+    fn summary(name: &str, crate_name: &str) -> FnSummary {
         FnSummary {
             qual: format!("{crate_name}::{name}"),
             crate_name: crate_name.to_string(),
             file: format!("crates/{crate_name}/src/lib.rs"),
-            line: 1,
             name: name.to_string(),
             impl_ty: None,
-            vis,
             is_test: false,
-            ret: None,
-            panics: Vec::new(),
             calls: Vec::new(),
             det_return: false,
             sink_sites: Vec::new(),
@@ -403,128 +245,81 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bare_calls_resolve_within_crate() {
-        let mut a = summary("api", "core", Vis::Pub);
-        a.calls.push(call("helper"));
-        let helper_core = summary("helper", "core", Vis::Private);
-        let helper_dsp = summary("helper", "dsp", Vis::Private);
-        let idx = WorkspaceIndex::build(vec![a, helper_core, helper_dsp]);
-        assert_eq!(idx.edges[0], vec![1], "same-crate candidate wins the tie");
+    /// What the first call of the first fn resolves to.
+    fn first_call(fns: Vec<FnSummary>) -> Option<usize> {
+        let idx = WorkspaceIndex::build(fns);
+        idx.resolve(&idx.fns[0].calls[0], 0)
     }
 
     #[test]
-    fn ambiguous_method_calls_produce_no_edge() {
-        let mut a = summary("api", "core", Vis::Pub);
+    fn bare_calls_resolve_within_crate() {
+        let mut a = summary("api", "core");
+        a.calls.push(call("helper"));
+        let helper_core = summary("helper", "core");
+        let helper_dsp = summary("helper", "dsp");
+        assert_eq!(
+            first_call(vec![a, helper_core, helper_dsp]),
+            Some(1),
+            "same-crate candidate wins the tie"
+        );
+    }
+
+    #[test]
+    fn ambiguous_method_calls_resolve_to_nothing() {
+        let mut a = summary("api", "core");
         a.calls.push(CallSite {
             via_method: true,
             ..call("step")
         });
-        let mut m1 = summary("step", "sim", Vis::Pub);
+        let mut m1 = summary("step", "sim");
         m1.impl_ty = Some("World".to_string());
-        let mut m2 = summary("step", "drone", Vis::Pub);
+        let mut m2 = summary("step", "drone");
         m2.impl_ty = Some("Kinematics".to_string());
-        let idx = WorkspaceIndex::build(vec![a, m1, m2]);
-        assert!(idx.edges[0].is_empty(), "two candidates — refuse to guess");
+        assert_eq!(
+            first_call(vec![a, m1, m2]),
+            None,
+            "two candidates — refuse to guess"
+        );
     }
 
     #[test]
     fn typed_receiver_resolves_through_type_map() {
-        let mut a = summary("api", "core", Vis::Pub);
+        let mut a = summary("api", "core");
         a.calls.push(CallSite {
             recv_ty: Some("World".to_string()),
             via_method: true,
             ..call("step")
         });
-        let mut m1 = summary("step", "sim", Vis::Pub);
+        let mut m1 = summary("step", "sim");
         m1.impl_ty = Some("World".to_string());
-        let mut m2 = summary("step", "drone", Vis::Pub);
+        let mut m2 = summary("step", "drone");
         m2.impl_ty = Some("Kinematics".to_string());
-        let idx = WorkspaceIndex::build(vec![a, m1, m2]);
-        assert_eq!(idx.edges[0], vec![1], "type hint disambiguates");
-    }
-
-    #[test]
-    fn transitive_panic_found_at_depth_two() {
-        let mut a = summary("api", "core", Vis::Pub);
-        a.calls.push(call("mid"));
-        let mut mid = summary("mid", "core", Vis::Private);
-        mid.calls.push(call("deep"));
-        let mut deep = summary("deep", "dsp", Vis::Pub);
-        deep.panics.push(PanicSite {
-            what: "unwrap".to_string(),
-            kind: PanicKind::Hard,
-            line: 42,
-            text: String::new(),
-        });
-        let idx = WorkspaceIndex::build(vec![a, mid, deep]);
-        let reached = idx.transitive_panics();
-        assert_eq!(reached.len(), 1);
-        assert_eq!(reached[0].path, vec![0, 1, 2]);
-        assert_eq!(reached[0].site.line, 42);
         assert_eq!(
-            idx.render_path(&reached[0].path),
-            "core::api → core::mid → dsp::deep"
+            first_call(vec![a, m1, m2]),
+            Some(1),
+            "type hint disambiguates"
         );
     }
 
     #[test]
-    fn direct_panic_in_entry_is_not_r9s_business() {
-        let mut a = summary("api", "core", Vis::Pub);
-        a.panics.push(PanicSite {
-            what: "panic!".to_string(),
-            kind: PanicKind::Hard,
-            line: 7,
-            text: String::new(),
-        });
-        let idx = WorkspaceIndex::build(vec![a]);
-        assert!(idx.transitive_panics().is_empty());
-    }
-
-    #[test]
-    fn non_entry_crate_public_fns_are_not_entries() {
-        // dsp is not an entry crate; its public fns reaching panics is
-        // fine unless something in an entry crate calls them.
-        let mut a = summary("api", "dsp", Vis::Pub);
-        a.calls.push(call("deep"));
-        let mut deep = summary("deep", "dsp", Vis::Private);
-        deep.panics.push(PanicSite {
-            what: "unwrap".to_string(),
-            kind: PanicKind::Hard,
-            line: 3,
-            text: String::new(),
-        });
-        let idx = WorkspaceIndex::build(vec![a, deep]);
-        assert!(idx.transitive_panics().is_empty());
-    }
-
-    #[test]
-    fn test_fns_are_excluded_from_the_graph() {
-        let mut a = summary("api", "core", Vis::Pub);
+    fn test_fns_are_never_resolution_targets() {
+        let mut a = summary("api", "core");
         a.calls.push(call("helper"));
-        let mut t = summary("helper", "core", Vis::Private);
+        let mut t = summary("helper", "core");
         t.is_test = true;
-        t.panics.push(PanicSite {
-            what: "unwrap".to_string(),
-            kind: PanicKind::Hard,
-            line: 9,
-            text: String::new(),
-        });
-        let idx = WorkspaceIndex::build(vec![a, t]);
-        assert!(idx.edges[0].is_empty());
-        assert!(idx.transitive_panics().is_empty());
+        assert_eq!(first_call(vec![a, t]), None);
     }
 
     #[test]
     fn det_closure_propagates_through_return_calls() {
-        let mut a = summary("now_ms", "obs", Vis::Pub);
+        let mut a = summary("now_ms", "obs");
         a.det_return = true;
-        let mut b = summary("stamp", "obs", Vis::Pub);
+        let mut b = summary("stamp", "obs");
         b.calls.push(CallSite {
             in_return: true,
             ..call("now_ms")
         });
-        let mut c = summary("ignores", "obs", Vis::Pub);
+        let mut c = summary("ignores", "obs");
         c.calls.push(call("now_ms")); // not in return position
         let idx = WorkspaceIndex::build(vec![a, b, c]);
         let det = idx.det_return_closure();

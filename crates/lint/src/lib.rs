@@ -2,18 +2,19 @@
 //!
 //! The failure modes that silently corrupt an RF reproduction are not
 //! crashes but invariant violations: a dB ratio added to a dBm power, a
-//! panic two crates below a supervised entry point, a wall-clock value
-//! in a journal. Token-level invariants (no `unwrap`, no truncating
-//! casts, no `HashMap`, no `println!`, ...) are rustc and clippy lints
-//! configured in the workspace manifest and `clippy.toml`. This crate
-//! checks what clippy cannot: a small hand-rolled Rust parser (zero
-//! external dependencies, no rustc plugin) feeds a per-function
-//! dataflow pass and a workspace call graph, and every finding carries
+//! spawn closure mutating captured state, a wall-clock value in a
+//! journal. Token-level invariants (no `unwrap`/`expect`/`panic!`, no
+//! truncating casts, no `HashMap`, no `println!`, ...) are rustc and
+//! clippy lints configured in the workspace manifest, the crate roots
+//! and `clippy.toml`. This crate checks what clippy cannot: a small
+//! hand-rolled Rust parser (zero external dependencies, no rustc
+//! plugin) feeds a per-function dataflow pass and a workspace
+//! name-resolution index, and every finding carries
 //! a `file:line` span, a stable rule ID, and an allowlist escape hatch
 //! that *requires* a written justification:
 //!
 //! ```text
-//! // rfly-lint: allow(transitive-panic) -- documented builder contract.
+//! // rfly-lint: allow(unit-dataflow) -- freqs is a raw f64 bin axis by design.
 //! ```
 //!
 //! See DESIGN.md §8 for the rule catalog and §13 for the pipeline.
@@ -36,7 +37,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-pub use rules::{Finding, Severity, RULES};
+pub use rules::{Finding, RULES};
 
 /// Directories never scanned: build output, VCS metadata, and the
 /// intentionally-violating lint fixtures.
@@ -95,7 +96,7 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Finding> {
 ///
 /// 1. per file: parse → function pass (summaries + R3/R10/R12);
 /// 2. link all summaries into the [`index::WorkspaceIndex`];
-/// 3. whole-program passes (R9 reachability, R11 taint closure);
+/// 3. the whole-program pass (R11 taint closure);
 /// 4. per file: apply allow directives to the merged finding set.
 pub fn lint_workspace(root: &Path) -> io::Result<LintRun> {
     let mut sources: Vec<(String, String)> = Vec::new();

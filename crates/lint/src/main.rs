@@ -1,25 +1,21 @@
 //! The `rfly-lint` CLI driver.
 //!
 //! ```text
-//! cargo run -p rfly-lint -- --workspace [--root <dir>] [--json <file|->]
-//!                           [--advisories] [--list-rules]
+//! cargo run -p rfly-lint -- --workspace [--root <dir>] [--json <file|->] [--list-rules]
 //! ```
 //!
-//! Exit codes: 0 = clean, 1 = violations, 2 = usage/IO error. Advisory
-//! [`Severity::Warning`] findings are printed with `--advisories` but
-//! never fail the gate.
+//! Exit codes: 0 = clean, 1 = violations, 2 = usage/IO error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use rfly_lint::{lint_workspace, Finding, Severity, RULES};
+use rfly_lint::{lint_workspace, Finding, RULES};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut workspace = false;
     let mut root = PathBuf::from(".");
     let mut json_path: Option<String> = None;
-    let mut show_advisories = false;
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -33,7 +29,6 @@ fn main() -> ExitCode {
                 Some(p) => json_path = Some(p.clone()),
                 None => return usage("--json needs a path (or `-` for stdout)"),
             },
-            "--advisories" => show_advisories = true,
             "--list-rules" => {
                 for (slug, desc) in RULES {
                     println!("{slug:20} {desc}");
@@ -65,26 +60,16 @@ fn main() -> ExitCode {
         }
     }
 
-    let (errors, warnings): (Vec<Finding>, Vec<Finding>) = run
-        .findings
-        .into_iter()
-        .partition(|f| f.severity == Severity::Error);
-    if show_advisories {
-        for f in &warnings {
-            println!("{}:{}: [{}] warning: {}", f.file, f.line, f.rule, f.message);
-        }
-    }
-    for f in &errors {
+    for f in &run.findings {
         println!("{}:{}: [{}] {}", f.file, f.line, f.rule, f.message);
     }
     println!(
-        "rfly-lint: {} violation(s), {} warning(s); {} files, {} fns indexed",
-        errors.len(),
-        warnings.len(),
+        "rfly-lint: {} violation(s); {} files, {} fns indexed",
+        run.findings.len(),
         run.files,
         run.fns_indexed,
     );
-    if errors.is_empty() {
+    if run.findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
@@ -93,19 +78,15 @@ fn main() -> ExitCode {
 
 /// Renders findings as a JSON artifact (no external deps, so by hand).
 fn render_json(findings: &[Finding]) -> String {
-    let mut out = String::from("{\n  \"version\": 2,\n  \"findings\": [\n");
+    let mut out = String::from("{\n  \"version\": 3,\n  \"findings\": [\n");
     for (i, f) in findings.iter().enumerate() {
         let sep = if i + 1 == findings.len() { "" } else { "," };
         out.push_str(&format!(
-            "    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"severity\": {}, \
+            "    {{\"rule\": {}, \"file\": {}, \"line\": {}, \
              \"message\": {}, \"line_text\": {}}}{sep}\n",
             json_str(f.rule),
             json_str(&f.file),
             f.line,
-            json_str(match f.severity {
-                Severity::Error => "error",
-                Severity::Warning => "warning",
-            }),
             json_str(&f.message),
             json_str(&f.line_text),
         ));
@@ -138,7 +119,7 @@ fn json_str(s: &str) -> String {
 fn usage(err: &str) -> ExitCode {
     eprintln!(
         "rfly-lint: {err}\n\
-         usage: rfly-lint --workspace [--root <dir>] [--json <file|->] [--advisories] [--list-rules]"
+         usage: rfly-lint --workspace [--root <dir>] [--json <file|->] [--list-rules]"
     );
     ExitCode::from(2)
 }

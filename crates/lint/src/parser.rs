@@ -1308,9 +1308,8 @@ impl<'a> Parser<'a> {
                 .is_some_and(|n| n.is_punct('(') || n.is_punct('[') || n.is_punct('{'))
         {
             self.i += 1;
-            let name = segs.last().cloned().unwrap_or_default();
             let args = self.macro_args();
-            return Expr::MacroCall { name, args, line };
+            return Expr::MacroCall { args, line };
         }
 
         // Struct literal.

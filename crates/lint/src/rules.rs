@@ -1,7 +1,7 @@
 //! Findings, the rule catalog, and the allow gate.
 //!
 //! The analyzer's rules run in [`crate::fnpass`] (per function: R3,
-//! R10, R12) and [`crate::semantic`] (whole program: R9, R11); every
+//! R10, R12) and [`crate::semantic`] (whole program: R11); every
 //! finding they emit passes through [`apply_allows`] exactly once. The
 //! token-level invariants (R1, R2, R4–R8) are rustc and clippy lints;
 //! DESIGN.md §8 maps each one.
@@ -9,23 +9,13 @@
 //! | ID | slug | invariant |
 //! |----|------|-----------|
 //! | R3 | `unit-newtypes` | unit-suffixed public params take `rfly-dsp::units` newtypes |
-//! | R9 | `transitive-panic` | no panic reachable from supervised crates' public APIs |
 //! | R10 | `unit-dataflow` | no raw f64 arithmetic across unit-newtype boundaries |
 //! | R11 | `determinism-taint` | no nondeterministic values into journals, reports, checkpoints |
 //! | R12 | `parallel-safety` | no spawn closures mutating captured state |
 
 use crate::lexer::lex;
 
-/// How severe a finding is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Fails the gate.
-    Error,
-    /// Reported (with `--advisories`) but never fails the gate.
-    Warning,
-}
-
-/// One rule violation.
+/// One rule violation; every finding fails the gate.
 #[derive(Debug, Clone)]
 pub struct Finding {
     /// Stable rule slug (e.g. `unit-newtypes`).
@@ -36,23 +26,17 @@ pub struct Finding {
     pub line: u32,
     /// Human-readable description of the violation.
     pub message: String,
-    /// Gate impact.
-    pub severity: Severity,
     /// The trimmed source-line text, filled in by [`apply_allows`] for
     /// the JSON artifact.
     pub line_text: String,
 }
 
-/// All rule slugs the analyzer knows, R3 and R9–R12 plus the two
+/// All rule slugs the analyzer knows, R3 and R10–R12 plus the two
 /// allowlist meta-rules.
 pub const RULES: &[(&str, &str)] = &[
     (
         "unit-newtypes",
         "R3: unit-suffixed public fn params must use rfly-dsp::units newtypes",
-    ),
-    (
-        "transitive-panic",
-        "R9: no panic!/unwrap reachable from public APIs of supervised crates",
     ),
     (
         "unit-dataflow",
@@ -176,7 +160,6 @@ pub fn apply_allows(path: &str, src: &str, findings: Vec<Finding>) -> Vec<Findin
                 file: ctx.path.clone(),
                 line: a.line,
                 message: "allow directive lacks a `-- <justification>` clause".to_string(),
-                severity: Severity::Error,
                 line_text: String::new(),
             });
         } else if !a.used.get() {
@@ -188,7 +171,6 @@ pub fn apply_allows(path: &str, src: &str, findings: Vec<Finding>) -> Vec<Findin
                     "allow({}) suppresses nothing — remove it",
                     a.rules.join(", ")
                 ),
-                severity: Severity::Error,
                 line_text: String::new(),
             });
         }
@@ -199,7 +181,6 @@ pub fn apply_allows(path: &str, src: &str, findings: Vec<Finding>) -> Vec<Findin
                     file: ctx.path.clone(),
                     line: a.line,
                     message: format!("allow names unknown rule `{r}`"),
-                    severity: Severity::Error,
                     line_text: String::new(),
                 });
             }

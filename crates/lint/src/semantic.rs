@@ -1,17 +1,9 @@
 //! Whole-program rule assembly — the final stage of the v2 analyzer.
 //!
 //! [`crate::fnpass`] produces per-function summaries; [`crate::index`]
-//! links them into a call graph. This module turns the linked picture
-//! into findings:
+//! links them for name resolution. This module turns the linked
+//! picture into findings:
 //!
-//! * **R9 `transitive-panic`** — a `panic!`/`unwrap()`/`expect()` in any
-//!   function reachable from the public API of a supervised crate
-//!   ([`crate::index::ENTRY_CRATES`]). Clippy's R1 levels already keep
-//!   the entry crates locally free of `unwrap`/`expect`; R9 extends the
-//!   guarantee through everything they call, across crate boundaries. Direct
-//!   slice/array indexing in a public entry function is reported as an
-//!   advisory [`Severity::Warning`] (bounds are usually provable there,
-//!   but the panic edge exists).
 //! * **R11 `determinism-taint`** — a nondeterministic value (wall-clock
 //!   reading, unordered-container iteration result, NaN-unsafe compare,
 //!   channel arrival order) flowing into a replay-critical sink: journal
@@ -24,60 +16,14 @@
 //! R3, R10 and R12 are intra-procedural and emitted by `fnpass`
 //! directly; everything lands in the same allow gate afterwards.
 
-use crate::index::{PanicKind, WorkspaceIndex};
-use crate::rules::{Finding, Severity};
+use crate::index::WorkspaceIndex;
+use crate::rules::Finding;
 
-/// Emits the whole-program findings (R9, inter-procedural R11) for a
+/// Emits the whole-program findings (inter-procedural R11) for a
 /// fully-built index. Findings are pre-allow: the caller routes them
 /// through the same per-file allow filtering as the per-fn findings.
 pub fn whole_program_findings(idx: &WorkspaceIndex) -> Vec<Finding> {
     let mut findings = Vec::new();
-
-    // R9: hard panics reachable from public entry APIs.
-    for r in idx.transitive_panics() {
-        let target = &idx.fns[*r.path.last().expect("path is never empty")];
-        let entry = &idx.fns[r.entry];
-        findings.push(Finding {
-            rule: "transitive-panic",
-            file: target.file.clone(),
-            line: r.site.line,
-            message: format!(
-                "`{}()` here is reachable from public `{}` ({}) — return an error instead",
-                r.site.what,
-                entry.qual,
-                idx.render_path(&r.path),
-            ),
-            severity: Severity::Error,
-            line_text: r.site.text.clone(),
-        });
-    }
-
-    // R9 advisory: direct indexing in a public entry-crate fn. Slice
-    // indexing with locally-proven bounds is idiomatic all over the DSP
-    // and supervisor code, so this aggregates to one advisory per
-    // function (anchored at the first site) instead of one per site —
-    // it is a nudge toward get()/chunked APIs, not a gate.
-    for f in idx.entry_fns() {
-        let sites: Vec<_> = f
-            .panics
-            .iter()
-            .filter(|p| p.kind == PanicKind::Index)
-            .collect();
-        if let Some(first) = sites.first() {
-            findings.push(Finding {
-                rule: "transitive-panic",
-                file: f.file.clone(),
-                line: first.line,
-                message: format!(
-                    "public `{}` has {} direct indexing site(s) that can panic out-of-bounds",
-                    f.qual,
-                    sites.len()
-                ),
-                severity: Severity::Warning,
-                line_text: first.text.clone(),
-            });
-        }
-    }
 
     // R11: determinism taint reaching replay-critical sinks.
     let det = idx.det_return_closure();
@@ -104,7 +50,6 @@ pub fn whole_program_findings(idx: &WorkspaceIndex) -> Vec<Finding> {
                         s.sink,
                         reasons.join(", ")
                     ),
-                    severity: Severity::Error,
                     line_text: s.text.clone(),
                 });
             }
@@ -130,48 +75,6 @@ mod tests {
         }
         let idx = WorkspaceIndex::build(summaries);
         whole_program_findings(&idx)
-    }
-
-    #[test]
-    fn cross_crate_unwrap_is_reported_at_the_panic_site() {
-        let findings = run(&[
-            (
-                "crates/core/src/lib.rs",
-                "pub fn api(x: Option<u32>) -> u32 {\n\
-                     deep_helper(x)\n\
-                 }\n",
-            ),
-            (
-                "crates/dsp/src/lib.rs",
-                "pub fn deep_helper(x: Option<u32>) -> u32 {\n\
-                     x.unwrap()\n\
-                 }\n",
-            ),
-        ]);
-        let r9: Vec<_> = findings
-            .iter()
-            .filter(|f| f.rule == "transitive-panic" && f.severity == Severity::Error)
-            .collect();
-        assert_eq!(r9.len(), 1, "{findings:?}");
-        assert_eq!(r9[0].file, "crates/dsp/src/lib.rs");
-        assert_eq!(r9[0].line, 2);
-        assert!(r9[0].message.contains("core::api"), "{}", r9[0].message);
-    }
-
-    #[test]
-    fn panic_in_unreachable_private_fn_is_not_reported() {
-        let findings = run(&[(
-            "crates/dsp/src/lib.rs",
-            "fn orphan(x: Option<u32>) -> u32 {\n\
-                 x.unwrap()\n\
-             }\n",
-        )]);
-        assert!(
-            findings
-                .iter()
-                .all(|f| f.rule != "transitive-panic" || f.severity != Severity::Error),
-            "{findings:?}"
-        );
     }
 
     #[test]
@@ -225,20 +128,5 @@ mod tests {
              }\n",
         )]);
         assert!(findings.is_empty(), "{findings:?}");
-    }
-
-    #[test]
-    fn indexing_in_public_entry_fn_is_an_advisory_warning() {
-        let findings = run(&[(
-            "crates/core/src/lib.rs",
-            "pub fn head(xs: &[f64]) -> f64 {\n\
-                 xs[0]\n\
-             }\n",
-        )]);
-        let warns: Vec<_> = findings
-            .iter()
-            .filter(|f| f.rule == "transitive-panic" && f.severity == Severity::Warning)
-            .collect();
-        assert_eq!(warns.len(), 1, "{findings:?}");
     }
 }

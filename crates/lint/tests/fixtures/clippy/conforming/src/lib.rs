@@ -5,6 +5,7 @@
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,
+    clippy::panic,
     clippy::cast_possible_truncation,
     clippy::cast_sign_loss,
     clippy::cast_possible_wrap,
@@ -41,10 +42,30 @@ pub fn first(xs: &[f64]) -> f64 {
     *xs.first().expect("non-empty")
 }
 
+/// A justified `panic!`, exempted the same way.
+#[expect(
+    clippy::panic,
+    reason = "callers pass a sign; any other value is a programming error"
+)]
+pub fn sign(x: i8) -> i8 {
+    match x {
+        -1..=1 => x,
+        other => panic!("not a sign: {other}"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     #[test]
     fn tests_may_unwrap() {
         assert_eq!(super::total(Some(1), Ok(2)).unwrap(), 3);
+    }
+
+    #[test]
+    fn tests_may_panic() {
+        let Some(t) = super::total(Some(1), Ok(2)) else {
+            panic!("total of two values");
+        };
+        assert_eq!(t, 3);
     }
 }

@@ -5,6 +5,7 @@
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,
+    clippy::panic,
     clippy::cast_possible_truncation,
     clippy::cast_sign_loss,
     clippy::cast_possible_wrap,
@@ -16,6 +17,9 @@ use std::collections::{HashMap, HashSet};
 use std::time::{Instant, SystemTime};
 
 pub fn panics(x: Option<u32>, y: Result<u32, ()>) -> u32 {
+    if x == Some(0) {
+        panic!("R1");
+    }
     x.unwrap() + y.expect("R1")
 }
 

@@ -1,4 +1,4 @@
-//! Full-pipeline tests for the semantic rules R9–R12: each planted
+//! Full-pipeline tests for the semantic rules R10–R12: the planted
 //! mini-workspace under `fixtures/semantic/violating` must produce
 //! exactly the planted rule hits, and the `conforming` twin tree must
 //! come back clean. `scripts/ci.sh` runs the CLI over the same trees
@@ -7,7 +7,7 @@
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
-use rfly_lint::{lint_workspace, Severity};
+use rfly_lint::lint_workspace;
 
 fn tree(which: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -20,32 +20,12 @@ fn violating_tree_trips_every_semantic_rule() {
     let findings = lint_workspace(&tree("violating"))
         .expect("lint fixture tree")
         .findings;
-    let errors: BTreeSet<&str> = findings
-        .iter()
-        .filter(|f| f.severity == Severity::Error)
-        .map(|f| f.rule)
-        .collect();
-    for rule in [
-        "transitive-panic",
-        "unit-dataflow",
-        "determinism-taint",
-        "parallel-safety",
-    ] {
-        assert!(errors.contains(rule), "missing {rule}: {findings:?}");
-    }
-}
-
-#[test]
-fn violating_tree_anchors_r9_at_the_panic_site() {
-    let findings = lint_workspace(&tree("violating"))
-        .expect("lint fixture tree")
-        .findings;
-    let r9 = findings
-        .iter()
-        .find(|f| f.rule == "transitive-panic" && f.severity == Severity::Error)
-        .expect("planted R9 finding");
-    assert_eq!(r9.file, "crates/dsp/src/lib.rs");
-    assert!(r9.message.contains("core::mission_step"), "{}", r9.message);
+    let rules: BTreeSet<&str> = findings.iter().map(|f| f.rule).collect();
+    assert_eq!(
+        rules,
+        BTreeSet::from(["unit-dataflow", "determinism-taint", "parallel-safety"]),
+        "{findings:?}"
+    );
 }
 
 #[test]
@@ -53,9 +33,5 @@ fn conforming_tree_is_clean() {
     let findings = lint_workspace(&tree("conforming"))
         .expect("lint fixture tree")
         .findings;
-    let errors: Vec<_> = findings
-        .iter()
-        .filter(|f| f.severity == Severity::Error)
-        .collect();
-    assert!(errors.is_empty(), "{errors:?}");
+    assert!(findings.is_empty(), "{findings:?}");
 }

@@ -31,6 +31,10 @@ impl Bits {
 
     /// Builds from a `0`/`1` string; other characters are rejected.
     /// Handy for spec-quoted test vectors.
+    #[expect(
+        clippy::panic,
+        reason = "the argument is a spec-quoted literal in the program; a bad character is a typo, not an input"
+    )]
     pub fn from_str01(s: &str) -> Self {
         let bits = s
             .chars()
@@ -83,9 +87,13 @@ impl Bits {
 
     /// Reads `width` bits starting at `offset` as an MSB-first integer.
     /// Panics if the range is out of bounds (caller validated framing).
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract: callers validate framing first; try_uint_at is the seam for untrusted frames."
+    )]
     pub fn uint_at(&self, offset: usize, width: usize) -> u64 {
         self.try_uint_at(offset, width)
-            .expect("bit range out of bounds") // rfly-lint: allow(transitive-panic) -- documented contract: callers validate framing first; try_uint_at is the seam for untrusted frames.
+            .expect("bit range out of bounds")
     }
 
     /// Fallible [`Self::uint_at`]: rejects out-of-bounds ranges instead
@@ -107,9 +115,13 @@ impl Bits {
     }
 
     /// The sub-range `[offset, offset + len)` as a new buffer.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract: callers validate framing first; try_slice is the seam for untrusted frames."
+    )]
     pub fn slice(&self, offset: usize, len: usize) -> Bits {
         self.try_slice(offset, len)
-            .expect("bit range out of bounds") // rfly-lint: allow(transitive-panic) -- documented contract: callers validate framing first; try_slice is the seam for untrusted frames.
+            .expect("bit range out of bounds")
     }
 
     /// Fallible [`Self::slice`]: rejects out-of-bounds ranges instead of

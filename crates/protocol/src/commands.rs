@@ -175,7 +175,11 @@ impl Command {
                     1 => 0b110,
                     0 => 0b000,
                     -1 => 0b011,
-                    other => panic!("UpDn must be −1, 0 or +1 (got {other})"), // rfly-lint: allow(transitive-panic) -- UpDn comes from the Q-algorithm, which only emits −1/0/+1; a bad value is a programming error, not an input.
+                    #[expect(
+                        clippy::panic,
+                        reason = "UpDn comes from the Q-algorithm, which only emits −1/0/+1; a bad value is a programming error, not an input."
+                    )]
+                    other => panic!("UpDn must be −1, 0 or +1 (got {other})"),
                 };
                 b.push_uint(code, 3);
                 b

@@ -22,7 +22,13 @@
 //! All of it is pure logic over bits and samples; RF physics lives in
 //! `rfly-channel`, `rfly-tag` and `rfly-reader`.
 
-#![deny(clippy::print_stdout, clippy::print_stderr)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 
 pub mod bits;
 pub mod commands;

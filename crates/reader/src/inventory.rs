@@ -171,7 +171,11 @@ impl InventoryController {
                 SlotOutcome::Empty => stats.empty += 1,
                 SlotOutcome::Collision => stats.collisions += 1,
                 SlotOutcome::Single => {
-                    let winner = winner.expect("single has a winner").clone(); // rfly-lint: allow(transitive-panic) -- resolve() pairs every Single outcome with its winner by construction.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "resolve() pairs every Single outcome with its winner by construction."
+                    )]
+                    let winner = winner.expect("single has a winner").clone();
                     if let Some(rn16) = parse_rn16(&winner.frame) {
                         let ack_obs = medium.transact(&Command::Ack { rn16 });
                         // The acked tag replies alone (others are not in

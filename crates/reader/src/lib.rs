@@ -19,7 +19,13 @@
 //!   journal taps) are [`medium::MediumLayer`]s stacked with
 //!   [`medium::MediumExt::layer`] over one shared propagation core.
 
-#![deny(clippy::print_stdout, clippy::print_stderr)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 
 pub mod config;
 pub mod decoder;

@@ -23,8 +23,12 @@ impl WaveformBuilder {
     /// Creates a builder from the reader configuration. Panics on a
     /// Gen2-illegal configuration — use [`Self::try_new`] when the
     /// configuration comes from outside the program.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented builder contract; try_new is the seam for configurations from outside the program."
+    )]
     pub fn new(config: &ReaderConfig) -> Self {
-        Self::try_new(config).expect("reader configuration must be Gen2-legal") // rfly-lint: allow(transitive-panic) -- documented builder contract; try_new is the seam for configurations from outside the program.
+        Self::try_new(config).expect("reader configuration must be Gen2-legal")
     }
 
     /// Fallible [`Self::new`]: rejects illegal timing or sample rates.

@@ -17,6 +17,7 @@
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,
+    clippy::panic,
     clippy::print_stdout,
     clippy::print_stderr
 )]

@@ -12,7 +12,13 @@
 //! (limiting the downlink to a few meters), while its reply is limited
 //! only by the receiver's sensitivity.
 
-#![deny(clippy::print_stdout, clippy::print_stderr)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 
 pub mod harvester;
 pub mod population;

@@ -40,7 +40,7 @@ out=$(cargo clippy --offline --all-targets --manifest-path $gate/violating/Cargo
   echo "ERROR: planted clippy violations were not detected" >&2
   exit 1
 }
-for lint in unsafe_code missing_docs clippy::unwrap_used clippy::expect_used \
+for lint in unsafe_code missing_docs clippy::unwrap_used clippy::expect_used clippy::panic \
     clippy::cast_possible_truncation clippy::cast_sign_loss clippy::cast_possible_wrap \
     clippy::disallowed_types clippy::print_stdout clippy::print_stderr \
     clippy::todo clippy::unimplemented clippy::dbg_macro; do
@@ -66,7 +66,7 @@ mkdir -p results/lint
 cargo run --release --offline -p rfly-lint -- --workspace --json results/lint/findings.json
 
 echo "== rfly-lint semantic fixtures (planted trees; see DESIGN.md §13) =="
-# The planted mini-workspace must FAIL (exit 1) with all four semantic
+# The planted mini-workspace must FAIL (exit 1) with all three semantic
 # rules firing, and its conforming twin must pass clean (exit 0) — this
 # guards the analyzer itself against silently going blind.
 if cargo run --release --offline -p rfly-lint -- --workspace \

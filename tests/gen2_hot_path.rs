@@ -4,7 +4,7 @@
 //! inventory.
 //!
 //! A fleet serving walks the whole transact stack — the `TagVisits`
-//! scan, the QueryRep slot calendar and the QueryAdjust streaks of a
+//! scan, the arbitration lanes and the QueryAdjust streaks of a
 //! runaway round — so any change to how a transaction reaches its tags
 //! that alters a single state, RNG draw or reply order moves one of
 //! these numbers. The expected values were recorded with every tag
