@@ -16,6 +16,7 @@ use rfly_dsp::rng::Rng;
 use rfly_channel::environment::Environment;
 use rfly_channel::geometry::Point2;
 use rfly_channel::pathloss::free_space_amplitude;
+use rfly_core::loc::disentangle::{isolate_track, paired_reads};
 use rfly_core::loc::rssi::RssiLocalizer;
 use rfly_core::loc::sar::SarLocalizer;
 use rfly_core::loc::trajectory::Trajectory;
@@ -80,23 +81,7 @@ pub fn localization_trial(
         }
     }
 
-    // Disentangle.
-    let mut pairs = Vec::new();
-    let mut pts = Vec::new();
-    for (i, (t, e)) in tag_track.iter().zip(&emb_track).enumerate() {
-        if let (Some(t), Some(e)) = (t, e) {
-            pairs.push(rfly_core::loc::disentangle::PairedMeasurement {
-                tag: *t,
-                embedded: *e,
-            });
-            pts.push(traj.points()[i]);
-        }
-    }
-    if pairs.len() < 3 {
-        return None;
-    }
-    let (kept, channels) = rfly_core::loc::disentangle::disentangle_filtered(&pairs);
-    let used = Trajectory::from_points(kept.iter().map(|&i| pts[i]).collect());
+    let (used, channels) = isolate_track(paired_reads(traj.points(), &tag_track, &emb_track))?;
 
     // SAR.
     let sar = SarLocalizer::new(f2, region.0, region.1, 0.04);
@@ -104,9 +89,11 @@ pub fn localization_trial(
         .localize(&used, &channels)
         .map(|(est, _)| est.distance(tag))?;
 
-    // RSSI baseline over the same measurements. The disentangled
-    // channel is h₂²/local, so its 1 m reference amplitude is the
-    // free-space round-trip amplitude over the local constant.
+    // RSSI baseline over the same measurements. Its 1 m reference is
+    // the free-space round-trip amplitude over |local|, although the
+    // medium builds the disentangled channel as h₂²/local²
+    // (`fleet_transact`) and the supervisor's fallback divides by
+    // |local|². Settling the formula is ROADMAP item 5 step 2.
     let rssi = RssiLocalizer {
         frequency: f2,
         region_min: region.0,

@@ -9,7 +9,10 @@
 //! `h' = h / h_m = Σ_j e^{−j2πf2·2d2j/c}` — purely the relay↔tag
 //! half-link, regardless of reader–relay multipath.
 
+use rfly_channel::geometry::Point2;
 use rfly_dsp::Complex;
+
+use super::trajectory::Trajectory;
 
 /// One trajectory position's paired measurements.
 #[derive(Debug, Clone, Copy)]
@@ -52,16 +55,50 @@ pub fn disentangle(measurements: &[PairedMeasurement]) -> Vec<Option<Complex>> {
 /// Convenience: disentangles and drops unusable positions, returning
 /// `(kept_indices, channels)`.
 pub fn disentangle_filtered(measurements: &[PairedMeasurement]) -> (Vec<usize>, Vec<Complex>) {
-    let all = disentangle(measurements);
-    let mut idx = Vec::new();
-    let mut out = Vec::new();
-    for (i, h) in all.into_iter().enumerate() {
-        if let Some(h) = h {
-            idx.push(i);
-            out.push(h);
-        }
-    }
-    (idx, out)
+    let all = disentangle(measurements).into_iter().enumerate();
+    all.filter_map(|(i, h)| Some((i, h?))).unzip()
+}
+
+/// Fewest positions that must survive Eq. 10 for a track to be
+/// localized.
+pub const MIN_TRACK_LEN: usize = 3;
+
+/// Pairs a tag's per-position reads with the relay-embedded RFID's,
+/// keeping the positions where both were read.
+pub fn paired_reads<'a>(
+    points: &'a [Point2],
+    tag: &'a [Option<Complex>],
+    embedded: &'a [Option<Complex>],
+) -> impl Iterator<Item = (Point2, PairedMeasurement)> + 'a {
+    points
+        .iter()
+        .zip(tag)
+        .zip(embedded)
+        .filter_map(|((&p, &t), &e)| {
+            Some((
+                p,
+                PairedMeasurement {
+                    tag: t?,
+                    embedded: e?,
+                },
+            ))
+        })
+}
+
+/// The track step of the pipeline: disentangles each paired read
+/// (Eq. 10) and keeps the surviving positions in order, aligned with
+/// their isolated channels. `None` when fewer than [`MIN_TRACK_LEN`]
+/// survive.
+pub fn isolate_track(
+    pairs: impl IntoIterator<Item = (Point2, PairedMeasurement)>,
+) -> Option<(Trajectory, Vec<Complex>)> {
+    let (points, meas): (Vec<Point2>, Vec<PairedMeasurement>) = pairs.into_iter().unzip();
+    let (points, channels): (Vec<Point2>, Vec<Complex>) = points
+        .into_iter()
+        .zip(disentangle(&meas))
+        .filter_map(|(p, h)| Some((p, h?)))
+        .unzip();
+    (points.len() >= MIN_TRACK_LEN).then(|| (Trajectory::from_points(points), channels))
 }
 
 #[cfg(test)]
@@ -148,5 +185,28 @@ mod tests {
         };
         let (idx, _) = disentangle_filtered(&[m, m]);
         assert!(idx.is_empty());
+    }
+
+    /// A track at x = 0, 1, ... whose tag reads are x + 1.
+    fn track(embedded: &[f64]) -> Vec<(Point2, PairedMeasurement)> {
+        let pair = |(i, &e): (usize, &f64)| {
+            let m = PairedMeasurement {
+                tag: Complex::new(i as f64 + 1.0, 0.0),
+                embedded: Complex::new(e, 0.0),
+            };
+            (Point2::new(i as f64, 0.0), m)
+        };
+        embedded.iter().enumerate().map(pair).collect()
+    }
+
+    #[test]
+    fn track_step_applies_the_length_rule_after_disentangling() {
+        assert!(isolate_track(track(&[0.5, 1e-9, 0.5])).is_none());
+        assert!(isolate_track(Vec::new()).is_none());
+        let (traj, channels) = isolate_track(track(&[0.5, 1e-9, 0.5, 0.5])).unwrap();
+        let xs: Vec<f64> = traj.points().iter().map(|p| p.x).collect();
+        assert_eq!(xs, vec![0.0, 2.0, 3.0]);
+        let hs: Vec<f64> = channels.iter().map(|h| h.re).collect();
+        assert_eq!(hs, vec![2.0, 6.0, 8.0], "channels stay aligned");
     }
 }

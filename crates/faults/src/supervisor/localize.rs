@@ -4,10 +4,9 @@
 use std::collections::BTreeMap;
 
 use rfly_channel::geometry::Point2;
-use rfly_core::loc::disentangle::{disentangle, PairedMeasurement};
+use rfly_core::loc::disentangle::{isolate_track, PairedMeasurement};
 use rfly_core::loc::rssi::RssiLocalizer;
 use rfly_core::loc::sar::SarLocalizer;
-use rfly_core::loc::trajectory::Trajectory;
 use rfly_dsp::units::Hertz;
 use rfly_dsp::{Complex, SPEED_OF_LIGHT};
 use rfly_fleet::inventory::FleetInventory;
@@ -18,7 +17,24 @@ use crate::inject::RelayHealth;
 use crate::log::{RecoveryAction, ResilienceLog};
 
 use super::state::StepTrack;
-use super::{MissionEnv, SupervisorConfig};
+use super::MissionEnv;
+
+/// Track coherence (mean resultant length, in \[0, 1\]) below which SAR
+/// is abandoned for RSSI ranging.
+const COHERENCE_GATE: f64 = 0.7;
+
+/// Reads a tag needs on one relay's track before it is attempted. This
+/// pre-selection is stricter than the pipeline's
+/// [`MIN_TRACK_LEN`](rfly_core::loc::disentangle::MIN_TRACK_LEN), so
+/// three-read tracks do not use up [`MAX_LOC_TAGS_PER_RELAY`].
+const MIN_LOC_READS: usize = 4;
+
+/// Tags localized per relay at mission end (localization is a
+/// post-pass; this bounds its cost).
+const MAX_LOC_TAGS_PER_RELAY: usize = 4;
+
+/// Localization grid resolution, meters.
+const LOC_RESOLUTION_M: f64 = 0.5;
 
 /// How a tag was localized at mission end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,6 +103,7 @@ pub(super) fn track_coherence(track: &[StepTrack]) -> f64 {
 }
 
 /// Step 7: per-relay, per-tag localization with the coherence gate.
+/// Only a `supervised` mission falls back to RSSI ranging.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn localize_all(
     tracks: &[Vec<StepTrack>],
@@ -94,8 +111,7 @@ pub(super) fn localize_all(
     f1: &[Hertz],
     shift: &[Hertz],
     env: &MissionEnv<'_>,
-    sup: Option<&SupervisorConfig>,
-    loc_cfg: &SupervisorConfig,
+    supervised: bool,
     health: &[RelayHealth],
     final_step: usize,
     log: &mut ResilienceLog,
@@ -114,87 +130,65 @@ pub(super) fn localize_all(
                     .push((st.pos, PairedMeasurement { tag, embedded }));
             }
         }
-        let coherent = coherence[relay] >= loc_cfg.coherence_gate;
+        let coherent = coherence[relay] >= COHERENCE_GATE;
         let mut taken = 0usize;
         for (epc, ms) in per_epc {
-            if ms.len() < 4 {
+            if ms.len() < MIN_LOC_READS {
                 continue;
             }
-            if taken >= loc_cfg.max_loc_tags_per_relay {
+            if taken >= MAX_LOC_TAGS_PER_RELAY {
                 break;
             }
             taken += 1;
-            let meas: Vec<PairedMeasurement> = ms.iter().map(|&(_, m)| m).collect();
-            let isolated = disentangle(&meas);
-            let (points, channels): (Vec<Point2>, Vec<Complex>) = ms
-                .iter()
-                .zip(&isolated)
-                .filter_map(|(&(p, _), h)| h.map(|h| (p, h)))
-                .unzip();
-            if points.len() < 3 {
-                out.push(LocalizationRecord {
-                    epc,
-                    relay,
-                    method: LocMethod::Unavailable,
-                    estimate: None,
-                });
-                continue;
-            }
-            let traj = Trajectory::from_points(points);
-            if coherent {
-                rfly_obs::counter_add("supervisor.loc.sar", 1);
-                let est =
-                    SarLocalizer::new(f2, env.scene.min, env.scene.max, loc_cfg.loc_resolution_m)
-                        .localize(&traj, &channels)
-                        .map(|(p, _)| p);
-                out.push(LocalizationRecord {
-                    epc,
-                    relay,
-                    method: LocMethod::Sar,
-                    estimate: est,
-                });
-            } else if sup.is_some() {
-                // The oscillator scrambled the phase but not the
-                // magnitude: fall back to coarse RSSI ranging against
-                // the embedded-normalized free-space model.
-                rfly_obs::counter_add("supervisor.loc.rssi_fallback", 1);
-                let lambda = SPEED_OF_LIGHT / f2.as_hz();
-                let local = RelayModel::from_budget(f1[relay], shift[relay], &env.budget)
-                    .embedded_local
-                    .norm_sq();
-                let rssi = RssiLocalizer {
-                    frequency: f2,
-                    region_min: env.scene.min,
-                    region_max: env.scene.max,
-                    resolution: loc_cfg.loc_resolution_m,
-                    reference_amplitude_1m: (lambda / (4.0 * std::f64::consts::PI)).powi(2) / local,
-                };
-                let est = rssi.localize(&traj, &channels);
-                if let Some(trigger) = health[relay].last_phase_fault {
-                    log.record(
-                        final_step,
-                        RecoveryAction::SarFallback {
-                            relay,
-                            epc,
-                            coherence: coherence[relay],
-                        },
-                        trigger,
-                    );
+            let (method, estimate) = match isolate_track(ms) {
+                Some((traj, channels)) if coherent => {
+                    rfly_obs::counter_add("supervisor.loc.sar", 1);
+                    let sar = SarLocalizer::new(f2, env.scene.min, env.scene.max, LOC_RESOLUTION_M);
+                    let est = sar.localize(&traj, &channels).map(|(p, _)| p);
+                    (LocMethod::Sar, est)
                 }
-                out.push(LocalizationRecord {
-                    epc,
-                    relay,
-                    method: LocMethod::RssiFallback,
-                    estimate: est,
-                });
-            } else {
-                out.push(LocalizationRecord {
-                    epc,
-                    relay,
-                    method: LocMethod::Unavailable,
-                    estimate: None,
-                });
-            }
+                Some((traj, channels)) if supervised => {
+                    // The oscillator scrambled the phase but not the
+                    // magnitude: fall back to coarse RSSI ranging. The
+                    // 1 m reference is the free-space round-trip
+                    // amplitude over |local|² (the medium's h₂²/local²);
+                    // Figs. 13–14 divide by |local|. ROADMAP item 5
+                    // step 2 settles the formula.
+                    rfly_obs::counter_add("supervisor.loc.rssi_fallback", 1);
+                    let lambda = SPEED_OF_LIGHT / f2.as_hz();
+                    let local = RelayModel::from_budget(f1[relay], shift[relay], &env.budget)
+                        .embedded_local
+                        .norm_sq();
+                    let rssi = RssiLocalizer {
+                        frequency: f2,
+                        region_min: env.scene.min,
+                        region_max: env.scene.max,
+                        resolution: LOC_RESOLUTION_M,
+                        reference_amplitude_1m: (lambda / (4.0 * std::f64::consts::PI)).powi(2)
+                            / local,
+                    };
+                    let est = rssi.localize(&traj, &channels);
+                    if let Some(trigger) = health[relay].last_phase_fault {
+                        log.record(
+                            final_step,
+                            RecoveryAction::SarFallback {
+                                relay,
+                                epc,
+                                coherence: coherence[relay],
+                            },
+                            trigger,
+                        );
+                    }
+                    (LocMethod::RssiFallback, est)
+                }
+                _ => (LocMethod::Unavailable, None),
+            };
+            out.push(LocalizationRecord {
+                epc,
+                relay,
+                method,
+                estimate,
+            });
         }
     }
     out

@@ -21,9 +21,9 @@
 //!   the orphaned cell is handed to the relay now covering it.
 //! * **Graceful localization degradation** — each relay's track
 //!   coherence is measured from repeated embedded-RFID reads at the
-//!   same hover point; a track below
-//!   [`SupervisorConfig::coherence_gate`] abandons SAR for coarse RSSI
-//!   ranging ([`rfly_core::loc::rssi`]), flagged in the log.
+//!   same hover point; a track below a fixed coherence gate (0.7)
+//!   abandons SAR for coarse RSSI ranging ([`rfly_core::loc::rssi`]),
+//!   flagged in the log.
 //!
 //! [`run_unsupervised`] flies the identical mission under the identical
 //! schedule with every reaction disabled — the baseline that loses the
@@ -60,14 +60,6 @@ pub struct SupervisorConfig {
     pub max_retries: usize,
     /// Candidate re-assignment seeds tried on a margin violation.
     pub reassign_attempts: usize,
-    /// Track coherence (mean resultant length, in \[0, 1\]) below which SAR
-    /// is abandoned for RSSI ranging.
-    pub coherence_gate: f64,
-    /// Tags localized per relay at mission end (localization is a
-    /// post-pass; this bounds its cost).
-    pub max_loc_tags_per_relay: usize,
-    /// Localization grid resolution, meters.
-    pub loc_resolution_m: f64,
 }
 
 impl Default for SupervisorConfig {
@@ -75,9 +67,6 @@ impl Default for SupervisorConfig {
         Self {
             max_retries: 2,
             reassign_attempts: 4,
-            coherence_gate: 0.7,
-            max_loc_tags_per_relay: 4,
-            loc_resolution_m: 0.5,
         }
     }
 }

@@ -592,7 +592,6 @@ impl MissionState {
         env: &MissionEnv<'_>,
         sup: Option<&SupervisorConfig>,
     ) -> ResilientOutcome {
-        let loc_cfg = sup.copied().unwrap_or_default();
         let coherence: Vec<f64> = self.tracks.iter().map(|trk| track_coherence(trk)).collect();
         let localization = localize_all(
             &self.tracks,
@@ -600,8 +599,7 @@ impl MissionState {
             &self.f1,
             &self.shift,
             env,
-            sup,
-            &loc_cfg,
+            sup.is_some(),
             &self.health,
             self.steps,
             &mut self.log,

@@ -183,7 +183,6 @@ pub fn analyze_file(path: &str, src: &str, ast: &Ast) -> FileAnalysis {
             file: path.to_string(),
             name: fd.name.clone(),
             impl_ty: impl_ty.map(|s| s.to_string()),
-            is_test: false,
             calls: a.calls,
             det_return: a.det_return,
             sink_sites: a.sinks,

@@ -73,8 +73,6 @@ pub struct FnSummary {
     pub name: String,
     /// The impl/trait self-type name, if this is a method.
     pub impl_ty: Option<String>,
-    /// True for `#[test]` fns and anything under `#[cfg(test)]`.
-    pub is_test: bool,
     /// Call sites in the body.
     pub calls: Vec<CallSite>,
     /// True when the function's return value is *locally* a determinism
@@ -95,14 +93,12 @@ pub struct WorkspaceIndex {
 }
 
 impl WorkspaceIndex {
-    /// Builds the index: the resolution maps over every non-test fn.
+    /// Builds the index: the resolution maps over every summarised fn
+    /// (test fns are never summarised, so never resolution targets).
     pub fn build(fns: Vec<FnSummary>) -> Self {
         let mut by_type_method: HashMap<String, Vec<usize>> = HashMap::new();
         let mut by_bare: HashMap<String, Vec<usize>> = HashMap::new();
         for (id, f) in fns.iter().enumerate() {
-            if f.is_test {
-                continue; // test fns are never resolution targets
-            }
             if let Some(ty) = &f.impl_ty {
                 by_type_method
                     .entry(format!("{ty}::{}", f.name))
@@ -228,7 +224,6 @@ mod tests {
             file: format!("crates/{crate_name}/src/lib.rs"),
             name: name.to_string(),
             impl_ty: None,
-            is_test: false,
             calls: Vec::new(),
             det_return: false,
             sink_sites: Vec::new(),
@@ -299,15 +294,6 @@ mod tests {
             Some(1),
             "type hint disambiguates"
         );
-    }
-
-    #[test]
-    fn test_fns_are_never_resolution_targets() {
-        let mut a = summary("api", "core");
-        a.calls.push(call("helper"));
-        let mut t = summary("helper", "core");
-        t.is_test = true;
-        assert_eq!(first_call(vec![a, t]), None);
     }
 
     #[test]

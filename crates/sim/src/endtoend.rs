@@ -4,7 +4,7 @@
 use rfly_dsp::rng::StdRng;
 
 use rfly_channel::geometry::Point2;
-use rfly_core::loc::disentangle::{disentangle_filtered, PairedMeasurement};
+use rfly_core::loc::disentangle::{isolate_track, paired_reads};
 use rfly_core::loc::sar::SarLocalizer;
 use rfly_core::loc::trajectory::Trajectory;
 use rfly_dsp::units::Hertz;
@@ -306,25 +306,8 @@ impl ScenarioOutcome {
     pub fn localize_epc(&self, epc: Epc) -> Option<LocalizationResult> {
         let tag_track = self.tracks.get(&epc)?;
         let emb_track = self.tracks.get(&PhasorWorld::embedded_epc())?;
-        let mut pairs = Vec::new();
-        let mut positions = Vec::new();
-        for (i, (t, e)) in tag_track.iter().zip(emb_track).enumerate() {
-            if let (Some(t), Some(e)) = (t, e) {
-                pairs.push(PairedMeasurement {
-                    tag: *t,
-                    embedded: *e,
-                });
-                positions.push(self.trajectory.points()[i]);
-            }
-        }
-        if pairs.len() < 3 {
-            return None;
-        }
-        let (kept, channels) = disentangle_filtered(&pairs);
-        if kept.len() < 3 {
-            return None;
-        }
-        let traj = Trajectory::from_points(kept.iter().map(|&i| positions[i]).collect());
+        let (traj, channels) =
+            isolate_track(paired_reads(self.trajectory.points(), tag_track, emb_track))?;
         let localizer = SarLocalizer::new(
             self.frequency,
             self.region.0,
