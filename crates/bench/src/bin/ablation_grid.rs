@@ -12,7 +12,8 @@
 //!   `loc.sar.cells_exact` / `loc.rssi.cells_exact` rfly-obs counters)
 //!   must equal the committed totals, like any golden work counter.
 //!
-//! Wall time and speedup are telemetry only.
+//! Wall time and speedup are telemetry only (`Bench::telemetry`):
+//! they never enter the committed `results/bench/ablation_grid.json`.
 //!
 //! Run with: `cargo run --release --bin ablation_grid [seed]`
 
@@ -154,47 +155,31 @@ fn main() {
         &[
             "method",
             "median error",
-            "time/trial",
             "cells scored/trial",
             "bit-identical",
         ],
     );
-    let mut row = |method: &str, e: &ErrorStats, secs: f64, cells: f64, agree: String| {
+    let mut row = |method: &str, e: &ErrorStats, cells: f64, agree: String| {
         table.row(&[
             method.into(),
             fmt_m(e.median()),
-            format!("{:.1} ms", secs / n * 1e3),
             format!("{:.0}", cells / n),
             agree,
         ]);
     };
-    row(
-        "SAR exhaustive (oracle)",
-        &e_sar,
-        t[0],
-        all_cells,
-        "-".into(),
-    );
+    row("SAR exhaustive (oracle)", &e_sar, all_cells, "-".into());
     let agree = format!("{agree_sar}/{trials}");
-    row("SAR screened", &e_sar, t[1], sar_cells as f64, agree);
-    row(
-        "RSSI full scan (oracle)",
-        &e_rssi,
-        t[2],
-        all_cells,
-        "-".into(),
-    );
+    row("SAR screened", &e_sar, sar_cells as f64, agree);
+    row("RSSI full scan (oracle)", &e_rssi, all_cells, "-".into());
     let agree = format!("{agree_rssi}/{trials}");
-    row(
-        "RSSI branch-and-bound",
-        &e_rssi,
-        t[3],
-        rssi_cells as f64,
-        agree,
-    );
+    row("RSSI branch-and-bound", &e_rssi, rssi_cells as f64, agree);
     bench.table("main", table, true);
     bench.metric("sar_cells_exact", sar_cells as f64);
     bench.metric("rssi_cells_exact", rssi_cells as f64);
+    let methods = ["sar_oracle", "sar_screened", "rssi_oracle", "rssi_bnb"];
+    for (method, secs) in methods.into_iter().zip(t) {
+        bench.telemetry(&format!("{method}_ms_per_trial"), secs / n * 1e3);
+    }
 
     assert_eq!(agree_sar, trials, "SAR screen changed an estimate");
     assert_eq!(

@@ -81,7 +81,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// Accumulated wall-clock spent inside recovery routines, for the
-/// recovery-time stats in the JSON report.
+/// recovery-time stats in the telemetry side file.
 #[derive(Default)]
 struct RecoveryClock {
     total_s: f64,
@@ -257,8 +257,8 @@ fn main() -> ExitCode {
     bench.metric("unrecovered", failures as f64);
     bench.metric("controls_caught", controls_caught as f64);
     bench.metric("recovery_runs", clock.runs as f64);
-    bench.metric("recovery_mean_ms", clock.mean_ms());
-    bench.metric("recovery_max_ms", clock.max_s * 1e3);
+    bench.telemetry("recovery_mean_ms", clock.mean_ms());
+    bench.telemetry("recovery_max_ms", clock.max_s * 1e3);
     println!(
         "{points} crash points over {} seeds: {exact} exact, \
          {failures} unrecovered; {}/{} planted-bug controls caught; \

@@ -193,7 +193,8 @@ fn main() {
             format!("{:.4}", w / b),
         ]);
     }
-    bench.table("main", t, false);
+    // Wall time: printed, never recorded in the committed report.
+    t.print(false);
 
     let mut ratios: Vec<f64> = rows.iter().map(|(b, w)| w / b).collect();
     let (q1, median, q3) = quartiles(&mut ratios);
@@ -203,9 +204,9 @@ fn main() {
     );
     bench.metric("sim_transactions", bare.transactions as f64);
     bench.metric("sim_tag_visits", bare.tag_visits as f64);
-    bench.metric("zero_fault_ratio_median", median);
-    bench.metric("zero_fault_ratio_q1", q1);
-    bench.metric("zero_fault_ratio_q3", q3);
+    bench.telemetry("zero_fault_ratio_median", median);
+    bench.telemetry("zero_fault_ratio_q1", q1);
+    bench.telemetry("zero_fault_ratio_q3", q3);
     println!("transparency gate passed");
     bench.finish();
 }

@@ -16,7 +16,8 @@
 //! asserted **bit-identical** before printing: worker count may only
 //! change wall-clock, never bytes. That bit-identity is the only
 //! parallel check; the serial/parallel ratio is printed and lands in
-//! `BENCH_report.json` as `parallel_speedup`, as telemetry only.
+//! the untracked `target/bench-telemetry/ext_fleet_scaling.json` as
+//! `parallel_speedup`, with the worker count it was measured at.
 //!
 //! Feasibility (partition + channel assignment) is pre-flighted
 //! serially per row before any mission spawns, so an infeasible row
@@ -230,9 +231,9 @@ fn main() {
          {workers} worker(s) ({speedup:.2}x, rows bit-identical; RFLY_THREADS overrides the width \
          — results are identical at any value)"
     );
-    bench.metric("serial_s", serial_s); // rfly-lint: allow(determinism-taint) -- wall-time IS the measurement here; the report tolerates jitter in these fields.
-    bench.metric("parallel_s", parallel_s); // rfly-lint: allow(determinism-taint) -- wall-time IS the measurement here; the report tolerates jitter in these fields.
-    bench.metric("parallel_speedup", speedup); // rfly-lint: allow(determinism-taint) -- wall-time IS the measurement here; the report tolerates jitter in these fields.
-    bench.metric("workers", workers as f64);
+    bench.telemetry("serial_s", serial_s);
+    bench.telemetry("parallel_s", parallel_s);
+    bench.telemetry("parallel_speedup", speedup);
+    bench.telemetry("workers", workers as f64);
     bench.finish();
 }

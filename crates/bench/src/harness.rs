@@ -8,8 +8,15 @@
 //! before **and** writes `results/bench/<name>.json`, then regenerates
 //! the aggregate `results/bench/BENCH_report.json` over every bench
 //! that has run.
+//!
+//! The committed report holds deterministic values only, so a rerun at
+//! the same seed leaves it byte-identical. Wall time (durations,
+//! speedups, the worker count they were measured at) goes to
+//! [`Bench::telemetry`] instead, a side channel written under the
+//! untracked `target/bench-telemetry/`.
 
 use std::collections::BTreeMap;
+use std::fmt::Write;
 use std::path::PathBuf;
 
 use rfly_channel::geometry::Point2;
@@ -65,7 +72,9 @@ pub struct Bench {
     seed: u64,
     tables: Vec<(String, Table)>,
     metrics: BTreeMap<String, f64>,
+    telemetry: BTreeMap<String, f64>,
     out_dir: PathBuf,
+    telemetry_dir: PathBuf,
 }
 
 impl Bench {
@@ -76,7 +85,9 @@ impl Bench {
             seed,
             tables: Vec::new(),
             metrics: BTreeMap::new(),
+            telemetry: BTreeMap::new(),
             out_dir: PathBuf::from("results/bench"),
+            telemetry_dir: PathBuf::from("target/bench-telemetry"),
         }
     }
 
@@ -100,64 +111,76 @@ impl Bench {
         self.tables.push((slug.to_string(), table));
     }
 
-    /// Records a headline metric (a gate value, a speedup, a rate) for
-    /// the JSON report.
+    /// Records a headline metric (a gate value, a count, a rate) for
+    /// the JSON report. It must be deterministic: wall time goes to
+    /// [`Self::telemetry`].
     pub fn metric(&mut self, key: &str, value: f64) {
         self.metrics.insert(key.to_string(), value);
+    }
+
+    /// Records a wall-time value (a duration, a speedup, the worker
+    /// count it was measured at) for `target/bench-telemetry/<name>.json`,
+    /// which git does not track. It never enters the committed report.
+    pub fn telemetry(&mut self, key: &str, value: f64) {
+        self.telemetry.insert(key.to_string(), value);
     }
 
     /// The per-bench report as a JSON object.
     pub fn render_json(&self) -> String {
         let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"bench\": {},\n", json_str(&self.name)));
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str("  \"metrics\": {");
-        let mut first = true;
-        for (k, v) in &self.metrics {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push_str(&format!("\n    {}: {}", json_str(k), json_f64(*v)));
-        }
-        s.push_str("\n  },\n");
-        s.push_str("  \"tables\": {");
-        first = true;
-        for (slug, t) in &self.tables {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            let headers: Vec<String> = t.headers().iter().map(|h| json_str(h)).collect();
-            let rows: Vec<String> = t
-                .rows()
-                .iter()
-                .map(|r| {
-                    let cells: Vec<String> = r.iter().map(|c| json_str(c)).collect();
-                    format!("[{}]", cells.join(", "))
-                })
-                .collect();
-            s.push_str(&format!(
-                "\n    {}: {{\"title\": {}, \"headers\": [{}], \"rows\": [{}]}}",
+        let _ = write!(
+            s,
+            "{{\n  \"bench\": {},\n  \"seed\": {},\n  \"metrics\": ",
+            json_str(&self.name),
+            self.seed
+        );
+        write_json_map(&mut s, &self.metrics);
+        s.push_str(",\n  \"tables\": {");
+        for (k, (slug, t)) in self.tables.iter().enumerate() {
+            let sep = if k == 0 { "" } else { "," };
+            let _ = write!(
+                s,
+                "{sep}\n    {}: {{\"title\": {}, \"headers\": [",
                 json_str(slug),
                 json_str(t.title()),
-                headers.join(", "),
-                rows.join(", "),
-            ));
+            );
+            write_json_strs(&mut s, t.headers());
+            s.push_str("], \"rows\": [");
+            for (j, r) in t.rows().iter().enumerate() {
+                s.push_str(if j == 0 { "[" } else { ", [" });
+                write_json_strs(&mut s, r);
+                s.push(']');
+            }
+            s.push_str("]}");
         }
         s.push_str("\n  }\n}\n");
         s
     }
 
-    /// Writes `results/bench/<name>.json` and regenerates the aggregate
+    /// Writes `results/bench/<name>.json`, regenerates the aggregate
     /// `results/bench/BENCH_report.json` over every per-bench file
-    /// present. Report I/O failure is reported but never fails the
-    /// bench itself (CI sandboxes may be read-only).
+    /// present, and writes the telemetry side file when there is any.
+    /// Report I/O failure is reported but never fails the bench itself
+    /// (CI sandboxes may be read-only).
     pub fn finish(self) {
         let json = self.render_json();
         if let Err(e) = self.write_reports(&json) {
             eprintln!("bench report not written: {e}");
+        }
+        if !self.telemetry.is_empty() {
+            let mut side = format!(
+                "{{\n  \"bench\": {},\n  \"seed\": {},\n  \"telemetry\": ",
+                json_str(&self.name),
+                self.seed
+            );
+            write_json_map(&mut side, &self.telemetry);
+            side.push_str("\n}\n");
+            let path = self.telemetry_dir.join(format!("{}.json", self.name));
+            let written = std::fs::create_dir_all(&self.telemetry_dir)
+                .and_then(|()| std::fs::write(path, side));
+            if let Err(e) = written {
+                eprintln!("bench telemetry not written: {e}");
+            }
         }
     }
 
@@ -182,18 +205,32 @@ impl Bench {
             entries.insert(stem.to_string(), std::fs::read_to_string(&path)?);
         }
         let mut agg = String::from("{\n  \"benches\": {");
-        let mut first = true;
-        for (stem, body) in &entries {
-            if !first {
-                agg.push(',');
-            }
-            first = false;
+        for (k, (stem, body)) in entries.iter().enumerate() {
+            let sep = if k == 0 { "" } else { "," };
             // Indent the embedded object to keep the aggregate readable.
             let indented = body.trim_end().replace('\n', "\n    ");
-            agg.push_str(&format!("\n    {}: {}", json_str(stem), indented));
+            let _ = write!(agg, "{sep}\n    {}: {indented}", json_str(stem));
         }
         agg.push_str("\n  }\n}\n");
         std::fs::write(self.out_dir.join("BENCH_report.json"), agg)
+    }
+}
+
+/// Appends `map` as a JSON object, one `"key": value` per line.
+fn write_json_map(s: &mut String, map: &BTreeMap<String, f64>) {
+    s.push('{');
+    for (k, (key, v)) in map.iter().enumerate() {
+        let sep = if k == 0 { "" } else { "," };
+        let _ = write!(s, "{sep}\n    {}: {}", json_str(key), json_f64(*v));
+    }
+    s.push_str("\n  }");
+}
+
+/// Appends `items` as comma-separated JSON strings.
+fn write_json_strs(s: &mut String, items: &[String]) {
+    for (k, item) in items.iter().enumerate() {
+        let sep = if k == 0 { "" } else { ", " };
+        let _ = write!(s, "{sep}{}", json_str(item));
     }
 }
 
@@ -221,18 +258,26 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let mut b = Bench::new("unit_test_bench", 7);
         b.out_dir = dir.clone();
+        b.telemetry_dir = dir.join("telemetry");
         let mut t = Table::new("t", &["a", "b"]);
         t.row(&["1".to_string(), "x,y".to_string()]);
         b.tables.push(("main".to_string(), t));
-        b.metric("speedup", 2.5);
+        b.metric("cells", 2.5);
+        b.telemetry("wall_s", 0.125);
         let json = b.render_json();
-        assert!(json.contains("\"bench\": \"unit_test_bench\""));
-        assert!(json.contains("\"speedup\": 2.5"));
-        assert!(json.contains("\"rows\": [[\"1\", \"x,y\"]]"));
+        assert_eq!(
+            json,
+            "{\n  \"bench\": \"unit_test_bench\",\n  \"seed\": 7,\n  \"metrics\": {\n    \
+             \"cells\": 2.5\n  },\n  \"tables\": {\n    \"main\": {\"title\": \"t\", \
+             \"headers\": [\"a\", \"b\"], \"rows\": [[\"1\", \"x,y\"]]}\n  }\n}\n"
+        );
         b.finish();
         let agg = std::fs::read_to_string(dir.join("BENCH_report.json")).unwrap();
         assert!(agg.contains("\"unit_test_bench\""));
-        assert!(agg.contains("\"speedup\": 2.5"));
+        assert!(agg.contains("\"cells\": 2.5"));
+        assert!(!agg.contains("wall_s"), "telemetry stays out of the report");
+        let side = std::fs::read_to_string(dir.join("telemetry/unit_test_bench.json")).unwrap();
+        assert!(side.contains("\"wall_s\": 0.125"), "{side}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -7,11 +7,13 @@
 //! invariant the `recovery_proptest` property test holds over random
 //! fault schedules.
 
+use std::fmt;
+
 use rfly_protocol::epc::Epc;
 use rfly_sim::report::Table;
 
 use crate::schedule::FaultEvent;
-use crate::text::{epc_hex, fmt_f64, Fields, ParseError};
+use crate::text::{EpcHex, Fields, ParseError};
 
 /// One recovery action the mission supervisor can take.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,52 +103,7 @@ impl RecoveryAction {
         }
     }
 
-    /// The stable text form: an ASCII action token plus `key=value`
-    /// parameters (the display name's `Δ` stays out of the wire format
-    /// so journals are pure ASCII). Round-trips via [`Self::parse`].
-    pub fn to_text(&self) -> String {
-        match *self {
-            RecoveryAction::Retry { relay, attempt } => {
-                format!("retry relay={relay} attempt={attempt}")
-            }
-            RecoveryAction::GainTrim { relay, trimmed_db } => {
-                format!("gain-trim relay={relay} db={}", fmt_f64(trimmed_db))
-            }
-            RecoveryAction::DeltaFReassign {
-                pair,
-                margin_before_db,
-                margin_after_db,
-            } => format!(
-                "df-reassign i={} j={} before={} after={}",
-                pair.0,
-                pair.1,
-                fmt_f64(margin_before_db),
-                fmt_f64(margin_after_db)
-            ),
-            RecoveryAction::Repartition {
-                dead_relay,
-                survivors,
-            } => format!("repartition dead={dead_relay} survivors={survivors}"),
-            RecoveryAction::CellHandoff { cell, from, to } => {
-                format!("cell-handoff cell={cell} from={from} to={to}")
-            }
-            RecoveryAction::PaRebias { relay, restored_db } => {
-                format!("pa-rebias relay={relay} db={}", fmt_f64(restored_db))
-            }
-            RecoveryAction::RouteHold { relay } => format!("route-hold relay={relay}"),
-            RecoveryAction::SarFallback {
-                relay,
-                epc,
-                coherence,
-            } => format!(
-                "sar-fallback relay={relay} epc={} coherence={}",
-                epc_hex(epc),
-                fmt_f64(coherence)
-            ),
-        }
-    }
-
-    /// Parses the [`Self::to_text`] form from a token cursor.
+    /// Parses the [`Display`](fmt::Display) form from a token cursor.
     pub fn parse(fields: &mut Fields<'_>) -> Result<Self, ParseError> {
         let tok = fields.tok("recovery action")?;
         Ok(match tok {
@@ -189,6 +146,50 @@ impl RecoveryAction {
     }
 }
 
+/// The stable text form: an ASCII action token plus `key=value`
+/// parameters (the display name's `Δ` stays out of the wire format so
+/// journals are pure ASCII). Round-trips via [`RecoveryAction::parse`].
+impl fmt::Display for RecoveryAction {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            RecoveryAction::Retry { relay, attempt } => {
+                write!(f, "retry relay={relay} attempt={attempt}")
+            }
+            RecoveryAction::GainTrim { relay, trimmed_db } => {
+                write!(f, "gain-trim relay={relay} db={trimmed_db}")
+            }
+            RecoveryAction::DeltaFReassign {
+                pair: (i, j),
+                margin_before_db,
+                margin_after_db,
+            } => write!(
+                f,
+                "df-reassign i={i} j={j} before={margin_before_db} after={margin_after_db}"
+            ),
+            RecoveryAction::Repartition {
+                dead_relay,
+                survivors,
+            } => write!(f, "repartition dead={dead_relay} survivors={survivors}"),
+            RecoveryAction::CellHandoff { cell, from, to } => {
+                write!(f, "cell-handoff cell={cell} from={from} to={to}")
+            }
+            RecoveryAction::PaRebias { relay, restored_db } => {
+                write!(f, "pa-rebias relay={relay} db={restored_db}")
+            }
+            RecoveryAction::RouteHold { relay } => write!(f, "route-hold relay={relay}"),
+            RecoveryAction::SarFallback {
+                relay,
+                epc,
+                coherence,
+            } => write!(
+                f,
+                "sar-fallback relay={relay} epc={} coherence={coherence}",
+                EpcHex(epc)
+            ),
+        }
+    }
+}
+
 /// One recovery, time-stamped and linked to its triggering fault.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoggedRecovery {
@@ -200,13 +201,17 @@ pub struct LoggedRecovery {
     pub trigger: usize,
 }
 
-impl LoggedRecovery {
-    /// The stable one-line form: `a <step> <trigger> <action…>`.
-    pub fn to_line(&self) -> String {
-        format!("a {} {} {}", self.step, self.trigger, self.action.to_text())
+/// The stable one-line form: `a <step> <trigger> <action…>`, without
+/// its newline.
+impl fmt::Display for LoggedRecovery {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "a {} {} {}", self.step, self.trigger, self.action)
     }
+}
 
-    /// Parses [`Self::to_line`]; `line_no` is for error reporting.
+impl LoggedRecovery {
+    /// Parses the [`Display`](fmt::Display) line; `line_no` is for
+    /// error reporting.
     pub fn from_line(line: &str, line_no: usize) -> Result<Self, ParseError> {
         let mut f = Fields::new(line, line_no);
         f.expect_tok("a")?;
@@ -227,6 +232,23 @@ pub struct ResilienceLog {
     pub faults: Vec<FaultEvent>,
     /// Recovery actions taken (in order).
     pub recoveries: Vec<LoggedRecovery>,
+}
+
+/// The stable text form: a header, one `f` line per fault struck, one
+/// `a` line per recovery (both in recorded order), and an `end` footer.
+/// Journals and checkpoints embed this block verbatim; round-trips via
+/// [`ResilienceLog::from_text`].
+impl fmt::Display for ResilienceLog {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("resilience-log v1\n")?;
+        for ev in &self.faults {
+            writeln!(f, "{ev}")?;
+        }
+        for r in &self.recoveries {
+            writeln!(f, "{r}")?;
+        }
+        f.write_str("end\n")
+    }
 }
 
 impl ResilienceLog {
@@ -275,25 +297,7 @@ impl ResilienceLog {
             .count()
     }
 
-    /// The stable text form: a header, one `f` line per fault struck,
-    /// one `a` line per recovery (both in recorded order), and an `end`
-    /// footer. Journals embed this block verbatim; round-trips via
-    /// [`Self::from_text`].
-    pub fn to_text(&self) -> String {
-        let mut s = String::from("resilience-log v1\n");
-        for f in &self.faults {
-            s.push_str(&f.to_line());
-            s.push('\n');
-        }
-        for r in &self.recoveries {
-            s.push_str(&r.to_line());
-            s.push('\n');
-        }
-        s.push_str("end\n");
-        s
-    }
-
-    /// Parses the [`Self::to_text`] form.
+    /// Parses the [`Display`](fmt::Display) form.
     pub fn from_text(text: &str) -> Result<Self, ParseError> {
         let mut lines = text.lines().enumerate();
         let (n, header) = lines
@@ -402,6 +406,23 @@ mod tests {
         assert!(!log.is_consistent(), "recovery precedes the fault");
     }
 
+    /// The full log below as the codec wrote it before its encoders
+    /// appended into one buffer.
+    const FULL_LOG_TEXT: &str = "resilience-log v1
+f 0 1 2 gen2-drop p=0.8137 steps=4
+f 1 3 0 battery-sag
+f 2 2 1 cfo-drift rad=0.5 steps=3
+a 4 1 retry relay=2 attempt=1
+a 5 1 gain-trim relay=1 db=12.75
+a 6 1 df-reassign i=0 j=2 before=-0.3333333333333333 after=11.5
+a 7 1 repartition dead=0 survivors=3
+a 8 1 cell-handoff cell=0 from=0 to=2
+a 9 1 pa-rebias relay=2 db=5.5
+a 10 1 route-hold relay=1
+a 11 1 sar-fallback relay=1 epc=52464c590000000000000007 coherence=0.2183
+end
+";
+
     #[test]
     fn text_form_round_trips_a_full_log() {
         let mut log = ResilienceLog::new();
@@ -415,6 +436,12 @@ mod tests {
             },
         });
         log.record_fault(&fault(1, 3));
+        log.record_fault(&FaultEvent {
+            id: 2,
+            step: 2,
+            relay: 1,
+            kind: FaultKind::CfoDrift { rad: 0.5, steps: 3 },
+        });
         let actions = [
             RecoveryAction::Retry {
                 relay: 2,
@@ -453,12 +480,16 @@ mod tests {
             log.record(4 + k, a, 1);
         }
 
-        let text = log.to_text();
+        let text = log.to_string();
+        assert_eq!(
+            text, FULL_LOG_TEXT,
+            "the wire form of every record kind is pinned"
+        );
         let back = ResilienceLog::from_text(&text).expect("parses");
         assert_eq!(back.faults, log.faults);
         assert_eq!(back.recoveries, log.recoveries);
         // Serialized bytes are stable across the round trip.
-        assert_eq!(back.to_text(), text);
+        assert_eq!(back.to_string(), text);
     }
 
     #[test]

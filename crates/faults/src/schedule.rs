@@ -8,9 +8,11 @@
 //! relay's oscillators and gain stages (§4.3, §6.1), the tag uplink,
 //! the Gen2 transaction itself, and the carrier drone.
 
+use std::fmt;
+
 use rfly_dsp::rng::{Rng, SliceRandom, StdRng};
 
-use crate::text::{fmt_f64, Fields, ParseError};
+use crate::text::{Fields, ParseError};
 
 /// One way a relay, its uplink, or its drone can degrade.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -88,38 +90,35 @@ pub enum FaultKind {
     BatterySag,
 }
 
-impl FaultKind {
-    /// The stable text form: a kind token followed by `key=value`
-    /// parameters, e.g. `deep-fade db=18 steps=4`. Floats use shortest
-    /// round-trip [`fmt_f64`], so `parse` rebuilds the identical kind.
-    pub fn to_text(&self) -> String {
+/// The stable text form: a kind token followed by `key=value`
+/// parameters, e.g. `deep-fade db=18 steps=4`. Floats use the codec's
+/// shortest round-trip `{x}` form, so `parse` rebuilds the identical
+/// kind.
+impl fmt::Display for FaultKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
-            FaultKind::PhaseGlitch { rad } => format!("phase-glitch rad={}", fmt_f64(rad)),
-            FaultKind::CfoDrift { rad, steps } => {
-                format!("cfo-drift rad={} steps={steps}", fmt_f64(rad))
-            }
-            FaultKind::GainDrift { db } => format!("gain-drift db={}", fmt_f64(db)),
-            FaultKind::PaSag { db } => format!("pa-sag db={}", fmt_f64(db)),
-            FaultKind::DeepFade { db, steps } => {
-                format!("deep-fade db={} steps={steps}", fmt_f64(db))
-            }
+            FaultKind::PhaseGlitch { rad } => write!(f, "phase-glitch rad={rad}"),
+            FaultKind::CfoDrift { rad, steps } => write!(f, "cfo-drift rad={rad} steps={steps}"),
+            FaultKind::GainDrift { db } => write!(f, "gain-drift db={db}"),
+            FaultKind::PaSag { db } => write!(f, "pa-sag db={db}"),
+            FaultKind::DeepFade { db, steps } => write!(f, "deep-fade db={db} steps={steps}"),
             FaultKind::NoiseBurst { p_corrupt, steps } => {
-                format!("noise-burst p={} steps={steps}", fmt_f64(p_corrupt))
+                write!(f, "noise-burst p={p_corrupt} steps={steps}")
             }
             FaultKind::Gen2Drop { p_drop, steps } => {
-                format!("gen2-drop p={} steps={steps}", fmt_f64(p_drop))
+                write!(f, "gen2-drop p={p_drop} steps={steps}")
             }
-            FaultKind::TrackingDropout { steps } => format!("tracking-dropout steps={steps}"),
-            FaultKind::WindGust { dx_m, dy_m, steps } => format!(
-                "wind-gust dx={} dy={} steps={steps}",
-                fmt_f64(dx_m),
-                fmt_f64(dy_m)
-            ),
-            FaultKind::BatterySag => "battery-sag".into(),
+            FaultKind::TrackingDropout { steps } => write!(f, "tracking-dropout steps={steps}"),
+            FaultKind::WindGust { dx_m, dy_m, steps } => {
+                write!(f, "wind-gust dx={dx_m} dy={dy_m} steps={steps}")
+            }
+            FaultKind::BatterySag => f.write_str("battery-sag"),
         }
     }
+}
 
-    /// Parses the [`Self::to_text`] form from a token cursor.
+impl FaultKind {
+    /// Parses the [`Display`](fmt::Display) form from a token cursor.
     pub fn parse(fields: &mut Fields<'_>) -> Result<Self, ParseError> {
         let tok = fields.tok("fault kind")?;
         Ok(match tok {
@@ -247,19 +246,21 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
-impl FaultEvent {
-    /// The stable one-line form: `f <id> <step> <relay> <kind…>`.
-    pub fn to_line(&self) -> String {
-        format!(
+/// The stable one-line form: `f <id> <step> <relay> <kind…>`, without
+/// its newline.
+impl fmt::Display for FaultEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
             "f {} {} {} {}",
-            self.id,
-            self.step,
-            self.relay,
-            self.kind.to_text()
+            self.id, self.step, self.relay, self.kind
         )
     }
+}
 
-    /// Parses [`Self::to_line`]; `line_no` is for error reporting.
+impl FaultEvent {
+    /// Parses the [`Display`](fmt::Display) line; `line_no` is for
+    /// error reporting.
     pub fn from_line(line: &str, line_no: usize) -> Result<Self, ParseError> {
         let mut f = Fields::new(line, line_no);
         f.expect_tok("f")?;
@@ -278,6 +279,18 @@ impl FaultEvent {
 #[derive(Debug, Clone)]
 pub struct FaultSchedule {
     events: Vec<FaultEvent>,
+}
+
+/// The stable text form: a header, one [`FaultEvent`] line per event,
+/// and an `end` footer. Round-trips via [`FaultSchedule::from_text`].
+impl fmt::Display for FaultSchedule {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("fault-schedule v1\n")?;
+        for e in &self.events {
+            writeln!(f, "{e}")?;
+        }
+        f.write_str("end\n")
+    }
 }
 
 impl FaultSchedule {
@@ -437,19 +450,7 @@ impl FaultSchedule {
         Self { events }
     }
 
-    /// The stable text form: a header, one [`FaultEvent::to_line`] per
-    /// event, and an `end` footer. Round-trips via [`Self::from_text`].
-    pub fn to_text(&self) -> String {
-        let mut s = String::from("fault-schedule v1\n");
-        for e in &self.events {
-            s.push_str(&e.to_line());
-            s.push('\n');
-        }
-        s.push_str("end\n");
-        s
-    }
-
-    /// Parses the [`Self::to_text`] form.
+    /// Parses the [`Display`](fmt::Display) form.
     pub fn from_text(text: &str) -> Result<Self, ParseError> {
         let mut lines = text.lines().enumerate();
         let (n, header) = lines
@@ -563,11 +564,11 @@ mod tests {
             FaultSchedule::storm(9, 4, 40),
             FaultSchedule::random(123, 3, 30, 17),
         ] {
-            let text = sched.to_text();
+            let text = sched.to_string();
             let back = FaultSchedule::from_text(&text).expect("parses");
             assert_eq!(back.events(), sched.events());
             // And the re-serialized bytes are stable.
-            assert_eq!(back.to_text(), text);
+            assert_eq!(back.to_string(), text);
         }
     }
 

@@ -4,20 +4,30 @@
 //! Design rules, in order of priority:
 //!
 //! 1. **Bit-exact round-trips.** Floats are written with Rust's default
-//!    `Display`, which since 1.0 emits the *shortest* decimal string
-//!    that parses back to the identical bit pattern. A journal re-read
-//!    from disk therefore reproduces every margin and phasor exactly.
+//!    `Display` (`{x}` in a format string), which since 1.0 emits the
+//!    *shortest* decimal string that parses back to the identical bit
+//!    pattern. `{x}` is the codec's float form: a journal re-read from
+//!    disk reproduces every margin and phasor exactly.
 //! 2. **Diffable.** One record per line, whitespace-separated tokens,
 //!    `key=value` for named parameters — `diff`/`grep` are the triage
 //!    tools, not a bespoke viewer.
 //! 3. **Zero dependencies.** Parsing is hand-rolled over
 //!    `split_whitespace`; no serde in the workspace.
+//! 4. **One buffer.** Encoders append to one caller-owned `String`
+//!    through [`std::fmt::Write`]. A record's text form is its
+//!    `Display` impl (one line, or a block of lines), and a form with
+//!    no type of its own is a `write_*(&mut String, …)` function, like
+//!    [`write_world`]. Only an encoder that hands a whole file or a
+//!    whole journal block to storage (a checkpoint's or journal's
+//!    `to_text`, a step or tick block) creates a `String`; nothing
+//!    builds one per field or per line. Writing into a `String` cannot
+//!    fail, so `let _ = write!(…)` is the idiom there.
 //!
 //! Every parse path returns [`ParseError`] with a 1-indexed line
 //! number — journals are written by machines but read by humans
 //! mid-incident.
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 use rfly_protocol::epc::Epc;
 use rfly_sim::world::{TagSnapshot, WorldSnapshot};
@@ -49,34 +59,40 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Writes an `f64` in its shortest round-trip decimal form.
-///
-/// `parse_f64(&fmt_f64(x))` returns a value with `x`'s exact bits for
-/// every finite `x` — the property the whole journal format leans on.
-pub fn fmt_f64(x: f64) -> String {
-    format!("{x}")
-}
-
 /// An optional index in text: the number, or `-` for none.
-pub fn opt_usize(v: Option<usize>) -> String {
-    match v {
-        Some(n) => n.to_string(),
-        None => "-".to_string(),
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OptUsize(pub Option<usize>);
+
+impl fmt::Display for OptUsize {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Some(n) => write!(f, "{n}"),
+            None => f.write_str("-"),
+        }
     }
 }
+
+/// The lowercase hex digit of each nibble value.
+const NIBBLES: &[u8; 16] = b"0123456789abcdef";
 
 /// The 24-digit lowercase hex form of an EPC (no separators — one
-/// `split_whitespace` token).
-pub fn epc_hex(epc: Epc) -> String {
-    let mut s = String::with_capacity(24);
-    for b in epc.0 {
-        use fmt::Write;
-        let _ = write!(s, "{b:02x}");
+/// `split_whitespace` token). The digits are looked up per nibble into
+/// a stack buffer and written with one `write_str`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EpcHex(pub Epc);
+
+impl fmt::Display for EpcHex {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut digits = [0u8; 24];
+        for (pair, b) in digits.chunks_exact_mut(2).zip(self.0 .0) {
+            pair[0] = NIBBLES[usize::from(b >> 4)];
+            pair[1] = NIBBLES[usize::from(b & 0xf)];
+        }
+        f.write_str(std::str::from_utf8(&digits).map_err(|_| fmt::Error)?)
     }
-    s
 }
 
-/// Parses the [`epc_hex`] form, reporting errors at `line_no`.
+/// Parses the [`EpcHex`] form, reporting errors at `line_no`.
 pub fn parse_epc_hex(t: &str, line_no: usize) -> Result<Epc, ParseError> {
     if t.len() != 24 || !t.bytes().all(|b| b.is_ascii_hexdigit()) {
         return Err(ParseError::new(
@@ -174,7 +190,7 @@ impl<'a> Fields<'a> {
             .map_err(|_| self.error(format!("bad integer in {key}={v:?}")))
     }
 
-    /// `key=<usize>`, or `key=-` for none (the [`opt_usize`] form).
+    /// `key=<usize>`, or `key=-` for none (the [`OptUsize`] form).
     pub fn kv_opt_usize(&mut self, key: &str) -> Result<Option<usize>, ParseError> {
         match self.kv(key)? {
             "-" => Ok(None),
@@ -221,13 +237,6 @@ impl<'a> Fields<'a> {
     }
 }
 
-fn rng_hex(words: [u64; 4]) -> String {
-    format!(
-        "{:x},{:x},{:x},{:x}",
-        words[0], words[1], words[2], words[3]
-    )
-}
-
 fn parse_rng_hex(f: &mut Fields<'_>, key: &str) -> Result<[u64; 4], ParseError> {
     let v = f.kv(key)?;
     let mut words = [0u64; 4];
@@ -250,28 +259,29 @@ fn parse_hex_u8(f: &mut Fields<'_>, key: &str) -> Result<u8, ParseError> {
     u8::from_str_radix(v, 16).map_err(|_| f.error(format!("bad {key} {v:?}")))
 }
 
-/// The world half of a checkpoint: one `world` line (the world and
-/// embedded-tag RNG streams, the embedded tag's Gen2 flags) and one
-/// `wtag` line per tag.
-pub fn world_text(world: &WorldSnapshot) -> String {
-    let mut s = format!(
-        "world rng={} embrng={} embflags={:x}\n",
-        rng_hex(world.rng),
-        rng_hex(world.embedded_rng),
+/// Appends the world half of a checkpoint: one `world` line (the world
+/// and embedded-tag RNG streams, the embedded tag's Gen2 flags) and one
+/// `wtag` line per tag. RNG streams are four comma-joined hex words.
+pub fn write_world(out: &mut String, world: &WorldSnapshot) {
+    let [a, b, c, d] = world.rng;
+    let [e, g, h, i] = world.embedded_rng;
+    let _ = writeln!(
+        out,
+        "world rng={a:x},{b:x},{c:x},{d:x} embrng={e:x},{g:x},{h:x},{i:x} embflags={:x}",
         world.embedded_flags,
     );
     for t in &world.tags {
-        s.push_str(&format!(
-            "wtag {} rng={} flags={:x}\n",
-            epc_hex(t.epc),
-            rng_hex(t.rng),
+        let [a, b, c, d] = t.rng;
+        let _ = writeln!(
+            out,
+            "wtag {} rng={a:x},{b:x},{c:x},{d:x} flags={:x}",
+            EpcHex(t.epc),
             t.flags,
-        ));
+        );
     }
-    s
 }
 
-/// Collects the [`world_text`] lines of a checkpoint back into a
+/// Collects the [`write_world`] lines of a checkpoint back into a
 /// [`WorldSnapshot`].
 #[derive(Debug, Default)]
 pub struct WorldLines {
@@ -334,7 +344,8 @@ mod tests {
                 flags: 0xa,
             }],
         };
-        let text = world_text(&world);
+        let mut text = String::new();
+        write_world(&mut text, &world);
         let mut lines = WorldLines::default();
         for (n, line) in text.lines().enumerate() {
             assert!(lines.parse(line, n + 1).expect("parses"));
@@ -348,28 +359,57 @@ mod tests {
             .is_err());
     }
 
+    /// The codec's float form, `{x}`, parses back to the identical bit
+    /// pattern for random finite values, random subnormals, ±0 and the
+    /// extremes.
     #[test]
     fn f64_display_round_trips_bit_exactly() {
-        for x in [
+        let mut rng = rfly_dsp::rng::StdRng::seed_from_u64(0xF10A7);
+        let mut cases = vec![
             0.0,
             -0.0,
-            1.0 / 3.0,
-            std::f64::consts::PI,
-            -17.25,
-            1e-300,
-            9.87e12,
             f64::MIN_POSITIVE,
-        ] {
-            let s = fmt_f64(x);
-            let back: f64 = s.parse().expect("parses");
-            assert_eq!(back.to_bits(), x.to_bits(), "{s}");
+            -f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            f64::EPSILON,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::from_bits(0x000F_FFFF_FFFF_FFFF),
+        ];
+        for _ in 0..20_000 {
+            let bits = rng.next_u64();
+            // The sign and mantissa of `bits` with a zero exponent: a
+            // subnormal (or ±0).
+            cases.push(f64::from_bits(bits & 0x800F_FFFF_FFFF_FFFF));
+            let x = f64::from_bits(bits);
+            if x.is_finite() {
+                cases.push(x);
+            }
+        }
+        let mut text = String::new();
+        for x in cases {
+            text.clear();
+            let _ = write!(text, "{x}");
+            let back: f64 = text.parse().expect("parses");
+            assert_eq!(back.to_bits(), x.to_bits(), "{text}");
+        }
+    }
+
+    #[test]
+    fn epc_hex_matches_the_two_digit_byte_form_for_every_byte() {
+        for b in 0..=u8::MAX {
+            let epc = Epc::new([b; 12]);
+            let table = EpcHex(epc).to_string();
+            let per_byte: String = epc.0.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(table, per_byte, "byte {b:#04x}");
         }
     }
 
     #[test]
     fn epc_hex_round_trips() {
         let epc = Epc::from_index(0xDEAD_BEEF);
-        let s = epc_hex(epc);
+        let s = EpcHex(epc).to_string();
         assert_eq!(s.len(), 24);
         let mut f = Fields::new(&s, 1);
         assert_eq!(f.epc("epc").expect("parses"), epc);

@@ -6,6 +6,7 @@
 //!
 //! Exit codes: 0 = clean, 1 = violations, 2 = usage/IO error.
 
+use std::fmt::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -81,15 +82,16 @@ fn render_json(findings: &[Finding]) -> String {
     let mut out = String::from("{\n  \"version\": 3,\n  \"findings\": [\n");
     for (i, f) in findings.iter().enumerate() {
         let sep = if i + 1 == findings.len() { "" } else { "," };
-        out.push_str(&format!(
+        let _ = writeln!(
+            out,
             "    {{\"rule\": {}, \"file\": {}, \"line\": {}, \
-             \"message\": {}, \"line_text\": {}}}{sep}\n",
+             \"message\": {}, \"line_text\": {}}}{sep}",
             json_str(f.rule),
             json_str(&f.file),
             f.line,
             json_str(&f.message),
             json_str(&f.line_text),
-        ));
+        );
     }
     out.push_str("  ]\n}\n");
     out
@@ -108,7 +110,9 @@ fn json_str(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\t' => out.push_str("\\t"),
             '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }

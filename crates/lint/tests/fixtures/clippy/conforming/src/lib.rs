@@ -14,6 +14,7 @@
 )]
 
 use std::collections::BTreeMap;
+use std::fmt::Write;
 
 /// Errors become values, not panics.
 pub fn total(x: Option<u32>, y: Result<u32, ()>) -> Option<u32> {
@@ -23,6 +24,12 @@ pub fn total(x: Option<u32>, y: Result<u32, ()>) -> Option<u32> {
 /// Checked conversion instead of a truncating cast.
 pub fn narrow(x: u64) -> Option<u32> {
     u32::try_from(x).ok()
+}
+
+/// Text is appended into the caller's buffer, not pushed as a fresh
+/// `format!` string.
+pub fn append(out: &mut String, x: f64) {
+    let _ = write!(out, " {x}");
 }
 
 /// Ordered maps iterate deterministically.

@@ -49,6 +49,10 @@ pub fn unfinished(flag: bool) -> u32 {
     }
 }
 
+pub fn pushes(out: &mut String, x: f64) {
+    out.push_str(&format!("{x}"));
+}
+
 pub fn raw(x: &u32) -> u32 {
     let p: *const u32 = x;
     unsafe { *p }

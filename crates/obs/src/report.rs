@@ -7,6 +7,7 @@
 //! round-trip form — so a replayed mission's report is byte-identical
 //! to the live run's.
 
+use std::fmt::Write;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -27,40 +28,35 @@ impl<'a> Report<'a> {
     /// The human-readable text form.
     pub fn render_text(&self) -> String {
         let mut s = String::new();
-        s.push_str(&format!("rfly-obs report: {}\n", self.rec.mission));
+        let _ = writeln!(s, "rfly-obs report: {}", self.rec.mission);
         s.push_str("\n[counters]\n");
         for (name, v) in &self.rec.counters {
-            s.push_str(&format!("{name} = {v}\n"));
+            let _ = writeln!(s, "{name} = {v}");
         }
         s.push_str("\n[histograms]\n");
         for (name, h) in &self.rec.histograms {
-            s.push_str(&format!(
-                "{name} ({unit}): n={n} min={min} mean={mean} max={max}\n",
+            let _ = writeln!(
+                s,
+                "{name} ({unit}): n={n} min={min} mean={mean} max={max}",
                 unit = h.unit,
                 n = h.count,
                 min = h.min,
                 mean = h.mean(),
                 max = h.max,
-            ));
+            );
         }
         s.push_str("\n[events]\n");
         for e in &self.rec.events {
-            let fields: Vec<String> = e
-                .fields
-                .iter()
-                .map(|(k, v)| format!("{k}={}", v.render()))
-                .collect();
-            let span = if e.span.is_empty() {
-                String::new()
-            } else {
-                format!(" @{}", e.span)
-            };
-            s.push_str(&format!(
-                "#{seq}{span} {name} {fields}\n",
-                seq = e.seq,
-                name = e.name,
-                fields = fields.join(" "),
-            ));
+            let _ = write!(s, "#{}", e.seq);
+            if !e.span.is_empty() {
+                let _ = write!(s, " @{}", e.span);
+            }
+            let _ = write!(s, " {} ", e.name);
+            for (k, (key, v)) in e.fields.iter().enumerate() {
+                let sep = if k == 0 { "" } else { " " };
+                let _ = write!(s, "{sep}{key}={}", v.render());
+            }
+            s.push('\n');
         }
         s
     }
@@ -68,58 +64,43 @@ impl<'a> Report<'a> {
     /// The machine-readable JSON form.
     pub fn render_json(&self) -> String {
         let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!(
-            "  \"mission\": {},\n",
-            json_str(&self.rec.mission)
-        ));
+        let _ = writeln!(s, "{{\n  \"mission\": {},", json_str(&self.rec.mission));
         s.push_str("  \"counters\": {");
-        let mut first = true;
-        for (name, v) in &self.rec.counters {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push_str(&format!("\n    {}: {v}", json_str(name)));
+        for (k, (name, v)) in self.rec.counters.iter().enumerate() {
+            let sep = if k == 0 { "" } else { "," };
+            let _ = write!(s, "{sep}\n    {}: {v}", json_str(name));
         }
         s.push_str("\n  },\n");
         s.push_str("  \"histograms\": {");
-        first = true;
-        for (name, h) in &self.rec.histograms {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push_str(&format!(
-                "\n    {}: {{\"unit\": {}, \"count\": {}, \"min\": {}, \"mean\": {}, \"max\": {}}}",
+        for (k, (name, h)) in self.rec.histograms.iter().enumerate() {
+            let sep = if k == 0 { "" } else { "," };
+            let _ = write!(
+                s,
+                "{sep}\n    {}: {{\"unit\": {}, \"count\": {}, \"min\": {}, \"mean\": {}, \"max\": {}}}",
                 json_str(name),
                 json_str(h.unit),
                 h.count,
                 json_f64(h.min),
                 json_f64(h.mean()),
                 json_f64(h.max),
-            ));
+            );
         }
         s.push_str("\n  },\n");
         s.push_str("  \"events\": [");
-        first = true;
-        for e in &self.rec.events {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            let fields: Vec<String> = e
-                .fields
-                .iter()
-                .map(|(k, v)| format!("{}: {}", json_str(k), json_value(v)))
-                .collect();
-            s.push_str(&format!(
-                "\n    {{\"seq\": {}, \"span\": {}, \"name\": {}, \"fields\": {{{}}}}}",
+        for (k, e) in self.rec.events.iter().enumerate() {
+            let sep = if k == 0 { "" } else { "," };
+            let _ = write!(
+                s,
+                "{sep}\n    {{\"seq\": {}, \"span\": {}, \"name\": {}, \"fields\": {{",
                 e.seq,
                 json_str(&e.span),
                 json_str(e.name),
-                fields.join(", "),
-            ));
+            );
+            for (j, (key, v)) in e.fields.iter().enumerate() {
+                let sep = if j == 0 { "" } else { ", " };
+                let _ = write!(s, "{sep}{}: {}", json_str(key), json_value(v));
+            }
+            s.push_str("}}");
         }
         s.push_str("\n  ]\n}\n");
         s
@@ -151,7 +132,9 @@ pub fn json_str(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }

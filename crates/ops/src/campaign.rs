@@ -13,12 +13,12 @@
 //! same-seed runs, which the ops test suite asserts.
 
 use std::collections::BTreeSet;
+use std::fmt::Write;
 
 use rfly_channel::geometry::Point2;
 use rfly_core::relay::gains::IsolationBudget;
 use rfly_drone::kinematics::MotionLimits;
 use rfly_dsp::units::{Db, Seconds};
-use rfly_faults::text::fmt_f64;
 use rfly_fleet::channels::{assign, ChannelPlan};
 use rfly_fleet::inventory::{seeded_mission, serve_stop, stop_seed};
 use rfly_fleet::partition::partition;
@@ -118,10 +118,9 @@ impl OpsReport {
     pub fn trace_text(&self) -> String {
         let mut out = String::new();
         for (relay, row) in self.trace.iter().enumerate() {
-            out.push_str(&format!("relay {relay}:"));
+            let _ = write!(out, "relay {relay}:");
             for j in row {
-                out.push(' ');
-                out.push_str(&fmt_f64(*j));
+                let _ = write!(out, " {j}");
             }
             out.push('\n');
         }

@@ -26,6 +26,7 @@
 //! reconstructed from a predecessor map.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::fmt::Write;
 
 /// Fleet shape and bounds for the checker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,16 +122,13 @@ impl State {
     fn render(&self) -> String {
         let mut out = format!("cells={}", self.cells);
         for (i, r) in self.relays.iter().enumerate() {
-            out.push(' ');
-            match r.duty {
-                ADuty::Serving(c) => out.push_str(&format!(
-                    "r{i}=serve({c})/{}/{}",
-                    r.bucket.label(),
-                    r.retries
-                )),
-                ADuty::Docked => out.push_str(&format!("r{i}=dock/{}", r.bucket.label())),
-                ADuty::Dead => out.push_str(&format!("r{i}=dead")),
-            }
+            let _ = match r.duty {
+                ADuty::Serving(c) => {
+                    write!(out, " r{i}=serve({c})/{}/{}", r.bucket.label(), r.retries)
+                }
+                ADuty::Docked => write!(out, " r{i}=dock/{}", r.bucket.label()),
+                ADuty::Dead => write!(out, " r{i}=dead"),
+            };
         }
         out
     }

@@ -22,9 +22,11 @@
 //! storage, paths, every)`; `durable::recover` with a fresh run resumes
 //! it.
 
+use std::fmt::Write;
+
 use rfly_chaos::Durable;
 use rfly_faults::text::{
-    epc_hex, fmt_f64, opt_usize, parse_epc_hex, world_text, Fields, ParseError, WorldLines,
+    parse_epc_hex, write_world, EpcHex, Fields, OptUsize, ParseError, WorldLines,
 };
 use rfly_fleet::channels::assign;
 use rfly_fleet::partition::partition;
@@ -38,28 +40,29 @@ use crate::rotation::{Duty, Roster, Rotation};
 /// shortest-round-trip form, so a recovery attempt against the wrong
 /// config is caught by a string compare.
 pub fn config_line(cfg: &OpsConfig) -> String {
+    let e = &cfg.energy;
     format!(
         "config relays={} cells={} tags={} tick={} dur={} floor={} margin={} rounds={} inv={} \
          seed={} cap={} hoverw={} txw={} refgain={} txdb={} readj={} chargew={} reserve={} ready={}",
         cfg.n_relays,
         cfg.n_cells,
         cfg.n_tags,
-        fmt_f64(cfg.tick.value()),
-        fmt_f64(cfg.duration.value()),
-        fmt_f64(cfg.coverage_floor),
-        fmt_f64(cfg.margin.value()),
+        cfg.tick.value(),
+        cfg.duration.value(),
+        cfg.coverage_floor,
+        cfg.margin.value(),
         cfg.max_rounds,
         cfg.inventory_every,
         cfg.seed,
-        fmt_f64(cfg.energy.capacity_j),
-        fmt_f64(cfg.energy.hover_w),
-        fmt_f64(cfg.energy.tx_w),
-        fmt_f64(cfg.energy.ref_gain.value()),
-        fmt_f64(cfg.energy.tx_w_per_db),
-        fmt_f64(cfg.energy.per_read_j),
-        fmt_f64(cfg.energy.charge_w),
-        fmt_f64(cfg.energy.reserve_frac),
-        fmt_f64(cfg.energy.ready_frac),
+        e.capacity_j,
+        e.hover_w,
+        e.tx_w,
+        e.ref_gain.value(),
+        e.tx_w_per_db,
+        e.per_read_j,
+        e.charge_w,
+        e.reserve_frac,
+        e.ready_frac,
     )
 }
 
@@ -67,39 +70,39 @@ pub fn config_line(cfg: &OpsConfig) -> String {
 /// rotation, an `n` line when new tags were inventoried, the `b`
 /// battery line, and the `e` terminator salvage keys on.
 pub fn tick_block(rec: &TickRecord) -> String {
-    let mut s = format!(
-        "k {} reads={} deaths={} repart={} coverage={}\n",
+    let mut s = String::new();
+    let _ = writeln!(
+        s,
+        "k {} reads={} deaths={} repart={} coverage={}",
         rec.tick,
         rec.reads,
         rec.deaths,
         u8::from(rec.repartitioned),
-        fmt_f64(rec.coverage),
+        rec.coverage,
     );
     for r in &rec.rotations {
-        s.push_str(&format!(
-            "rot tick={} cell={} incumbent={} standby={} dock={}\n",
+        let _ = writeln!(
+            s,
+            "rot tick={} cell={} incumbent={} standby={} dock={}",
             r.tick,
             r.cell,
             r.incumbent,
             r.standby,
-            opt_usize(r.dock),
-        ));
+            OptUsize(r.dock),
+        );
     }
     if !rec.new_tags.is_empty() {
         s.push('n');
         for epc in &rec.new_tags {
-            s.push(' ');
-            s.push_str(&epc_hex(*epc));
+            let _ = write!(s, " {}", EpcHex(*epc));
         }
         s.push('\n');
     }
     s.push('b');
     for c in &rec.charges {
-        s.push(' ');
-        s.push_str(&fmt_f64(*c));
+        let _ = write!(s, " {c}");
     }
-    s.push('\n');
-    s.push_str("e\n");
+    s.push_str("\ne\n");
     s
 }
 
@@ -211,27 +214,29 @@ pub struct CampaignCheckpoint {
 }
 
 impl CampaignCheckpoint {
-    /// The full text form.
+    /// The full text form, written into one buffer.
     pub fn to_text(&self) -> String {
         let mut s = String::from("rfly-campaign-ck v1\n");
-        s.push_str(&format!(
-            "tick {} cells={} halted={}\n",
+        let _ = writeln!(
+            s,
+            "tick {} cells={} halted={}",
             self.next_tick,
             self.cells,
             u8::from(self.halted),
-        ));
+        );
         for (i, (duty, charge)) in self.duties.iter().enumerate() {
-            let (kind, at) = match duty {
-                Duty::Serving { cell } => ("serving", cell.to_string()),
-                Duty::Docked { dock } => ("docked", dock.to_string()),
-                Duty::Dead => ("dead", "-".to_string()),
+            let (kind, at) = match *duty {
+                Duty::Serving { cell } => ("serving", Some(cell)),
+                Duty::Docked { dock } => ("docked", Some(dock)),
+                Duty::Dead => ("dead", None),
             };
-            s.push_str(&format!(
-                "relay {i} duty={kind} at={at} charge={}\n",
-                fmt_f64(*charge)
-            ));
+            let _ = writeln!(
+                s,
+                "relay {i} duty={kind} at={} charge={charge}",
+                OptUsize(at)
+            );
         }
-        s.push_str(&world_text(&self.world));
+        write_world(&mut s, &self.world);
         s.push_str("end\n");
         s
     }

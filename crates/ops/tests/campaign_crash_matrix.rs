@@ -2,7 +2,8 @@
 //! operation of a stored campaign — including ticks that rotate,
 //! kill, and repartition the fleet — is crashed in every fault mode,
 //! and recovery must leave the durable files bit-identical to an
-//! uncrashed campaign's.
+//! uncrashed campaign's. The uncrashed campaign's own files are pinned
+//! byte for byte by the goldens under `tests/golden/`.
 
 use rfly_channel::geometry::Point2;
 use rfly_chaos::durable;
@@ -26,6 +27,27 @@ fn config() -> OpsConfig {
     let mut cfg = OpsConfig::small(11);
     cfg.duration = Seconds::new(7200.0);
     cfg
+}
+
+#[test]
+fn stored_campaign_matches_the_golden_log_and_checkpoint() {
+    let (scene, cfg) = (docked_scene(), config());
+    let paths = StorePaths::named("campaign");
+    let mut store = MemStorage::new();
+    let run = CampaignRun::new(&scene, &cfg).expect("builds");
+    durable::run(run, &mut store, &paths, EVERY).expect("campaign completes");
+    let text =
+        |path: &str| String::from_utf8(store.read(path).expect("file exists")).expect("utf8");
+    assert_eq!(
+        text(&paths.journal),
+        include_str!("golden/campaign_log_seed11.txt"),
+        "the campaign tick log diverged from the golden"
+    );
+    assert_eq!(
+        text(&paths.checkpoint),
+        include_str!("golden/campaign_checkpoint_seed11.txt"),
+        "the campaign checkpoint diverged from the golden"
+    );
 }
 
 #[test]

@@ -15,6 +15,8 @@
 //! bit for bit, and resuming from the *parsed* checkpoint is
 //! bit-identical to resuming from the in-memory one.
 
+use std::fmt::Write;
+
 use rfly_channel::geometry::Point2;
 use rfly_core::relay::gains::GainPlan;
 use rfly_drone::flightplan::FlightPlan;
@@ -23,7 +25,7 @@ use rfly_dsp::units::{Db, Hertz};
 use rfly_dsp::Complex;
 use rfly_faults::supervisor::{MissionSnapshot, StepTrack};
 use rfly_faults::text::{
-    epc_hex, fmt_f64, opt_usize, parse_epc_hex, world_text, Fields, ParseError, WorldLines,
+    parse_epc_hex, write_world, EpcHex, Fields, OptUsize, ParseError, WorldLines,
 };
 use rfly_faults::{RelayHealth, ResilienceLog};
 use rfly_fleet::inventory::{FleetInventory, Sighting, TagRecord};
@@ -40,125 +42,118 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// The full text form.
+    /// The full text form, written into one buffer.
     pub fn to_text(&self) -> String {
         let m = &self.mission;
         let mut s = String::from("rfly-checkpoint v1\n");
-        s.push_str(&format!(
-            "state step={} steps={} duration={} cap={} done={}\n",
+        let _ = writeln!(
+            s,
+            "state step={} steps={} duration={} cap={} done={}",
             m.step,
             m.steps,
-            fmt_f64(m.duration_s),
+            m.duration_s,
             m.step_cap,
             u8::from(m.done),
-        ));
-        s.push_str(&format!(
-            "gains down={} up={}\n",
-            fmt_f64(m.base_gains.downlink.value()),
-            fmt_f64(m.base_gains.uplink.value()),
-        ));
+        );
+        let _ = writeln!(
+            s,
+            "gains down={} up={}",
+            m.base_gains.downlink.value(),
+            m.base_gains.uplink.value(),
+        );
         for (i, h) in m.health.iter().enumerate() {
-            s.push_str(&format!(
+            let _ = writeln!(
+                s,
                 "relay {i} alive={} phase={} cfo={} cfoleft={} gain={} pasag={} fade={} \
                  fadeleft={} corruptp={} corruptleft={} dropp={} dropleft={} tracklost={} \
-                 gustx={} gusty={} gustleft={} lgain={} luplink={} lphase={} lbattery={} ltrack={}\n",
+                 gustx={} gusty={} gustleft={} lgain={} luplink={} lphase={} lbattery={} ltrack={}",
                 u8::from(h.alive),
-                fmt_f64(h.phase_noise_rad),
-                fmt_f64(h.cfo_noise_rad),
+                h.phase_noise_rad,
+                h.cfo_noise_rad,
                 h.cfo_steps_left,
-                fmt_f64(h.gain_drift_db),
-                fmt_f64(h.pa_sag_db),
-                fmt_f64(h.fade_db),
+                h.gain_drift_db,
+                h.pa_sag_db,
+                h.fade_db,
                 h.fade_steps_left,
-                fmt_f64(h.corrupt_p),
+                h.corrupt_p,
                 h.corrupt_steps_left,
-                fmt_f64(h.drop_p),
+                h.drop_p,
                 h.drop_steps_left,
                 h.tracking_lost_steps,
-                fmt_f64(h.gust_m.0),
-                fmt_f64(h.gust_m.1),
+                h.gust_m.0,
+                h.gust_m.1,
                 h.gust_steps_left,
-                opt_usize(h.last_gain_fault),
-                opt_usize(h.last_uplink_fault),
-                opt_usize(h.last_phase_fault),
-                opt_usize(h.battery_fault),
-                opt_usize(h.last_tracking_fault),
-            ));
+                OptUsize(h.last_gain_fault),
+                OptUsize(h.last_uplink_fault),
+                OptUsize(h.last_phase_fault),
+                OptUsize(h.battery_fault),
+                OptUsize(h.last_tracking_fault),
+            );
         }
         for i in 0..m.f1.len() {
-            s.push_str(&format!(
-                "chan {i} f1={} shift={} start={} hold={} bx={} by={}\n",
-                fmt_f64(m.f1[i].as_hz()),
-                fmt_f64(m.shift[i].as_hz()),
-                fmt_f64(m.route_start[i]),
-                fmt_f64(m.hold[i]),
-                fmt_f64(m.believed[i].x),
-                fmt_f64(m.believed[i].y),
-            ));
+            let _ = writeln!(
+                s,
+                "chan {i} f1={} shift={} start={} hold={} bx={} by={}",
+                m.f1[i].as_hz(),
+                m.shift[i].as_hz(),
+                m.route_start[i],
+                m.hold[i],
+                m.believed[i].x,
+                m.believed[i].y,
+            );
         }
         for (i, c) in m.cells.iter().enumerate() {
-            s.push_str(&format!(
-                "cell {i} index={} minx={} miny={} maxx={} maxy={}\n",
-                c.index,
-                fmt_f64(c.min.x),
-                fmt_f64(c.min.y),
-                fmt_f64(c.max.x),
-                fmt_f64(c.max.y),
-            ));
+            let _ = writeln!(
+                s,
+                "cell {i} index={} minx={} miny={} maxx={} maxy={}",
+                c.index, c.min.x, c.min.y, c.max.x, c.max.y,
+            );
         }
         for (i, p) in m.plans.iter().enumerate() {
             let lim = p.limits();
-            s.push_str(&format!(
+            let _ = write!(
+                s,
                 "plan {i} speed={} accel={}",
-                fmt_f64(lim.max_speed),
-                fmt_f64(lim.max_accel),
-            ));
+                lim.max_speed, lim.max_accel
+            );
             for wp in p.waypoints() {
-                s.push_str(&format!(" wp={},{}", fmt_f64(wp.x), fmt_f64(wp.y)));
+                let _ = write!(s, " wp={},{}", wp.x, wp.y);
             }
             s.push('\n');
         }
         for (relay, track) in m.tracks.iter().enumerate() {
             for st in track {
-                s.push_str(&format!(
-                    "trk {relay} px={} py={}",
-                    fmt_f64(st.pos.x),
-                    fmt_f64(st.pos.y),
-                ));
+                let _ = write!(s, "trk {relay} px={} py={}", st.pos.x, st.pos.y);
                 for e in &st.embedded {
-                    s.push_str(&format!(" emb={},{}", fmt_f64(e.re), fmt_f64(e.im)));
+                    let _ = write!(s, " emb={},{}", e.re, e.im);
                 }
                 for &(epc, h) in &st.tags {
-                    s.push_str(&format!(
-                        " tag={},{},{}",
-                        epc_hex(epc),
-                        fmt_f64(h.re),
-                        fmt_f64(h.im)
-                    ));
+                    let _ = write!(s, " tag={},{},{}", EpcHex(epc), h.re, h.im);
                 }
                 s.push('\n');
             }
         }
         s.push_str("inv");
         for r in &m.inventory.per_relay_reads {
-            s.push_str(&format!(" {r}"));
+            let _ = write!(s, " {r}");
         }
         s.push('\n');
         for rec in m.inventory.records() {
-            s.push_str(&format!(
-                "tag {} fstep={} frelay={} lstep={} lrelay={} reads={} handoffs={} snr={}\n",
-                epc_hex(rec.epc),
+            let _ = writeln!(
+                s,
+                "tag {} fstep={} frelay={} lstep={} lrelay={} reads={} handoffs={} snr={}",
+                EpcHex(rec.epc),
                 rec.first_seen.step,
                 rec.first_seen.relay,
                 rec.last_seen.step,
                 rec.last_seen.relay,
                 rec.reads,
                 rec.handoffs,
-                fmt_f64(rec.best_snr.value()),
-            ));
+                rec.best_snr.value(),
+            );
         }
-        s.push_str(&m.log.to_text());
-        s.push_str(&world_text(&self.world));
+        let _ = write!(s, "{}", m.log);
+        write_world(&mut s, &self.world);
         s.push_str("end\n");
         s
     }

@@ -83,7 +83,7 @@ pub fn first_divergence(a: &Journal, b: &Journal) -> Option<Divergence> {
         return Some(Divergence {
             step: 0,
             field: "scenario",
-            detail: format!("{} vs {}", a.scenario.to_line(), b.scenario.to_line()),
+            detail: format!("{} vs {}", a.scenario, b.scenario),
         });
     }
     for (k, (ra, rb)) in a.steps.iter().zip(&b.steps).enumerate() {

@@ -28,10 +28,12 @@
 //! complete step block; [`Journal::from_text`] accepts the missing
 //! footer and leaves [`Journal::sealed`] as `None`.
 
+use std::fmt::Write;
+
 use rfly_dsp::units::{Db, Seconds};
 use rfly_dsp::Complex;
 use rfly_faults::supervisor::{ReadRecord, StepRecord};
-use rfly_faults::text::{epc_hex, fmt_f64, Fields, ParseError};
+use rfly_faults::text::{EpcHex, Fields, ParseError};
 use rfly_faults::{FaultEvent, LoggedRecovery};
 
 use crate::runner::Scenario;
@@ -79,14 +81,14 @@ impl Journal {
         });
     }
 
-    /// The full text form.
+    /// The full text form, written into one buffer.
     pub fn to_text(&self) -> String {
         let mut s = header_text(&self.scenario);
         for rec in &self.steps {
-            s.push_str(&step_block(rec));
+            write_step_block(&mut s, rec);
         }
-        if let Some(seal) = self.sealed {
-            s.push_str(&seal_text(&seal));
+        if let Some(seal) = &self.sealed {
+            write_seal(&mut s, seal);
         }
         s
     }
@@ -143,53 +145,56 @@ pub const MAGIC: &str = "rfly-journal v1";
 /// The journal header: the version line plus the scenario line —
 /// exactly the prefix an incremental writer appends before any step.
 pub fn header_text(scenario: &Scenario) -> String {
-    let mut s = format!("{MAGIC}\n");
-    s.push_str(&scenario.to_line());
-    s.push('\n');
-    s
+    format!("{MAGIC}\n{scenario}\n")
 }
 
 /// The seal footer line a completed mission appends last.
 pub fn seal_text(seal: &Seal) -> String {
-    format!(
-        "end steps={} duration={}\n",
-        seal.steps,
-        fmt_f64(seal.duration_s)
-    )
+    let mut s = String::new();
+    write_seal(&mut s, seal);
+    s
+}
+
+/// Appends the [`seal_text`] line to `out`.
+fn write_seal(out: &mut String, seal: &Seal) {
+    let _ = writeln!(out, "end steps={} duration={}", seal.steps, seal.duration_s);
 }
 
 /// One step block's text form — the unit an incremental journal writer
 /// appends per executed step (and the unit crash salvage keeps or
 /// drops whole: a block missing its `e` terminator is torn).
 pub fn step_block(rec: &StepRecord) -> String {
-    let mut s = format!("s {}\n", rec.step);
+    let mut s = String::new();
+    write_step_block(&mut s, rec);
+    s
+}
+
+/// Appends the [`step_block`] of `rec` to `out`.
+fn write_step_block(out: &mut String, rec: &StepRecord) {
+    let _ = writeln!(out, "s {}", rec.step);
     for f in &rec.faults {
-        s.push_str(&f.to_line());
-        s.push('\n');
+        let _ = writeln!(out, "{f}");
     }
     for a in &rec.recoveries {
-        s.push_str(&a.to_line());
-        s.push('\n');
+        let _ = writeln!(out, "{a}");
     }
     if let Some((i, j, m)) = rec.margin {
-        s.push_str(&format!("m {i} {j} {}\n", fmt_f64(m)));
+        let _ = writeln!(out, "m {i} {j} {m}");
     }
     for r in &rec.reads {
-        s.push_str(&format!(
-            "r {} {} {} {} {}\n",
+        let _ = writeln!(
+            out,
+            "r {} {} {} {} {}",
             r.relay,
-            epc_hex(r.epc),
-            fmt_f64(r.channel.re),
-            fmt_f64(r.channel.im),
-            fmt_f64(r.snr.value()),
-        ));
+            EpcHex(r.epc),
+            r.channel.re,
+            r.channel.im,
+            r.snr.value(),
+        );
     }
-    s.push_str(&format!(
-        "g {:x} {:x} {:x} {:x}\n",
-        rec.rng[0], rec.rng[1], rec.rng[2], rec.rng[3]
-    ));
-    s.push_str(&format!("e {}\n", u8::from(rec.done)));
-    s
+    let [a, b, c, d] = rec.rng;
+    let _ = writeln!(out, "g {a:x} {b:x} {c:x} {d:x}");
+    let _ = writeln!(out, "e {}", u8::from(rec.done));
 }
 
 /// Parses a [`seal_text`] line, reporting errors at `line_no`.
@@ -363,7 +368,7 @@ mod tests {
     fn garbage_is_rejected_with_line_numbers() {
         assert!(Journal::from_text("").is_err());
         assert!(Journal::from_text("rfly-journal v2\n").is_err());
-        let scn_line = Scenario::small(1).to_line();
+        let scn_line = Scenario::small(1).to_string();
         let bad = format!("rfly-journal v1\n{scn_line}\nz 1\n");
         let err = Journal::from_text(&bad).expect_err("unknown record");
         assert_eq!(err.line, 3);

@@ -11,11 +11,13 @@
 //! reconstructs the same warehouse, tag population, channel plan, and
 //! RNG streams from one line of text.
 
+use std::fmt;
+
 use rfly_core::relay::gains::IsolationBudget;
 use rfly_drone::kinematics::MotionLimits;
 use rfly_dsp::units::{Db, Seconds};
 use rfly_faults::supervisor::{MissionEnv, MissionState, StepRecord, SupervisorConfig};
-use rfly_faults::text::{fmt_f64, Fields, ParseError};
+use rfly_faults::text::{Fields, ParseError};
 use rfly_faults::{FaultSchedule, ResilientOutcome};
 use rfly_fleet::channels::ChannelPlan;
 use rfly_fleet::inventory::{seeded_mission, MissionConfig};
@@ -51,6 +53,27 @@ pub struct Scenario {
     pub supervised: bool,
 }
 
+/// The stable one-line form embedded in journals and repro files.
+impl fmt::Display for Scenario {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "scenario relays={} tags={} seed={} w={} d={} shelves={} interval={} rounds={} \
+             margin={} supervised={}",
+            self.n_relays,
+            self.n_tags,
+            self.seed,
+            self.width_m,
+            self.depth_m,
+            self.shelves,
+            self.sample_interval_s,
+            self.max_rounds,
+            self.margin_db,
+            u8::from(self.supervised),
+        )
+    }
+}
+
 impl Scenario {
     /// The small triage scenario: 2 relays, 10 tags, a 16×12 m
     /// warehouse — big enough to exercise every recovery rung, small
@@ -70,24 +93,7 @@ impl Scenario {
         }
     }
 
-    /// The stable one-line form embedded in journals and repro files.
-    pub fn to_line(&self) -> String {
-        format!(
-            "scenario relays={} tags={} seed={} w={} d={} shelves={} interval={} rounds={} margin={} supervised={}",
-            self.n_relays,
-            self.n_tags,
-            self.seed,
-            fmt_f64(self.width_m),
-            fmt_f64(self.depth_m),
-            self.shelves,
-            fmt_f64(self.sample_interval_s),
-            self.max_rounds,
-            fmt_f64(self.margin_db),
-            u8::from(self.supervised),
-        )
-    }
-
-    /// Parses [`Self::to_line`].
+    /// Parses the [`Display`](fmt::Display) line.
     pub fn from_line(line: &str, line_no: usize) -> Result<Self, ParseError> {
         let mut f = Fields::new(line, line_no);
         f.expect_tok("scenario")?;
@@ -278,10 +284,10 @@ mod tests {
     #[test]
     fn scenario_line_round_trips() {
         let scn = Scenario::small(42);
-        let line = scn.to_line();
+        let line = scn.to_string();
         let back = Scenario::from_line(&line, 1).expect("parses");
         assert_eq!(back, scn);
-        assert_eq!(back.to_line(), line);
+        assert_eq!(back.to_string(), line);
     }
 
     #[test]

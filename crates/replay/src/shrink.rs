@@ -182,15 +182,10 @@ pub fn repro_from_text(text: &str) -> Result<Repro, String> {
 /// needs to reproduce the violation with one [`crate::runner::run_full`]
 /// call.
 pub fn repro_to_text(scenario: &Scenario, result: &ShrinkResult) -> String {
-    let mut s = String::from("rfly-repro v1\n");
-    s.push_str(&scenario.to_line());
-    s.push('\n');
-    s.push_str(&format!(
-        "invariant {} {}\n",
-        result.violation.invariant, result.violation.detail
-    ));
-    s.push_str(&result.schedule.to_text());
-    s
+    format!(
+        "rfly-repro v1\n{scenario}\ninvariant {} {}\n{}",
+        result.violation.invariant, result.violation.detail, result.schedule
+    )
 }
 
 #[cfg(test)]
@@ -256,7 +251,7 @@ mod tests {
 
         // Determinism: same input, same minimal repro, same probe count.
         let b = shrink(&harness, &storm).expect("shrinks");
-        assert_eq!(a.schedule.to_text(), b.schedule.to_text());
+        assert_eq!(a.schedule.to_string(), b.schedule.to_string());
         assert_eq!(a.probes, b.probes);
     }
 
@@ -306,7 +301,7 @@ mod tests {
         let back = repro_from_text(&text).expect("parses");
         assert_eq!(back.invariant, "no-stranded-cell");
         assert_eq!(back.scenario, scn);
-        assert_eq!(back.schedule.to_text(), result.schedule.to_text());
+        assert_eq!(back.schedule.to_string(), result.schedule.to_string());
         // Re-flying the parsed repro still violates — the loop closes.
         let reharness = InvariantHarness::new(back.scenario, vec![Invariant::NoStrandedCell])
             .expect("baseline");
@@ -343,7 +338,7 @@ mod tests {
         assert_eq!(back.scenario, scn);
         assert_eq!(back.invariant, "coverage-retention");
         assert_eq!(back.detail, result.violation.detail);
-        assert_eq!(back.schedule.to_text(), schedule.to_text());
+        assert_eq!(back.schedule.to_string(), schedule.to_string());
 
         assert!(repro_from_text("rfly-repro v2\n").is_err());
         assert!(repro_from_text("").is_err());

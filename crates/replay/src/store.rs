@@ -44,7 +44,7 @@ impl Durable for MissionRun<'_> {
     }
 
     fn identity(&self) -> String {
-        self.scenario.to_line()
+        self.scenario.to_string()
     }
 
     fn position(&self) -> usize {

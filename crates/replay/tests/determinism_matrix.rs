@@ -45,7 +45,7 @@ fn fly_at_width(workers: usize, seed: u64) -> Artifacts {
         journal: full.journal.to_text(),
         checkpoint: file_text(&crashed, &paths.checkpoint),
         partial_journal: file_text(&crashed, &paths.journal),
-        resilience_log: full.outcome.log.to_text(),
+        resilience_log: full.outcome.log.to_string(),
     }
 }
 

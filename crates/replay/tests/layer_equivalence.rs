@@ -8,6 +8,10 @@
 //! margins, individual tag reads with full-precision channels and SNRs,
 //! and the world RNG state after every step — must still match exactly.
 //!
+//! `golden/checkpoint_seed42.txt` pins the checkpoint codec the same
+//! way: the final checkpoint of the seed-42 golden mission, captured
+//! before the encoders were rewritten to append into one buffer.
+//!
 //! A second gate pins the obs exporter: a replayed mission must emit a
 //! **byte-identical** metric report to the live run (no wall-clock, no
 //! iteration-order nondeterminism anywhere in the recorder).
@@ -15,10 +19,11 @@
 mod common;
 
 use common::{crash_at, file_text};
+use rfly_chaos::MemStorage;
 use rfly_faults::FaultSchedule;
 use rfly_obs::{install, take, Recorder, Report};
 use rfly_replay::runner::{run_full, Scenario};
-use rfly_replay::store::{recover_stored, StorePaths};
+use rfly_replay::store::{recover_stored, run_stored, StorePaths};
 
 /// The golden journals and the seeds they were captured from.
 const GOLDENS: [(u64, &str); 3] = [
@@ -26,6 +31,9 @@ const GOLDENS: [(u64, &str); 3] = [
     (42, include_str!("golden/journal_seed42.txt")),
     (7, include_str!("golden/journal_seed7.txt")),
 ];
+
+/// The final checkpoint of the seed-42 golden mission.
+const CHECKPOINT_GOLDEN: &str = include_str!("golden/checkpoint_seed42.txt");
 
 fn storm_for(scn: &Scenario, seed: u64) -> FaultSchedule {
     FaultSchedule::storm(seed, scn.n_relays, 12)
@@ -43,6 +51,20 @@ fn layered_stack_reproduces_pre_refactor_journals() {
              pre-refactor golden journal"
         );
     }
+}
+
+#[test]
+fn final_checkpoint_matches_the_golden() {
+    let scn = Scenario::small(42);
+    let storm = storm_for(&scn, 42);
+    let paths = StorePaths::default();
+    let mut storage = MemStorage::new();
+    run_stored(&scn, &storm, &mut storage, &paths, 1).expect("stored run completes");
+    assert_eq!(
+        file_text(&storage, &paths.checkpoint),
+        CHECKPOINT_GOLDEN,
+        "the final checkpoint's bytes diverged from the golden"
+    );
 }
 
 #[test]

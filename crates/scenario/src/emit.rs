@@ -6,27 +6,29 @@
 //! fields whose *absence* is the spec's own representation (optional
 //! seeds, time budgets, harvester overrides).
 
-use std::fmt::Write;
+use std::fmt::{self, Write};
 
-use rfly_faults::text::fmt_f64;
 use rfly_faults::FaultKind;
 
 use crate::schema::{Placement, ScenarioSpec, WorldSpec};
 
-fn quoted(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c => out.push(c),
+/// A string as a quoted, escaped scenario-text literal.
+struct Quoted<'a>(&'a str);
+
+impl fmt::Display for Quoted<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_char('"')?;
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\t' => f.write_str("\\t")?,
+                c => f.write_char(c)?,
+            }
         }
+        f.write_char('"')
     }
-    out.push('"');
-    out
 }
 
 /// Renders `spec` as canonical scenario text.
@@ -38,7 +40,7 @@ pub fn emit(spec: &ScenarioSpec) -> String {
     let w = &mut s;
 
     let _ = writeln!(w, "[scenario]");
-    let _ = writeln!(w, "name = {}", quoted(&spec.name));
+    let _ = writeln!(w, "name = {}", Quoted(&spec.name));
     let _ = writeln!(w, "seed = {}", spec.seed);
 
     let _ = writeln!(w, "\n[world]");
@@ -49,14 +51,14 @@ pub fn emit(spec: &ScenarioSpec) -> String {
             shelves,
         } => {
             let _ = writeln!(w, "kind = \"warehouse\"");
-            let _ = writeln!(w, "width_m = {}", fmt_f64(width.value()));
-            let _ = writeln!(w, "depth_m = {}", fmt_f64(depth.value()));
+            let _ = writeln!(w, "width_m = {}", width.value());
+            let _ = writeln!(w, "depth_m = {}", depth.value());
             let _ = writeln!(w, "shelves = {shelves}");
         }
         WorldSpec::OpenFloor { width, depth } => {
             let _ = writeln!(w, "kind = \"open-floor\"");
-            let _ = writeln!(w, "width_m = {}", fmt_f64(width.value()));
-            let _ = writeln!(w, "depth_m = {}", fmt_f64(depth.value()));
+            let _ = writeln!(w, "width_m = {}", width.value());
+            let _ = writeln!(w, "depth_m = {}", depth.value());
         }
         WorldSpec::MultiFloor {
             width,
@@ -65,110 +67,96 @@ pub fn emit(spec: &ScenarioSpec) -> String {
             shelves,
         } => {
             let _ = writeln!(w, "kind = \"multi-floor\"");
-            let _ = writeln!(w, "width_m = {}", fmt_f64(width.value()));
-            let _ = writeln!(w, "floor_depth_m = {}", fmt_f64(floor_depth.value()));
+            let _ = writeln!(w, "width_m = {}", width.value());
+            let _ = writeln!(w, "floor_depth_m = {}", floor_depth.value());
             let _ = writeln!(w, "floors = {floors}");
             let _ = writeln!(w, "shelves = {shelves}");
         }
         WorldSpec::OutdoorAisles { width, depth, rows } => {
             let _ = writeln!(w, "kind = \"outdoor-aisles\"");
-            let _ = writeln!(w, "width_m = {}", fmt_f64(width.value()));
-            let _ = writeln!(w, "depth_m = {}", fmt_f64(depth.value()));
+            let _ = writeln!(w, "width_m = {}", width.value());
+            let _ = writeln!(w, "depth_m = {}", depth.value());
             let _ = writeln!(w, "rows = {rows}");
         }
         WorldSpec::OccupancyGrid { cell, rows } => {
             let _ = writeln!(w, "kind = \"occupancy-grid\"");
-            let _ = writeln!(w, "cell_m = {}", fmt_f64(cell.value()));
-            let quoted_rows: Vec<String> = rows.iter().map(|r| quoted(r)).collect();
-            let _ = writeln!(w, "rows = [{}]", quoted_rows.join(", "));
+            let _ = writeln!(w, "cell_m = {}", cell.value());
+            let _ = write!(w, "rows = [");
+            for (k, r) in rows.iter().enumerate() {
+                let sep = if k == 0 { "" } else { ", " };
+                let _ = write!(w, "{sep}{}", Quoted(r));
+            }
+            let _ = writeln!(w, "]");
         }
     }
 
     if spec.interferers != Default::default() {
         let _ = writeln!(w, "\n[interferers]");
         let _ = writeln!(w, "count = {}", spec.interferers.count);
-        let _ = writeln!(w, "level = {}", fmt_f64(spec.interferers.level));
+        let _ = writeln!(w, "level = {}", spec.interferers.level);
     }
 
     for belt in &spec.belts {
         let _ = writeln!(w, "\n[[belt]]");
-        let _ = writeln!(w, "y_m = {}", fmt_f64(belt.y.value()));
-        let _ = writeln!(w, "x_min_m = {}", fmt_f64(belt.x_min.value()));
-        let _ = writeln!(w, "x_max_m = {}", fmt_f64(belt.x_max.value()));
-        let _ = writeln!(w, "speed = {}", fmt_f64(belt.speed));
+        let _ = writeln!(w, "y_m = {}", belt.y.value());
+        let _ = writeln!(w, "x_min_m = {}", belt.x_min.value());
+        let _ = writeln!(w, "x_max_m = {}", belt.x_max.value());
+        let _ = writeln!(w, "speed = {}", belt.speed);
     }
 
     let _ = writeln!(w, "\n[budget]");
     let _ = writeln!(
         w,
         "intra_downlink_db = {}",
-        fmt_f64(spec.budget.intra_downlink.value())
+        spec.budget.intra_downlink.value()
     );
-    let _ = writeln!(
-        w,
-        "intra_uplink_db = {}",
-        fmt_f64(spec.budget.intra_uplink.value())
-    );
+    let _ = writeln!(w, "intra_uplink_db = {}", spec.budget.intra_uplink.value());
     let _ = writeln!(
         w,
         "inter_downlink_db = {}",
-        fmt_f64(spec.budget.inter_downlink.value())
+        spec.budget.inter_downlink.value()
     );
-    let _ = writeln!(
-        w,
-        "inter_uplink_db = {}",
-        fmt_f64(spec.budget.inter_uplink.value())
-    );
+    let _ = writeln!(w, "inter_uplink_db = {}", spec.budget.inter_uplink.value());
 
     if let Some(e) = &spec.energy {
         let _ = writeln!(w, "\n[energy]");
-        let _ = writeln!(w, "capacity_j = {}", fmt_f64(e.capacity_j));
-        let _ = writeln!(w, "hover_w = {}", fmt_f64(e.hover_w));
-        let _ = writeln!(w, "tx_w = {}", fmt_f64(e.tx_w));
-        let _ = writeln!(w, "ref_gain_db = {}", fmt_f64(e.ref_gain.value()));
-        let _ = writeln!(w, "tx_w_per_db = {}", fmt_f64(e.tx_w_per_db));
-        let _ = writeln!(w, "per_read_j = {}", fmt_f64(e.per_read_j));
-        let _ = writeln!(w, "charge_w = {}", fmt_f64(e.charge_w));
-        let _ = writeln!(w, "reserve_frac = {}", fmt_f64(e.reserve_frac));
-        let _ = writeln!(w, "ready_frac = {}", fmt_f64(e.ready_frac));
+        let _ = writeln!(w, "capacity_j = {}", e.capacity_j);
+        let _ = writeln!(w, "hover_w = {}", e.hover_w);
+        let _ = writeln!(w, "tx_w = {}", e.tx_w);
+        let _ = writeln!(w, "ref_gain_db = {}", e.ref_gain.value());
+        let _ = writeln!(w, "tx_w_per_db = {}", e.tx_w_per_db);
+        let _ = writeln!(w, "per_read_j = {}", e.per_read_j);
+        let _ = writeln!(w, "charge_w = {}", e.charge_w);
+        let _ = writeln!(w, "reserve_frac = {}", e.reserve_frac);
+        let _ = writeln!(w, "ready_frac = {}", e.ready_frac);
     }
 
     let _ = writeln!(w, "\n[mission]");
-    let _ = writeln!(w, "margin_db = {}", fmt_f64(spec.mission.margin.value()));
+    let _ = writeln!(w, "margin_db = {}", spec.mission.margin.value());
     let _ = writeln!(
         w,
         "sample_interval_s = {}",
-        fmt_f64(spec.mission.sample_interval.value())
+        spec.mission.sample_interval.value()
     );
     let _ = writeln!(w, "max_rounds = {}", spec.mission.max_rounds);
     if let Some(t) = spec.mission.time_budget {
-        let _ = writeln!(w, "time_budget_s = {}", fmt_f64(t.value()));
+        let _ = writeln!(w, "time_budget_s = {}", t.value());
     }
-    let _ = writeln!(w, "platform = {}", quoted(spec.mission.platform.token()));
+    let _ = writeln!(w, "platform = {}", Quoted(spec.mission.platform.token()));
 
     let _ = writeln!(w, "\n[[reader]]");
-    let _ = writeln!(
-        w,
-        "position = [{}, {}]",
-        fmt_f64(spec.reader.x),
-        fmt_f64(spec.reader.y)
-    );
+    let _ = writeln!(w, "position = [{}, {}]", spec.reader.x, spec.reader.y);
 
     for relay in &spec.relays {
         let _ = writeln!(w, "\n[[relay]]");
-        let _ = writeln!(w, "id = {}", quoted(&relay.id));
+        let _ = writeln!(w, "id = {}", Quoted(&relay.id));
         let _ = writeln!(w, "cell = {}", relay.cell);
-        let _ = writeln!(w, "snr_penalty_db = {}", fmt_f64(relay.snr_penalty.value()));
+        let _ = writeln!(w, "snr_penalty_db = {}", relay.snr_penalty.value());
     }
 
     for dock in &spec.docks {
         let _ = writeln!(w, "\n[[dock]]");
-        let _ = writeln!(
-            w,
-            "position = [{}, {}]",
-            fmt_f64(dock.position.x),
-            fmt_f64(dock.position.y)
-        );
+        let _ = writeln!(w, "position = [{}, {}]", dock.position.x, dock.position.y);
         let _ = writeln!(w, "slots = {}", dock.slots);
     }
 
@@ -179,11 +167,12 @@ pub fn emit(spec: &ScenarioSpec) -> String {
         }
         match &group.placement {
             Placement::At(points) => {
-                let pairs: Vec<String> = points
-                    .iter()
-                    .map(|p| format!("[{}, {}]", fmt_f64(p.x), fmt_f64(p.y)))
-                    .collect();
-                let _ = writeln!(w, "at = [{}]", pairs.join(", "));
+                let _ = write!(w, "at = [");
+                for (k, p) in points.iter().enumerate() {
+                    let sep = if k == 0 { "" } else { ", " };
+                    let _ = write!(w, "{sep}[{}, {}]", p.x, p.y);
+                }
+                let _ = writeln!(w, "]");
             }
             Placement::Shelf {
                 lateral,
@@ -193,20 +182,20 @@ pub fn emit(spec: &ScenarioSpec) -> String {
             } => {
                 let _ = writeln!(w, "count = {}", group.count);
                 let _ = writeln!(w, "placement = \"shelf\"");
-                let _ = writeln!(w, "lateral_m = {}", fmt_f64(lateral.value()));
-                let _ = writeln!(w, "offset_m = {}", fmt_f64(offset.value()));
-                let _ = writeln!(w, "depth_min_m = {}", fmt_f64(depth_min.value()));
-                let _ = writeln!(w, "depth_max_m = {}", fmt_f64(depth_max.value()));
+                let _ = writeln!(w, "lateral_m = {}", lateral.value());
+                let _ = writeln!(w, "offset_m = {}", offset.value());
+                let _ = writeln!(w, "depth_min_m = {}", depth_min.value());
+                let _ = writeln!(w, "depth_max_m = {}", depth_max.value());
             }
             Placement::Uniform { margin } => {
                 let _ = writeln!(w, "count = {}", group.count);
                 let _ = writeln!(w, "placement = \"uniform\"");
-                let _ = writeln!(w, "margin_m = {}", fmt_f64(margin.value()));
+                let _ = writeln!(w, "margin_m = {}", margin.value());
             }
             Placement::Grid { margin } => {
                 let _ = writeln!(w, "count = {}", group.count);
                 let _ = writeln!(w, "placement = \"grid\"");
-                let _ = writeln!(w, "margin_m = {}", fmt_f64(margin.value()));
+                let _ = writeln!(w, "margin_m = {}", margin.value());
             }
             Placement::Belt => {
                 let _ = writeln!(w, "count = {}", group.count);
@@ -214,7 +203,7 @@ pub fn emit(spec: &ScenarioSpec) -> String {
             }
         }
         if let Some(p) = group.power_up {
-            let _ = writeln!(w, "power_up_dbm = {}", fmt_f64(p.value()));
+            let _ = writeln!(w, "power_up_dbm = {}", p.value());
         }
     }
 
@@ -228,47 +217,46 @@ pub fn emit(spec: &ScenarioSpec) -> String {
     for event in &spec.faults.events {
         let _ = writeln!(w, "\n[[fault]]");
         let _ = writeln!(w, "step = {}", event.step);
-        let _ = writeln!(w, "relay = {}", quoted(&event.relay));
-        let _ = write!(w, "{}", fault_kind_text(&event.kind));
+        let _ = writeln!(w, "relay = {}", Quoted(&event.relay));
+        write_fault_kind(w, &event.kind);
     }
 
     s
 }
 
-fn fault_kind_text(kind: &FaultKind) -> String {
-    let mut s = String::new();
-    let w = &mut s;
+/// Appends the `kind = …` lines and parameters of a `[[fault]]` table.
+fn write_fault_kind(w: &mut String, kind: &FaultKind) {
     match *kind {
         FaultKind::PhaseGlitch { rad } => {
             let _ = writeln!(w, "kind = \"phase-glitch\"");
-            let _ = writeln!(w, "rad = {}", fmt_f64(rad));
+            let _ = writeln!(w, "rad = {}", rad);
         }
         FaultKind::CfoDrift { rad, steps } => {
             let _ = writeln!(w, "kind = \"cfo-drift\"");
-            let _ = writeln!(w, "rad = {}", fmt_f64(rad));
+            let _ = writeln!(w, "rad = {}", rad);
             let _ = writeln!(w, "steps = {steps}");
         }
         FaultKind::GainDrift { db } => {
             let _ = writeln!(w, "kind = \"gain-drift\"");
-            let _ = writeln!(w, "db = {}", fmt_f64(db));
+            let _ = writeln!(w, "db = {}", db);
         }
         FaultKind::PaSag { db } => {
             let _ = writeln!(w, "kind = \"pa-sag\"");
-            let _ = writeln!(w, "db = {}", fmt_f64(db));
+            let _ = writeln!(w, "db = {}", db);
         }
         FaultKind::DeepFade { db, steps } => {
             let _ = writeln!(w, "kind = \"deep-fade\"");
-            let _ = writeln!(w, "db = {}", fmt_f64(db));
+            let _ = writeln!(w, "db = {}", db);
             let _ = writeln!(w, "steps = {steps}");
         }
         FaultKind::NoiseBurst { p_corrupt, steps } => {
             let _ = writeln!(w, "kind = \"noise-burst\"");
-            let _ = writeln!(w, "p = {}", fmt_f64(p_corrupt));
+            let _ = writeln!(w, "p = {}", p_corrupt);
             let _ = writeln!(w, "steps = {steps}");
         }
         FaultKind::Gen2Drop { p_drop, steps } => {
             let _ = writeln!(w, "kind = \"gen2-drop\"");
-            let _ = writeln!(w, "p = {}", fmt_f64(p_drop));
+            let _ = writeln!(w, "p = {}", p_drop);
             let _ = writeln!(w, "steps = {steps}");
         }
         FaultKind::TrackingDropout { steps } => {
@@ -277,15 +265,14 @@ fn fault_kind_text(kind: &FaultKind) -> String {
         }
         FaultKind::WindGust { dx_m, dy_m, steps } => {
             let _ = writeln!(w, "kind = \"wind-gust\"");
-            let _ = writeln!(w, "dx_m = {}", fmt_f64(dx_m));
-            let _ = writeln!(w, "dy_m = {}", fmt_f64(dy_m));
+            let _ = writeln!(w, "dx_m = {}", dx_m);
+            let _ = writeln!(w, "dy_m = {}", dy_m);
             let _ = writeln!(w, "steps = {steps}");
         }
         FaultKind::BatterySag => {
             let _ = writeln!(w, "kind = \"battery-sag\"");
         }
     }
-    s
 }
 
 #[cfg(test)]
