@@ -17,13 +17,6 @@
 //!
 //! Run with: `cargo run --release --bin ablation_grid [seed]`
 
-#![allow(
-    clippy::disallowed_types,
-    reason = "wall-clock timing is telemetry, outside the seeded contract"
-)]
-
-use std::time::Instant;
-
 use rfly_bench::prelude::*;
 use rfly_channel::environment::Environment;
 use rfly_channel::geometry::Point2;
@@ -85,9 +78,8 @@ fn same(a: Point2, b: Point2) -> bool {
 
 /// Runs `f`, adding its wall time to `acc`.
 fn timed<T>(acc: &mut f64, f: impl FnOnce() -> T) -> T {
-    let t0 = Instant::now();
-    let out = f();
-    *acc += t0.elapsed().as_secs_f64();
+    let (out, secs) = time(f);
+    *acc += secs;
     out
 }
 

@@ -17,15 +17,9 @@
 //! caught; `2` at least one crash point did not recover (the gate CI
 //! trips on); `1` internal failure (harness error, control missed).
 
-#![allow(
-    clippy::disallowed_types,
-    reason = "wall-clock timing is telemetry, outside the seeded contract"
-)]
-
 use std::process::ExitCode;
-use std::time::Instant;
 
-use rfly_bench::harness::Bench;
+use rfly_bench::harness::{time, Bench};
 use rfly_channel::geometry::Point2;
 use rfly_chaos::durable::{self, recover_keeping_torn_tail, Durable};
 use rfly_chaos::{verify_recovery, CrashReport, MemStorage, Storage, StorePaths};
@@ -130,9 +124,9 @@ fn durable_matrix<D: Durable>(
 ) -> Result<CrashReport, String> {
     let mut workload = |s: &mut dyn Storage| durable::run(make()?, s, paths, EVERY).map(|_| ());
     let mut recover = |mut survivor: MemStorage| {
-        let t0 = Instant::now();
-        durable::recover(make()?, &mut survivor, paths, EVERY)?;
-        clock.observe(t0.elapsed().as_secs_f64());
+        let (recovered, secs) = time(|| durable::recover(make()?, &mut survivor, paths, EVERY));
+        recovered?;
+        clock.observe(secs);
         Ok(survivor)
     };
     verify_recovery(&mut workload, &mut recover, seed)

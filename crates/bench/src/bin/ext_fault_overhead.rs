@@ -18,13 +18,6 @@
 //!
 //! Run with: `cargo run --release --bin ext_fault_overhead`
 
-#![allow(
-    clippy::disallowed_types,
-    reason = "the telemetry pairs are wall-clock timings"
-)]
-
-use std::time::Instant;
-
 use rfly_bench::prelude::*;
 use rfly_channel::geometry::Point2;
 use rfly_drone::kinematics::MotionLimits;
@@ -164,19 +157,15 @@ fn main() {
     // Telemetry: interleaved timed pairs, alternating which stack runs
     // first so a systematic first-runner penalty cancels.
     let (mut world, fleet) = build();
-    let mut time = |stack: Stack| {
-        let t0 = Instant::now();
-        run(&mut world, &fleet, stack);
-        t0.elapsed().as_secs_f64()
-    };
+    let mut wall = |stack: Stack| time(|| run(&mut world, &fleet, stack)).1;
     let mut rows = Vec::new();
     for trial in 0..TRIALS {
         let (b, w) = if trial % 2 == 0 {
-            let b = time(Stack::Bare);
-            (b, time(Stack::Inactive))
+            let b = wall(Stack::Bare);
+            (b, wall(Stack::Inactive))
         } else {
-            let w = time(Stack::Inactive);
-            (time(Stack::Bare), w)
+            let w = wall(Stack::Inactive);
+            (wall(Stack::Bare), w)
         };
         rows.push((b, w));
     }

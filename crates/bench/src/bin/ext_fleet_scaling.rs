@@ -24,13 +24,6 @@
 //! stops the sweep without burning worker time; a worker panic
 //! surfaces as that row's `Err` note, never as a process abort.
 
-#![allow(
-    clippy::disallowed_types,
-    reason = "wall-clock timing is telemetry, outside the seeded contract"
-)]
-
-use std::time::Instant;
-
 use rfly_bench::prelude::*;
 use rfly_channel::geometry::Point2;
 use rfly_drone::kinematics::MotionLimits;
@@ -186,15 +179,11 @@ fn main() {
     // Serial pass: 1 worker everywhere, including the per-step RF
     // traces inside the missions.
     set_global_workers(1);
-    let t0 = Instant::now();
-    let (serial_rows, serial_notes) = sweep(&scene, Pool::serial());
-    let serial_s = t0.elapsed().as_secs_f64();
+    let ((serial_rows, serial_notes), serial_s) = time(|| sweep(&scene, Pool::serial()));
 
     // Parallel pass: full width everywhere. Identical bytes required.
     set_global_workers(workers);
-    let t1 = Instant::now();
-    let (parallel_rows, parallel_notes) = sweep(&scene, Pool::new(workers));
-    let parallel_s = t1.elapsed().as_secs_f64();
+    let ((parallel_rows, parallel_notes), parallel_s) = time(|| sweep(&scene, Pool::new(workers)));
 
     assert_eq!(
         serial_rows, parallel_rows,

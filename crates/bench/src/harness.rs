@@ -49,6 +49,18 @@ pub fn shelf_items(scene: &Scene, n: usize, seed: u64, depth: Option<Meters>) ->
     TagPopulation::generate(n, &positions, seed ^ 0xF1EE7)
 }
 
+/// Runs `f` and returns its value with the wall seconds it took. The
+/// bench crate's one clock: what it returns is telemetry only.
+#[expect(
+    clippy::disallowed_types,
+    reason = "wall-clock timing is telemetry, outside the seeded contract"
+)]
+pub fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let t0 = std::time::Instant::now();
+    let out = f();
+    (out, t0.elapsed().as_secs_f64())
+}
+
 /// The first quartile, median and third quartile of a non-empty sample
 /// set, interpolating linearly between order statistics. Sorts
 /// `samples` in place.

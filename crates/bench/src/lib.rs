@@ -6,11 +6,6 @@
 //! trial helpers, and a localization-trial driver used by Figs. 12–14
 //! and the ablations.
 
-#![allow(
-    clippy::disallowed_types,
-    reason = "bench output is wall-clock telemetry, outside the seeded contract"
-)]
-
 use rfly_dsp::rng::Rng;
 
 use rfly_channel::environment::Environment;
@@ -30,7 +25,7 @@ pub mod harness;
 
 /// Re-export shim (keeps binary imports short).
 pub mod prelude {
-    pub use crate::harness::{quartiles, shelf_items, Bench};
+    pub use crate::harness::{quartiles, shelf_items, time, Bench};
     pub use rfly_core::loc::error::ErrorStats;
     pub use rfly_core::relay::gains::IsolationBudget;
     pub use rfly_sim::experiment::{seed_from_args, MonteCarlo};

@@ -32,7 +32,7 @@ impl Psd {
             .freqs
             .iter()
             .enumerate()
-            .min_by(|a, b| (a.1 - freq_hz).abs().total_cmp(&(b.1 - freq_hz).abs())) // rfly-lint: allow(unit-dataflow) -- freqs is a raw Vec<f64> bin axis; nearest-bin search stays in f64 by design.
+            .min_by(|a, b| (a.1 - freq_hz).abs().total_cmp(&(b.1 - freq_hz).abs()))
             .map(|(i, _)| i)
             .expect("PSD has at least one bin");
         Db::from_linear(self.power[idx] / peak)

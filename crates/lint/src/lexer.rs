@@ -1,7 +1,7 @@
 //! A minimal Rust lexer for the lint pass.
 //!
-//! It feeds the parser its token stream and the allow gate its
-//! comments. Hand-rolled, it keeps the crate free of external
+//! It feeds R3 ([`crate::unit_newtypes`]) its token stream and the
+//! allow gate its comments. Hand-rolled, it keeps the crate free of external
 //! dependencies and `rustc` internals, and it handles the corners that
 //! naive regex scans get wrong: nested block comments, raw strings,
 //! char literals vs. lifetimes, and numeric literals with suffixes.
@@ -30,9 +30,6 @@ pub struct Tok {
     pub text: String,
     /// 1-indexed source line the token starts on.
     pub line: u32,
-    /// 0-indexed char offset of the token start in the source, so the
-    /// parser can tell adjacent punctuation (`>>`) from separated (`> >`).
-    pub pos: usize,
 }
 
 impl Tok {
@@ -143,7 +140,6 @@ pub fn lex(src: &str) -> Lexed {
                     kind: TokKind::Literal,
                     text,
                     line,
-                    pos: i,
                 });
                 line += nl;
                 line_has_code = true;
@@ -155,7 +151,6 @@ pub fn lex(src: &str) -> Lexed {
                     kind: TokKind::Literal,
                     text,
                     line,
-                    pos: i,
                 });
                 line += nl;
                 line_has_code = true;
@@ -175,7 +170,6 @@ pub fn lex(src: &str) -> Lexed {
                         kind: TokKind::Lifetime,
                         text: b[i..j].iter().collect(),
                         line,
-                        pos: i,
                     });
                     i = j;
                 } else {
@@ -196,7 +190,6 @@ pub fn lex(src: &str) -> Lexed {
                         kind: TokKind::Literal,
                         text: b[i..j].iter().collect(),
                         line,
-                        pos: i,
                     });
                     i = j;
                 }
@@ -237,7 +230,6 @@ pub fn lex(src: &str) -> Lexed {
                     kind: TokKind::Number,
                     text: b[i..j].iter().collect(),
                     line,
-                    pos: i,
                 });
                 line_has_code = true;
                 i = j;
@@ -251,7 +243,6 @@ pub fn lex(src: &str) -> Lexed {
                     kind: TokKind::Ident,
                     text: b[i..j].iter().collect(),
                     line,
-                    pos: i,
                 });
                 line_has_code = true;
                 i = j;
@@ -261,7 +252,6 @@ pub fn lex(src: &str) -> Lexed {
                     kind: TokKind::Punct,
                     text: c.to_string(),
                     line,
-                    pos: i,
                 });
                 line_has_code = true;
                 i += 1;

@@ -1,38 +1,26 @@
-//! `rfly-lint` — the workspace's offline semantic analysis pass.
+//! `rfly-lint` — the workspace's one check that clippy cannot make.
 //!
-//! The failure modes that silently corrupt an RF reproduction are not
-//! crashes but invariant violations: a dB ratio added to a dBm power, a
-//! spawn closure mutating captured state, a wall-clock value in a
-//! journal. Token-level invariants (no `unwrap`/`expect`/`panic!`, no
-//! truncating casts, no `HashMap`, no `println!`, ...) are rustc and
-//! clippy lints configured in the workspace manifest, the crate roots
-//! and `clippy.toml`. This crate checks what clippy cannot: a small
-//! hand-rolled Rust parser (zero external dependencies, no rustc
-//! plugin) feeds a per-function dataflow pass and a workspace
-//! name-resolution index, and every finding carries
-//! a `file:line` span, a stable rule ID, and an allowlist escape hatch
-//! that *requires* a written justification:
+//! The paper's equations mix frequencies, gains and distances in one
+//! expression, so every public API keeps its units in types. Token-level
+//! invariants (no `unwrap`/`expect`/`panic!`, no truncating casts, no
+//! `HashMap`, no `println!`, ...) are rustc and clippy lints configured
+//! in the workspace manifest, the crate roots and `clippy.toml`. This
+//! crate adds the naming rule clippy has no lint for: R3
+//! `unit-newtypes`, a token check over a small hand-rolled lexer (no
+//! rustc plugin). Every finding carries a `file:line` span, a stable
+//! rule ID, and an allowlist escape hatch that *requires* a written
+//! justification:
 //!
 //! ```text
-//! // rfly-lint: allow(unit-dataflow) -- freqs is a raw f64 bin axis by design.
+//! // rfly-lint: allow(unit-newtypes) -- a raw-f64 seam kept on purpose.
 //! ```
 //!
 //! See DESIGN.md §8 for the rule catalog and §13 for the pipeline.
 
-#![allow(
-    clippy::disallowed_types,
-    reason = "a lint pass's own maps never reach simulated output"
-)]
-
-pub mod ast;
-pub mod fnpass;
-pub mod index;
 pub mod lexer;
-pub mod parser;
 pub mod rules;
-pub mod semantic;
+pub mod unit_newtypes;
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -40,7 +28,7 @@ use std::path::{Path, PathBuf};
 pub use rules::{Finding, RULES};
 
 /// Directories never scanned: build output, VCS metadata, and the
-/// intentionally-violating lint fixtures.
+/// committed results.
 const SKIP_DIRS: &[&str] = &["target", ".git", "results"];
 
 /// Collects every workspace `.rs` file under `root`, skipping build
@@ -79,61 +67,32 @@ pub struct LintRun {
     pub findings: Vec<Finding>,
     /// Files scanned.
     pub files: usize,
-    /// Functions indexed for the whole-program passes.
-    pub fns_indexed: usize,
 }
 
-/// Lints one file on its own: the per-file rules (R3, R10, R12) and
-/// the allow gate. The whole-program rules need [`lint_workspace`].
-/// `path` must be workspace-relative; it decides test-like scoping.
+/// Lints one file: lex, then R3, then the allow gate. `path` must be
+/// workspace-relative; it decides test-like scoping.
 pub fn lint_source(path: &str, src: &str) -> Vec<Finding> {
-    let fa = fnpass::analyze_file(path, src, &parser::parse_file(src));
-    rules::apply_allows(path, src, fa.findings)
+    let lexed = lexer::lex(src);
+    let findings = unit_newtypes::check(path, &lexed.tokens);
+    rules::apply_allows(path, src, &lexed.comments, findings)
 }
 
 /// Lints every workspace file under `root`, returning findings with
-/// workspace-relative paths:
-///
-/// 1. per file: parse → function pass (summaries + R3/R10/R12);
-/// 2. link all summaries into the [`index::WorkspaceIndex`];
-/// 3. the whole-program pass (R11 taint closure);
-/// 4. per file: apply allow directives to the merged finding set.
+/// workspace-relative paths.
 pub fn lint_workspace(root: &Path) -> io::Result<LintRun> {
-    let mut sources: Vec<(String, String)> = Vec::new();
-    for file in collect_files(root)? {
+    let files = collect_files(root)?;
+    let mut findings = Vec::new();
+    for file in &files {
         let rel = file
             .strip_prefix(root)
-            .unwrap_or(&file)
+            .unwrap_or(file)
             .to_string_lossy()
             .replace('\\', "/");
-        sources.push((rel, fs::read_to_string(&file)?));
-    }
-
-    // Stage 1: per-file parse and function pass.
-    let mut summaries = Vec::new();
-    let mut per_file: BTreeMap<String, Vec<Finding>> = BTreeMap::new();
-    for (rel, src) in &sources {
-        let fa = fnpass::analyze_file(rel, src, &parser::parse_file(src));
-        summaries.extend(fa.summaries);
-        per_file.insert(rel.clone(), fa.findings);
-    }
-
-    // Stages 2–3: link and run the whole-program rules.
-    let idx = index::WorkspaceIndex::build(summaries);
-    for f in semantic::whole_program_findings(&idx) {
-        per_file.entry(f.file.clone()).or_default().push(f);
-    }
-
-    // Stage 4: one allow gate per file, then a stable global order.
-    let mut findings = Vec::new();
-    for (rel, src) in &sources {
-        let pre = per_file.remove(rel).unwrap_or_default();
-        findings.extend(rules::apply_allows(rel, src, pre));
+        findings.extend(lint_source(&rel, &fs::read_to_string(file)?));
     }
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(LintRun {
         findings,
-        files: sources.len(),
-        fns_indexed: idx.fns.len(),
+        files: files.len(),
     })
 }

@@ -11,6 +11,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use rfly_lint::{lint_workspace, Finding, RULES};
+use rfly_obs::report::json_str;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -65,10 +66,9 @@ fn main() -> ExitCode {
         println!("{}:{}: [{}] {}", f.file, f.line, f.rule, f.message);
     }
     println!(
-        "rfly-lint: {} violation(s); {} files, {} fns indexed",
+        "rfly-lint: {} violation(s); {} files",
         run.findings.len(),
         run.files,
-        run.fns_indexed,
     );
     if run.findings.is_empty() {
         ExitCode::SUCCESS
@@ -94,29 +94,6 @@ fn render_json(findings: &[Finding]) -> String {
         );
     }
     out.push_str("  ]\n}\n");
-    out
-}
-
-/// `s` as a JSON string literal. A copy of `rfly_obs::report::json_str`:
-/// `rfly-lint` has no dependencies, so it is the one documented
-/// exception to the single shared JSON writer.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 

@@ -1,19 +1,11 @@
 //! Findings, the rule catalog, and the allow gate.
 //!
-//! The analyzer's rules run in [`crate::fnpass`] (per function: R3,
-//! R10, R12) and [`crate::semantic`] (whole program: R11); every
-//! finding they emit passes through [`apply_allows`] exactly once. The
-//! token-level invariants (R1, R2, R4–R8) are rustc and clippy lints;
-//! DESIGN.md §8 maps each one.
-//!
-//! | ID | slug | invariant |
-//! |----|------|-----------|
-//! | R3 | `unit-newtypes` | unit-suffixed public params take `rfly-dsp::units` newtypes |
-//! | R10 | `unit-dataflow` | no raw f64 arithmetic across unit-newtype boundaries |
-//! | R11 | `determinism-taint` | no nondeterministic values into journals, reports, checkpoints |
-//! | R12 | `parallel-safety` | no spawn closures mutating captured state |
+//! The one code rule, R3 `unit-newtypes`, runs in
+//! [`crate::unit_newtypes`]; every finding it emits passes through
+//! [`apply_allows`] exactly once. The token-level invariants (R1, R2,
+//! R4–R8) are rustc and clippy lints; DESIGN.md §8 maps each one.
 
-use crate::lexer::lex;
+use crate::lexer::Comment;
 
 /// One rule violation; every finding fails the gate.
 #[derive(Debug, Clone)]
@@ -31,24 +23,12 @@ pub struct Finding {
     pub line_text: String,
 }
 
-/// All rule slugs the analyzer knows, R3 and R10–R12 plus the two
-/// allowlist meta-rules.
+/// All rule slugs the analyzer knows: R3 plus the two allowlist
+/// meta-rules.
 pub const RULES: &[(&str, &str)] = &[
     (
         "unit-newtypes",
         "R3: unit-suffixed public fn params must use rfly-dsp::units newtypes",
-    ),
-    (
-        "unit-dataflow",
-        "R10: no raw f64 arithmetic across unit-newtype boundaries",
-    ),
-    (
-        "determinism-taint",
-        "R11: no nondeterministic values flowing into journals, reports, or checkpoints",
-    ),
-    (
-        "parallel-safety",
-        "R12: no spawn closures mutating captured state or order-sensitive folds",
     ),
     (
         "allow-justification",
@@ -74,9 +54,6 @@ pub enum FileKind {
 pub struct FileCtx {
     /// Workspace-relative path with forward slashes.
     pub path: String,
-    /// The crate the file belongs to (`crates/<name>/...`), or `None`
-    /// for the workspace-root `src/`/`tests/`/`examples/` trees.
-    pub crate_name: Option<String>,
     /// Source vs. test-like classification.
     pub kind: FileKind,
 }
@@ -85,13 +62,10 @@ impl FileCtx {
     /// Derives the context from a workspace-relative path.
     pub fn from_path(path: &str) -> Self {
         let path = path.replace('\\', "/");
-        let crate_name = path
+        let in_crate_src = path
             .strip_prefix("crates/")
-            .and_then(|rest| rest.split('/').next())
-            .map(|s| s.to_string());
-        let in_crate_src = crate_name
-            .as_deref()
-            .is_some_and(|c| path.starts_with(&format!("crates/{c}/src/")));
+            .and_then(|rest| rest.split_once('/'))
+            .is_some_and(|(_, rest)| rest.starts_with("src/"));
         let test_like = path.contains("/tests/")
             || path.contains("/benches/")
             || path.starts_with("tests/")
@@ -103,11 +77,7 @@ impl FileCtx {
         } else {
             FileKind::Source
         };
-        Self {
-            path,
-            crate_name,
-            kind,
-        }
+        Self { path, kind }
     }
 }
 
@@ -121,19 +91,23 @@ struct Allow {
     used: std::cell::Cell<bool>,
 }
 
-/// Applies this file's `// rfly-lint: allow(...)` directives to a set
-/// of findings, flags unjustified/stale/unknown
-/// directives, fills in `line_text` from the source, and sorts. This is
-/// the single allow gate: every finding — whatever stage produced it —
+/// Applies this file's `// rfly-lint: allow(...)` directives (found in
+/// its lexed `comments`) to a set of findings, flags
+/// unjustified/stale/unknown directives, fills in `line_text` from the
+/// source, and sorts. This is the single allow gate: every finding
 /// passes through here exactly once.
-pub fn apply_allows(path: &str, src: &str, findings: Vec<Finding>) -> Vec<Finding> {
+pub fn apply_allows(
+    path: &str,
+    src: &str,
+    comments: &[Comment],
+    findings: Vec<Finding>,
+) -> Vec<Finding> {
     // Fast path: nothing to filter and no directives to audit.
     if findings.is_empty() && !src.contains("rfly-lint:") {
         return findings;
     }
     let ctx = FileCtx::from_path(path);
-    let lexed = lex(src);
-    let allows = parse_allows(&lexed.comments);
+    let allows = parse_allows(comments);
 
     let mut kept: Vec<Finding> = findings
         .into_iter()
@@ -201,7 +175,7 @@ pub fn apply_allows(path: &str, src: &str, findings: Vec<Finding>) -> Vec<Findin
 
 /// Parses `rfly-lint: allow(rule, ...) -- justification` directives out
 /// of the comment list.
-fn parse_allows(comments: &[crate::lexer::Comment]) -> Vec<Allow> {
+fn parse_allows(comments: &[Comment]) -> Vec<Allow> {
     let mut allows = Vec::new();
     for c in comments {
         if c.doc {

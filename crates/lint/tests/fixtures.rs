@@ -1,11 +1,13 @@
-//! Fixture-backed tests for the per-file rule R3 and the allowlist
-//! (justification and expiry), plus the guard that keeps the clippy
-//! gate's planted packages on the workspace's lint levels.
+//! Fixture-backed tests for R3 and the allowlist (justification and
+//! expiry), plus the guard that keeps the clippy gate's planted packages
+//! on the workspace's lint levels. `scripts/ci.sh` runs the CLI over the
+//! same planted `tree/` pair and asserts the exit codes (1 for
+//! `violating`, 0 for `conforming`).
 
 use std::fs;
 use std::path::Path;
 
-use rfly_lint::lint_source;
+use rfly_lint::{lint_source, lint_workspace};
 
 fn read(rel: &str) -> String {
     let p = Path::new(env!("CARGO_MANIFEST_DIR")).join(rel);
@@ -21,13 +23,33 @@ fn rules_hit(synthetic_path: &str, rel: &str) -> Vec<&'static str> {
         .collect()
 }
 
+const VIOLATING: &str = "tree/violating/crates/tag/src/lib.rs";
+const CONFORMING: &str = "tree/conforming/crates/tag/src/lib.rs";
+
 #[test]
 fn r3_unit_newtypes() {
-    let hit = rules_hit("crates/tag/src/fixture.rs", "unit_newtypes/violating.rs");
-    assert_eq!(hit, ["unit-newtypes"]);
-    assert!(rules_hit("crates/tag/src/fixture.rs", "unit_newtypes/conforming.rs").is_empty());
+    assert_eq!(
+        rules_hit("crates/tag/src/lib.rs", VIOLATING),
+        ["unit-newtypes"]
+    );
+    assert!(rules_hit("crates/tag/src/lib.rs", CONFORMING).is_empty());
     // Integration tests, benches and examples are out of scope.
-    assert!(rules_hit("crates/tag/tests/fixture.rs", "unit_newtypes/violating.rs").is_empty());
+    assert!(rules_hit("crates/tag/tests/fixture.rs", VIOLATING).is_empty());
+    assert!(rules_hit("examples/fixture.rs", VIOLATING).is_empty());
+}
+
+#[test]
+fn planted_tree_fails_on_r3_alone_and_its_twin_is_clean() {
+    let tree = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/tree");
+    let planted = lint_workspace(&tree.join("violating")).expect("lint planted tree");
+    let hits: Vec<(&str, &str, u32)> = planted
+        .findings
+        .iter()
+        .map(|f| (f.rule, f.file.as_str(), f.line))
+        .collect();
+    assert_eq!(hits, [("unit-newtypes", "crates/tag/src/lib.rs", 5)]);
+    let twin = lint_workspace(&tree.join("conforming")).expect("lint conforming tree");
+    assert!(twin.findings.is_empty(), "{:?}", twin.findings);
 }
 
 #[test]

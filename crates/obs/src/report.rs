@@ -120,8 +120,7 @@ impl<'a> Report<'a> {
 
 /// `s` as a JSON string literal: quotes, backslashes and control
 /// characters escaped, everything else passed through as UTF-8. The
-/// workspace's one JSON string writer (the dependency-free `rfly-lint`
-/// binary keeps its own copy).
+/// workspace's one JSON string writer.
 pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');

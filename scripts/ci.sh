@@ -59,28 +59,23 @@ done
 cargo clippy --offline --all-targets --manifest-path $gate/conforming/Cargo.toml \
   --target-dir target/clippy-gate -- -D warnings
 
-echo "== rfly-lint (semantic invariants; see DESIGN.md §8 + §13) =="
+echo "== rfly-lint (R3 unit newtypes; see DESIGN.md §8 + §13) =="
 # Hard gate: any finding not covered by a justified allow fails the
 # build. The JSON findings file is uploaded as a CI artifact (see ci.yml).
 mkdir -p results/lint
 cargo run --release --offline -p rfly-lint -- --workspace --json results/lint/findings.json
 
-echo "== rfly-lint semantic fixtures (planted trees; see DESIGN.md §13) =="
-# The planted mini-workspace must FAIL (exit 1) with all three semantic
-# rules firing, and its conforming twin must pass clean (exit 0) — this
-# guards the analyzer itself against silently going blind.
+echo "== rfly-lint planted tree (R3 control; see DESIGN.md §13) =="
+# The planted mini-workspace's only violation is R3: the CLI must FAIL
+# (exit 1) on it and pass clean (exit 0) on its conforming twin. This
+# guards the check itself against silently going blind.
 if cargo run --release --offline -p rfly-lint -- --workspace \
-    --root crates/lint/tests/fixtures/semantic/violating >/dev/null; then
-  echo "ERROR: planted violations were not detected" >&2
+    --root crates/lint/tests/fixtures/tree/violating >/dev/null; then
+  echo "ERROR: planted R3 violation was not detected" >&2
   exit 1
 fi
 cargo run --release --offline -p rfly-lint -- --workspace \
-  --root crates/lint/tests/fixtures/semantic/conforming >/dev/null
-
-echo "== rfly-lint wall-time budget (median of 7 runs) =="
-# Times the full pipeline over the workspace; fails if the median pass
-# exceeds its BENCH_report budget.
-cargo run --release --offline -p rfly-bench --bin lint_time | tail -2
+  --root crates/lint/tests/fixtures/tree/conforming >/dev/null
 
 echo "== fault matrix (3 seeds) =="
 # The fault_storm example is self-asserting: it exits non-zero on any
