@@ -334,35 +334,43 @@ impl<'s> CampaignRun<'s> {
                 self.tick += 1;
                 return Ok(rec);
             }
-            let part = partition(self.scene, survivors, self.limits)
-                .map_err(|e| format!("repartition failed: {e:?}"))?;
-            self.hover = part.cells.iter().map(|c| c.center()).collect();
-            self.plan = assign(&self.hover, &self.budget, cfg.margin, cfg.seed)
-                .map_err(|e| format!("channel reassignment failed: {e:?}"))?;
+            self.replan(survivors)?;
             self.roster.renumber_cells();
             self.report.repartitions += 1;
             rec.repartitioned = true;
         }
 
         // 4. Reserve-margin rotations (make-before-break).
-        let swaps = self.roster.rotate(&cfg.energy, tick, self.transit);
+        let swaps = self.roster.rotate(&self.cfg.energy, tick, self.transit);
         self.report.rotations.extend(swaps.iter().copied());
         rec.rotations.extend(swaps);
         debug_assert!(self.roster.docks_within_capacity());
 
         // 5. Coverage and trace bookkeeping.
-        let coverage = self.roster.serving().len() as f64 / cfg.n_cells as f64;
+        let coverage = self.roster.serving().len() as f64 / self.cfg.n_cells as f64;
         rec.coverage = coverage;
         if coverage < self.report.min_coverage {
             self.report.min_coverage = coverage;
         }
-        for relay in 0..cfg.n_relays {
+        for relay in 0..self.cfg.n_relays {
             let charge = self.roster.battery(relay).charge_j;
             self.report.trace[relay].push(charge);
             rec.charges.push(charge);
         }
         self.tick += 1;
         Ok(rec)
+    }
+
+    /// Re-partitions the floor into `cells` cells and re-assigns their
+    /// channels: the live loop's response to a death no standby can
+    /// cover, and how a restore rebuilds a shrunken campaign.
+    pub(crate) fn replan(&mut self, cells: usize) -> Result<(), String> {
+        let part = partition(self.scene, cells, self.limits)
+            .map_err(|e| format!("repartition failed: {e:?}"))?;
+        self.hover = part.cells.iter().map(|c| c.center()).collect();
+        self.plan = assign(&self.hover, &self.budget, self.cfg.margin, self.cfg.seed)
+            .map_err(|e| format!("channel reassignment failed: {e:?}"))?;
+        Ok(())
     }
 
     /// Finishes the campaign and hands back the report.

@@ -28,8 +28,6 @@ use rfly_chaos::Durable;
 use rfly_faults::text::{
     parse_epc_hex, write_world, EpcHex, Fields, OptUsize, ParseError, WorldLines,
 };
-use rfly_fleet::channels::assign;
-use rfly_fleet::partition::partition;
 use rfly_sim::world::WorldSnapshot;
 
 use crate::campaign::{CampaignRun, OpsConfig, OpsReport, TickRecord};
@@ -410,11 +408,7 @@ impl Durable for CampaignRun<'_> {
         if ck.cells != self.hover.len() {
             // The campaign had repartitioned; re-derive the shrunken
             // partition and channel plan exactly as the live loop did.
-            let part = partition(self.scene, ck.cells, self.limits)
-                .map_err(|e| format!("repartition during restore failed: {e:?}"))?;
-            self.hover = part.cells.iter().map(|c| c.center()).collect();
-            self.plan = assign(&self.hover, &self.budget, cfg.margin, cfg.seed)
-                .map_err(|e| format!("channel reassignment during restore failed: {e:?}"))?;
+            self.replan(ck.cells)?;
         }
         let dock_slots: Vec<usize> = self.scene.docks.iter().map(|d| d.slots).collect();
         self.roster = Roster::from_duties(&ck.duties, &dock_slots)?;

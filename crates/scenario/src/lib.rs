@@ -3,7 +3,7 @@
 //! A scenario file is a small TOML-shaped document describing a whole
 //! experiment — world geometry, the relay fleet, tag populations with
 //! typed units, the fault schedule, and mission pacing. This crate
-//! supplies the three layers that turn such a file into a flyable
+//! supplies the two layers that turn such a file into a flyable
 //! mission:
 //!
 //! 1. **Parse** ([`toml`], [`schema`]): a hand-rolled zero-dependency
@@ -17,14 +17,6 @@
 //!    [`rfly_faults::FaultSchedule`], and a mission configuration. The
 //!    medium pipeline underneath is untouched; scenarios are a front
 //!    end, not a new physics path.
-//! 3. **Generate** ([`generate()`]): a seeded procedural generator that
-//!    emits whole scenario families (multi-floor buildings, outdoor
-//!    aisles, conveyor belts, interferer fields, mixed tag populations,
-//!    occupancy grids) as ordinary [`ScenarioSpec`] values — the same
-//!    seed always yields the same scenario, bit for bit.
-//!
-//! [`emit`] closes the loop: any spec can be re-serialized to canonical
-//! scenario text such that `parse(emit(spec)) == spec`.
 
 #![deny(
     clippy::unwrap_used,
@@ -37,13 +29,10 @@
 use std::fmt;
 
 pub mod compile;
-pub mod emit;
-pub mod generate;
 pub mod schema;
 pub mod toml;
 
 pub use compile::{compile, CompiledScenario};
-pub use generate::{generate, Family};
 pub use schema::{
     BeltSpec, DockSpec, EnergySpec, FaultEventSpec, FaultsSpec, InterfererSpec, MissionSpec,
     Placement, Platform, RelaySpec, ScenarioSpec, TagGroupSpec, WorldSpec,

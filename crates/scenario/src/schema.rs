@@ -284,14 +284,6 @@ impl Platform {
             Platform::GroundRobot => MotionLimits::ground_robot(),
         }
     }
-
-    /// The stable token used in scenario files.
-    pub fn token(&self) -> &'static str {
-        match self {
-            Platform::IndoorDrone => "indoor-drone",
-            Platform::GroundRobot => "ground-robot",
-        }
-    }
 }
 
 /// The per-relay battery and charging model for continuous-operation
@@ -1403,13 +1395,70 @@ storm = true
     }
 
     #[test]
-    fn explicit_fault_events_resolve_relay_ids() {
-        let src = format!(
-            "{MINIMAL}\n[[fault]]\nstep = 2\nrelay = \"r1\"\nkind = \"deep-fade\"\ndb = 12.0\nsteps = 3\n"
-        );
-        let spec = parse_str(&src).expect("valid");
-        assert_eq!(spec.faults.events.len(), 1);
-        assert_eq!(spec.faults.events[0].relay, "r1");
+    fn explicit_fault_events_parse_every_kind_and_resolve_relay_ids() {
+        use rfly_faults::FaultKind as K;
+        let cases = [
+            (
+                "kind = \"phase-glitch\"\nrad = 1.25",
+                K::PhaseGlitch { rad: 1.25 },
+            ),
+            (
+                "kind = \"cfo-drift\"\nrad = 0.3\nsteps = 4",
+                K::CfoDrift { rad: 0.3, steps: 4 },
+            ),
+            ("kind = \"gain-drift\"\ndb = 6.0", K::GainDrift { db: 6.0 }),
+            ("kind = \"pa-sag\"\ndb = 3.5", K::PaSag { db: 3.5 }),
+            (
+                "kind = \"deep-fade\"\ndb = 15.0\nsteps = 2",
+                K::DeepFade { db: 15.0, steps: 2 },
+            ),
+            (
+                "kind = \"noise-burst\"\np = 0.5\nsteps = 3",
+                K::NoiseBurst {
+                    p_corrupt: 0.5,
+                    steps: 3,
+                },
+            ),
+            (
+                "kind = \"gen2-drop\"\np = 0.25\nsteps = 2",
+                K::Gen2Drop {
+                    p_drop: 0.25,
+                    steps: 2,
+                },
+            ),
+            (
+                "kind = \"tracking-dropout\"\nsteps = 5",
+                K::TrackingDropout { steps: 5 },
+            ),
+            (
+                "kind = \"wind-gust\"\ndx_m = 0.4\ndy_m = -0.2\nsteps = 3",
+                K::WindGust {
+                    dx_m: 0.4,
+                    dy_m: -0.2,
+                    steps: 3,
+                },
+            ),
+            ("kind = \"battery-sag\"", K::BatterySag),
+        ];
+        let faults: String = cases
+            .iter()
+            .enumerate()
+            .map(|(step, (text, _))| {
+                let relay = step % 2;
+                format!("\n[[fault]]\nstep = {step}\nrelay = \"r{relay}\"\n{text}\n")
+            })
+            .collect();
+        let spec = parse_str(&format!("{MINIMAL}{faults}")).expect("valid");
+        let expect: Vec<super::FaultEventSpec> = cases
+            .iter()
+            .enumerate()
+            .map(|(step, (_, kind))| super::FaultEventSpec {
+                step,
+                relay: format!("r{}", step % 2),
+                kind: *kind,
+            })
+            .collect();
+        assert_eq!(spec.faults.events, expect);
         let bad =
             format!("{MINIMAL}\n[[fault]]\nstep = 2\nrelay = \"ghost\"\nkind = \"battery-sag\"\n");
         let e = parse_str(&bad).unwrap_err();
@@ -1417,12 +1466,95 @@ storm = true
     }
 
     #[test]
+    fn worlds_interferers_and_tag_groups_parse_to_literal_values() {
+        use super::*;
+        let src = r#"
+[scenario]
+name = "round \"trip\""
+seed = 99
+[world]
+kind = "multi-floor"
+width_m = 18.0
+floor_depth_m = 9.0
+floors = 2
+shelves = 2
+[interferers]
+count = 3
+level = 0.25
+[[reader]]
+position = [1.5, 1.5]
+[[relay]]
+id = "east"
+cell = 1
+snr_penalty_db = 2.5
+[[relay]]
+id = "west"
+cell = 0
+[[tag]]
+count = 24
+seed = 7
+placement = "shelf"
+lateral_m = 0.5
+[[tag]]
+count = 4
+placement = "uniform"
+margin_m = 2.0
+power_up_dbm = -18.5
+"#;
+        let spec = parse_str(src).expect("valid");
+        assert_eq!(spec.name, "round \"trip\"");
+        let world = WorldSpec::MultiFloor {
+            width: Meters::new(18.0),
+            floor_depth: Meters::new(9.0),
+            floors: 2,
+            shelves: 2,
+        };
+        assert_eq!(spec.world, world);
+        let interferers = InterfererSpec {
+            count: 3,
+            level: 0.25,
+        };
+        assert_eq!(spec.interferers, interferers);
+        let penalties: Vec<(&str, usize, Db)> = spec
+            .relays
+            .iter()
+            .map(|r| (r.id.as_str(), r.cell, r.snr_penalty))
+            .collect();
+        assert_eq!(
+            penalties,
+            [("east", 1, Db::new(2.5)), ("west", 0, Db::new(0.0))]
+        );
+        let shelf = TagGroupSpec {
+            count: 24,
+            seed: Some(7),
+            placement: Placement::Shelf {
+                lateral: Meters::new(0.5),
+                offset: Meters::new(0.3),
+                depth_min: Meters::new(0.2),
+                depth_max: Meters::new(0.8),
+            },
+            power_up: None,
+        };
+        let uniform = TagGroupSpec {
+            count: 4,
+            seed: None,
+            placement: Placement::Uniform {
+                margin: Meters::new(2.0),
+            },
+            power_up: Some(Dbm::new(-18.5)),
+        };
+        assert_eq!(spec.tags, [shelf, uniform]);
+    }
+
+    #[test]
     fn energy_section_fills_defaults_and_checks_thresholds() {
-        let src = format!("{MINIMAL}\n[energy]\ncapacity_j = 90000.0\n");
-        let spec = parse_str(&src).expect("valid");
-        let energy = spec.energy.expect("present");
-        assert_eq!(energy.capacity_j, 90000.0);
-        assert_eq!(energy.hover_w, super::EnergySpec::default().hover_w);
+        let src = format!("{MINIMAL}\n[energy]\ncapacity_j = 90000.0\nreserve_frac = 0.25\n");
+        let expect = super::EnergySpec {
+            capacity_j: 90000.0,
+            reserve_frac: 0.25,
+            ..super::EnergySpec::default()
+        };
+        assert_eq!(parse_str(&src).expect("valid").energy, Some(expect));
 
         let bad = format!("{MINIMAL}\n[energy]\nreserve_frac = 0.8\nready_frac = 0.5\n");
         let e = parse_str(&bad).unwrap_err();

@@ -123,15 +123,17 @@ echo "== localization exactness (oracle agreement + cell count) =="
 # exactly must equal the committed totals. Speedup is telemetry only.
 cargo run --release --offline -p rfly-bench --bin ablation_grid | tail -1
 
-echo "== localization figures (Figs. 12-14 + mirror ablation, exact JSON) =="
+echo "== figure binaries (Figs. 4-14, Eq. 4, ablations, self-localization; exact JSON) =="
 # Each binary asserts its own verdicts (e.g. Fig. 13's "RSSI many times
 # worse") and exits non-zero on a miss. None writes wall time, so a
 # rerun must leave its committed results JSON byte-identical.
-loc_figs="fig12_loc_cdf fig13_aperture fig14_distance ablation_mirror"
-for bin in $loc_figs; do
+figs="fig04_guardband fig06_heatmaps fig09_isolation fig10_phase fig11_readrate
+  fig12_loc_cdf fig13_aperture fig14_distance eq4_isolation_range
+  ablation_filters ablation_mirror ablation_peak_selection ext_selfloc"
+for bin in $figs; do
   cargo run --release --offline -q -p rfly-bench --bin "$bin" >/dev/null
 done
-git diff --exit-code -- $(for bin in $loc_figs; do echo "results/bench/$bin.json"; done)
+git diff --exit-code -- $(for bin in $figs; do echo "results/bench/$bin.json"; done)
 
 echo "== ops model check (exhaustive rotation-supervisor proof) =="
 # BFS-enumerates the abstracted dock-rotation state space over a

@@ -31,9 +31,8 @@
 //!   counters, unit-typed histograms, ordered events and spans, and a
 //!   deterministic text/JSON metric-report exporter (`results/obs/`).
 //! * [`scenario`] — declarative scenario files: a hand-rolled
-//!   TOML-subset parser with `file:line` diagnostics, a compiler
-//!   lowering validated scenarios onto the fleet/faults stack, and a
-//!   seeded procedural generator for whole scene families
+//!   TOML-subset parser with `file:line` diagnostics and a compiler
+//!   lowering validated scenarios onto the fleet/faults stack
 //!   (`scenarios/` holds the committed corpus).
 //!
 //! ## Quickstart
