@@ -17,7 +17,10 @@
 //! [`SarLocalizer::heatmap`] is the exhaustive grid search.
 //! [`SarLocalizer::localize`] returns the same estimate, bit for bit,
 //! while scoring exactly only the cells that can change it — the faster
-//! search the paper's footnote 7 points at, exact by construction.
+//! search the paper's footnote 7 points at, exact by construction. Its
+//! screen bounds every cell from above with phasors read from a
+//! 256-entry table and rotated by a short Taylor polynomial, whose
+//! error is a stated function of the phase (see `table_cis`).
 
 use rfly_channel::geometry::Point2;
 use rfly_dsp::units::Hertz;
@@ -124,12 +127,13 @@ impl SarLocalizer {
     ///
     /// Filter and refine with a certified error bound:
     ///
-    /// 1. *Screen.* Row by row, every cell gets an upper bound
-    ///    `ub ≥ √P` from a branch-free, autovectorised evaluation of
-    ///    Eq. 12 ([`fast_cis`], error < 1e-9 per phasor) plus a slack of
-    ///    [`SCREEN_SLACK`]·Σ|hₖ|, which covers that error, the range
-    ///    reduction and the f64 accumulation by orders of magnitude. The
-    ///    bounds live in the heatmap's own storage.
+    /// 1. *Screen* ([`Self::screen`]). Row by row, every cell gets an
+    ///    upper bound `ub ≥ √P` from a branch-free, autovectorised
+    ///    evaluation of Eq. 12 through the phasor table ([`table_cis`],
+    ///    error ≤ 2e-15 + 2e-16·φ per phasor) plus a slack of
+    ///    [`SCREEN_SLACK`]·Σ|hₖ|, which covers that error, the phase
+    ///    argument's rounding and the f64 accumulation by orders of
+    ///    magnitude. The bounds live in the heatmap's own storage.
     /// 2. *Anchor.* The cell with the largest bound is scored exactly
     ///    with [`Self::score_at`]: `L ≤ G`, the global maximum.
     /// 3. *Refine.* Every cell with `ub²·(1 + 1e-9) ≥ threshold·L` is
@@ -161,36 +165,9 @@ impl SarLocalizer {
             channels.len(),
             "one channel per trajectory position"
         );
-        let mut map = self.empty_map();
-        let (nx, ny) = (map.nx(), map.ny());
-        let k2 = 2.0 * std::f64::consts::TAU * self.frequency.as_hz() / SPEED_OF_LIGHT;
         let slack = SCREEN_SLACK * channels.iter().map(|h| h.abs()).sum::<f64>();
-        let xs: Vec<f64> = (0..nx).map(|ix| map.position(ix, 0).x).collect();
-        let mut re = vec![0.0; nx];
-        let mut im = vec![0.0; nx];
-        let mut anchor = (0, 0, f64::NEG_INFINITY);
-        for iy in 0..ny {
-            let y = map.position(0, iy).y;
-            re.fill(0.0);
-            im.fill(0.0);
-            for (pos, h) in trajectory.points().iter().zip(channels) {
-                let dy = y - pos.y;
-                let dy2 = dy * dy;
-                for ((x, r), i) in xs.iter().zip(&mut re).zip(&mut im) {
-                    let dx = x - pos.x;
-                    let (c, s) = fast_cis(k2 * (dx * dx + dy2).sqrt());
-                    *r += h.re * c - h.im * s;
-                    *i += h.re * s + h.im * c;
-                }
-            }
-            for (ix, (r, i)) in re.iter().zip(&im).enumerate() {
-                let ub = (r * r + i * i).sqrt() + slack;
-                map.set(ix, iy, ub);
-                if ub > anchor.2 {
-                    anchor = (ix, iy, ub);
-                }
-            }
-        }
+        let (mut map, anchor) = self.screen(trajectory, channels, slack);
+        let (nx, ny) = (map.nx(), map.ny());
 
         let l = self.score_at(map.position(anchor.0, anchor.1), trajectory, channels);
         if !(l > 0.0 && l.is_finite()) {
@@ -214,46 +191,103 @@ impl SarLocalizer {
         rfly_obs::counter_add("loc.sar.cells_exact", exact);
         map
     }
+
+    /// The screen of [`Self::screened_heatmap`]: the map of bounds
+    /// `|Ŝ| + slack`, where `Ŝ` is Eq. 12's sum with every phasor taken
+    /// from [`table_cis`], and the first cell (row-major) holding the
+    /// largest bound. With `slack` = [`SCREEN_SLACK`]·Σ|hₖ| every bound
+    /// is at least `√P`; with a smaller one it need not be.
+    fn screen(
+        &self,
+        trajectory: &Trajectory,
+        channels: &[Complex],
+        slack: f64,
+    ) -> (Heatmap, (usize, usize)) {
+        let mut map = self.empty_map();
+        let (nx, ny) = (map.nx(), map.ny());
+        let k2 = 2.0 * std::f64::consts::TAU * self.frequency.as_hz() / SPEED_OF_LIGHT;
+        let table = cis_table();
+        let xs: Vec<f64> = (0..nx).map(|ix| map.position(ix, 0).x).collect();
+        let mut re = vec![0.0; nx];
+        let mut im = vec![0.0; nx];
+        let mut anchor = (0, 0, f64::NEG_INFINITY);
+        for iy in 0..ny {
+            let y = map.position(0, iy).y;
+            re.fill(0.0);
+            im.fill(0.0);
+            for (pos, h) in trajectory.points().iter().zip(channels) {
+                let dy = y - pos.y;
+                let dy2 = dy * dy;
+                for ((x, r), i) in xs.iter().zip(&mut re).zip(&mut im) {
+                    let dx = x - pos.x;
+                    let (c, s) = table_cis(&table, k2 * (dx * dx + dy2).sqrt());
+                    *r += h.re * c - h.im * s;
+                    *i += h.re * s + h.im * c;
+                }
+            }
+            for (ix, (r, i)) in re.iter().zip(&im).enumerate() {
+                let ub = (r * r + i * i).sqrt() + slack;
+                map.set(ix, iy, ub);
+                if ub > anchor.2 {
+                    anchor = (ix, iy, ub);
+                }
+            }
+        }
+        (map, (anchor.0, anchor.1))
+    }
 }
 
 /// The screen's slack, as a fraction of Σ|hₖ|: the bound on how far
-/// its `|Ŝ|` may sit below the exact `|S|`. [`fast_cis`] alone is good
-/// to < 1e-9 per phasor, so this is ~1000× the worst case.
+/// its `|Ŝ|` may sit below the exact `|S|`. [`table_cis`] alone is good
+/// to 2e-15 + 2e-16·φ per phasor, so this covers every φ below ~5e9 rad
+/// (a 130,000 km round trip at 916 MHz) with room to spare.
 const SCREEN_SLACK: f64 = 1e-6;
 
+/// Entries in the phasor table of [`table_cis`]: `2πj/256`, j = 0‥255.
+/// A power of two, so `n mod 256` is a mask of the rounded quotient.
+const TABLE_LEN: usize = 256;
+
+/// `(cos θⱼ, sin θⱼ)` for `θⱼ = j·(2π/256)`, from libm through
+/// [`Complex::cis`]: each entry is within 1e-15 of the true phasor.
+fn cis_table() -> [(f64, f64); TABLE_LEN] {
+    let step = std::f64::consts::TAU / TABLE_LEN as f64;
+    std::array::from_fn(|j| {
+        let z = Complex::cis(j as f64 * step);
+        (z.re, z.im)
+    })
+}
+
 /// `(cos φ, sin φ)` without a branch or a libm call, so the screen's
-/// inner loop autovectorises. Absolute error < 1e-9 for φ ∈ [0, 2000].
+/// inner loop autovectorises.
 ///
-/// φ is reduced by 2π to r ∈ [−π, π] (round-to-nearest by the
-/// 1.5·2⁵² "magic number"), the half angle h = r/2 ∈ [−π/2, π/2] goes
-/// through Taylor polynomials to h¹⁵ and h¹⁶ (truncation < 1e-11),
-/// and one double-angle step gives cos r = c² − s², sin r = 2sc.
+/// φ = n·(2π/256) + r: `n` is φ·256/2π rounded to nearest by the
+/// 1.5·2⁵² "magic number", whose sum keeps `n mod 256` in its low
+/// mantissa bits (read by `to_bits`, as a float→int conversion would
+/// stop SSE2 vectorisation), so `table[n mod 256]` is `cis(n·2π/256)`.
+/// The residual `|r| ≤ π/256` goes through Taylor polynomials to r⁵
+/// and r⁶, and one complex multiply rotates the table entry by it.
+///
+/// Absolute error per component, against the true `(cos φ, sin φ)`:
+/// - table entry (libm on a rounded angle): < 1e-15;
+/// - truncation: `r⁷/7! + r⁸/8! < 1e-17` at `|r| = π/256`;
+/// - evaluation and the final multiply: a few ulps of 1, < 1e-15;
+/// - reduction: `r` carries the rounding of `n·(2π/256)` (≤ ½ ulp of
+///   φ, 1.1e-16·φ) and the f64 constant's own error (n·1e-18, 4e-17·φ),
+///   so this term grows ∝ φ.
+///
+/// In all, ≤ 2e-15 + 2e-16·φ, for 0 ≤ φ < 5e13 (the magic number needs
+/// `|φ·256/2π| < 2⁵¹`). A 40×30 m scene at 916 MHz reaches φ ≈ 1,920.
 #[inline(always)]
-fn fast_cis(phi: f64) -> (f64, f64) {
-    const TAU: f64 = std::f64::consts::TAU;
+fn table_cis(table: &[(f64, f64); TABLE_LEN], phi: f64) -> (f64, f64) {
+    const STEP: f64 = std::f64::consts::TAU / TABLE_LEN as f64;
     const ROUND: f64 = 6_755_399_441_055_744.0;
-    let n = (phi * (1.0 / TAU) + ROUND) - ROUND;
-    let h = 0.5 * (phi - n * TAU);
-    let h2 = h * h;
-    let s = h
-        * (1.0
-            + h2 * (-1.0 / 6.0
-                + h2 * (1.0 / 120.0
-                    + h2 * (-1.0 / 5_040.0
-                        + h2 * (1.0 / 362_880.0
-                            + h2 * (-1.0 / 39_916_800.0
-                                + h2 * (1.0 / 6_227_020_800.0
-                                    + h2 * (-1.0 / 1_307_674_368_000.0))))))));
-    let c = 1.0
-        + h2 * (-1.0 / 2.0
-            + h2 * (1.0 / 24.0
-                + h2 * (-1.0 / 720.0
-                    + h2 * (1.0 / 40_320.0
-                        + h2 * (-1.0 / 3_628_800.0
-                            + h2 * (1.0 / 479_001_600.0
-                                + h2 * (-1.0 / 87_178_291_200.0
-                                    + h2 * (1.0 / 20_922_789_888_000.0))))))));
-    (c * c - s * s, 2.0 * s * c)
+    let t = phi * (1.0 / STEP) + ROUND;
+    let (tc, ts) = table[t.to_bits() as usize & (TABLE_LEN - 1)];
+    let r = phi - (t - ROUND) * STEP;
+    let r2 = r * r;
+    let s = r * (1.0 + r2 * (-1.0 / 6.0 + r2 * (1.0 / 120.0)));
+    let c = 1.0 + r2 * (-1.0 / 2.0 + r2 * (1.0 / 24.0 + r2 * (-1.0 / 720.0)));
+    (tc * c - ts * s, ts * c + tc * s)
 }
 
 #[cfg(test)]
@@ -402,18 +436,108 @@ mod tests {
         assert!(localizer().localize(&traj, &ch).is_none());
     }
 
+    /// [`table_cis`]'s stated per-component error bound at φ.
+    fn kernel_bound(phi: f64) -> f64 {
+        2e-15 + 2e-16 * phi
+    }
+
     #[test]
-    fn fast_cis_is_accurate_over_the_search_range() {
-        // 2000 rad is a 170 m round trip at 916 MHz, far past any
-        // search region; the screen's slack assumes < 1e-9.
-        let mut worst = 0.0f64;
-        for i in 0..=2_000_000 {
-            let phi = f64::from(i) * 1e-3 + 1.234_567e-7 * f64::from(i % 7);
-            let (c, s) = fast_cis(phi);
+    fn table_cis_meets_its_bound_over_every_reachable_phase() {
+        // The supervisor's scene-wide search reaches φ ≈ 1,920 rad on a
+        // 40 × 30 m world; 1e5 rad is a 2.6 km round trip.
+        let table = cis_table();
+        let check = |phi: f64| {
+            let (c, s) = table_cis(&table, phi);
             let exact = Complex::cis(phi);
-            worst = worst.max((c - exact.re).abs()).max((s - exact.im).abs());
+            let err = (c - exact.re).abs().max((s - exact.im).abs());
+            assert!(err <= kernel_bound(phi), "error {err:e} at φ = {phi}");
+        };
+        for i in 0..=2_000_000 {
+            check(f64::from(i) * 0.05 + 1.234_567e-7 * f64::from(i % 7));
         }
-        assert!(worst < 1e-9, "fast_cis error {worst}");
+        // The seams: every table entry φ = 2πj/256 and every rounding
+        // boundary (j + ½)·2π/256, ± 1 ulp, over turns near 0 and near
+        // 1e5 rad; j = 256 is the next turn's entry 0, so each turn's
+        // 255 → 0 index wrap is crossed.
+        let step = std::f64::consts::TAU / TABLE_LEN as f64;
+        for turn in [0u32, 1, 2, 15_914] {
+            for j in 0..=TABLE_LEN as u32 {
+                for half in [0.0, 0.5] {
+                    let phi = (f64::from(turn * 256 + j) + half) * step;
+                    for p in [phi.next_down(), phi, phi.next_up()] {
+                        if p >= 0.0 {
+                            check(p);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Seeded straight, bent, line-of-sight and multipath cases.
+    fn bound_cases() -> Vec<(Trajectory, Vec<Complex>)> {
+        use rfly_dsp::rng::{Rng, StdRng};
+        let mut rng = StdRng::seed_from_u64(0xB0_0D5);
+        let mut out = Vec::new();
+        for bent in [false, true] {
+            for multipath in [false, true] {
+                let k = rng.gen_range(11usize..42);
+                let a = Point2::new(rng.gen_range(-0.3..0.3), 0.0);
+                let c = Point2::new(rng.gen_range(2.2..2.8), 0.0);
+                let traj = if bent {
+                    let b = Point2::new(rng.gen_range(1.0..1.5), rng.gen_range(0.2..0.5));
+                    let mut pts = Trajectory::line(a, b, k / 2 + 1).points().to_vec();
+                    pts.extend(&Trajectory::line(b, c, k - k / 2).points()[1..]);
+                    Trajectory::from_points(pts)
+                } else {
+                    Trajectory::line(a, c, k)
+                };
+                let tag = Point2::new(rng.gen_range(0.2..2.6), rng.gen_range(0.6..2.4));
+                let image = Point2::new(rng.gen_range(-1.0..4.0), rng.gen_range(1.0..3.0));
+                let ch = traj
+                    .points()
+                    .iter()
+                    .map(|p| {
+                        let mut paths = vec![Path::new(Meters::new(p.distance(tag)), 1.0)];
+                        if multipath {
+                            paths.push(Path::new(Meters::new(p.distance(image)), 0.7));
+                        }
+                        PathSet::from_paths(paths).round_trip(F2)
+                    })
+                    .collect();
+                out.push((traj, ch));
+            }
+        }
+        out
+    }
+
+    /// Cells whose screen bound, at `slack`·Σ|hₖ|, sits below `√P`.
+    fn bound_violations(slack: f64) -> usize {
+        let loc = SarLocalizer::new(F2, Point2::new(-0.5, -0.5), Point2::new(3.0, 3.0), 0.04);
+        bound_cases()
+            .iter()
+            .map(|(traj, ch)| {
+                let sum: f64 = ch.iter().map(|h| h.abs()).sum();
+                let (ub, _) = loc.screen(traj, ch, slack * sum);
+                ub.iter()
+                    .filter(|&(_, _, p, ub)| ub < loc.score_at(p, traj, ch).sqrt())
+                    .count()
+            })
+            .sum()
+    }
+
+    #[test]
+    fn screen_bounds_every_cell_from_above() {
+        // The invariant the exactness proof of `screened_heatmap` rests
+        // on: every bound is at least the exact √P.
+        assert_eq!(bound_violations(SCREEN_SLACK), 0);
+    }
+
+    #[test]
+    fn planted_control_a_screen_without_slack_is_caught() {
+        // Without the slack, |Ŝ| alone sits below |S| wherever the
+        // kernel's error happens to point inward.
+        assert!(bound_violations(0.0) >= 1, "the zero slack went undetected");
     }
 
     #[test]

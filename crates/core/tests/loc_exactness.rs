@@ -38,7 +38,8 @@ enum Channel {
 }
 
 /// Every combination of resolution × channel kind × region side ×
-/// trajectory shape, with random geometry and 3–61 measurements.
+/// trajectory shape, with random geometry and 3–61 measurements, and
+/// one scene-scale case.
 fn cases() -> Vec<Case> {
     let mut rng = StdRng::seed_from_u64(0x0C03_E100);
     let mut out = Vec::new();
@@ -51,6 +52,7 @@ fn cases() -> Vec<Case> {
             }
         }
     }
+    out.push(scene_case(&mut rng));
     out
 }
 
@@ -74,10 +76,39 @@ fn case(rng: &mut StdRng, res: f64, kind: Channel, two_sided: bool, bent: bool) 
             (image, rng.gen_range(0.2..1.0))
         })
         .collect();
+    let ch = channels(rng, kind, &traj, tag, &images);
+    let min = Point2::new(-0.5, if two_sided { -2.0 } else { 0.05 });
+    Case::new(min, Point2::new(3.0, 3.0), res, traj, ch)
+}
+
+/// The supervisor's scene-wide search: a 40 × 30 m region at 0.5 m
+/// around a pass down an aisle, where the round-trip phase reaches
+/// ~1,800 rad.
+fn scene_case(rng: &mut StdRng) -> Case {
+    let traj = Trajectory::line(Point2::new(2.0, 1.5), Point2::new(38.0, 1.5), 61);
+    let tag = Point2::new(rng.gen_range(5.0..35.0), rng.gen_range(4.0..28.0));
+    let images: Vec<(Point2, f64)> = (0..3)
+        .map(|_| {
+            let image = Point2::new(rng.gen_range(0.0..40.0), rng.gen_range(4.0..30.0));
+            (image, rng.gen_range(0.2..1.0))
+        })
+        .collect();
+    let ch = channels(rng, Channel::Multipath, &traj, tag, &images);
+    Case::new(Point2::ORIGIN, Point2::new(40.0, 30.0), 0.5, traj, ch)
+}
+
+/// The round-trip channels at every trajectory point for a tag at
+/// `tag`, with reflector `images` for multipath.
+fn channels(
+    rng: &mut StdRng,
+    kind: Channel,
+    traj: &Trajectory,
+    tag: Point2,
+    images: &[(Point2, f64)],
+) -> Vec<Complex> {
     let direct = rng.gen_range(0.4..1.0);
     let sigma = rng.gen_range(0.05..0.5);
-    let ch = traj
-        .points()
+    traj.points()
         .iter()
         .map(|p| {
             let los = Path::new(Meters::new(p.distance(tag)), 1.0);
@@ -99,24 +130,27 @@ fn case(rng: &mut StdRng, res: f64, kind: Channel, two_sided: bool, bent: bool) 
                 }
             }
         })
-        .collect();
-    let min = Point2::new(-0.5, if two_sided { -2.0 } else { 0.05 });
-    let max = Point2::new(3.0, 3.0);
-    let sar = SarLocalizer::new(F2, min, max, res);
-    let rssi = RssiLocalizer {
-        frequency: F2,
-        region_min: min,
-        region_max: max,
-        resolution: res,
-        reference_amplitude_1m: PathSet::line_of_sight(Meters::new(1.0), 1.0)
-            .round_trip(F2)
-            .abs(),
-    };
-    Case {
-        sar,
-        rssi,
-        traj,
-        ch,
+        .collect()
+}
+
+impl Case {
+    fn new(min: Point2, max: Point2, res: f64, traj: Trajectory, ch: Vec<Complex>) -> Self {
+        let sar = SarLocalizer::new(F2, min, max, res);
+        let rssi = RssiLocalizer {
+            frequency: F2,
+            region_min: min,
+            region_max: max,
+            resolution: res,
+            reference_amplitude_1m: PathSet::line_of_sight(Meters::new(1.0), 1.0)
+                .round_trip(F2)
+                .abs(),
+        };
+        Case {
+            sar,
+            rssi,
+            traj,
+            ch,
+        }
     }
 }
 

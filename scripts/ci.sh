@@ -23,6 +23,15 @@ echo "== medium tests in release (arbitration lanes, DESIGN.md §10.5) =="
 # release, beside the debug run above that keeps the debug_assert!s.
 cargo test --release --offline -p rfly-sim --lib -q medium::
 
+echo "== localization tests in release (vectorised SAR screen, DESIGN.md §4 item 6) =="
+# Likewise the SAR screen's inner loop: the kernel's error bound, the
+# per-cell screen bound and its planted control, and the exactness
+# differential against the exhaustive oracles run again where the
+# screen is vectorised. A name filter of `loc` alone would skip
+# loc_exactness, whose test names do not contain it.
+cargo test --release --offline -p rfly-core -q loc
+cargo test --release --offline -p rfly-core -q --test loc_exactness
+
 echo "== clippy (warnings are errors; token invariants, see DESIGN.md §8) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
