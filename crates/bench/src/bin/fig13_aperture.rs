@@ -54,8 +54,7 @@ fn main() {
             "paper SAR p50",
         ],
     );
-    let mut sar_medians = Vec::new();
-    let mut rssi_medians = Vec::new();
+    let mut series: Vec<(f64, f64, f64)> = Vec::new();
     for (aperture, paper) in [
         (0.5, "0.22 m"),
         (1.0, "<0.05 m"),
@@ -94,28 +93,91 @@ fn main() {
             fmt_m(rssi.median()),
             paper.to_string(),
         ]);
-        sar_medians.push(sar.median());
-        rssi_medians.push(rssi.median());
+        series.push((aperture, sar.median(), rssi.median()));
     }
     bench.table("main", table, true);
 
-    // Shape checks.
-    assert!(
-        sar_medians[0] > sar_medians.last().unwrap() * 1.5,
-        "accuracy must improve with aperture"
-    );
-    assert!(
-        *sar_medians.last().unwrap() < 0.10,
-        "large-aperture SAR should be < 10 cm"
-    );
-    let ratio = rssi_medians.last().unwrap() / sar_medians.last().unwrap();
-    assert!(
-        ratio > 5.0,
-        "RSSI should be many times worse than SAR (got {ratio:.1}x)"
-    );
+    let ratio = verdict(&series).unwrap_or_else(|e| panic!("{e}"));
     println!(
         "Shape check: SAR improves monotonically with aperture; RSSI is {ratio:.0}x worse at 2.5 m \
          (paper: ~20x)."
     );
     bench.finish();
+}
+
+/// The shape checks against the paper, over `(aperture, SAR p50, RSSI
+/// p50)` in metres, shortest aperture first: `Ok` with the RSSI/SAR
+/// median ratio at the largest aperture when the series has the
+/// paper's shape, else the first check it fails.
+fn verdict(series: &[(f64, f64, f64)]) -> Result<f64, String> {
+    let (Some(&(_, sar_first, _)), Some(&(_, sar_last, rssi_last))) =
+        (series.first(), series.last())
+    else {
+        return Err("the series is empty".into());
+    };
+    if sar_first <= sar_last * 1.5 {
+        return Err("accuracy must improve with aperture".into());
+    }
+    if sar_last >= 0.10 {
+        return Err("large-aperture SAR should be < 10 cm".into());
+    }
+    let ratio = rssi_last / sar_last;
+    if ratio <= 5.0 {
+        return Err(format!(
+            "RSSI should be many times worse than SAR (got {ratio:.1}x)"
+        ));
+    }
+    Ok(ratio)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `(aperture, SAR p50, RSSI p50)` as committed in
+    /// `results/bench/fig13_aperture.json` (seed 2017).
+    const COMMITTED: [(f64, f64, f64); 5] = [
+        (0.5, 0.28, 0.89),
+        (1.0, 0.23, 0.82),
+        (1.5, 0.10, 0.82),
+        (2.0, 0.05, 0.84),
+        (2.5, 0.04, 0.88),
+    ];
+
+    /// `COMMITTED` with the medians at `aperture` replaced.
+    fn planted(aperture: f64, sar: f64, rssi: f64) -> Vec<(f64, f64, f64)> {
+        let mut series = COMMITTED.to_vec();
+        for row in &mut series {
+            if row.0 == aperture {
+                *row = (aperture, sar, rssi);
+            }
+        }
+        series
+    }
+
+    #[test]
+    fn committed_series_passes() {
+        assert_eq!(verdict(&COMMITTED), Ok(0.88 / 0.04));
+    }
+
+    #[test]
+    fn planted_series_each_fail_with_their_own_message() {
+        for (series, message) in [
+            (
+                planted(0.5, 0.05, 0.89),
+                "accuracy must improve with aperture",
+            ),
+            (
+                planted(2.5, 0.12, 0.88),
+                "large-aperture SAR should be < 10 cm",
+            ),
+            (
+                planted(2.5, 0.04, 0.16),
+                "RSSI should be many times worse than SAR (got 4.0x)",
+            ),
+            (Vec::new(), "the series is empty"),
+        ] {
+            assert_eq!(verdict(&series), Err(message.to_string()));
+        }
+    }
 }

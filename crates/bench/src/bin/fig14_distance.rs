@@ -98,17 +98,91 @@ fn main() {
     }
     bench.table("main", table, true);
 
-    // Shape checks: error grows with distance, stays sub-meter at 40 m,
-    // and RSSI stays far worse throughout.
-    let at = |d: f64| sar_by_d.iter().find(|r| r.0 == d).unwrap();
-    assert!(at(40.0).1 < 0.5, "SAR median at 40 m too large");
-    assert!(
-        at(50.0).2 > at(5.0).2 * 2.0,
-        "90th percentile must degrade with distance"
-    );
-    assert!(at(40.0).3 > at(40.0).1 * 3.0, "RSSI must remain much worse");
+    verdict(&sar_by_d).unwrap_or_else(|e| panic!("{e}"));
     println!(
         "Shape check: error grows with projected distance (SNR), SAR stays sub-meter at 40 m."
     );
     bench.finish();
+}
+
+/// The shape checks against the paper, over `(distance, SAR p50, SAR
+/// p90, RSSI p50)` rows in metres: the error grows with distance, stays
+/// sub-meter at 40 m, and RSSI stays far worse. `Ok` when the series
+/// has the paper's shape, else the first check it fails.
+fn verdict(series: &[(f64, f64, f64, f64)]) -> Result<(), String> {
+    let at = |d: f64| {
+        series
+            .iter()
+            .find(|r| r.0 == d)
+            .copied()
+            .ok_or_else(|| format!("the series has no {d} m point"))
+    };
+    let (at5, at40, at50) = (at(5.0)?, at(40.0)?, at(50.0)?);
+    if at40.1 >= 0.5 {
+        return Err("SAR median at 40 m too large".into());
+    }
+    if at50.2 <= at5.2 * 2.0 {
+        return Err("90th percentile must degrade with distance".into());
+    }
+    if at40.3 <= at40.1 * 3.0 {
+        return Err("RSSI must remain much worse".into());
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `(distance, SAR p50, SAR p90, RSSI p50)` as committed in
+    /// `results/bench/fig14_distance.json` (seed 2017).
+    const COMMITTED: [(f64, f64, f64, f64); 6] = [
+        (5.0, 0.04, 0.09, 0.68),
+        (10.0, 0.04, 0.09, 0.68),
+        (20.0, 0.04, 0.09, 0.68),
+        (30.0, 0.05, 0.12, 0.66),
+        (40.0, 0.08, 0.22, 0.68),
+        (50.0, 0.07, 0.47, 0.66),
+    ];
+
+    /// `COMMITTED` with the row at `d` replaced.
+    fn planted(d: f64, sar50: f64, sar90: f64, rssi50: f64) -> Vec<(f64, f64, f64, f64)> {
+        let mut series = COMMITTED.to_vec();
+        for row in &mut series {
+            if row.0 == d {
+                *row = (d, sar50, sar90, rssi50);
+            }
+        }
+        series
+    }
+
+    #[test]
+    fn committed_series_passes() {
+        assert_eq!(verdict(&COMMITTED), Ok(()));
+    }
+
+    #[test]
+    fn planted_series_each_fail_with_their_own_message() {
+        for (series, message) in [
+            (
+                planted(40.0, 0.55, 0.70, 2.0),
+                "SAR median at 40 m too large",
+            ),
+            (
+                planted(50.0, 0.07, 0.15, 0.66),
+                "90th percentile must degrade with distance",
+            ),
+            (
+                planted(40.0, 0.08, 0.22, 0.20),
+                "RSSI must remain much worse",
+            ),
+        ] {
+            assert_eq!(verdict(&series), Err(message.to_string()));
+        }
+        let short: Vec<_> = COMMITTED.iter().copied().filter(|r| r.0 != 50.0).collect();
+        assert_eq!(
+            verdict(&short),
+            Err("the series has no 50 m point".to_string())
+        );
+    }
 }

@@ -236,7 +236,7 @@ impl fmt::Display for Dbm {
 /// Geometry in this workspace mixes centimeter-scale antenna
 /// separations with hundred-meter read ranges; a dedicated type keeps
 /// those from being silently conflated with dimensionless `f64`s in
-/// link-budget call sites (the R3 unit-discipline rule of `rfly-lint`).
+/// link-budget call sites (the R3 unit-discipline rule, DESIGN.md §8).
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Meters(pub f64);
 

@@ -14,7 +14,9 @@ cargo build --release --offline --workspace
 echo "== tests =="
 # Debug on purpose: debug assertions are on, so the `debug_assert!` that
 # a narrow QueryRep/QueryAdjust reaches only powered tags (DESIGN.md
-# §10.5) runs under every medium test of the workspace suite.
+# §10.5) runs under every medium test of the workspace suite. The root
+# package's `unit_newtypes` test is R3 (DESIGN.md §8): it lints the
+# workspace and the planted tests/fixtures/r3 pair.
 cargo test --offline --workspace -q
 
 echo "== medium tests in release (arbitration lanes, DESIGN.md §10.5) =="
@@ -43,7 +45,7 @@ echo "== clippy gate fixtures (planted packages; see DESIGN.md §8) =="
 # handed to named in clippy's output, and its conforming twin must pass
 # clean. Both sit outside the workspace and read the root clippy.toml,
 # so this guards the lint configuration itself.
-gate=crates/lint/tests/fixtures/clippy
+gate=tests/fixtures/clippy
 out=$(cargo clippy --offline --all-targets --manifest-path $gate/violating/Cargo.toml \
   --target-dir target/clippy-gate --message-format=json -- -D warnings 2>/dev/null) && {
   echo "ERROR: planted clippy violations were not detected" >&2
@@ -67,24 +69,6 @@ for ty in std::collections::HashMap std::collections::HashSet std::time::Instant
 done
 cargo clippy --offline --all-targets --manifest-path $gate/conforming/Cargo.toml \
   --target-dir target/clippy-gate -- -D warnings
-
-echo "== rfly-lint (R3 unit newtypes; see DESIGN.md §8 + §13) =="
-# Hard gate: any finding not covered by a justified allow fails the
-# build. The JSON findings file is uploaded as a CI artifact (see ci.yml).
-mkdir -p results/lint
-cargo run --release --offline -p rfly-lint -- --workspace --json results/lint/findings.json
-
-echo "== rfly-lint planted tree (R3 control; see DESIGN.md §13) =="
-# The planted mini-workspace's only violation is R3: the CLI must FAIL
-# (exit 1) on it and pass clean (exit 0) on its conforming twin. This
-# guards the check itself against silently going blind.
-if cargo run --release --offline -p rfly-lint -- --workspace \
-    --root crates/lint/tests/fixtures/tree/violating >/dev/null; then
-  echo "ERROR: planted R3 violation was not detected" >&2
-  exit 1
-fi
-cargo run --release --offline -p rfly-lint -- --workspace \
-  --root crates/lint/tests/fixtures/tree/conforming >/dev/null
 
 echo "== fault matrix (3 seeds) =="
 # The fault_storm example is self-asserting: it exits non-zero on any
