@@ -26,8 +26,8 @@ use std::process::ExitCode;
 
 use rfly_bench::harness::Bench;
 use rfly_dsp::units::Seconds;
-use rfly_ops::{run_campaign, EnergyModel, OpsConfig, OpsReport};
-use rfly_scenario::{load, EnergySpec};
+use rfly_ops::{run_campaign, OpsConfig, OpsReport};
+use rfly_scenario::load;
 use rfly_sim::report::Table;
 
 struct Args {
@@ -63,21 +63,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// The scenario's `[energy]` section as the ops crate's model.
-fn energy_model(spec: &EnergySpec) -> EnergyModel {
-    EnergyModel {
-        capacity_j: spec.capacity_j,
-        hover_w: spec.hover_w,
-        tx_w: spec.tx_w,
-        ref_gain: spec.ref_gain,
-        tx_w_per_db: spec.tx_w_per_db,
-        per_read_j: spec.per_read_j,
-        charge_w: spec.charge_w,
-        reserve_frac: spec.reserve_frac,
-        ready_frac: spec.ready_frac,
-    }
-}
-
 fn scenario_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/ops_continuous.toml")
 }
@@ -98,7 +83,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let Some(energy_spec) = spec.energy.clone() else {
+    let Some(energy) = spec.energy else {
         eprintln!("ext_ops_soak: ops_continuous.toml must carry an [energy] section");
         return ExitCode::FAILURE;
     };
@@ -126,7 +111,7 @@ fn main() -> ExitCode {
         max_rounds: spec.mission.max_rounds.min(2),
         inventory_every: 1,
         seed: spec.seed,
-        energy: energy_model(&energy_spec),
+        energy,
     };
 
     let mut table = Table::new(

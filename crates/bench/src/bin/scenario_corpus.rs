@@ -53,7 +53,7 @@ fn fly(path: &Path) -> (String, Outcome) {
             &compiled.mission_env(),
             &compiled.mission,
             &compiled.faults,
-            &SupervisorConfig::default(),
+            &SupervisorConfig,
         );
         Outcome {
             unique_tags: r.inventory.unique_tags(),

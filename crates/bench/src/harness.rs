@@ -103,11 +103,19 @@ impl Bench {
         }
     }
 
-    /// A harness seeded from `argv[1]` (falling back to `default_seed`)
-    /// — the `seed_from_args` pattern every sweep binary used inline.
+    /// A harness seeded from a `--seed N` argument (falling back to
+    /// `default_seed` when there is none). A malformed seed exits the
+    /// process with status 1 and names the bad value, so no results
+    /// file is rewritten at a seed that was not asked for.
     pub fn from_args(name: &str, default_seed: u64) -> Self {
         let args: Vec<String> = std::env::args().collect();
-        Self::new(name, seed_from_args(&args, default_seed))
+        match seed_from_args(&args, default_seed) {
+            Ok(seed) => Self::new(name, seed),
+            Err(e) => {
+                eprintln!("{name}: {e}");
+                std::process::exit(1);
+            }
+        }
     }
 
     /// The run's seed.

@@ -59,7 +59,7 @@ impl EmbeddedRfid {
     /// Restores the flag set captured by [`Self::flags_snapshot`].
     pub fn restore_flags_snapshot(&mut self, bits: u8) {
         self.machine
-            .restore_flags(rfly_protocol::session::TagFlags::from_snapshot(bits));
+            .restore_flags(rfly_protocol::session::TagFlags::from_bits(bits));
     }
 }
 

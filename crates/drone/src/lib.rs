@@ -4,8 +4,9 @@
 //! microbenchmarks ride an iRobot Create 2 (§7.3a). What the rest of
 //! the system needs from the platform is *where exactly was it at each
 //! measurement*: kinematics along a flight plan and a position-tracking
-//! model (OptiTrack ground truth vs odometry drift). The battery and
-//! payload budget lives in `rfly_ops::energy`.
+//! model (OptiTrack ground truth vs odometry drift), plus the
+//! airframe-and-payload [`energy::EnergyModel`] the fleet's battery
+//! accounting (`rfly_ops::energy`) draws against.
 
 #![deny(
     clippy::unwrap_used,
@@ -15,6 +16,7 @@
     clippy::print_stderr
 )]
 
+pub mod energy;
 pub mod flightplan;
 pub mod kinematics;
 pub mod tracking;

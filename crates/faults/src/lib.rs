@@ -51,7 +51,7 @@ pub use inject::{FaultLayer, RelayHealth};
 pub use log::{LoggedRecovery, RecoveryAction, ResilienceLog};
 pub use schedule::{FaultEvent, FaultKind, FaultSchedule};
 pub use supervisor::{
-    run_supervised, run_unsupervised, LocMethod, LocalizationRecord, MissionEnv, MissionSnapshot,
-    MissionState, ReadRecord, ResilientOutcome, StepRecord, StepTrack, SupervisorConfig,
+    run_supervised, run_unsupervised, LocMethod, LocalizationRecord, MissionEnv, MissionState,
+    ReadRecord, ResilientOutcome, StepRecord, StepTrack, SupervisorConfig,
 };
 pub use text::ParseError;

@@ -13,7 +13,7 @@ use rfly_sim::medium::FLEET_PASSBAND;
 use crate::inject::RelayHealth;
 use crate::log::{RecoveryAction, ResilienceLog};
 
-use super::{MissionEnv, SupervisorConfig};
+use super::{MissionEnv, REASSIGN_ATTEMPTS};
 
 /// The fleet's worst alive mutual-loop pair under per-relay gain plans.
 /// Returns `(i, j, margin)` with original relay indices.
@@ -56,7 +56,6 @@ pub(super) fn worst_alive_margin(
 /// to re-programming the drifted VGA chain.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn margin_monitor(
-    sup_cfg: &SupervisorConfig,
     env: &MissionEnv<'_>,
     cfg: &MissionConfig,
     step: usize,
@@ -108,7 +107,7 @@ pub(super) fn margin_monitor(
     }
 
     // Rung 1: Δf re-assignment over fresh hopping seeds.
-    for k in 0..sup_cfg.reassign_attempts {
+    for k in 0..REASSIGN_ATTEMPTS {
         let seed = cfg.seed ^ 0xDF00 ^ (((step as u64) << 8) | k as u64);
         let Ok(newp) = assign(positions, &env.budget, env.margin, seed) else {
             continue;

@@ -9,7 +9,7 @@
 //!
 //! * **Retry with bounded backoff** — an inventory stop that returns no
 //!   environment reads while an uplink fault is active is re-attempted
-//!   up to [`SupervisorConfig::max_retries`] times.
+//!   up to twice.
 //! * **Δf re-assignment / gain trim** — every step the supervisor
 //!   recomputes the fleet's worst mutual-loop margin with each relay's
 //!   *degraded* gains. A fault-attributable violation first tries a
@@ -40,7 +40,7 @@ mod state;
 mod stop;
 
 pub use localize::{LocMethod, LocalizationRecord, ResilientOutcome};
-pub use state::{MissionSnapshot, MissionState, ReadRecord, StepRecord, StepTrack};
+pub use state::{MissionState, ReadRecord, StepRecord, StepTrack};
 
 use rfly_core::relay::gains::IsolationBudget;
 use rfly_drone::kinematics::MotionLimits;
@@ -53,23 +53,18 @@ use rfly_sim::world::PhasorWorld;
 
 use crate::schedule::FaultSchedule;
 
-/// The supervisor's reaction knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct SupervisorConfig {
-    /// Maximum retries of a silent, uplink-faulted inventory stop.
-    pub max_retries: usize,
-    /// Candidate re-assignment seeds tried on a margin violation.
-    pub reassign_attempts: usize,
-}
+/// Maximum retries of a silent, uplink-faulted inventory stop.
+const MAX_RETRIES: usize = 2;
 
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        Self {
-            max_retries: 2,
-            reassign_attempts: 4,
-        }
-    }
-}
+/// Candidate re-assignment seeds tried on a margin violation.
+const REASSIGN_ATTEMPTS: usize = 4;
+
+/// Selects the supervised mission: passing one to
+/// [`MissionState::advance`] turns every reaction on. The reactions'
+/// bounds are fixed (two stop retries, four re-assignment seeds), so
+/// the type carries no fields.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SupervisorConfig;
 
 /// The static mission context the supervisor needs beyond the world:
 /// the scene (re-partitioning), the isolation budget and margin gate
@@ -173,7 +168,7 @@ mod tests {
             &env,
             &cfg,
             &FaultSchedule::none(),
-            &SupervisorConfig::default(),
+            &SupervisorConfig,
         );
         assert!(out.log.faults.is_empty());
         assert!(out.log.recoveries.is_empty(), "no faults, no recoveries");
@@ -239,7 +234,7 @@ mod tests {
                 limits: MotionLimits::indoor_drone(),
             };
             let storm = FaultSchedule::storm(11, 2, 12);
-            let sup = SupervisorConfig::default();
+            let sup = SupervisorConfig;
             drive(&mut world, &plan, &part, &env, &cfg, &storm, Some(&sup))
         };
         let (rec_a, out_a) = run();
@@ -276,7 +271,7 @@ mod tests {
             limits: MotionLimits::indoor_drone(),
         };
         let storm = FaultSchedule::storm(seed, 2, 12);
-        let sup = SupervisorConfig::default();
+        let sup = SupervisorConfig;
 
         // The uninterrupted run, with a checkpoint captured at k = 2.
         let kill_at = 2usize;
@@ -285,16 +280,15 @@ mod tests {
         let mut checkpoint = None;
         while !state.finished() {
             if state.step() == kill_at {
-                checkpoint = Some((state.snapshot(), world.snapshot()));
+                checkpoint = Some((state.clone(), world.snapshot()));
             }
             full_records.push(state.advance(&mut world, &env, &cfg, &storm, Some(&sup)));
         }
-        let (mission_snap, world_snap) = checkpoint.expect("mission ran past the checkpoint step");
+        let (mut resumed, world_snap) = checkpoint.expect("mission ran past the checkpoint step");
 
         // The crash: a brand-new world, restored from the checkpoint.
         let (_, _, _, mut world2, _) = build();
         world2.restore(&world_snap).expect("same construction");
-        let mut resumed = MissionState::from_snapshot(mission_snap);
         let mut tail_records = Vec::new();
         while !resumed.finished() {
             tail_records.push(resumed.advance(&mut world2, &env, &cfg, &storm, Some(&sup)));
@@ -307,7 +301,7 @@ mod tests {
     }
 
     /// The give-up path: an uplink fault that outlasts every retry. The
-    /// supervisor must record exactly `max_retries` attempts per starved
+    /// supervisor must record exactly `MAX_RETRIES` attempts per starved
     /// stop, then move on — and the jammed relay contributes nothing
     /// while the fault is active.
     #[test]
@@ -330,10 +324,7 @@ mod tests {
                 steps: 1000,
             },
         }]);
-        let sup = SupervisorConfig {
-            max_retries: 2,
-            ..SupervisorConfig::default()
-        };
+        let sup = SupervisorConfig;
         let (records, out) = drive(&mut world, &plan, &part, &env, &cfg, &jam, Some(&sup));
 
         assert_eq!(
@@ -345,9 +336,9 @@ mod tests {
             "the healthy relay still covers its cell"
         );
         // Every step starves relay 0, so every step exhausts the retry
-        // budget: exactly max_retries logged attempts per step, ending
-        // at attempt == max_retries (the give-up).
-        assert_eq!(out.log.count("retry"), sup.max_retries * out.steps);
+        // budget: exactly MAX_RETRIES logged attempts per step, ending
+        // at attempt == MAX_RETRIES (the give-up).
+        assert_eq!(out.log.count("retry"), MAX_RETRIES * out.steps);
         for rec in &records {
             let attempts: Vec<usize> = rec
                 .recoveries
@@ -387,7 +378,7 @@ mod tests {
             &env,
             &cfg,
             &storm,
-            &SupervisorConfig::default(),
+            &SupervisorConfig,
         );
         assert!(sup_out.lost_relays.contains(&dead));
         assert!(sup_out.log.count("repartition") >= 1);

@@ -1,9 +1,9 @@
 //! The steppable mission state and its journal records.
 //!
 //! [`MissionState::advance`] executes one supervised (or bare) mission
-//! step and returns the [`StepRecord`] that `rfly-replay` journals;
-//! [`MissionState::snapshot`] / [`MissionState::from_snapshot`] are the
-//! supervisor-level half of a crash-consistent checkpoint.
+//! step and returns the [`StepRecord`] that `rfly-replay` journals; the
+//! state itself, cloned at a step boundary, is the supervisor-level
+//! half of a crash-consistent checkpoint.
 
 use rfly_channel::geometry::Point2;
 use rfly_core::relay::gains::GainPlan;
@@ -25,7 +25,7 @@ use crate::schedule::{FaultEvent, FaultKind, FaultSchedule};
 use super::localize::{localize_all, track_coherence, ResilientOutcome};
 use super::margin::{margin_monitor, worst_alive_margin};
 use super::stop::inventory_stop;
-use super::{MissionEnv, SupervisorConfig};
+use super::{MissionEnv, SupervisorConfig, MAX_RETRIES};
 
 /// One stop's measurements through one relay — the unit of SAR track
 /// data a mission checkpoint must carry.
@@ -76,11 +76,19 @@ pub struct StepRecord {
     pub done: bool,
 }
 
-/// The supervisor-level half of a mission checkpoint: every mutable
-/// field of [`MissionState`], public so `rfly-replay` can serialize it.
-/// The world-level half is [`rfly_sim::world::WorldSnapshot`].
+/// The full mutable state of one mission in flight, advanced one step
+/// at a time.
+///
+/// [`super::run_supervised`] is a thin loop over [`Self::advance`]; the
+/// stepper exists so `rfly-replay` can journal each [`StepRecord`],
+/// checkpoint at step boundaries (this state, cloned, beside
+/// [`rfly_sim::world::PhasorWorld::snapshot`]), and resume a killed
+/// mission bit-identically (the cloned state beside
+/// [`rfly_sim::world::PhasorWorld::restore`]). Every field is public so
+/// `rfly-replay` can serialize it; the world-level half of a checkpoint
+/// is [`rfly_sim::world::WorldSnapshot`].
 #[derive(Debug, Clone)]
-pub struct MissionSnapshot {
+pub struct MissionState {
     /// Next step index to execute.
     pub step: usize,
     /// Steps completed so far.
@@ -118,37 +126,6 @@ pub struct MissionSnapshot {
     pub believed: Vec<Point2>,
 }
 
-/// The full mutable state of one mission in flight, advanced one step
-/// at a time.
-///
-/// [`super::run_supervised`] is a thin loop over [`Self::advance`]; the
-/// stepper exists so `rfly-replay` can journal each [`StepRecord`],
-/// checkpoint at step boundaries ([`Self::snapshot`] +
-/// [`rfly_sim::world::PhasorWorld::snapshot`]), and resume a killed
-/// mission bit-identically ([`Self::from_snapshot`] +
-/// [`rfly_sim::world::PhasorWorld::restore`]).
-#[derive(Debug, Clone)]
-pub struct MissionState {
-    n: usize,
-    step: usize,
-    steps: usize,
-    duration_s: f64,
-    step_cap: usize,
-    done: bool,
-    health: Vec<RelayHealth>,
-    log: ResilienceLog,
-    inventory: FleetInventory,
-    tracks: Vec<Vec<StepTrack>>,
-    f1: Vec<Hertz>,
-    shift: Vec<Hertz>,
-    base_gains: GainPlan,
-    plans: Vec<FlightPlan>,
-    cells: Vec<Cell>,
-    route_start: Vec<f64>,
-    hold: Vec<f64>,
-    believed: Vec<Point2>,
-}
-
 impl MissionState {
     /// Fresh mission state at step 0.
     pub fn new(plan: &ChannelPlan, part: &Partition, cfg: &MissionConfig) -> Self {
@@ -161,7 +138,6 @@ impl MissionState {
         // tuning knob).
         let base_steps = (part.duration() / cfg.sample_interval_s).ceil() as usize + 1;
         Self {
-            n,
             step: 0,
             steps: 0,
             duration_s: 0.0,
@@ -192,53 +168,11 @@ impl MissionState {
         self.step
     }
 
-    /// Captures the supervisor-level checkpoint half. Pair it with
-    /// [`rfly_sim::world::PhasorWorld::snapshot`] taken at the same
-    /// step boundary.
-    pub fn snapshot(&self) -> MissionSnapshot {
-        MissionSnapshot {
-            step: self.step,
-            steps: self.steps,
-            duration_s: self.duration_s,
-            step_cap: self.step_cap,
-            done: self.done,
-            health: self.health.clone(),
-            log: self.log.clone(),
-            inventory: self.inventory.clone(),
-            tracks: self.tracks.clone(),
-            f1: self.f1.clone(),
-            shift: self.shift.clone(),
-            base_gains: self.base_gains,
-            plans: self.plans.clone(),
-            cells: self.cells.clone(),
-            route_start: self.route_start.clone(),
-            hold: self.hold.clone(),
-            believed: self.believed.clone(),
-        }
-    }
-
-    /// Rebuilds mission state from a checkpoint.
-    pub fn from_snapshot(snap: MissionSnapshot) -> Self {
-        Self {
-            n: snap.health.len(),
-            step: snap.step,
-            steps: snap.steps,
-            duration_s: snap.duration_s,
-            step_cap: snap.step_cap,
-            done: snap.done,
-            health: snap.health,
-            log: snap.log,
-            inventory: snap.inventory,
-            tracks: snap.tracks,
-            f1: snap.f1,
-            shift: snap.shift,
-            base_gains: snap.base_gains,
-            plans: snap.plans,
-            cells: snap.cells,
-            route_start: snap.route_start,
-            hold: snap.hold,
-            believed: snap.believed,
-        }
+    /// Captures the supervisor-level checkpoint half: a clone of this
+    /// state. Pair it with [`rfly_sim::world::PhasorWorld::snapshot`]
+    /// taken at the same step boundary.
+    pub fn snapshot(&self) -> Self {
+        self.clone()
     }
 
     /// Executes one mission step: faults strike, the supervisor (if
@@ -255,7 +189,7 @@ impl MissionState {
         sup: Option<&SupervisorConfig>,
     ) -> StepRecord {
         assert!(!self.done, "advance() on a finished mission");
-        let n = self.n;
+        let n = self.health.len();
         let step = self.step;
         let t = step as f64 * cfg.sample_interval_s;
         let faults_mark = self.log.faults.len();
@@ -385,9 +319,8 @@ impl MissionState {
             if let Some((_, _, m)) = worst {
                 rfly_obs::observe_db("supervisor.worst_margin_db", m);
             }
-            if let Some(sup_cfg) = sup {
+            if sup.is_some() {
                 margin_monitor(
-                    sup_cfg,
                     env,
                     cfg,
                     step,
@@ -462,9 +395,9 @@ impl MissionState {
                 cfg.max_rounds,
             );
 
-            if let Some(sup_cfg) = sup {
+            if sup.is_some() {
                 let mut attempt = 1;
-                while attempt <= sup_cfg.max_retries
+                while attempt <= MAX_RETRIES
                     && self.health[relay].uplink_faulted()
                     && !reads.iter().any(|r| r.epc != PhasorWorld::embedded_epc())
                 {
@@ -609,7 +542,9 @@ impl MissionState {
             steps: self.steps,
             duration_s: self.duration_s,
             log: self.log,
-            lost_relays: (0..self.n).filter(|&i| !self.health[i].alive).collect(),
+            lost_relays: (0..self.health.len())
+                .filter(|&i| !self.health[i].alive)
+                .collect(),
             coherence,
             localization,
         }

@@ -65,7 +65,7 @@ fn any_random_schedule_is_survivable_and_auditable() {
             &env,
             &cfg,
             &schedule,
-            &SupervisorConfig::default(),
+            &SupervisorConfig,
         );
         assert!(
             out.log.is_consistent(),
@@ -121,7 +121,7 @@ fn standard_storms_are_survivable_on_a_three_relay_fleet() {
             &env,
             &cfg,
             &storm,
-            &SupervisorConfig::default(),
+            &SupervisorConfig,
         );
         assert!(out.log.is_consistent(), "seed {seed}");
         assert!(

@@ -17,6 +17,7 @@ use std::fmt::Write;
 
 use rfly_channel::geometry::Point2;
 use rfly_core::relay::gains::IsolationBudget;
+use rfly_drone::energy::EnergyModel;
 use rfly_drone::kinematics::MotionLimits;
 use rfly_dsp::units::{Db, Seconds};
 use rfly_fleet::channels::{assign, ChannelPlan};
@@ -27,7 +28,6 @@ use rfly_sim::medium::FleetRf;
 use rfly_sim::scene::Scene;
 use rfly_sim::world::PhasorWorld;
 
-use crate::energy::EnergyModel;
 use crate::rotation::{Duty, Roster, Rotation};
 
 /// Campaign parameters: fleet sizing, pacing, and the energy model.
@@ -277,7 +277,6 @@ impl<'s> CampaignRun<'s> {
                 }
             }
             rec.reads = reads_by_relay.iter().sum::<usize>();
-            self.report.total_reads += rec.reads;
         }
 
         // 2. Battery integration: servers drain, docked standbys charge.
@@ -304,7 +303,6 @@ impl<'s> CampaignRun<'s> {
             .collect();
         let mut repartition_needed = false;
         for (relay, cell) in flat {
-            self.report.deaths += 1;
             rec.deaths += 1;
             let lost = self.roster.mark_dead(relay);
             if let Some(cell_lost) = lost {
@@ -313,10 +311,7 @@ impl<'s> CampaignRun<'s> {
                     .roster
                     .promote(&cfg.energy, tick, cell, relay, self.transit)
                 {
-                    Some(promo) => {
-                        self.report.rotations.push(promo);
-                        rec.rotations.push(promo);
-                    }
+                    Some(promo) => rec.rotations.push(promo),
                     None => repartition_needed = true,
                 }
             }
@@ -324,41 +319,52 @@ impl<'s> CampaignRun<'s> {
         if repartition_needed {
             let survivors = self.roster.serving().len();
             if survivors == 0 {
-                self.report.min_coverage = 0.0;
+                // The floor went dark: the record's coverage stays 0.
                 for relay in 0..cfg.n_relays {
-                    let charge = self.roster.battery(relay).charge_j;
-                    self.report.trace[relay].push(charge);
-                    rec.charges.push(charge);
+                    rec.charges.push(self.roster.battery(relay).charge_j);
                 }
+                self.fold(&rec);
                 self.halted = true;
                 self.tick += 1;
                 return Ok(rec);
             }
             self.replan(survivors)?;
             self.roster.renumber_cells();
-            self.report.repartitions += 1;
             rec.repartitioned = true;
         }
 
         // 4. Reserve-margin rotations (make-before-break).
         let swaps = self.roster.rotate(&self.cfg.energy, tick, self.transit);
-        self.report.rotations.extend(swaps.iter().copied());
         rec.rotations.extend(swaps);
         debug_assert!(self.roster.docks_within_capacity());
 
         // 5. Coverage and trace bookkeeping.
-        let coverage = self.roster.serving().len() as f64 / self.cfg.n_cells as f64;
-        rec.coverage = coverage;
-        if coverage < self.report.min_coverage {
-            self.report.min_coverage = coverage;
-        }
+        rec.coverage = self.roster.serving().len() as f64 / self.cfg.n_cells as f64;
         for relay in 0..self.cfg.n_relays {
-            let charge = self.roster.battery(relay).charge_j;
-            self.report.trace[relay].push(charge);
-            rec.charges.push(charge);
+            rec.charges.push(self.roster.battery(relay).charge_j);
         }
+        self.fold(&rec);
         self.tick += 1;
         Ok(rec)
+    }
+
+    /// Folds one tick's record into the report: the live loop's
+    /// bookkeeping, and how recovery re-derives the report from the
+    /// durable ticks it fast-forwards over.
+    pub(crate) fn fold(&mut self, rec: &TickRecord) {
+        self.seen.extend(rec.new_tags.iter().copied());
+        self.report.total_reads += rec.reads;
+        self.report.deaths += rec.deaths;
+        if rec.repartitioned {
+            self.report.repartitions += 1;
+        }
+        self.report.rotations.extend(rec.rotations.iter().copied());
+        if rec.coverage < self.report.min_coverage {
+            self.report.min_coverage = rec.coverage;
+        }
+        for (row, &charge) in self.report.trace.iter_mut().zip(&rec.charges) {
+            row.push(charge);
+        }
     }
 
     /// Re-partitions the floor into `cells` cells and re-assigns their

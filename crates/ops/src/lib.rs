@@ -45,7 +45,7 @@ pub mod persist;
 pub mod rotation;
 
 pub use campaign::{run_campaign, CampaignRun, OpsConfig, OpsReport, TickRecord};
-pub use energy::{Battery, EnergyModel};
+pub use energy::Battery;
 pub use model::{check, CheckResult, Counterexample, ModelConfig};
 pub use persist::CampaignCheckpoint;
 pub use rotation::{Duty, Roster, Rotation};

@@ -34,7 +34,7 @@ use crate::campaign::{CampaignRun, OpsConfig, OpsReport, TickRecord};
 use crate::rotation::{Duty, Roster, Rotation};
 
 /// The one-line config fingerprint embedded in the log header: every
-/// [`OpsConfig`] and [`crate::energy::EnergyModel`] field in
+/// [`OpsConfig`] and [`rfly_drone::energy::EnergyModel`] field in
 /// shortest-round-trip form, so a recovery attempt against the wrong
 /// config is caught by a string compare.
 pub fn config_line(cfg: &OpsConfig) -> String {
@@ -421,19 +421,7 @@ impl Durable for CampaignRun<'_> {
     }
 
     fn replay(&mut self, rec: TickRecord) {
-        self.seen.extend(rec.new_tags);
-        self.report.total_reads += rec.reads;
-        self.report.deaths += rec.deaths;
-        if rec.repartitioned {
-            self.report.repartitions += 1;
-        }
-        self.report.rotations.extend(rec.rotations);
-        if rec.coverage < self.report.min_coverage {
-            self.report.min_coverage = rec.coverage;
-        }
-        for (row, charge) in self.report.trace.iter_mut().zip(rec.charges) {
-            row.push(charge);
-        }
+        self.fold(&rec);
     }
 
     fn finish(self) -> Result<(OpsReport, String), String> {

@@ -9,8 +9,10 @@
 //! incumbent lands on; dock occupancy therefore never exceeds capacity
 //! even with a single shared pad.
 
-use crate::energy::{Battery, EnergyModel};
+use rfly_drone::energy::EnergyModel;
 use rfly_dsp::units::Seconds;
+
+use crate::energy::Battery;
 
 /// What a relay is doing right now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

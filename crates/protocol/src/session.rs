@@ -128,7 +128,7 @@ impl TagFlags {
     }
 
     /// Rebuilds a flag set from [`Self::snapshot`] bits.
-    pub fn from_snapshot(bits: u8) -> Self {
+    pub fn from_bits(bits: u8) -> Self {
         let mut flags = Self::new();
         for (k, f) in flags.inventoried.iter_mut().enumerate() {
             *f = InventoriedFlag::from_bit(bits & (1 << k) != 0);
@@ -251,13 +251,13 @@ mod tests {
     #[test]
     fn flag_snapshot_round_trips_every_combination() {
         for bits in 0u8..32 {
-            let f = TagFlags::from_snapshot(bits);
+            let f = TagFlags::from_bits(bits);
             assert_eq!(f.snapshot(), bits);
         }
         let mut f = TagFlags::new();
         f.set_inventoried(Session::S1, InventoriedFlag::B);
         f.selected = true;
-        let g = TagFlags::from_snapshot(f.snapshot());
+        let g = TagFlags::from_bits(f.snapshot());
         for s in [Session::S0, Session::S1, Session::S2, Session::S3] {
             assert_eq!(g.inventoried(s), f.inventoried(s));
         }

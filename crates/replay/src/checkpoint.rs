@@ -2,7 +2,7 @@
 //! boundary, serialized in the workspace's line-oriented text form.
 //!
 //! A checkpoint has two halves: the supervisor half
-//! ([`rfly_faults::MissionSnapshot`] — health, log, inventory, tracks,
+//! ([`rfly_faults::MissionState`] — health, log, inventory, tracks,
 //! channel plan, flight plans) and the world half
 //! ([`rfly_sim::world::WorldSnapshot`] — the RNG stream states and
 //! persistent Gen2 flags that survive a power cycle). Everything else
@@ -23,7 +23,7 @@ use rfly_drone::flightplan::FlightPlan;
 use rfly_drone::kinematics::MotionLimits;
 use rfly_dsp::units::{Db, Hertz};
 use rfly_dsp::Complex;
-use rfly_faults::supervisor::{MissionSnapshot, StepTrack};
+use rfly_faults::supervisor::{MissionState, StepTrack};
 use rfly_faults::text::{
     parse_epc_hex, write_world, EpcHex, Fields, OptUsize, ParseError, WorldLines,
 };
@@ -36,7 +36,7 @@ use rfly_sim::world::WorldSnapshot;
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     /// The supervisor half.
-    pub mission: MissionSnapshot,
+    pub mission: MissionState,
     /// The world half (RNG streams + persistent Gen2 flags).
     pub world: WorldSnapshot,
 }
@@ -407,7 +407,7 @@ impl Checkpoint {
             tracks.resize_with(n_relays, Vec::new);
         }
 
-        let mission = MissionSnapshot {
+        let mission = MissionState {
             step,
             steps,
             duration_s,

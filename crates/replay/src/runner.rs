@@ -171,6 +171,20 @@ pub struct Mission {
     pub limits: MotionLimits,
 }
 
+impl Mission {
+    /// The supervisor's static context, beside the world it flies: the
+    /// two borrow disjoint fields, so a step can hold both at once.
+    pub fn env(&mut self) -> (MissionEnv<'_>, &mut PhasorWorld) {
+        let env = MissionEnv {
+            scene: &self.scene,
+            budget: self.budget,
+            margin: self.margin,
+            limits: self.limits,
+        };
+        (env, &mut self.world)
+    }
+}
+
 /// A completed, journaled mission.
 #[derive(Debug)]
 pub struct Run {
@@ -187,7 +201,6 @@ pub struct MissionRun<'a> {
     pub(crate) scenario: &'a Scenario,
     schedule: &'a FaultSchedule,
     mission: Mission,
-    sup: SupervisorConfig,
     pub(crate) state: MissionState,
     pub(crate) journal: Journal,
 }
@@ -201,7 +214,6 @@ impl<'a> MissionRun<'a> {
             scenario,
             schedule,
             mission,
-            sup: SupervisorConfig::default(),
             state,
             journal: Journal::begin(scenario.clone()),
         })
@@ -213,7 +225,7 @@ impl<'a> MissionRun<'a> {
             .world
             .restore(&checkpoint.world)
             .map_err(|e| format!("world restore failed: {e}"))?;
-        self.state = MissionState::from_snapshot(checkpoint.mission.clone());
+        self.state = checkpoint.mission.clone();
         Ok(())
     }
 
@@ -224,17 +236,10 @@ impl<'a> MissionRun<'a> {
 
     /// Executes one step, journals it, and returns its record.
     pub fn advance(&mut self) -> StepRecord {
-        let m = &mut self.mission;
-        let env = MissionEnv {
-            scene: &m.scene,
-            budget: m.budget,
-            margin: m.margin,
-            limits: m.limits,
-        };
-        let sup = self.scenario.supervised.then_some(&self.sup);
-        let rec = self
-            .state
-            .advance(&mut m.world, &env, &m.cfg, self.schedule, sup);
+        let sup = self.scenario.supervised.then_some(&SupervisorConfig);
+        let cfg = self.mission.cfg;
+        let (env, world) = self.mission.env();
+        let rec = self.state.advance(world, &env, &cfg, self.schedule, sup);
         rfly_obs::counter_add("replay.steps_journaled", 1);
         self.journal.push(&rec);
         rec
@@ -251,15 +256,9 @@ impl<'a> MissionRun<'a> {
     /// Ends the mission: localization, the outcome, and the sealed
     /// journal.
     pub fn into_run(self) -> Run {
-        let m = &self.mission;
-        let env = MissionEnv {
-            scene: &m.scene,
-            budget: m.budget,
-            margin: m.margin,
-            limits: m.limits,
-        };
-        let sup = self.scenario.supervised.then_some(&self.sup);
-        let outcome = self.state.into_outcome(&env, sup);
+        let mut mission = self.mission;
+        let sup = self.scenario.supervised.then_some(&SupervisorConfig);
+        let outcome = self.state.into_outcome(&mission.env().0, sup);
         let mut journal = self.journal;
         journal.seal(outcome.steps, Seconds::new(outcome.duration_s));
         Run { journal, outcome }

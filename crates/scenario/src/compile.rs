@@ -20,7 +20,7 @@ use rfly_fleet::channels::{assign, ChannelPlan};
 use rfly_fleet::inventory::{mission_world, MissionConfig};
 use rfly_fleet::partition::{partition, Partition};
 use rfly_protocol::epc::Epc;
-use rfly_sim::motion::{Belt, TagMotion};
+use rfly_sim::motion::TagMotion;
 use rfly_sim::scene::Scene;
 use rfly_sim::world::PhasorWorld;
 use rfly_tag::harvester::Harvester;
@@ -108,9 +108,7 @@ impl CompiledScenario {
 /// Lowers a validated spec.
 pub fn compile(spec: &ScenarioSpec) -> Result<CompiledScenario, CompileError> {
     let mut scene = build_scene(&spec.world);
-    for dock in &spec.docks {
-        scene.add_dock(dock.position, dock.slots);
-    }
+    scene.docks.extend_from_slice(&spec.docks);
     let limits = spec.mission.platform.limits();
     let n = spec.relays.len();
 
@@ -168,17 +166,7 @@ pub fn compile(spec: &ScenarioSpec) -> Result<CompiledScenario, CompileError> {
         FaultSchedule::none()
     };
 
-    let motion = TagMotion::from_belts(
-        spec.belts
-            .iter()
-            .map(|b| Belt {
-                y: b.y,
-                x_min: b.x_min,
-                x_max: b.x_max,
-                speed: b.speed,
-            })
-            .collect(),
-    );
+    let motion = TagMotion::from_belts(spec.belts.clone());
 
     Ok(CompiledScenario {
         spec: spec.clone(),

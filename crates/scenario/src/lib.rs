@@ -34,8 +34,8 @@ pub mod toml;
 
 pub use compile::{compile, CompiledScenario};
 pub use schema::{
-    BeltSpec, DockSpec, EnergySpec, FaultEventSpec, FaultsSpec, InterfererSpec, MissionSpec,
-    Placement, Platform, RelaySpec, ScenarioSpec, TagGroupSpec, WorldSpec,
+    FaultEventSpec, FaultsSpec, InterfererSpec, MissionSpec, Placement, Platform, RelaySpec,
+    ScenarioSpec, TagGroupSpec, WorldSpec,
 };
 
 /// A scenario diagnostic carrying its source location.

@@ -10,9 +10,12 @@
 
 use rfly_channel::geometry::Point2;
 use rfly_core::relay::gains::IsolationBudget;
+use rfly_drone::energy::EnergyModel;
 use rfly_drone::kinematics::MotionLimits;
 use rfly_dsp::units::{Db, Dbm, Meters, Seconds};
 use rfly_faults::FaultKind;
+use rfly_sim::motion::Belt;
+use rfly_sim::scene::Dock;
 
 use crate::toml::{Document, Entry, Section, Value};
 use crate::ScenarioError;
@@ -30,7 +33,7 @@ pub struct ScenarioSpec {
     /// External interferer field (count 0 = none).
     pub interferers: InterfererSpec,
     /// Conveyor belts carrying tags (empty = static world).
-    pub belts: Vec<BeltSpec>,
+    pub belts: Vec<Belt>,
     /// The reader's position.
     pub reader: Point2,
     /// The relay fleet, in file order.
@@ -44,9 +47,9 @@ pub struct ScenarioSpec {
     pub budget: IsolationBudget,
     /// Battery/charging model for continuous operation (`None` =
     /// single-sortie mission, no energy accounting).
-    pub energy: Option<EnergySpec>,
+    pub energy: Option<EnergyModel>,
     /// Charging docks, in file order (empty = no rotation possible).
-    pub docks: Vec<DockSpec>,
+    pub docks: Vec<Dock>,
     /// The fault schedule request.
     pub faults: FaultsSpec,
 }
@@ -171,19 +174,6 @@ impl InterfererSpec {
     }
 }
 
-/// One conveyor belt (see [`rfly_sim::motion::Belt`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BeltSpec {
-    /// Belt centerline height, m.
-    pub y: Meters,
-    /// Span start, m.
-    pub x_min: Meters,
-    /// Span end, m.
-    pub x_max: Meters,
-    /// Carry speed, m/s, +x.
-    pub speed: f64,
-}
-
 /// One relay of the fleet.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RelaySpec {
@@ -284,56 +274,6 @@ impl Platform {
             Platform::GroundRobot => MotionLimits::ground_robot(),
         }
     }
-}
-
-/// The per-relay battery and charging model for continuous-operation
-/// scenarios (defaults mirror `rfly_ops::EnergyModel`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct EnergySpec {
-    /// Usable pack capacity, J.
-    pub capacity_j: f64,
-    /// Hover draw, W.
-    pub hover_w: f64,
-    /// Relay TX draw at the reference gain, W.
-    pub tx_w: f64,
-    /// The gain at which `tx_w` is quoted, dB.
-    pub ref_gain: Db,
-    /// Extra TX draw per dB above the reference gain, W/dB.
-    pub tx_w_per_db: f64,
-    /// Energy per successful tag read, J.
-    pub per_read_j: f64,
-    /// Dock charging rate, W.
-    pub charge_w: f64,
-    /// Reserve fraction: a serving relay at or below this charge must
-    /// rotate out.
-    pub reserve_frac: f64,
-    /// Launch-ready fraction: a docked relay below this cannot launch.
-    pub ready_frac: f64,
-}
-
-impl Default for EnergySpec {
-    fn default() -> Self {
-        Self {
-            capacity_j: 108_000.0,
-            hover_w: 72.0,
-            tx_w: 3.0,
-            ref_gain: Db::new(90.0),
-            tx_w_per_db: 0.05,
-            per_read_j: 0.5,
-            charge_w: 90.0,
-            reserve_frac: 0.2,
-            ready_frac: 0.9,
-        }
-    }
-}
-
-/// One charging dock ([`rfly_sim::scene::Dock`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DockSpec {
-    /// Dock position on the floor.
-    pub position: Point2,
-    /// Simultaneous charging slots.
-    pub slots: usize,
 }
 
 /// One explicit fault event (relay referenced by ID).
@@ -587,7 +527,7 @@ pub fn from_document(doc: &Document) -> Result<ScenarioSpec, ScenarioError> {
         if !in_bounds(lo) || !in_bounds(hi) {
             return Err(err(y_line, format!("belt {}", bounds_msg(lo))));
         }
-        belts.push(BeltSpec {
+        belts.push(Belt {
             y: Meters::new(y),
             x_min: Meters::new(x_min),
             x_max: Meters::new(x_max),
@@ -744,7 +684,7 @@ pub fn from_document(doc: &Document) -> Result<ScenarioSpec, ScenarioError> {
     // [energy] (optional)
     let energy = match single(doc, "energy")? {
         Some(s) => {
-            let d = EnergySpec::default();
+            let d = EnergyModel::default();
             let mut keys = Keys::new(s);
             let (capacity, cl) = keys.f64_or("capacity_j", d.capacity_j)?;
             let (hover, hl) = keys.f64_or("hover_w", d.hover_w)?;
@@ -778,7 +718,7 @@ pub fn from_document(doc: &Document) -> Result<ScenarioSpec, ScenarioError> {
                     ),
                 ));
             }
-            Some(EnergySpec {
+            Some(EnergyModel {
                 capacity_j: capacity,
                 hover_w: hover,
                 tx_w: tx,
@@ -808,7 +748,7 @@ pub fn from_document(doc: &Document) -> Result<ScenarioSpec, ScenarioError> {
         if slots == 0 {
             return Err(err(slots_line, "a dock needs at least one `slots`"));
         }
-        docks.push(DockSpec { position: p, slots });
+        docks.push(Dock { pos: p, slots });
     }
 
     // [faults] + [[fault]]
@@ -1018,7 +958,7 @@ fn world_spec(section: &Section) -> Result<WorldSpec, ScenarioError> {
 fn tag_group(
     section: &Section,
     world: &WorldSpec,
-    belts: &[BeltSpec],
+    belts: &[Belt],
     in_bounds: &impl Fn(Point2) -> bool,
     bounds_msg: &impl Fn(Point2) -> String,
 ) -> Result<TagGroupSpec, ScenarioError> {
@@ -1481,6 +1421,11 @@ shelves = 2
 [interferers]
 count = 3
 level = 0.25
+[[belt]]
+y_m = 4.0
+x_min_m = 2.0
+x_max_m = 16.0
+speed = 0.5
 [[reader]]
 position = [1.5, 1.5]
 [[relay]]
@@ -1515,6 +1460,13 @@ power_up_dbm = -18.5
             level: 0.25,
         };
         assert_eq!(spec.interferers, interferers);
+        let belt = Belt {
+            y: Meters::new(4.0),
+            x_min: Meters::new(2.0),
+            x_max: Meters::new(16.0),
+            speed: 0.5,
+        };
+        assert_eq!(spec.belts, [belt]);
         let penalties: Vec<(&str, usize, Db)> = spec
             .relays
             .iter()
@@ -1548,11 +1500,21 @@ power_up_dbm = -18.5
 
     #[test]
     fn energy_section_fills_defaults_and_checks_thresholds() {
+        use super::*;
+        let empty = format!("{MINIMAL}\n[energy]\n");
+        let energy = parse_str(&empty).expect("valid").energy;
+        assert_eq!(energy, Some(EnergyModel::default()));
         let src = format!("{MINIMAL}\n[energy]\ncapacity_j = 90000.0\nreserve_frac = 0.25\n");
-        let expect = super::EnergySpec {
+        let expect = EnergyModel {
             capacity_j: 90000.0,
+            hover_w: 72.0,
+            tx_w: 3.0,
+            ref_gain: Db::new(90.0),
+            tx_w_per_db: 0.05,
+            per_read_j: 0.5,
+            charge_w: 90.0,
             reserve_frac: 0.25,
-            ..super::EnergySpec::default()
+            ready_frac: 0.9,
         };
         assert_eq!(parse_str(&src).expect("valid").energy, Some(expect));
 
@@ -1570,13 +1532,22 @@ power_up_dbm = -18.5
 
     #[test]
     fn docks_are_bounds_checked_and_default_to_one_slot() {
+        use super::*;
         let src = format!(
             "{MINIMAL}\n[[dock]]\nposition = [2.0, 2.0]\n\n[[dock]]\nposition = [18.0, 2.0]\nslots = 2\n"
         );
         let spec = parse_str(&src).expect("valid");
-        assert_eq!(spec.docks.len(), 2);
-        assert_eq!(spec.docks[0].slots, 1);
-        assert_eq!(spec.docks[1].slots, 2);
+        let docks = [
+            Dock {
+                pos: Point2::new(2.0, 2.0),
+                slots: 1,
+            },
+            Dock {
+                pos: Point2::new(18.0, 2.0),
+                slots: 2,
+            },
+        ];
+        assert_eq!(spec.docks, docks);
 
         let bad = format!("{MINIMAL}\n[[dock]]\nposition = [25.0, 2.0]\n");
         let e = parse_str(&bad).unwrap_err();

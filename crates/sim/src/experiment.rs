@@ -55,12 +55,26 @@ impl MonteCarlo {
 }
 
 /// Parses a `--seed N` argument from a CLI argument list, with a
-/// default — shared by every experiment binary.
-pub fn seed_from_args(args: &[String], default: u64) -> u64 {
-    args.windows(2)
-        .find(|w| w[0] == "--seed")
-        .and_then(|w| w[1].parse().ok())
-        .unwrap_or(default)
+/// default when there is none — shared by every experiment binary. A
+/// `--seed` not followed by an unsigned integer (`--seed x`, a trailing
+/// `--seed`) or written `--seed=N` is an error naming the bad argument,
+/// never a silent run at the default seed.
+pub fn seed_from_args(args: &[String], default: u64) -> Result<u64, String> {
+    let Some(i) = args
+        .iter()
+        .position(|a| a == "--seed" || a.starts_with("--seed="))
+    else {
+        return Ok(default);
+    };
+    if args[i] != "--seed" {
+        return Err(format!("bad argument {:?}: write `--seed N`", args[i]));
+    }
+    match args.get(i + 1) {
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("--seed needs an unsigned integer, got {v:?}")),
+        None => Err("--seed needs a value".into()),
+    }
 }
 
 #[cfg(test)]
@@ -111,13 +125,21 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        assert_eq!(seed_from_args(&args, 7), 123);
+        assert_eq!(seed_from_args(&args, 7), Ok(123));
         let none: Vec<String> = vec!["prog".into()];
-        assert_eq!(seed_from_args(&none, 7), 7);
-        let bad: Vec<String> = ["prog", "--seed", "xyz"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(seed_from_args(&bad, 7), 7);
+        assert_eq!(seed_from_args(&none, 7), Ok(7));
+        let argv = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            seed_from_args(&argv(&["prog", "--seed", "xyz"]), 7),
+            Err("--seed needs an unsigned integer, got \"xyz\"".into())
+        );
+        assert_eq!(
+            seed_from_args(&argv(&["prog", "--seed"]), 7),
+            Err("--seed needs a value".into())
+        );
+        assert_eq!(
+            seed_from_args(&argv(&["prog", "--seed=7"]), 7),
+            Err("bad argument \"--seed=7\": write `--seed N`".into())
+        );
     }
 }

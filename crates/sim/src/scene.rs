@@ -279,8 +279,8 @@ impl Scene {
 
     /// Adds a charging dock at `pos` with `slots` simultaneous
     /// charging slots. Panics if the pad lies outside the floor or has
-    /// no slots — the scenario schema validates both with file:line
-    /// diagnostics before ever reaching this.
+    /// no slots (the scenario schema checks both with file:line
+    /// diagnostics when it parses a `[[dock]]`).
     pub fn add_dock(&mut self, pos: Point2, slots: usize) {
         assert!(self.contains(pos), "dock pad outside the floor");
         assert!(slots >= 1, "a dock needs at least one slot");

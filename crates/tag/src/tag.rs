@@ -89,7 +89,7 @@ impl PassiveTag {
     /// Restores the flag set captured by [`Self::flags_snapshot`].
     pub fn restore_flags_snapshot(&mut self, bits: u8) {
         self.machine
-            .restore_flags(rfly_protocol::session::TagFlags::from_snapshot(bits));
+            .restore_flags(rfly_protocol::session::TagFlags::from_bits(bits));
     }
 
     /// Whether steady illumination at `incident` keeps the chip powered

@@ -82,7 +82,7 @@ fn main() {
         margin: MARGIN,
         limits,
     };
-    let sup_cfg = SupervisorConfig::default();
+    let sup_cfg = SupervisorConfig;
 
     let base_steps = (part.duration() / cfg.sample_interval_s).ceil() as usize + 1;
     let storm = FaultSchedule::storm(seed, N_RELAYS, base_steps);

@@ -81,6 +81,16 @@ for seed in 42 7 1234; do
   target/release/examples/fault_storm "$seed" >/dev/null
 done
 
+echo "== examples (each asserts its own acceptance gates) =="
+# The other seven examples exit non-zero on a missed gate; among them,
+# fleet_warehouse asserts that scenarios/warehouse_paper.toml lowers to
+# its hard-coded mission bit for bit. None writes a file.
+examples="drone_selfloc fleet_warehouse frequency_discovery phase_preserving_relay
+  quickstart range_extension warehouse_inventory"
+for ex in $examples; do
+  cargo run --release --offline -q --example "$ex" >/dev/null
+done
+
 echo "== obs metric reports (fault_storm, DESIGN.md §10) =="
 # The fault matrix runs with an rfly-obs recorder installed; each
 # mission must have written its structured metric report.
