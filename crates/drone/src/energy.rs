@@ -55,6 +55,21 @@ impl Default for EnergyModel {
 }
 
 impl EnergyModel {
+    /// `Ok` when `reserve_frac < ready_frac ≤ 1`, else the reason: a
+    /// standby must launch with more than the reserve. The scenario
+    /// schema and `rfly_ops`'s roster both enforce it.
+    pub fn check_fractions(&self) -> Result<(), String> {
+        let (ready, reserve) = (self.ready_frac, self.reserve_frac);
+        if reserve < ready && ready <= 1.0 {
+            Ok(())
+        } else {
+            Err(format!(
+                "`ready_frac` = {ready} must exceed `reserve_frac` = {reserve} and \
+                 be at most 1 (a standby must launch with more than the reserve)"
+            ))
+        }
+    }
+
     /// TX chain draw at `gain` of downlink gain, watts (floored at 0).
     pub fn tx_draw_w(&self, gain: Db) -> f64 {
         (self.tx_w + self.tx_w_per_db * (gain - self.ref_gain).value()).max(0.0)

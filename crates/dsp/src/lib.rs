@@ -11,7 +11,9 @@
 //! * a radix-2 FFT, Goertzel single-bin DFT and Welch spectral estimation
 //!   ([`fft`], [`goertzel`], [`spectrum`]),
 //! * additive white Gaussian noise ([`noise`]),
-//! * decibel/dBm/Hz unit types and physical constants ([`units`]).
+//! * decibel/dBm/Hz unit types and physical constants ([`units`]),
+//! * the workspace's shortest round-trip float writer, byte-identical
+//!   to `Display` ([`decimal`]).
 //!
 //! The design follows the smoltcp school: no heap-allocating trait objects
 //! in hot paths, no macros, plain data structures that are easy to audit.
@@ -31,6 +33,7 @@
 pub mod buffer;
 pub mod cast;
 pub mod complex;
+pub mod decimal;
 pub mod fft;
 pub mod filter;
 pub mod goertzel;

@@ -13,7 +13,7 @@ use rfly_protocol::epc::Epc;
 use rfly_sim::report::Table;
 
 use crate::schedule::FaultEvent;
-use crate::text::{EpcHex, Fields, ParseError};
+use crate::text::{EpcHex, Fields, ParseError, Shortest};
 
 /// One recovery action the mission supervisor can take.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -156,7 +156,7 @@ impl fmt::Display for RecoveryAction {
                 write!(f, "retry relay={relay} attempt={attempt}")
             }
             RecoveryAction::GainTrim { relay, trimmed_db } => {
-                write!(f, "gain-trim relay={relay} db={trimmed_db}")
+                write!(f, "gain-trim relay={relay} db={}", Shortest(trimmed_db))
             }
             RecoveryAction::DeltaFReassign {
                 pair: (i, j),
@@ -164,7 +164,9 @@ impl fmt::Display for RecoveryAction {
                 margin_after_db,
             } => write!(
                 f,
-                "df-reassign i={i} j={j} before={margin_before_db} after={margin_after_db}"
+                "df-reassign i={i} j={j} before={} after={}",
+                Shortest(margin_before_db),
+                Shortest(margin_after_db)
             ),
             RecoveryAction::Repartition {
                 dead_relay,
@@ -174,7 +176,7 @@ impl fmt::Display for RecoveryAction {
                 write!(f, "cell-handoff cell={cell} from={from} to={to}")
             }
             RecoveryAction::PaRebias { relay, restored_db } => {
-                write!(f, "pa-rebias relay={relay} db={restored_db}")
+                write!(f, "pa-rebias relay={relay} db={}", Shortest(restored_db))
             }
             RecoveryAction::RouteHold { relay } => write!(f, "route-hold relay={relay}"),
             RecoveryAction::SarFallback {
@@ -183,8 +185,9 @@ impl fmt::Display for RecoveryAction {
                 coherence,
             } => write!(
                 f,
-                "sar-fallback relay={relay} epc={} coherence={coherence}",
-                EpcHex(epc)
+                "sar-fallback relay={relay} epc={} coherence={}",
+                EpcHex(epc),
+                Shortest(coherence)
             ),
         }
     }

@@ -12,7 +12,7 @@ use std::fmt;
 
 use rfly_dsp::rng::{Rng, SliceRandom, StdRng};
 
-use crate::text::{Fields, ParseError};
+use crate::text::{Fields, ParseError, Shortest};
 
 /// One way a relay, its uplink, or its drone can degrade.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -92,26 +92,33 @@ pub enum FaultKind {
 
 /// The stable text form: a kind token followed by `key=value`
 /// parameters, e.g. `deep-fade db=18 steps=4`. Floats use the codec's
-/// shortest round-trip `{x}` form, so `parse` rebuilds the identical
-/// kind.
+/// shortest round-trip form ([`Shortest`]), so `parse` rebuilds the
+/// identical kind.
 impl fmt::Display for FaultKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
-            FaultKind::PhaseGlitch { rad } => write!(f, "phase-glitch rad={rad}"),
-            FaultKind::CfoDrift { rad, steps } => write!(f, "cfo-drift rad={rad} steps={steps}"),
-            FaultKind::GainDrift { db } => write!(f, "gain-drift db={db}"),
-            FaultKind::PaSag { db } => write!(f, "pa-sag db={db}"),
-            FaultKind::DeepFade { db, steps } => write!(f, "deep-fade db={db} steps={steps}"),
+            FaultKind::PhaseGlitch { rad } => write!(f, "phase-glitch rad={}", Shortest(rad)),
+            FaultKind::CfoDrift { rad, steps } => {
+                write!(f, "cfo-drift rad={} steps={steps}", Shortest(rad))
+            }
+            FaultKind::GainDrift { db } => write!(f, "gain-drift db={}", Shortest(db)),
+            FaultKind::PaSag { db } => write!(f, "pa-sag db={}", Shortest(db)),
+            FaultKind::DeepFade { db, steps } => {
+                write!(f, "deep-fade db={} steps={steps}", Shortest(db))
+            }
             FaultKind::NoiseBurst { p_corrupt, steps } => {
-                write!(f, "noise-burst p={p_corrupt} steps={steps}")
+                write!(f, "noise-burst p={} steps={steps}", Shortest(p_corrupt))
             }
             FaultKind::Gen2Drop { p_drop, steps } => {
-                write!(f, "gen2-drop p={p_drop} steps={steps}")
+                write!(f, "gen2-drop p={} steps={steps}", Shortest(p_drop))
             }
             FaultKind::TrackingDropout { steps } => write!(f, "tracking-dropout steps={steps}"),
-            FaultKind::WindGust { dx_m, dy_m, steps } => {
-                write!(f, "wind-gust dx={dx_m} dy={dy_m} steps={steps}")
-            }
+            FaultKind::WindGust { dx_m, dy_m, steps } => write!(
+                f,
+                "wind-gust dx={} dy={} steps={steps}",
+                Shortest(dx_m),
+                Shortest(dy_m)
+            ),
             FaultKind::BatterySag => f.write_str("battery-sag"),
         }
     }

@@ -3,32 +3,39 @@
 //!
 //! Design rules, in order of priority:
 //!
-//! 1. **Bit-exact round-trips.** Floats are written with Rust's default
-//!    `Display` (`{x}` in a format string), which since 1.0 emits the
-//!    *shortest* decimal string that parses back to the identical bit
-//!    pattern. `{x}` is the codec's float form: a journal re-read from
-//!    disk reproduces every margin and phasor exactly.
+//! 1. **Bit-exact round-trips.** Floats are written in the bytes of
+//!    Rust's default `Display` (`{x}` in a format string), which emits
+//!    the *shortest* decimal string that parses back to the identical
+//!    bit pattern. The workspace's one float writer,
+//!    [`rfly_dsp::decimal`], produces exactly those bytes without
+//!    `core::fmt`: [`Line`] calls it directly, and a `Display` impl
+//!    wraps its floats in [`Shortest`]. A journal re-read from disk
+//!    reproduces every margin and phasor exactly.
 //! 2. **Diffable.** One record per line, whitespace-separated tokens,
 //!    `key=value` for named parameters — `diff`/`grep` are the triage
 //!    tools, not a bespoke viewer.
 //! 3. **Zero dependencies.** Parsing is hand-rolled over
 //!    `split_whitespace`; no serde in the workspace.
-//! 4. **One buffer.** Encoders append to one caller-owned `String`
-//!    through [`std::fmt::Write`]. A record's text form is its
-//!    `Display` impl (one line, or a block of lines), and a form with
-//!    no type of its own is a `write_*(&mut String, …)` function, like
-//!    [`write_world`]. Only an encoder that hands a whole file or a
-//!    whole journal block to storage (a checkpoint's or journal's
-//!    `to_text`, a step or tick block) creates a `String`; nothing
-//!    builds one per field or per line. Writing into a `String` cannot
-//!    fail, so `let _ = write!(…)` is the idiom there.
+//! 4. **One buffer.** Encoders append to one caller-owned `String`.
+//!    The encoders a durable run calls every step (a checkpoint's
+//!    `to_text`, a journal step block and seal) and [`write_world`]
+//!    push their tokens through [`Line`], the writing twin of
+//!    [`Fields`], with no `core::fmt` step per token. Other records'
+//!    text forms are `Display` impls (one line, or a block of lines)
+//!    with their floats wrapped in [`Shortest`]. Only an encoder that
+//!    hands a whole file or a whole journal block to storage creates a
+//!    `String`; nothing builds one per field or per line. Writing into
+//!    a `String` cannot fail, so `let _ = write!(…)` is the idiom
+//!    there.
 //!
 //! Every parse path returns [`ParseError`] with a 1-indexed line
 //! number — journals are written by machines but read by humans
 //! mid-incident.
 
-use std::fmt::{self, Write};
+use std::fmt;
 
+pub use rfly_dsp::decimal::Shortest;
+use rfly_dsp::decimal::{push_f64, push_u64};
 use rfly_protocol::epc::Epc;
 use rfly_sim::world::{TagSnapshot, WorldSnapshot};
 
@@ -83,13 +90,154 @@ pub struct EpcHex(pub Epc);
 
 impl fmt::Display for EpcHex {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut digits = [0u8; 24];
-        for (pair, b) in digits.chunks_exact_mut(2).zip(self.0 .0) {
-            pair[0] = NIBBLES[usize::from(b >> 4)];
-            pair[1] = NIBBLES[usize::from(b & 0xf)];
-        }
-        f.write_str(std::str::from_utf8(&digits).map_err(|_| fmt::Error)?)
+        f.write_str(std::str::from_utf8(&epc_digits(self.0)).map_err(|_| fmt::Error)?)
     }
+}
+
+/// A line writer, the writing twin of [`Fields`]: [`Line::new`]
+/// appends the record tag (the token [`Fields::expect_tok`] reads),
+/// each method appends one space-separated token (the `and_*` methods
+/// one more comma-joined value of the last token), and [`Line::end`]
+/// appends the newline. Digits go straight into the buffer: floats
+/// through [`push_f64`], the bytes of their `Display` form, and
+/// integers, hex words and EPCs through digit tables.
+#[derive(Debug)]
+pub struct Line<'a> {
+    out: &'a mut String,
+}
+
+impl<'a> Line<'a> {
+    /// Starts a line in `out` with the record tag `tag`.
+    pub fn new(out: &'a mut String, tag: &str) -> Self {
+        out.push_str(tag);
+        Self { out }
+    }
+
+    /// ` <n>`.
+    pub fn usize(&mut self, n: usize) -> &mut Self {
+        self.out.push(' ');
+        push_u64(self.out, n as u64);
+        self
+    }
+
+    /// ` <v>`.
+    pub fn f64(&mut self, v: f64) -> &mut Self {
+        self.out.push(' ');
+        push_f64(self.out, v);
+        self
+    }
+
+    /// ` <x>` in lowercase hex.
+    pub fn hex_u64(&mut self, x: u64) -> &mut Self {
+        self.out.push(' ');
+        push_hex(self.out, x);
+        self
+    }
+
+    /// ` <epc>` in the [`EpcHex`] form.
+    pub fn epc(&mut self, epc: Epc) -> &mut Self {
+        self.out.push(' ');
+        push_epc(self.out, epc);
+        self
+    }
+
+    /// ` key=` — the start of a `key=<value>` token.
+    fn key(&mut self, key: &str) -> &mut Self {
+        self.out.push(' ');
+        self.out.push_str(key);
+        self.out.push('=');
+        self
+    }
+
+    /// ` key=<v>`.
+    pub fn kv_f64(&mut self, key: &str, v: f64) -> &mut Self {
+        self.key(key);
+        push_f64(self.out, v);
+        self
+    }
+
+    /// ` key=<n>`.
+    pub fn kv_usize(&mut self, key: &str, n: usize) -> &mut Self {
+        self.key(key);
+        push_u64(self.out, n as u64);
+        self
+    }
+
+    /// ` key=<n>`, or ` key=-` for none (the [`OptUsize`] form).
+    pub fn kv_opt_usize(&mut self, key: &str, n: Option<usize>) -> &mut Self {
+        match n {
+            Some(n) => self.kv_usize(key, n),
+            None => {
+                self.key(key).out.push('-');
+                self
+            }
+        }
+    }
+
+    /// ` key=<x>` in lowercase hex.
+    pub fn kv_hex(&mut self, key: &str, x: u64) -> &mut Self {
+        self.key(key);
+        push_hex(self.out, x);
+        self
+    }
+
+    /// ` key=<epc>` in the [`EpcHex`] form.
+    pub fn kv_epc(&mut self, key: &str, epc: Epc) -> &mut Self {
+        self.key(key);
+        push_epc(self.out, epc);
+        self
+    }
+
+    /// `,<v>` after the last token.
+    pub fn and_f64(&mut self, v: f64) -> &mut Self {
+        self.out.push(',');
+        push_f64(self.out, v);
+        self
+    }
+
+    /// `,<x>` in lowercase hex after the last token.
+    pub fn and_hex(&mut self, x: u64) -> &mut Self {
+        self.out.push(',');
+        push_hex(self.out, x);
+        self
+    }
+
+    /// Ends the line.
+    pub fn end(&mut self) {
+        self.out.push('\n');
+    }
+}
+
+/// Appends `x` in lowercase hex without leading zeros (`{x:x}`).
+fn push_hex(out: &mut String, x: u64) {
+    let mut digits = [0u8; 16];
+    let mut at = digits.len();
+    let mut rest = x;
+    loop {
+        at -= 1;
+        digits[at] = NIBBLES[(rest & 0xf) as usize];
+        rest >>= 4;
+        if rest == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).unwrap_or_default());
+}
+
+/// Appends the [`EpcHex`] form of `epc`.
+fn push_epc(out: &mut String, epc: Epc) {
+    let digits = epc_digits(epc);
+    out.push_str(std::str::from_utf8(&digits).unwrap_or_default());
+}
+
+/// The 24 lowercase hex digits of an EPC, looked up per nibble.
+fn epc_digits(epc: Epc) -> [u8; 24] {
+    let mut digits = [0u8; 24];
+    for (pair, b) in digits.chunks_exact_mut(2).zip(epc.0) {
+        pair[0] = NIBBLES[usize::from(b >> 4)];
+        pair[1] = NIBBLES[usize::from(b & 0xf)];
+    }
+    digits
 }
 
 /// Parses the [`EpcHex`] form, reporting errors at `line_no`.
@@ -265,19 +413,27 @@ fn parse_hex_u8(f: &mut Fields<'_>, key: &str) -> Result<u8, ParseError> {
 pub fn write_world(out: &mut String, world: &WorldSnapshot) {
     let [a, b, c, d] = world.rng;
     let [e, g, h, i] = world.embedded_rng;
-    let _ = writeln!(
-        out,
-        "world rng={a:x},{b:x},{c:x},{d:x} embrng={e:x},{g:x},{h:x},{i:x} embflags={:x}",
-        world.embedded_flags,
-    );
+    Line::new(out, "world")
+        .kv_hex("rng", a)
+        .and_hex(b)
+        .and_hex(c)
+        .and_hex(d)
+        .kv_hex("embrng", e)
+        .and_hex(g)
+        .and_hex(h)
+        .and_hex(i)
+        .kv_hex("embflags", u64::from(world.embedded_flags))
+        .end();
     for t in &world.tags {
         let [a, b, c, d] = t.rng;
-        let _ = writeln!(
-            out,
-            "wtag {} rng={a:x},{b:x},{c:x},{d:x} flags={:x}",
-            EpcHex(t.epc),
-            t.flags,
-        );
+        Line::new(out, "wtag")
+            .epc(t.epc)
+            .kv_hex("rng", a)
+            .and_hex(b)
+            .and_hex(c)
+            .and_hex(d)
+            .kv_hex("flags", u64::from(t.flags))
+            .end();
     }
 }
 
@@ -359,9 +515,9 @@ mod tests {
             .is_err());
     }
 
-    /// The codec's float form, `{x}`, parses back to the identical bit
-    /// pattern for random finite values, random subnormals, ±0 and the
-    /// extremes.
+    /// The codec's float form, [`push_f64`], parses back to the
+    /// identical bit pattern for random finite values, random
+    /// subnormals, ±0 and the extremes.
     #[test]
     fn f64_display_round_trips_bit_exactly() {
         let mut rng = rfly_dsp::rng::StdRng::seed_from_u64(0xF10A7);
@@ -390,7 +546,7 @@ mod tests {
         let mut text = String::new();
         for x in cases {
             text.clear();
-            let _ = write!(text, "{x}");
+            push_f64(&mut text, x);
             let back: f64 = text.parse().expect("parses");
             assert_eq!(back.to_bits(), x.to_bits(), "{text}");
         }
@@ -403,6 +559,45 @@ mod tests {
             let table = EpcHex(epc).to_string();
             let per_byte: String = epc.0.iter().map(|b| format!("{b:02x}")).collect();
             assert_eq!(table, per_byte, "byte {b:#04x}");
+        }
+    }
+
+    /// Each [`Line`] token is the bytes of the `format!` form it
+    /// replaced, and [`Fields`] reads the line back.
+    #[test]
+    fn line_tokens_match_their_format_forms() {
+        let epc = Epc::from_index(0xBEEF);
+        let mut rng = rfly_dsp::rng::StdRng::seed_from_u64(0x11E);
+        for _ in 0..1000 {
+            let (x, v) = (
+                rng.next_u64() >> (rng.next_u64() % 64),
+                f64::from_bits(rng.next_u64()),
+            );
+            let n = x as usize;
+            let mut line = String::new();
+            Line::new(&mut line, "t")
+                .usize(n)
+                .f64(v)
+                .hex_u64(x)
+                .epc(epc)
+                .kv_f64("v", v)
+                .and_f64(-v)
+                .kv_usize("n", n)
+                .kv_opt_usize("o", None)
+                .kv_opt_usize("p", Some(n))
+                .kv_hex("h", x)
+                .and_hex(0)
+                .kv_epc("e", epc)
+                .end();
+            let e = EpcHex(epc);
+            let neg = -v;
+            assert_eq!(
+                line,
+                format!("t {n} {v} {x:x} {e} v={v},{neg} n={n} o=- p={n} h={x:x},0 e={e}\n")
+            );
+            let mut f = Fields::new(&line, 1);
+            f.expect_tok("t").expect("tag");
+            assert_eq!(f.usize("n").expect("n"), n);
         }
     }
 

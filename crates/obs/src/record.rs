@@ -9,6 +9,7 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
+use rfly_dsp::decimal::Shortest;
 use rfly_dsp::units::Db;
 
 /// One structured field value.
@@ -30,7 +31,7 @@ impl Value {
         match self {
             Value::U64(v) => format!("{v}"),
             Value::I64(v) => format!("{v}"),
-            Value::F64(v) => format!("{v}"),
+            Value::F64(v) => Shortest(*v).to_string(),
             Value::Text(v) => v.clone(),
         }
     }

@@ -11,6 +11,8 @@ use std::fmt::Write;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use rfly_dsp::decimal::{push_f64, Shortest};
+
 use crate::record::{Recorder, Value};
 
 /// A rendered-to-be metric report for one mission.
@@ -40,9 +42,9 @@ impl<'a> Report<'a> {
                 "{name} ({unit}): n={n} min={min} mean={mean} max={max}",
                 unit = h.unit,
                 n = h.count,
-                min = h.min,
-                mean = h.mean(),
-                max = h.max,
+                min = Shortest(h.min),
+                mean = Shortest(h.mean()),
+                max = Shortest(h.max),
             );
         }
         s.push_str("\n[events]\n");
@@ -143,12 +145,17 @@ pub fn json_str(s: &str) -> String {
 
 /// `v` as a JSON value: the shortest round-trip decimal for finite
 /// values, a quoted string otherwise (JSON has no inf/nan literals).
+/// The digits are [`push_f64`]'s, the bytes of `v`'s `Display`.
 pub fn json_f64(v: f64) -> String {
+    let mut s = String::new();
     if v.is_finite() {
-        format!("{v}")
+        push_f64(&mut s, v);
     } else {
-        format!("\"{v}\"")
+        s.push('"');
+        push_f64(&mut s, v);
+        s.push('"');
     }
+    s
 }
 
 fn json_value(v: &Value) -> String {

@@ -19,6 +19,7 @@ use rfly_channel::geometry::Point2;
 use rfly_core::relay::gains::IsolationBudget;
 use rfly_drone::energy::EnergyModel;
 use rfly_drone::kinematics::MotionLimits;
+use rfly_dsp::decimal::Shortest;
 use rfly_dsp::units::{Db, Seconds};
 use rfly_fleet::channels::{assign, ChannelPlan};
 use rfly_fleet::inventory::{seeded_mission, serve_stop, stop_seed};
@@ -119,8 +120,8 @@ impl OpsReport {
         let mut out = String::new();
         for (relay, row) in self.trace.iter().enumerate() {
             let _ = write!(out, "relay {relay}:");
-            for j in row {
-                let _ = write!(out, " {j}");
+            for &j in row {
+                let _ = write!(out, " {}", Shortest(j));
             }
             out.push('\n');
         }
@@ -476,6 +477,24 @@ mod tests {
         // partition instead of stranding the floor.
         assert!(report.min_coverage < 1.0 && report.min_coverage > 0.0);
         assert!(report.repartitions >= 1);
+    }
+
+    /// DESIGN.md §12.1: a standby must launch with more than the
+    /// reserve, so a model built in code with `ready_frac ≤
+    /// reserve_frac` is refused with the schema's message.
+    #[test]
+    fn campaign_rejects_a_ready_fraction_at_or_below_the_reserve() {
+        let scene = docked_scene();
+        let mut cfg = OpsConfig::small(1);
+        for ready in [cfg.energy.reserve_frac, cfg.energy.reserve_frac / 2.0] {
+            cfg.energy.ready_frac = ready;
+            let Err(err) = CampaignRun::new(&scene, &cfg) else {
+                panic!("ready_frac = {ready} was accepted");
+            };
+            assert!(err.contains("must exceed `reserve_frac`"), "{err}");
+        }
+        cfg.energy.ready_frac = 1.5;
+        assert!(CampaignRun::new(&scene, &cfg).is_err(), "above 1");
     }
 
     #[test]

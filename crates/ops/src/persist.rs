@@ -26,7 +26,7 @@ use std::fmt::Write;
 
 use rfly_chaos::Durable;
 use rfly_faults::text::{
-    parse_epc_hex, write_world, EpcHex, Fields, OptUsize, ParseError, WorldLines,
+    parse_epc_hex, write_world, EpcHex, Fields, OptUsize, ParseError, Shortest, WorldLines,
 };
 use rfly_sim::world::WorldSnapshot;
 
@@ -45,22 +45,22 @@ pub fn config_line(cfg: &OpsConfig) -> String {
         cfg.n_relays,
         cfg.n_cells,
         cfg.n_tags,
-        cfg.tick.value(),
-        cfg.duration.value(),
-        cfg.coverage_floor,
-        cfg.margin.value(),
+        Shortest(cfg.tick.value()),
+        Shortest(cfg.duration.value()),
+        Shortest(cfg.coverage_floor),
+        Shortest(cfg.margin.value()),
         cfg.max_rounds,
         cfg.inventory_every,
         cfg.seed,
-        e.capacity_j,
-        e.hover_w,
-        e.tx_w,
-        e.ref_gain.value(),
-        e.tx_w_per_db,
-        e.per_read_j,
-        e.charge_w,
-        e.reserve_frac,
-        e.ready_frac,
+        Shortest(e.capacity_j),
+        Shortest(e.hover_w),
+        Shortest(e.tx_w),
+        Shortest(e.ref_gain.value()),
+        Shortest(e.tx_w_per_db),
+        Shortest(e.per_read_j),
+        Shortest(e.charge_w),
+        Shortest(e.reserve_frac),
+        Shortest(e.ready_frac),
     )
 }
 
@@ -76,7 +76,7 @@ pub fn tick_block(rec: &TickRecord) -> String {
         rec.reads,
         rec.deaths,
         u8::from(rec.repartitioned),
-        rec.coverage,
+        Shortest(rec.coverage),
     );
     for r in &rec.rotations {
         let _ = writeln!(
@@ -98,7 +98,7 @@ pub fn tick_block(rec: &TickRecord) -> String {
     }
     s.push('b');
     for c in &rec.charges {
-        let _ = write!(s, " {c}");
+        let _ = write!(s, " {}", Shortest(*c));
     }
     s.push_str("\ne\n");
     s
@@ -230,8 +230,9 @@ impl CampaignCheckpoint {
             };
             let _ = writeln!(
                 s,
-                "relay {i} duty={kind} at={} charge={charge}",
-                OptUsize(at)
+                "relay {i} duty={kind} at={} charge={}",
+                OptUsize(at),
+                Shortest(*charge)
             );
         }
         write_world(&mut s, &self.world);

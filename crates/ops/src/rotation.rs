@@ -65,14 +65,16 @@ impl Roster {
     /// Builds the opening roster: relays `0..n_cells` serve cells
     /// `0..n_cells`, the rest park round-robin across the docks.
     ///
-    /// Fails if there are fewer relays than cells, or more standbys
-    /// than dock slots.
+    /// Fails if there are fewer relays than cells, more standbys than
+    /// dock slots, or a model whose `ready_frac` does not exceed its
+    /// `reserve_frac` ([`EnergyModel::check_fractions`]).
     pub fn new(
         model: &EnergyModel,
         n_relays: usize,
         n_cells: usize,
         dock_slots: &[usize],
     ) -> Result<Self, String> {
+        model.check_fractions()?;
         if n_relays < n_cells {
             return Err(format!(
                 "roster needs at least one relay per cell ({n_relays} relays, {n_cells} cells)"

@@ -11,7 +11,8 @@
 //! scenario line is never serialized.
 //!
 //! Like the journal, every float is written in shortest-round-trip
-//! form; `Checkpoint::from_text(c.to_text())` reproduces every field
+//! form (the bytes of its `Display`, through
+//! [`rfly_faults::text::Line`]); `Checkpoint::from_text(c.to_text())` reproduces every field
 //! bit for bit, and resuming from the *parsed* checkpoint is
 //! bit-identical to resuming from the in-memory one.
 
@@ -24,9 +25,7 @@ use rfly_drone::kinematics::MotionLimits;
 use rfly_dsp::units::{Db, Hertz};
 use rfly_dsp::Complex;
 use rfly_faults::supervisor::{MissionState, StepTrack};
-use rfly_faults::text::{
-    parse_epc_hex, write_world, EpcHex, Fields, OptUsize, ParseError, WorldLines,
-};
+use rfly_faults::text::{parse_epc_hex, write_world, Fields, Line, ParseError, WorldLines};
 use rfly_faults::{RelayHealth, ResilienceLog};
 use rfly_fleet::inventory::{FleetInventory, Sighting, TagRecord};
 use rfly_fleet::partition::Cell;
@@ -42,115 +41,110 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// The full text form, written into one buffer.
+    /// The full text form, written into one buffer through [`Line`].
     pub fn to_text(&self) -> String {
         let m = &self.mission;
         let mut s = String::from("rfly-checkpoint v1\n");
-        let _ = writeln!(
-            s,
-            "state step={} steps={} duration={} cap={} done={}",
-            m.step,
-            m.steps,
-            m.duration_s,
-            m.step_cap,
-            u8::from(m.done),
-        );
-        let _ = writeln!(
-            s,
-            "gains down={} up={}",
-            m.base_gains.downlink.value(),
-            m.base_gains.uplink.value(),
-        );
+        Line::new(&mut s, "state")
+            .kv_usize("step", m.step)
+            .kv_usize("steps", m.steps)
+            .kv_f64("duration", m.duration_s)
+            .kv_usize("cap", m.step_cap)
+            .kv_usize("done", usize::from(m.done))
+            .end();
+        Line::new(&mut s, "gains")
+            .kv_f64("down", m.base_gains.downlink.value())
+            .kv_f64("up", m.base_gains.uplink.value())
+            .end();
         for (i, h) in m.health.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "relay {i} alive={} phase={} cfo={} cfoleft={} gain={} pasag={} fade={} \
-                 fadeleft={} corruptp={} corruptleft={} dropp={} dropleft={} tracklost={} \
-                 gustx={} gusty={} gustleft={} lgain={} luplink={} lphase={} lbattery={} ltrack={}",
-                u8::from(h.alive),
-                h.phase_noise_rad,
-                h.cfo_noise_rad,
-                h.cfo_steps_left,
-                h.gain_drift_db,
-                h.pa_sag_db,
-                h.fade_db,
-                h.fade_steps_left,
-                h.corrupt_p,
-                h.corrupt_steps_left,
-                h.drop_p,
-                h.drop_steps_left,
-                h.tracking_lost_steps,
-                h.gust_m.0,
-                h.gust_m.1,
-                h.gust_steps_left,
-                OptUsize(h.last_gain_fault),
-                OptUsize(h.last_uplink_fault),
-                OptUsize(h.last_phase_fault),
-                OptUsize(h.battery_fault),
-                OptUsize(h.last_tracking_fault),
-            );
+            Line::new(&mut s, "relay")
+                .usize(i)
+                .kv_usize("alive", usize::from(h.alive))
+                .kv_f64("phase", h.phase_noise_rad)
+                .kv_f64("cfo", h.cfo_noise_rad)
+                .kv_usize("cfoleft", h.cfo_steps_left)
+                .kv_f64("gain", h.gain_drift_db)
+                .kv_f64("pasag", h.pa_sag_db)
+                .kv_f64("fade", h.fade_db)
+                .kv_usize("fadeleft", h.fade_steps_left)
+                .kv_f64("corruptp", h.corrupt_p)
+                .kv_usize("corruptleft", h.corrupt_steps_left)
+                .kv_f64("dropp", h.drop_p)
+                .kv_usize("dropleft", h.drop_steps_left)
+                .kv_usize("tracklost", h.tracking_lost_steps)
+                .kv_f64("gustx", h.gust_m.0)
+                .kv_f64("gusty", h.gust_m.1)
+                .kv_usize("gustleft", h.gust_steps_left)
+                .kv_opt_usize("lgain", h.last_gain_fault)
+                .kv_opt_usize("luplink", h.last_uplink_fault)
+                .kv_opt_usize("lphase", h.last_phase_fault)
+                .kv_opt_usize("lbattery", h.battery_fault)
+                .kv_opt_usize("ltrack", h.last_tracking_fault)
+                .end();
         }
         for i in 0..m.f1.len() {
-            let _ = writeln!(
-                s,
-                "chan {i} f1={} shift={} start={} hold={} bx={} by={}",
-                m.f1[i].as_hz(),
-                m.shift[i].as_hz(),
-                m.route_start[i],
-                m.hold[i],
-                m.believed[i].x,
-                m.believed[i].y,
-            );
+            Line::new(&mut s, "chan")
+                .usize(i)
+                .kv_f64("f1", m.f1[i].as_hz())
+                .kv_f64("shift", m.shift[i].as_hz())
+                .kv_f64("start", m.route_start[i])
+                .kv_f64("hold", m.hold[i])
+                .kv_f64("bx", m.believed[i].x)
+                .kv_f64("by", m.believed[i].y)
+                .end();
         }
         for (i, c) in m.cells.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "cell {i} index={} minx={} miny={} maxx={} maxy={}",
-                c.index, c.min.x, c.min.y, c.max.x, c.max.y,
-            );
+            Line::new(&mut s, "cell")
+                .usize(i)
+                .kv_usize("index", c.index)
+                .kv_f64("minx", c.min.x)
+                .kv_f64("miny", c.min.y)
+                .kv_f64("maxx", c.max.x)
+                .kv_f64("maxy", c.max.y)
+                .end();
         }
         for (i, p) in m.plans.iter().enumerate() {
             let lim = p.limits();
-            let _ = write!(
-                s,
-                "plan {i} speed={} accel={}",
-                lim.max_speed, lim.max_accel
-            );
+            let mut line = Line::new(&mut s, "plan");
+            line.usize(i)
+                .kv_f64("speed", lim.max_speed)
+                .kv_f64("accel", lim.max_accel);
             for wp in p.waypoints() {
-                let _ = write!(s, " wp={},{}", wp.x, wp.y);
+                line.kv_f64("wp", wp.x).and_f64(wp.y);
             }
-            s.push('\n');
+            line.end();
         }
         for (relay, track) in m.tracks.iter().enumerate() {
             for st in track {
-                let _ = write!(s, "trk {relay} px={} py={}", st.pos.x, st.pos.y);
+                let mut line = Line::new(&mut s, "trk");
+                line.usize(relay)
+                    .kv_f64("px", st.pos.x)
+                    .kv_f64("py", st.pos.y);
                 for e in &st.embedded {
-                    let _ = write!(s, " emb={},{}", e.re, e.im);
+                    line.kv_f64("emb", e.re).and_f64(e.im);
                 }
                 for &(epc, h) in &st.tags {
-                    let _ = write!(s, " tag={},{},{}", EpcHex(epc), h.re, h.im);
+                    line.kv_epc("tag", epc).and_f64(h.re).and_f64(h.im);
                 }
-                s.push('\n');
+                line.end();
             }
         }
-        s.push_str("inv");
-        for r in &m.inventory.per_relay_reads {
-            let _ = write!(s, " {r}");
+        let mut line = Line::new(&mut s, "inv");
+        for &r in &m.inventory.per_relay_reads {
+            line.usize(r);
         }
-        s.push('\n');
+        line.end();
         for rec in m.inventory.records() {
-            let _ = writeln!(
-                s,
-                "tag {} fstep={} frelay={} lstep={} lrelay={} reads={} handoffs={} snr={}",
-                EpcHex(rec.epc),
-                rec.first_seen.step,
-                rec.first_seen.relay,
-                rec.last_seen.step,
-                rec.last_seen.relay,
-                rec.reads,
-                rec.handoffs,
-                rec.best_snr.value(),
-            );
+            Line::new(&mut s, "tag")
+                .epc(rec.epc)
+                .kv_usize("fstep", rec.first_seen.step)
+                .kv_usize("frelay", rec.first_seen.relay)
+                .kv_usize("lstep", rec.last_seen.step)
+                .kv_usize("lrelay", rec.last_seen.relay)
+                .kv_usize("reads", rec.reads)
+                .kv_usize("handoffs", rec.handoffs)
+                .kv_f64("snr", rec.best_snr.value())
+                .end();
         }
         let _ = write!(s, "{}", m.log);
         write_world(&mut s, &self.world);

@@ -33,7 +33,7 @@ use std::fmt::Write;
 use rfly_dsp::units::{Db, Seconds};
 use rfly_dsp::Complex;
 use rfly_faults::supervisor::{ReadRecord, StepRecord};
-use rfly_faults::text::{EpcHex, Fields, ParseError};
+use rfly_faults::text::{Fields, Line, ParseError};
 use rfly_faults::{FaultEvent, LoggedRecovery};
 
 use crate::runner::Scenario;
@@ -157,7 +157,10 @@ pub fn seal_text(seal: &Seal) -> String {
 
 /// Appends the [`seal_text`] line to `out`.
 fn write_seal(out: &mut String, seal: &Seal) {
-    let _ = writeln!(out, "end steps={} duration={}", seal.steps, seal.duration_s);
+    Line::new(out, "end")
+        .kv_usize("steps", seal.steps)
+        .kv_f64("duration", seal.duration_s)
+        .end();
 }
 
 /// One step block's text form — the unit an incremental journal writer
@@ -169,9 +172,11 @@ pub fn step_block(rec: &StepRecord) -> String {
     s
 }
 
-/// Appends the [`step_block`] of `rec` to `out`.
+/// Appends the [`step_block`] of `rec` to `out`. The `f` and `a` lines
+/// are the fault and recovery `Display` forms; every other line goes
+/// through [`Line`].
 fn write_step_block(out: &mut String, rec: &StepRecord) {
-    let _ = writeln!(out, "s {}", rec.step);
+    Line::new(out, "s").usize(rec.step).end();
     for f in &rec.faults {
         let _ = writeln!(out, "{f}");
     }
@@ -179,22 +184,25 @@ fn write_step_block(out: &mut String, rec: &StepRecord) {
         let _ = writeln!(out, "{a}");
     }
     if let Some((i, j, m)) = rec.margin {
-        let _ = writeln!(out, "m {i} {j} {m}");
+        Line::new(out, "m").usize(i).usize(j).f64(m).end();
     }
     for r in &rec.reads {
-        let _ = writeln!(
-            out,
-            "r {} {} {} {} {}",
-            r.relay,
-            EpcHex(r.epc),
-            r.channel.re,
-            r.channel.im,
-            r.snr.value(),
-        );
+        Line::new(out, "r")
+            .usize(r.relay)
+            .epc(r.epc)
+            .f64(r.channel.re)
+            .f64(r.channel.im)
+            .f64(r.snr.value())
+            .end();
     }
     let [a, b, c, d] = rec.rng;
-    let _ = writeln!(out, "g {a:x} {b:x} {c:x} {d:x}");
-    let _ = writeln!(out, "e {}", u8::from(rec.done));
+    Line::new(out, "g")
+        .hex_u64(a)
+        .hex_u64(b)
+        .hex_u64(c)
+        .hex_u64(d)
+        .end();
+    Line::new(out, "e").usize(usize::from(rec.done)).end();
 }
 
 /// Parses a [`seal_text`] line, reporting errors at `line_no`.

@@ -17,7 +17,7 @@ use rfly_core::relay::gains::IsolationBudget;
 use rfly_drone::kinematics::MotionLimits;
 use rfly_dsp::units::{Db, Seconds};
 use rfly_faults::supervisor::{MissionEnv, MissionState, StepRecord, SupervisorConfig};
-use rfly_faults::text::{Fields, ParseError};
+use rfly_faults::text::{Fields, ParseError, Shortest};
 use rfly_faults::{FaultSchedule, ResilientOutcome};
 use rfly_fleet::channels::ChannelPlan;
 use rfly_fleet::inventory::{seeded_mission, MissionConfig};
@@ -63,12 +63,12 @@ impl fmt::Display for Scenario {
             self.n_relays,
             self.n_tags,
             self.seed,
-            self.width_m,
-            self.depth_m,
+            Shortest(self.width_m),
+            Shortest(self.depth_m),
             self.shelves,
-            self.sample_interval_s,
+            Shortest(self.sample_interval_s),
             self.max_rounds,
-            self.margin_db,
+            Shortest(self.margin_db),
             u8::from(self.supervised),
         )
     }

@@ -709,16 +709,7 @@ pub fn from_document(doc: &Document) -> Result<ScenarioSpec, ScenarioError> {
             if !(0.0..1.0).contains(&reserve) {
                 return Err(err(reserve_line, "`reserve_frac` must be in [0, 1)"));
             }
-            if !(reserve < ready && ready <= 1.0) {
-                return Err(err(
-                    ready_line,
-                    format!(
-                        "`ready_frac` = {ready} must exceed `reserve_frac` = {reserve} and \
-                         be at most 1 (a standby must launch with more than the reserve)"
-                    ),
-                ));
-            }
-            Some(EnergyModel {
+            let model = EnergyModel {
                 capacity_j: capacity,
                 hover_w: hover,
                 tx_w: tx,
@@ -728,7 +719,11 @@ pub fn from_document(doc: &Document) -> Result<ScenarioSpec, ScenarioError> {
                 charge_w: charge,
                 reserve_frac: reserve,
                 ready_frac: ready,
-            })
+            };
+            model
+                .check_fractions()
+                .map_err(|msg| err(ready_line, msg))?;
+            Some(model)
         }
         None => None,
     };

@@ -34,6 +34,13 @@ echo "== localization tests in release (vectorised SAR screen, DESIGN.md §4 ite
 cargo test --release --offline -p rfly-core -q loc
 cargo test --release --offline -p rfly-core -q --test loc_exactness
 
+echo "== float writer sweep in release (DESIGN.md §9.1) =="
+# Every committed artifact prints its floats through
+# rfly_dsp::decimal, whose contract is the bytes of `{}`. Tier-1 checks
+# 2x10^5 seeded bit patterns and the edge families; this ignored test
+# checks 5x10^7 more patterns and larger families against format!.
+cargo test --release --offline -q --test float_text -- --ignored
+
 echo "== clippy (warnings are errors; token invariants, see DESIGN.md §8) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
