@@ -10,8 +10,7 @@
 //! matrix must catch it — a matrix that passes a broken recovery is
 //! itself broken, and that is an internal failure.
 //!
-//! Run with: `cargo run --release --bin crash_matrix -- [--seeds N]
-//! [--steps N] [--events N]`
+//! Run with: `cargo run --release --bin crash_matrix`
 //!
 //! Exit codes: `0` all crash points recovered and the control was
 //! caught; `2` at least one crash point did not recover (the gate CI
@@ -34,45 +33,11 @@ use rfly_sim::scene::Scene;
 /// matrix crosses several checkpoint writes per run.
 const EVERY: usize = 3;
 
-struct Args {
-    seeds: u64,
-    steps: usize,
-    events: usize,
-}
+/// Seeds 1..=SEEDS each run both workloads and the planted-bug control.
+const SEEDS: u64 = 2;
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        seeds: 2,
-        steps: 12,
-        events: 12,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
-        match flag.as_str() {
-            "--seeds" => {
-                args.seeds = value("--seeds")?
-                    .parse()
-                    .map_err(|e| format!("--seeds: {e}"))?
-            }
-            "--steps" => {
-                args.steps = value("--steps")?
-                    .parse()
-                    .map_err(|e| format!("--steps: {e}"))?
-            }
-            "--events" => {
-                args.events = value("--events")?
-                    .parse()
-                    .map_err(|e| format!("--events: {e}"))?
-            }
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
-    if args.seeds == 0 {
-        return Err("--seeds must be at least 1".into());
-    }
-    Ok(args)
-}
+/// Steps the journaled mission's fault storm spreads its events over.
+const STORM_STEPS: usize = 12;
 
 /// Accumulated wall-clock spent inside recovery routines, for the
 /// recovery-time stats in the telemetry side file.
@@ -164,16 +129,7 @@ fn row_for(table: &mut Table, seed: u64, workload: &str, report: &CrashReport) {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("crash_matrix: {e}");
-            eprintln!("usage: crash_matrix [--seeds N] [--steps N] [--events N]");
-            return ExitCode::from(1);
-        }
-    };
-
-    let mut bench = Bench::new("crash_matrix", args.seeds);
+    let mut bench = Bench::new("crash_matrix", SEEDS);
     let mut table = Table::new(
         "Crash matrix: every storage op crashed in every fault mode",
         &["seed", "workload", "ops", "points", "exact", "failed"],
@@ -184,9 +140,9 @@ fn main() -> ExitCode {
     let mut failures = 0usize;
     let mut controls_caught = 0usize;
 
-    for seed in 1..=args.seeds {
+    for seed in 1..=SEEDS {
         let scn = Scenario::small(seed);
-        let schedule = FaultSchedule::storm(seed, 2, args.events.min(args.steps));
+        let schedule = FaultSchedule::storm(seed, 2, STORM_STEPS);
         let scene = docked_scene();
         let cfg = campaign_config(seed);
         let reports = [
@@ -245,7 +201,7 @@ fn main() -> ExitCode {
     }
 
     bench.table("main", table, false);
-    bench.metric("seeds", args.seeds as f64);
+    bench.metric("seeds", SEEDS as f64);
     bench.metric("crash_points", points as f64);
     bench.metric("exact", exact as f64);
     bench.metric("unrecovered", failures as f64);
@@ -257,9 +213,9 @@ fn main() -> ExitCode {
         "{points} crash points over {} seeds: {exact} exact, \
          {failures} unrecovered; {}/{} planted-bug controls caught; \
          recovery mean {:.2} ms, max {:.2} ms",
-        args.seeds,
+        SEEDS,
         controls_caught,
-        args.seeds,
+        SEEDS,
         clock.mean_ms(),
         clock.max_s * 1e3,
     );

@@ -18,7 +18,6 @@ use rfly_dsp::rng::Rng;
 use rfly_dsp::Complex;
 use rfly_protocol::bits::Bits;
 use rfly_protocol::fm0;
-use rfly_protocol::timing::TagEncoding;
 use rfly_reader::decoder::decode_backscatter;
 
 const SPS: usize = 8;
@@ -45,7 +44,7 @@ fn trial(relay: &mut Relay, start: usize, query_phase: f64, noise: f64, seed: u6
         add_awgn(&mut rng, &mut up, noise);
     }
 
-    let d = decode_backscatter(&up, TagEncoding::Fm0, false, SPS, PAYLOAD.len()).ok()?;
+    let d = decode_backscatter(&up, false, SPS, PAYLOAD.len()).ok()?;
     // The coherent reader knows its own transmitted phase; remove it.
     Some(wrap_phase(d.channel.arg() - query_phase))
 }

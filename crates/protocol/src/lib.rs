@@ -11,7 +11,7 @@
 //! * [`commands`] — encode/decode for Query, QueryAdjust, QueryRep, ACK,
 //!   NAK, Select and Req_RN,
 //! * [`pie`] — pulse-interval encoding of the reader's downlink,
-//! * [`fm0`] / [`miller`] — the tag's backscatter line codes,
+//! * [`fm0`] — the tag's backscatter line code,
 //! * [`timing`] — Tari/RTcal/TRcal link timing and backscatter link
 //!   frequency,
 //! * [`epc`] — EPCs, PC words and reply frames,
@@ -36,7 +36,6 @@ pub mod crc;
 pub mod epc;
 pub mod error;
 pub mod fm0;
-pub mod miller;
 pub mod pie;
 pub mod qalgo;
 pub mod session;

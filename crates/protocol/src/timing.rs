@@ -17,7 +17,7 @@ pub enum DivideRatio {
 
 impl DivideRatio {
     /// The numeric ratio.
-    pub fn value(self) -> f64 {
+    pub const fn value(self) -> f64 {
         match self {
             DivideRatio::Dr8 => 8.0,
             DivideRatio::Dr64over3 => 64.0 / 3.0,
@@ -39,7 +39,11 @@ impl DivideRatio {
     }
 }
 
-/// The tag's backscatter modulation (encoding + subcarrier cycles).
+/// The backscatter modulation a Query requests in its 2-bit M field.
+///
+/// Only FM0 is coded here ([`crate::fm0`]): the reader asks for FM0,
+/// and the tag state machine ignores the M field. The Miller variants
+/// exist so that every M field parses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TagEncoding {
     /// FM0 baseband: 1 symbol per bit.
@@ -53,16 +57,6 @@ pub enum TagEncoding {
 }
 
 impl TagEncoding {
-    /// Subcarrier cycles per symbol (M); FM0 counts as 1.
-    pub fn m(self) -> usize {
-        match self {
-            TagEncoding::Fm0 => 1,
-            TagEncoding::Miller2 => 2,
-            TagEncoding::Miller4 => 4,
-            TagEncoding::Miller8 => 8,
-        }
-    }
-
     /// The 2-bit M field of a Query.
     pub fn field(self) -> u64 {
         match self {
@@ -105,7 +99,7 @@ impl LinkTiming {
     /// 2.5·Tari, and TRcal chosen so the BLF is 500 kHz at DR = 64/3 —
     /// placing the tag response exactly at the relay's 500 kHz uplink
     /// band-pass center (§6.1).
-    pub fn default_profile() -> Self {
+    pub const fn default_profile() -> Self {
         let tari = 12.5e-6;
         let rtcal = 2.5 * tari;
         let dr = DivideRatio::Dr64over3;
@@ -221,7 +215,7 @@ mod tests {
     }
 
     #[test]
-    fn encodings_roundtrip_and_rates() {
+    fn encodings_roundtrip_through_the_m_field() {
         for e in [
             TagEncoding::Fm0,
             TagEncoding::Miller2,

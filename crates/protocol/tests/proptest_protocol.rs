@@ -10,7 +10,6 @@ use rfly_protocol::commands::{Command, MemBank, SelectTarget};
 use rfly_protocol::crc::{append_crc16, append_crc5, check_crc16, check_crc5};
 use rfly_protocol::epc::{epc_reply_frame, parse_epc_reply, Epc, PC_96BIT};
 use rfly_protocol::fm0;
-use rfly_protocol::miller;
 use rfly_protocol::pie::{decode as pie_decode, FrameStart, PieEncoder};
 use rfly_protocol::qalgo::{QAlgorithm, SlotOutcome};
 use rfly_protocol::session::{InventoriedFlag, SelFilter, Session};
@@ -201,23 +200,6 @@ fn fm0_roundtrips_arbitrary_payloads() {
         let sps = rng.gen_range(2usize..8) * 2;
         let wave = fm0::encode_reply(&payload, false, sps);
         let (_, bits) = fm0::find_reply(&wave, false, sps, payload.len()).expect("found");
-        assert_eq!(bits, payload);
-    }
-}
-
-#[test]
-fn miller_roundtrips_arbitrary_payloads() {
-    let mut rng = StdRng::seed_from_u64(0x960_009);
-    for _ in 0..60 {
-        let payload = rand_bits(&mut rng, 48);
-        let (enc, sps) = [
-            (TagEncoding::Miller2, 16),
-            (TagEncoding::Miller4, 32),
-            (TagEncoding::Miller8, 64),
-        ][rng.gen_range(0usize..3)];
-        let trext = rng.gen::<bool>();
-        let wave = miller::encode_reply(&payload, enc, trext, sps);
-        let (_, bits) = miller::find_reply(&wave, enc, trext, sps, payload.len()).expect("found");
         assert_eq!(bits, payload);
     }
 }

@@ -1,7 +1,12 @@
 //! Reader configuration.
+//!
+//! The paper's reader runs one Gen2 link profile, so everything but the
+//! carrier, the transmit power and the SL filter is an associated
+//! constant of [`ReaderConfig`].
 
 use rfly_channel::link::LinkBudget;
 use rfly_dsp::units::{Db, Dbm, Hertz};
+use rfly_protocol::commands::Command;
 use rfly_protocol::session::{InventoriedFlag, SelFilter, Session};
 use rfly_protocol::timing::{LinkTiming, TagEncoding};
 
@@ -12,52 +17,57 @@ pub struct ReaderConfig {
     pub frequency: Hertz,
     /// Conducted transmit power.
     pub tx_power: Dbm,
-    /// Antenna gain (TX and RX, monostatic).
-    pub antenna_gain: Db,
-    /// Receiver noise figure.
-    pub noise_figure: Db,
-    /// Receiver bandwidth.
-    pub bandwidth: Hertz,
-    /// Downlink timing (Tari/RTcal/TRcal).
-    pub timing: LinkTiming,
-    /// Requested tag encoding.
-    pub encoding: TagEncoding,
-    /// Pilot-tone request.
-    pub trext: bool,
-    /// Inventory session.
-    pub session: Session,
-    /// Target inventoried-flag value.
-    pub target: InventoriedFlag,
     /// SL-flag filter.
     pub sel: SelFilter,
+}
+
+impl ReaderConfig {
+    /// Antenna gain (TX and RX, monostatic).
+    pub const ANTENNA_GAIN: Db = Db::new(6.0);
+    /// Receiver noise figure.
+    pub const NOISE_FIGURE: Db = Db::new(8.0);
+    /// Receiver bandwidth.
+    pub const BANDWIDTH: Hertz = Hertz::mhz(2.0);
+    /// Downlink timing (Tari/RTcal/TRcal): a 500 kHz BLF.
+    pub const TIMING: LinkTiming = LinkTiming::default_profile();
+    /// Pilot-tone request.
+    pub const TREXT: bool = true;
+    /// Inventory session.
+    pub const SESSION: Session = Session::S0;
+    /// Target inventoried-flag value.
+    pub const TARGET: InventoriedFlag = InventoriedFlag::A;
     /// Baseband sample rate for waveform synthesis/decoding.
-    pub sample_rate: f64,
-    /// Minimum post-integration SNR for a successful decode, dB.
+    pub const SAMPLE_RATE: f64 = 4e6;
+    /// Samples per FM0 symbol: [`Self::SAMPLE_RATE`] over the BLF of
+    /// [`Self::TIMING`].
+    pub const SAMPLES_PER_SYMBOL: usize = 8;
+    /// Minimum post-integration SNR for a successful decode.
     ///
     /// §7.3 of the paper observes decoding/phase quality collapsing as
     /// SNR drops below ≈3 dB; coherent FM0 with CRC needs roughly this
     /// much per bit.
-    pub decode_snr_floor: Db,
-}
+    pub const DECODE_SNR_FLOOR: Db = Db::new(3.0);
 
-impl ReaderConfig {
     /// An FCC-compliant USRP-class reader at 915 MHz: 30 dBm conducted,
     /// 6 dBi antenna, 500 kHz BLF profile, FM0 with pilot.
     pub fn usrp_default() -> Self {
         Self {
             frequency: Hertz::mhz(915.0),
             tx_power: Dbm::new(30.0),
-            antenna_gain: Db::new(6.0),
-            noise_figure: Db::new(8.0),
-            bandwidth: Hertz::mhz(2.0),
-            timing: LinkTiming::default_profile(),
-            encoding: TagEncoding::Fm0,
-            trext: true,
-            session: Session::S0,
-            target: InventoriedFlag::A,
             sel: SelFilter::All,
-            sample_rate: 4e6,
-            decode_snr_floor: Db::new(3.0),
+        }
+    }
+
+    /// The Query that opens a round with slot-count parameter `q`.
+    pub fn query(&self, q: u8) -> Command {
+        Command::Query {
+            dr: Self::TIMING.dr,
+            m: TagEncoding::Fm0,
+            trext: Self::TREXT,
+            sel: self.sel,
+            session: Self::SESSION,
+            target: Self::TARGET,
+            q,
         }
     }
 
@@ -65,45 +75,76 @@ impl ReaderConfig {
     pub fn link_budget(&self) -> LinkBudget {
         LinkBudget {
             tx_power: self.tx_power,
-            tx_gain: self.antenna_gain,
-            rx_gain: self.antenna_gain,
-            noise_figure: self.noise_figure,
-            bandwidth: self.bandwidth,
+            tx_gain: Self::ANTENNA_GAIN,
+            rx_gain: Self::ANTENNA_GAIN,
+            noise_figure: Self::NOISE_FIGURE,
+            bandwidth: Self::BANDWIDTH,
         }
-    }
-
-    /// Samples per backscatter symbol at this sample rate — must be an
-    /// even integer for the FM0/Miller coders.
-    pub fn samples_per_symbol(&self) -> usize {
-        let sps = self.sample_rate / self.timing.blf_hz();
-        let s = sps.round() as usize;
-        assert!(
-            (sps - s as f64).abs() < 1e-6 && s.is_multiple_of(2),
-            "sample rate {} is not an even multiple of the BLF {}",
-            self.sample_rate,
-            self.timing.blf_hz()
-        );
-        s
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rfly_protocol::epc::Epc;
+    use rfly_protocol::tag_state::TagMachine;
 
     #[test]
     fn default_config_is_consistent() {
         let c = ReaderConfig::usrp_default();
-        assert_eq!(c.samples_per_symbol(), 8); // 4 MS/s ÷ 500 kHz
         assert_eq!(c.link_budget().eirp(), Dbm::new(36.0));
-        c.timing.validate().expect("legal timing");
+        ReaderConfig::TIMING.validate().expect("legal timing");
     }
 
     #[test]
-    #[should_panic(expected = "even multiple")]
-    fn incompatible_sample_rate_rejected() {
-        let mut c = ReaderConfig::usrp_default();
-        c.sample_rate = 3.3e6;
-        let _ = c.samples_per_symbol();
+    fn sample_rate_is_exactly_eight_samples_per_blf_symbol() {
+        let sps = ReaderConfig::SAMPLE_RATE / ReaderConfig::TIMING.blf_hz();
+        assert_eq!(sps, 8.0, "4 MS/s ÷ 500 kHz");
+        assert_eq!(ReaderConfig::SAMPLES_PER_SYMBOL, 8);
+    }
+
+    /// Whether fresh tags seeded alike give every query in `queries`
+    /// the same reply, over sixteen seeds.
+    fn replies_agree(queries: &[Command]) -> bool {
+        (0..16).all(|seed| {
+            let reply = |query| {
+                TagMachine::new(Epc::from_index(seed), seed)
+                    .handle(query)
+                    .map(|r| r.into_frame())
+            };
+            queries
+                .iter()
+                .all(|query| reply(query) == reply(&queries[0]))
+        })
+    }
+
+    #[test]
+    fn the_tag_answers_every_m_field_alike() {
+        // The tag ignores the Query's M field, so a reader-side encoding
+        // choice could change nothing.
+        let base = ReaderConfig::usrp_default().query(0);
+        let variants: Vec<Command> = (0..4)
+            .map(|field| Command::Query {
+                dr: ReaderConfig::TIMING.dr,
+                m: TagEncoding::from_field(field),
+                trext: ReaderConfig::TREXT,
+                sel: SelFilter::All,
+                session: ReaderConfig::SESSION,
+                target: ReaderConfig::TARGET,
+                q: 0,
+            })
+            .collect();
+        assert_eq!(variants[0], base);
+        let mut tag = TagMachine::new(Epc::from_index(0), 0);
+        assert!(tag.handle(&base).is_some(), "a Q = 0 query draws a reply");
+        assert!(replies_agree(&variants));
+    }
+
+    #[test]
+    fn planted_control_changing_q_instead_of_m_changes_the_reply() {
+        // The same comparison sees a field the tag obeys: at Q = 4 most
+        // tags draw a nonzero slot and stay silent.
+        let config = ReaderConfig::usrp_default();
+        assert!(!replies_agree(&[config.query(0), config.query(4)]));
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The receive chain implements what the paper's USRP reader does
 //! (§6.3): after DC cancellation (removing the carrier and all static
-//! clutter), it correlates against the FM0/Miller preamble to find the
+//! clutter), it correlates against the FM0 preamble to find the
 //! reply and — crucially — to estimate the *complex channel* `h` of the
 //! reply. That per-read `h` is the raw material of Eqs. 7–12: its phase
 //! is what the relay must preserve and what the SAR localizer consumes.
@@ -12,8 +12,7 @@ use std::fmt;
 use rfly_dsp::units::Db;
 use rfly_dsp::Complex;
 use rfly_protocol::bits::Bits;
-use rfly_protocol::timing::TagEncoding;
-use rfly_protocol::{fm0, miller};
+use rfly_protocol::fm0;
 
 /// A successfully decoded backscatter reply.
 #[derive(Debug, Clone)]
@@ -69,11 +68,10 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// Decodes one backscatter reply from a raw complex capture that may
-/// contain carrier, clutter, the reply, and noise.
+/// Decodes one FM0 backscatter reply from a raw complex capture that
+/// may contain carrier, clutter, the reply, and noise.
 pub fn decode_backscatter(
     samples: &[Complex],
-    encoding: TagEncoding,
     trext: bool,
     samples_per_symbol: usize,
     n_bits: usize,
@@ -81,10 +79,7 @@ pub fn decode_backscatter(
     if samples.is_empty() {
         return Err(DecodeError::EmptyCapture);
     }
-    let template01 = match encoding {
-        TagEncoding::Fm0 => fm0::preamble_waveform(trext, samples_per_symbol),
-        _ => miller::preamble_waveform(encoding, trext, samples_per_symbol),
-    };
+    let template01 = fm0::preamble_waveform(trext, samples_per_symbol);
     let data_len = n_bits * samples_per_symbol;
     if samples.len() < template01.len() + data_len {
         return Err(DecodeError::CaptureTooShort {
@@ -126,23 +121,17 @@ pub fn decode_backscatter(
         .iter()
         .map(|&s| (s * h_unit.conj()).re)
         .collect();
-    let bits = match encoding {
-        TagEncoding::Fm0 => fm0::decode_data(
-            &projected,
-            samples_per_symbol,
-            fm0::LAST_PREAMBLE_HALF,
-            n_bits,
-        ),
-        _ => miller::decode_data(&projected, encoding, samples_per_symbol, n_bits),
-    }
+    let bits = fm0::decode_data(
+        &projected,
+        samples_per_symbol,
+        fm0::LAST_PREAMBLE_HALF,
+        n_bits,
+    )
     .ok_or(DecodeError::DataDecodeFailed)?;
 
     // Refine the channel by least squares over the *entire* reply
     // (preamble + data), now that the bits are known.
-    let levels01 = match encoding {
-        TagEncoding::Fm0 => fm0::encode_reply(&bits, trext, samples_per_symbol),
-        _ => miller::encode_reply(&bits, encoding, trext, samples_per_symbol),
-    };
+    let levels01 = fm0::encode_reply(&bits, trext, samples_per_symbol);
     let reply_len = levels01.len().min(y.len() - best_lag);
     let window = &y[best_lag..best_lag + reply_len];
     // Two-parameter LS fit `window ≈ h·s̃ + d`: the global DC removal
@@ -217,7 +206,7 @@ mod tests {
     fn clean_decode_recovers_bits_and_channel() -> Result<(), DecodeError> {
         let h = Complex::from_polar(0.02, 1.234);
         let (bits, samples) = capture("1011001110001111", h, false, 0.0, 0);
-        let d = decode_backscatter(&samples, TagEncoding::Fm0, false, SPS, 16)?;
+        let d = decode_backscatter(&samples, false, SPS, 16)?;
         assert_eq!(d.bits, bits);
         assert!(
             rfly_dsp::complex::phase_distance(d.channel.arg(), h.arg()) < 0.02,
@@ -235,7 +224,7 @@ mod tests {
         // Per-sample SNR of the differential signal ≈ (0.05/2)²/noise.
         let noise = 2e-5; // ≈ 15 dB per-sample on the ±h/2 signal
         let (bits, samples) = capture("1100101001011100", h, true, noise, 42);
-        let d = decode_backscatter(&samples, TagEncoding::Fm0, true, SPS, 16)?;
+        let d = decode_backscatter(&samples, true, SPS, 16)?;
         assert_eq!(d.bits, bits);
         assert!(rfly_dsp::complex::phase_distance(d.channel.arg(), h.arg()) < 0.1);
         Ok(())
@@ -250,7 +239,7 @@ mod tests {
             let phase = k as f64 * std::f64::consts::FRAC_PI_4 - std::f64::consts::PI;
             let h = Complex::from_polar(0.03, phase);
             let (_, samples) = capture("1010110010101100", h, false, 0.0, 0);
-            let d = decode_backscatter(&samples, TagEncoding::Fm0, false, SPS, 16)?;
+            let d = decode_backscatter(&samples, false, SPS, 16)?;
             if let Some(p) = prev {
                 let delta = rfly_dsp::complex::wrap_phase(d.channel.arg() - p);
                 assert!(
@@ -264,29 +253,13 @@ mod tests {
     }
 
     #[test]
-    fn miller_capture_decodes() -> Result<(), DecodeError> {
-        let bits = Bits::from_str01("1010011101001011");
-        let h = Complex::from_polar(0.02, 0.5);
-        let sps = 32;
-        let levels = miller::encode_reply(&bits, TagEncoding::Miller4, false, sps);
-        let mut samples = vec![Complex::from_re(1.0); 200 + levels.len() + 60];
-        for (i, &l) in levels.iter().enumerate() {
-            samples[200 + i] += h * l;
-        }
-        let d = decode_backscatter(&samples, TagEncoding::Miller4, false, sps, 16)?;
-        assert_eq!(d.bits, bits);
-        assert!(rfly_dsp::complex::phase_distance(d.channel.arg(), 0.5) < 0.05);
-        Ok(())
-    }
-
-    #[test]
     fn pure_noise_rejected() {
         let mut rng = rfly_dsp::rng::StdRng::seed_from_u64(5);
         let mut samples = vec![Complex::from_re(1.0); 2048];
         add_awgn(&mut rng, &mut samples, 1e-4);
         // No reply present: either correlation finds nothing decodable
         // or decode_data's inversion rule trips.
-        let d = decode_backscatter(&samples, TagEncoding::Fm0, false, SPS, 16);
+        let d = decode_backscatter(&samples, false, SPS, 16);
         assert!(d.is_err(), "noise must not decode as a reply");
     }
 
@@ -294,7 +267,7 @@ mod tests {
     fn too_short_capture_rejected() {
         let samples = vec![Complex::from_re(1.0); 64];
         assert!(matches!(
-            decode_backscatter(&samples, TagEncoding::Fm0, false, SPS, 16),
+            decode_backscatter(&samples, false, SPS, 16),
             Err(DecodeError::CaptureTooShort { got: 64, .. })
         ));
     }
@@ -302,11 +275,11 @@ mod tests {
     #[test]
     fn empty_capture_is_a_decode_miss_not_a_panic() {
         assert!(matches!(
-            decode_backscatter(&[], TagEncoding::Fm0, false, SPS, 16),
+            decode_backscatter(&[], false, SPS, 16),
             Err(DecodeError::EmptyCapture)
         ));
         assert!(matches!(
-            decode_backscatter(&[], TagEncoding::Miller4, true, SPS, 16),
+            decode_backscatter(&[], true, SPS, 16),
             Err(DecodeError::EmptyCapture)
         ));
     }
@@ -316,8 +289,8 @@ mod tests {
         let h = Complex::from_polar(0.05, 0.1);
         let (_, clean) = capture("1010101010101010", h, false, 1e-7, 1);
         let (_, noisy) = capture("1010101010101010", h, false, 1e-5, 2);
-        let dc = decode_backscatter(&clean, TagEncoding::Fm0, false, SPS, 16)?;
-        let dn = decode_backscatter(&noisy, TagEncoding::Fm0, false, SPS, 16)?;
+        let dc = decode_backscatter(&clean, false, SPS, 16)?;
+        let dn = decode_backscatter(&noisy, false, SPS, 16)?;
         assert!(dc.snr.value() > dn.snr.value() + 10.0);
         Ok(())
     }

@@ -91,21 +91,8 @@ impl InventoryController {
         }
     }
 
-    /// The Query for the current round parameters.
-    fn query(&self) -> Command {
-        Command::Query {
-            dr: self.config.timing.dr,
-            m: self.config.encoding,
-            trext: self.config.trext,
-            sel: self.config.sel,
-            session: self.config.session,
-            target: self.config.target,
-            q: self.qalgo.q(),
-        }
-    }
-
     fn decodes(&mut self, snr: Db) -> bool {
-        let p = decode_probability(snr, self.config.decode_snr_floor);
+        let p = decode_probability(snr, ReaderConfig::DECODE_SNR_FLOOR);
         self.rng.gen::<f64>() < p
     }
 
@@ -162,7 +149,7 @@ impl InventoryController {
         let mut current_q = self.qalgo.q();
         let mut slots_remaining = 1u64 << current_q;
         let mut total_slots = 0usize;
-        let mut obs = medium.transact(&self.query());
+        let mut obs = medium.transact(&self.config.query(current_q));
         while slots_remaining > 0 && total_slots < MAX_SLOTS_PER_ROUND {
             total_slots += 1;
             let (outcome, winner) = self.resolve(&obs);
@@ -212,13 +199,13 @@ impl InventoryController {
                 current_q = new_q;
                 slots_remaining = 1u64 << current_q;
                 obs = medium.transact(&Command::QueryAdjust {
-                    session: self.config.session,
+                    session: ReaderConfig::SESSION,
                     updn,
                 });
             } else {
                 slots_remaining -= 1;
                 obs = medium.transact(&Command::QueryRep {
-                    session: self.config.session,
+                    session: ReaderConfig::SESSION,
                 });
             }
         }
@@ -256,7 +243,9 @@ impl InventoryController {
 mod tests {
     use super::*;
     use rfly_protocol::epc::Epc;
+    use rfly_protocol::session::Session;
     use rfly_protocol::tag_state::TagMachine;
+    use rfly_protocol::timing::TagEncoding;
 
     /// A perfect-physics medium: every powered tag replies over its
     /// assigned channel at a fixed SNR.
@@ -469,6 +458,42 @@ mod tests {
             assert_eq!(outcome, SlotOutcome::Collision);
             assert!(winner.is_none());
         }
+    }
+
+    /// Records every command and answers none.
+    #[derive(Default)]
+    struct RecordingMedium {
+        sent: Vec<Command>,
+    }
+
+    impl Medium for RecordingMedium {
+        fn transact(&mut self, cmd: &Command) -> Vec<Observation> {
+            self.sent.push(cmd.clone());
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn a_round_opens_with_the_configs_query() {
+        let mut medium = RecordingMedium::default();
+        controller(8).run_round(&mut medium);
+        let q = QAlgorithm::default_start().q();
+        let expected = ReaderConfig::usrp_default().query(q);
+        assert_eq!(medium.sent.first(), Some(&expected));
+
+        // Planted control: the same check rejects a Query in another
+        // session.
+        let other_session = Command::Query {
+            dr: ReaderConfig::TIMING.dr,
+            m: TagEncoding::Fm0,
+            trext: ReaderConfig::TREXT,
+            sel: ReaderConfig::usrp_default().sel,
+            session: Session::S1,
+            target: ReaderConfig::TARGET,
+            q,
+        };
+        assert_ne!(ReaderConfig::SESSION, Session::S1);
+        assert_ne!(medium.sent.first(), Some(&other_session));
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //! The paper implements its reader on USRP N210s, adapting the
 //! fully-coherent Gen2 reader of Kargas et al. \[26\], because commercial
 //! readers cannot report clean full-cycle phase (§6.3). This crate is
-//! the Rust equivalent: PIE query synthesis, coherent FM0/Miller
+//! the Rust equivalent: PIE query synthesis, coherent FM0
 //! demodulation, and — the part localization lives or dies on —
 //! per-read *complex channel estimation*.
 //!
-//! * [`config`] — reader configuration (power, frequency, timing).
+//! * [`config`] — reader configuration (frequency, power, SL filter)
+//!   and the one link profile as constants.
 //! * [`hopping`] — FCC 902–928 MHz channel hopping.
 //! * [`waveform`] — command → IQ waveform synthesis.
 //! * [`decoder`] — coherent reply decoding + channel estimation.

@@ -8,34 +8,34 @@
 use rfly_dsp::units::Seconds;
 use rfly_dsp::Complex;
 use rfly_protocol::commands::Command;
-use rfly_protocol::error::ProtocolError;
 use rfly_protocol::pie::{FrameStart, PieEncoder};
 
 use crate::config::ReaderConfig;
 
-/// Synthesizes reader waveforms for a given configuration.
+/// Synthesizes reader waveforms at the reader's timing and sample rate
+/// ([`ReaderConfig::TIMING`], [`ReaderConfig::SAMPLE_RATE`]).
 #[derive(Debug, Clone)]
 pub struct WaveformBuilder {
     encoder: PieEncoder,
 }
 
+impl Default for WaveformBuilder {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl WaveformBuilder {
-    /// Creates a builder from the reader configuration. Panics on a
-    /// Gen2-illegal configuration — use [`Self::try_new`] when the
-    /// configuration comes from outside the program.
+    /// Creates a builder with a 90% modulation depth.
     #[expect(
         clippy::expect_used,
-        reason = "documented builder contract; try_new is the seam for configurations from outside the program."
+        reason = "the reader's timing and sample rate are constants; the unit tests build them."
     )]
-    pub fn new(config: &ReaderConfig) -> Self {
-        Self::try_new(config).expect("reader configuration must be Gen2-legal")
-    }
-
-    /// Fallible [`Self::new`]: rejects illegal timing or sample rates.
-    pub fn try_new(config: &ReaderConfig) -> Result<Self, ProtocolError> {
-        Ok(Self {
-            encoder: PieEncoder::new(config.timing, config.sample_rate)?.with_depth(0.9)?,
-        })
+    pub fn new() -> Self {
+        let encoder = PieEncoder::new(ReaderConfig::TIMING, ReaderConfig::SAMPLE_RATE)
+            .and_then(|e| e.with_depth(0.9))
+            .expect("the reader's constant profile is Gen2-legal");
+        Self { encoder }
     }
 
     /// Encodes a command as a complex baseband waveform, followed by
@@ -68,7 +68,7 @@ mod tests {
     use rfly_protocol::session::Session;
 
     fn builder() -> WaveformBuilder {
-        WaveformBuilder::new(&ReaderConfig::usrp_default())
+        WaveformBuilder::new()
     }
 
     fn envelope(wave: &[Complex]) -> Vec<f64> {
@@ -77,18 +77,9 @@ mod tests {
 
     #[test]
     fn query_waveform_decodes_back_to_the_query() {
-        let cfg = ReaderConfig::usrp_default();
-        let cmd = Command::Query {
-            dr: cfg.timing.dr,
-            m: cfg.encoding,
-            trext: cfg.trext,
-            sel: cfg.sel,
-            session: cfg.session,
-            target: cfg.target,
-            q: 4,
-        };
+        let cmd = ReaderConfig::usrp_default().query(4);
         let wave = builder().command(&cmd, Seconds::new(100e-6));
-        let frame = pie::decode(&envelope(&wave), cfg.sample_rate).expect("PIE decodes");
+        let frame = pie::decode(&envelope(&wave), ReaderConfig::SAMPLE_RATE).expect("PIE decodes");
         assert!(frame.trcal_s.is_some(), "Query carries TRcal");
         assert_eq!(Command::decode(&frame.bits), Some(cmd));
     }

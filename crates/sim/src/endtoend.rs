@@ -19,6 +19,9 @@ use crate::medium::WorldMedium;
 use crate::scene::Scene;
 use crate::world::{PhasorWorld, RelayModel};
 
+/// Cell size of the SAR grid search, meters.
+const SAR_GRID_RESOLUTION_M: f64 = 0.05;
+
 /// Builder for a complete experiment scenario.
 #[derive(Debug)]
 pub struct ScenarioBuilder {
@@ -30,7 +33,6 @@ pub struct ScenarioBuilder {
     config: ReaderConfig,
     relay: Option<RelayModel>,
     search_region: Option<(Point2, Point2)>,
-    resolution: f64,
 }
 
 impl Default for ScenarioBuilder {
@@ -51,7 +53,6 @@ impl ScenarioBuilder {
             config: ReaderConfig::usrp_default(),
             relay: None,
             search_region: None,
-            resolution: 0.05,
         }
     }
 
@@ -98,13 +99,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Overrides the SAR grid resolution (meters; default 5 cm).
-    pub fn resolution(mut self, res: f64) -> Self {
-        assert!(res > 0.0);
-        self.resolution = res;
-        self
-    }
-
     /// Finalizes the scenario.
     ///
     /// Panics if no trajectory was provided or no tag placed.
@@ -144,7 +138,6 @@ impl ScenarioBuilder {
             trajectory,
             config: self.config,
             region,
-            resolution: self.resolution,
             seed: self.seed,
             truths: self.tag_positions,
         }
@@ -203,7 +196,6 @@ pub struct Scenario {
     trajectory: Trajectory,
     config: ReaderConfig,
     region: (Point2, Point2),
-    resolution: f64,
     seed: u64,
     truths: Vec<Point2>,
 }
@@ -234,7 +226,6 @@ impl Scenario {
             trajectory: self.trajectory,
             tracks,
             region: self.region,
-            resolution: self.resolution,
             frequency: self.world.relay.f2,
             truths: self.truths,
         }
@@ -258,7 +249,6 @@ pub struct ScenarioOutcome {
     trajectory: Trajectory,
     tracks: std::collections::BTreeMap<Epc, ReadTrack>,
     region: (Point2, Point2),
-    resolution: f64,
     frequency: Hertz,
     truths: Vec<Point2>,
 }
@@ -312,7 +302,7 @@ impl ScenarioOutcome {
             self.frequency,
             self.region.0,
             self.region.1,
-            self.resolution,
+            SAR_GRID_RESOLUTION_M,
         );
         let (estimate, _) = localizer.localize(&traj, &channels)?;
         let truth = self

@@ -46,6 +46,7 @@ use rfly_dsp::Complex;
 use rfly_protocol::commands::Command;
 use rfly_protocol::session::Session;
 use rfly_protocol::tag_state::{adjusted_q, draw_slot, rep_slot, Arbitration, TagReply, TagState};
+use rfly_reader::config::ReaderConfig;
 use rfly_reader::inventory::{Medium, Observation};
 use rfly_tag::tag::PassiveTag;
 
@@ -142,7 +143,7 @@ struct RelayLink {
 fn relay_output_of(world: &PhasorWorld, relays: &[FleetRelay], h1: &[Complex], i: usize) -> Dbm {
     let r = &relays[i].model;
     let p_in = world.config.tx_power
-        + world.config.antenna_gain
+        + ReaderConfig::ANTENNA_GAIN
         + Db::from_linear(h1[i].norm_sq())
         + r.antenna_gain;
     let amplified = p_in + r.gains.downlink;
@@ -154,7 +155,7 @@ fn relay_output_of(world: &PhasorWorld, relays: &[FleetRelay], h1: &[Complex], i
 fn effective_downlink_gain(world: &PhasorWorld, relay: &FleetRelay, h1: Complex) -> Db {
     let r = &relay.model;
     let p_in = world.config.tx_power
-        + world.config.antenna_gain
+        + ReaderConfig::ANTENNA_GAIN
         + Db::from_linear(h1.norm_sq())
         + r.antenna_gain;
     Db::new(
@@ -184,7 +185,7 @@ fn fleet_leakage_mw(
 ) -> f64 {
     let s = serving;
     let sm = &relays[s].model;
-    let reader_side = Db::from_linear(h1[s].norm_sq()) + world.config.antenna_gain;
+    let reader_side = Db::from_linear(h1[s].norm_sq()) + ReaderConfig::ANTENNA_GAIN;
     incoherent_power_sum((0..relays.len()).filter(|&j| j != s).map(|j| {
         let jm = &relays[j].model;
         let coupling = world.one_way(relays[j].pos, relays[s].pos, jm.f2);
@@ -246,7 +247,7 @@ impl RelayLink {
         let model = &self.relays[self.serving].model;
         let (g_ul, ant) = (model.gains.uplink, model.antenna_gain);
         let bs_gain = world.backscatter.gain();
-        let reader_gain = world.config.antenna_gain;
+        let reader_gain = ReaderConfig::ANTENNA_GAIN;
         let h1 = self.h1[self.serving];
         let (g_dl_amp, g_ul_amp) = (self.g_dl_eff.amplitude(), g_ul.amplitude());
         self.tag_rf
@@ -968,7 +969,7 @@ fn fleet_transact(
             + g_ul
             + ant
             + Db::from_linear(h1.norm_sq())
-            + world.config.antenna_gain;
+            + ReaderConfig::ANTENNA_GAIN;
         let snr = p_rx - link.denom - model.snr_penalty;
         let h =
             h1 * h1 * local * local * link.g_dl_eff.amplitude() * g_ul.amplitude() * relay_phase;
@@ -1005,7 +1006,6 @@ mod tests {
     use rfly_protocol::epc::Epc;
     use rfly_protocol::session::{InventoriedFlag, SelFilter, Session};
     use rfly_protocol::timing::{DivideRatio, TagEncoding};
-    use rfly_reader::config::ReaderConfig;
     use rfly_reader::inventory::{InventoryController, TagRead};
     use rfly_tag::population::TagPopulation;
 
@@ -1153,7 +1153,7 @@ mod tests {
         };
         let (bs_gain, reader_gain, h1) = (
             world.backscatter.gain(),
-            world.config.antenna_gain,
+            ReaderConfig::ANTENNA_GAIN,
             link.h1[s],
         );
         let noise_floor = world.config.link_budget().noise_floor();

@@ -22,7 +22,6 @@ use rfly_protocol::epc::{parse_epc_reply, parse_rn16, Epc};
 use rfly_protocol::fm0;
 use rfly_protocol::pie;
 use rfly_protocol::tag_state::TagMachine;
-use rfly_protocol::timing::TagEncoding;
 use rfly_reader::config::ReaderConfig;
 use rfly_reader::decoder::{decode_backscatter, DecodedReply};
 use rfly_reader::waveform::WaveformBuilder;
@@ -30,7 +29,7 @@ use rfly_reader::waveform::WaveformBuilder;
 /// One fully-sample-level reader ↔ relay ↔ tag arrangement.
 #[derive(Debug)]
 pub struct SampleLink {
-    /// Reader configuration (timing, sample rate, encoding).
+    /// Reader configuration.
     pub config: ReaderConfig,
     relay: Relay,
     tag: TagMachine,
@@ -74,7 +73,7 @@ impl SampleLink {
         let h1 = env.trace(reader_pos, relay_pos, f1).channel(f1);
         let h2 = env.trace(relay_pos, tag_pos, f2).channel(f2);
         Self {
-            builder: WaveformBuilder::new(&config),
+            builder: WaveformBuilder::new(),
             config,
             relay: Relay::new(relay_cfg, seed),
             tag: TagMachine::new(epc, seed ^ 0x7A6),
@@ -106,8 +105,8 @@ impl SampleLink {
     /// reader. Returns the decoded reply (bits + channel) if the tag
     /// answered and the decode succeeded.
     pub fn transact(&mut self, cmd: &Command, n_reply_bits: usize) -> Option<DecodedReply> {
-        let fs = self.config.sample_rate;
-        let sps = self.config.samples_per_symbol();
+        let fs = ReaderConfig::SAMPLE_RATE;
+        let sps = ReaderConfig::SAMPLES_PER_SYMBOL;
         let start = self.clock;
 
         // Reader → air → relay downlink → air → tag.
@@ -125,8 +124,8 @@ impl SampleLink {
 
         // Backscatter: the tag modulates the incident relayed carrier,
         // starting T1 after the command ends.
-        let levels = fm0::encode_reply(reply.frame(), self.config.trext, sps);
-        let t1 = (self.config.timing.t1_s() * fs) as usize;
+        let levels = fm0::encode_reply(reply.frame(), ReaderConfig::TREXT, sps);
+        let t1 = (ReaderConfig::TIMING.t1_s() * fs) as usize;
         let mut back_at_relay = vec![Complex::default(); at_tag.len()];
         for (i, &l) in levels.iter().enumerate() {
             let idx = frame.end_sample + t1 + i;
@@ -145,29 +144,13 @@ impl SampleLink {
         at_reader.truncate(self.uplink_capture_limit);
 
         self.clock += tx.len() + 4096;
-        decode_backscatter(
-            &at_reader,
-            TagEncoding::Fm0,
-            self.config.trext,
-            sps,
-            n_reply_bits,
-        )
-        .ok()
+        decode_backscatter(&at_reader, ReaderConfig::TREXT, sps, n_reply_bits).ok()
     }
 
     /// Runs a full singulation (Query → RN16 → ACK → EPC) and returns
     /// `(epc, epc_frame_channel)`.
     pub fn singulate(&mut self) -> Option<(Epc, Complex)> {
-        let query = Command::Query {
-            dr: self.config.timing.dr,
-            m: TagEncoding::Fm0,
-            trext: self.config.trext,
-            sel: self.config.sel,
-            session: self.config.session,
-            target: self.config.target,
-            q: 0,
-        };
-        let rn16_reply = self.transact(&query, 16)?;
+        let rn16_reply = self.transact(&self.config.query(0), 16)?;
         let rn16 = parse_rn16(&rn16_reply.bits)?;
         let epc_reply = self.transact(&Command::Ack { rn16 }, 128)?;
         let (_, epc) = parse_epc_reply(&epc_reply.bits)?;

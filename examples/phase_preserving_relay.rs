@@ -10,7 +10,6 @@ use rfly::dsp::units::Hertz;
 use rfly::dsp::Complex;
 use rfly::protocol::bits::Bits;
 use rfly::protocol::fm0;
-use rfly::protocol::timing::TagEncoding;
 use rfly::reader::decoder::decode_backscatter;
 
 const PAYLOAD: &str = "1100101001011010";
@@ -26,7 +25,7 @@ fn relayed_phase(relay: &mut Relay, trial: usize) -> Option<f64> {
         uplink_in[600 + i] = down[600 + i] * l;
     }
     let up = relay.forward_uplink(&uplink_in, start);
-    let d = decode_backscatter(&up, TagEncoding::Fm0, false, 8, PAYLOAD.len()).ok()?;
+    let d = decode_backscatter(&up, false, 8, PAYLOAD.len()).ok()?;
     assert_eq!(
         d.bits,
         Bits::from_str01(PAYLOAD),

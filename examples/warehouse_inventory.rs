@@ -55,7 +55,6 @@ fn main() {
         .scene(scene)
         .reader_at(Point2::new(1.0, 1.0))
         .flight_path(Trajectory::from_points(flight_points))
-        .resolution(0.06)
         .seed(42);
     for p in &tag_positions {
         builder = builder.tag_at(*p);

@@ -179,7 +179,7 @@ echo "== crash matrix (every storage op x every fault mode; DESIGN.md §14) =="
 # bit-identical. Exits 2 on any unrecoverable point, 1 if the planted
 # truncation bug slips past the matrix. The per-workload point counts
 # land in results/bench/crash_matrix.json (uploaded as a CI artifact).
-cargo run --release --offline -p rfly-bench --bin crash_matrix -- --seeds 2
+cargo run --release --offline -p rfly-bench --bin crash_matrix
 
 echo "== committed results unchanged (wall time is telemetry; see harness.rs) =="
 # Every results file a step above rewrites holds deterministic values

@@ -10,7 +10,7 @@
 //!
 //! * [`dsp`] — IQ arithmetic, oscillators, mixers, filters, FFT, noise.
 //! * [`channel`] — geometry, path loss, multipath, antennas, link budgets.
-//! * [`protocol`] — the EPC Gen2 air protocol (PIE, FM0/Miller, CRC,
+//! * [`protocol`] — the EPC Gen2 air protocol (PIE, FM0, CRC,
 //!   commands, anti-collision).
 //! * [`tag`] — passive-tag physics: energy harvesting and backscatter.
 //! * [`reader`] — an SDR RFID reader with complex channel estimation.

@@ -11,25 +11,15 @@ use rfly::protocol::commands::Command;
 use rfly::protocol::epc::{parse_epc_reply, Epc, PC_96BIT};
 use rfly::protocol::pie;
 use rfly::protocol::tag_state::{TagMachine, TagReply};
-use rfly::protocol::timing::TagEncoding;
 use rfly::reader::config::ReaderConfig;
 use rfly::reader::decoder::decode_backscatter;
 use rfly::reader::waveform::WaveformBuilder;
 
-const FS: f64 = 4e6;
-const SPS: usize = 8;
+const FS: f64 = ReaderConfig::SAMPLE_RATE;
+const SPS: usize = ReaderConfig::SAMPLES_PER_SYMBOL;
 
 fn test_query() -> Command {
-    let c = ReaderConfig::usrp_default();
-    Command::Query {
-        dr: c.timing.dr,
-        m: TagEncoding::Fm0,
-        trext: false,
-        sel: c.sel,
-        session: c.session,
-        target: c.target,
-        q: 0,
-    }
+    ReaderConfig::usrp_default().query(0)
 }
 
 /// A tag's-eye demodulation of a reader waveform: envelope detection +
@@ -42,7 +32,7 @@ fn tag_hears(waveform: &[Complex]) -> Option<(Command, usize)> {
 
 #[test]
 fn reader_waveform_is_tag_decodable() {
-    let builder = WaveformBuilder::new(&ReaderConfig::usrp_default());
+    let builder = WaveformBuilder::new();
     let wave = builder.command(&test_query(), Seconds::new(400e-6));
     let (cmd, _) = tag_hears(&wave).expect("tag decodes the PIE query");
     assert_eq!(cmd, test_query());
@@ -50,8 +40,7 @@ fn reader_waveform_is_tag_decodable() {
 
 #[test]
 fn full_chain_reader_to_tag_to_relay_to_reader() {
-    let reader_cfg = ReaderConfig::usrp_default();
-    let builder = WaveformBuilder::new(&reader_cfg);
+    let builder = WaveformBuilder::new();
     let relay_cfg = RelayConfig {
         // Give FM0's lower spectral lobe headroom through the uplink BPF.
         bpf_half_bw: Hertz::khz(300.0),
@@ -79,7 +68,7 @@ fn full_chain_reader_to_tag_to_relay_to_reader() {
     };
     let levels = rfly::protocol::fm0::encode_reply(&rn16_bits, false, SPS);
     // T1 turnaround before the reply begins.
-    let t1 = (reader_cfg.timing.t1_s() * FS) as usize;
+    let t1 = (ReaderConfig::TIMING.t1_s() * FS) as usize;
     let mut uplink_in = vec![Complex::default(); relayed.len()];
     for (i, &l) in levels.iter().enumerate() {
         let idx = end + t1 + i;
@@ -92,8 +81,7 @@ fn full_chain_reader_to_tag_to_relay_to_reader() {
     let rx = relay.forward_uplink(&uplink_in, 0);
 
     // 5. The reader coherently decodes the RN16 and its channel.
-    let d = decode_backscatter(&rx, TagEncoding::Fm0, false, SPS, 16)
-        .expect("reader decodes the relayed RN16");
+    let d = decode_backscatter(&rx, false, SPS, 16).expect("reader decodes the relayed RN16");
     assert_eq!(d.bits, rn16_bits, "bits must survive the full analog chain");
 
     // 6. ACK completes singulation (protocol level) and the EPC frame
@@ -111,8 +99,8 @@ fn full_chain_reader_to_tag_to_relay_to_reader() {
         uplink2[600 + i] = cw[600 + i] * l;
     }
     let rx2 = relay.forward_uplink(&uplink2, 0);
-    let d2 = decode_backscatter(&rx2, TagEncoding::Fm0, false, SPS, 128)
-        .expect("reader decodes the relayed EPC frame");
+    let d2 =
+        decode_backscatter(&rx2, false, SPS, 128).expect("reader decodes the relayed EPC frame");
     let (pc, epc) = parse_epc_reply(&d2.bits).expect("CRC-valid EPC frame");
     assert_eq!(pc, PC_96BIT);
     assert_eq!(epc, Epc::from_index(9));
@@ -134,7 +122,7 @@ fn phasor_channel_matches_sample_level_decode() {
     for (i, &l) in levels.iter().enumerate() {
         capture[600 + i] += h * l;
     }
-    let d = decode_backscatter(&capture, TagEncoding::Fm0, false, SPS, 16).expect("decodes");
+    let d = decode_backscatter(&capture, false, SPS, 16).expect("decodes");
     assert!(
         rfly::dsp::complex::phase_distance(d.channel.arg(), h.arg()) < 0.02,
         "phase mismatch: {} vs {}",
