@@ -7,11 +7,10 @@
 //! §6.1 gain allocator against it, and reports the supported range.
 
 use rfly_bench::prelude::*;
-use rfly_core::relay::components::ComponentTolerances;
 use rfly_core::relay::gains::allocate;
 use rfly_core::relay::isolation::{measure_budget, range_for_isolation};
 use rfly_core::relay::relay::{Relay, RelayConfig};
-use rfly_dsp::units::{Db, Dbm, Hertz};
+use rfly_dsp::units::{Db, Dbm};
 
 fn main() {
     let mut bench = Bench::from_args("ablation_filters", 2017);
@@ -36,12 +35,9 @@ fn main() {
         (76.0, 68.0),
     ] {
         let cfg = RelayConfig {
-            components: ComponentTolerances {
-                lpf_stopband: Db::new(lpf),
-                bpf_stopband: Db::new(bpf),
-                filter_sigma: Db::new(0.5),
-                ..ComponentTolerances::prototype()
-            },
+            lpf_stopband: Db::new(lpf),
+            bpf_stopband: Db::new(bpf),
+            filter_sigma: Db::new(0.5),
             ..RelayConfig::default()
         };
         let mut relay = Relay::new(cfg, seed);
@@ -54,7 +50,7 @@ fn main() {
             .min(budget.inter_uplink)
             .min(budget.intra_downlink)
             .min(budget.intra_uplink);
-        let range = range_for_isolation(weakest, Hertz::mhz(915.0));
+        let range = range_for_isolation(weakest, RelayConfig::CARRIER);
         table.row(&[
             format!("{lpf:.0}/{bpf:.0} dB"),
             fmt_db(budget.inter_downlink.value()),

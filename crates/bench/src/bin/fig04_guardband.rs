@@ -15,10 +15,11 @@ use rfly_protocol::bits::Bits;
 use rfly_protocol::fm0;
 use rfly_protocol::pie::{FrameStart, PieEncoder};
 use rfly_protocol::timing::LinkTiming;
+use rfly_reader::config::ReaderConfig;
 
 fn main() {
     let mut bench = Bench::new("fig04_guardband", 0);
-    let fs = 4e6;
+    let fs = ReaderConfig::SAMPLE_RATE;
 
     // The query: a representative 22-bit Query frame, PIE-encoded,
     // repeated to fill an analysis window.

@@ -8,10 +8,9 @@
 //! §7.1 probe-tone measurement through the actual sample-level chain.
 
 use rfly_bench::prelude::*;
-use rfly_core::relay::analog_baseline::AnalogRelay;
+use rfly_core::relay::analog_baseline;
 use rfly_core::relay::isolation::{measure_isolation, InterferencePath};
 use rfly_core::relay::relay::{Relay, RelayConfig};
-use rfly_dsp::units::Hertz;
 use rfly_sim::experiment::trial_seed;
 
 fn main() {
@@ -39,7 +38,6 @@ fn main() {
         ],
     );
 
-    let analog = AnalogRelay::compact(Hertz::mhz(915.0));
     let mc = MonteCarlo::new(seed);
     for (name, path, paper_median) in paths {
         let rfly: Vec<f64> = mc
@@ -49,7 +47,9 @@ fn main() {
             })
             .into_iter()
             .collect();
-        let base: Vec<f64> = mc.run(trials, |_, rng| analog.isolation(path, rng).value());
+        let base: Vec<f64> = mc.run(trials, |_, rng| {
+            analog_baseline::isolation(path, rng).value()
+        });
         let r = ErrorStats::new(rfly);
         let b = ErrorStats::new(base);
         table.row(&[

@@ -52,10 +52,7 @@ fn trial(relay: &mut Relay, start: usize, query_phase: f64, noise: f64, seed: u6
 fn run(mirrored: bool, seed: u64, trials: usize) -> Vec<f64> {
     let cfg = RelayConfig {
         mirrored,
-        // Widen the uplink filter slightly so FM0's lower spectral lobe
-        // passes cleanly (the prototype's 300–700 kHz BPF clips the
-        // 250 kHz component of long data-1 runs).
-        bpf_half_bw: rfly_dsp::units::Hertz::khz(300.0),
+        bpf_half_bw: RelayConfig::FM0_BPF_HALF_BW,
         ..RelayConfig::default()
     };
     let mut relay = Relay::new(cfg, seed);

@@ -5,56 +5,42 @@
 //! a pure amplify-and-forward stage with no frequency shift and no
 //! filtering. Its only defenses against self-interference are the
 //! physical coupling between its antennas, which is why it cannot
-//! amplify much without ringing (§4.1).
+//! amplify much without ringing (§4.1). The baseline has no state, so
+//! it is one function, [`isolation`]. It sits on the same board as
+//! RFly: the same 10 cm antenna spacing and coupling jitter, at the same
+//! carrier ([`RelayConfig::ANTENNA_SEPARATION`],
+//! [`RelayConfig::ANTENNA_SIGMA`], [`RelayConfig::CARRIER`]).
 
 use rfly_dsp::rng::Rng;
 
 use rfly_channel::antenna::{mutual_coupling, Polarization};
 use rfly_dsp::osc::standard_normal;
-use rfly_dsp::units::{Db, Hertz, Meters};
+use rfly_dsp::units::Db;
 
 use super::isolation::InterferencePath;
+use super::relay::RelayConfig;
 
-/// A compact amplify-and-forward relay.
-#[derive(Debug, Clone)]
-pub struct AnalogRelay {
-    /// Amplifier gain.
-    pub gain: Db,
-    /// Antenna separation on the board.
-    pub antenna_separation: Meters,
-    /// Carrier frequency (for coupling computation).
-    pub frequency: Hertz,
-    /// Per-trial isolation jitter σ.
-    pub sigma: Db,
-}
-
-impl AnalogRelay {
-    /// The Fig. 9 baseline: 10 cm separation, same as RFly's PCB.
-    pub fn compact(frequency: Hertz) -> Self {
-        Self {
-            gain: Db::new(10.0),
-            antenna_separation: Meters::cm(10.0),
-            frequency,
-            sigma: Db::new(3.0),
+/// Isolation of one self-interference path of the analog relay:
+/// antenna coupling only. Opposing-direction antenna pairs are
+/// cross-polarized; a path's own TX/RX pair shares polarization (four
+/// antennas, two polarizations, §6.1's layout), so intra-link paths fare
+/// worse.
+pub fn isolation<R: Rng>(path: InterferencePath, rng: &mut R) -> Db {
+    let (pa, pb) = match path {
+        InterferencePath::InterDownlink | InterferencePath::InterUplink => {
+            (Polarization::Vertical, Polarization::Horizontal)
         }
-    }
-
-    /// Isolation of one self-interference path: antenna coupling only.
-    /// Opposing-direction antenna pairs are cross-polarized; a path's
-    /// own TX/RX pair shares polarization (four antennas, two
-    /// polarizations, §6.1's layout), so intra-link paths fare worse.
-    pub fn isolation<R: Rng>(&self, path: InterferencePath, rng: &mut R) -> Db {
-        let (pa, pb) = match path {
-            InterferencePath::InterDownlink | InterferencePath::InterUplink => {
-                (Polarization::Vertical, Polarization::Horizontal)
-            }
-            InterferencePath::IntraDownlink | InterferencePath::IntraUplink => {
-                (Polarization::Vertical, Polarization::Vertical)
-            }
-        };
-        let nominal = mutual_coupling(self.antenna_separation, self.frequency, pa, pb);
-        (nominal + Db::new(self.sigma.value() * standard_normal(rng))).max(Db::new(0.0))
-    }
+        InterferencePath::IntraDownlink | InterferencePath::IntraUplink => {
+            (Polarization::Vertical, Polarization::Vertical)
+        }
+    };
+    let nominal = mutual_coupling(
+        RelayConfig::ANTENNA_SEPARATION,
+        RelayConfig::CARRIER,
+        pa,
+        pb,
+    );
+    (nominal + Db::new(RelayConfig::ANTENNA_SIGMA.value() * standard_normal(rng))).max(Db::new(0.0))
 }
 
 #[cfg(test)]
@@ -67,11 +53,10 @@ mod tests {
 
     #[test]
     fn analog_isolation_is_tens_of_db_at_best() {
-        let r = AnalogRelay::compact(Hertz::mhz(915.0));
         let mut rng = rng();
         for _ in 0..50 {
-            let inter = r.isolation(InterferencePath::InterDownlink, &mut rng);
-            let intra = r.isolation(InterferencePath::IntraDownlink, &mut rng);
+            let inter = isolation(InterferencePath::InterDownlink, &mut rng);
+            let intra = isolation(InterferencePath::IntraDownlink, &mut rng);
             assert!(inter.value() < 35.0);
             assert!(intra.value() < 15.0);
         }
@@ -81,8 +66,7 @@ mod tests {
     fn rfly_beats_analog_by_50_db() {
         // The Fig. 9 headline: ≥ 50 dB improvement on every path.
         use crate::relay::isolation::measure_budget;
-        use crate::relay::relay::{Relay, RelayConfig};
-        let analog = AnalogRelay::compact(Hertz::mhz(915.0));
+        use crate::relay::relay::Relay;
         let mut rng = rng();
         let mut relay = Relay::new(RelayConfig::default(), 3);
         let rb = measure_budget(&mut relay);
@@ -92,7 +76,7 @@ mod tests {
             (InterferencePath::IntraDownlink, rb.intra_downlink),
             (InterferencePath::IntraUplink, rb.intra_uplink),
         ] {
-            assert!(rfly.value() - analog.isolation(path, &mut rng).value() >= 50.0);
+            assert!(rfly.value() - isolation(path, &mut rng).value() >= 50.0);
         }
     }
 }

@@ -1,90 +1,35 @@
-//! Component-level parameters and manufacturing tolerances.
+//! Component-level tolerances: the per-trial draw of a relay build.
 //!
 //! Fig. 9's isolation CDFs spread over tens of dB across 100 trials
 //! because real components vary: filter stopbands wander with part
 //! tolerances and temperature, antenna coupling shifts with the probe
 //! frequency, and board-level feed-through depends on layout parasites.
-//! This module centralizes the nominal values (calibrated once so the
-//! medians land near the paper's 110/92/77/64 dB) and the per-trial
-//! random draws around them.
+//! The filter nominals and their σ are [`RelayConfig`] fields (the
+//! filter ablation sweeps them); the board's feed-through and antenna
+//! values are [`RelayConfig`]'s associated constants, beside the rest of
+//! the board. Both were calibrated once so the medians land near the
+//! paper's 110/92/77/64 dB (DESIGN.md §4 item 2).
 
 use rfly_dsp::rng::Rng;
 
-use rfly_channel::antenna::{mutual_coupling, Polarization};
 use rfly_dsp::osc::standard_normal;
-use rfly_dsp::units::{Db, Hertz, Meters};
+use rfly_dsp::units::Db;
 
-/// Nominal values and tolerance widths for every analog component of
-/// the relay.
-#[derive(Debug, Clone, Copy)]
-pub struct ComponentTolerances {
-    /// Designed stopband attenuation of the downlink low-pass filter.
-    pub lpf_stopband: Db,
-    /// Designed stopband attenuation of the uplink band-pass filter.
-    pub bpf_stopband: Db,
-    /// σ of the per-trial filter-attenuation deviation.
-    pub filter_sigma: Db,
-    /// Board-level same-frequency feed-through of the downlink path
-    /// (input connector to output connector, RF). The downlink layout
-    /// is screened more aggressively (§6.1 optimizes the downlink).
-    pub bypass_downlink: Db,
-    /// Board-level feed-through of the uplink path.
-    pub bypass_uplink: Db,
-    /// σ of the per-trial bypass deviation.
-    pub bypass_sigma: Db,
-    /// Antenna separation on the PCB (10 cm in the prototype).
-    pub antenna_separation: Meters,
-    /// σ of per-trial antenna-coupling deviation (orientation,
-    /// frequency, nearby objects).
-    pub antenna_sigma: Db,
-    /// Mixer conversion loss.
-    pub mixer_loss: Db,
-    /// Mixer input→output feed-through (per mixer).
-    pub mixer_feedthrough: Db,
-}
+use super::relay::RelayConfig;
 
-impl ComponentTolerances {
-    /// The calibrated prototype values (see DESIGN.md §4.2): medians of
-    /// the four Fig. 9 isolation CDFs land near 110/92/77/64 dB.
-    pub fn prototype() -> Self {
-        Self {
-            lpf_stopband: Db::new(64.0),
-            bpf_stopband: Db::new(57.0),
-            filter_sigma: Db::new(4.0),
-            bypass_downlink: Db::new(56.0),
-            bypass_uplink: Db::new(43.0),
-            bypass_sigma: Db::new(4.0),
-            antenna_separation: Meters::cm(10.0),
-            antenna_sigma: Db::new(3.0),
-            mixer_loss: Db::new(6.0),
-            mixer_feedthrough: Db::new(30.0),
-        }
-    }
-
-    /// Antenna-to-antenna isolation between a path's transmit antenna
-    /// and a receive antenna, for cross-polarized elements at the PCB
-    /// separation (the prototype alternates polarization between
-    /// adjacent antennas).
-    pub fn nominal_antenna_isolation(&self, freq: Hertz) -> Db {
-        mutual_coupling(
-            self.antenna_separation,
-            freq,
-            Polarization::Vertical,
-            Polarization::Horizontal,
-        )
-    }
-
+impl RelayConfig {
     /// One Monte-Carlo draw of the trial-dependent values.
-    pub fn draw<R: Rng>(&self, rng: &mut R, freq: Hertz) -> DrawnComponents {
+    pub fn draw<R: Rng>(&self, rng: &mut R) -> DrawnComponents {
         let jitter = |sigma: Db, rng: &mut R| Db::new(sigma.value() * standard_normal(rng));
         DrawnComponents {
             lpf_stopband: (self.lpf_stopband + jitter(self.filter_sigma, rng)).max(Db::new(20.0)),
             bpf_stopband: (self.bpf_stopband + jitter(self.filter_sigma, rng)).max(Db::new(20.0)),
-            bypass_downlink: (self.bypass_downlink + jitter(self.bypass_sigma, rng))
+            bypass_downlink: (Self::BYPASS_DOWNLINK + jitter(Self::BYPASS_SIGMA, rng))
                 .max(Db::new(10.0)),
-            bypass_uplink: (self.bypass_uplink + jitter(self.bypass_sigma, rng)).max(Db::new(10.0)),
-            antenna_isolation: (self.nominal_antenna_isolation(freq)
-                + jitter(self.antenna_sigma, rng))
+            bypass_uplink: (Self::BYPASS_UPLINK + jitter(Self::BYPASS_SIGMA, rng))
+                .max(Db::new(10.0)),
+            antenna_isolation: (Self::nominal_antenna_isolation()
+                + jitter(Self::ANTENNA_SIGMA, rng))
             .max(Db::new(0.0)),
         }
     }
@@ -110,21 +55,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn prototype_antenna_isolation_is_cross_pol_at_10cm() {
-        let t = ComponentTolerances::prototype();
-        let iso = t.nominal_antenna_isolation(Hertz::mhz(915.0));
-        // ~1.7 dB Friis-minus-near-field + 20 dB cross-pol.
-        assert!((iso.value() - 21.7).abs() < 1.0, "iso = {iso}");
-    }
-
-    #[test]
     fn draws_scatter_around_nominals() {
-        let t = ComponentTolerances::prototype();
+        let t = RelayConfig::default();
         let mut rng = rfly_dsp::rng::StdRng::seed_from_u64(9);
         let n = 2000;
-        let draws: Vec<DrawnComponents> = (0..n)
-            .map(|_| t.draw(&mut rng, Hertz::mhz(915.0)))
-            .collect();
+        let draws: Vec<DrawnComponents> = (0..n).map(|_| t.draw(&mut rng)).collect();
         let mean: f64 = draws.iter().map(|d| d.lpf_stopband.value()).sum::<f64>() / n as f64;
         assert!((mean - 64.0).abs() < 0.5, "mean = {mean}");
         let sd: f64 = (draws
@@ -138,21 +73,15 @@ mod tests {
 
     #[test]
     fn draws_respect_physical_floors() {
-        let t = ComponentTolerances {
+        let t = RelayConfig {
             filter_sigma: Db::new(50.0), // absurd tolerance to force clamping
-            ..ComponentTolerances::prototype()
+            ..RelayConfig::default()
         };
         let mut rng = rfly_dsp::rng::StdRng::seed_from_u64(1);
         for _ in 0..200 {
-            let d = t.draw(&mut rng, Hertz::mhz(915.0));
+            let d = t.draw(&mut rng);
             assert!(d.lpf_stopband.value() >= 20.0);
             assert!(d.bpf_stopband.value() >= 20.0);
         }
-    }
-
-    #[test]
-    fn downlink_bypass_is_better_screened_than_uplink() {
-        let t = ComponentTolerances::prototype();
-        assert!(t.bypass_downlink.value() > t.bypass_uplink.value());
     }
 }

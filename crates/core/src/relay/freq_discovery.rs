@@ -18,6 +18,7 @@
 use rfly_dsp::goertzel::goertzel;
 use rfly_dsp::units::{Db, Hertz};
 use rfly_dsp::Complex;
+use rfly_reader::config::ReaderConfig;
 
 /// The streaming sweep state.
 #[derive(Debug)]
@@ -33,7 +34,6 @@ pub struct FrequencyDiscovery {
     per_chunk: usize,
     /// Next candidate index to evaluate.
     cursor: usize,
-    sample_rate: Hertz,
 }
 
 /// Sweep duration target, chunks (the paper: "the entire sweeping
@@ -41,19 +41,17 @@ pub struct FrequencyDiscovery {
 const SWEEP_CHUNKS: usize = 20;
 
 impl FrequencyDiscovery {
-    /// Creates a sweep over `candidates` at `sample_rate`, processing
-    /// 1 ms chunks.
-    pub fn new(candidates: Vec<Hertz>, sample_rate: Hertz) -> Self {
+    /// Creates a sweep over `candidates` at the relay's baseband clock
+    /// ([`ReaderConfig::SAMPLE_RATE`]), processing 1 ms chunks.
+    pub fn new(candidates: Vec<Hertz>) -> Self {
         assert!(!candidates.is_empty(), "need at least one candidate");
-        assert!(sample_rate.as_hz() > 0.0);
         let n = candidates.len();
         Self {
             scores: vec![0.0; n],
             candidates,
-            chunk_len: rfly_dsp::cast::floor_usize(sample_rate.as_hz() * 1e-3),
+            chunk_len: rfly_dsp::cast::floor_usize(ReaderConfig::SAMPLE_RATE * 1e-3),
             per_chunk: n.div_ceil(SWEEP_CHUNKS),
             cursor: 0,
-            sample_rate,
         }
     }
 
@@ -71,7 +69,7 @@ impl FrequencyDiscovery {
                 return;
             }
             let f = self.candidates[self.cursor];
-            self.scores[self.cursor] = goertzel(chunk, f, self.sample_rate.as_hz()).norm_sq();
+            self.scores[self.cursor] = goertzel(chunk, f, ReaderConfig::SAMPLE_RATE).norm_sq();
             self.cursor += 1;
         }
     }
@@ -131,7 +129,7 @@ mod tests {
     use rfly_dsp::noise::add_awgn;
     use rfly_dsp::osc::Nco;
 
-    const FS: f64 = 4e6;
+    const FS: f64 = ReaderConfig::SAMPLE_RATE;
 
     /// ±25 channels at 500 kHz spacing — a baseband view of the FCC
     /// grid around the relay's rough tuning. Only offsets within
@@ -143,7 +141,7 @@ mod tests {
 
     #[test]
     fn locks_onto_a_clean_reader() {
-        let mut fd = FrequencyDiscovery::new(grid(), Hertz(FS));
+        let mut fd = FrequencyDiscovery::new(grid());
         let signal = Nco::new(Hertz::khz(1000.0), FS).block(fd.sweep_len());
         let lock = fd.sweep(&signal).expect("locks");
         assert_eq!(lock.frequency, Hertz::khz(1000.0));
@@ -151,10 +149,7 @@ mod tests {
 
     #[test]
     fn sweep_takes_about_20ms_of_signal() {
-        let fd = FrequencyDiscovery::new(
-            (0..50).map(|k| Hertz::khz(50.0 * k as f64)).collect(),
-            Hertz(FS),
-        );
+        let fd = FrequencyDiscovery::new((0..50).map(|k| Hertz::khz(50.0 * k as f64)).collect());
         let ms = fd.sweep_len() as f64 / FS * 1e3;
         assert!((15.0..=25.0).contains(&ms), "sweep = {ms} ms");
     }
@@ -162,7 +157,7 @@ mod tests {
     #[test]
     fn strongest_reader_wins() {
         // Two readers: −500 kHz at full power, +1 MHz at −10 dB.
-        let mut fd = FrequencyDiscovery::new(grid(), Hertz(FS));
+        let mut fd = FrequencyDiscovery::new(grid());
         let n = fd.sweep_len();
         let strong = Nco::new(Hertz::khz(-500.0), FS).block(n);
         let weak: Vec<Complex> = Nco::new(Hertz::khz(1000.0), FS)
@@ -177,7 +172,7 @@ mod tests {
     #[test]
     fn locks_under_noise() {
         let mut rng = rfly_dsp::rng::StdRng::seed_from_u64(17);
-        let mut fd = FrequencyDiscovery::new(grid(), Hertz(FS));
+        let mut fd = FrequencyDiscovery::new(grid());
         let mut signal = Nco::new(Hertz::khz(1500.0), FS).block(fd.sweep_len());
         add_awgn(&mut rng, &mut signal, 1.0); // 0 dB SNR
         let lock = fd.sweep(&signal).expect("locks");
@@ -186,7 +181,7 @@ mod tests {
 
     #[test]
     fn incomplete_sweep_has_no_lock() {
-        let mut fd = FrequencyDiscovery::new(grid(), Hertz(FS));
+        let mut fd = FrequencyDiscovery::new(grid());
         assert!(fd.lock().is_none());
         let chunk = Nco::new(Hertz::khz(0.0), FS).block(fd.chunk_len);
         fd.feed(&chunk);
@@ -196,7 +191,7 @@ mod tests {
 
     #[test]
     fn silence_yields_no_lock() {
-        let mut fd = FrequencyDiscovery::new(grid(), Hertz(FS));
+        let mut fd = FrequencyDiscovery::new(grid());
         let silence = vec![Complex::default(); fd.sweep_len()];
         assert!(fd.sweep(&silence).is_none());
     }
@@ -204,7 +199,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "1 ms chunks")]
     fn wrong_chunk_size_rejected() {
-        let mut fd = FrequencyDiscovery::new(grid(), Hertz(FS));
+        let mut fd = FrequencyDiscovery::new(grid());
         fd.feed(&[Complex::default(); 100]);
     }
 }

@@ -13,6 +13,8 @@
 
 use rfly_dsp::units::{Db, Dbm, Hertz};
 
+use super::relay::RelayConfig;
+
 /// The gains chosen for the two paths.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GainPlan {
@@ -117,14 +119,18 @@ pub struct ExternalInterferer {
     pub coupling_loss: Db,
 }
 
-/// Filter rejection of a signal offset by `offset` from a chain
-/// tuned to a passband of width `passband` — a second-order
-/// (40 dB/decade) rolloff, the relay's cascaded BPF+LPF skirt. Zero
-/// inside the passband.
-pub fn offset_rejection(offset: Hertz, passband: Hertz) -> Db {
-    let half_bw = passband.as_hz() / 2.0;
+/// Filter rejection of a signal offset by `offset` from a chain's
+/// passband center — a second-order (40 dB/decade) rolloff, the relay's
+/// cascaded BPF+LPF skirt. Zero inside the passband, the prototype's
+/// uplink BPF ([`RelayConfig::BPF_HALF_BW`] either side). The skirt
+/// uses that Fig. 9 probe width, not the wider
+/// [`RelayConfig::FM0_BPF_HALF_BW`] of the sample-level FM0 chains, even
+/// though a fleet relay carries FM0 replies: the phasor Δf model and the
+/// sample-level FM0 chain do not share this one value.
+pub fn offset_rejection(offset: Hertz) -> Db {
+    let half_bw = RelayConfig::BPF_HALF_BW.as_hz();
     let off = offset.as_hz().abs();
-    if off <= half_bw || half_bw <= 0.0 {
+    if off <= half_bw {
         Db::new(0.0)
     } else {
         Db::new(40.0 * (off / half_bw).log10())
@@ -148,7 +154,6 @@ pub fn mutual_loop_margin(gain_i: Db, gain_j: Db, coupling_loss: Db, rejection: 
 /// picks one segment per relay, and each crossing is rejected by the
 /// receiving chain's filter skirt at the offset between the emitted
 /// frequency and the receiving passband center.
-#[allow(clippy::too_many_arguments)]
 #[expect(
     clippy::expect_used,
     reason = "the minimum runs over a fixed four-element candidate array"
@@ -161,7 +166,6 @@ pub fn worst_pair_margin(
     f1_j: Hertz,
     f2_j: Hertz,
     coupling_loss: Db,
-    passband: Hertz,
 ) -> Db {
     let off = |out: Hertz, center: Hertz| out - center;
     let topologies = [
@@ -201,7 +205,7 @@ pub fn worst_pair_margin(
                 gi,
                 gj,
                 coupling_loss,
-                offset_rejection(o1, passband) + offset_rejection(o2, passband),
+                offset_rejection(o1) + offset_rejection(o2),
             )
         })
         .min_by(|a, b| a.value().total_cmp(&b.value()))
@@ -211,30 +215,18 @@ pub fn worst_pair_margin(
 /// Eq. 3 extended with external interferers: the plan must satisfy the
 /// victim's own isolation budget AND keep the worst mutual loop with
 /// every neighboring relay below unity by `margin`. `f1`/`f2` are the
-/// victim's frequencies; `passband` is the chains' filter passband
-/// width.
+/// victim's frequencies.
 pub fn is_stable_with_interferers(
     plan: &GainPlan,
     budget: &IsolationBudget,
     margin: Db,
     f1: Hertz,
     f2: Hertz,
-    passband: Hertz,
     interferers: &[ExternalInterferer],
 ) -> bool {
     is_stable(plan, budget, margin)
         && interferers.iter().all(|i| {
-            worst_pair_margin(
-                plan,
-                f1,
-                f2,
-                &i.gains,
-                i.f1,
-                i.f2,
-                i.coupling_loss,
-                passband,
-            )
-            .value()
+            worst_pair_margin(plan, f1, f2, &i.gains, i.f1, i.f2, i.coupling_loss).value()
                 >= margin.value()
         })
 }
@@ -321,16 +313,16 @@ mod tests {
 
     #[test]
     fn offset_rejection_rolls_off_at_40db_per_decade() {
-        let bw = Hertz::khz(500.0);
-        assert_eq!(offset_rejection(Hertz::khz(100.0), bw), Db::new(0.0));
-        let one_dec = offset_rejection(Hertz::khz(2500.0), bw);
+        // The passband edge sits 200 kHz from the center.
+        assert_eq!(offset_rejection(Hertz::khz(200.0)), Db::new(0.0));
+        let one_dec = offset_rejection(Hertz::khz(2000.0));
         assert!((one_dec.value() - 40.0).abs() < 1e-9, "{one_dec}");
-        let two_dec = offset_rejection(Hertz::khz(25_000.0), bw);
+        let two_dec = offset_rejection(Hertz::khz(20_000.0));
         assert!((two_dec.value() - 80.0).abs() < 1e-9);
         // Symmetric in sign.
         assert_eq!(
-            offset_rejection(Hertz::khz(-2500.0), bw),
-            offset_rejection(Hertz::khz(2500.0), bw)
+            offset_rejection(Hertz::khz(-2000.0)),
+            offset_rejection(Hertz::khz(2000.0))
         );
     }
 
@@ -353,11 +345,10 @@ mod tests {
         let plan = allocate(&b, Db::new(10.0), Dbm::new(-40.0));
         let f1 = Hertz::mhz(915.0);
         let f2 = Hertz::mhz(916.0);
-        let pb = Hertz::khz(400.0);
         let coupling = Db::new(52.0);
         // Co-channel pair: the dl→ul loop has zero offset on both
         // crossings — no rejection at all.
-        let co = worst_pair_margin(&plan, f1, f2, &plan, f1, f2, coupling, pb);
+        let co = worst_pair_margin(&plan, f1, f2, &plan, f1, f2, coupling);
         assert!(
             (co.value() - (2.0 * 52.0 - (plan.downlink + plan.uplink).value())).abs() < 1e-9,
             "{co}"
@@ -371,7 +362,6 @@ mod tests {
             Hertz::mhz(920.0),
             Hertz::mhz(921.5),
             coupling,
-            pb,
         );
         assert!(far.value() > co.value() + 50.0, "co {co}, far {far}");
     }
@@ -382,9 +372,8 @@ mod tests {
         let plan = allocate(&b, Db::new(10.0), Dbm::new(-40.0));
         let f1 = Hertz::mhz(915.0);
         let f2 = Hertz::mhz(916.0);
-        let pb = Hertz::khz(400.0);
         let gate = |ints: &[ExternalInterferer]| {
-            is_stable_with_interferers(&plan, &b, Db::new(10.0), f1, f2, pb, ints)
+            is_stable_with_interferers(&plan, &b, Db::new(10.0), f1, f2, ints)
         };
         // Alone: stable.
         assert!(gate(&[]));

@@ -25,6 +25,13 @@
 //! upconversion mixer shares the downlink's downconversion synthesizer
 //! (and vice versa), so the unknown trajectory `φ'(t) = 2π(f−f')t + φ`
 //! added on the downlink is subtracted exactly on the uplink (§4.3).
+//!
+//! The paper builds one board, so there is one hardware profile:
+//! [`RelayConfig`] holds the five values an experiment varies (the
+//! mirror, the uplink BPF width, and the filter stopbands and their
+//! tolerance), and every other board value is an associated constant of
+//! it, read by the sample-level chain here, by the analog baseline and by
+//! the phasor model in `rfly-sim`.
 
 #![deny(
     clippy::cast_possible_truncation,
@@ -42,6 +49,5 @@ pub mod path;
 #[allow(clippy::module_inception)]
 pub mod relay;
 
-pub use components::ComponentTolerances;
 pub use gains::GainPlan;
 pub use relay::{Relay, RelayConfig};

@@ -37,11 +37,6 @@ impl Mixer {
         Self { lo, direction }
     }
 
-    /// The conversion direction.
-    pub fn direction(&self) -> Conversion {
-        self.direction
-    }
-
     /// Mixes a block of samples whose first sample corresponds to global
     /// sample index `start`. Using global indices (rather than an
     /// internal counter) keeps independent signal paths time-aligned,

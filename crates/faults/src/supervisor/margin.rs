@@ -8,7 +8,6 @@ use rfly_dsp::units::{Db, Hertz, Meters};
 use rfly_fleet::channels::assign;
 use rfly_fleet::inventory::MissionConfig;
 use rfly_obs::Value;
-use rfly_sim::medium::FLEET_PASSBAND;
 
 use crate::inject::RelayHealth;
 use crate::log::{RecoveryAction, ResilienceLog};
@@ -40,7 +39,6 @@ pub(super) fn worst_alive_margin(
                 f1[j],
                 f1[j] + shift[j],
                 coupling,
-                FLEET_PASSBAND,
             );
             if worst.is_none_or(|(_, _, w)| m.value() < w.value()) {
                 worst = Some((i, j, m));

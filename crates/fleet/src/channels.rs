@@ -29,7 +29,7 @@ use rfly_dsp::units::{Db, Dbm, Hertz, Meters};
 use rfly_reader::hopping::{
     channel_frequency, HopSequence, CHANNEL_SPACING, MAX_DWELL, NUM_CHANNELS,
 };
-use rfly_sim::medium::{FleetRelay, FLEET_PASSBAND};
+use rfly_sim::medium::FleetRelay;
 use rfly_sim::world::RelayModel;
 
 /// The mutual-loop stability margin of one relay pair.
@@ -186,7 +186,6 @@ fn pair_margin(
     (f1_i, f2_i): (Hertz, Hertz),
     pos_j: Point2,
     (f1_j, f2_j): (Hertz, Hertz),
-    passband: Hertz,
 ) -> Db {
     worst_pair_margin(
         gains,
@@ -196,7 +195,6 @@ fn pair_margin(
         f1_j,
         f2_j,
         coupling(pos_i, pos_j, Hertz(f1_i.as_hz().min(f1_j.as_hz()))),
-        passband,
     )
 }
 
@@ -235,7 +233,6 @@ pub fn assign(
                         (cand_f1, cand_f2),
                         positions[j],
                         (f1[j], f1[j] + shift[j]),
-                        FLEET_PASSBAND,
                     )
                     .value()
                         >= (margin + extra).value()
@@ -309,7 +306,6 @@ pub fn assign(
             margin,
             plan.f1[i],
             plan.f2(i),
-            FLEET_PASSBAND,
             &interferers,
         ) {
             #[expect(
@@ -350,7 +346,6 @@ fn all_margins(
                     (f1[i], f1[i] + shift[i]),
                     positions[j],
                     (f1[j], f1[j] + shift[j]),
-                    FLEET_PASSBAND,
                 ),
             });
         }
@@ -457,15 +452,7 @@ mod tests {
                 c != c0 && c + 3 < NUM_CHANNELS && {
                     let cand_f1 = channel_frequency(c);
                     let cand = (cand_f1, cand_f1 + Hertz(CHANNEL_SPACING.as_hz() * 3.0));
-                    pair_margin(
-                        &gains,
-                        positions[1],
-                        cand,
-                        positions[0],
-                        pair0,
-                        FLEET_PASSBAND,
-                    )
-                    .value()
+                    pair_margin(&gains, positions[1], cand, positions[0], pair0).value()
                         >= margin.value()
                 }
             })
@@ -508,14 +495,13 @@ mod tests {
         // paper gains — the pair rings at warehouse distances.
         let gains = allocate(&IsolationBudget::fig9(), Db::new(10.0), Dbm::new(-40.0));
         let f1 = Hertz::mhz(915.0);
-        let f2 = f1 + Hertz::mhz(1.0);
+        let f2 = f1 + rfly_core::relay::RelayConfig::SHIFT;
         let m = pair_margin(
             &gains,
             Point2::ORIGIN,
             (f1, f2),
             Point2::new(10.0, 0.0),
             (f1, f2),
-            FLEET_PASSBAND,
         );
         assert!(m.value() < 0.0, "co-channel pair stable?! margin {m}");
     }
@@ -548,8 +534,8 @@ mod tests {
         let (pa, pb) = (Point2::ORIGIN, Point2::new(9.0, 3.0));
         let fa = (Hertz::mhz(903.0), Hertz::mhz(904.5));
         let fb = (Hertz::mhz(917.0), Hertz::mhz(919.0));
-        let m_ab = pair_margin(&gains, pa, fa, pb, fb, FLEET_PASSBAND);
-        let m_ba = pair_margin(&gains, pb, fb, pa, fa, FLEET_PASSBAND);
+        let m_ab = pair_margin(&gains, pa, fa, pb, fb);
+        let m_ba = pair_margin(&gains, pb, fb, pa, fa);
         assert!(
             (m_ab.value() - m_ba.value()).abs() < 1e-9,
             "{m_ab} vs {m_ba}"

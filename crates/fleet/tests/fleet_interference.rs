@@ -11,7 +11,6 @@ use rfly_dsp::units::{Db, Hertz, Meters};
 use rfly_fleet::inventory::{mission_world, run_mission, MissionConfig};
 use rfly_fleet::{assign, partition};
 use rfly_protocol::epc::Epc;
-use rfly_sim::medium::FLEET_PASSBAND;
 use rfly_sim::scene::Scene;
 use rfly_tag::population::TagPopulation;
 use rfly_tag::tag::PassiveTag;
@@ -75,7 +74,6 @@ fn adjacent_shift_pair_is_stable_and_inventories_both_cells() {
                 margin,
                 plan.f1[i],
                 plan.f2(i),
-                FLEET_PASSBAND,
                 &[other],
             ),
             "relay {i} fails the extended stability gate"

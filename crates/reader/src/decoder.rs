@@ -263,6 +263,13 @@ mod tests {
         assert!(d.is_err(), "noise must not decode as a reply");
     }
 
+    /// A 128-bit EPC reply's capture, as a fault-truncated uplink
+    /// burst would cut it short.
+    fn epc_capture() -> Vec<Complex> {
+        let h = Complex::from_polar(0.05, 0.3);
+        capture(&"1100".repeat(32), h, false, 1e-7, 3).1
+    }
+
     #[test]
     fn too_short_capture_rejected() {
         let samples = vec![Complex::from_re(1.0); 64];
@@ -270,6 +277,14 @@ mod tests {
             decode_backscatter(&samples, false, SPS, 16),
             Err(DecodeError::CaptureTooShort { got: 64, .. })
         ));
+        let need = fm0::preamble_waveform(false, SPS).len() + 128 * SPS;
+        let epc = epc_capture();
+        for got in [1, 7, 500] {
+            assert_eq!(
+                decode_backscatter(&epc[..got], false, SPS, 128).err(),
+                Some(DecodeError::CaptureTooShort { got, need })
+            );
+        }
     }
 
     #[test]
@@ -282,6 +297,10 @@ mod tests {
             decode_backscatter(&[], true, SPS, 16),
             Err(DecodeError::EmptyCapture)
         ));
+        assert_eq!(
+            decode_backscatter(&epc_capture()[..0], false, SPS, 128).err(),
+            Some(DecodeError::EmptyCapture)
+        );
     }
 
     #[test]

@@ -23,7 +23,6 @@ use rfly_protocol::epc::Epc;
 use rfly_sim::motion::TagMotion;
 use rfly_sim::scene::Scene;
 use rfly_sim::world::PhasorWorld;
-use rfly_tag::harvester::Harvester;
 use rfly_tag::population::TagPopulation;
 use rfly_tag::tag::PassiveTag;
 
@@ -221,11 +220,7 @@ fn build_tags(spec: &ScenarioSpec, scene: &Scene) -> TagPopulation {
             let mut tag =
                 PassiveTag::new(Epc::from_index(global), seed_base.wrapping_add(global), pos);
             if let Some(threshold) = group.power_up {
-                tag = tag.with_harvester(Harvester::new(
-                    threshold,
-                    rfly_dsp::units::Seconds::new(300e-6),
-                    rfly_dsp::units::Seconds::new(100e-6),
-                ));
+                tag = tag.with_threshold(threshold);
             }
             pop.add(tag, format!("item-{global:04}"));
             global += 1;
@@ -305,6 +300,7 @@ fn place_group(
 mod tests {
     use super::*;
     use crate::parse_str;
+    use rfly_dsp::units::Dbm;
 
     const WAREHOUSE: &str = r#"
 [scenario]
@@ -366,6 +362,21 @@ count = 220
         assert_eq!(c.relay_ids, vec!["r0", "r1", "r2", "r3"]);
         assert!(c.faults.events().is_empty());
         assert!(c.motion.is_empty());
+    }
+
+    #[test]
+    fn power_up_override_lowers_the_group_threshold_only() {
+        let src = format!("{WAREHOUSE}\n[[tag]]\ncount = 3\npower_up_dbm = -20\n");
+        let spec = parse_str(&src).expect("valid");
+        let tags = compile(&spec).expect("compiles").tags();
+        let (default, sensitive) = tags.tags().split_at(220);
+        assert_eq!(sensitive.len(), 3);
+        for t in sensitive {
+            assert!(t.sustains(Dbm::new(-19.99)) && !t.sustains(Dbm::new(-20.01)));
+        }
+        for t in default {
+            assert!(t.sustains(Dbm::new(-15.0)) && !t.sustains(Dbm::new(-15.01)));
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ use rfly_channel::geometry::Point2;
 use rfly_channel::phasor::{coherent_sum, incoherent_power_sum};
 use rfly_core::relay::gains::offset_rejection;
 use rfly_dsp::rng::{xoshiro256pp_step, Rng, StdRng};
-use rfly_dsp::units::{Db, Dbm, Hertz};
+use rfly_dsp::units::{Db, Dbm};
 use rfly_dsp::Complex;
 use rfly_protocol::commands::Command;
 use rfly_protocol::session::Session;
@@ -51,10 +51,6 @@ use rfly_reader::inventory::{Medium, Observation};
 use rfly_tag::tag::PassiveTag;
 
 use crate::world::{PhasorWorld, RelayModel};
-
-/// The chain's passband width seen by an offset interferer: twice the
-/// default `RelayConfig` BPF half-bandwidth (±200 kHz).
-pub const FLEET_PASSBAND: Hertz = Hertz(400e3);
 
 /// One fleet member: a relay build and where its drone hovers.
 #[derive(Debug, Clone)]
@@ -145,7 +141,7 @@ fn relay_output_of(world: &PhasorWorld, relays: &[FleetRelay], h1: &[Complex], i
     let p_in = world.config.tx_power
         + ReaderConfig::ANTENNA_GAIN
         + Db::from_linear(h1[i].norm_sq())
-        + r.antenna_gain;
+        + RelayModel::ANTENNA_GAIN;
     let amplified = p_in + r.gains.downlink;
     Dbm::new(amplified.value().min(r.pa_limit.value()))
 }
@@ -157,7 +153,7 @@ fn effective_downlink_gain(world: &PhasorWorld, relay: &FleetRelay, h1: Complex)
     let p_in = world.config.tx_power
         + ReaderConfig::ANTENNA_GAIN
         + Db::from_linear(h1.norm_sq())
-        + r.antenna_gain;
+        + RelayModel::ANTENNA_GAIN;
     Db::new(
         r.gains
             .downlink
@@ -169,14 +165,14 @@ fn effective_downlink_gain(world: &PhasorWorld, relay: &FleetRelay, h1: Complex)
 /// Radiated downlink EIRP of every relay (output + antenna gain).
 fn fleet_eirps(world: &PhasorWorld, relays: &[FleetRelay], h1: &[Complex]) -> Vec<Dbm> {
     (0..relays.len())
-        .map(|i| relay_output_of(world, relays, h1, i) + relays[i].model.antenna_gain)
+        .map(|i| relay_output_of(world, relays, h1, i) + RelayModel::ANTENNA_GAIN)
         .collect()
 }
 
 /// Interference power reaching the reader through the serving relay's
 /// uplink from every other relay's downlink carrier, attenuated by the
-/// chain filters' Δf rejection across [`FLEET_PASSBAND`]. Linear
-/// milliwatts.
+/// chain filters' Δf rejection
+/// ([`rfly_core::relay::gains::offset_rejection`]). Linear milliwatts.
 fn fleet_leakage_mw(
     world: &PhasorWorld,
     relays: &[FleetRelay],
@@ -191,11 +187,11 @@ fn fleet_leakage_mw(
         let coupling = world.one_way(relays[j].pos, relays[s].pos, jm.f2);
         let offset = jm.f2 - sm.f2;
         let leak = relay_output_of(world, relays, h1, j)
-            + jm.antenna_gain
+            + RelayModel::ANTENNA_GAIN
             + Db::from_linear(coupling.norm_sq())
-            + sm.antenna_gain
+            + RelayModel::ANTENNA_GAIN
             + sm.gains.uplink
-            - offset_rejection(offset, FLEET_PASSBAND)
+            - offset_rejection(offset)
             + reader_side;
         leak.milliwatts()
     }))
@@ -224,7 +220,7 @@ impl RelayLink {
         let mut link = Self {
             g_dl_eff: effective_downlink_gain(world, &relays[serving], h1[serving]),
             output,
-            eirp: output + relays[serving].model.antenna_gain,
+            eirp: output + RelayModel::ANTENNA_GAIN,
             denom: noise_plus_leakage(world, leakage_mw),
             relays,
             serving,
@@ -245,7 +241,7 @@ impl RelayLink {
     /// the noise-plus-leakage floor.
     fn uplink_rows(&self, world: &PhasorWorld) -> Vec<(Db, f64, Complex)> {
         let model = &self.relays[self.serving].model;
-        let (g_ul, ant) = (model.gains.uplink, model.antenna_gain);
+        let (g_ul, ant) = (model.gains.uplink, RelayModel::ANTENNA_GAIN);
         let bs_gain = world.backscatter.gain();
         let reader_gain = ReaderConfig::ANTENNA_GAIN;
         let h1 = self.h1[self.serving];
@@ -393,7 +389,7 @@ enum Link {
 ///    command moves one into `engaged`, so `engaged` always holds every
 ///    live tag that a narrow command could change.
 /// 3. **Every live tag is charged on the first visit.** A sustained,
-///    unpowered tag charges for its full `charge_time` and boots in that
+///    unpowered tag charges for its full `Harvester::CHARGE_TIME` and boots in that
 ///    visit, so skipping it later never skips a harvester step.
 /// 4. **Checked-out lanes are the tag.** A tag in Arbitrate or Reply of
 ///    session S changes only its [`Arbitration`] registers under
@@ -957,7 +953,7 @@ fn fleet_transact(
     // The serving relay's embedded RFID (reserved EPC; the fleet
     // inventory engine filters it out of the global inventory).
     if let Some(reply) = world.embedded.handle(cmd) {
-        let (g_ul, ant) = (model.gains.uplink, model.antenna_gain);
+        let (g_ul, ant) = (model.gains.uplink, RelayModel::ANTENNA_GAIN);
         let h1 = link.h1[link.serving];
         let local = model.embedded_local;
         let p_rx = link.output
@@ -1001,6 +997,7 @@ mod tests {
     use crate::world::{RelayModel, WorldSnapshot};
     use rfly_channel::environment::Environment;
     use rfly_dsp::rng::StdRng;
+    use rfly_dsp::units::Hertz;
     use rfly_protocol::bits::Bits;
     use rfly_protocol::commands::{MemBank, SelectTarget};
     use rfly_protocol::epc::Epc;
@@ -1035,10 +1032,9 @@ mod tests {
             (925.0, Point2::new(48.0, -6.0)),
         ]
         .into_iter()
-        .map(|(mhz, pos)| {
-            let mut model = RelayModel::prototype(Hertz::mhz(mhz));
-            model.f2 = model.f1 + Hertz::mhz(1.0);
-            FleetRelay { model, pos }
+        .map(|(mhz, pos)| FleetRelay {
+            model: RelayModel::prototype(Hertz::mhz(mhz)),
+            pos,
         })
         .collect()
     }
@@ -1141,7 +1137,7 @@ mod tests {
         let model = &link.relays[s].model;
         let g_dl_eff = effective_downlink_gain(world, &link.relays[s], link.h1[s]);
         let output = relay_output_of(world, &link.relays, &link.h1, s);
-        let serving_eirp = output + model.antenna_gain;
+        let serving_eirp = output + RelayModel::ANTENNA_GAIN;
         let relay_phase = if model.mirrored {
             model.hw_constant
         } else {
@@ -1158,7 +1154,7 @@ mod tests {
         );
         let noise_floor = world.config.link_budget().noise_floor();
         let denom = Dbm::from_milliwatts(noise_floor.milliwatts() + link.leakage_mw);
-        let (g_ul, ant) = (model.gains.uplink, model.antenna_gain);
+        let (g_ul, ant) = (model.gains.uplink, RelayModel::ANTENNA_GAIN);
         let replies: Vec<(Complex, Dbm, TagReply)> = world
             .tags
             .tags_mut()

@@ -15,7 +15,7 @@ use rfly_channel::environment::Environment;
 use rfly_channel::geometry::Point2;
 use rfly_core::relay::relay::{Relay, RelayConfig};
 use rfly_dsp::noise::add_awgn;
-use rfly_dsp::units::{Hertz, Seconds};
+use rfly_dsp::units::Seconds;
 use rfly_dsp::Complex;
 use rfly_protocol::commands::Command;
 use rfly_protocol::epc::{parse_epc_reply, parse_rn16, Epc};
@@ -39,11 +39,6 @@ pub struct SampleLink {
     h2: Complex,
     /// Receiver noise power at the reader (linear, per sample).
     pub noise_power: f64,
-    /// Fault hook: caps the number of uplink samples that reach the
-    /// reader (`usize::MAX` = intact). An injected dropout can shorten
-    /// the capture to anything, including zero — which must decode as a
-    /// miss, never panic.
-    pub uplink_capture_limit: usize,
     builder: WaveformBuilder,
     rng: StdRng,
     /// Global sample clock (keeps the relay's shared synthesizers
@@ -64,12 +59,11 @@ impl SampleLink {
     ) -> Self {
         let config = ReaderConfig::usrp_default();
         let relay_cfg = RelayConfig {
-            // Headroom for FM0's lower spectral lobe (see fig10_phase).
-            bpf_half_bw: Hertz::khz(300.0),
+            bpf_half_bw: RelayConfig::FM0_BPF_HALF_BW,
             ..RelayConfig::default()
         };
         let f1 = config.frequency;
-        let f2 = f1 + relay_cfg.shift;
+        let f2 = f1 + RelayConfig::SHIFT;
         let h1 = env.trace(reader_pos, relay_pos, f1).channel(f1);
         let h2 = env.trace(relay_pos, tag_pos, f2).channel(f2);
         Self {
@@ -80,17 +74,9 @@ impl SampleLink {
             h1,
             h2,
             noise_power: 1e-18,
-            uplink_capture_limit: usize::MAX,
             rng: StdRng::seed_from_u64(seed ^ 0x11),
             clock: 0,
         }
-    }
-
-    /// Overrides the propagation phasors (e.g. for wired-bench setups).
-    pub fn with_channels(mut self, h1: Complex, h2: Complex) -> Self {
-        self.h1 = h1;
-        self.h2 = h2;
-        self
     }
 
     /// The model-predicted round-trip channel the reader should estimate
@@ -141,7 +127,6 @@ impl SampleLink {
         if self.noise_power > 0.0 {
             add_awgn(&mut self.rng, &mut at_reader, self.noise_power);
         }
-        at_reader.truncate(self.uplink_capture_limit);
 
         self.clock += tx.len() + 4096;
         decode_backscatter(&at_reader, ReaderConfig::TREXT, sps, n_reply_bits).ok()
@@ -234,19 +219,5 @@ mod tests {
         let mut l = link(5);
         l.noise_power = 1e2; // absurd noise
         assert!(l.singulate().is_none());
-    }
-
-    #[test]
-    fn zero_length_burst_is_a_decode_miss_not_a_panic() {
-        // A fault-truncated uplink capture — down to nothing at all —
-        // must surface as a decode miss.
-        for limit in [0, 1, 7, 500] {
-            let mut l = link(6);
-            l.uplink_capture_limit = limit;
-            assert!(
-                l.singulate().is_none(),
-                "a {limit}-sample capture must not decode"
-            );
-        }
     }
 }

@@ -23,6 +23,7 @@ use rfly_channel::geometry::Point2;
 use rfly_channel::link::Backscatter;
 use rfly_core::relay::embedded_tag::EmbeddedRfid;
 use rfly_core::relay::gains::{allocate, GainPlan, IsolationBudget, PA_COMPRESSION};
+use rfly_core::relay::RelayConfig;
 use rfly_dsp::noise::noise_sample;
 use rfly_dsp::units::{Db, Dbm, Hertz, Seconds};
 use rfly_dsp::Complex;
@@ -39,8 +40,6 @@ pub struct RelayModel {
     pub f2: Hertz,
     /// Gain plan (downlink powers tags; uplink boosts replies).
     pub gains: GainPlan,
-    /// Gain of each relay antenna, dBi.
-    pub antenna_gain: Db,
     /// The constant complex factor of the relay hardware chain
     /// (mirrored architecture: constant; it cancels in Eq. 10).
     pub hw_constant: Complex,
@@ -63,6 +62,9 @@ pub struct RelayModel {
 }
 
 impl RelayModel {
+    /// Gain of each relay antenna, dBi.
+    pub const ANTENNA_GAIN: Db = Db::new(2.0);
+
     /// Builds the model from a measured isolation budget using the
     /// §6.1 allocator (10 dB margin, −40 dBm design input; stronger
     /// inputs are handled by the runtime PA-compression cap).
@@ -72,7 +74,6 @@ impl RelayModel {
             f1,
             f2: f1 + shift,
             gains,
-            antenna_gain: Db::new(2.0),
             hw_constant: Complex::from_polar(1.0, 0.83),
             mirrored: true,
             stability_isolation: budget
@@ -87,7 +88,7 @@ impl RelayModel {
 
     /// The paper-median prototype (Fig. 9 isolations).
     pub fn prototype(f1: Hertz) -> Self {
-        Self::from_budget(f1, Hertz::mhz(1.0), &IsolationBudget::fig9())
+        Self::from_budget(f1, RelayConfig::SHIFT, &IsolationBudget::fig9())
     }
 }
 

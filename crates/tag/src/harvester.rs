@@ -15,31 +15,26 @@ use rfly_dsp::units::{Dbm, Seconds};
 pub struct Harvester {
     /// Minimum incident power for net-positive charging.
     pub threshold: Dbm,
-    /// Time of continuous above-threshold illumination required before
-    /// the chip logic boots, seconds.
-    pub charge_time: Seconds,
-    /// How long a booted chip survives below-threshold power (storage
-    /// capacitor), seconds.
-    pub holdup: Seconds,
     charged_s: f64,
     starved_s: f64,
     powered: bool,
 }
 
 impl Harvester {
-    /// An Alien-Squiggle-class harvester: −15 dBm threshold, ~300 µs
-    /// charge-up, ~100 µs hold-up.
-    pub fn passive_tag() -> Self {
-        Self::new(Dbm::new(-15.0), Seconds::new(300e-6), Seconds::new(100e-6))
-    }
+    /// The off-the-shelf power-up threshold the paper cites \[12\].
+    pub const THRESHOLD: Dbm = Dbm::new(-15.0);
+    /// Time of continuous above-threshold illumination required before
+    /// the chip logic boots.
+    pub const CHARGE_TIME: Seconds = Seconds::new(300e-6);
+    /// How long a booted chip survives below-threshold power (storage
+    /// capacitor).
+    pub const HOLDUP: Seconds = Seconds::new(100e-6);
 
-    /// Creates a harvester with explicit parameters.
-    pub fn new(threshold: Dbm, charge_time: Seconds, holdup: Seconds) -> Self {
-        assert!(charge_time.value() >= 0.0 && holdup.value() >= 0.0);
+    /// An Alien-Squiggle-class harvester: [`Self::THRESHOLD`],
+    /// ~300 µs charge-up, ~100 µs hold-up.
+    pub fn passive_tag() -> Self {
         Self {
-            threshold,
-            charge_time,
-            holdup,
+            threshold: Self::THRESHOLD,
             charged_s: 0.0,
             starved_s: 0.0,
             powered: false,
@@ -62,7 +57,7 @@ impl Harvester {
         if above {
             self.starved_s = 0.0;
             self.charged_s += dt_s;
-            if !self.powered && self.charged_s >= self.charge_time.value() {
+            if !self.powered && self.charged_s >= Self::CHARGE_TIME.value() {
                 self.powered = true;
             }
             false
@@ -70,7 +65,7 @@ impl Harvester {
             self.charged_s = 0.0;
             if self.powered {
                 self.starved_s += dt_s;
-                if self.starved_s > self.holdup.value() {
+                if self.starved_s > Self::HOLDUP.value() {
                     self.powered = false;
                     self.starved_s = 0.0;
                     return true;

@@ -28,9 +28,10 @@ impl PassiveTag {
         }
     }
 
-    /// Overrides the harvester (e.g. a more sensitive chip).
-    pub fn with_harvester(mut self, harvester: Harvester) -> Self {
-        self.harvester = harvester;
+    /// Overrides the harvester's power-up threshold (e.g. a more
+    /// sensitive chip).
+    pub fn with_threshold(mut self, threshold: Dbm) -> Self {
+        self.harvester.threshold = threshold;
         self
     }
 
@@ -116,7 +117,7 @@ impl PassiveTag {
         }
         if !self.harvester.powered() {
             // Steady illumination assumed between commands: charge up.
-            self.harvester.step(incident, self.harvester.charge_time);
+            self.harvester.step(incident, Harvester::CHARGE_TIME);
         }
         self.machine.handle(cmd)
     }

@@ -12,16 +12,17 @@ use rfly::dsp::buffer::add;
 use rfly::dsp::osc::Nco;
 use rfly::dsp::units::{Hertz, Seconds};
 use rfly::dsp::Complex;
+use rfly::reader::config::ReaderConfig;
 use rfly::reader::hopping::HopSequence;
 
 fn main() {
-    let fs = 4e6;
+    let fs = ReaderConfig::SAMPLE_RATE;
     // Baseband view of part of the FCC channel grid around the relay's
     // rough tuning: ±1.5 MHz in 500 kHz steps.
     let grid: Vec<Hertz> = (-3..=3).map(|k| Hertz::khz(500.0 * k as f64)).collect();
 
     // Reader A (strong) at +1.0 MHz; reader B (6 dB weaker) at −0.5 MHz.
-    let mut fd = FrequencyDiscovery::new(grid.clone(), Hertz(fs));
+    let mut fd = FrequencyDiscovery::new(grid.clone());
     let n = fd.sweep_len();
     println!(
         "sweep consumes {} samples = {:.1} ms of signal ({} candidates)",

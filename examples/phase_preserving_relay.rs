@@ -6,7 +6,6 @@
 
 use rfly::core::relay::relay::{Relay, RelayConfig};
 use rfly::dsp::complex::wrap_phase;
-use rfly::dsp::units::Hertz;
 use rfly::dsp::Complex;
 use rfly::protocol::bits::Bits;
 use rfly::protocol::fm0;
@@ -37,7 +36,7 @@ fn relayed_phase(relay: &mut Relay, trial: usize) -> Option<f64> {
 fn main() {
     let cfg = |mirrored| RelayConfig {
         mirrored,
-        bpf_half_bw: Hertz::khz(300.0),
+        bpf_half_bw: RelayConfig::FM0_BPF_HALF_BW,
         ..RelayConfig::default()
     };
 

@@ -9,15 +9,16 @@ use rfly::dsp::goertzel::windowed_power_at;
 use rfly::dsp::osc::Nco;
 use rfly::dsp::units::Hertz;
 use rfly::dsp::Complex;
+use rfly::reader::config::ReaderConfig;
 
-const FS: f64 = 4e6;
+const FS: f64 = ReaderConfig::SAMPLE_RATE;
 
 #[test]
 fn relay_locks_strongest_reader_and_filters_the_rest() {
     // Reader A on the relay's current channel (baseband 0); reader B
     // one FCC channel up (+500 kHz), 8 dB weaker.
     let grid: Vec<Hertz> = (-3..=3).map(|k| Hertz::khz(500.0 * k as f64)).collect();
-    let mut fd = FrequencyDiscovery::new(grid, Hertz(FS));
+    let mut fd = FrequencyDiscovery::new(grid);
     let n = 40_000.max(fd.sweep_len());
     let a = Nco::new(Hertz::khz(0.0), FS).block(n);
     let b: Vec<Complex> = Nco::new(Hertz::khz(500.0), FS)
@@ -39,7 +40,7 @@ fn relay_locks_strongest_reader_and_filters_the_rest() {
     //    passes A and rejects B.
     let mut relay = Relay::new(RelayConfig::default(), 31);
     let out = relay.forward_downlink(&mixed, 0);
-    let shift = relay.config().shift;
+    let shift = RelayConfig::SHIFT;
     let skip = 8192;
     // The relay's synthesizer CFO shifts converted tones by up to a
     // couple of kHz; measure the peak over a small grid (what a
@@ -73,11 +74,11 @@ fn relay_retunes_when_the_locked_reader_hops() {
     // sweep on fresh signal and follows.
     let grid: Vec<Hertz> = (-3..=3).map(|k| Hertz::khz(500.0 * k as f64)).collect();
 
-    let mut fd1 = FrequencyDiscovery::new(grid.clone(), Hertz(FS));
+    let mut fd1 = FrequencyDiscovery::new(grid.clone());
     let sig1 = Nco::new(Hertz::khz(-1000.0), FS).block(fd1.sweep_len());
     assert_eq!(fd1.sweep(&sig1).unwrap().frequency, Hertz::khz(-1000.0));
 
-    let mut fd2 = FrequencyDiscovery::new(grid, Hertz(FS));
+    let mut fd2 = FrequencyDiscovery::new(grid);
     let sig2 = Nco::new(Hertz::khz(1500.0), FS).block(fd2.sweep_len());
     assert_eq!(fd2.sweep(&sig2).unwrap().frequency, Hertz::khz(1500.0));
 }

@@ -42,8 +42,7 @@ fn reader_waveform_is_tag_decodable() {
 fn full_chain_reader_to_tag_to_relay_to_reader() {
     let builder = WaveformBuilder::new();
     let relay_cfg = RelayConfig {
-        // Give FM0's lower spectral lobe headroom through the uplink BPF.
-        bpf_half_bw: Hertz::khz(300.0),
+        bpf_half_bw: RelayConfig::FM0_BPF_HALF_BW,
         ..RelayConfig::default()
     };
     let mut relay = Relay::new(relay_cfg, 77);
