@@ -59,8 +59,14 @@ impl RssiLocalizer {
     /// visited in ascending bound order until the bound exceeds the best
     /// cost; cells are scored with the full scan's expression and ties
     /// broken by (cost, iy, ix), so the result is bit-identical.
+    ///
+    /// Returns `None` when every channel is silent, or when any channel
+    /// or position is not finite.
     pub fn localize(&self, trajectory: &Trajectory, channels: &[Complex]) -> Option<Point2> {
         assert_eq!(trajectory.len(), channels.len());
+        if !trajectory.is_finite() || channels.iter().any(|h| !h.is_finite()) {
+            return None;
+        }
         let ranges: Vec<(Point2, f64)> = trajectory
             .points()
             .iter()
@@ -219,5 +225,21 @@ mod tests {
         let loc = localizer();
         let traj = Trajectory::line(Point2::new(0.0, 0.0), Point2::new(1.0, 0.0), 5);
         assert!(loc.localize(&traj, &[Complex::default(); 5]).is_none());
+    }
+
+    #[test]
+    fn non_finite_inputs_do_not_localize() {
+        let loc = localizer();
+        let traj = Trajectory::line(Point2::new(0.0, 0.0), Point2::new(1.0, 0.0), 11);
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut ch = vec![Complex::from_re(1.0); 11];
+            ch[4] = Complex::new(bad, 0.0);
+            assert!(loc.localize(&traj, &ch).is_none(), "channel {bad}");
+            let mut pts = traj.points().to_vec();
+            pts[7] = Point2::new(0.5, bad);
+            let ch = vec![Complex::from_re(1.0); 11];
+            let off = Trajectory::from_points(pts);
+            assert!(loc.localize(&off, &ch).is_none(), "point {bad}");
+        }
     }
 }

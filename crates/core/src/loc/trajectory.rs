@@ -66,6 +66,14 @@ impl Trajectory {
         self.points.len()
     }
 
+    /// True if every coordinate is finite: a localizer returns no
+    /// estimate from a track with a NaN or infinite position.
+    pub fn is_finite(&self) -> bool {
+        self.points
+            .iter()
+            .all(|p| p.x.is_finite() && p.y.is_finite())
+    }
+
     /// True if the trajectory is a single point (degenerate).
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()

@@ -16,7 +16,7 @@
 //! | Intra-downlink | f₁+50 kHz → downlink  | downlink @ f₁+50 kHz  | RF feed-through |
 //! | Intra-uplink   | f₂+500 kHz → uplink   | uplink @ f₂+500 kHz   | RF feed-through |
 
-use rfly_dsp::goertzel::windowed_power_at;
+use rfly_dsp::goertzel::windowed_peak_power;
 use rfly_dsp::osc::Nco;
 use rfly_dsp::units::{Db, Hertz};
 use rfly_reader::config::ReaderConfig;
@@ -86,12 +86,11 @@ pub fn measure_isolation(relay: &mut Relay, path: InterferencePath) -> Db {
     // measurement keeps the +30 dB forward tone's spectral leakage far
     // below the −110 dB leaks being measured (a real spectrum analyzer's
     // resolution filter does the same job).
-    let out_power = (-25..=25)
-        .map(|k| {
-            windowed_power_at(&out[SKIP..], out_freq + Hertz::hz(k as f64 * 100.0), fs).value()
-        })
-        .fold(f64::MIN, f64::max);
-    let attenuation = Db::new(-out_power);
+    let bins: Vec<Hertz> = (-25..=25)
+        .map(|k| out_freq + Hertz::hz(k as f64 * 100.0))
+        .collect();
+    let out_power = windowed_peak_power(&out[SKIP..], &bins, fs);
+    let attenuation = Db::new(-out_power.value());
     attenuation + gain + antenna
 }
 

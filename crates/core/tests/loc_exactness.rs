@@ -7,6 +7,11 @@
 //! the RSSI oracle is the row-major full scan below. A planted control
 //! reruns the SAR property with a wrong screen threshold and must see
 //! it fail.
+//!
+//! The screen's f32 tier only prunes: the screened map must equal, bit
+//! for bit, the map of the f64 tier run with every cell surviving (a
+//! pruning radius of 0). A planted control doubles the radius and must
+//! see the maps differ.
 
 use rfly_channel::geometry::Point2;
 use rfly_channel::phasor::{Path, PathSet};
@@ -245,4 +250,37 @@ fn planted_control_a_wrong_screen_threshold_is_caught() {
         })
         .count();
     assert!(mismatches >= 1, "the planted threshold went undetected");
+}
+
+/// The cases whose screened map at `radius` × tier 1's pruning radius
+/// differs in any bit from the map with nothing pruned.
+fn radius_mismatches(radius: f64) -> Vec<usize> {
+    let bits = |m: &Heatmap| m.iter().map(|(_, _, _, v)| v.to_bits()).collect::<Vec<_>>();
+    cases()
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| {
+            let pruned =
+                c.sar
+                    .screened_heatmap_with_radius(&c.traj, &c.ch, CANDIDATE_THRESHOLD, radius);
+            let reference =
+                c.sar
+                    .screened_heatmap_with_radius(&c.traj, &c.ch, CANDIDATE_THRESHOLD, 0.0);
+            bits(&pruned) != bits(&reference)
+        })
+        .map(|(i, _)| i)
+        .collect()
+}
+
+#[test]
+fn the_f32_tier_leaves_the_f64_screen_bit_for_bit() {
+    assert_eq!(radius_mismatches(1.0), Vec::<usize>::new());
+}
+
+#[test]
+fn planted_control_a_doubled_pruning_radius_is_caught() {
+    assert!(
+        !radius_mismatches(2.0).is_empty(),
+        "the doubled radius went undetected"
+    );
 }

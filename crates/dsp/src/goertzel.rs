@@ -33,29 +33,39 @@ pub fn power_at(samples: &[Complex], freq: Hertz, sample_rate: f64) -> Db {
     Db::from_linear(goertzel(samples, freq, sample_rate).norm_sq())
 }
 
-/// Power at a single frequency measured through a Hann window, in dB.
+/// The largest power over the bins `freqs`, each measured through a
+/// Hann window, in dB: a spectrum analyzer's max-hold over a grid.
 ///
 /// A rectangular window's spectral leakage floors around −80 dB a few
 /// thousand bins from a strong tone — not good enough when measuring a
 /// −110 dB leak next to a +30 dB forwarded signal (the Fig. 9 isolation
 /// probes). The Hann window trades a 2× wider mainlobe for fast sidelobe
-/// rolloff; the result is normalized by the window's coherent gain so a
+/// rolloff; each bin is normalized by the window's coherent gain so a
 /// unit tone still reads 0 dB.
-pub fn windowed_power_at(samples: &[Complex], freq: Hertz, sample_rate: f64) -> Db {
+///
+/// The window and its sum are computed once per capture. Each bin
+/// accumulates `x · phasor · win` in sample order, so its power has the
+/// same bits as a one-bin call. With no bins the result is `f64::MIN`
+/// dB.
+pub fn windowed_peak_power(samples: &[Complex], freqs: &[Hertz], sample_rate: f64) -> Db {
     assert!(!samples.is_empty(), "cannot analyze an empty buffer");
     let n = samples.len();
-    let w = std::f64::consts::TAU * freq.as_hz() / sample_rate;
-    let rot = Complex::cis(-w);
-    let mut phasor = Complex::from_re(1.0);
-    let mut acc = Complex::default();
-    let mut win_sum = 0.0;
-    for (i, &x) in samples.iter().enumerate() {
-        let win = 0.5 - 0.5 * (std::f64::consts::TAU * i as f64 / (n - 1).max(1) as f64).cos();
-        acc += x * phasor * win;
-        win_sum += win;
-        phasor *= rot;
-    }
-    Db::from_linear((acc / win_sum).norm_sq())
+    let window: Vec<f64> = (0..n)
+        .map(|i| 0.5 - 0.5 * (std::f64::consts::TAU * i as f64 / (n - 1).max(1) as f64).cos())
+        .collect();
+    let win_sum = window.iter().fold(0.0, |sum, w| sum + w);
+    let power = |freq: Hertz| {
+        let w = std::f64::consts::TAU * freq.as_hz() / sample_rate;
+        let rot = Complex::cis(-w);
+        let mut phasor = Complex::from_re(1.0);
+        let mut acc = Complex::default();
+        for (&x, &win) in samples.iter().zip(&window) {
+            acc += x * phasor * win;
+            phasor *= rot;
+        }
+        Db::from_linear((acc / win_sum).norm_sq()).value()
+    };
+    Db::new(freqs.iter().map(|&f| power(f)).fold(f64::MIN, f64::max))
 }
 
 #[cfg(test)]
@@ -99,6 +109,21 @@ mod tests {
             .collect();
         let p = power_at(&x, Hertz::khz(10.0), FS);
         assert!((p.value() + 20.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn windowed_peak_finds_the_tone_in_its_grid() {
+        let x = Nco::new(Hertz::khz(125.3), FS).block(4000);
+        let grid = |center: f64| -> Vec<Hertz> {
+            (-5..=5)
+                .map(|k| Hertz::hz(center + f64::from(k) * 100.0))
+                .collect()
+        };
+        let on = windowed_peak_power(&x, &grid(125e3), FS);
+        assert!(on.value().abs() < 1e-9, "on-grid peak {on}");
+        let off = windowed_peak_power(&x, &grid(175e3), FS);
+        assert!(off.value() < -60.0, "off-grid peak {off}");
+        assert_eq!(windowed_peak_power(&x, &[], FS).value(), f64::MIN);
     }
 
     #[test]

@@ -25,14 +25,18 @@ echo "== medium tests in release (arbitration lanes, DESIGN.md §10.5) =="
 # release, beside the debug run above that keeps the debug_assert!s.
 cargo test --release --offline -p rfly-sim --lib -q medium::
 
-echo "== localization tests in release (vectorised SAR screen, DESIGN.md §4 item 6) =="
-# Likewise the SAR screen's inner loop: the kernel's error bound, the
-# per-cell screen bound and its planted control, and the exactness
-# differential against the exhaustive oracles run again where the
+echo "== localization tests in release (two-tier SAR screen: f32 prune, f64 bound; DESIGN.md §4 item 6) =="
+# Likewise the SAR screen's two vectorised tiers: the f32 pruning
+# tier and the f64 bounding tier. Their kernels' error bounds, the
+# per-cell bounds of both tiers and their planted controls, the
+# exactness differential against the exhaustive oracles, the
+# differential of the pruned screen against the f64 tier alone, and
+# the committed work totals of tests/sar_screen.rs run again where the
 # screen is vectorised. A name filter of `loc` alone would skip
 # loc_exactness, whose test names do not contain it.
 cargo test --release --offline -p rfly-core -q loc
 cargo test --release --offline -p rfly-core -q --test loc_exactness
+cargo test --release --offline --test sar_screen
 
 echo "== float writer sweep in release (DESIGN.md §9.1) =="
 # Every committed artifact prints its floats through

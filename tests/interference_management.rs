@@ -5,7 +5,7 @@
 use rfly::core::relay::freq_discovery::FrequencyDiscovery;
 use rfly::core::relay::relay::{Relay, RelayConfig};
 use rfly::dsp::buffer::add;
-use rfly::dsp::goertzel::windowed_power_at;
+use rfly::dsp::goertzel::windowed_peak_power;
 use rfly::dsp::osc::Nco;
 use rfly::dsp::units::Hertz;
 use rfly::dsp::Complex;
@@ -46,16 +46,10 @@ fn relay_locks_strongest_reader_and_filters_the_rest() {
     // couple of kHz; measure the peak over a small grid (what a
     // spectrum analyzer's max-hold does).
     let peak_around = |center: Hertz| -> f64 {
-        (-25..=25)
-            .map(|k| {
-                windowed_power_at(
-                    &out[skip..],
-                    Hertz::hz(center.as_hz() + k as f64 * 100.0),
-                    FS,
-                )
-                .value()
-            })
-            .fold(f64::MIN, f64::max)
+        let bins: Vec<Hertz> = (-25..=25)
+            .map(|k| Hertz::hz(center.as_hz() + k as f64 * 100.0))
+            .collect();
+        windowed_peak_power(&out[skip..], &bins, FS).value()
     };
     let a_fwd = peak_around(shift);
     let b_leak = peak_around(Hertz::hz(shift.as_hz() + 500e3));

@@ -9,10 +9,14 @@
 //! bound can move an estimate off the oracle's bits; one that loosens or
 //! tightens the screen moves `loc.sar.cells_exact`, whose expected
 //! total is committed here.
+//!
+//! The screen's first tier, an f32 pass with a certified error,
+//! prunes cells before the f64 bound; `loc.sar.cells_f64` counts the
+//! cells that reach the f64 tier, and its total is committed too.
 
 use rfly::channel::geometry::Point2;
 use rfly::channel::phasor::{Path, PathSet};
-use rfly::core::loc::peaks::select_nearest_peak;
+use rfly::core::loc::peaks::{select_nearest_peak, CANDIDATE_THRESHOLD};
 use rfly::core::loc::sar::SarLocalizer;
 use rfly::core::loc::trajectory::Trajectory;
 use rfly::dsp::rng::{Rng, StdRng};
@@ -67,14 +71,26 @@ fn trial(rng: &mut StdRng, kind: usize) -> (Trajectory, Vec<Complex>) {
     (traj, ch)
 }
 
+/// The localizer the trials run through.
+fn localizer() -> SarLocalizer {
+    SarLocalizer::new(F2, Point2::new(-0.5, 0.05), Point2::new(3.0, 3.0), 0.04)
+}
+
+/// The four seeded trials, one of each kind.
+fn trials() -> Vec<(Trajectory, Vec<Complex>)> {
+    let mut rng = StdRng::seed_from_u64(0x5A12_0030);
+    (0..4).map(|kind| trial(&mut rng, kind)).collect()
+}
+
+/// The committed number of cells the f64 tier bounds over [`trials`].
+const CELLS_F64: u64 = 1_053;
+
 #[test]
 fn screened_sar_matches_the_exhaustive_search_with_the_committed_work() {
-    let sar = SarLocalizer::new(F2, Point2::new(-0.5, 0.05), Point2::new(3.0, 3.0), 0.04);
-    let mut rng = StdRng::seed_from_u64(0x5A12_0030);
+    let sar = localizer();
     rfly::obs::install(rfly::obs::Recorder::new("sar-screen"));
     let mut estimates = Vec::new();
-    for kind in 0..4 {
-        let (traj, ch) = trial(&mut rng, kind);
+    for (traj, ch) in trials() {
         let (est, _) = sar.localize(&traj, &ch).expect("localizes");
         estimates.push((traj, ch, est));
     }
@@ -96,4 +112,20 @@ fn screened_sar_matches_the_exhaustive_search_with_the_committed_work() {
         ],
         [("loc.sar.passes", 4), ("loc.sar.cells_exact", 1_052)]
     );
+    assert_eq!(counter("loc.sar.cells_f64"), CELLS_F64);
+}
+
+#[test]
+fn planted_control_a_halved_pruning_radius_moves_the_f64_work() {
+    // Tier 1 pruning with half its radius keeps cells it could have
+    // dropped: the estimates stay exact, but the committed f64 work
+    // total must catch the change.
+    let sar = localizer();
+    rfly::obs::install(rfly::obs::Recorder::new("sar-screen-control"));
+    for (traj, ch) in trials() {
+        let _ = sar.screened_heatmap_with_radius(&traj, &ch, CANDIDATE_THRESHOLD, 0.5);
+    }
+    let counters = rfly::obs::take().expect("recorder installed").counters;
+    let f64_cells = counters.get("loc.sar.cells_f64").copied().unwrap_or(0);
+    assert_ne!(f64_cells, CELLS_F64, "the halved radius went undetected");
 }
