@@ -180,6 +180,26 @@ impl SarLocalizer {
     /// the first row-major maximum (the anchor), `L` and the refined
     /// cells are bit-identical to a screen without tier 1.
     ///
+    /// Why tier 1's stages change none of that. Tier 1 stops summing a
+    /// cell once the rest of the aperture cannot lift it to
+    /// `cut = radius·(prune rule at M_lo)`, where `M_lo ≤ M` is the
+    /// largest `|Ŝ₃₂|` among a few seed cells (see [`Self::bound32`]).
+    /// For every `radius` in \[0, 1\] (1 in production; 0 prunes
+    /// nothing, the reference):
+    /// - `cut ≤ prune_below`: both come from one function of the top
+    ///   value, and every step of it (a difference, products with
+    ///   non-negative factors) rounds monotonically, so `M_lo ≤ M`
+    ///   carries through;
+    /// - a cell dropped early has its full `|Ŝ₃₂|` below `cut`, hence
+    ///   below `prune_below`: tier 2 prunes it in a screen without
+    ///   stages too, and it reads 0 here as there;
+    /// - every other cell sums its remaining measurements in the same
+    ///   f32 operation order, so its `|Ŝ₃₂|` has the same bits.
+    ///   The cell holding `M` is never dropped (`M ≥ prune_below ≥
+    ///   cut`), so `M`, `prune_below`, tier 2's survivors, the anchor,
+    ///   `L` and the refined cells are bit-identical to a tier 1
+    ///   without stages.
+    ///
     /// A degenerate map (`L ≤ 0` or not finite) falls back to
     /// [`Self::heatmap`]. A bound that is NaN is never pruned.
     #[doc(hidden)]
@@ -212,12 +232,16 @@ impl SarLocalizer {
         );
         let slack = SCREEN_SLACK * channels.iter().map(|h| h.abs()).sum::<f64>();
         let mut map = self.empty_map();
-        let prune_below = match self.bound32(&mut map, trajectory, channels) {
-            Some(e32) => {
+        let prune = Prune {
+            threshold,
+            radius,
+            tail: 1.0,
+        };
+        let prune_below = match self.bound32(&mut map, trajectory, channels, prune) {
+            Some((e32, terms)) => {
+                rfly_obs::counter_add("loc.sar.tier1_terms", terms);
                 let top = map.iter().map(|(_, _, _, a)| a).fold(0.0, f64::max);
-                let margin = e32 + 2.0 * SCREEN_SLACK;
-                let floor = threshold.min(1.0).sqrt() * (top - margin) * (1.0 - 1e-9);
-                radius * (floor - margin)
+                prune.below(top, e32)
             }
             None => f64::NEG_INFINITY,
         };
@@ -249,23 +273,51 @@ impl SarLocalizer {
     }
 
     /// Tier 1 of [`Self::screened_heatmap`]: writes `|Ŝ₃₂|/Σ|hₖ|` into
-    /// every cell of `map` and returns `e₃₂`, so that `|Ŝ₃₂| + ε` with
-    /// `ε = Σ|hₖ|·e₃₂` is at least the exact `|S|`. `Ŝ₃₂` is Eq. 12's
-    /// sum in f32: coordinates relative to `region_min` in units of the
-    /// table step, channels scaled by `1/Σ|hₖ|`, and every phasor from
-    /// [`table_cis32`]. Returns `None`, leaving `map` at 0, when `Σ|hₖ|`
-    /// is not positive and finite, a coordinate is not finite, or the
-    /// extent leaves the kernel's domain; then every cell survives.
+    /// every cell of `map` that can reach `prune`'s cut, 0 into every
+    /// other, and returns `e₃₂` and the number of cell × measurement
+    /// phasors evaluated. `|Ŝ₃₂| + ε` with `ε = Σ|hₖ|·e₃₂` is at least
+    /// the exact `|S|`. `Ŝ₃₂` is Eq. 12's sum in f32: coordinates
+    /// relative to `region_min` in units of the table step, channels
+    /// scaled by `1/Σ|hₖ|`, and every phasor from [`table_cis32`].
+    /// Returns `None`, leaving `map` at 0, when `Σ|hₖ|` is not positive
+    /// and finite, a coordinate is not finite, or the extent leaves the
+    /// kernel's domain; then every cell survives.
+    ///
+    /// From [`MIN_STAGED_K`] measurements on, the sum runs in stages
+    /// over the measurements, in their order, with boundaries at the
+    /// fractions [`STAGES`] of K (with fewer, every cell sums whole):
+    /// 1. every cell sums the first stage, and its partial `(re, im)`
+    ///    waits, packed, in the cell's own f64 slot of `map`;
+    /// 2. in each row of each column block, the cell with the largest
+    ///    partial is summed to the end, a seed, unless the rest of the
+    ///    aperture cannot lift it past the seeds before it. `M_lo`, the
+    ///    largest seed, is a full `|Ŝ₃₂|` of some cell, so `M_lo ≤ M`,
+    ///    and `cut = prune.below(M_lo, e₃₂)`;
+    /// 3. at each boundary `j` a cell is dropped when
+    ///    `|Ŝ₃₂,j| + Tⱼ + 2·e₃₂ < cut`, with `Tⱼ = Σ_{k≥j} |hₖ|/Σ|hₖ|`
+    ///    the unsummed tail; the survivors sum the next stage.
+    ///
+    /// The drop is sound: `|Ŝ₃₂,j|` is within `e₃₂` of the exact
+    /// partial `|Sⱼ|/Σ|hₖ|` (the derivation at [`table_cis32`], run over
+    /// `j ≤ K` terms), the exact `|S| ≤ |Sⱼ| + Σ_{k≥j} |hₖ|`, and the full
+    /// `|Ŝ₃₂|` is within `e₃₂` of `|S|/Σ|hₖ|`; so the full value is at
+    /// most `|Ŝ₃₂,j| + Tⱼ + 2·e₃₂`. The rounding of `Tⱼ` (≤ K·2⁻⁵³) and of
+    /// the test itself (made in squares, a few 2⁻⁵³ relative) fit in
+    /// what `e₃₂` rounds up (≥ u·(0.58·K + 1.7) per copy). A dropped
+    /// cell's full value is below `cut`; a cell whose partial is NaN is
+    /// never dropped. `prune.tail` weighs `Tⱼ + 2·e₃₂`: 1, or a planted
+    /// fault.
     #[expect(
         clippy::disallowed_types,
-        reason = "an f32 prefilter certified by e₃₂; every kept value is f64"
+        reason = "an f32 prefilter certified by e₃₂; every value it leaves is f64"
     )]
     fn bound32(
         &self,
         map: &mut Heatmap,
         trajectory: &Trajectory,
         channels: &[Complex],
-    ) -> Option<f64> {
+        prune: Prune,
+    ) -> Option<(f64, u64)> {
         let sum: f64 = channels.iter().map(|h| h.abs()).sum();
         let steps = 2.0 * std::f64::consts::TAU * self.frequency.as_hz() / SPEED_OF_LIGHT / STEP;
         let origin = self.region_min;
@@ -281,17 +333,42 @@ impl SarLocalizer {
         if !(sum > 0.0 && sum.is_finite() && finite && extent < DOMAIN32) {
             return None;
         }
+        let k = channels.len();
+        let e32 = U32 * (13.0 * extent * STEP + 2.0 * k as f64 + 8.0);
 
         // Column blocks on the stack: tier 1 allocates nothing.
-        const BLOCK: usize = 128;
+        const BLOCK: usize = 256;
         let inv = 1.0 / sum;
-        let meas = || {
-            pts.clone().zip(channels).map(move |((x, y), h)| {
-                [x as f32, y as f32, (h.re * inv) as f32, (h.im * inv) as f32]
-            })
+        // Measurements `a..b`, rounded to f32 as tier 1 sums them.
+        let meas = |a: usize, b: usize| {
+            pts.clone()
+                .zip(channels)
+                .take(b)
+                .skip(a)
+                .map(move |((x, y), h)| {
+                    [x as f32, y as f32, (h.re * inv) as f32, (h.im * inv) as f32]
+                })
         };
         let table = cis_table().map(|(c, s)| (c as f32, s as f32));
+        let staged = k >= MIN_STAGED_K;
+        let stops = if staged {
+            STAGES.map(|s| k * s / 8)
+        } else {
+            [k; STAGES.len()]
+        };
+        // Tⱼ + 2·e₃₂ at each boundary: how far the rest of the aperture
+        // can lift a partial sum.
+        let tails = stops.map(|j| {
+            let tail: f64 = channels[j..].iter().map(|h| h.abs() * inv).sum();
+            tail + 2.0 * e32
+        });
         let (mut xs, mut re, mut im) = ([0.0f32; BLOCK], [0.0f32; BLOCK], [0.0f32; BLOCK]);
+        let mut cols = [0usize; BLOCK];
+        let mut terms = 0u64;
+
+        // The first stage and the seeds. A row's best partial that
+        // cannot pass `M_lo` is not summed on.
+        let mut m_lo = 0.0f64;
         for x0 in (0..nx).step_by(BLOCK) {
             let n = BLOCK.min(nx - x0);
             let (xs, re, im) = (&mut xs[..n], &mut re[..n], &mut im[..n]);
@@ -302,23 +379,77 @@ impl SarLocalizer {
                 let y = at(map.position(0, iy)).1 as f32;
                 re.fill(0.0);
                 im.fill(0.0);
-                for [px, py, hr, hi] in meas() {
-                    let dy = y - py;
-                    let dy2 = dy * dy;
-                    for ((x, r), i) in xs.iter().zip(&mut *re).zip(&mut *im) {
-                        let dx = x - px;
-                        let (c, s) = table_cis32(&table, (dx * dx + dy2).sqrt());
-                        *r += hr * c - hi * s;
-                        *i += hr * s + hi * c;
+                sum32(&table, xs, re, im, y, meas(0, stops[0]));
+                terms += (n * stops[0]) as u64;
+                if !staged {
+                    for (j, (&r, &i)) in re.iter().zip(im.iter()).enumerate() {
+                        map.set(x0 + j, iy, modulus(r, i));
+                    }
+                    continue;
+                }
+                let mut best = (0, norm32(re[0], im[0]));
+                for j in 1..n {
+                    let v = norm32(re[j], im[j]);
+                    if v > best.1 {
+                        best = (j, v);
                     }
                 }
+                if best.1.sqrt() + tails[0] > m_lo {
+                    let (j, rest) = (best.0, meas(stops[0], k));
+                    let (mut r, mut i) = ([re[j]], [im[j]]);
+                    sum32(&table, &xs[j..=j], &mut r, &mut i, y, rest);
+                    terms += (k - stops[0]) as u64;
+                    m_lo = m_lo.max(modulus(r[0], i[0]));
+                }
                 for (j, (&r, &i)) in re.iter().zip(im.iter()).enumerate() {
-                    let (r, i) = (f64::from(r), f64::from(i));
-                    map.set(x0 + j, iy, (r * r + i * i).sqrt());
+                    map.set(x0 + j, iy, pack(r, i));
                 }
             }
         }
-        Some(U32 * (13.0 * extent * STEP + 2.0 * channels.len() as f64 + 8.0))
+
+        if !staged {
+            return Some((e32, terms));
+        }
+
+        // The later stages, each over the cells the previous left alive.
+        // A cell stops at boundary j when `|Ŝ₃₂,j| < cut − tailⱼ`,
+        // compared in squares; a boundary whose tail alone reaches the
+        // cut stops nothing.
+        let cut = prune.below(m_lo, e32);
+        let lims = tails.map(|tail| cut - prune.tail * tail);
+        for x0 in (0..nx).step_by(BLOCK) {
+            let n = BLOCK.min(nx - x0);
+            for iy in 0..ny {
+                let y = at(map.position(0, iy)).1 as f32;
+                for j in 0..n {
+                    (cols[j], xs[j]) = (x0 + j, at(map.position(x0 + j, 0)).0 as f32);
+                    (re[j], im[j]) = unpack(map.get(x0 + j, iy));
+                    map.set(x0 + j, iy, 0.0);
+                }
+                let mut live = n;
+                for (&lim, w) in lims.iter().zip(stops.windows(2)) {
+                    if lim > 0.0 {
+                        // Branch-free compaction: a dropped cell is
+                        // overwritten by the next survivor.
+                        let mut kept = 0;
+                        for j in 0..live {
+                            let dropped = norm32(re[j], im[j]) < lim * lim;
+                            (cols[kept], xs[kept]) = (cols[j], xs[j]);
+                            (re[kept], im[kept]) = (re[j], im[j]);
+                            kept += usize::from(!dropped);
+                        }
+                        live = kept;
+                    }
+                    let (xs, re, im) = (&xs[..live], &mut re[..live], &mut im[..live]);
+                    sum32(&table, xs, re, im, y, meas(w[0], w[1]));
+                    terms += (live * (w[1] - w[0])) as u64;
+                }
+                for j in 0..live {
+                    map.set(cols[j], iy, modulus(re[j], im[j]));
+                }
+            }
+        }
+        Some((e32, terms))
     }
 
     /// Tier 2 of [`Self::screened_heatmap`]: every cell of `map` whose
@@ -391,6 +522,102 @@ impl SarLocalizer {
 /// covers every φ below ~5e9 rad (a 130,000 km round trip at 916 MHz)
 /// with room to spare.
 const SCREEN_SLACK: f64 = 1e-6;
+
+/// Tier 1's stage boundaries, in eighths of the K measurements (each
+/// rounded down): a cell is tested at ½, ⅝, ¾ and ⅞ of K, and the last
+/// entry is K itself. No cell can stop much before ½: with the refine
+/// threshold 0.35 the cut is at most √0.35 ≈ 0.59 of Σ|hₖ|, and with
+/// equal `|hₖ|` the tail alone exceeds that until ~0.41·K.
+const STAGES: [usize; 5] = [4, 5, 6, 7, 8];
+
+/// The fewest measurements tier 1 sums in stages: from 16 on, every
+/// later stage sums at least two. With fewer (the supervisor's scene
+/// grids fly 4–5), packing the partials and testing each boundary
+/// cost more than the stages save, and tier 1 sums every cell whole.
+const MIN_STAGED_K: usize = 16;
+
+/// Tier 1's pruning rule: the refine `threshold` and the pruning
+/// `radius` of [`SarLocalizer::screened_heatmap_with_radius`], and the
+/// weight of a stage's unsummed tail, 1 (any other `tail` is a planted
+/// fault).
+#[derive(Debug, Clone, Copy)]
+struct Prune {
+    threshold: f64,
+    radius: f64,
+    tail: f64,
+}
+
+impl Prune {
+    /// The `|Ŝ₃₂|/Σ|hₖ|` below which a cell provably stays below the
+    /// refine cut, given `e₃₂` and a `top` no larger than the largest
+    /// tier-1 value (see [`SarLocalizer::screened_heatmap`]). Monotone
+    /// in `top`, also as rounded.
+    fn below(self, top: f64, e32: f64) -> f64 {
+        let margin = e32 + 2.0 * SCREEN_SLACK;
+        let floor = self.threshold.min(1.0).sqrt() * (top - margin) * (1.0 - 1e-9);
+        self.radius * (floor - margin)
+    }
+}
+
+/// Adds the measurements `meas` (`[x, y, re h, im h]`, as tier 1 scales
+/// them) to the f32 sums `re`, `im` of the cells at `xs` in the row at
+/// `y`, one measurement after another: every cell sums in the same
+/// order whatever slice it sits in.
+#[expect(
+    clippy::disallowed_types,
+    reason = "tier 1's sum: an f32 prefilter certified by e₃₂"
+)]
+#[inline(always)]
+fn sum32(
+    table: &[(f32, f32); TABLE_LEN],
+    xs: &[f32],
+    re: &mut [f32],
+    im: &mut [f32],
+    y: f32,
+    meas: impl Iterator<Item = [f32; 4]>,
+) {
+    for [px, py, hr, hi] in meas {
+        let dy = y - py;
+        let dy2 = dy * dy;
+        for ((x, r), i) in xs.iter().zip(&mut *re).zip(&mut *im) {
+            let dx = x - px;
+            let (c, s) = table_cis32(table, (dx * dx + dy2).sqrt());
+            *r += hr * c - hi * s;
+            *i += hr * s + hi * c;
+        }
+    }
+}
+
+/// `|re + j·im|²` in f64, where both squares are exact.
+#[expect(clippy::disallowed_types, reason = "reads tier 1's f32 sums")]
+#[inline(always)]
+fn norm32(re: f32, im: f32) -> f64 {
+    let (r, i) = (f64::from(re), f64::from(im));
+    r * r + i * i
+}
+
+/// `|re + j·im|` in f64, as tier 1 stores it.
+#[expect(clippy::disallowed_types, reason = "reads tier 1's f32 sums")]
+#[inline(always)]
+fn modulus(re: f32, im: f32) -> f64 {
+    norm32(re, im).sqrt()
+}
+
+/// A partial tier-1 sum, bit for bit, in one f64 slot of the heatmap.
+#[expect(clippy::disallowed_types, reason = "keeps tier 1's f32 sums")]
+fn pack(re: f32, im: f32) -> f64 {
+    f64::from_bits(u64::from(re.to_bits()) << 32 | u64::from(im.to_bits()))
+}
+
+/// The inverse of [`pack`].
+#[expect(clippy::disallowed_types, reason = "reads tier 1's f32 sums")]
+fn unpack(v: f64) -> (f32, f32) {
+    let bits = v.to_bits();
+    (
+        f32::from_bits((bits >> 32) as u32),
+        f32::from_bits(bits as u32),
+    )
+}
 
 /// Entries in the phasor table of [`table_cis`]: `2πj/256`, j = 0‥255.
 /// A power of two, so `n mod 256` is a mask of the rounded quotient.
@@ -825,11 +1052,19 @@ mod tests {
         assert!(bound_violations(0.0) >= 1, "the zero slack went undetected");
     }
 
-    /// Cells where tier 1's `|Ŝ₃₂| + scale·ε` sits below the exact
-    /// `√P`, over [`bound_cases`] on the unit-test grid, a scene-scale
-    /// 40 × 30 m grid at 0.5 m and the same cases offset 1.5 km from the
-    /// origin.
-    fn tier1_violations(scale: f64) -> usize {
+    /// Tier 1's rule at the production threshold and `radius`, with the
+    /// tail weighted by `tail`.
+    fn prune(radius: f64, tail: f64) -> Prune {
+        Prune {
+            threshold: peaks::CANDIDATE_THRESHOLD,
+            radius,
+            tail,
+        }
+    }
+
+    /// [`bound_cases`] on the unit-test grid, on a scene-scale 40 × 30 m
+    /// grid at 0.5 m, and offset 1.5 km from the origin.
+    fn tier1_runs() -> Vec<(SarLocalizer, Trajectory, Vec<Complex>)> {
         let near = SarLocalizer::new(F2, Point2::new(-0.5, -0.5), Point2::new(3.0, 3.0), 0.04);
         let scene = SarLocalizer::new(F2, Point2::new(-2.0, -1.0), Point2::new(38.0, 29.0), 0.5);
         let far = Point2::new(1_200.0, -900.0);
@@ -855,11 +1090,20 @@ mod tests {
             runs.push((scene.clone(), stretched, ch.clone()));
             runs.push((offset.clone(), moved(&traj), ch));
         }
-        runs.iter()
+        runs
+    }
+
+    /// Cells where tier 1's `|Ŝ₃₂| + scale·ε` sits below the exact
+    /// `√P`, over [`tier1_runs`], with nothing pruned.
+    fn tier1_violations(scale: f64) -> usize {
+        tier1_runs()
+            .iter()
             .map(|(loc, traj, ch)| {
                 let sum: f64 = ch.iter().map(|h| h.abs()).sum();
                 let mut map = loc.empty_map();
-                let e32 = loc.bound32(&mut map, traj, ch).expect("inside the domain");
+                let (e32, _) = loc
+                    .bound32(&mut map, traj, ch, prune(0.0, 1.0))
+                    .expect("inside the domain");
                 map.iter()
                     .filter(|&(_, _, p, a)| {
                         (a + scale * e32) * sum < loc.score_at(p, traj, ch).sqrt()
@@ -879,24 +1123,171 @@ mod tests {
         assert!(tier1_violations(0.0) >= 1, "ε = 0 went undetected");
     }
 
+    /// Every cell's `|Ŝ₃₂|/Σ|hₖ|`, summed one cell at a time straight
+    /// through all K measurements: tier 1 without blocks or stages.
+    #[expect(clippy::disallowed_types, reason = "the f32 reference of tier 1")]
+    fn straight32(loc: &SarLocalizer, traj: &Trajectory, ch: &[Complex]) -> Heatmap {
+        let inv = 1.0 / ch.iter().map(|h| h.abs()).sum::<f64>();
+        let steps = 2.0 * std::f64::consts::TAU * loc.frequency.as_hz() / SPEED_OF_LIGHT / STEP;
+        let at = |p: Point2| {
+            let o = loc.region_min;
+            (((p.x - o.x) * steps) as f32, ((p.y - o.y) * steps) as f32)
+        };
+        let meas: Vec<[f32; 4]> = traj
+            .points()
+            .iter()
+            .zip(ch)
+            .map(|(&p, h)| [at(p).0, at(p).1, (h.re * inv) as f32, (h.im * inv) as f32])
+            .collect();
+        let table = cis_table().map(|(c, s)| (c as f32, s as f32));
+        let mut map = loc.empty_map();
+        for iy in 0..map.ny() {
+            for ix in 0..map.nx() {
+                let (x, y) = at(map.position(ix, iy));
+                let (mut re, mut im) = ([0.0f32], [0.0f32]);
+                sum32(&table, &[x], &mut re, &mut im, y, meas.iter().copied());
+                map.set(ix, iy, modulus(re[0], im[0]));
+            }
+        }
+        map
+    }
+
+    /// Cells where tier 1, its tail weighted by `tail`, breaks the
+    /// stage contract over `runs`: a value that differs in any bit
+    /// from [`straight32`], other than a 0 where the rule without
+    /// stages prunes too. Also returns the phasors tier 1 evaluated.
+    fn stage_mismatches(
+        runs: &[(SarLocalizer, Trajectory, Vec<Complex>)],
+        tail: f64,
+    ) -> (usize, u64) {
+        let mut out = (0, 0);
+        for (loc, traj, ch) in runs {
+            let full = straight32(loc, traj, ch);
+            let mut staged = loc.empty_map();
+            let (e32, terms) = loc
+                .bound32(&mut staged, traj, ch, prune(1.0, tail))
+                .expect("inside the domain");
+            let top = full.iter().map(|(_, _, _, a)| a).fold(0.0, f64::max);
+            let below = prune(1.0, 1.0).below(top, e32);
+            out.0 += full
+                .iter()
+                .zip(staged.iter())
+                .filter(|&((.., a), (.., b))| {
+                    a.to_bits() != b.to_bits() && !(b == 0.0 && a < below)
+                })
+                .count();
+            out.1 += terms;
+        }
+        out
+    }
+
+    /// Line-of-sight trials on the unit-test grid with K = 1, 2, 3, 5
+    /// and 8 (summed whole) and 16, 17, 19 and 23 (in stages whose
+    /// boundaries round down), and a noisy one.
+    fn short_runs() -> Vec<(SarLocalizer, Trajectory, Vec<Complex>)> {
+        use rfly_dsp::rng::{Rng, StdRng};
+        let mut rng = StdRng::seed_from_u64(0x57A6E);
+        let loc = SarLocalizer::new(F2, Point2::new(-0.5, -0.5), Point2::new(3.0, 3.0), 0.04);
+        let tag = Point2::new(1.1, 1.3);
+        let mut runs: Vec<_> = [1usize, 2, 3, 5, 8, 16, 17, 19, 23]
+            .iter()
+            .map(|&k| {
+                let line = Trajectory::line(Point2::new(0.2, 0.0), Point2::new(2.4, 0.1), 23);
+                let traj = Trajectory::from_points(line.points()[..k].to_vec());
+                let ch = channels_for(tag, &traj);
+                (loc.clone(), traj, ch)
+            })
+            .collect();
+        let traj = Trajectory::line(Point2::new(0.0, 0.0), Point2::new(2.5, 0.0), 33);
+        let noisy = channels_for(tag, &traj)
+            .into_iter()
+            .map(|h| h + Complex::new(rng.gen_range(-0.8..0.8), rng.gen_range(-0.8..0.8)))
+            .collect();
+        runs.push((loc, traj, noisy));
+        runs
+    }
+
+    #[test]
+    fn staged_tier1_keeps_every_survivor_bit_for_bit() {
+        assert_eq!(stage_mismatches(&tier1_runs(), 1.0).0, 0);
+        assert_eq!(stage_mismatches(&short_runs(), 1.0).0, 0);
+        // The stages cut the work of every run long enough to stage
+        // below 70% of its cells × K.
+        let long: Vec<_> = tier1_runs()
+            .into_iter()
+            .filter(|(_, traj, _)| traj.len() >= MIN_STAGED_K)
+            .collect();
+        let all: u64 = long
+            .iter()
+            .map(|(loc, traj, _)| {
+                let map = loc.empty_map();
+                (map.nx() * map.ny() * traj.len()) as u64
+            })
+            .sum();
+        let (_, terms) = stage_mismatches(&long, 1.0);
+        assert!(terms * 10 < all * 7, "{terms} of {all} phasors");
+    }
+
+    #[test]
+    fn planted_control_stages_without_their_tail_are_caught() {
+        let (mismatches, _) = stage_mismatches(&tier1_runs(), 0.0);
+        assert!(
+            mismatches >= 1,
+            "pruning on the partial sum went undetected"
+        );
+    }
+
+    #[test]
+    fn a_weak_peak_drops_nothing_early() {
+        // The last measurement carries nearly all of Σ|hₖ|, so every
+        // cell's |S| sits near it: no peak stands out, and the tail
+        // keeps every cell alive at every boundary.
+        let (traj, mut ch) = bound_cases()[1].clone();
+        let k = ch.len();
+        assert!(k >= MIN_STAGED_K, "K = {k} is summed whole");
+        for h in &mut ch[..k - 1] {
+            *h *= 1e-3;
+        }
+        let runs = vec![(localizer(), traj.clone(), ch.clone())];
+        assert_eq!(stage_mismatches(&runs, 1.0).0, 0);
+        let loc = localizer();
+        let terms = |radius| {
+            let mut map = loc.empty_map();
+            let (_, terms) = loc
+                .bound32(&mut map, &traj, &ch, prune(radius, 1.0))
+                .expect("inside the domain");
+            (map.iter().filter(|&(.., a)| a == 0.0).count(), terms)
+        };
+        assert_eq!(terms(1.0), terms(0.0));
+        assert_eq!(terms(1.0).0, 0);
+    }
+
     #[test]
     fn tier1_steps_aside_outside_its_domain() {
         // A trajectory ~10 km away puts the coordinates past 2²⁰ table
-        // steps: tier 1 certifies nothing, and every cell is bounded.
-        let (traj, ch) = &bound_cases()[0];
+        // steps, and a NaN channel makes Σ|hₖ| NaN: either way tier 1
+        // certifies and prunes nothing, and every cell is bounded.
+        let (traj, ch) = bound_cases()[0].clone();
         let far = Trajectory::from_points(
             traj.points()
                 .iter()
                 .map(|p| Point2::new(p.x + 1e4, p.y))
                 .collect(),
         );
+        let mut nan = ch.clone();
+        nan[3] = Complex::new(f64::NAN, 0.0);
         let loc = localizer();
-        assert!(loc.bound32(&mut loc.empty_map(), &far, ch).is_none());
-        rfly_obs::install(rfly_obs::Recorder::new("domain"));
-        let _ = loc.screened_heatmap(&far, ch, peaks::CANDIDATE_THRESHOLD);
-        let counters = rfly_obs::take().expect("recorder installed").counters;
-        let map = loc.empty_map();
-        assert_eq!(counters["loc.sar.cells_f64"], (map.nx() * map.ny()) as u64);
+        for (traj, ch) in [(far, ch), (traj, nan)] {
+            assert!(loc
+                .bound32(&mut loc.empty_map(), &traj, &ch, prune(1.0, 1.0))
+                .is_none());
+            rfly_obs::install(rfly_obs::Recorder::new("domain"));
+            let _ = loc.screened_heatmap(&traj, &ch, peaks::CANDIDATE_THRESHOLD);
+            let counters = rfly_obs::take().expect("recorder installed").counters;
+            let map = loc.empty_map();
+            assert_eq!(counters["loc.sar.cells_f64"], (map.nx() * map.ny()) as u64);
+            assert!(!counters.contains_key("loc.sar.tier1_terms"));
+        }
     }
 
     #[test]

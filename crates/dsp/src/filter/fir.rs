@@ -103,6 +103,9 @@ fn windowed_sinc(fc: f64, len: usize, win: Window) -> Vec<f64> {
     taps
 }
 
+/// The outputs [`FirFilter::filter_block`] sums together.
+const BLOCK_LANES: usize = 8;
+
 /// A streaming FIR filter over complex samples with real taps.
 ///
 /// Carries its delay-line state across calls so a long stream can be
@@ -156,9 +159,53 @@ impl FirFilter {
         acc
     }
 
-    /// Filters a block of samples.
+    /// Filters a block of samples: bit for bit the outputs
+    /// [`Self::filter_sample`] gives one sample at a time.
+    ///
+    /// Eight outputs are summed together: every tap is read once per
+    /// group, but each output still adds its taps in `filter_sample`'s
+    /// order, newest sample first, from 0. The first `taps − 1` outputs
+    /// read the delay line through a short copy of it; every later one
+    /// reads the block itself.
     pub fn filter_block(&mut self, input: &[Complex]) -> Vec<Complex> {
-        input.iter().map(|&x| self.filter_sample(x)).collect()
+        let n = self.taps.len();
+        let head = input.len().min(n - 1);
+        // The delay line's n − 1 newest inputs, oldest first, then the
+        // block's head.
+        let mut line: Vec<Complex> = (1..n)
+            .rev()
+            .map(|back| self.state[(self.pos + n - back) % n])
+            .collect();
+        line.extend_from_slice(&input[..head]);
+        let mut out = Vec::with_capacity(input.len());
+        self.sum_block(&line, head, &mut out);
+        self.sum_block(input, input.len() - head, &mut out);
+        // The delay line as `filter_sample` leaves it: the block's
+        // newest n inputs, in the slots they would have been written to.
+        let kept = n.min(input.len());
+        self.pos = (self.pos + input.len() - kept) % n;
+        for &x in &input[input.len() - kept..] {
+            self.state[self.pos] = x;
+            self.pos = (self.pos + 1) % n;
+        }
+        out
+    }
+
+    /// Appends `count` outputs to `out`: output i is the sum of
+    /// `src[i + taps − 1 − t]·taps[t]` over the taps in order, from 0.
+    fn sum_block(&self, src: &[Complex], count: usize, out: &mut Vec<Complex>) {
+        let n = self.taps.len();
+        for i0 in (0..count).step_by(BLOCK_LANES) {
+            let lanes = BLOCK_LANES.min(count - i0);
+            let mut acc = [Complex::default(); BLOCK_LANES];
+            for (t, &tap) in self.taps.iter().enumerate() {
+                let window = &src[i0 + n - 1 - t..][..lanes];
+                for (a, &x) in acc.iter_mut().zip(window) {
+                    *a += x * tap;
+                }
+            }
+            out.extend_from_slice(&acc[..lanes]);
+        }
     }
 }
 

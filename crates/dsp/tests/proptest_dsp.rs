@@ -5,7 +5,7 @@
 
 use rfly_dsp::complex::{phase_distance, wrap_phase, Complex};
 use rfly_dsp::fft::{fft, ifft};
-use rfly_dsp::filter::fir::FirDesign;
+use rfly_dsp::filter::fir::{FirDesign, FirFilter};
 use rfly_dsp::goertzel::goertzel;
 use rfly_dsp::rng::{Rng, StdRng};
 use rfly_dsp::units::{Db, Dbm, Hertz};
@@ -153,6 +153,78 @@ fn fir_streaming_split_equivalence() {
             assert!((*u - *v).abs() < 1e-9);
         }
     }
+}
+
+/// The bits of a run of samples, for exact comparison.
+fn bits(xs: &[Complex]) -> Vec<(u64, u64)> {
+    xs.iter()
+        .map(|z| (z.re.to_bits(), z.im.to_bits()))
+        .collect()
+}
+
+/// Random taps, `1..=max` of them, and a signal whose length is often
+/// shorter than the taps.
+fn rand_fir_case(rng: &mut StdRng, max: usize) -> (Vec<f64>, Vec<Complex>) {
+    let taps = (0..rng.gen_range(1..=max))
+        .map(|_| rng.gen_range(-1.0..1.0))
+        .collect();
+    let len = rng.gen_range(0usize..100);
+    (taps, rand_signal(rng, len))
+}
+
+#[test]
+fn fir_block_equals_repeated_samples_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(0xD50_00C);
+    for _ in 0..CASES {
+        let (taps, x) = rand_fir_case(&mut rng, 40);
+        let splits = [rng.gen_range(0..=x.len()), rng.gen_range(0..=x.len())];
+        let (a, b) = (splits[0].min(splits[1]), splits[0].max(splits[1]));
+        let mut block = FirFilter::new(taps);
+        let mut one = block.clone();
+        let mut out = block.filter_block(&x[..a]);
+        out.extend(block.filter_block(&x[a..b]));
+        out.extend(block.filter_block(&x[b..]));
+        let reference: Vec<Complex> = x.iter().map(|&s| one.filter_sample(s)).collect();
+        assert_eq!(
+            bits(&out),
+            bits(&reference),
+            "{} taps, split {a}/{b}",
+            one.taps().len()
+        );
+        // Both leave the same delay line behind.
+        let probe = rand_signal(&mut rng, 1)[0];
+        assert_eq!(
+            bits(&[block.filter_sample(probe)]),
+            bits(&[one.filter_sample(probe)])
+        );
+    }
+}
+
+#[test]
+fn planted_control_one_tap_out_of_order_is_caught() {
+    // A model of each output summing its taps newest sample first
+    // matches `filter_block` bit for bit; the same model with tap 0
+    // summed last instead must not.
+    let mut rng = StdRng::seed_from_u64(0xD50_00D);
+    let mut reordered = 0;
+    for _ in 0..CASES {
+        let (taps, x) = rand_fir_case(&mut rng, 40);
+        let out = FirFilter::new(taps.clone()).filter_block(&x);
+        let term = |i: usize, t: usize| {
+            let past = if i >= t { x[i - t] } else { Complex::default() };
+            past * taps[t]
+        };
+        let model = |i: usize, order: &mut dyn Iterator<Item = usize>| {
+            order.fold(Complex::default(), |acc, t| acc + term(i, t))
+        };
+        for (i, y) in out.iter().enumerate() {
+            let in_order = model(i, &mut (0..taps.len()));
+            let tap0_last = model(i, &mut (1..taps.len()).chain([0]));
+            assert_eq!(bits(&[in_order]), bits(&[*y]));
+            reordered += usize::from(bits(&[tap0_last]) != bits(&[*y]));
+        }
+    }
+    assert!(reordered >= 1, "summing tap 0 last went undetected");
 }
 
 #[test]

@@ -26,9 +26,10 @@ echo "== medium tests in release (arbitration lanes, DESIGN.md §10.5) =="
 cargo test --release --offline -p rfly-sim --lib -q medium::
 
 echo "== localization tests in release (two-tier SAR screen: f32 prune, f64 bound; DESIGN.md §4 item 6) =="
-# Likewise the SAR screen's two vectorised tiers: the f32 pruning
-# tier and the f64 bounding tier. Their kernels' error bounds, the
-# per-cell bounds of both tiers and their planted controls, the
+# Likewise the SAR screen's two vectorised tiers: the staged f32
+# pruning tier and the f64 bounding tier. Their kernels' error bounds,
+# the per-cell bounds of both tiers and their planted controls, the
+# staged tier's bit-exactness against a straight f32 sum, the
 # exactness differential against the exhaustive oracles, the
 # differential of the pruned screen against the f64 tier alone, and
 # the committed work totals of tests/sar_screen.rs run again where the
@@ -37,6 +38,13 @@ echo "== localization tests in release (two-tier SAR screen: f32 prune, f64 boun
 cargo test --release --offline -p rfly-core -q loc
 cargo test --release --offline -p rfly-core -q --test loc_exactness
 cargo test --release --offline --test sar_screen
+
+echo "== block FIR property in release (ROADMAP item 11) =="
+# FirFilter::filter_block sums several outputs at a time; its property
+# (bit-equal to repeated filter_sample over random lengths, splits and
+# tap counts) and its planted control run again where the lanes are
+# optimised.
+cargo test --release --offline -p rfly-dsp -q --test proptest_dsp
 
 echo "== float writer sweep in release (DESIGN.md §9.1) =="
 # Every committed artifact prints its floats through

@@ -13,6 +13,10 @@
 //! The screen's first tier, an f32 pass with a certified error,
 //! prunes cells before the f64 bound; `loc.sar.cells_f64` counts the
 //! cells that reach the f64 tier, and its total is committed too.
+//! Tier 1 sums each cell in stages and stops once the rest of the
+//! aperture cannot lift it to the pruning cut;
+//! `loc.sar.tier1_terms` counts the cell × measurement phasors it
+//! evaluated, and its total is committed as well.
 
 use rfly::channel::geometry::Point2;
 use rfly::channel::phasor::{Path, PathSet};
@@ -85,6 +89,10 @@ fn trials() -> Vec<(Trajectory, Vec<Complex>)> {
 /// The committed number of cells the f64 tier bounds over [`trials`].
 const CELLS_F64: u64 = 1_053;
 
+/// The committed number of phasors tier 1 evaluates over [`trials`].
+/// Without stages it would be every cell × K, 861,075.
+const TIER1_TERMS: u64 = 550_862;
+
 #[test]
 fn screened_sar_matches_the_exhaustive_search_with_the_committed_work() {
     let sar = localizer();
@@ -113,19 +121,29 @@ fn screened_sar_matches_the_exhaustive_search_with_the_committed_work() {
         [("loc.sar.passes", 4), ("loc.sar.cells_exact", 1_052)]
     );
     assert_eq!(counter("loc.sar.cells_f64"), CELLS_F64);
+    assert_eq!(counter("loc.sar.tier1_terms"), TIER1_TERMS);
 }
 
 #[test]
 fn planted_control_a_halved_pruning_radius_moves_the_f64_work() {
     // Tier 1 pruning with half its radius keeps cells it could have
-    // dropped: the estimates stay exact, but the committed f64 work
-    // total must catch the change.
+    // dropped: the estimates stay exact, but the committed f64 and
+    // tier-1 work totals must each catch the change.
     let sar = localizer();
     rfly::obs::install(rfly::obs::Recorder::new("sar-screen-control"));
     for (traj, ch) in trials() {
         let _ = sar.screened_heatmap_with_radius(&traj, &ch, CANDIDATE_THRESHOLD, 0.5);
     }
     let counters = rfly::obs::take().expect("recorder installed").counters;
-    let f64_cells = counters.get("loc.sar.cells_f64").copied().unwrap_or(0);
-    assert_ne!(f64_cells, CELLS_F64, "the halved radius went undetected");
+    let counter = |name: &str| counters.get(name).copied().unwrap_or(0);
+    assert_ne!(
+        counter("loc.sar.cells_f64"),
+        CELLS_F64,
+        "the halved radius went undetected by the f64 work"
+    );
+    assert_ne!(
+        counter("loc.sar.tier1_terms"),
+        TIER1_TERMS,
+        "the halved radius went undetected by the tier-1 work"
+    );
 }
