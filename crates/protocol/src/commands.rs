@@ -2,8 +2,9 @@
 //!
 //! The USRP reader in the paper "handles a variety of commands including
 //! the Query command, ACK command, Select command, and QueryRep command"
-//! (§6.3). We implement those plus QueryAdjust, NAK and Req_RN so the
-//! full inventory/access handshake runs end to end.
+//! (§6.3). We implement those plus QueryAdjust and NAK: the inventory
+//! commands. The access layer (Req_RN, Read, Kill) is not modelled, so
+//! a frame with one of its opcodes decodes to `None`.
 
 use crate::bits::Bits;
 use crate::crc::{append_crc16, append_crc5, check_crc16, check_crc5};
@@ -96,24 +97,6 @@ pub enum Command {
         mask: Bits,
         /// Truncate flag (truncated replies; carried, not interpreted).
         truncate: bool,
-    },
-    /// Req_RN: request a new handle from an acknowledged tag.
-    ReqRn {
-        /// The current RN16/handle.
-        rn16: u16,
-    },
-    /// Read: fetch `wordcount` 16-bit words from a memory bank of an
-    /// Open/Secured tag (access layer).
-    Read {
-        /// The memory bank to read.
-        bank: MemBank,
-        /// Word offset within the bank (EBV-encoded on air).
-        wordptr: u32,
-        /// Number of words to read (0 means "to the end"; we require
-        /// an explicit 1–255 here).
-        wordcount: u8,
-        /// The tag's current handle.
-        rn: u16,
     },
 }
 
@@ -219,25 +202,6 @@ impl Command {
                 b.push(*truncate);
                 append_crc16(&b)
             }
-            Command::ReqRn { rn16 } => {
-                b.push_uint(0b11000001, 8);
-                b.push_uint(*rn16 as u64, 16);
-                append_crc16(&b)
-            }
-            Command::Read {
-                bank,
-                wordptr,
-                wordcount,
-                rn,
-            } => {
-                assert!(*wordcount >= 1, "wordcount must be 1-255");
-                b.push_uint(0b11000010, 8);
-                b.push_uint(bank.field(), 2);
-                push_ebv(&mut b, *wordptr);
-                b.push_uint(*wordcount as u64, 8);
-                b.push_uint(*rn as u64, 16);
-                append_crc16(&b)
-            }
         }
     }
 
@@ -314,39 +278,7 @@ impl Command {
                     truncate: frame.uint_at(mask_start + mask_len, 1) == 1,
                 })
             }
-            0b1100 if frame.len() >= 8 => match frame.uint_at(0, 8) {
-                0b11000000 if frame.len() == 8 => Some(Command::Nak),
-                0b11000001 if frame.len() == 40 => {
-                    if !check_crc16(frame) {
-                        return None;
-                    }
-                    Some(Command::ReqRn {
-                        rn16: frame.uint_at(8, 16) as u16,
-                    })
-                }
-                0b11000010 => {
-                    if !check_crc16(frame) {
-                        return None;
-                    }
-                    let bank = MemBank::from_field(frame.uint_at(8, 2));
-                    let (wordptr, after) = parse_ebv(frame, 10)?;
-                    // wordcount(8) + rn(16) + crc(16) must close the frame.
-                    if frame.len() != after + 8 + 16 + 16 {
-                        return None;
-                    }
-                    let wordcount = frame.uint_at(after, 8) as u8;
-                    if wordcount == 0 {
-                        return None;
-                    }
-                    Some(Command::Read {
-                        bank,
-                        wordptr,
-                        wordcount,
-                        rn: frame.uint_at(after + 8, 16) as u16,
-                    })
-                }
-                _ => None,
-            },
+            0b1100 if frame.len() == 8 && frame.uint_at(0, 8) == 0b11000000 => Some(Command::Nak),
             _ => None,
         }
     }
@@ -451,25 +383,19 @@ mod tests {
     }
 
     #[test]
-    fn req_rn_roundtrips() {
-        let cmd = Command::ReqRn { rn16: 0x1234 };
-        let frame = cmd.encode();
-        assert_eq!(frame.len(), 40);
-        assert_eq!(Command::decode(&frame), Some(cmd));
-    }
-
-    #[test]
     fn select_roundtrips() {
-        let cmd = Command::Select {
-            target: SelectTarget::Sl,
-            action: 0,
-            bank: MemBank::Epc,
-            pointer: 0x20,
-            mask: Bits::from_str01("1011001110001111"),
-            truncate: false,
-        };
-        let frame = cmd.encode();
-        assert_eq!(Command::decode(&frame), Some(cmd));
+        for bank in [MemBank::Reserved, MemBank::Epc, MemBank::Tid, MemBank::User] {
+            let cmd = Command::Select {
+                target: SelectTarget::Sl,
+                action: 0,
+                bank,
+                pointer: 0x20,
+                mask: Bits::from_str01("1011001110001111"),
+                truncate: false,
+            };
+            let frame = cmd.encode();
+            assert_eq!(Command::decode(&frame), Some(cmd));
+        }
     }
 
     #[test]
@@ -518,6 +444,25 @@ mod tests {
         let mut frame = sample_query().encode();
         frame.push(true);
         assert_eq!(Command::decode(&frame), None);
+        // CRC-valid frames of the access layer's retired opcodes: Req_RN
+        // (1100_0001, RN16, CRC16; 40 bits) and Read (1100_0010, bank 01,
+        // EBV word pointer 2, word count 1, RN16, CRC16). A tag that
+        // hears one stays silent.
+        let mut req_rn = Bits::new();
+        req_rn.push_uint(0b1100_0001, 8);
+        req_rn.push_uint(0x1234, 16);
+        let mut read = Bits::new();
+        read.push_uint(0b1100_0010, 8);
+        read.push_uint(0b01, 2);
+        push_ebv(&mut read, 2);
+        read.push_uint(1, 8);
+        read.push_uint(0x1234, 16);
+        let (req_rn, read) = (append_crc16(&req_rn), append_crc16(&read));
+        assert_eq!(req_rn.len(), 40);
+        for retired in [req_rn, read] {
+            assert!(check_crc16(&retired));
+            assert_eq!(Command::decode(&retired), None);
+        }
     }
 
     #[test]

@@ -16,8 +16,8 @@ use std::fmt;
 /// [`ProtocolError::IllegalTiming`], [`ProtocolError::InvalidDepth`],
 /// [`ProtocolError::OversizeEdge`]) reject illegal encoder
 /// configurations, [`ProtocolError::QParamOutOfRange`] an illegal
-/// anti-collision setup; data errors ([`ProtocolError::BitRange`],
-/// [`ProtocolError::NotEnoughBytes`]) reject malformed frames.
+/// anti-collision setup; the data error [`ProtocolError::BitRange`]
+/// rejects malformed frames.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ProtocolError {
     /// The encoder sample rate must be positive.
@@ -42,13 +42,6 @@ pub enum ProtocolError {
         width: usize,
         /// Frame length, bits.
         len: usize,
-    },
-    /// A byte-to-bits unpack asked for more bits than the bytes hold.
-    NotEnoughBytes {
-        /// Bits requested.
-        n_bits: usize,
-        /// Bytes available.
-        n_bytes: usize,
     },
     /// A capture held no decodable PIE frame — a decode miss, the
     /// expected outcome for truncated, corrupted, or frameless input.
@@ -83,9 +76,6 @@ impl fmt::Display for ProtocolError {
                     f,
                     "bit range [{offset}, {offset}+{width}) out of bounds for a {len}-bit frame"
                 )
-            }
-            ProtocolError::NotEnoughBytes { n_bits, n_bytes } => {
-                write!(f, "{n_bits} bits requested from {n_bytes} bytes")
             }
             ProtocolError::NoFrame => {
                 write!(f, "no decodable PIE frame in the capture")

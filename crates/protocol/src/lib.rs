@@ -8,8 +8,8 @@
 //! * [`bits`] — a bit-level message buffer,
 //! * [`error`] — the protocol error taxonomy ([`ProtocolError`]),
 //! * [`crc`] — the Gen2 CRC-5 and CRC-16 (ISO/IEC 13239),
-//! * [`commands`] — encode/decode for Query, QueryAdjust, QueryRep, ACK,
-//!   NAK, Select and Req_RN,
+//! * [`commands`] — encode/decode for the inventory commands: Query,
+//!   QueryAdjust, QueryRep, ACK, NAK and Select,
 //! * [`pie`] — pulse-interval encoding of the reader's downlink,
 //! * [`fm0`] — the tag's backscatter line code,
 //! * [`timing`] — Tari/RTcal/TRcal link timing and backscatter link
@@ -17,7 +17,8 @@
 //! * [`epc`] — EPCs, PC words and reply frames,
 //! * [`session`] — sessions and inventoried flags,
 //! * [`qalgo`] — the reader-side Q anti-collision algorithm,
-//! * [`tag_state`] — the tag-side inventory state machine.
+//! * [`tag_state`] — the tag-side inventory state machine (Ready,
+//!   Arbitrate, Reply, Acknowledged).
 //!
 //! All of it is pure logic over bits and samples; RF physics lives in
 //! `rfly-channel`, `rfly-tag` and `rfly-reader`.

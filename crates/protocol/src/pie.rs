@@ -278,7 +278,7 @@ pub fn decode(envelope: &[f64], sample_rate: f64) -> Option<PieFrame> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timing::LinkTiming;
+    use crate::timing::{DivideRatio, LinkTiming};
 
     const FS: f64 = 4e6;
 
@@ -367,8 +367,19 @@ mod tests {
     }
 
     #[test]
-    fn fast_profile_roundtrips() -> Result<(), ProtocolError> {
-        let enc = PieEncoder::new(LinkTiming::fast_profile(), FS)?;
+    fn fastest_gen2_timing_roundtrips() -> Result<(), ProtocolError> {
+        // Tari 6.25 µs and BLF 640 kHz, the upper bound quoted in §4.2
+        // of the paper; the decoder learns it from the preamble.
+        let dr = DivideRatio::Dr64over3;
+        let fastest = LinkTiming {
+            tari_s: 6.25e-6,
+            rtcal_s: 2.5 * 6.25e-6,
+            trcal_s: dr.value() / 640e3,
+            dr,
+        };
+        assert!(fastest.validate().is_ok());
+        assert!((fastest.blf_hz() - 640e3).abs() < 1.0);
+        let enc = PieEncoder::new(fastest, FS)?;
         let payload = Bits::from_str01("100011101");
         let frame = decode(
             &enc.encode(FrameStart::Preamble, &payload, Seconds::new(10e-6)),

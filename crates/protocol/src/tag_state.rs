@@ -1,18 +1,18 @@
 //! The Gen2 tag-side inventory state machine.
 //!
-//! A powered tag walks Ready → Arbitrate → Reply → Acknowledged (and on
-//! to Open/Secured for access commands) under the reader's command
-//! sequence, exactly as in the Gen2 state diagram. This logic is pure —
-//! RF power and backscatter physics wrap it in `rfly-tag` — which makes
-//! the protocol behaviour directly testable, including the collision
-//! arbitration the relay must transparently forward.
+//! A powered tag walks Ready → Arbitrate → Reply → Acknowledged under
+//! the reader's inventory commands, as in the Gen2 state diagram. The
+//! access layer's states (Open, Secured, Killed) are not modelled: the
+//! paper's reader sends only inventory commands (§6.3). This logic is
+//! pure — RF power and backscatter physics wrap it in `rfly-tag` —
+//! which makes the protocol behaviour directly testable, including the
+//! collision arbitration the relay must transparently forward.
 
 use rfly_dsp::rng::Rng;
 use rfly_dsp::rng::StdRng;
 
 use crate::bits::Bits;
 use crate::commands::{Command, MemBank, SelectTarget};
-use crate::crc::append_crc16;
 use crate::epc::{epc_reply_frame, rn16_frame, Epc, PC_96BIT};
 use crate::session::{InventoriedFlag, Session, TagFlags};
 
@@ -25,12 +25,8 @@ pub enum TagState {
     Arbitrate,
     /// Slot reached zero; RN16 sent, awaiting ACK.
     Reply,
-    /// ACKed; EPC sent, awaiting Req_RN or round end.
+    /// ACKed; EPC sent, awaiting the round's next command.
     Acknowledged,
-    /// Req_RN completed; handle issued.
-    Open,
-    /// Permanently disabled.
-    Killed,
 }
 
 /// What a tag backscatters in response to a command.
@@ -40,10 +36,6 @@ pub enum TagReply {
     Rn16(Bits),
     /// The `{PC, EPC, CRC16}` frame.
     EpcFrame(Bits),
-    /// A new handle `{RN16, CRC16}` in response to Req_RN.
-    Handle(Bits),
-    /// Read data: `{header 0, words, handle, CRC16}`.
-    ReadData(Bits),
 }
 
 impl TagReply {
@@ -55,20 +47,14 @@ impl TagReply {
     /// The transmitted bit frame.
     pub fn frame(&self) -> &Bits {
         match self {
-            TagReply::Rn16(b)
-            | TagReply::EpcFrame(b)
-            | TagReply::Handle(b)
-            | TagReply::ReadData(b) => b,
+            TagReply::Rn16(b) | TagReply::EpcFrame(b) => b,
         }
     }
 
     /// Consumes the reply, yielding its bit frame without a copy.
     pub fn into_frame(self) -> Bits {
         match self {
-            TagReply::Rn16(b)
-            | TagReply::EpcFrame(b)
-            | TagReply::Handle(b)
-            | TagReply::ReadData(b) => b,
+            TagReply::Rn16(b) | TagReply::EpcFrame(b) => b,
         }
     }
 }
@@ -139,8 +125,6 @@ pub struct TagMachine {
     rn16: u16,
     session: Option<Session>,
     current_q: u8,
-    /// User-memory bank, 16-bit words (bank 11₂).
-    user_memory: Vec<u16>,
     rng: StdRng,
 }
 
@@ -158,34 +142,7 @@ impl TagMachine {
             rn16: 0,
             session: None,
             current_q: 0,
-            user_memory: vec![0u16; 8],
             rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// A memory bank as 16-bit words, as the access layer addresses it.
-    /// A malformed bank image yields `None` (the tag stays silent),
-    /// never a panic.
-    fn bank_words(&self, bank: MemBank) -> Option<Vec<u16>> {
-        match bank {
-            MemBank::Epc => {
-                let bits = self.epc_bank();
-                (0..bits.len() / 16)
-                    .map(|w| bits.try_uint_at(w * 16, 16).ok().map(|v| v as u16))
-                    .collect()
-            }
-            MemBank::Tid => {
-                // A fixed class-identifier header followed by a serial
-                // derived from the EPC (the usual vendor layout).
-                let mut words = vec![0xE280u16, 0x1160];
-                for c in self.epc.0.chunks_exact(2) {
-                    words.push(u16::from_be_bytes([c[0], c[1]]));
-                }
-                Some(words)
-            }
-            MemBank::User => Some(self.user_memory.clone()),
-            // Passwords are not implemented; reads of Reserved fail.
-            MemBank::Reserved => Some(Vec::new()),
         }
     }
 
@@ -272,9 +229,7 @@ impl TagMachine {
 
     /// Models loss of power: back to Ready, session-0 flag decays.
     pub fn power_cycle(&mut self) {
-        if self.state != TagState::Killed {
-            self.state = TagState::Ready;
-        }
+        self.state = TagState::Ready;
         self.flags.power_cycle();
         self.session = None;
     }
@@ -332,7 +287,7 @@ impl TagMachine {
                 let reply = self.state == TagState::Reply;
                 self.count_from(rep_slot(reply, self.slot, self.current_q))
             }
-            TagState::Acknowledged | TagState::Open => {
+            TagState::Acknowledged => {
                 // Successfully inventoried: toggle and retire.
                 self.flags.toggle_inventoried(session);
                 self.state = TagState::Ready;
@@ -354,7 +309,7 @@ impl TagMachine {
             TagState::Arbitrate | TagState::Reply => {
                 self.enter_slot(adjusted_q(self.current_q, updn))
             }
-            TagState::Acknowledged | TagState::Open => {
+            TagState::Acknowledged => {
                 self.flags.toggle_inventoried(session);
                 self.state = TagState::Ready;
                 None
@@ -369,9 +324,6 @@ impl TagMachine {
     /// [`Self::query_rep`] and [`Self::query_adjust`], which a medium
     /// may also call directly.
     pub fn handle(&mut self, cmd: &Command) -> Option<TagReply> {
-        if self.state == TagState::Killed {
-            return None;
-        }
         match cmd {
             Command::Query {
                 sel,
@@ -383,7 +335,7 @@ impl TagMachine {
                 // A new Query ends any previous participation: a tag in
                 // Acknowledged toggles its inventoried flag first (it
                 // was successfully read this round).
-                if self.state == TagState::Acknowledged || self.state == TagState::Open {
+                if self.state == TagState::Acknowledged {
                     if let Some(s) = self.session {
                         self.flags.toggle_inventoried(s);
                     }
@@ -416,50 +368,11 @@ impl TagMachine {
                 }
             }
             Command::Nak => {
-                if matches!(
-                    self.state,
-                    TagState::Reply | TagState::Acknowledged | TagState::Open
-                ) {
+                if matches!(self.state, TagState::Reply | TagState::Acknowledged) {
                     self.state = TagState::Arbitrate;
                     self.slot = u32::MAX; // effectively out of the round
                 }
                 None
-            }
-            Command::Read {
-                bank,
-                wordptr,
-                wordcount,
-                rn,
-            } => {
-                // Access layer: only an Open tag addressed by its
-                // current handle answers; out-of-range reads are
-                // silently ignored (we do not model the Gen2 error
-                // reply).
-                if self.state != TagState::Open || *rn != self.rn16 {
-                    return None;
-                }
-                let words = self.bank_words(*bank)?;
-                let start = *wordptr as usize;
-                let end = start.checked_add(*wordcount as usize)?;
-                let requested = words.get(start..end)?;
-                let mut body = Bits::new();
-                body.push(false); // header bit: success
-                for w in requested {
-                    body.push_uint(*w as u64, 16);
-                }
-                body.push_uint(self.rn16 as u64, 16);
-                Some(TagReply::ReadData(append_crc16(&body)))
-            }
-            Command::ReqRn { rn16 } => {
-                if self.state == TagState::Acknowledged && *rn16 == self.rn16 {
-                    self.state = TagState::Open;
-                    self.rn16 = self.rng.gen();
-                    let mut body = Bits::new();
-                    body.push_uint(self.rn16 as u64, 16);
-                    Some(TagReply::Handle(append_crc16(&body)))
-                } else {
-                    None
-                }
             }
             Command::Select {
                 target,
@@ -556,14 +469,6 @@ mod tests {
     }
 
     #[test]
-    fn q0_query_makes_tag_reply_immediately() {
-        let mut t = tag(1);
-        let reply = t.handle(&query(0, Session::S0, InventoriedFlag::A));
-        assert!(matches!(reply, Some(TagReply::Rn16(_))));
-        assert_eq!(t.state(), TagState::Reply);
-    }
-
-    #[test]
     fn full_singulation_handshake() {
         let mut t = tag(2);
         let rn16 = match t.handle(&query(0, Session::S1, InventoriedFlag::A)) {
@@ -587,20 +492,6 @@ mod tests {
             .is_none());
         assert_eq!(t.state(), TagState::Ready);
         assert_eq!(t.flags().inventoried(Session::S1), InventoriedFlag::B);
-    }
-
-    #[test]
-    fn wrong_rn16_is_not_acknowledged() {
-        let mut t = tag(3);
-        let rn16 = match t.handle(&query(0, Session::S0, InventoriedFlag::A)) {
-            Some(TagReply::Rn16(b)) => b.uint_at(0, 16) as u16,
-            _ => panic!(),
-        };
-        let reply = t.handle(&Command::Ack {
-            rn16: rn16.wrapping_add(1),
-        });
-        assert!(reply.is_none());
-        assert_eq!(t.state(), TagState::Arbitrate);
     }
 
     #[test]
@@ -651,34 +542,6 @@ mod tests {
         }
         assert_eq!(reps, start_slot);
         assert_eq!(t.state(), TagState::Reply);
-    }
-
-    #[test]
-    fn nak_returns_tag_to_arbitrate() {
-        let mut t = tag(6);
-        t.handle(&query(0, Session::S0, InventoriedFlag::A));
-        assert_eq!(t.state(), TagState::Reply);
-        t.handle(&Command::Nak);
-        assert_eq!(t.state(), TagState::Arbitrate);
-        // NAK does not toggle the inventoried flag.
-        assert_eq!(t.flags().inventoried(Session::S0), InventoriedFlag::A);
-    }
-
-    #[test]
-    fn req_rn_issues_crc_protected_handle() {
-        let mut t = tag(7);
-        let rn16 = match t.handle(&query(0, Session::S0, InventoriedFlag::A)) {
-            Some(TagReply::Rn16(b)) => b.uint_at(0, 16) as u16,
-            _ => panic!(),
-        };
-        t.handle(&Command::Ack { rn16 });
-        let handle = match t.handle(&Command::ReqRn { rn16 }) {
-            Some(TagReply::Handle(b)) => b,
-            other => panic!("expected handle, got {other:?}"),
-        };
-        assert_eq!(handle.len(), 32);
-        assert!(crate::crc::check_crc16(&handle));
-        assert_eq!(t.state(), TagState::Open);
     }
 
     #[test]
@@ -748,101 +611,7 @@ mod tests {
     }
 
     #[test]
-    fn wrong_session_query_rep_ignored() {
-        let mut t = tag(11);
-        t.handle(&query(0, Session::S2, InventoriedFlag::A));
-        assert_eq!(t.state(), TagState::Reply);
-        assert!(t
-            .handle(&Command::QueryRep {
-                session: Session::S0
-            })
-            .is_none());
-        assert_eq!(t.state(), TagState::Reply, "other-session rep ignored");
-    }
-
-    #[test]
-    fn read_command_fetches_memory_banks() {
-        let mut t = tag(20);
-        t.user_memory = vec![0xDEAD, 0xBEEF, 0x1234];
-        // Full handshake to Open.
-        let rn16 = match t.handle(&query(0, Session::S0, InventoriedFlag::A)) {
-            Some(TagReply::Rn16(b)) => b.uint_at(0, 16) as u16,
-            _ => panic!(),
-        };
-        t.handle(&Command::Ack { rn16 });
-        let handle = match t.handle(&Command::ReqRn { rn16 }) {
-            Some(TagReply::Handle(b)) => b.uint_at(0, 16) as u16,
-            _ => panic!(),
-        };
-        // Read two user words.
-        let reply = t
-            .handle(&Command::Read {
-                bank: MemBank::User,
-                wordptr: 1,
-                wordcount: 2,
-                rn: handle,
-            })
-            .expect("read answered");
-        let frame = reply.frame();
-        assert!(crate::crc::check_crc16(frame));
-        assert_eq!(frame.uint_at(0, 1), 0, "success header");
-        assert_eq!(frame.uint_at(1, 16), 0xBEEF);
-        assert_eq!(frame.uint_at(17, 16), 0x1234);
-        assert_eq!(frame.uint_at(33, 16) as u16, handle);
-
-        // EPC bank word 2 is the first EPC word ("RF" = 0x5246).
-        let epc_read = t
-            .handle(&Command::Read {
-                bank: MemBank::Epc,
-                wordptr: 2,
-                wordcount: 1,
-                rn: handle,
-            })
-            .expect("epc read");
-        assert_eq!(epc_read.frame().uint_at(1, 16), 0x5246);
-
-        // Wrong handle: silence. Out-of-range: silence. Reserved: silence.
-        assert!(t
-            .handle(&Command::Read {
-                bank: MemBank::User,
-                wordptr: 0,
-                wordcount: 1,
-                rn: handle.wrapping_add(1),
-            })
-            .is_none());
-        assert!(t
-            .handle(&Command::Read {
-                bank: MemBank::User,
-                wordptr: 2,
-                wordcount: 5,
-                rn: handle,
-            })
-            .is_none());
-        assert!(t
-            .handle(&Command::Read {
-                bank: MemBank::Reserved,
-                wordptr: 0,
-                wordcount: 1,
-                rn: handle,
-            })
-            .is_none());
-    }
-
-    #[test]
-    fn read_requires_open_state() {
-        let mut t = tag(21);
-        assert!(t
-            .handle(&Command::Read {
-                bank: MemBank::User,
-                wordptr: 0,
-                wordcount: 1,
-                rn: 0,
-            })
-            .is_none());
-    }
-
-    #[test]
-    fn corrupted_select_and_read_are_silent_not_fatal() {
+    fn corrupted_select_is_silent_not_fatal() {
         let mut t = tag(22);
         // Select with a pointer far past the EPC bank: no match, no panic.
         let cmd = Command::Select {
@@ -855,25 +624,6 @@ mod tests {
         };
         t.handle(&cmd);
         assert!(!t.flags().selected);
-        // Read with a wordptr/wordcount whose sum would overflow usize
-        // on a corrupted frame: silence.
-        let rn16 = match t.handle(&query(0, Session::S0, InventoriedFlag::A)) {
-            Some(TagReply::Rn16(b)) => b.uint_at(0, 16) as u16,
-            _ => panic!(),
-        };
-        t.handle(&Command::Ack { rn16 });
-        let handle = match t.handle(&Command::ReqRn { rn16 }) {
-            Some(TagReply::Handle(b)) => b.uint_at(0, 16) as u16,
-            _ => panic!(),
-        };
-        assert!(t
-            .handle(&Command::Read {
-                bank: MemBank::Epc,
-                wordptr: u32::MAX,
-                wordcount: 255,
-                rn: handle,
-            })
-            .is_none());
     }
 
     /// A tag of `seed` driven by real commands into `want`, at Q = `q`
@@ -891,12 +641,8 @@ mod tests {
                 t.slot = 1;
                 t.handle(&Command::QueryRep { session });
             }
-            let rn16 = t.rn16;
-            if matches!(want, TagState::Acknowledged | TagState::Open) {
-                t.handle(&Command::Ack { rn16 });
-            }
-            if want == TagState::Open {
-                t.handle(&Command::ReqRn { rn16 });
+            if want == TagState::Acknowledged {
+                t.handle(&Command::Ack { rn16: t.rn16 });
             }
         }
         assert_eq!(t.state(), want, "setup of seed {seed}, Q {q}");
@@ -941,12 +687,11 @@ mod tests {
 
     #[test]
     fn arbitration_steps_match_command_dispatch() {
-        const STATES: [TagState; 5] = [
+        const STATES: [TagState; 4] = [
             TagState::Ready,
             TagState::Arbitrate,
             TagState::Reply,
             TagState::Acknowledged,
-            TagState::Open,
         ];
         let own = Session::S1;
         let mut replies = 0;

@@ -113,21 +113,6 @@ impl LinkTiming {
         }
     }
 
-    /// The fastest Gen2 profile: Tari 6.25 µs and BLF 640 kHz — the
-    /// upper bound quoted in §4.2 of the paper.
-    pub fn fast_profile() -> Self {
-        let tari = 6.25e-6;
-        let rtcal = 2.5 * tari;
-        let dr = DivideRatio::Dr64over3;
-        let trcal = dr.value() / 640e3;
-        Self {
-            tari_s: tari,
-            rtcal_s: rtcal,
-            trcal_s: trcal,
-            dr,
-        }
-    }
-
     /// Validates the Gen2 constraints; returns an error string naming
     /// the violated bound.
     pub fn validate(&self) -> Result<(), String> {
@@ -176,13 +161,6 @@ mod tests {
         let t = LinkTiming::default_profile();
         t.validate().expect("default profile must be Gen2-legal");
         assert!((t.blf_hz() - 500e3).abs() < 1.0);
-    }
-
-    #[test]
-    fn fast_profile_hits_640khz_blf() {
-        let t = LinkTiming::fast_profile();
-        t.validate().expect("fast profile must be Gen2-legal");
-        assert!((t.blf_hz() - 640e3).abs() < 1.0);
     }
 
     #[test]

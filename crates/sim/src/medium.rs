@@ -382,12 +382,11 @@ enum Link {
 ///    power is traced once. After the first visit, a tag that is not
 ///    sustained is unpowered, and [`PassiveTag::respond`] returns
 ///    `None` without touching any state.
-/// 2. **A `Ready` tag ignores QueryRep, QueryAdjust, Ack, Nak, ReqRn
-///    and Read** (`rfly_protocol::tag_state::TagMachine::handle`), and
-///    a `Killed` tag ignores everything. Only `Query` and `Select` can
-///    move a tag out of `Ready` ([`wakes_ready_tags`]), and no other
-///    command moves one into `engaged`, so `engaged` always holds every
-///    live tag that a narrow command could change.
+/// 2. **A `Ready` tag ignores QueryRep, QueryAdjust, Ack and Nak**
+///    (`rfly_protocol::tag_state::TagMachine::handle`). Only `Query`
+///    and `Select` can move a tag out of `Ready` ([`wakes_ready_tags`]),
+///    and no other command moves one into `engaged`, so `engaged`
+///    always holds every live tag that a narrow command could change.
 /// 3. **Every live tag is charged on the first visit.** A sustained,
 ///    unpowered tag charges for its full `Harvester::CHARGE_TIME` and boots in that
 ///    visit, so skipping it later never skips a harvester step.
@@ -404,7 +403,7 @@ enum Link {
 ///    `Drop` check the lanes in first.
 ///
 /// While lanes are checked out, their tags leave `engaged`, which then
-/// holds the rest: Acknowledged and Open tags, tags of another session,
+/// holds the rest: Acknowledged tags, tags of another session,
 /// and the stale `Ready` ones. A lane pass visits the rest with
 /// [`PassiveTag::query_rep`] or [`PassiveTag::query_adjust`]; none of
 /// them can reply to either command, so every reply comes from a lane.
@@ -417,7 +416,7 @@ enum Link {
 /// change a tag: every tag a full-field or `live` visit reaches, every
 /// engaged tag (lanes included) on a QueryAdjust or another narrow
 /// command, and on a QueryRep each lane whose counter is at most 1 plus
-/// each other engaged tag in Reply, Acknowledged or Open. A lane with a
+/// each other engaged tag in Reply or Acknowledged. A lane with a
 /// larger counter only counts down.
 ///
 /// Replies come out in tag-index order, so the per-tag RNG streams and
@@ -428,10 +427,9 @@ struct TagVisits {
     scanned: bool,
     /// Tags whose frozen incident power sustains their harvester.
     live: Vec<usize>,
-    /// Live tags whose state is neither `Ready` nor `Killed`, less the
-    /// checked-out lanes, plus, on a QueryRep streak, the ones a
-    /// QueryRep just sent back to `Ready` (the next other narrow command
-    /// drops them).
+    /// Live tags whose state is not `Ready`, less the checked-out
+    /// lanes, plus, on a QueryRep streak, the ones a QueryRep just sent
+    /// back to `Ready` (the next other narrow command drops them).
     engaged: Vec<usize>,
     /// The arbitration registers checked out of engaged tags.
     lanes: Lanes,
@@ -635,15 +633,13 @@ fn wakes_ready_tags(cmd: &Command) -> bool {
         Command::QueryRep { .. }
         | Command::QueryAdjust { .. }
         | Command::Ack { .. }
-        | Command::Nak
-        | Command::ReqRn { .. }
-        | Command::Read { .. } => false,
+        | Command::Nak => false,
     }
 }
 
 /// True for a tag that a command other than `Query`/`Select` may change.
 fn is_engaged(tag: &PassiveTag) -> bool {
-    !matches!(tag.state(), TagState::Ready | TagState::Killed)
+    tag.state() != TagState::Ready
 }
 
 impl TagVisits {
@@ -759,10 +755,7 @@ impl TagVisits {
             self.check_out(tags, session);
             for &i in &self.engaged {
                 let tag = &mut tags[i];
-                if matches!(
-                    tag.state(),
-                    TagState::Reply | TagState::Acknowledged | TagState::Open
-                ) {
+                if matches!(tag.state(), TagState::Reply | TagState::Acknowledged) {
                     visited += 1;
                     let reply = tag.query_rep(session);
                     debug_assert!(reply.is_none(), "a tag outside the lanes replied");
@@ -1251,8 +1244,8 @@ mod tests {
     }
 
     /// A seeded random Gen2 command. Round commands mostly carry the
-    /// session of the last Query; Ack, ReqRn and Read mostly carry the
-    /// last RN16 or handle a tag sent.
+    /// session of the last Query; Ack mostly carries the last RN16 a
+    /// tag sent.
     fn random_command(rng: &mut StdRng, last_rn: u16, round: &mut Session) -> Command {
         const SESSIONS: [Session; 4] = [Session::S0, Session::S1, Session::S2, Session::S3];
         const SELS: [SelFilter; 4] = [
@@ -1272,7 +1265,7 @@ mod tests {
         } else {
             rng.gen()
         };
-        match rng.gen_range(0..16u32) {
+        match rng.gen_range(0..14u32) {
             0..=2 => {
                 *round = any_session;
                 Command::Query {
@@ -1296,17 +1289,6 @@ mod tests {
             },
             8 => Command::Nak,
             9..=11 => Command::Ack { rn16: rn },
-            12 => Command::ReqRn { rn16: rn },
-            13 => Command::Read {
-                bank: if rng.gen() {
-                    MemBank::Epc
-                } else {
-                    MemBank::User
-                },
-                wordptr: rng.gen_range(0..4u32),
-                wordcount: rng.gen_range(1..=2u8),
-                rn,
-            },
             _ => Command::Select {
                 target: if rng.gen() {
                     SelectTarget::Sl
