@@ -3,11 +3,13 @@
 //! faster).
 //!
 //! Same channels, same region, ten seeded trials. The gate is exact:
-//! - `SarLocalizer::localize` (certified screen + exact refinement)
-//!   must return bit-identical estimates to the exhaustive
-//!   `heatmap()` + `select_nearest_peak`;
-//! - `RssiLocalizer::localize` (tile branch-and-bound) must return
-//!   bit-identical estimates to a full row-major scan;
+//! - `SarLocalizer::localize` (certified screen, then exact scores only
+//!   for the peaks and the neighbours their bounds cannot order) must
+//!   return bit-identical estimates to the exhaustive `heatmap()` +
+//!   `select_nearest_peak`;
+//! - `RssiLocalizer::localize` (tile branch-and-bound, then a `sqrt`
+//!   bound per cell before its `hypot` cost) must return bit-identical
+//!   estimates to a full row-major scan;
 //! - at the default seed, the cells each search scored exactly (the
 //!   `loc.sar.cells_exact` / `loc.rssi.cells_exact` rfly-obs counters)
 //!   must equal the committed totals, like any golden work counter.
@@ -31,10 +33,14 @@ use rfly_obs::Recorder;
 
 const F2: Hertz = Hertz(916e6);
 const SEED: u64 = 2017;
-/// `loc.sar.cells_exact` over the ten trials at [`SEED`].
-const SAR_CELLS_EXACT: u64 = 53_259;
-/// `loc.rssi.cells_exact` over the ten trials at [`SEED`].
-const RSSI_CELLS_EXACT: u64 = 2_688;
+/// `loc.sar.cells_exact` over the ten trials at [`SEED`]: the peaks and
+/// the neighbours their bounds cannot order (53,259 when every cell that
+/// could reach the refine cut was scored).
+const SAR_CELLS_EXACT: u64 = 104;
+/// `loc.rssi.cells_exact` over the ten trials at [`SEED`]: the cells
+/// whose `sqrt`-form bound does not already lose (2,688 when every cell
+/// of a visited tile was scored).
+const RSSI_CELLS_EXACT: u64 = 196;
 
 /// The RSSI oracle: every cell in row-major order, first strict minimum
 /// wins — the search `RssiLocalizer::localize` must reproduce.

@@ -59,6 +59,14 @@ impl Heatmap {
         self.values[iy * self.nx + ix] = v;
     }
 
+    /// The up to eight cells around `(ix, iy)`, row by row.
+    pub(crate) fn neighbours(&self, ix: usize, iy: usize) -> impl Iterator<Item = (usize, usize)> {
+        let xs = ix.saturating_sub(1)..=(ix + 1).min(self.nx - 1);
+        (iy.saturating_sub(1)..=(iy + 1).min(self.ny - 1))
+            .flat_map(move |y| xs.clone().map(move |x| (x, y)))
+            .filter(move |&c| c != (ix, iy))
+    }
+
     /// Iterates `(ix, iy, position, value)`.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, Point2, f64)> + '_ {
         (0..self.ny).flat_map(move |iy| {

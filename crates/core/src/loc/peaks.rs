@@ -5,6 +5,8 @@
 //! longer path than the direct one, multipath ghosts always project
 //! *farther* from the trajectory than the true tag.
 
+use std::collections::BTreeMap;
+
 use rfly_channel::geometry::Point2;
 
 use super::heatmap::Heatmap;
@@ -33,8 +35,22 @@ pub struct Peak {
 pub const CANDIDATE_THRESHOLD: f64 = 0.35;
 
 /// Finds all local maxima (8-neighborhood) at or above
-/// `threshold × global_max`.
+/// `threshold × global_max`, strongest first (ties in row-major order),
+/// with plateau duplicates merged: a maximum within 1.5 cells of a
+/// stronger one kept before it is dropped. The number of maxima
+/// examined is the `loc.peaks.local_maxima` counter.
 pub fn find_peaks(map: &Heatmap, threshold: f64) -> Vec<Peak> {
+    let mut peaks = local_maxima(map, threshold);
+    rfly_obs::counter_add("loc.peaks.local_maxima", peaks.len() as u64);
+    // Merge plateau duplicates: keep one peak per cluster of adjacent
+    // equal-valued cells (within one cell size).
+    peaks.sort_by(|a, b| b.value.total_cmp(&a.value));
+    keep_apart(peaks, map.resolution() * 1.5, 1)
+}
+
+/// The local maxima (8-neighborhood) at or above `threshold ×
+/// global_max`, in row-major order.
+fn local_maxima(map: &Heatmap, threshold: f64) -> Vec<Peak> {
     assert!((0.0..=1.0).contains(&threshold));
     let (_, global) = map.peak();
     if global <= 0.0 {
@@ -48,24 +64,7 @@ pub fn find_peaks(map: &Heatmap, threshold: f64) -> Vec<Peak> {
             if v < floor {
                 continue;
             }
-            let mut is_max = true;
-            'nb: for dy in -1i64..=1 {
-                for dx in -1i64..=1 {
-                    if dx == 0 && dy == 0 {
-                        continue;
-                    }
-                    let nx = ix as i64 + dx;
-                    let ny = iy as i64 + dy;
-                    if nx < 0 || ny < 0 || nx >= map.nx() as i64 || ny >= map.ny() as i64 {
-                        continue;
-                    }
-                    if map.get(nx as usize, ny as usize) > v {
-                        is_max = false;
-                        break 'nb;
-                    }
-                }
-            }
-            if is_max {
+            if !map.neighbours(ix, iy).any(|(x, y)| map.get(x, y) > v) {
                 peaks.push(Peak {
                     position: map.position(ix, iy),
                     value: v,
@@ -73,19 +72,75 @@ pub fn find_peaks(map: &Heatmap, threshold: f64) -> Vec<Peak> {
             }
         }
     }
-    // Merge plateau duplicates: keep one peak per cluster of adjacent
-    // equal-valued cells (within one cell size).
-    peaks.sort_by(|a, b| b.value.total_cmp(&a.value));
-    let mut merged: Vec<Peak> = Vec::new();
+    peaks
+}
+
+/// Keeps each peak, in order, that lies farther than `radius` from
+/// every peak kept before it: the greedy rule of plateau merging and
+/// sidelobe suppression, in time linear in the number of peaks.
+///
+/// Kept peaks sit in square buckets `w = radius·(1 + 2⁻²⁰)` wide, keyed
+/// by `⌊x/w⌋, ⌊y/w⌋`, and a peak is tested with the exact
+/// `Point2::distance` against the kept peaks in the `reach` rings of
+/// buckets around its own (1; any other value is a planted fault).
+/// That misses no kept peak within `radius`: such a peak is within
+/// `radius·(1 + 3u)` of it along each axis (`u = 2⁻⁵³`; the difference
+/// and `hypot` round by at most 1 ulp each), so the two quotients differ
+/// by at most `(1 + 3u)/(1 + 2⁻²⁰) + 2u·Q < 1`, `Q < 2³⁰` their size,
+/// and their floors by at most 1. A peak with a quotient of 2³⁰ or more
+/// or one that is not finite (every peak, when `radius` is 0 or NaN)
+/// takes no bucket: it is tested against every kept peak, and every
+/// later peak is tested against it.
+fn keep_apart(peaks: Vec<Peak>, radius: f64, reach: i64) -> Vec<Peak> {
+    const LIMIT: f64 = 1_073_741_824.0;
+    let w = radius * (1.0 + 1.0 / 1_048_576.0);
+    let bucket = |p: Point2| {
+        let (x, y) = (p.x / w, p.y / w);
+        (x.abs() < LIMIT && y.abs() < LIMIT).then(|| (x.floor() as i64, y.floor() as i64))
+    };
+    // Each bucket's last kept peak; `next[i]` is the kept peak put in
+    // kept peak i's bucket before it (usize::MAX ends the chain). Kept
+    // peaks without a bucket chain from `loose`.
+    let mut kept: Vec<Peak> = Vec::new();
+    let mut next: Vec<usize> = Vec::new();
+    let mut heads: BTreeMap<(i64, i64), usize> = BTreeMap::new();
+    let mut loose = usize::MAX;
     for p in peaks {
-        if merged
-            .iter()
-            .all(|q| q.position.distance(p.position) > map.resolution() * 1.5)
-        {
-            merged.push(p);
+        let apart = |mut i: usize| {
+            // Written as the reference's test: a NaN distance is not far.
+            while i != usize::MAX {
+                let far = kept[i].position.distance(p.position) > radius;
+                if !far {
+                    return false;
+                }
+                i = next[i];
+            }
+            true
+        };
+        let key = bucket(p.position);
+        let clear = match key {
+            Some((bx, by)) => {
+                apart(loose)
+                    && (by - reach..=by + reach).all(|y| {
+                        (bx - reach..=bx + reach)
+                            .all(|x| heads.get(&(x, y)).is_none_or(|&i| apart(i)))
+                    })
+            }
+            None => kept
+                .iter()
+                .all(|q| q.position.distance(p.position) > radius),
+        };
+        if clear {
+            let head = match key {
+                Some(k) => heads.entry(k).or_insert(usize::MAX),
+                None => &mut loose,
+            };
+            next.push(*head);
+            *head = kept.len();
+            kept.push(p);
         }
     }
-    merged
+    kept
 }
 
 /// Sidelobe suppression radius, meters: a candidate peak within this
@@ -100,16 +155,7 @@ pub const SIDELOBE_RADIUS_M: f64 = 1.0;
 /// candidate. Input must be sorted strongest-first (as `find_peaks`
 /// returns).
 pub fn suppress_sidelobes(peaks: Vec<Peak>) -> Vec<Peak> {
-    let mut kept: Vec<Peak> = Vec::new();
-    for p in peaks {
-        if kept
-            .iter()
-            .all(|q| q.position.distance(p.position) > SIDELOBE_RADIUS_M)
-        {
-            kept.push(p);
-        }
-    }
-    kept
+    keep_apart(peaks, SIDELOBE_RADIUS_M, 1)
 }
 
 /// The paper's selection rule: among salient candidate peaks (above
@@ -194,6 +240,117 @@ mod tests {
         let traj = Trajectory::line(Point2::new(0.0, 0.0), Point2::new(1.0, 0.0), 2);
         assert!(select_nearest_peak(&m, &traj).is_none());
         assert!(select_highest_peak(&m).is_none());
+    }
+
+    /// The O(P²) greedy rule [`keep_apart`] replaces: each peak tested
+    /// against every peak kept before it.
+    fn keep_apart_reference(peaks: Vec<Peak>, radius: f64) -> Vec<Peak> {
+        let mut kept: Vec<Peak> = Vec::new();
+        for p in peaks {
+            if kept
+                .iter()
+                .all(|q| q.position.distance(p.position) > radius)
+            {
+                kept.push(p);
+            }
+        }
+        kept
+    }
+
+    fn same(a: &[Peak], b: &[Peak]) -> bool {
+        let key = |p: &Peak| {
+            (
+                p.position.x.to_bits(),
+                p.position.y.to_bits(),
+                p.value.to_bits(),
+            )
+        };
+        a.iter().map(key).eq(b.iter().map(key))
+    }
+
+    /// Over seeded inputs, the cases where [`keep_apart`] with `reach`
+    /// differs from the reference:
+    /// - maps on a 0.25 m grid with a negative origin, whose values come
+    ///   from four levels (plateaus and exact ties), through the merge at
+    ///   1.5 cells and the suppression at 1 m (4 cells along an axis);
+    /// - peak lists on a 0.25 m lattice around the origin, kept at
+    ///   1.25 m, which offsets of (5, 0) and (3, 4) steps meet exactly.
+    fn bucket_mismatches(reach: i64) -> usize {
+        use rfly_dsp::rng::{Rng, StdRng};
+        let mut rng = StdRng::seed_from_u64(0xB0C4E7);
+        let mut out = 0;
+        for _ in 0..200 {
+            let (nx, ny) = (rng.gen_range(8usize..48), rng.gen_range(8usize..48));
+            let mut m = Heatmap::new(Point2::new(-3.0, -5.5), 0.25, nx, ny);
+            for iy in 0..ny {
+                for ix in 0..nx {
+                    m.set(ix, iy, [0.0, 0.4, 0.7, 1.0][rng.gen_range(0usize..4)]);
+                }
+            }
+            let mut raw = local_maxima(&m, CANDIDATE_THRESHOLD);
+            raw.sort_by(|a, b| b.value.total_cmp(&a.value));
+            let merged = keep_apart_reference(raw.clone(), 0.375);
+            let kept = keep_apart_reference(merged.clone(), SIDELOBE_RADIUS_M);
+            out += usize::from(!same(&keep_apart(raw, 0.375, reach), &merged));
+            out += usize::from(!same(&keep_apart(merged, SIDELOBE_RADIUS_M, reach), &kept));
+
+            let peaks: Vec<Peak> = (0..rng.gen_range(1usize..120))
+                .map(|_| Peak {
+                    position: Point2::new(
+                        f64::from(rng.gen_range(-20i32..20)) * 0.25,
+                        f64::from(rng.gen_range(-20i32..20)) * 0.25,
+                    ),
+                    value: f64::from(rng.gen_range(1u32..4)),
+                })
+                .collect();
+            let reference = keep_apart_reference(peaks.clone(), 1.25);
+            out += usize::from(!same(&keep_apart(peaks, 1.25, reach), &reference));
+        }
+        out
+    }
+
+    #[test]
+    fn bucketed_greedy_matches_the_quadratic_rule() {
+        assert_eq!(Point2::ORIGIN.distance(Point2::new(0.75, 1.0)), 1.25);
+        assert_eq!(bucket_mismatches(1), 0);
+    }
+
+    #[test]
+    fn planted_control_skipping_the_bucket_ring_is_caught() {
+        assert!(
+            bucket_mismatches(0) >= 1,
+            "the skipped ring went undetected"
+        );
+    }
+
+    #[test]
+    fn peaks_without_a_bucket_are_tested_against_every_kept_peak() {
+        // A peak 2³⁰ buckets out, a NaN one and an infinite one take no
+        // bucket; a NaN position is never farther than the radius, so
+        // once kept it blocks every later peak, as the reference does.
+        let at = |x: f64, y: f64, value: f64| Peak {
+            position: Point2::new(x, y),
+            value,
+        };
+        let cases = [
+            vec![
+                at(2e9, 0.0, 3.0),
+                at(2e9 + 0.5, 0.0, 2.0),
+                at(0.0, 0.0, 1.0),
+            ],
+            vec![at(f64::NAN, 0.0, 3.0), at(5.0, 5.0, 2.0)],
+            vec![
+                at(1.0, 1.0, 3.0),
+                at(f64::INFINITY, 0.0, 2.0),
+                at(1.5, 1.0, 1.0),
+            ],
+        ];
+        for peaks in cases {
+            for radius in [1.0, 0.0, f64::NAN] {
+                let reference = keep_apart_reference(peaks.clone(), radius);
+                assert!(same(&keep_apart(peaks.clone(), radius, 1), &reference));
+            }
+        }
     }
 
     #[test]

@@ -11,6 +11,13 @@
 //! The paper finds this baseline ~20× worse than SAR (≈1 m median at a
 //! 2.5 m aperture): amplitude decays slowly with distance and fading
 //! corrupts it, whereas phase turns over every 16 cm.
+//!
+//! [`RssiLocalizer::localize`] returns the full row-major scan's first
+//! minimum, bit for bit, but prices cells with `√(dx² + dy²)` lower
+//! bounds first, over tiles and then over the cells of each visited
+//! tile, and calls `hypot` (`Point2::distance`, the scan's own cost)
+//! only for the cells those bounds cannot rule out: ~13 of the ~610 in
+//! a localize pass.
 
 use rfly_channel::geometry::Point2;
 use rfly_dsp::units::Hertz;
@@ -51,18 +58,55 @@ impl RssiLocalizer {
     /// Localizes by minimizing Σ (dist(p, traj_l) − d_l)² over the grid:
     /// the first minimum in row-major order, as a full scan finds it.
     ///
-    /// Branch-and-bound over tiles of `TILE`×`TILE` cells. For a
-    /// tile with box centre c and half-diagonal r, the triangle
-    /// inequality gives | |p − t| − |c − t| | ≤ r for every cell p in
-    /// it, so Σ max(0, |dist(c, t) − d| − r)² bounds every cost in the
-    /// tile from below (r is inflated to absorb rounding). Tiles are
-    /// visited in ascending bound order until the bound exceeds the best
-    /// cost; cells are scored with the full scan's expression and ties
-    /// broken by (cost, iy, ix), so the result is bit-identical.
+    /// Branch-and-bound over tiles of `TILE`×`TILE` cells, then over
+    /// the cells of each visited tile; every distance a bound reads is
+    /// `√(dx² + dy²)`, and only a cell whose bound does not already lose
+    /// gets its cost from `hypot` (`Point2::distance`), the full scan's
+    /// expression:
+    /// - *Tiles.* For a tile with box centre c and half-diagonal r, the
+    ///   triangle inequality gives | |p − t| − |c − t| | ≤ r for every
+    ///   cell p in it, so Σ max(0, |a − d| − r − 1e-9·(r + a + d))², with
+    ///   `a` the centre's distance, bounds every cost in the tile from
+    ///   below. Tiles are visited in ascending bound order until the
+    ///   bound exceeds the best cost.
+    /// - *Cells.* In a visited tile a cell's cost is bounded below by
+    ///   Σ max(0, |a − d| − 1e-9·(a + d))², `a` its own distance, and the
+    ///   cell is skipped only when that bound is strictly above the best
+    ///   cost so far. Ties are broken by (cost, iy, ix), so the result
+    ///   is bit-identical to the full scan.
+    ///
+    /// Why the bounds hold. `a` and the cost's `h = hypot(dx, dy)` take
+    /// the same rounded differences, and each is within 2 ulp of
+    /// `√(dx² + dy²)` (glibc's `hypot` is not correctly rounded, but its
+    /// error is below 1 ulp), so `|a − h| ≤ 4u·a` with `u = 2⁻⁵³`. The
+    /// margin 1e-9·(a + d) exceeds that, the rounding of `a − d` and of
+    /// the margin itself (each ≤ u·(a + d)) more than 10⁶-fold, so each
+    /// bound term `g` satisfies `g ≤ |fl(h − d)|·(1 − 9.8e-10)` and
+    /// `g² ≤ fl(h − d)²·(1 − 1.9e-9)`. Squaring and summing K terms, in
+    /// either sum, moves it by at most (K + 1)·u relative, so the bound
+    /// stays below the computed cost while K < 10⁶. With r the same
+    /// holds for a tile (r's own rounding is covered by 1e-9·r). The
+    /// relative error of `a` needs `dx²` and `dy²` to stay normal or
+    /// negligible: with every coordinate below 10¹⁰⁰ m in magnitude and
+    /// every range in \[10⁻¹⁰⁰, 10¹⁰⁰\] m, no square overflows, and a
+    /// distance whose squares underflow is below 2e-154 m, where
+    /// 1e-9·d alone covers its error. Outside those limits (or with
+    /// K ≥ 10⁶) no bound prunes, and every cell is scored.
     ///
     /// Returns `None` when every channel is silent, or when any channel
     /// or position is not finite.
     pub fn localize(&self, trajectory: &Trajectory, channels: &[Complex]) -> Option<Point2> {
+        self.search(trajectory, channels, false)
+    }
+
+    /// [`Self::localize`]; with `skip_ties` (a planted fault) a cell is
+    /// skipped when its bound merely equals the best cost.
+    fn search(
+        &self,
+        trajectory: &Trajectory,
+        channels: &[Complex],
+        skip_ties: bool,
+    ) -> Option<Point2> {
         assert_eq!(trajectory.len(), channels.len());
         if !trajectory.is_finite() || channels.iter().any(|h| !h.is_finite()) {
             return None;
@@ -84,22 +128,36 @@ impl RssiLocalizer {
                 self.region_min.y + iy as f64 * self.resolution,
             )
         };
+        let small = |v: f64| v.abs() < 1e100;
+        let bounded = ranges.len() < 1_000_000
+            && [self.region_min, cell(nx - 1, ny - 1)]
+                .iter()
+                .chain(trajectory.points())
+                .all(|p| small(p.x) && small(p.y))
+            && ranges.iter().all(|&(_, d)| small(d) && d >= 1e-100);
+        // Σ max(0, |a − d| − r − 1e-9·(r + a + d))² over the ranges, `a`
+        // the distance from `p`: a lower bound on the cost of every cell
+        // within `r` of `p`; 0 when the limits above do not hold.
+        let bound = |p: Point2, r: f64| -> f64 {
+            if !bounded {
+                return 0.0;
+            }
+            ranges
+                .iter()
+                .map(|&(t, d)| {
+                    let a = root_distance(t, p);
+                    let gap = ((a - d).abs() - r - 1e-9 * (r + a + d)).max(0.0);
+                    gap * gap
+                })
+                .sum()
+        };
         let mut tiles: Vec<(f64, usize, usize)> = (0..ny.div_ceil(TILE))
             .flat_map(|ty| (0..nx.div_ceil(TILE)).map(move |tx| (tx * TILE, ty * TILE)))
             .map(|(x0, y0)| {
                 let lo = cell(x0, y0);
                 let hi = cell((x0 + TILE).min(nx) - 1, (y0 + TILE).min(ny) - 1);
                 let c = Point2::new(0.5 * (lo.x + hi.x), 0.5 * (lo.y + hi.y));
-                let r = 0.5 * lo.distance(hi);
-                let lb: f64 = ranges
-                    .iter()
-                    .map(|(t, d)| {
-                        let a = t.distance(c);
-                        let gap = ((a - d).abs() - r - 1e-9 * (r + a + d)).max(0.0);
-                        gap * gap
-                    })
-                    .sum();
-                (lb, x0, y0)
+                (bound(c, 0.5 * root_distance(lo, hi)), x0, y0)
             })
             .collect();
         tiles.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -115,6 +173,12 @@ impl RssiLocalizer {
             for iy in y0..(y0 + TILE).min(ny) {
                 for ix in x0..(x0 + TILE).min(nx) {
                     let p = cell(ix, iy);
+                    if let Some(b) = best {
+                        let lb = bound(p, 0.0);
+                        if lb > b.0 || (skip_ties && lb == b.0) {
+                            continue;
+                        }
+                    }
                     let cost: f64 = ranges
                         .iter()
                         .map(|(t, d)| {
@@ -136,6 +200,14 @@ impl RssiLocalizer {
         rfly_obs::counter_add("loc.rssi.cells_exact", exact);
         Some(best.map_or(Point2::ORIGIN, |(_, iy, ix)| cell(ix, iy)))
     }
+}
+
+/// `|t − p|` as `√(dx² + dy²)`, from the differences `Point2::distance`
+/// takes `hypot` of: within 2 ulp of the exact distance, at a fraction
+/// of `hypot`'s cost.
+fn root_distance(t: Point2, p: Point2) -> f64 {
+    let (dx, dy) = (t.x - p.x, t.y - p.y);
+    (dx * dx + dy * dy).sqrt()
 }
 
 /// Side of the branch-and-bound tiles [`RssiLocalizer::localize`]
@@ -225,6 +297,41 @@ mod tests {
         let loc = localizer();
         let traj = Trajectory::line(Point2::new(0.0, 0.0), Point2::new(1.0, 0.0), 5);
         assert!(loc.localize(&traj, &[Complex::default(); 5]).is_none());
+    }
+
+    /// One measurement at (2, 3.25) ranging exactly 1.25 m on a 0.25 m
+    /// grid: the twelve cells 1.25 m away (offsets (0, ±5), (±5, 0),
+    /// (±3, ±4) and (±4, ±3) cells) all cost exactly 0. The full scan
+    /// returns the first of them in row-major order, (2, 2); the tile
+    /// holding cells x ≤ 1.75 m of the same tile row is visited first
+    /// and finds (1.25, 2.25) before it.
+    fn exact_tie() -> (RssiLocalizer, Trajectory, Vec<Complex>) {
+        let loc = RssiLocalizer {
+            frequency: F2,
+            region_min: Point2::ORIGIN,
+            region_max: Point2::new(4.0, 5.0),
+            resolution: 0.25,
+            reference_amplitude_1m: 1.5625,
+        };
+        let traj = Trajectory::from_points(vec![Point2::new(2.0, 3.25)]);
+        (loc, traj, vec![Complex::from_re(1.0)])
+    }
+
+    #[test]
+    fn an_exact_cost_tie_goes_to_the_first_cell_in_row_major_order() {
+        let (loc, traj, ch) = exact_tie();
+        assert_eq!(traj.points()[0].distance(Point2::new(1.25, 2.25)), 1.25);
+        assert_eq!(loc.localize(&traj, &ch), Some(Point2::new(2.0, 2.0)));
+    }
+
+    #[test]
+    fn planted_control_skipping_a_cell_whose_bound_ties_is_caught() {
+        let (loc, traj, ch) = exact_tie();
+        assert_eq!(
+            loc.search(&traj, &ch, true),
+            Some(Point2::new(1.25, 2.25)),
+            "skipping on ≥ went undetected"
+        );
     }
 
     #[test]

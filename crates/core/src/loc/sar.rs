@@ -16,14 +16,18 @@
 //!
 //! [`SarLocalizer::heatmap`] is the exhaustive grid search.
 //! [`SarLocalizer::localize`] returns the same estimate, bit for bit,
-//! while scoring exactly only the cells that can change it — the faster
+//! while scoring exactly only the cells that decide it — the faster
 //! search the paper's footnote 7 points at, exact by construction. Its
 //! screen has two tiers. Tier 1 evaluates Eq. 12 in f32 over the whole
 //! grid, with a certified error `ε` (see `table_cis32`), and prunes
 //! every cell that provably stays below the candidate floor. Tier 2
-//! bounds the surviving cells from above in f64, with phasors read from
-//! a 256-entry table and rotated by a short Taylor polynomial, whose
-//! error is a stated function of the phase (see `table_cis`).
+//! brackets the surviving cells in f64, with phasors read from a
+//! 256-entry table and rotated by a short Taylor polynomial, whose
+//! error is a stated function of the phase (see `table_cis`). The
+//! refine then calls libm (`score_at`'s `hypot` and `sin`/`cos`) only
+//! for the global maximum, the local maxima at or above the floor, and
+//! the neighbours whose brackets cannot be ordered against them: ~3
+//! cells of ~15,000 in a localize pass.
 
 use rfly_channel::geometry::Point2;
 use rfly_dsp::units::Hertz;
@@ -104,9 +108,11 @@ impl SarLocalizer {
     ///
     /// The estimate is bit-identical to [`peaks::select_nearest_peak`]
     /// over the exhaustive [`Self::heatmap`], but only the cells that
-    /// can change it are scored exactly (see [`Self::screened_heatmap`]).
-    /// Every cell at or above the candidate floor holds the exhaustive
-    /// map's bits; cells proven below the floor read 0.
+    /// decide it are scored exactly (see [`Self::screened_heatmap`]).
+    /// The map's contract against the exhaustive one: no cell reads
+    /// above its exhaustive value, and the global maximum and every
+    /// local maximum at or above the candidate floor hold the exhaustive
+    /// bits. Other cells read a certified lower bound, or 0.
     ///
     /// Returns `None` when every channel is silent, or when any channel
     /// or position is not finite.
@@ -130,8 +136,9 @@ impl SarLocalizer {
         Some((est, map))
     }
 
-    /// The heatmap [`Self::localize`] selects from: exact wherever a
-    /// cell can reach `threshold` × the global maximum, 0 elsewhere.
+    /// The heatmap [`Self::localize`] selects from: no cell above the
+    /// exhaustive map, and exact at the global maximum and at every
+    /// local maximum at or above `threshold` × that maximum.
     /// `threshold` is [`peaks::CANDIDATE_THRESHOLD`] in production; it
     /// is a parameter only so tests can plant a wrong one.
     ///
@@ -142,29 +149,71 @@ impl SarLocalizer {
     ///    `|S|` ([`table_cis32`] states `e₃₂`). Cells that provably stay
     ///    below the refine cut are set to 0 without an f64 bound.
     /// 2. *Screen* ([`Self::screen`], tier 2). Row by row, every
-    ///    surviving cell gets an upper bound `ub ≥ √P` from a
-    ///    branch-free, autovectorised evaluation of Eq. 12 through the
-    ///    phasor table ([`table_cis`], error ≤ 2e-15 + 2e-16·φ per
-    ///    phasor) plus a slack of [`SCREEN_SLACK`]·Σ|hₖ|, which covers
-    ///    that error, the phase argument's rounding and the f64
-    ///    accumulation by orders of magnitude. The values of both tiers
-    ///    live in the heatmap's own storage.
-    /// 3. *Anchor.* The cell with the largest bound is scored exactly
-    ///    with [`Self::score_at`]: `L ≤ G`, the global maximum.
-    /// 4. *Refine.* Every cell with `ub²·(1 + 1e-9) ≥ threshold·L` is
-    ///    re-scored with the unchanged [`Self::score_at`], so it holds
-    ///    the exhaustive map's bits; every other cell is set to 0.
+    ///    surviving cell gets `ub = |Ŝ| + s` from a branch-free,
+    ///    autovectorised evaluation of Eq. 12 through the phasor table
+    ///    ([`table_cis`], error ≤ 2e-15 + 2e-16·φ per phasor), with the
+    ///    slack `s` = [`SCREEN_SLACK`]·Σ|hₖ|, which covers that error,
+    ///    the phase argument's rounding and the f64 accumulation by
+    ///    orders of magnitude. The values of both tiers live in the
+    ///    heatmap's own storage.
+    /// 3. *Anchor.* The first row-major cell with the largest bound is
+    ///    scored exactly with [`Self::score_at`]: `L ≤ G`, the global
+    ///    maximum.
+    /// 4. *Contenders.* The cells with `hi = ub²·(1 + 1e-9) ≥ threshold·L`
+    ///    can reach the floor; every other cell is set to 0. A
+    ///    contender's bracket is `lo ≤ P ≤ hi`, with
+    ///    `lo = max(0, ub − 2s)²·(1 − 1e-9)`.
+    /// 5. *Decide.* Each [`Self::score_at`] call below is a cell scored
+    ///    exactly:
+    ///    a. contenders in descending `ub` (ties row-major, so the anchor
+    ///       comes first and `L` is reused) until the next `hi` falls
+    ///       below the best exact value. That value is `G`, bit for bit:
+    ///       every cell left has `P ≤ hi` below it;
+    ///    b. `floor = G·threshold`, the expression `find_peaks` computes;
+    ///    c. every unscored contender with `hi ≥ floor` is scored unless
+    ///       a neighbour is certainly above it: an exact neighbour whose
+    ///       value, or an unscored one whose `lo`, exceeds its `hi`;
+    ///    d. the closure: for every exact cell `r` with `P(r) ≥ floor`,
+    ///       each unscored neighbour contender whose `[lo, hi]` holds
+    ///       `P(r)` is scored, and so on from the cells this scores.
+    /// 6. *Store.* An exact cell keeps [`Self::score_at`]'s bits; an
+    ///    unscored contender stores its `lo`.
+    ///
+    /// Why the brackets hold. `|Ŝ|` is within `s` of `|S|`, below or
+    /// above (what [`SCREEN_SLACK`] covers), so `ub − 2s ≤ |S| ≤ ub`.
+    /// [`Self::score_at`]'s own rounding (a few K·2⁻⁵³·Σ|hₖ|) and that of
+    /// `ub − 2s` sit orders of magnitude inside `s`, and the factors
+    /// `1 ± 1e-9` absorb the rounding of the squares: `lo ≤ P ≤ hi`
+    /// holds for the bits `score_at` returns.
     ///
     /// Why [`peaks::select_nearest_peak`] then returns exactly what it
-    /// returns on the exhaustive map: a cell whose true `P` reaches
-    /// `find_peaks`' floor `threshold·G ≥ threshold·L` has
-    /// `ub² ≥ P ≥ threshold·L`, so it is exact — the global maximum
-    /// included, hence the floor itself is unchanged. A pruned cell is
-    /// below the floor both as stored (0) and in truth. So every
-    /// candidate cell, its value, and the outcome of each 8-neighbour
-    /// test against it (a neighbour below the floor can never exceed a
-    /// candidate) are the same; plateau merging, sidelobe suppression
-    /// and the nearest-peak choice read nothing else.
+    /// returns on the exhaustive map `O`. Call the stored map `M`.
+    /// `M ≤ O` on every cell (`lo ≤ P`, and `0 ≤ P`), and a cell that is
+    /// not a contender has `P ≤ hi < threshold·L ≤ floor`.
+    /// - *`G` and the floor are unchanged:* step 5a scores a cell holding
+    ///   `G`, and no cell reads more.
+    /// - *Every `O`-peak is an `M`-peak with `O`'s bits.* A local maximum
+    ///   `c` of `O` with `P(c) ≥ floor` has `hi(c) ≥ floor`, and no
+    ///   neighbour can be certainly above it (its `P` would exceed
+    ///   `P(c)`), so step 5c scores it. Its neighbours read
+    ///   `M ≤ O ≤ P(c)`.
+    /// - *Every `M`-peak is an `O`-peak.* Let `M(c) ≥ floor` with no
+    ///   neighbour above it in `M`. If `c` is unscored, `lo(c) ≥ floor`
+    ///   puts `hi(c) ≥ floor`, so step 5c left it for a neighbour `n`
+    ///   certainly above it; `n` reads its exact value or its `lo`, both
+    ///   above `hi(c) ≥ M(c)`, a contradiction. If `c` is exact, take a
+    ///   neighbour with `P(n) > P(c)`: an exact `n` reads `P(n)`; an
+    ///   unscored contender was left by the closure, so `P(c)` lies
+    ///   outside `[lo(n), hi(n)]`, and `P(c) < P(n) ≤ hi(n)` leaves
+    ///   `P(c) < lo(n) = M(n)`; a non-contender has `P(n) < floor ≤
+    ///   P(c)`. So `n` reads above `M(c)`, a contradiction.
+    ///
+    /// So `find_peaks` finds the same peaks with the same values, in the
+    /// same order (it sorts stably over row-major cells), and plateau
+    /// merging, sidelobe suppression and the nearest-peak choice read
+    /// nothing else. Only ~3 of the ~170 contenders of a localize pass
+    /// are scored: the peaks and the neighbours their brackets, `2s`
+    /// wide in `√P`, cannot order.
     ///
     /// Why tier 1 changes none of it. With `s` the slack, each tier-2
     /// bound sits within `s` of `|S| + s`, so `ub ≤ |Ŝ₃₂| + ε + 2s` for
@@ -177,8 +226,9 @@ impl SarLocalizer {
     /// the refine would set it to 0, and it cannot be the anchor or tie
     /// with it. Tier 2 bounds each survivor with the same arithmetic and
     /// measurement order as a full screen, so every survivor's bound,
-    /// the first row-major maximum (the anchor), `L` and the refined
-    /// cells are bit-identical to a screen without tier 1.
+    /// the first row-major maximum (the anchor), `L`, the contenders
+    /// and so the whole refined map are bit-identical to a screen
+    /// without tier 1.
     ///
     /// Why tier 1's stages change none of that. Tier 1 stops summing a
     /// cell once the rest of the aperture cannot lift it to
@@ -197,10 +247,11 @@ impl SarLocalizer {
     ///   f32 operation order, so its `|Ŝ₃₂|` has the same bits.
     ///   The cell holding `M` is never dropped (`M ≥ prune_below ≥
     ///   cut`), so `M`, `prune_below`, tier 2's survivors, the anchor,
-    ///   `L` and the refined cells are bit-identical to a tier 1
-    ///   without stages.
+    ///   `L` and the refined map are bit-identical to a tier 1 without
+    ///   stages.
     ///
-    /// A degenerate map (`L ≤ 0` or not finite) falls back to
+    /// A degenerate map (`L ≤ 0` or not finite, a contender whose bound
+    /// is not finite, or 2³² cells or more) falls back to
     /// [`Self::heatmap`]. A bound that is NaN is never pruned.
     #[doc(hidden)]
     pub fn screened_heatmap(
@@ -247,29 +298,23 @@ impl SarLocalizer {
         };
         let (anchor, bounded) = self.screen(&mut map, trajectory, channels, slack, prune_below);
         rfly_obs::counter_add("loc.sar.cells_f64", bounded);
-        let (nx, ny) = (map.nx(), map.ny());
-
-        let l = self.score_at(map.position(anchor.0, anchor.1), trajectory, channels);
-        if !(l > 0.0 && l.is_finite()) {
-            rfly_obs::counter_add("loc.sar.cells_exact", (nx * ny + 1) as u64);
-            return self.heatmap(trajectory, channels);
-        }
-        let cut = threshold * l;
-        let mut exact = 1u64;
-        for iy in 0..ny {
-            for ix in 0..nx {
-                let ub = map.get(ix, iy);
-                let v = if ub * ub * (1.0 + 1e-9) < cut {
-                    0.0
-                } else {
-                    exact += 1;
-                    self.score_at(map.position(ix, iy), trajectory, channels)
-                };
-                map.set(ix, iy, v);
+        let refine = Refine {
+            threshold,
+            slack,
+            close: true,
+            lower: true,
+        };
+        let score = |p| self.score_at(p, trajectory, channels);
+        match refine.run(&mut map, anchor, score) {
+            Some(exact) => {
+                rfly_obs::counter_add("loc.sar.cells_exact", exact);
+                map
+            }
+            None => {
+                rfly_obs::counter_add("loc.sar.cells_exact", (map.nx() * map.ny() + 1) as u64);
+                self.heatmap(trajectory, channels)
             }
         }
-        rfly_obs::counter_add("loc.sar.cells_exact", exact);
-        map
     }
 
     /// Tier 1 of [`Self::screened_heatmap`]: writes `|Ŝ₃₂|/Σ|hₖ|` into
@@ -556,6 +601,149 @@ impl Prune {
         let margin = e32 + 2.0 * SCREEN_SLACK;
         let floor = self.threshold.min(1.0).sqrt() * (top - margin) * (1.0 - 1e-9);
         self.radius * (floor - margin)
+    }
+}
+
+/// The decision-driven refine of [`SarLocalizer::screened_heatmap`]
+/// (its steps 4–6): the refine `threshold` and the screen's `slack`.
+/// `close` runs step 5d and `lower` stores an undecided contender's
+/// `lo`; both are `true` in production, and `false` is a planted fault
+/// (no closure; `ub²`, above the exact value, stored instead).
+#[derive(Debug, Clone, Copy)]
+struct Refine {
+    threshold: f64,
+    slack: f64,
+    close: bool,
+    lower: bool,
+}
+
+impl Refine {
+    /// `(lo, hi)` with `lo ≤ P ≤ hi` for a cell whose tier-2 bound is
+    /// `ub`: `lb²·(1 − 1e-9)` with `lb = max(0, ub − 2s)`, and
+    /// `ub²·(1 + 1e-9)`.
+    fn bracket(self, ub: f64) -> (f64, f64) {
+        let lb = (ub - 2.0 * self.slack).max(0.0);
+        (lb * lb * (1.0 - 1e-9), ub * ub * (1.0 + 1e-9))
+    }
+
+    /// Rewrites `map`, which holds tier 2's bounds (0 where pruned),
+    /// into the refined map, calling `score` (the exact `P` at a cell's
+    /// position) only where the bounds cannot decide a peak. `anchor` is
+    /// the first row-major cell with the largest bound. Returns the
+    /// number of cells scored, or `None`, leaving `map` spent, when the
+    /// anchor's score is not positive and finite, a contender's bound is
+    /// not finite, or the grid has 2³² cells or more.
+    ///
+    /// While it runs, an unscored contender's slot in `map` holds `−ub`
+    /// and a scored one its exact value; every other cell reads 0. The
+    /// only side state is the list of contenders, a 4-byte row-major
+    /// index each.
+    fn run(
+        self,
+        map: &mut Heatmap,
+        anchor: (usize, usize),
+        mut score: impl FnMut(Point2) -> f64,
+    ) -> Option<u64> {
+        let l = score(map.position(anchor.0, anchor.1));
+        if !(l > 0.0 && l.is_finite()) {
+            return None;
+        }
+        let (nx, ny) = (map.nx(), map.ny());
+        let cut = self.threshold * l;
+        let mut cells: Vec<u32> = Vec::new();
+        for iy in 0..ny {
+            for ix in 0..nx {
+                let ub = map.get(ix, iy);
+                if self.bracket(ub).1 < cut {
+                    map.set(ix, iy, 0.0);
+                } else if ub.is_finite() {
+                    map.set(ix, iy, -ub);
+                    cells.push(u32::try_from(iy * nx + ix).ok()?);
+                } else {
+                    return None;
+                }
+            }
+        }
+        let at = |i: u32| (i as usize % nx, i as usize / nx);
+        // The bound of the unscored contender at a slot's value, if any.
+        let unscored = |v: f64| (v < 0.0).then_some(-v);
+        // Highest bound (lowest `−ub`) first, ties in row-major order:
+        // the anchor leads.
+        let slot = |c| map.get(at(c).0, at(c).1);
+        cells.sort_by(|&a, &b| slot(a).total_cmp(&slot(b)));
+        let mut exact = 1u64;
+        let mut scored = |map: &mut Heatmap, (ix, iy): (usize, usize)| {
+            let p = if (ix, iy) == anchor {
+                l
+            } else {
+                exact += 1;
+                score(map.position(ix, iy))
+            };
+            map.set(ix, iy, p);
+            p
+        };
+
+        // 5a: the global maximum G, bit for bit.
+        let mut g = 0.0f64;
+        for c in cells.iter().map(|&c| at(c)) {
+            let Some(ub) = unscored(map.get(c.0, c.1)) else {
+                continue;
+            };
+            if self.bracket(ub).1 < g {
+                break;
+            }
+            g = g.max(scored(map, c));
+        }
+        // 5b, 5c: find_peaks' floor, and every contender that can reach
+        // it with no neighbour certainly above it (an exact value, or
+        // the lower end of a bracket, above its upper end).
+        let floor = g * self.threshold;
+        for c in cells.iter().map(|&c| at(c)) {
+            let Some(ub) = unscored(map.get(c.0, c.1)) else {
+                continue;
+            };
+            let hi = self.bracket(ub).1;
+            let above = |(x, y)| {
+                let v = map.get(x, y);
+                unscored(v).map_or(v, |ub| self.bracket(ub).0) > hi
+            };
+            if hi >= floor && !map.neighbours(c.0, c.1).any(above) {
+                scored(map, c);
+            }
+        }
+        // 5d: the closure. An unscored neighbour of an exact cell at or
+        // above the floor is scored when its bracket holds that value.
+        let mut work = Vec::new();
+        for r in cells.iter().map(|&c| at(c)) {
+            if !self.close || map.get(r.0, r.1) < floor {
+                continue;
+            }
+            work.push(r);
+            while let Some(r) = work.pop() {
+                let p = map.get(r.0, r.1);
+                for n in map.neighbours(r.0, r.1) {
+                    let Some(ub) = unscored(map.get(n.0, n.1)) else {
+                        continue;
+                    };
+                    let (lo, hi) = self.bracket(ub);
+                    if lo <= p && p <= hi && scored(map, n) >= floor {
+                        work.push(n);
+                    }
+                }
+            }
+        }
+        // 6: an undecided contender stores the lower end of its bracket.
+        for c in cells.iter().map(|&c| at(c)) {
+            if let Some(ub) = unscored(map.get(c.0, c.1)) {
+                let v = if self.lower {
+                    self.bracket(ub).0
+                } else {
+                    ub * ub
+                };
+                map.set(c.0, c.1, v);
+            }
+        }
+        Some(exact)
     }
 }
 
@@ -1022,34 +1210,161 @@ mod tests {
         out
     }
 
-    /// Cells whose screen bound, at `slack`·Σ|hₖ|, sits below `√P`.
-    fn bound_violations(slack: f64) -> usize {
+    /// Cells whose screen bound `ub`, at `slack`·Σ|hₖ|, sits below `√P`,
+    /// and cells whose `ub − 2·slack·Σ|hₖ|` sits above it.
+    fn bound_violations(slack: f64) -> (usize, usize) {
         let loc = SarLocalizer::new(F2, Point2::new(-0.5, -0.5), Point2::new(3.0, 3.0), 0.04);
-        bound_cases()
-            .iter()
-            .map(|(traj, ch)| {
-                let sum: f64 = ch.iter().map(|h| h.abs()).sum();
-                let mut ub = loc.empty_map();
-                loc.screen(&mut ub, traj, ch, slack * sum, f64::NEG_INFINITY);
-                ub.iter()
-                    .filter(|&(_, _, p, ub)| ub < loc.score_at(p, traj, ch).sqrt())
-                    .count()
-            })
-            .sum()
+        let mut out = (0, 0);
+        for (traj, ch) in bound_cases() {
+            let s = slack * ch.iter().map(|h| h.abs()).sum::<f64>();
+            let mut ub = loc.empty_map();
+            loc.screen(&mut ub, &traj, &ch, s, f64::NEG_INFINITY);
+            for (_, _, p, ub) in ub.iter() {
+                let root = loc.score_at(p, &traj, &ch).sqrt();
+                out.0 += usize::from(ub < root);
+                out.1 += usize::from(ub - 2.0 * s > root);
+            }
+        }
+        out
     }
 
     #[test]
     fn screen_bounds_every_cell_from_above() {
         // The invariant the exactness proof of `screened_heatmap` rests
         // on: every bound is at least the exact √P.
-        assert_eq!(bound_violations(SCREEN_SLACK), 0);
+        assert_eq!(bound_violations(SCREEN_SLACK).0, 0);
+    }
+
+    #[test]
+    fn screen_bounds_every_cell_from_below() {
+        // The other end of the refine's bracket: `ub − 2s` is at most
+        // the exact √P, so an undecided cell's stored `lo` never reads
+        // above the exhaustive map.
+        assert_eq!(bound_violations(SCREEN_SLACK).1, 0);
     }
 
     #[test]
     fn planted_control_a_screen_without_slack_is_caught() {
         // Without the slack, |Ŝ| alone sits below |S| wherever the
-        // kernel's error happens to point inward.
-        assert!(bound_violations(0.0) >= 1, "the zero slack went undetected");
+        // kernel's error happens to point inward, and above it elsewhere.
+        let (above, below) = bound_violations(0.0);
+        assert!(above >= 1, "the zero slack went undetected from above");
+        assert!(below >= 1, "the zero slack went undetected from below");
+    }
+
+    /// The slack of [`field`]'s bounds, in `√P`.
+    const FIELD_SLACK: f64 = 1e-3;
+
+    /// A synthetic exhaustive map `O` and tier-2 bounds for it, on a
+    /// unit grid at the origin. Amplitudes `√P` take one of six levels
+    /// 0.2 apart (far wider than the `2s` bracket, so neighbours on
+    /// different levels are ordered by their bounds) plus a jitter of
+    /// 0, 1e-4 or 2e-4 (far inside it, so neighbours on one level are
+    /// not, and equal jitters tie exactly). Each bound lies anywhere in
+    /// `[√P + 0.1s, √P + 1.9s]`; a zero amplitude reads 0, as a pruned
+    /// cell does.
+    fn field(rng: &mut rfly_dsp::rng::StdRng) -> (Heatmap, Heatmap) {
+        use rfly_dsp::rng::Rng;
+        let (nx, ny) = (rng.gen_range(4usize..17), rng.gen_range(4usize..17));
+        let mut oracle = Heatmap::new(Point2::ORIGIN, 1.0, nx, ny);
+        let mut bounds = oracle.clone();
+        for iy in 0..ny {
+            for ix in 0..nx {
+                let level = rng.gen_range(0u32..6);
+                if level == 0 {
+                    continue;
+                }
+                let a = f64::from(level) * 0.2 + [0.0, 1e-4, 2e-4][rng.gen_range(0usize..3)];
+                oracle.set(ix, iy, a * a);
+                bounds.set(ix, iy, a + FIELD_SLACK * rng.gen_range(0.1..1.9));
+            }
+        }
+        (oracle, bounds)
+    }
+
+    /// [`Refine::run`] on `bounds`, scoring from `oracle`, with the
+    /// closure and the stored lower end switched by `close`, `lower`.
+    fn refined(oracle: &Heatmap, bounds: &Heatmap, close: bool, lower: bool) -> (Heatmap, u64) {
+        let mut anchor = ((0, 0), f64::NEG_INFINITY);
+        for (ix, iy, _, ub) in bounds.iter() {
+            if ub > anchor.1 {
+                anchor = ((ix, iy), ub);
+            }
+        }
+        let refine = Refine {
+            threshold: peaks::CANDIDATE_THRESHOLD,
+            slack: FIELD_SLACK,
+            close,
+            lower,
+        };
+        let mut map = bounds.clone();
+        let score = |p: Point2| oracle.get(p.x as usize, p.y as usize);
+        let exact = refine
+            .run(&mut map, anchor.0, score)
+            .expect("a positive anchor");
+        (map, exact)
+    }
+
+    /// Whether `map` breaks the contract against `oracle`: a cell above
+    /// it, a global maximum without its bits, or other candidate peaks
+    /// (positions or value bits).
+    fn breaks_contract(oracle: &Heatmap, map: &Heatmap) -> bool {
+        let g = oracle.peak().1;
+        let peaks = |m: &Heatmap| {
+            let found = peaks::find_peaks(m, peaks::CANDIDATE_THRESHOLD);
+            found
+                .iter()
+                .map(|p| {
+                    (
+                        p.position.x.to_bits(),
+                        p.position.y.to_bits(),
+                        p.value.to_bits(),
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        oracle.iter().any(|(ix, iy, _, v)| {
+            let m = map.get(ix, iy);
+            m > v || (v == g && m.to_bits() != v.to_bits())
+        }) || peaks(map) != peaks(oracle)
+    }
+
+    /// Over 500 seeded [`field`]s: the fields whose refined map breaks
+    /// the contract, the cells scored, and the contenders (cells with
+    /// a bound).
+    fn field_breaks(close: bool, lower: bool) -> (usize, u64, u64) {
+        let mut rng = rfly_dsp::rng::StdRng::seed_from_u64(0xF1E1D);
+        let mut out = (0, 0, 0);
+        for _ in 0..500 {
+            let (oracle, bounds) = field(&mut rng);
+            let (map, exact) = refined(&oracle, &bounds, close, lower);
+            out.0 += usize::from(breaks_contract(&oracle, &map));
+            out.1 += exact;
+            out.2 += bounds.iter().filter(|&(.., ub)| ub > 0.0).count() as u64;
+        }
+        out
+    }
+
+    #[test]
+    fn the_refine_keeps_the_map_contract_on_near_tied_fields() {
+        let (breaks, exact, bounded) = field_breaks(true, true);
+        assert_eq!(breaks, 0);
+        // The bounds decide most cells: near ties, not every contender,
+        // are scored.
+        assert!(exact * 2 < bounded, "{exact} of {bounded} cells scored");
+    }
+
+    #[test]
+    fn planted_control_storing_the_upper_bound_is_caught() {
+        assert!(field_breaks(true, false).0 >= 1, "ub² went undetected");
+    }
+
+    #[test]
+    fn planted_control_a_refine_without_its_closure_is_caught() {
+        assert!(
+            field_breaks(false, true).0 >= 1,
+            "the open refine went undetected"
+        );
     }
 
     /// Tier 1's rule at the production threshold and `radius`, with the

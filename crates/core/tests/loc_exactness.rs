@@ -4,9 +4,19 @@
 //! the exhaustive searches return.
 //!
 //! The SAR oracle is `SarLocalizer::heatmap` + `select_nearest_peak`;
-//! the RSSI oracle is the row-major full scan below. A planted control
+//! the RSSI oracle is the row-major full scan below. The screened SAR
+//! map must keep its contract with the oracle's: no cell above it, the
+//! global maximum exact, and the same candidate peaks from `find_peaks`
+//! (positions and value bits), so the same estimate. A planted control
 //! reruns the SAR property with a wrong screen threshold and must see
-//! it fail.
+//! it fail. The cases include geometries mirror-symmetric about the
+//! trajectory, whose mirror cells tie exactly in both searches, and an
+//! exact RSSI cost tie between cells of different tiles.
+//!
+//! An ignored sweep runs 240 more seeded trials, a quarter of them on
+//! the supervisor's 40 × 30 m, 0.5 m scene grid with K = 4–5 and half
+//! of those mirror-symmetric: `cargo test --release -p rfly-core --test
+//! loc_exactness -- --ignored`.
 //!
 //! The screen's f32 tier only prunes: the screened map must equal, bit
 //! for bit, the map of the f64 tier run with every cell surviving (a
@@ -16,7 +26,7 @@
 use rfly_channel::geometry::Point2;
 use rfly_channel::phasor::{Path, PathSet};
 use rfly_core::loc::heatmap::Heatmap;
-use rfly_core::loc::peaks::{select_nearest_peak, CANDIDATE_THRESHOLD};
+use rfly_core::loc::peaks::{find_peaks, select_nearest_peak, CANDIDATE_THRESHOLD};
 use rfly_core::loc::rssi::RssiLocalizer;
 use rfly_core::loc::sar::SarLocalizer;
 use rfly_core::loc::trajectory::Trajectory;
@@ -43,8 +53,8 @@ enum Channel {
 }
 
 /// Every combination of resolution × channel kind × region side ×
-/// trajectory shape, with random geometry and 3–61 measurements, and
-/// one scene-scale case.
+/// trajectory shape, with random geometry and 3–61 measurements, one
+/// scene-scale case, one mirror-symmetric case and one exact RSSI tie.
 fn cases() -> Vec<Case> {
     let mut rng = StdRng::seed_from_u64(0x0C03_E100);
     let mut out = Vec::new();
@@ -58,6 +68,8 @@ fn cases() -> Vec<Case> {
         }
     }
     out.push(scene_case(&mut rng));
+    out.push(mirror_case(&mut rng, Channel::Multipath));
+    out.push(range_tie_case());
     out
 }
 
@@ -100,6 +112,70 @@ fn scene_case(rng: &mut StdRng) -> Case {
         .collect();
     let ch = channels(rng, Channel::Multipath, &traj, tag, &images);
     Case::new(Point2::ORIGIN, Point2::new(40.0, 30.0), 0.5, traj, ch)
+}
+
+/// A straight pass along y = 0 over a region symmetric about it, on a
+/// 1/32 m grid whose coordinates are exact: a cell and its mirror image
+/// have bit-identical distances to every trajectory point, so their SAR
+/// scores and RSSI costs tie exactly.
+fn mirror_case(rng: &mut StdRng, kind: Channel) -> Case {
+    let k = rng.gen_range(3usize..62);
+    let a = Point2::new(rng.gen_range(-0.4..0.4), 0.0);
+    let traj = Trajectory::line(a, Point2::new(rng.gen_range(2.0..2.8), 0.0), k);
+    let tag = Point2::new(rng.gen_range(0.2..2.6), rng.gen_range(0.3..1.8));
+    let images = [(
+        Point2::new(rng.gen_range(-1.0..4.0), rng.gen_range(0.5..2.0)),
+        0.6,
+    )];
+    let ch = channels(rng, kind, &traj, tag, &images);
+    let (min, max) = (Point2::new(-0.5, -2.0), Point2::new(3.0, 2.0));
+    Case::new(min, max, 0.03125, traj, ch)
+}
+
+/// The supervisor's localization: K = 4–5 drone stops on the 40 × 30 m
+/// scene grid at 0.5 m. With `mirror` the stops lie on y = 15, the
+/// grid's axis of symmetry, so mirror cells tie exactly.
+fn supervisor_case(rng: &mut StdRng, kind: Channel, mirror: bool) -> Case {
+    let stops = (0..rng.gen_range(4usize..6))
+        .map(|_| {
+            let x = rng.gen_range(2.0..38.0);
+            Point2::new(
+                x,
+                if mirror {
+                    15.0
+                } else {
+                    rng.gen_range(1.0..29.0)
+                },
+            )
+        })
+        .collect();
+    let traj = Trajectory::from_points(stops);
+    let tag = Point2::new(rng.gen_range(1.0..39.0), rng.gen_range(1.0..29.0));
+    let images: Vec<(Point2, f64)> = (0..rng.gen_range(0usize..4))
+        .map(|_| {
+            let image = Point2::new(rng.gen_range(0.0..40.0), rng.gen_range(0.0..30.0));
+            (image, rng.gen_range(0.2..1.0))
+        })
+        .collect();
+    let ch = channels(rng, kind, &traj, tag, &images);
+    Case::new(Point2::ORIGIN, Point2::new(40.0, 30.0), 0.5, traj, ch)
+}
+
+/// One measurement at (2, 3.25) ranging exactly 1.25 m on a 0.25 m
+/// grid: twelve cells cost exactly 0, and the first of them in
+/// row-major order, (2, 2), lies in a later tile than (1.25, 2.25),
+/// which the search visits first.
+fn range_tie_case() -> Case {
+    let traj = Trajectory::from_points(vec![Point2::new(2.0, 3.25)]);
+    let mut c = Case::new(
+        Point2::ORIGIN,
+        Point2::new(4.0, 5.0),
+        0.25,
+        traj,
+        vec![Complex::from_re(1.0)],
+    );
+    c.rssi.reference_amplitude_1m = 1.5625;
+    c
 }
 
 /// The round-trip channels at every trajectory point for a tag at
@@ -163,9 +239,11 @@ fn bits(p: Option<Point2>) -> Option<(u64, u64)> {
     p.map(|p| (p.x.to_bits(), p.y.to_bits()))
 }
 
-/// Whether a screened map and its estimate differ from the oracle's:
-/// a different estimate, or any cell at or above the oracle's candidate
-/// floor without the oracle's exact bits.
+/// Whether a screened map and its estimate break the map contract
+/// against the oracle's: a cell above the oracle's value, a global
+/// maximum without the oracle's bits, different candidate peaks from
+/// `find_peaks` (positions or value bits; so every peak it returns is
+/// exact), or a different estimate.
 fn differs(
     oracle: &Heatmap,
     oracle_est: Option<Point2>,
@@ -173,11 +251,19 @@ fn differs(
     est: Option<Point2>,
 ) -> bool {
     assert_eq!((map.nx(), map.ny()), (oracle.nx(), oracle.ny()));
-    let floor = oracle.peak().1 * CANDIDATE_THRESHOLD;
-    let cell_differs = oracle
+    let above = oracle.iter().any(|(ix, iy, _, v)| map.get(ix, iy) > v);
+    let g = oracle.peak().1;
+    let max_differs = oracle
         .iter()
-        .any(|(ix, iy, _, v)| v >= floor && map.get(ix, iy).to_bits() != v.to_bits());
-    cell_differs || bits(est) != bits(oracle_est)
+        .any(|(ix, iy, _, v)| v == g && map.get(ix, iy).to_bits() != v.to_bits());
+    let peaks = |m: &Heatmap| {
+        let found = find_peaks(m, CANDIDATE_THRESHOLD);
+        found
+            .iter()
+            .map(|p| (bits(Some(p.position)), p.value.to_bits()))
+            .collect::<Vec<_>>()
+    };
+    above || max_differs || peaks(map) != peaks(oracle) || bits(est) != bits(oracle_est)
 }
 
 /// The RSSI oracle: the full row-major scan, first strict minimum wins.
@@ -215,23 +301,69 @@ fn rssi_full_scan(loc: &RssiLocalizer, traj: &Trajectory, ch: &[Complex]) -> Opt
     Some(best.0)
 }
 
+/// Asserts that both pruned searches agree with their oracles on `c`.
+fn check(i: usize, c: &Case) {
+    let oracle = c.sar.heatmap(&c.traj, &c.ch);
+    let oracle_est = select_nearest_peak(&oracle, &c.traj);
+    let (est, map) = c.sar.localize(&c.traj, &c.ch).expect("localizes");
+    assert!(
+        !differs(&oracle, oracle_est, &map, Some(est)),
+        "case {i}: SAR estimate {est} vs oracle {oracle_est:?}"
+    );
+    let rssi = c.rssi.localize(&c.traj, &c.ch);
+    let full = rssi_full_scan(&c.rssi, &c.traj, &c.ch);
+    assert_eq!(
+        bits(rssi),
+        bits(full),
+        "case {i}: RSSI {rssi:?} vs full scan {full:?}"
+    );
+}
+
 #[test]
 fn pruned_searches_match_the_exhaustive_oracles_bit_for_bit() {
     for (i, c) in cases().iter().enumerate() {
-        let oracle = c.sar.heatmap(&c.traj, &c.ch);
-        let oracle_est = select_nearest_peak(&oracle, &c.traj);
-        let (est, map) = c.sar.localize(&c.traj, &c.ch).expect("localizes");
-        assert!(
-            !differs(&oracle, oracle_est, &map, Some(est)),
-            "case {i}: SAR estimate {est} vs oracle {oracle_est:?}"
-        );
-        let rssi = c.rssi.localize(&c.traj, &c.ch);
-        let full = rssi_full_scan(&c.rssi, &c.traj, &c.ch);
-        assert_eq!(
-            bits(rssi),
-            bits(full),
-            "case {i}: RSSI {rssi:?} vs full scan {full:?}"
-        );
+        check(i, c);
+    }
+    // The tie cases tie: a mirror case has candidate peaks of equal
+    // bits at mirrored positions, and the range tie's oracle answer is
+    // the first of its zero-cost cells.
+    let mut rng = StdRng::seed_from_u64(0x0C03_E100);
+    let mirror = mirror_case(&mut rng, Channel::Multipath);
+    let peaks = find_peaks(
+        &mirror.sar.heatmap(&mirror.traj, &mirror.ch),
+        CANDIDATE_THRESHOLD,
+    );
+    let tied = peaks.iter().any(|p| {
+        peaks.iter().any(|q| {
+            p.position.y > 0.0
+                && (q.position.x, -q.position.y) == (p.position.x, p.position.y)
+                && q.value.to_bits() == p.value.to_bits()
+        })
+    });
+    assert!(tied, "no exactly tied mirror peaks");
+    let tie = range_tie_case();
+    let full = rssi_full_scan(&tie.rssi, &tie.traj, &tie.ch);
+    assert_eq!(full, Some(Point2::new(2.0, 2.0)), "the tie's first cell");
+}
+
+#[test]
+#[ignore = "240 seeded trials; scripts/ci.sh runs them in release"]
+fn seeded_sweep_matches_the_exhaustive_oracles() {
+    let mut rng = StdRng::seed_from_u64(0x5EE9_0039);
+    let kinds = [Channel::LineOfSight, Channel::Multipath, Channel::Noisy];
+    for i in 0..240 {
+        let kind = kinds[rng.gen_range(0usize..3)];
+        let c = match i % 4 {
+            0 => {
+                let res = RESOLUTIONS[rng.gen_range(0usize..3)];
+                let (two_sided, bent) = (rng.gen_bool(0.5), rng.gen_bool(0.5));
+                case(&mut rng, res, kind, two_sided, bent)
+            }
+            1 => supervisor_case(&mut rng, kind, false),
+            2 => supervisor_case(&mut rng, kind, true),
+            _ => mirror_case(&mut rng, kind),
+        };
+        check(i, &c);
     }
 }
 

@@ -25,18 +25,22 @@ echo "== medium tests in release (arbitration lanes, DESIGN.md §10.5) =="
 # release, beside the debug run above that keeps the debug_assert!s.
 cargo test --release --offline -p rfly-sim --lib -q medium::
 
-echo "== localization tests in release (two-tier SAR screen: f32 prune, f64 bound; DESIGN.md §4 item 6) =="
+echo "== localization tests in release (SAR: f32 prune, f64 bracket, decision-driven refine; RSSI cell screen; DESIGN.md §4 item 6) =="
 # Likewise the SAR screen's two vectorised tiers: the staged f32
-# pruning tier and the f64 bounding tier. Their kernels' error bounds,
+# pruning tier and the f64 bracketing tier. Their kernels' error bounds,
 # the per-cell bounds of both tiers and their planted controls, the
-# staged tier's bit-exactness against a straight f32 sum, the
+# staged tier's bit-exactness against a straight f32 sum, the refine's
+# map contract on synthetic near-tied fields, the RSSI tie rule, the
 # exactness differential against the exhaustive oracles, the
 # differential of the pruned screen against the f64 tier alone, and
 # the committed work totals of tests/sar_screen.rs run again where the
 # screen is vectorised. A name filter of `loc` alone would skip
-# loc_exactness, whose test names do not contain it.
+# loc_exactness, whose test names do not contain it. Its ignored sweep
+# (240 seeded trials of both searches against their oracles, with the
+# supervisor's scene grid and mirror-symmetric exact ties) runs here.
 cargo test --release --offline -p rfly-core -q loc
 cargo test --release --offline -p rfly-core -q --test loc_exactness
+cargo test --release --offline -p rfly-core -q --test loc_exactness -- --ignored
 cargo test --release --offline --test sar_screen
 
 echo "== block FIR property in release (ROADMAP item 11) =="
