@@ -42,42 +42,6 @@ const SAR_CELLS_EXACT: u64 = 104;
 /// of a visited tile was scored).
 const RSSI_CELLS_EXACT: u64 = 196;
 
-/// The RSSI oracle: every cell in row-major order, first strict minimum
-/// wins — the search `RssiLocalizer::localize` must reproduce.
-fn rssi_full_scan(loc: &RssiLocalizer, traj: &Trajectory, ch: &[Complex]) -> Option<Point2> {
-    let ranges: Vec<(Point2, f64)> = traj
-        .points()
-        .iter()
-        .zip(ch)
-        .filter_map(|(p, h)| loc.distance_from_amplitude(*h).map(|d| (*p, d)))
-        .collect();
-    if ranges.is_empty() {
-        return None;
-    }
-    let nx = ((loc.region_max.x - loc.region_min.x) / loc.resolution).ceil() as usize + 1;
-    let ny = ((loc.region_max.y - loc.region_min.y) / loc.resolution).ceil() as usize + 1;
-    let mut best = (Point2::ORIGIN, f64::MAX);
-    for iy in 0..ny {
-        for ix in 0..nx {
-            let p = Point2::new(
-                loc.region_min.x + ix as f64 * loc.resolution,
-                loc.region_min.y + iy as f64 * loc.resolution,
-            );
-            let cost: f64 = ranges
-                .iter()
-                .map(|(t, d)| {
-                    let e = t.distance(p) - d;
-                    e * e
-                })
-                .sum();
-            if cost < best.1 {
-                best = (p, cost);
-            }
-        }
-    }
-    Some(best.0)
-}
-
 fn same(a: Point2, b: Point2) -> bool {
     (a.x.to_bits(), a.y.to_bits()) == (b.x.to_bits(), b.y.to_bits())
 }
@@ -132,9 +96,7 @@ fn main() {
             select_nearest_peak(&map, &traj).expect("oracle localizes")
         });
         let pruned = timed(&mut t[1], || sar.localize(&traj, ch).expect("localizes").0);
-        let full = timed(&mut t[2], || {
-            rssi_full_scan(&rssi, &traj, ch).expect("ranges")
-        });
+        let full = timed(&mut t[2], || rssi.full_scan(&traj, ch).expect("ranges"));
         let bnb = timed(&mut t[3], || rssi.localize(&traj, ch).expect("ranges"));
         agree_sar += usize::from(same(oracle, pruned));
         agree_rssi += usize::from(same(full, bnb));

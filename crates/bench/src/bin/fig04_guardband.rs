@@ -14,7 +14,6 @@ use rfly_dsp::Complex;
 use rfly_protocol::bits::Bits;
 use rfly_protocol::fm0;
 use rfly_protocol::pie::{FrameStart, PieEncoder};
-use rfly_protocol::timing::LinkTiming;
 use rfly_reader::config::ReaderConfig;
 
 fn main() {
@@ -23,9 +22,7 @@ fn main() {
 
     // The query: a representative 22-bit Query frame, PIE-encoded,
     // repeated to fill an analysis window.
-    let timing = LinkTiming::default_profile();
-    let encoder = PieEncoder::new(timing, fs)
-        .and_then(|e| e.with_depth(0.9))
+    let encoder = PieEncoder::new(fs)
         .and_then(|e| e.with_edge_time(Seconds::new(3e-6)))
         .expect("legal encoder");
     let payload = Bits::from_str01("1000110100101011001010");

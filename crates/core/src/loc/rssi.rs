@@ -12,12 +12,12 @@
 //! 2.5 m aperture): amplitude decays slowly with distance and fading
 //! corrupts it, whereas phase turns over every 16 cm.
 //!
-//! [`RssiLocalizer::localize`] returns the full row-major scan's first
-//! minimum, bit for bit, but prices cells with `√(dx² + dy²)` lower
-//! bounds first, over tiles and then over the cells of each visited
-//! tile, and calls `hypot` (`Point2::distance`, the scan's own cost)
-//! only for the cells those bounds cannot rule out: ~13 of the ~610 in
-//! a localize pass.
+//! [`RssiLocalizer::localize`] returns the first minimum of the full
+//! row-major scan, [`RssiLocalizer::full_scan`], bit for bit, but
+//! prices cells with `√(dx² + dy²)` lower bounds first, over tiles and
+//! then over the cells of each visited tile, and calls `hypot`
+//! (`Point2::distance`, the scan's own cost) only for the cells those
+//! bounds cannot rule out: ~13 of the ~610 in a localize pass.
 
 use rfly_channel::geometry::Point2;
 use rfly_dsp::units::Hertz;
@@ -56,7 +56,8 @@ impl RssiLocalizer {
     }
 
     /// Localizes by minimizing Σ (dist(p, traj_l) − d_l)² over the grid:
-    /// the first minimum in row-major order, as a full scan finds it.
+    /// the first minimum in row-major order, as [`Self::full_scan`]
+    /// finds it.
     ///
     /// Branch-and-bound over tiles of `TILE`×`TILE` cells, then over
     /// the cells of each visited tile; every distance a bound reads is
@@ -111,26 +112,14 @@ impl RssiLocalizer {
         if !trajectory.is_finite() || channels.iter().any(|h| !h.is_finite()) {
             return None;
         }
-        let ranges: Vec<(Point2, f64)> = trajectory
-            .points()
-            .iter()
-            .zip(channels)
-            .filter_map(|(p, h)| self.distance_from_amplitude(*h).map(|d| (*p, d)))
-            .collect();
+        let ranges = self.ranges(trajectory, channels);
         if ranges.is_empty() {
             return None;
         }
-        let nx = ((self.region_max.x - self.region_min.x) / self.resolution).ceil() as usize + 1;
-        let ny = ((self.region_max.y - self.region_min.y) / self.resolution).ceil() as usize + 1;
-        let cell = |ix: usize, iy: usize| {
-            Point2::new(
-                self.region_min.x + ix as f64 * self.resolution,
-                self.region_min.y + iy as f64 * self.resolution,
-            )
-        };
+        let (nx, ny) = self.grid();
         let small = |v: f64| v.abs() < 1e100;
         let bounded = ranges.len() < 1_000_000
-            && [self.region_min, cell(nx - 1, ny - 1)]
+            && [self.region_min, self.cell(nx - 1, ny - 1)]
                 .iter()
                 .chain(trajectory.points())
                 .all(|p| small(p.x) && small(p.y))
@@ -154,8 +143,8 @@ impl RssiLocalizer {
         let mut tiles: Vec<(f64, usize, usize)> = (0..ny.div_ceil(TILE))
             .flat_map(|ty| (0..nx.div_ceil(TILE)).map(move |tx| (tx * TILE, ty * TILE)))
             .map(|(x0, y0)| {
-                let lo = cell(x0, y0);
-                let hi = cell((x0 + TILE).min(nx) - 1, (y0 + TILE).min(ny) - 1);
+                let lo = self.cell(x0, y0);
+                let hi = self.cell((x0 + TILE).min(nx) - 1, (y0 + TILE).min(ny) - 1);
                 let c = Point2::new(0.5 * (lo.x + hi.x), 0.5 * (lo.y + hi.y));
                 (bound(c, 0.5 * root_distance(lo, hi)), x0, y0)
             })
@@ -172,20 +161,14 @@ impl RssiLocalizer {
             }
             for iy in y0..(y0 + TILE).min(ny) {
                 for ix in x0..(x0 + TILE).min(nx) {
-                    let p = cell(ix, iy);
+                    let p = self.cell(ix, iy);
                     if let Some(b) = best {
                         let lb = bound(p, 0.0);
                         if lb > b.0 || (skip_ties && lb == b.0) {
                             continue;
                         }
                     }
-                    let cost: f64 = ranges
-                        .iter()
-                        .map(|(t, d)| {
-                            let e = t.distance(p) - d;
-                            e * e
-                        })
-                        .sum();
+                    let cost = range_cost(&ranges, p);
                     exact += 1;
                     let better = match best {
                         None => cost < f64::MAX,
@@ -198,8 +181,70 @@ impl RssiLocalizer {
             }
         }
         rfly_obs::counter_add("loc.rssi.cells_exact", exact);
-        Some(best.map_or(Point2::ORIGIN, |(_, iy, ix)| cell(ix, iy)))
+        Some(best.map_or(Point2::ORIGIN, |(_, iy, ix)| self.cell(ix, iy)))
     }
+
+    /// The exhaustive search: every cell's cost, in row-major order, the
+    /// first strict minimum winning. It is the oracle [`Self::localize`]
+    /// must reproduce bit for bit, the RSSI twin of
+    /// [`SarLocalizer::heatmap`](super::sar::SarLocalizer::heatmap).
+    ///
+    /// Returns `None` when every channel is silent.
+    pub fn full_scan(&self, trajectory: &Trajectory, channels: &[Complex]) -> Option<Point2> {
+        let ranges = self.ranges(trajectory, channels);
+        if ranges.is_empty() {
+            return None;
+        }
+        let (nx, ny) = self.grid();
+        let mut best = (Point2::ORIGIN, f64::MAX);
+        for iy in 0..ny {
+            for ix in 0..nx {
+                let p = self.cell(ix, iy);
+                let cost = range_cost(&ranges, p);
+                if cost < best.1 {
+                    best = (p, cost);
+                }
+            }
+        }
+        Some(best.0)
+    }
+
+    /// Each audible position with its free-space range estimate.
+    fn ranges(&self, trajectory: &Trajectory, channels: &[Complex]) -> Vec<(Point2, f64)> {
+        trajectory
+            .points()
+            .iter()
+            .zip(channels)
+            .filter_map(|(p, h)| self.distance_from_amplitude(*h).map(|d| (*p, d)))
+            .collect()
+    }
+
+    /// The grid's size in cells, `(nx, ny)`.
+    fn grid(&self) -> (usize, usize) {
+        let nx = ((self.region_max.x - self.region_min.x) / self.resolution).ceil() as usize + 1;
+        let ny = ((self.region_max.y - self.region_min.y) / self.resolution).ceil() as usize + 1;
+        (nx, ny)
+    }
+
+    /// The position of cell `(ix, iy)`.
+    fn cell(&self, ix: usize, iy: usize) -> Point2 {
+        Point2::new(
+            self.region_min.x + ix as f64 * self.resolution,
+            self.region_min.y + iy as f64 * self.resolution,
+        )
+    }
+}
+
+/// Σ (|t − p| − d)² over the ranges, with `hypot` (`Point2::distance`)
+/// as the distance: the cost both searches minimize.
+fn range_cost(ranges: &[(Point2, f64)], p: Point2) -> f64 {
+    ranges
+        .iter()
+        .map(|(t, d)| {
+            let e = t.distance(p) - d;
+            e * e
+        })
+        .sum()
 }
 
 /// `|t − p|` as `√(dx² + dy²)`, from the differences `Point2::distance`

@@ -41,7 +41,6 @@
 
 pub mod analog_baseline;
 pub mod components;
-pub mod embedded_tag;
 pub mod freq_discovery;
 pub mod gains;
 pub mod isolation;

@@ -4,7 +4,7 @@
 //! the exhaustive searches return.
 //!
 //! The SAR oracle is `SarLocalizer::heatmap` + `select_nearest_peak`;
-//! the RSSI oracle is the row-major full scan below. The screened SAR
+//! the RSSI oracle is `RssiLocalizer::full_scan`. The screened SAR
 //! map must keep its contract with the oracle's: no cell above it, the
 //! global maximum exact, and the same candidate peaks from `find_peaks`
 //! (positions and value bits), so the same estimate. A planted control
@@ -266,41 +266,6 @@ fn differs(
     above || max_differs || peaks(map) != peaks(oracle) || bits(est) != bits(oracle_est)
 }
 
-/// The RSSI oracle: the full row-major scan, first strict minimum wins.
-fn rssi_full_scan(loc: &RssiLocalizer, traj: &Trajectory, ch: &[Complex]) -> Option<Point2> {
-    let ranges: Vec<(Point2, f64)> = traj
-        .points()
-        .iter()
-        .zip(ch)
-        .filter_map(|(p, h)| loc.distance_from_amplitude(*h).map(|d| (*p, d)))
-        .collect();
-    if ranges.is_empty() {
-        return None;
-    }
-    let nx = ((loc.region_max.x - loc.region_min.x) / loc.resolution).ceil() as usize + 1;
-    let ny = ((loc.region_max.y - loc.region_min.y) / loc.resolution).ceil() as usize + 1;
-    let mut best = (Point2::ORIGIN, f64::MAX);
-    for iy in 0..ny {
-        for ix in 0..nx {
-            let p = Point2::new(
-                loc.region_min.x + ix as f64 * loc.resolution,
-                loc.region_min.y + iy as f64 * loc.resolution,
-            );
-            let cost: f64 = ranges
-                .iter()
-                .map(|(t, d)| {
-                    let e = t.distance(p) - d;
-                    e * e
-                })
-                .sum();
-            if cost < best.1 {
-                best = (p, cost);
-            }
-        }
-    }
-    Some(best.0)
-}
-
 /// Asserts that both pruned searches agree with their oracles on `c`.
 fn check(i: usize, c: &Case) {
     let oracle = c.sar.heatmap(&c.traj, &c.ch);
@@ -311,7 +276,7 @@ fn check(i: usize, c: &Case) {
         "case {i}: SAR estimate {est} vs oracle {oracle_est:?}"
     );
     let rssi = c.rssi.localize(&c.traj, &c.ch);
-    let full = rssi_full_scan(&c.rssi, &c.traj, &c.ch);
+    let full = c.rssi.full_scan(&c.traj, &c.ch);
     assert_eq!(
         bits(rssi),
         bits(full),
@@ -342,7 +307,7 @@ fn pruned_searches_match_the_exhaustive_oracles_bit_for_bit() {
     });
     assert!(tied, "no exactly tied mirror peaks");
     let tie = range_tie_case();
-    let full = rssi_full_scan(&tie.rssi, &tie.traj, &tie.ch);
+    let full = tie.rssi.full_scan(&tie.traj, &tie.ch);
     assert_eq!(full, Some(Point2::new(2.0, 2.0)), "the tie's first cell");
 }
 

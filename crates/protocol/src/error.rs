@@ -1,7 +1,7 @@
 //! The protocol-layer error taxonomy.
 //!
-//! Gen2 framing is full of invariants (legal link timing, in-range
-//! modulation depth, in-bounds bit ranges) that the original code
+//! The coders have invariants (a positive sample rate, edges shorter
+//! than the low pulse, in-bounds bit ranges) that the original code
 //! enforced with `assert!`/`panic!`. Panics are fine for programmer
 //! errors but wrong for data errors: once the fault-injection layer can
 //! corrupt frames and truncate bursts, every data-driven path must
@@ -13,20 +13,13 @@ use std::fmt;
 /// Errors raised by the Gen2 protocol layer.
 ///
 /// Construction errors ([`ProtocolError::NonPositiveSampleRate`],
-/// [`ProtocolError::IllegalTiming`], [`ProtocolError::InvalidDepth`],
 /// [`ProtocolError::OversizeEdge`]) reject illegal encoder
-/// configurations, [`ProtocolError::QParamOutOfRange`] an illegal
-/// anti-collision setup; the data error [`ProtocolError::BitRange`]
-/// rejects malformed frames.
+/// configurations; the data error [`ProtocolError::BitRange`] rejects
+/// malformed frames.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ProtocolError {
     /// The encoder sample rate must be positive.
     NonPositiveSampleRate(f64),
-    /// The link timing failed the Gen2 legality check (the payload is
-    /// the timing validator's message).
-    IllegalTiming(String),
-    /// ASK modulation depth outside (0, 1].
-    InvalidDepth(f64),
     /// Envelope edge time must be non-negative and shorter than PW.
     OversizeEdge {
         /// Requested edge time, seconds.
@@ -46,14 +39,6 @@ pub enum ProtocolError {
     /// A capture held no decodable PIE frame — a decode miss, the
     /// expected outcome for truncated, corrupted, or frameless input.
     NoFrame,
-    /// A Q-algorithm parameter out of range: Q and its bounds are 4
-    /// bits (`min_q ≤ max_q ≤ 15`) and the step C lies in [0.1, 0.5].
-    QParamOutOfRange {
-        /// The parameter: `"q0"`, `"c"`, `"min_q"` or `"max_q"`.
-        param: &'static str,
-        /// The rejected value.
-        value: f64,
-    },
 }
 
 impl fmt::Display for ProtocolError {
@@ -61,12 +46,6 @@ impl fmt::Display for ProtocolError {
         match self {
             ProtocolError::NonPositiveSampleRate(fs) => {
                 write!(f, "sample rate must be positive (got {fs})")
-            }
-            ProtocolError::IllegalTiming(msg) => {
-                write!(f, "link timing is not Gen2-legal: {msg}")
-            }
-            ProtocolError::InvalidDepth(d) => {
-                write!(f, "modulation depth must be in (0, 1] (got {d})")
             }
             ProtocolError::OversizeEdge { edge_s, pw_s } => {
                 write!(f, "edge time {edge_s} s must be in [0, PW = {pw_s} s)")
@@ -79,13 +58,6 @@ impl fmt::Display for ProtocolError {
             }
             ProtocolError::NoFrame => {
                 write!(f, "no decodable PIE frame in the capture")
-            }
-            ProtocolError::QParamOutOfRange { param, value } => {
-                write!(
-                    f,
-                    "Q-algorithm {param} = {value} is out of range \
-                     (min_q <= Q <= max_q <= 15, C in [0.1, 0.5])"
-                )
             }
         }
     }
@@ -109,7 +81,11 @@ mod tests {
             msg.contains("16") && msg.contains('8') && msg.contains("20"),
             "{msg}"
         );
-        assert!(ProtocolError::InvalidDepth(0.0).to_string().contains("0"));
+        let e = ProtocolError::OversizeEdge {
+            edge_s: 7e-6,
+            pw_s: 6.25e-6,
+        };
+        assert!(e.to_string().contains("7"), "{e}");
     }
 
     #[test]

@@ -10,13 +10,16 @@
 //! * [`crc`] — the Gen2 CRC-5 and CRC-16 (ISO/IEC 13239),
 //! * [`commands`] — encode/decode for the inventory commands: Query,
 //!   QueryAdjust, QueryRep, ACK, NAK and Select,
-//! * [`pie`] — pulse-interval encoding of the reader's downlink,
+//! * [`pie`] — pulse-interval encoding of the reader's downlink at a
+//!   90 % modulation depth,
 //! * [`fm0`] — the tag's backscatter line code,
-//! * [`timing`] — Tari/RTcal/TRcal link timing and backscatter link
-//!   frequency,
+//! * [`timing`] — the one link profile as constants: Tari 12.5 µs,
+//!   RTcal 2.5·Tari and a TRcal that gives a 500 kHz backscatter link
+//!   frequency at DR = 64/3, with T1 and T4,
 //! * [`epc`] — EPCs, PC words and reply frames,
 //! * [`session`] — sessions and inventoried flags,
-//! * [`qalgo`] — the reader-side Q anti-collision algorithm,
+//! * [`qalgo`] — the reader-side Q anti-collision algorithm (Q₀ = 4,
+//!   C = 0.3, Q ∈ \[0, 15\]),
 //! * [`tag_state`] — the tag-side inventory state machine (Ready,
 //!   Arbitrate, Reply, Acknowledged).
 //!

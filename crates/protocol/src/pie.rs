@@ -13,7 +13,7 @@ use rfly_dsp::units::Seconds;
 
 use crate::bits::Bits;
 use crate::error::ProtocolError;
-use crate::timing::LinkTiming;
+use crate::timing::{DATA1, RTCAL, T4, TARI, TRCAL};
 
 /// The fixed delimiter duration that opens every PIE frame, seconds.
 pub const DELIMITER_S: f64 = 12.5e-6;
@@ -29,45 +29,36 @@ pub enum FrameStart {
     FrameSync,
 }
 
-/// Encodes PIE frames as amplitude envelopes (1.0 = full carrier,
-/// `1 − depth` = attenuated).
+/// ASK modulation depth of every PIE frame: 90 % (commercial readers
+/// use ≥ 80 %).
+const DEPTH: f64 = 0.9;
+
+/// The attenuated envelope level, `1 − DEPTH`.
+const LOW: f64 = 1.0 - DEPTH;
+
+/// Low-pulse width, seconds (Gen2: PW ≈ 0.5 · Tari).
+const PW: f64 = TARI / 2.0;
+
+/// Encodes PIE frames at the link profile of [`crate::timing`] as
+/// amplitude envelopes (1.0 = full carrier, `1 − DEPTH` = attenuated).
 #[derive(Debug, Clone)]
 pub struct PieEncoder {
-    timing: LinkTiming,
     sample_rate: f64,
-    /// Low-pulse width, seconds (Gen2: PW ≈ 0.5 · Tari).
-    pw_s: f64,
-    /// ASK modulation depth in (0, 1]: 1.0 = full on/off keying.
-    depth: f64,
     /// Edge (rise/fall) time, seconds; 0 = square edges.
     edge_s: f64,
 }
 
 impl PieEncoder {
-    /// Creates an encoder with PW = Tari/2, 100 % depth, square edges.
-    /// Rejects non-positive sample rates and Gen2-illegal timing.
-    pub fn new(timing: LinkTiming, sample_rate: f64) -> Result<Self, ProtocolError> {
+    /// Creates an encoder with PW = Tari/2, 90 % depth, square edges.
+    /// Rejects non-positive sample rates.
+    pub fn new(sample_rate: f64) -> Result<Self, ProtocolError> {
         if sample_rate.is_nan() || sample_rate <= 0.0 {
             return Err(ProtocolError::NonPositiveSampleRate(sample_rate));
         }
-        timing.validate().map_err(ProtocolError::IllegalTiming)?;
         Ok(Self {
-            pw_s: timing.tari_s / 2.0,
-            timing,
             sample_rate,
-            depth: 1.0,
             edge_s: 0.0,
         })
-    }
-
-    /// Sets the modulation depth (commercial readers use ≥ 80 %).
-    /// Rejects depths outside (0, 1].
-    pub fn with_depth(mut self, depth: f64) -> Result<Self, ProtocolError> {
-        if !(depth > 0.0 && depth <= 1.0) {
-            return Err(ProtocolError::InvalidDepth(depth));
-        }
-        self.depth = depth;
-        Ok(self)
     }
 
     /// Sets the envelope rise/fall time. Commercial readers shape PIE
@@ -77,11 +68,8 @@ impl PieEncoder {
     /// in.
     pub fn with_edge_time(mut self, edge: Seconds) -> Result<Self, ProtocolError> {
         let edge_s = edge.value();
-        if !(edge_s >= 0.0 && edge_s < self.pw_s) {
-            return Err(ProtocolError::OversizeEdge {
-                edge_s,
-                pw_s: self.pw_s,
-            });
+        if !(0.0..PW).contains(&edge_s) {
+            return Err(ProtocolError::OversizeEdge { edge_s, pw_s: PW });
         }
         self.edge_s = edge_s;
         Ok(self)
@@ -91,17 +79,13 @@ impl PieEncoder {
         (seconds * self.sample_rate).round() as usize
     }
 
-    fn low(&self) -> f64 {
-        1.0 - self.depth
-    }
-
     /// Appends a PIE symbol of total length `len_s` (high, then a PW
     /// low pulse) to `out`.
     fn push_symbol(&self, out: &mut Vec<f64>, len_s: f64) {
         let total = self.samples(len_s);
-        let low = self.samples(self.pw_s).min(total);
+        let low = self.samples(PW).min(total);
         out.extend(std::iter::repeat_n(1.0, total - low));
-        out.extend(std::iter::repeat_n(self.low(), low));
+        out.extend(std::iter::repeat_n(LOW, low));
     }
 
     /// Encodes a full frame: start sequence, payload bits, and a
@@ -113,22 +97,17 @@ impl PieEncoder {
         // Lead with unmodulated carrier (readers keep the carrier up
         // between commands — Gen2's T4 requires ≥ 2·RTcal of it). This
         // also gives the delimiter its defining falling edge.
-        out.extend(std::iter::repeat_n(1.0, self.samples(self.timing.t4_s())));
+        out.extend(std::iter::repeat_n(1.0, self.samples(T4)));
         // Delimiter: attenuated carrier for exactly 12.5 µs.
-        out.extend(std::iter::repeat_n(self.low(), self.samples(DELIMITER_S)));
+        out.extend(std::iter::repeat_n(LOW, self.samples(DELIMITER_S)));
         // Data-0, then the RTcal calibration symbol.
-        self.push_symbol(&mut out, self.timing.tari_s);
-        self.push_symbol(&mut out, self.timing.rtcal_s);
+        self.push_symbol(&mut out, TARI);
+        self.push_symbol(&mut out, RTCAL);
         if start == FrameStart::Preamble {
-            self.push_symbol(&mut out, self.timing.trcal_s);
+            self.push_symbol(&mut out, TRCAL);
         }
         for &bit in payload {
-            let len = if bit {
-                self.timing.data1_s()
-            } else {
-                self.timing.tari_s
-            };
-            self.push_symbol(&mut out, len);
+            self.push_symbol(&mut out, if bit { DATA1 } else { TARI });
         }
         out.extend(std::iter::repeat_n(1.0, self.samples(tail_s)));
         if self.edge_s > 0.0 {
@@ -278,12 +257,11 @@ pub fn decode(envelope: &[f64], sample_rate: f64) -> Option<PieFrame> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timing::{DivideRatio, LinkTiming};
 
     const FS: f64 = 4e6;
 
     fn encoder() -> Result<PieEncoder, ProtocolError> {
-        PieEncoder::new(LinkTiming::default_profile(), FS)
+        PieEncoder::new(FS)
     }
 
     #[test]
@@ -293,9 +271,8 @@ mod tests {
         let frame = decode(&wave, FS).ok_or(ProtocolError::NoFrame)?;
         assert_eq!(frame.bits, payload);
         let trcal = frame.trcal_s.ok_or(ProtocolError::NoFrame)?;
-        let t = LinkTiming::default_profile();
-        assert!((frame.rtcal_s - t.rtcal_s).abs() / t.rtcal_s < 0.02);
-        assert!((trcal - t.trcal_s).abs() / t.trcal_s < 0.02);
+        assert!((frame.rtcal_s - RTCAL).abs() / RTCAL < 0.02);
+        assert!((trcal - TRCAL).abs() / TRCAL < 0.02);
         Ok(())
     }
 
@@ -319,18 +296,6 @@ mod tests {
             };
             assert_eq!(frame.bits, payload, "pattern {pattern}");
         }
-        Ok(())
-    }
-
-    #[test]
-    fn partial_depth_still_decodes() -> Result<(), ProtocolError> {
-        let enc = encoder()?.with_depth(0.8)?;
-        let payload = Bits::from_str01("110010");
-        let wave = enc.encode(FrameStart::Preamble, &payload, Seconds::new(20e-6));
-        let frame = decode(&wave, FS).ok_or(ProtocolError::NoFrame)?;
-        assert_eq!(frame.bits, payload);
-        // Envelope low level is 0.2, not 0.
-        assert!(wave.iter().cloned().fold(f64::MAX, f64::min) > 0.15);
         Ok(())
     }
 
@@ -367,55 +332,20 @@ mod tests {
     }
 
     #[test]
-    fn fastest_gen2_timing_roundtrips() -> Result<(), ProtocolError> {
-        // Tari 6.25 µs and BLF 640 kHz, the upper bound quoted in §4.2
-        // of the paper; the decoder learns it from the preamble.
-        let dr = DivideRatio::Dr64over3;
-        let fastest = LinkTiming {
-            tari_s: 6.25e-6,
-            rtcal_s: 2.5 * 6.25e-6,
-            trcal_s: dr.value() / 640e3,
-            dr,
-        };
-        assert!(fastest.validate().is_ok());
-        assert!((fastest.blf_hz() - 640e3).abs() < 1.0);
-        let enc = PieEncoder::new(fastest, FS)?;
-        let payload = Bits::from_str01("100011101");
-        let frame = decode(
-            &enc.encode(FrameStart::Preamble, &payload, Seconds::new(10e-6)),
-            FS,
-        )
-        .ok_or(ProtocolError::NoFrame)?;
-        assert_eq!(frame.bits, payload);
-        Ok(())
-    }
-
-    #[test]
-    fn illegal_configurations_return_errors() -> Result<(), ProtocolError> {
+    fn illegal_configurations_return_errors() {
         assert!(matches!(
-            encoder()?.with_depth(0.0),
-            Err(ProtocolError::InvalidDepth(_))
-        ));
-        assert!(matches!(
-            encoder()?.with_depth(1.5),
-            Err(ProtocolError::InvalidDepth(_))
-        ));
-        assert!(matches!(
-            PieEncoder::new(LinkTiming::default_profile(), 0.0),
+            PieEncoder::new(0.0),
             Err(ProtocolError::NonPositiveSampleRate(_))
         ));
         assert!(matches!(
-            PieEncoder::new(LinkTiming::default_profile(), f64::NAN),
+            PieEncoder::new(f64::NAN),
             Err(ProtocolError::NonPositiveSampleRate(_))
         ));
-        Ok(())
     }
 
     #[test]
     fn shaped_edges_still_decode() -> Result<(), ProtocolError> {
-        let enc = encoder()?
-            .with_depth(0.9)?
-            .with_edge_time(Seconds::new(2e-6))?;
+        let enc = encoder()?.with_edge_time(Seconds::new(2e-6))?;
         let payload = Bits::from_str01("1011001110001111");
         let wave = enc.encode(FrameStart::Preamble, &payload, Seconds::new(50e-6));
         let frame = decode(&wave, FS).ok_or(ProtocolError::NoFrame)?;

@@ -9,7 +9,11 @@
 //! RFly inherits this unchanged — the relay is protocol-transparent —
 //! but the simulation needs it to inventory multi-tag scenes efficiently.
 
-use crate::error::ProtocolError;
+/// The additive step C; the spec's Annex suggests C ∈ [0.1, 0.5].
+const C: f64 = 0.3;
+
+/// The smallest Q.
+const MIN_Q: u8 = 0;
 
 /// The largest Q: the Query field is 4 bits.
 const MAX_Q: u8 = 15;
@@ -25,85 +29,33 @@ pub enum SlotOutcome {
     Collision,
 }
 
-/// The Annex-D Q-adjustment state machine.
+/// The Annex-D Q-adjustment state machine: Q starts at 4 and moves by
+/// C = 0.3 per empty or collided slot, within [0, 15].
 #[derive(Debug, Clone)]
 pub struct QAlgorithm {
     q_fp: f64,
-    /// Additive step C in [0.1, 0.5]; the spec suggests larger C for
-    /// small Q.
-    c: f64,
-    min_q: u8,
-    max_q: u8,
 }
 
 impl QAlgorithm {
-    /// Creates the algorithm starting at `q0` with step `c`; rejects a
-    /// `q0` wider than 4 bits or a `c` outside [0.1, 0.5].
-    pub fn new(q0: u8, c: f64) -> Result<Self, ProtocolError> {
-        if q0 > MAX_Q {
-            return Err(ProtocolError::QParamOutOfRange {
-                param: "q0",
-                value: f64::from(q0),
-            });
-        }
-        if !(0.1..=0.5).contains(&c) {
-            return Err(ProtocolError::QParamOutOfRange {
-                param: "c",
-                value: c,
-            });
-        }
-        Ok(Self::start(q0, c))
-    }
-
-    fn start(q0: u8, c: f64) -> Self {
-        Self {
-            q_fp: f64::from(q0),
-            c,
-            min_q: 0,
-            max_q: MAX_Q,
-        }
-    }
-
-    /// Standard starting point: Q = 4, C = 0.3.
+    /// Standard starting point: Q = 4.
     pub fn default_start() -> Self {
-        Self::start(4, 0.3)
-    }
-
-    /// Restricts the Q range (some readers cap Q for latency); rejects
-    /// `max_q > 15` or `min_q > max_q`.
-    pub fn with_bounds(mut self, min_q: u8, max_q: u8) -> Result<Self, ProtocolError> {
-        let reject = |param, q: u8| {
-            Err(ProtocolError::QParamOutOfRange {
-                param,
-                value: f64::from(q),
-            })
-        };
-        if max_q > MAX_Q {
-            return reject("max_q", max_q);
-        }
-        if min_q > max_q {
-            return reject("min_q", min_q);
-        }
-        self.min_q = min_q;
-        self.max_q = max_q;
-        self.q_fp = self.q_fp.clamp(f64::from(min_q), f64::from(max_q));
-        Ok(self)
+        Self { q_fp: 4.0 }
     }
 
     /// The integer Q to advertise in the next Query.
     pub fn q(&self) -> u8 {
-        (self.q_fp.round() as u8).clamp(self.min_q, self.max_q)
+        (self.q_fp.round() as u8).clamp(MIN_Q, MAX_Q)
     }
 
     /// Feeds one slot outcome; returns the new integer Q.
     pub fn observe(&mut self, outcome: SlotOutcome) -> u8 {
         match outcome {
             SlotOutcome::Empty => {
-                self.q_fp = (self.q_fp - self.c).max(self.min_q as f64);
+                self.q_fp = (self.q_fp - C).max(MIN_Q as f64);
             }
             SlotOutcome::Single => {}
             SlotOutcome::Collision => {
-                self.q_fp = (self.q_fp + self.c).min(self.max_q as f64);
+                self.q_fp = (self.q_fp + C).min(MAX_Q as f64);
             }
         }
         self.q()
@@ -113,12 +65,6 @@ impl QAlgorithm {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn q_starts_where_told() {
-        let q = QAlgorithm::new(6, 0.2).expect("legal");
-        assert_eq!(q.q(), 6);
-    }
 
     #[test]
     fn collisions_raise_q() {
@@ -146,21 +92,6 @@ mod tests {
             q.observe(SlotOutcome::Single);
         }
         assert_eq!(q.q_fp, before);
-    }
-
-    #[test]
-    fn q_respects_bounds() {
-        let mut q = QAlgorithm::new(2, 0.5)
-            .and_then(|q| q.with_bounds(1, 3))
-            .expect("legal");
-        for _ in 0..100 {
-            q.observe(SlotOutcome::Empty);
-        }
-        assert_eq!(q.q(), 1);
-        for _ in 0..100 {
-            q.observe(SlotOutcome::Collision);
-        }
-        assert_eq!(q.q(), 3);
     }
 
     #[test]
@@ -195,16 +126,5 @@ mod tests {
         }
         let qv = q.q() as f64;
         assert!((qv - 6.0).abs() <= 2.0, "Q settled at {qv}, expected ≈ 6");
-    }
-
-    #[test]
-    fn oversized_q_rejected() {
-        let err = |param, value| Err(ProtocolError::QParamOutOfRange { param, value });
-        assert_eq!(QAlgorithm::new(16, 0.3).map(|q| q.q()), err("q0", 16.0));
-        assert_eq!(QAlgorithm::new(4, 0.6).map(|q| q.q()), err("c", 0.6));
-        let bounded = |lo, hi| QAlgorithm::default_start().with_bounds(lo, hi);
-        assert_eq!(bounded(0, 16).map(|q| q.q()), err("max_q", 16.0));
-        assert_eq!(bounded(5, 3).map(|q| q.q()), err("min_q", 5.0));
-        assert_eq!(bounded(3, 3).map(|q| q.q()), Ok(3));
     }
 }

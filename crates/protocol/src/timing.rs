@@ -1,5 +1,5 @@
-//! Gen2 link timing: Tari, RTcal, TRcal, BLF, divide ratios and the
-//! turnaround times T1–T4.
+//! Gen2 link timing: the one profile's Tari, RTcal, TRcal, divide
+//! ratio and BLF, the data-1 length and the turnaround times T1 and T4.
 //!
 //! These numbers shape the guard band the relay exploits (§4.2 of the
 //! paper): the reader's PIE query occupies ≲125 kHz while the tag can
@@ -78,110 +78,48 @@ impl TagEncoding {
     }
 }
 
-/// Reader→tag link timing parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkTiming {
-    /// Tari — the reference interval (duration of data-0), seconds.
-    /// Gen2 allows 6.25, 12.5 or 25 µs.
-    pub tari_s: f64,
-    /// RTcal = duration(data-0) + duration(data-1), seconds.
-    /// Gen2 constrains RTcal ∈ [2.5, 3.0] · Tari.
-    pub rtcal_s: f64,
-    /// TRcal — the tag calibration interval, seconds.
-    /// Gen2 constrains TRcal ∈ [1.1, 3.0] · RTcal.
-    pub trcal_s: f64,
-    /// Divide ratio from the Query.
-    pub dr: DivideRatio,
-}
+// The paper's one link profile (§6.1): Tari 12.5 µs, RTcal 2.5·Tari,
+// and TRcal chosen so the BLF is 500 kHz at DR = 64/3, placing the tag
+// response exactly at the relay's 500 kHz uplink band-pass center.
 
-impl LinkTiming {
-    /// The paper's evaluation-grade profile: Tari 12.5 µs, RTcal
-    /// 2.5·Tari, and TRcal chosen so the BLF is 500 kHz at DR = 64/3 —
-    /// placing the tag response exactly at the relay's 500 kHz uplink
-    /// band-pass center (§6.1).
-    pub const fn default_profile() -> Self {
-        let tari = 12.5e-6;
-        let rtcal = 2.5 * tari;
-        let dr = DivideRatio::Dr64over3;
-        // TRcal = DR / BLF = (64/3) / 500 kHz ≈ 42.67 µs.
-        let trcal = dr.value() / 500e3;
-        Self {
-            tari_s: tari,
-            rtcal_s: rtcal,
-            trcal_s: trcal,
-            dr,
-        }
-    }
+/// Tari, the reference interval (duration of data-0), seconds. Gen2
+/// allows 6.25, 12.5 or 25 µs.
+pub const TARI: f64 = 12.5e-6;
 
-    /// Validates the Gen2 constraints; returns an error string naming
-    /// the violated bound.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(6.25e-6..=25e-6).contains(&self.tari_s) {
-            return Err(format!("Tari {} s outside [6.25, 25] µs", self.tari_s));
-        }
-        let r = self.rtcal_s / self.tari_s;
-        if !(2.5..=3.0).contains(&r) {
-            return Err(format!("RTcal/Tari = {r} outside [2.5, 3.0]"));
-        }
-        let t = self.trcal_s / self.rtcal_s;
-        if !(1.1..=3.0).contains(&t) {
-            return Err(format!("TRcal/RTcal = {t} outside [1.1, 3.0]"));
-        }
-        Ok(())
-    }
+/// RTcal = duration(data-0) + duration(data-1), seconds. Gen2
+/// constrains RTcal ∈ [2.5, 3.0] · Tari.
+pub const RTCAL: f64 = 2.5 * TARI;
 
-    /// Backscatter link frequency: BLF = DR / TRcal.
-    pub fn blf_hz(&self) -> f64 {
-        self.dr.value() / self.trcal_s
-    }
+/// The divide ratio a Query advertises: BLF = DR / TRcal.
+pub const DR: DivideRatio = DivideRatio::Dr64over3;
 
-    /// Duration of a PIE data-1 symbol (RTcal − Tari).
-    pub fn data1_s(&self) -> f64 {
-        self.rtcal_s - self.tari_s
-    }
+/// TRcal, the tag calibration interval, seconds: DR / 500 kHz ≈
+/// 42.67 µs. Gen2 constrains TRcal ∈ [1.1, 3.0] · RTcal.
+pub const TRCAL: f64 = DR.value() / 500e3;
 
-    /// T1: time from the reader's last falling edge to the start of the
-    /// tag's reply — `max(RTcal, 10/BLF)` nominal.
-    pub fn t1_s(&self) -> f64 {
-        self.rtcal_s.max(10.0 / self.blf_hz())
-    }
+/// Backscatter link frequency, hertz: BLF = DR / TRcal.
+pub const BLF: f64 = DR.value() / TRCAL;
 
-    /// T4: minimum gap between reader commands — 2 · RTcal.
-    pub fn t4_s(&self) -> f64 {
-        2.0 * self.rtcal_s
-    }
-}
+/// Duration of a PIE data-1 symbol (RTcal − Tari), seconds.
+pub const DATA1: f64 = RTCAL - TARI;
+
+/// T1, seconds: time from the reader's last falling edge to the start
+/// of the tag's reply, `max(RTcal, 10/BLF)` nominal.
+pub const T1: f64 = RTCAL.max(10.0 / BLF);
+
+/// T4, seconds: minimum gap between reader commands, 2 · RTcal.
+pub const T4: f64 = 2.0 * RTCAL;
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn default_profile_hits_500khz_blf() {
-        let t = LinkTiming::default_profile();
-        t.validate().expect("default profile must be Gen2-legal");
-        assert!((t.blf_hz() - 500e3).abs() < 1.0);
-    }
-
-    #[test]
-    fn validation_catches_bad_tari() {
-        let mut t = LinkTiming::default_profile();
-        t.tari_s = 30e-6;
-        assert!(t.validate().is_err());
-    }
-
-    #[test]
-    fn validation_catches_bad_rtcal() {
-        let mut t = LinkTiming::default_profile();
-        t.rtcal_s = 4.0 * t.tari_s;
-        assert!(t.validate().unwrap_err().contains("RTcal"));
-    }
-
-    #[test]
-    fn validation_catches_bad_trcal() {
-        let mut t = LinkTiming::default_profile();
-        t.trcal_s = 0.5 * t.rtcal_s;
-        assert!(t.validate().unwrap_err().contains("TRcal"));
+    fn the_profile_is_gen2_legal_with_a_500khz_blf() {
+        assert!((6.25e-6..=25e-6).contains(&TARI));
+        assert!((2.5..=3.0).contains(&(RTCAL / TARI)));
+        assert!((1.1..=3.0).contains(&(TRCAL / RTCAL)));
+        assert_eq!(BLF, 500e3);
     }
 
     #[test]
@@ -206,8 +144,8 @@ mod tests {
 
     #[test]
     fn symbol_durations() {
-        let t = LinkTiming::default_profile();
-        assert!((t.data1_s() - 1.5 * t.tari_s).abs() < 1e-12);
-        assert!(t.t1_s() >= t.rtcal_s);
+        assert!((DATA1 - 1.5 * TARI).abs() < 1e-12);
+        // 10/BLF is 20 µs, shorter than RTcal.
+        assert_eq!(T1, RTCAL);
     }
 }

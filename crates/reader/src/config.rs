@@ -8,7 +8,7 @@ use rfly_channel::link::LinkBudget;
 use rfly_dsp::units::{Db, Dbm, Hertz};
 use rfly_protocol::commands::Command;
 use rfly_protocol::session::{InventoriedFlag, SelFilter, Session};
-use rfly_protocol::timing::{LinkTiming, TagEncoding};
+use rfly_protocol::timing::{TagEncoding, DR};
 
 /// Everything a reader needs to know to run inventory rounds.
 #[derive(Debug, Clone)]
@@ -28,8 +28,6 @@ impl ReaderConfig {
     pub const NOISE_FIGURE: Db = Db::new(8.0);
     /// Receiver bandwidth.
     pub const BANDWIDTH: Hertz = Hertz::mhz(2.0);
-    /// Downlink timing (Tari/RTcal/TRcal): a 500 kHz BLF.
-    pub const TIMING: LinkTiming = LinkTiming::default_profile();
     /// Pilot-tone request.
     pub const TREXT: bool = true;
     /// Inventory session.
@@ -38,8 +36,8 @@ impl ReaderConfig {
     pub const TARGET: InventoriedFlag = InventoriedFlag::A;
     /// Baseband sample rate for waveform synthesis/decoding.
     pub const SAMPLE_RATE: f64 = 4e6;
-    /// Samples per FM0 symbol: [`Self::SAMPLE_RATE`] over the BLF of
-    /// [`Self::TIMING`].
+    /// Samples per FM0 symbol: [`Self::SAMPLE_RATE`] over the link
+    /// profile's BLF ([`rfly_protocol::timing::BLF`]).
     pub const SAMPLES_PER_SYMBOL: usize = 8;
     /// Minimum post-integration SNR for a successful decode.
     ///
@@ -61,7 +59,7 @@ impl ReaderConfig {
     /// The Query that opens a round with slot-count parameter `q`.
     pub fn query(&self, q: u8) -> Command {
         Command::Query {
-            dr: Self::TIMING.dr,
+            dr: DR,
             m: TagEncoding::Fm0,
             trext: Self::TREXT,
             sel: self.sel,
@@ -93,12 +91,11 @@ mod tests {
     fn default_config_is_consistent() {
         let c = ReaderConfig::usrp_default();
         assert_eq!(c.link_budget().eirp(), Dbm::new(36.0));
-        ReaderConfig::TIMING.validate().expect("legal timing");
     }
 
     #[test]
     fn sample_rate_is_exactly_eight_samples_per_blf_symbol() {
-        let sps = ReaderConfig::SAMPLE_RATE / ReaderConfig::TIMING.blf_hz();
+        let sps = ReaderConfig::SAMPLE_RATE / rfly_protocol::timing::BLF;
         assert_eq!(sps, 8.0, "4 MS/s ÷ 500 kHz");
         assert_eq!(ReaderConfig::SAMPLES_PER_SYMBOL, 8);
     }
@@ -125,7 +122,7 @@ mod tests {
         let base = ReaderConfig::usrp_default().query(0);
         let variants: Vec<Command> = (0..4)
             .map(|field| Command::Query {
-                dr: ReaderConfig::TIMING.dr,
+                dr: DR,
                 m: TagEncoding::from_field(field),
                 trext: ReaderConfig::TREXT,
                 sel: SelFilter::All,

@@ -242,46 +242,10 @@ impl InventoryController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::medium::MockMedium;
     use rfly_protocol::epc::Epc;
     use rfly_protocol::session::Session;
-    use rfly_protocol::tag_state::TagMachine;
-    use rfly_protocol::timing::TagEncoding;
-
-    /// A perfect-physics medium: every powered tag replies over its
-    /// assigned channel at a fixed SNR.
-    struct MockMedium {
-        tags: Vec<(TagMachine, Complex, Db)>,
-    }
-
-    impl MockMedium {
-        fn new(n: usize, snr: Db) -> Self {
-            let tags = (0..n)
-                .map(|i| {
-                    (
-                        TagMachine::new(Epc::from_index(i as u64), 1000 + i as u64),
-                        Complex::from_polar(1e-3 * (i + 1) as f64, i as f64),
-                        snr,
-                    )
-                })
-                .collect();
-            Self { tags }
-        }
-    }
-
-    impl Medium for MockMedium {
-        fn transact(&mut self, cmd: &Command) -> Vec<Observation> {
-            self.tags
-                .iter_mut()
-                .filter_map(|(t, ch, snr)| {
-                    t.handle(cmd).map(|reply| Observation {
-                        frame: reply.into_frame(),
-                        channel: *ch,
-                        snr: *snr,
-                    })
-                })
-                .collect()
-        }
-    }
+    use rfly_protocol::timing::{TagEncoding, DR};
 
     fn controller(seed: u64) -> InventoryController {
         InventoryController::new(ReaderConfig::usrp_default(), StdRng::seed_from_u64(seed))
@@ -336,10 +300,10 @@ mod tests {
     #[test]
     fn reads_carry_the_tags_channel() {
         let mut medium = MockMedium::new(1, Db::new(30.0));
-        let expected = medium.tags[0].1;
         let mut c = controller(5);
         let reads = c.run_until_quiet(&mut medium, 10);
-        assert_eq!(reads[0].channel, expected);
+        // Tag i's mock channel is 1e-3·(i + 1)∠i.
+        assert_eq!(reads[0].channel, Complex::from_polar(1e-3, 0.0));
     }
 
     #[test]
@@ -484,7 +448,7 @@ mod tests {
         // Planted control: the same check rejects a Query in another
         // session.
         let other_session = Command::Query {
-            dr: ReaderConfig::TIMING.dr,
+            dr: DR,
             m: TagEncoding::Fm0,
             trext: ReaderConfig::TREXT,
             sel: ReaderConfig::usrp_default().sel,

@@ -12,8 +12,9 @@ use rfly_protocol::pie::{FrameStart, PieEncoder};
 
 use crate::config::ReaderConfig;
 
-/// Synthesizes reader waveforms at the reader's timing and sample rate
-/// ([`ReaderConfig::TIMING`], [`ReaderConfig::SAMPLE_RATE`]).
+/// Synthesizes reader waveforms at the link profile's timing
+/// ([`rfly_protocol::timing`]) and the reader's sample rate
+/// ([`ReaderConfig::SAMPLE_RATE`]).
 #[derive(Debug, Clone)]
 pub struct WaveformBuilder {
     encoder: PieEncoder,
@@ -29,12 +30,11 @@ impl WaveformBuilder {
     /// Creates a builder with a 90% modulation depth.
     #[expect(
         clippy::expect_used,
-        reason = "the reader's timing and sample rate are constants; the unit tests build them."
+        reason = "the encoder checks only the sample rate, a positive constant; the unit tests build it."
     )]
     pub fn new() -> Self {
-        let encoder = PieEncoder::new(ReaderConfig::TIMING, ReaderConfig::SAMPLE_RATE)
-            .and_then(|e| e.with_depth(0.9))
-            .expect("the reader's constant profile is Gen2-legal");
+        let encoder = PieEncoder::new(ReaderConfig::SAMPLE_RATE)
+            .expect("the reader's sample rate is positive");
         Self { encoder }
     }
 

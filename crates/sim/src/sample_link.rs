@@ -22,6 +22,7 @@ use rfly_protocol::epc::{parse_epc_reply, parse_rn16, Epc};
 use rfly_protocol::fm0;
 use rfly_protocol::pie;
 use rfly_protocol::tag_state::TagMachine;
+use rfly_protocol::timing::T1;
 use rfly_reader::config::ReaderConfig;
 use rfly_reader::decoder::{decode_backscatter, DecodedReply};
 use rfly_reader::waveform::WaveformBuilder;
@@ -111,7 +112,7 @@ impl SampleLink {
         // Backscatter: the tag modulates the incident relayed carrier,
         // starting T1 after the command ends.
         let levels = fm0::encode_reply(reply.frame(), ReaderConfig::TREXT, sps);
-        let t1 = (ReaderConfig::TIMING.t1_s() * fs) as usize;
+        let t1 = (T1 * fs) as usize;
         let mut back_at_relay = vec![Complex::default(); at_tag.len()];
         for (i, &l) in levels.iter().enumerate() {
             let idx = frame.end_sample + t1 + i;

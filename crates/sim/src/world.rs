@@ -21,13 +21,14 @@ use rfly_dsp::rng::StdRng;
 use rfly_channel::environment::Environment;
 use rfly_channel::geometry::Point2;
 use rfly_channel::link::Backscatter;
-use rfly_core::relay::embedded_tag::EmbeddedRfid;
 use rfly_core::relay::gains::{allocate, GainPlan, IsolationBudget, PA_COMPRESSION};
 use rfly_core::relay::RelayConfig;
 use rfly_dsp::noise::noise_sample;
 use rfly_dsp::units::{Db, Dbm, Hertz, Seconds};
 use rfly_dsp::Complex;
 use rfly_protocol::epc::Epc;
+use rfly_protocol::session::TagFlags;
+use rfly_protocol::tag_state::TagMachine;
 use rfly_reader::config::ReaderConfig;
 use rfly_tag::population::TagPopulation;
 
@@ -108,8 +109,21 @@ pub struct PhasorWorld {
     pub config: ReaderConfig,
     /// Tags in the environment.
     pub tags: TagPopulation,
-    /// The relay-embedded RFID.
-    pub embedded: EmbeddedRfid,
+    /// The relay-embedded RFID (§5.1): a stock Gen2 tag on the relay
+    /// PCB, so a plain [`TagMachine`]. It serves three roles:
+    ///
+    /// 1. its channel, as seen by the reader, is *purely* the
+    ///    reader↔relay half-link — the divisor of Eq. 10's
+    ///    disentanglement;
+    /// 2. it abides by Gen2 anti-collision, so it coexists with the tags
+    ///    in the environment without protocol changes;
+    /// 3. decoding it at all tells the reader the drone is in radio
+    ///    range (it is always within the relay's own powering range).
+    ///
+    /// Unlike environment tags it is *always powered* when the relay is
+    /// on (it sits centimeters from the relay's transmit antenna), so it
+    /// has no harvester.
+    pub embedded: TagMachine,
     /// The relay model.
     pub relay: RelayModel,
     /// Extra attenuation applied to every reader-side link (large-scale
@@ -135,7 +149,7 @@ impl PhasorWorld {
             reader_pos,
             config,
             tags,
-            embedded: EmbeddedRfid::new(Self::embedded_epc(), seed ^ 0xE0E0),
+            embedded: TagMachine::new(Self::embedded_epc(), seed ^ 0xE0E0),
             relay,
             reader_link_extra_loss: Db::new(0.0),
             backscatter: Backscatter::passive_tag(),
@@ -190,7 +204,7 @@ impl PhasorWorld {
         WorldSnapshot {
             rng: self.rng_state(),
             embedded_rng: self.embedded.rng_state(),
-            embedded_flags: self.embedded.flags_snapshot(),
+            embedded_flags: self.embedded.flags().snapshot(),
             tags: self
                 .tags
                 .tags()
@@ -229,7 +243,8 @@ impl PhasorWorld {
             tag.restore_flags_snapshot(ts.flags);
         }
         self.embedded.restore_rng_state(snap.embedded_rng);
-        self.embedded.restore_flags_snapshot(snap.embedded_flags);
+        self.embedded
+            .restore_flags(TagFlags::from_bits(snap.embedded_flags));
         self.rng = StdRng::from_state(snap.rng);
         Ok(())
     }

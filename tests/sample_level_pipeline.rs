@@ -67,7 +67,7 @@ fn full_chain_reader_to_tag_to_relay_to_reader() {
     };
     let levels = rfly::protocol::fm0::encode_reply(&rn16_bits, false, SPS);
     // T1 turnaround before the reply begins.
-    let t1 = (ReaderConfig::TIMING.t1_s() * FS) as usize;
+    let t1 = (rfly::protocol::timing::T1 * FS) as usize;
     let mut uplink_in = vec![Complex::default(); relayed.len()];
     for (i, &l) in levels.iter().enumerate() {
         let idx = end + t1 + i;
