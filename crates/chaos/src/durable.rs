@@ -100,7 +100,18 @@ pub trait Durable: Sized {
     /// Executes one step and returns its journal block.
     fn next_block(&mut self) -> Result<String, String>;
     /// The full state at the current step boundary, as checkpoint text.
-    fn checkpoint(&self) -> String;
+    ///
+    /// It takes `&mut self` so a stepper can keep the text it encoded
+    /// last time and format only what changed since. The mission's
+    /// writer does: its tracks and resilience log are append-only
+    /// between restores, so each checkpoint formats only the entries
+    /// the last steps added. Whatever it reuses, the bytes must equal a
+    /// from-scratch encode of the same state. During [`recover`] the
+    /// engine still writes a checkpoint after each re-executed step
+    /// whose block was already durable (counted by
+    /// `durable.checkpoints_rewritten`), though the next one overwrites
+    /// it before anything reads it.
+    fn checkpoint(&mut self) -> String;
     /// Restores a fresh run to `checkpoint`.
     fn restore(&mut self, checkpoint: Self::Checkpoint) -> Result<(), String>;
     /// Folds an already-durable step the restored state has passed into
@@ -304,24 +315,28 @@ fn drive<D: Durable>(
     while !run.finished() {
         let step = run.position();
         let block = run.next_block()?;
-        match durable.get(step) {
+        let was_durable = match durable.get(step) {
             Some(kept) if *kept != block => {
                 return Err(format!(
                     "recovery diverged from the durable journal at step {step}"
                 ))
             }
-            Some(_) => {}
+            Some(_) => true,
             None => {
                 storage
                     .append(&paths.journal, block.as_bytes())
                     .map_err(|e| io("journal step append", e))?;
                 rfly_obs::counter_add("durable.steps_appended", 1);
+                false
             }
-        }
+        };
         if checkpoint_every != 0 && (step + 1).is_multiple_of(checkpoint_every) {
             storage
                 .write_atomic(&paths.checkpoint, run.checkpoint().as_bytes())
                 .map_err(|e| io("checkpoint write", e))?;
+            if was_durable {
+                rfly_obs::counter_add("durable.checkpoints_rewritten", 1);
+            }
         }
     }
     Ok(())
@@ -330,7 +345,7 @@ fn drive<D: Durable>(
 /// Finishes `run`: appends its seal unless `kept` already holds it
 /// (which must then agree), and writes the final checkpoint.
 fn close<D: Durable>(
-    run: D,
+    mut run: D,
     storage: &mut dyn Storage,
     paths: &StorePaths,
     kept: Option<String>,
@@ -451,7 +466,7 @@ pub(crate) mod tests {
             Ok(format!("s {i}\nv {}\ne\n", i * i))
         }
 
-        fn checkpoint(&self) -> String {
+        fn checkpoint(&mut self) -> String {
             format!("{} {}\n", self.next, self.sum)
         }
 

@@ -385,7 +385,7 @@ impl Durable for CampaignRun<'_> {
         self.step().map(|rec| tick_block(&rec))
     }
 
-    fn checkpoint(&self) -> String {
+    fn checkpoint(&mut self) -> String {
         checkpoint_of(self).to_text()
     }
 

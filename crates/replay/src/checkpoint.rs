@@ -15,6 +15,11 @@
 //! [`rfly_faults::text::Line`]); `Checkpoint::from_text(c.to_text())` reproduces every field
 //! bit for bit, and resuming from the *parsed* checkpoint is
 //! bit-identical to resuming from the in-memory one.
+//!
+//! There is one encoder, [`CheckpointWriter`]. A durable mission keeps
+//! one for its whole flight and formats only the track and log lines
+//! each step added; [`Checkpoint::to_text`] is a fresh one. Both give
+//! the same bytes.
 
 use std::fmt::Write;
 
@@ -40,11 +45,78 @@ pub struct Checkpoint {
     pub world: WorldSnapshot,
 }
 
-impl Checkpoint {
-    /// The full text form, written into one buffer through [`Line`].
-    pub fn to_text(&self) -> String {
-        let m = &self.mission;
-        let mut s = String::from("rfly-checkpoint v1\n");
+/// The one checkpoint encoder. [`Checkpoint::to_text`] is a fresh
+/// writer; a durable run keeps one for the whole mission.
+///
+/// It keeps the text of the two append-only sections of
+/// [`MissionState`] that it has already formatted: each relay's `trk`
+/// lines, and the resilience log's fault (`f`) and recovery (`a`)
+/// lines, each with the count of entries the text covers. An encode
+/// formats only the entries added since the last one, formats every
+/// other section in full, and returns exactly the bytes a fresh writer
+/// would.
+///
+/// The reuse rests on one invariant: between two encodes, a mission's
+/// tracks and log only grow at their ends. [`MissionState::advance`]
+/// keeps it. Any other change of history needs a fresh writer, which
+/// [`crate::runner::MissionRun::restore`] takes. A shorter section or a
+/// changed relay count is caught here and rebuilt from scratch.
+#[derive(Debug, Default)]
+pub struct CheckpointWriter {
+    /// Per relay: its `trk` lines.
+    tracks: Vec<Cached>,
+    /// The log's `f` lines.
+    faults: Cached,
+    /// The log's `a` lines.
+    recoveries: Cached,
+    /// The length of the last text, so the next one is allocated once.
+    last_len: usize,
+}
+
+/// The encoded lines of an append-only list's first `covers` entries.
+#[derive(Debug, Clone, Default)]
+struct Cached {
+    text: String,
+    covers: usize,
+}
+
+impl Cached {
+    /// Appends the lines of all of `items` to `out`: the cached text,
+    /// then the entries past `covers` (all of them when `items` shrank),
+    /// formatted by `line` straight into `out` and kept. Returns how
+    /// many bytes came from the cache.
+    fn write<T>(
+        &mut self,
+        out: &mut String,
+        items: &[T],
+        mut line: impl FnMut(&mut String, &T),
+    ) -> usize {
+        if items.len() < self.covers {
+            *self = Self::default();
+        }
+        let reused = self.text.len();
+        out.push_str(&self.text);
+        let start = out.len();
+        for item in &items[self.covers..] {
+            line(out, item);
+        }
+        self.text.push_str(&out[start..]);
+        self.covers = items.len();
+        reused
+    }
+}
+
+impl CheckpointWriter {
+    /// The checkpoint text of `m` and `world`, written into one buffer
+    /// through [`Line`]. Bumps the `replay.checkpoint_bytes_formatted`
+    /// counter by the bytes it formatted, cached text excluded.
+    pub fn encode(&mut self, m: &MissionState, world: &WorldSnapshot) -> String {
+        if self.tracks.len() != m.tracks.len() {
+            self.tracks = vec![Cached::default(); m.tracks.len()];
+        }
+        let mut reused = 0;
+        let mut s = String::with_capacity(self.last_len);
+        s.push_str("rfly-checkpoint v1\n");
         Line::new(&mut s, "state")
             .kv_usize("step", m.step)
             .kv_usize("steps", m.steps)
@@ -114,9 +186,9 @@ impl Checkpoint {
             }
             line.end();
         }
-        for (relay, track) in m.tracks.iter().enumerate() {
-            for st in track {
-                let mut line = Line::new(&mut s, "trk");
+        for (relay, (cache, track)) in self.tracks.iter_mut().zip(&m.tracks).enumerate() {
+            reused += cache.write(&mut s, track, |out, st| {
+                let mut line = Line::new(out, "trk");
                 line.usize(relay)
                     .kv_f64("px", st.pos.x)
                     .kv_f64("py", st.pos.y);
@@ -127,7 +199,7 @@ impl Checkpoint {
                     line.kv_epc("tag", epc).and_f64(h.re).and_f64(h.im);
                 }
                 line.end();
-            }
+            });
         }
         let mut line = Line::new(&mut s, "inv");
         for &r in &m.inventory.per_relay_reads {
@@ -146,10 +218,31 @@ impl Checkpoint {
                 .kv_f64("snr", rec.best_snr.value())
                 .end();
         }
-        let _ = write!(s, "{}", m.log);
-        write_world(&mut s, &self.world);
+        // The bytes of `ResilienceLog`'s `Display`, a line at a time.
+        s.push_str("resilience-log v1\n");
+        reused += self.faults.write(&mut s, &m.log.faults, |out, ev| {
+            let _ = writeln!(out, "{ev}");
+        });
+        reused += self.recoveries.write(&mut s, &m.log.recoveries, |out, r| {
+            let _ = writeln!(out, "{r}");
+        });
         s.push_str("end\n");
+        write_world(&mut s, world);
+        s.push_str("end\n");
+        self.last_len = s.len();
+        rfly_obs::counter_add(
+            "replay.checkpoint_bytes_formatted",
+            (s.len() - reused) as u64,
+        );
         s
+    }
+}
+
+impl Checkpoint {
+    /// The full text form: [`CheckpointWriter::encode`] from an empty
+    /// writer, so every byte is formatted.
+    pub fn to_text(&self) -> String {
+        CheckpointWriter::default().encode(&self.mission, &self.world)
     }
 
     /// Parses [`Self::to_text`].

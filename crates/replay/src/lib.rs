@@ -52,7 +52,7 @@ pub mod runner;
 pub mod shrink;
 pub mod store;
 
-pub use checkpoint::Checkpoint;
+pub use checkpoint::{Checkpoint, CheckpointWriter};
 pub use divergence::{first_divergence, verify_replay, Divergence};
 pub use invariant::{Invariant, InvariantHarness, Violation};
 pub use journal::{Journal, Seal};

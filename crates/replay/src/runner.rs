@@ -25,7 +25,7 @@ use rfly_fleet::partition::Partition;
 use rfly_sim::scene::Scene;
 use rfly_sim::world::PhasorWorld;
 
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::{Checkpoint, CheckpointWriter};
 use crate::journal::Journal;
 
 /// Everything needed to rebuild a mission deterministically.
@@ -203,6 +203,9 @@ pub struct MissionRun<'a> {
     mission: Mission,
     pub(crate) state: MissionState,
     pub(crate) journal: Journal,
+    /// Encodes this run's checkpoints, reusing the text of the tracks
+    /// and log it has already written.
+    writer: CheckpointWriter,
 }
 
 impl<'a> MissionRun<'a> {
@@ -216,6 +219,7 @@ impl<'a> MissionRun<'a> {
             mission,
             state,
             journal: Journal::begin(scenario.clone()),
+            writer: CheckpointWriter::default(),
         })
     }
 
@@ -226,6 +230,8 @@ impl<'a> MissionRun<'a> {
             .restore(&checkpoint.world)
             .map_err(|e| format!("world restore failed: {e}"))?;
         self.state = checkpoint.mission.clone();
+        // The restored history need not extend what the writer cached.
+        self.writer = CheckpointWriter::default();
         Ok(())
     }
 
@@ -251,6 +257,14 @@ impl<'a> MissionRun<'a> {
             mission: self.state.snapshot(),
             world: self.mission.world.snapshot(),
         }
+    }
+
+    /// The text of [`Self::checkpoint`], encoded from the live state by
+    /// the run's writer: only the track and log entries added since the
+    /// last call are formatted.
+    pub fn checkpoint_text(&mut self) -> String {
+        self.writer
+            .encode(&self.state, &self.mission.world.snapshot())
     }
 
     /// Ends the mission: localization, the outcome, and the sealed

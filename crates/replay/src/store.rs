@@ -59,8 +59,8 @@ impl Durable for MissionRun<'_> {
         Ok(journal::step_block(&self.advance()))
     }
 
-    fn checkpoint(&self) -> String {
-        MissionRun::checkpoint(self).to_text()
+    fn checkpoint(&mut self) -> String {
+        self.checkpoint_text()
     }
 
     fn restore(&mut self, checkpoint: Checkpoint) -> Result<(), String> {

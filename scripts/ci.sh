@@ -50,6 +50,16 @@ echo "== block FIR property in release (ROADMAP item 11) =="
 # optimised.
 cargo test --release --offline -p rfly-dsp -q --test proptest_dsp
 
+echo "== durable suite in release (checkpoint writer, DESIGN.md §14.3) =="
+# The mission's checkpoint writer formats only the track and log lines
+# a step added. The replay crate's tests (crash consistency, storage
+# crash matrix, goldens) run again in optimised code, and the ignored
+# sweep checks over 200 more seeds that every checkpoint a stored,
+# restored or recovered mission writes equals a cold
+# Checkpoint::to_text byte for byte (~3 s in release on 2 vCPUs).
+cargo test --release --offline -p rfly-replay -q
+cargo test --release --offline -q --test checkpoint_writer -- --ignored
+
 echo "== float writer sweep in release (DESIGN.md §9.1) =="
 # Every committed artifact prints its floats through
 # rfly_dsp::decimal, whose contract is the bytes of `{}`. Tier-1 checks
